@@ -222,7 +222,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_arrival(order(0, 0, 10, 0), &mut ctx);
@@ -235,7 +234,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_check(&mut ctx);
@@ -261,7 +259,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_arrival(order(0, 0, 10, 0), &mut ctx);
@@ -273,7 +270,6 @@ mod tests {
             measurements: &mut m,
             oracle: &Line,
             weights: CostWeights::default(),
-            exec: &watter_core::Exec::sequential(),
             effects: &mut Vec::new(),
         };
         d.on_check(&mut ctx);

@@ -136,7 +136,6 @@ mod tests {
             measurements: &mut m,
             oracle: &Line,
             weights: CostWeights::default(),
-            exec: &watter_core::Exec::sequential(),
             effects: &mut Vec::new(),
         };
         d.on_arrival(order(0, 2, 7, 0, 3.0), &mut ctx);
@@ -153,7 +152,6 @@ mod tests {
             measurements: &mut m,
             oracle: &Line,
             weights: CostWeights::default(),
-            exec: &watter_core::Exec::sequential(),
             effects: &mut Vec::new(),
         };
         // worker 1000 s away; deadline only allows 1.2× direct (120 s)
@@ -171,7 +169,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_arrival(order(0, 0, 10, 0, 3.0), &mut ctx);

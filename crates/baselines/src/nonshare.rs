@@ -122,7 +122,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_arrival(order(0, 0, 5, 0), &mut ctx);
@@ -137,7 +136,6 @@ mod tests {
             measurements: &mut m,
             oracle: &Line,
             weights: CostWeights::default(),
-            exec: &watter_core::Exec::sequential(),
             effects: &mut Vec::new(),
         };
         d.on_check(&mut ctx);
@@ -161,7 +159,6 @@ mod tests {
                 measurements: &mut m,
                 oracle: &Line,
                 weights: CostWeights::default(),
-                exec: &watter_core::Exec::sequential(),
                 effects: &mut Vec::new(),
             };
             d.on_arrival(order(0, 0, 5, 0), &mut ctx);
@@ -172,7 +169,6 @@ mod tests {
             measurements: &mut m,
             oracle: &Line,
             weights: CostWeights::default(),
-            exec: &watter_core::Exec::sequential(),
             effects: &mut Vec::new(),
         };
         d.on_check(&mut ctx);

@@ -86,10 +86,8 @@ fn oracle() {
 fn pool(side: usize) {
     println!("\n## Pooling-acceleration scaling study ({side}×{side} blocks)");
     println!(
-        "{:<18} {:>7} {:>7} {:>8} {:>7} {:>9} {:>11} {:>9} {:>13} {:>11} {:>11}",
+        "{:<18} {:>8} {:>7} {:>9} {:>11} {:>9} {:>13} {:>11} {:>11}",
         "config",
-        "threads",
-        "shards",
         "orders",
         "served",
         "rejected",
@@ -102,10 +100,8 @@ fn pool(side: usize) {
     let rows = watter_bench::experiments::pool_scale_study(side);
     for r in &rows {
         println!(
-            "{:<18} {:>7} {:>7} {:>8} {:>7} {:>9} {:>11.1} {:>9.1} {:>13.1} {:>11} {:>11}",
+            "{:<18} {:>8} {:>7} {:>9} {:>11.1} {:>9.1} {:>13.1} {:>11} {:>11}",
             r.config,
-            r.threads,
-            r.shards,
             r.orders,
             r.served,
             r.rejected,

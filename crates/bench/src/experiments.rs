@@ -462,13 +462,7 @@ pub struct PoolScaleRow {
     /// scanning every pooled order, uncached oracle), `spatial`
     /// (grid-pruned insert), `spatial+cache` (grid-pruned insert +
     /// memoized oracle). All three use the bound-guided pre-filter.
-    /// `spatial+cache tN` adds the sharded parallel dispatch engine on
-    /// `N` threads.
     pub config: String,
-    /// Dispatch-engine worker threads (1 = sequential engine).
-    pub threads: usize,
-    /// Order-pool shards (1 = unsharded).
-    pub shards: usize,
     /// Orders simulated.
     pub orders: usize,
     /// Orders served / rejected — must be identical across configurations
@@ -503,22 +497,15 @@ pub fn pool_scale_study(city_side: usize) -> Vec<PoolScaleRow> {
 
     let mut params = ScenarioParams::large_city();
     params.city_side = city_side;
-    let mut scenario = Scenario::build(params);
+    let scenario = Scenario::build(params);
     let nodes = scenario.graph.node_count();
 
-    // The threads-vs-throughput column: the best single-threaded
-    // configuration rerun on the parallel sharded engine. Outcomes must
-    // stay bit-identical; only wall-clock may move (and only moves on a
-    // multi-core host).
     let mut rows: Vec<PoolScaleRow> = Vec::new();
-    for (config, spatial, cache, threads, shards) in [
-        ("full-scan", false, false, 1, 1),
-        ("spatial", true, false, 1, 1),
-        ("spatial+cache", true, true, 1, 1),
-        ("spatial+cache t2", true, true, 2, 2),
-        ("spatial+cache t4", true, true, 4, 4),
+    for (config, spatial, cache) in [
+        ("full-scan", false, false),
+        ("spatial", true, false),
+        ("spatial+cache", true, true),
     ] {
-        scenario.params.parallelism = watter_core::DispatchParallelism { threads, shards };
         let cached =
             cache.then(|| CachedOracle::with_default_capacity(Arc::clone(&scenario.oracle)));
         let oracle: &dyn TravelBound = match &cached {
@@ -544,8 +531,6 @@ pub fn pool_scale_study(city_side: usize) -> Vec<PoolScaleRow> {
             city_side,
             nodes,
             config: config.to_string(),
-            threads,
-            shards,
             orders: scenario.orders.len(),
             served: m.served_orders,
             rejected: m.rejected_orders,

@@ -63,10 +63,11 @@ pub use worker::Worker;
 /// the road substrate answers the query (exact all-pairs table, on-demand
 /// Dijkstra, ...).
 ///
-/// `Send + Sync` is a supertrait so that `&dyn TravelBound` can be shared
-/// across the scoped worker threads of the parallel dispatch engine (see
-/// [`Exec`]); every backend in this workspace is an immutable table or an
-/// internally synchronized cache, so the bound costs implementors nothing.
+/// `Send + Sync` is a supertrait so that one backend can be shared across
+/// threads — oracle builds fan out over scoped threads and `CachedOracle`
+/// wraps a shared backend; every backend in this workspace is an immutable
+/// table or an internally synchronized cache, so the bound costs
+/// implementors nothing.
 pub trait TravelCost: Send + Sync {
     /// Shortest travel time in seconds from `a` to `b`.
     fn cost(&self, a: NodeId, b: NodeId) -> Dur;

@@ -1,40 +1,32 @@
-//! Deterministic fork-join execution for the sharded dispatch engine.
+//! Deterministic fork-join execution for setup-time work.
 //!
-//! The engine's determinism contract is *bit-identical [`Measurements`]
-//! for any thread or shard count, given the same scenario seed*. The only
-//! way to keep that promise cheaply is to parallelize **pure computation**
-//! (pair-edge validation, clique enumeration, best-group recomputation,
-//! nearest-worker scans) and keep every state *commit* sequential in a
-//! canonical order. [`Exec`] is the one fork-join primitive the workspace
-//! uses for this: an order-preserving chunked `map` over
+//! [`Exec`] is an order-preserving chunked `map` over
 //! [`std::thread::scope`], with a strictly sequential fast path when one
 //! thread is configured (or the input is too small to be worth forking).
+//! Its callers parallelize **pure computation** at oracle-build time
+//! (contraction-hierarchy core distances and access sets) and commit
+//! results sequentially, so a build is bit-identical for any thread
+//! count. Dispatch itself is single-threaded: at the pool depths this
+//! repo reaches (~1 000 pending, 0.07–0.5 ms per order) a spawn + join
+//! per call cost more than the work it split (`BENCHMARK.json`,
+//! `dense_deep_online_t2`).
 //!
 //! Chunks are contiguous index ranges and results are concatenated in
 //! chunk order, so `exec.map(items, f)` returns exactly
 //! `items.iter().map(f).collect()` — the thread count can never reorder,
-//! drop or duplicate results. This is the same discipline kern's
-//! `find_pool` uses for chunked branch expansion, without the `static mut`
-//! slice juggling.
-//!
-//! [`Measurements`]: crate::Measurements
+//! drop or duplicate results.
 
 use serde::{Deserialize, Serialize};
 
-/// Degree of parallelism of one dispatch engine instance.
-///
-/// The default (`threads = 1`, `shards = 1`) is the fully sequential
-/// engine — existing callers and all historical results are unaffected
-/// unless they opt in. `threads = 0` resolves to the host's available
-/// parallelism at [`Exec`] construction time.
+/// Thread setting of one scenario. `threads = 0` resolves to the host's
+/// available parallelism at [`Exec`] construction time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DispatchParallelism {
-    /// Worker threads for pool insertion / clique search / recompute
-    /// batches. `0` = use every available core.
+    /// Worker threads for contraction-hierarchy preprocessing (its one
+    /// reader is `Scenario::build`). `0` = use every available core.
     pub threads: usize,
-    /// Grid-region shards the order pool is partitioned into (row bands of
-    /// the grid index). Shards bound the granularity of per-shard proposal
-    /// sweeps; outcomes are identical for every shard count.
+    /// Carried and ignored: the pool is no longer sharded. Kept because
+    /// `benchmark/` constructs this struct field by field.
     pub shards: usize,
 }
 
@@ -48,7 +40,7 @@ impl Default for DispatchParallelism {
 }
 
 impl DispatchParallelism {
-    /// Fully sequential engine (the default).
+    /// One thread (the default).
     pub const SEQUENTIAL: Self = Self {
         threads: 1,
         shards: 1,
@@ -131,8 +123,7 @@ impl Exec {
     }
 
     /// Map `f` over the index range `0..n`, returning results in index
-    /// order. The primitive [`Exec::map`] and the shard/clique chunking in
-    /// `watter-pool` are built on.
+    /// order. The primitive [`Exec::map`] is built on.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,

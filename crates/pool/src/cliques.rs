@@ -14,7 +14,7 @@
 use crate::planner::{plan_min_cost, PlanLimits};
 use crate::share_graph::ShareGraph;
 use std::sync::Arc;
-use watter_core::{CostWeights, Exec, Group, Order, OrderId, TravelBound, Ts};
+use watter_core::{CostWeights, Group, Order, OrderId, TravelBound, Ts};
 
 /// Knobs bounding clique search.
 #[derive(Clone, Copy, Debug)]
@@ -70,63 +70,6 @@ pub fn best_group_for<C: TravelBound>(
     best.map(|(_, g)| g)
 }
 
-/// [`best_group_for`] with the search tree's top-level branches chunked
-/// across `exec`'s threads.
-///
-/// Each top-level candidate roots an independent subtree (`grow` records
-/// candidates without pruning on the running best, so subtrees never
-/// observe each other); per-subtree bests are merged with strict `<` in
-/// ascending branch order, which reproduces the sequential search's
-/// first-global-minimum tie-breaking exactly. Bit-identical to the
-/// sequential function for every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn best_group_for_par<C: TravelBound>(
-    center: &Arc<Order>,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    weights: CostWeights,
-    oracle: &C,
-    exec: &Exec,
-) -> Option<Group> {
-    if !exec.is_parallel() {
-        return best_group_for(center, graph, now, limits, clique, weights, oracle);
-    }
-    let candidates = ranked_candidates(center, graph, now, clique);
-    if candidates.is_empty() {
-        return None;
-    }
-    let subtree_bests = exec.map_indexed(candidates.len(), |i| {
-        let mut members = Members::with_center(center, clique.max_group_size);
-        let mut best: Option<(f64, Group)> = None;
-        grow_subtree(
-            &mut members,
-            &candidates,
-            i,
-            graph,
-            now,
-            limits,
-            clique,
-            weights,
-            oracle,
-            &mut best,
-        );
-        best
-    });
-    let mut best: Option<(f64, Group)> = None;
-    for local in subtree_bests.into_iter().flatten() {
-        let better = match &best {
-            Some((b, _)) => local.0 < *b,
-            None => true,
-        };
-        if better {
-            best = Some(local);
-        }
-    }
-    best.map(|(_, g)| g)
-}
-
 /// Enumerate **all** validated shared groups (size ≥ 2) containing `center`
 /// — used by tests and by the GAS baseline's additive construction.
 pub fn all_groups_for<C: TravelBound>(
@@ -154,47 +97,8 @@ pub fn all_groups_for<C: TravelBound>(
     out
 }
 
-/// [`all_groups_for`] with top-level branches chunked across `exec`'s
-/// threads; per-subtree outputs are concatenated in branch order, which is
-/// exactly the sequential DFS emission order — same groups, same order,
-/// for every thread count.
-pub fn all_groups_for_par<C: TravelBound>(
-    center: &Arc<Order>,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    oracle: &C,
-    exec: &Exec,
-) -> Vec<Group> {
-    if !exec.is_parallel() {
-        return all_groups_for(center, graph, now, limits, clique, oracle);
-    }
-    let candidates = ranked_candidates(center, graph, now, clique);
-    exec.map_indexed(candidates.len(), |i| {
-        let mut members = Members::with_center(center, clique.max_group_size);
-        let mut out = Vec::new();
-        collect_subtree(
-            &mut members,
-            &candidates,
-            i,
-            graph,
-            now,
-            limits,
-            clique,
-            oracle,
-            &mut out,
-        );
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Live neighbours of `center` ranked by `(pair route cost, id)` and
-/// truncated to the clique fan-out — the shared candidate list both the
-/// sequential and chunked searches enumerate over.
+/// truncated to the clique fan-out.
 fn ranked_candidates<'g>(
     center: &Arc<Order>,
     graph: &'g ShareGraph,
@@ -257,6 +161,8 @@ impl<'a> Members<'a> {
     }
 }
 
+/// Best-group search: try extending the clique with each candidate from
+/// `from` on, recursing over the candidates after it.
 #[allow(clippy::too_many_arguments)]
 fn grow<'a, C: TravelBound>(
     members: &mut Members<'a>,
@@ -271,68 +177,47 @@ fn grow<'a, C: TravelBound>(
     best: &mut Option<(f64, Group)>,
 ) {
     for i in from..candidates.len() {
-        grow_subtree(
-            members, candidates, i, graph, now, limits, clique, weights, oracle, best,
-        );
+        let cand = candidates[i];
+        if !extends_clique(&members.refs, cand, graph)
+            || members.riders() + cand.riders > limits.capacity
+        {
+            continue;
+        }
+        members.push(cand);
+        if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
+            let group = Group::new(members.to_orders(), route, oracle);
+            let mean = group.mean_extra_time(now, weights);
+            let better = match best {
+                Some((b, _)) => mean < *b,
+                None => true,
+            };
+            if better {
+                *best = Some((mean, group));
+            }
+            // Only a *feasible* subgroup is worth extending: route
+            // feasibility is monotone-ish in practice and this keeps the
+            // search linear in the number of useful cliques.
+            if members.len() < clique.max_group_size {
+                grow(
+                    members,
+                    candidates,
+                    i + 1,
+                    graph,
+                    now,
+                    limits,
+                    clique,
+                    weights,
+                    oracle,
+                    best,
+                );
+            }
+        }
+        members.pop();
     }
 }
 
-/// One branch of the best-group search: try extending the clique with
-/// candidate `i`, then recurse over candidates after `i`. The unit the
-/// parallel search distributes across threads (one top-level branch per
-/// task); `best` records but never prunes, so branches are independent.
-#[allow(clippy::too_many_arguments)]
-fn grow_subtree<'a, C: TravelBound>(
-    members: &mut Members<'a>,
-    candidates: &[&'a Arc<Order>],
-    i: usize,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    weights: CostWeights,
-    oracle: &C,
-    best: &mut Option<(f64, Group)>,
-) {
-    let cand = candidates[i];
-    if !extends_clique(&members.refs, cand, graph) {
-        return;
-    }
-    if members.riders() + cand.riders > limits.capacity {
-        return;
-    }
-    members.push(cand);
-    if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
-        let group = Group::new(members.to_orders(), route, oracle);
-        let mean = group.mean_extra_time(now, weights);
-        let better = match best {
-            Some((b, _)) => mean < *b,
-            None => true,
-        };
-        if better {
-            *best = Some((mean, group));
-        }
-        // Only a *feasible* subgroup is worth extending: route
-        // feasibility is monotone-ish in practice and this keeps the
-        // search linear in the number of useful cliques.
-        if members.len() < clique.max_group_size {
-            grow(
-                members,
-                candidates,
-                i + 1,
-                graph,
-                now,
-                limits,
-                clique,
-                weights,
-                oracle,
-                best,
-            );
-        }
-    }
-    members.pop();
-}
-
+/// All-groups enumeration: the same walk as [`grow`], emitting every
+/// validated group in DFS order.
 #[allow(clippy::too_many_arguments)]
 fn collect<'a, C: TravelBound>(
     members: &mut Members<'a>,
@@ -346,50 +231,31 @@ fn collect<'a, C: TravelBound>(
     out: &mut Vec<Group>,
 ) {
     for i in from..candidates.len() {
-        collect_subtree(
-            members, candidates, i, graph, now, limits, clique, oracle, out,
-        );
-    }
-}
-
-/// One branch of the all-groups enumeration (see [`grow_subtree`]).
-#[allow(clippy::too_many_arguments)]
-fn collect_subtree<'a, C: TravelBound>(
-    members: &mut Members<'a>,
-    candidates: &[&'a Arc<Order>],
-    i: usize,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    oracle: &C,
-    out: &mut Vec<Group>,
-) {
-    let cand = candidates[i];
-    if !extends_clique(&members.refs, cand, graph) {
-        return;
-    }
-    if members.riders() + cand.riders > limits.capacity {
-        return;
-    }
-    members.push(cand);
-    if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
-        out.push(Group::new(members.to_orders(), route, oracle));
-        if members.len() < clique.max_group_size {
-            collect(
-                members,
-                candidates,
-                i + 1,
-                graph,
-                now,
-                limits,
-                clique,
-                oracle,
-                out,
-            );
+        let cand = candidates[i];
+        if !extends_clique(&members.refs, cand, graph)
+            || members.riders() + cand.riders > limits.capacity
+        {
+            continue;
         }
+        members.push(cand);
+        if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
+            out.push(Group::new(members.to_orders(), route, oracle));
+            if members.len() < clique.max_group_size {
+                collect(
+                    members,
+                    candidates,
+                    i + 1,
+                    graph,
+                    now,
+                    limits,
+                    clique,
+                    oracle,
+                    out,
+                );
+            }
+        }
+        members.pop();
     }
-    members.pop();
 }
 
 /// `cand` extends the current member set to a larger clique iff it is
@@ -518,66 +384,6 @@ mod tests {
         };
         let all = all_groups_for(&center, &g, 0, limits(), cl, &Line);
         assert!(all.iter().all(|gr| gr.len() == 2));
-    }
-
-    #[test]
-    fn chunked_search_matches_sequential_for_any_thread_count() {
-        // A dense pool where every order pairs with every other: many
-        // branches, ties in mean extra time — the tie-breaking stress case.
-        let orders: Vec<Order> = (0..10).map(|i| order(i, i, i + 8, 10_000)).collect();
-        let g = setup(orders);
-        for threads in [1, 2, 3, 4, 8] {
-            let exec = Exec::new(threads);
-            for id in 0..10u32 {
-                let center = g.order_handle(OrderId(id)).unwrap().clone();
-                let seq_all =
-                    all_groups_for(&center, &g, 0, limits(), CliqueLimits::default(), &Line);
-                let par_all = all_groups_for_par(
-                    &center,
-                    &g,
-                    0,
-                    limits(),
-                    CliqueLimits::default(),
-                    &Line,
-                    &exec,
-                );
-                assert_eq!(seq_all.len(), par_all.len(), "threads={threads} id={id}");
-                for (a, b) in seq_all.iter().zip(&par_all) {
-                    let ai: Vec<OrderId> = a.order_ids().collect();
-                    let bi: Vec<OrderId> = b.order_ids().collect();
-                    assert_eq!(ai, bi, "emission order diverges");
-                    assert_eq!(a.route.cost(), b.route.cost());
-                }
-                let seq_best = best_group_for(
-                    &center,
-                    &g,
-                    0,
-                    limits(),
-                    CliqueLimits::default(),
-                    CostWeights::default(),
-                    &Line,
-                );
-                let par_best = best_group_for_par(
-                    &center,
-                    &g,
-                    0,
-                    limits(),
-                    CliqueLimits::default(),
-                    CostWeights::default(),
-                    &Line,
-                    &exec,
-                );
-                match (seq_best, par_best) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        let ai: Vec<OrderId> = a.order_ids().collect();
-                        let bi: Vec<OrderId> = b.order_ids().collect();
-                        assert_eq!(ai, bi, "best tie-break diverges: threads={threads} id={id}");
-                    }
-                    _ => panic!("best presence diverges"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -23,14 +23,12 @@
 pub mod cliques;
 pub mod planner;
 pub mod pool;
-pub mod shard;
 pub mod share_graph;
 pub mod snapshot;
 pub mod spatial;
 
 pub use planner::{plan_min_cost, plan_with_start, PlanLimits};
 pub use pool::{OrderPool, PoolConfig, PoolStats};
-pub use shard::ShardMap;
 pub use share_graph::{pair_prefilter, PairEdge, ShareGraph};
 pub use snapshot::{BestSnapshot, EdgeSnapshot, PoolSnapshot, RestoreError};
 pub use spatial::SpatialPrune;

@@ -164,13 +164,6 @@ impl ShareGraph {
     /// — same edges either way.
     ///
     /// Returns the ids of the new neighbours, ascending.
-    ///
-    /// Composed from the three stages the parallel pool also uses:
-    /// [`candidate_partners`](Self::candidate_partners) (read-only scan) →
-    /// [`eval_edge`](Self::eval_edge) per candidate (pure) →
-    /// [`commit`](Self::commit) (the only mutation). `OrderPool` runs the
-    /// middle stage across threads; edges are identical either way because
-    /// evaluation never touches graph state.
     pub fn insert<C: TravelBound>(
         &mut self,
         order: Order,
@@ -192,9 +185,8 @@ impl ShareGraph {
 
     /// Candidate partner ids for an arriving order, ascending: the whole
     /// pool, or — with spatial pruning — only orders in the slack-reachable
-    /// cell ring that also pass the per-pair ring refinement. Read-only;
-    /// candidate selection depends only on graph state and the order.
-    pub fn candidate_partners(&self, order: &Order, now: Ts) -> Vec<OrderId> {
+    /// cell ring that also pass the per-pair ring refinement.
+    fn candidate_partners(&self, order: &Order, now: Ts) -> Vec<OrderId> {
         match &self.spatial {
             None => self.orders.keys().copied().collect(),
             Some(st) => {
@@ -242,10 +234,8 @@ impl ShareGraph {
     }
 
     /// Validate the candidate pair `(order, cand)`: pre-filter, pair
-    /// planner, edge-expiry computation. Pure with respect to graph state —
-    /// safe to evaluate from multiple threads concurrently and the reason
-    /// parallel inserts are bit-identical to sequential ones.
-    pub fn eval_edge<C: TravelBound>(
+    /// planner, edge-expiry computation.
+    fn eval_edge<C: TravelBound>(
         &self,
         order: &Arc<Order>,
         cand: OrderId,
@@ -257,17 +247,16 @@ impl ShareGraph {
     }
 
     /// Commit an arriving order and its validated edges (`(id, edge)`
-    /// ascending by id) into the graph. The sole mutation stage of an
-    /// insert. Returns the neighbour ids, ascending.
-    pub fn commit(&mut self, order: Arc<Order>, edges: Vec<(OrderId, PairEdge)>) -> Vec<OrderId> {
+    /// ascending by id) into the graph. Returns the neighbour ids,
+    /// ascending.
+    fn commit(&mut self, order: Arc<Order>, edges: Vec<(OrderId, PairEdge)>) -> Vec<OrderId> {
         let id = order.id;
         debug_assert!(
             !self.orders.contains_key(&id),
             "order {id} inserted twice into the pool"
         );
         // Ascending by construction: the full scan iterates the ordered
-        // order map, the spatial path sorts candidates up front, and the
-        // parallel path merges per-shard chunks in canonical order.
+        // order map and the spatial path sorts candidates up front.
         debug_assert!(edges.windows(2).all(|w| w[0].0 < w[1].0));
         for &(j, e) in &edges {
             self.adj.entry(id).or_default().insert(j, e);

@@ -11,9 +11,8 @@
 //! (`tests/snapshot.rs`).
 //!
 //! Derived structures are rebuilt on restore, not serialized: the spatial
-//! insert-prune buckets and shard membership are pure functions of the
-//! pooled orders, and the `contained_in` reverse index is a pure function
-//! of the best map.
+//! insert-prune buckets are a pure function of the pooled orders, and the
+//! `contained_in` reverse index is a pure function of the best map.
 
 use serde::{Deserialize, Serialize};
 use watter_core::{Dur, Order, OrderId, Route, Ts};

@@ -13,8 +13,9 @@
 //! * the **streaming driver** ([`crate::engine::run_stream`]) interleaves
 //!   ingest-validated arrivals with due checks, never materializing the
 //!   stream;
-//! * a future daemon front end (ROADMAP item 4) would feed events from a
-//!   socket.
+//! * the **daemon** ([`crate::daemon::Daemon`]) feeds newline-delimited
+//!   order lines from stdin, a FIFO or a socket, checkpointing between
+//!   steps.
 //!
 //! # Event semantics
 //!
@@ -142,7 +143,6 @@ pub enum Effect {
 pub struct DispatchCore {
     cfg: SimConfig,
     fleet: Fleet,
-    exec: watter_core::Exec,
     /// Arrivals buffered ahead of delivery, in delivery order.
     buffered: BTreeMap<(Ts, OrderId), Order>,
     /// The established check cadence; `None` until the first check runs
@@ -180,7 +180,6 @@ impl DispatchCore {
         let fleet = Fleet::new(workers);
         let kpis = Kpis::new(fleet.len());
         Self {
-            exec: watter_core::Exec::from_parallelism(cfg.parallelism),
             cfg,
             fleet,
             buffered: BTreeMap::new(),
@@ -349,7 +348,6 @@ impl DispatchCore {
                 measurements: &mut self.measurements,
                 oracle,
                 weights: self.cfg.weights,
-                exec: &self.exec,
                 effects: &mut self.effects,
             };
             let t0 = Instant::now();
@@ -375,7 +373,6 @@ impl DispatchCore {
                 measurements: &mut self.measurements,
                 oracle,
                 weights: self.cfg.weights,
-                exec: &self.exec,
                 effects: &mut self.effects,
             };
             let t0 = Instant::now();

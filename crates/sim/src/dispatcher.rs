@@ -11,11 +11,11 @@ use crate::env::build_env;
 use crate::fleet::Fleet;
 use crate::snapshot::{DispatcherState, SnapshotDispatcher, SnapshotError};
 use watter_core::{
-    CostWeights, DispatchParallelism, Dur, Exec, Group, Measurements, Order, OrderId, OrderOutcome,
+    CostWeights, DispatchParallelism, Dur, Group, Measurements, Order, OrderId, OrderOutcome,
     TravelBound, Ts, WorkerId,
 };
 use watter_obs::{Counter, Recorder, Stage, TraceEvent};
-use watter_pool::{OrderPool, PoolConfig, ShardMap, SpatialPrune};
+use watter_pool::{OrderPool, PoolConfig, SpatialPrune};
 use watter_road::GridIndex;
 use watter_strategy::{DecisionContext, DecisionPolicy, NoopObserver, PoolObserver};
 
@@ -34,10 +34,6 @@ pub struct SimCtx<'a> {
     pub oracle: &'a dyn TravelBound,
     /// Extra-time weights (α, β).
     pub weights: CostWeights,
-    /// Thread pool for pure fan-out work (fleet scans). The engine builds
-    /// one per run from [`crate::SimConfig::parallelism`]; dispatchers that
-    /// construct a `SimCtx` by hand can use [`Exec::sequential`].
-    pub exec: &'a Exec,
     /// Effect sink: every terminal outcome recorded through this context
     /// (served / rejected) is also appended here, so the dispatch core can
     /// return it from `step` and feed the KPI accumulator. Tests driving a
@@ -52,13 +48,9 @@ impl SimCtx<'_> {
     pub fn dispatch_group(&mut self, group: &Group) -> Option<WorkerId> {
         let first = group.route.first_node()?;
         let last = group.route.last_node()?;
-        let wid = self.fleet.nearest_idle_par(
-            first,
-            self.now,
-            group.total_riders(),
-            self.oracle,
-            self.exec,
-        )?;
+        let wid = self
+            .fleet
+            .nearest_idle(first, self.now, group.total_riders(), &self.oracle)?;
         let approach = self.oracle.cost(self.fleet.location(wid), first);
         let travel = approach + group.route.cost();
         self.fleet.assign(wid, last, self.now, travel);
@@ -218,13 +210,8 @@ pub struct WatterConfig {
     /// instead of the whole pool. Bit-identical outcomes either way; `None`
     /// keeps the full scan.
     pub spatial: Option<SpatialPrune>,
-    /// Sharded/parallel pool execution. `shards > 1` partitions pooled
-    /// orders into grid-row-band shards owned by their pick-up cell (the
-    /// proposal sweep and insert fan-out chunk by shard); `threads > 1`
-    /// runs pure pool computation (edge evaluation, clique search, batch
-    /// recomputes) on a scoped thread pool. Outcomes are bit-identical to
-    /// [`DispatchParallelism::SEQUENTIAL`] for every setting — state
-    /// commits stay sequential in canonical order.
+    /// Carried and ignored: dispatch is single-threaded. Kept because
+    /// `benchmark/` constructs this struct field by field.
     pub parallelism: DispatchParallelism,
 }
 
@@ -259,15 +246,11 @@ impl<P: DecisionPolicy, O: PoolObserver> WatterDispatcher<P, O> {
     /// Build a dispatcher that reports every order event to `observer`
     /// (offline experience generation, Section VI-B).
     pub fn with_observer(cfg: WatterConfig, policy: P, observer: O) -> Self {
-        let shards = (cfg.parallelism.shards > 1)
-            .then(|| ShardMap::build(cfg.grid.clone(), cfg.parallelism.shards));
         Self {
-            pool: OrderPool::with_parallelism(
-                cfg.pool,
-                cfg.spatial,
-                shards,
-                Exec::from_parallelism(cfg.parallelism),
-            ),
+            pool: match cfg.spatial {
+                Some(spatial) => OrderPool::with_spatial(cfg.pool, spatial),
+                None => OrderPool::new(cfg.pool),
+            },
             policy,
             grid: cfg.grid,
             check_period: cfg.check_period,
@@ -355,9 +338,8 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
                 self.pool.remove_orders(&[id], now, &ctx.oracle);
             }
         }
-        // Lines 8–16: per-order decision on the current best group. The
-        // sweep order is canonical `(release, id)` regardless of shard
-        // layout or thread count (see `OrderPool::proposals`).
+        // Lines 8–16: per-order decision on the current best group, in
+        // canonical `(release, id)` order (see `OrderPool::proposals`).
         let ids = self.pool.proposals();
         let check_period = self.check_period;
         for (_, id) in ids {

@@ -25,7 +25,7 @@ use crate::ingest::{IngestConfig, IngestStats, OrderIngest};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use watter_core::{
-    CostWeights, DispatchParallelism, Dur, Exec, Kpis, Measurements, Order, TravelBound, Ts, Worker,
+    CostWeights, DispatchParallelism, Dur, Kpis, Measurements, Order, TravelBound, Ts, Worker,
 };
 use watter_obs::{Counter, Stage};
 
@@ -40,9 +40,8 @@ pub struct SimConfig {
     /// then is force-rejected (prevents infinite loops on buggy
     /// dispatchers — with correct dispatchers everything resolves earlier).
     pub drain_horizon: Dur,
-    /// Thread-pool size for the engine's own fan-out work (parallel
-    /// nearest-idle fleet scans). Results are bit-identical for any
-    /// setting; the default is fully sequential.
+    /// Carried and ignored: dispatch is single-threaded. Kept so the
+    /// checkpoint JSON schema (and `benchmark/`'s use of it) is unchanged.
     pub parallelism: DispatchParallelism,
 }
 
@@ -227,7 +226,6 @@ pub fn run_monolithic<D: Dispatcher>(
     let mut fleet = Fleet::new(workers);
     let mut measurements = Measurements::default();
     let mut effects = Vec::new();
-    let exec = Exec::from_parallelism(cfg.parallelism);
 
     let first_release = orders.first().map(|o| o.release).unwrap_or(0);
     let last_release = orders.last().map(|o| o.release).unwrap_or(0);
@@ -256,7 +254,6 @@ pub fn run_monolithic<D: Dispatcher>(
                     measurements: &mut measurements,
                     oracle,
                     weights: cfg.weights,
-                    exec: &exec,
                     effects: &mut effects,
                 };
                 let t0 = Instant::now();
@@ -271,7 +268,6 @@ pub fn run_monolithic<D: Dispatcher>(
                 measurements: &mut measurements,
                 oracle,
                 weights: cfg.weights,
-                exec: &exec,
                 effects: &mut effects,
             };
             let t0 = Instant::now();

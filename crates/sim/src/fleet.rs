@@ -5,7 +5,7 @@
 //! becomes idle at that location. The fleet tracks `(location, busy_until)`
 //! per worker and answers nearest-idle queries.
 
-use watter_core::{Dur, Exec, NodeId, TravelCost, Ts, Worker, WorkerId};
+use watter_core::{Dur, NodeId, TravelCost, Ts, Worker, WorkerId};
 
 /// Mutable runtime state of one worker.
 #[derive(Clone, Copy, Debug)]
@@ -91,9 +91,7 @@ impl Fleet {
     /// at least `min_capacity`, or `None` if no such worker is idle.
     ///
     /// Ties on approach cost break toward the **lowest `WorkerId`** — an
-    /// explicit part of the contract, not an accident of scan order, so
-    /// the parallel chunked scan ([`Fleet::nearest_idle_par`]) can
-    /// reproduce it exactly from per-chunk minima.
+    /// explicit part of the contract, not an accident of scan order.
     pub fn nearest_idle<C: TravelCost>(
         &self,
         target: NodeId,
@@ -114,35 +112,6 @@ impl Fleet {
             }
         }
         best.map(|(_, id)| id)
-    }
-
-    /// [`Fleet::nearest_idle`] with the approach-cost queries fanned out
-    /// over `exec`'s threads (worthwhile when each query is an A* search
-    /// on a large city). Per-chunk `(cost, WorkerId)` minima are merged
-    /// lexicographically, which is the same total order the sequential
-    /// scan minimizes — identical result for every thread count.
-    pub fn nearest_idle_par<C: TravelCost + ?Sized>(
-        &self,
-        target: NodeId,
-        now: Ts,
-        min_capacity: u32,
-        oracle: &C,
-        exec: &Exec,
-    ) -> Option<WorkerId> {
-        if !exec.is_parallel() {
-            return self.nearest_idle(target, now, min_capacity, &oracle);
-        }
-        let eligible: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| {
-                self.state[i].busy_until <= now && self.workers[i].capacity >= min_capacity
-            })
-            .collect();
-        exec.map(&eligible, |&i| {
-            (oracle.cost(self.state[i].loc, target), WorkerId(i as u32))
-        })
-        .into_iter()
-        .min()
-        .map(|(_, id)| id)
     }
 
     /// Capture the fleet's serializable state.
@@ -230,37 +199,9 @@ mod tests {
     #[test]
     fn equidistant_workers_tie_break_by_lowest_id() {
         // Workers 1 (node 10) and 2 (node 20) are both 50 from node 15;
-        // the contract picks the lower WorkerId regardless of scan order
-        // or thread count.
+        // the contract picks the lower WorkerId.
         let f = fleet();
         assert_eq!(f.nearest_idle(NodeId(15), 0, 3, &Line), Some(WorkerId(1)));
-        for threads in [1, 2, 4, 8] {
-            let exec = Exec::new(threads);
-            assert_eq!(
-                f.nearest_idle_par(NodeId(15), 0, 3, &Line, &exec),
-                Some(WorkerId(1)),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let workers = (0..37)
-            .map(|i| Worker::new(WorkerId(i), NodeId((i * 7) % 29), 4))
-            .collect();
-        let f = Fleet::new(workers);
-        for target in 0..29 {
-            let seq = f.nearest_idle(NodeId(target), 0, 1, &Line);
-            for threads in [2, 3, 8] {
-                let exec = Exec::new(threads);
-                assert_eq!(
-                    f.nearest_idle_par(NodeId(target), 0, 1, &Line, &exec),
-                    seq,
-                    "target={target} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

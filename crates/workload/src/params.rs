@@ -61,11 +61,9 @@ pub struct ScenarioParams {
     /// expensive (the ALT oracle on large cities). The workload build
     /// itself never uses the cache, so generated demand is unaffected.
     pub cost_cache: bool,
-    /// Sharded/parallel dispatch execution (`--threads` / `--shards`).
-    /// Outcomes are bit-identical for any setting — parallelism only
-    /// fans out pure computation; all state commits stay sequential in
-    /// canonical order — so this knob never changes results, only
-    /// wall-clock time.
+    /// `threads` sizes contraction-hierarchy preprocessing (`--threads`);
+    /// it never changes results, only `Scenario::build` time. `shards` is
+    /// ignored.
     pub parallelism: DispatchParallelism,
     /// Master seed for the road network, demand and fleet.
     pub seed: u64,

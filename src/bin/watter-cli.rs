@@ -6,7 +6,7 @@
 //!                  [--orders N] [--workers M] [--tau F] [--kw K] [--eta F]
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
 //!                  [--dense-limit N] [--import PATH]
-//!                  [--cost-cache] [--threads T] [--shards S]
+//!                  [--cost-cache] [--threads T]
 //!                  [--stream] [--snapshot-roundtrip] [--kpis json|PATH]
 //!                  [--obs json|PATH] [--obs-window SECS] [--trace PATH]
 //!                  [--seed S] [--json PATH]
@@ -39,11 +39,9 @@
 //! the simulation run — dispatch outcomes are bit-identical, only faster;
 //! worthwhile whenever the ALT backend is active.
 //!
-//! `--threads T` runs the dispatch engine's pure computation (pool edge
-//! evaluation, clique search, fleet scans) on `T` scoped threads
-//! (`0` = all cores); `--shards S` partitions the order pool into `S`
-//! grid-row-band shards. Outcomes are bit-identical for every setting —
-//! these flags only change wall-clock time.
+//! `--threads T` sizes contraction-hierarchy preprocessing (`0` = all
+//! cores); the hierarchy is bit-identical for every setting. Dispatch
+//! itself is single-threaded.
 //!
 //! `--algo expect` trains a value function on a sibling "day" first (or
 //! loads one via `--model model.json`).

@@ -45,8 +45,7 @@ pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
 
 /// Scenario parameters from the common flag set (`--orders`, `--workers`,
 /// `--tau`, `--kw`, `--eta`, `--seed`, `--city-side`, `--oracle`,
-/// `--landmarks`, `--dense-limit`, `--cost-cache`, `--threads`,
-/// `--shards`).
+/// `--landmarks`, `--dense-limit`, `--cost-cache`, `--threads`).
 pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     let mut p = ScenarioParams::default_for(profile_of(flags));
     if let Some(n) = flags.get("orders").and_then(|s| s.parse().ok()) {
@@ -96,9 +95,6 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     p.cost_cache = flags.get("cost-cache").map(|s| s.as_str()) == Some("true");
     if let Some(t) = flags.get("threads").and_then(|s| s.parse().ok()) {
         p.parallelism.threads = t;
-    }
-    if let Some(s) = flags.get("shards").and_then(|s| s.parse::<usize>().ok()) {
-        p.parallelism.shards = s.max(1);
     }
     p
 }

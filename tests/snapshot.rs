@@ -6,22 +6,21 @@
 //! serialized to JSON, dropped, parsed back, restored into a *freshly
 //! constructed* dispatcher, and the tail replayed. Everything but the
 //! wall-clock timing fields must equal the uninterrupted run — across
-//! all three city profiles and the sequential/parallel engine.
+//! all three city profiles.
 
 use proptest::prelude::*;
 use watter::prelude::*;
 use watter::runner::{sim_config, watter_config};
-use watter_core::{DispatchParallelism, Ts};
+use watter_core::Ts;
 use watter_sim::DispatchCore;
 use watter_strategy::OnlinePolicy;
 
-fn scenario_for(pidx: usize, seed: u64, parallelism: DispatchParallelism) -> Scenario {
+fn scenario_for(pidx: usize, seed: u64) -> Scenario {
     let mut params = ScenarioParams::default_for(CityProfile::ALL[pidx]);
     params.n_orders = 120;
     params.n_workers = 12;
     params.city_side = 10;
     params.seed = seed;
-    params.parallelism = parallelism;
     Scenario::build(params)
 }
 
@@ -63,20 +62,17 @@ fn drive(scenario: &Scenario, cut: Option<Ts>) -> (Measurements, Kpis) {
 
 proptest! {
     // Each case simulates the scenario twice; keep case count modest.
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Snapshot at a random point of the run, restore, replay the tail:
-    /// bit-identical to the uninterrupted run on every profile, for the
-    /// sequential and parallel engine.
+    /// bit-identical to the uninterrupted run on every profile.
     #[test]
     fn restore_plus_replay_equals_uninterrupted_run(
         pidx in 0usize..3,
         seed in 0u64..1_000,
         frac in 0.1f64..0.9,
-        tidx in 0usize..2,
     ) {
-        let threads = [1usize, 4][tidx];
-        let scenario = scenario_for(pidx, seed, DispatchParallelism { threads, shards: threads });
+        let scenario = scenario_for(pidx, seed);
         let (first, last) = (
             scenario.orders.first().map(|o| o.release).unwrap_or(0),
             scenario.orders.last().map(|o| o.release).unwrap_or(0),
@@ -148,7 +144,7 @@ fn drive_traced(scenario: &Scenario, cut: Option<Ts>) -> Vec<TraceRecord> {
 /// needs stripping).
 #[test]
 fn trace_seq_continues_across_snapshot_restore() {
-    let scenario = scenario_for(0, 7, DispatchParallelism::SEQUENTIAL);
+    let scenario = scenario_for(0, 7);
     let (first, last) = (
         scenario.orders.first().map(|o| o.release).unwrap_or(0),
         scenario.orders.last().map(|o| o.release).unwrap_or(0),
@@ -174,7 +170,7 @@ fn snapshot_refuses_mismatched_dispatcher() {
     use watter_baselines::NonSharingDispatcher;
     use watter_sim::{Event, SnapshotDispatcher};
 
-    let scenario = scenario_for(1, 3, DispatchParallelism::SEQUENTIAL);
+    let scenario = scenario_for(1, 3);
     let cfg = sim_config(&scenario);
     let mut d = NonSharingDispatcher::new();
     let mut core = DispatchCore::new(scenario.workers.clone(), cfg);

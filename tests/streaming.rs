@@ -3,7 +3,7 @@
 //! The batch driver (`run`) replays a scenario through `DispatchCore` and
 //! must be **bit-identical** to the pre-refactor monolithic event loop,
 //! preserved as `run_monolithic` — same seed ⇒ same `Measurements`, on
-//! every city profile and thread count. The streaming driver
+//! every city profile. The streaming driver
 //! (`run_stream`) feeds the same scenario through the ingest/validation
 //! front end order by order and must land on the same outcome (scenario
 //! orders pass every validation check, so ingest admits all of them).
@@ -14,36 +14,32 @@
 use proptest::prelude::*;
 use watter::prelude::*;
 use watter::runner::{sim_config, watter_config};
-use watter_core::DispatchParallelism;
 use watter_sim::engine::run_monolithic;
 use watter_sim::{run, run_stream};
 use watter_strategy::OnlinePolicy;
 
-fn scenario_for(pidx: usize, seed: u64, parallelism: DispatchParallelism) -> Scenario {
+fn scenario_for(pidx: usize, seed: u64) -> Scenario {
     let mut params = ScenarioParams::default_for(CityProfile::ALL[pidx]);
     params.n_orders = 120;
     params.n_workers = 12;
     params.city_side = 10;
     params.seed = seed;
-    params.parallelism = parallelism;
     Scenario::build(params)
 }
 
 proptest! {
     // Each case runs the engine several times; keep the case count modest
     // so single-core CI stays fast.
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The core-driven batch driver reproduces the monolithic loop bit
-    /// for bit on every profile, for the sequential and parallel engine.
+    /// for bit on every profile.
     #[test]
     fn batch_driver_matches_monolithic_loop(
         pidx in 0usize..3,
         seed in 0u64..1_000,
-        tidx in 0usize..2,
     ) {
-        let threads = [1usize, 4][tidx];
-        let scenario = scenario_for(pidx, seed, DispatchParallelism { threads, shards: threads });
+        let scenario = scenario_for(pidx, seed);
         let cfg = sim_config(&scenario);
 
         let mut d_old = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
@@ -75,7 +71,7 @@ proptest! {
         pidx in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let scenario = scenario_for(pidx, seed, DispatchParallelism::SEQUENTIAL);
+        let scenario = scenario_for(pidx, seed);
         let cfg = sim_config(&scenario);
 
         let mut d_batch = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
@@ -107,7 +103,7 @@ proptest! {
 #[test]
 fn nonsharing_baseline_agrees_across_drivers() {
     use watter_baselines::NonSharingDispatcher;
-    let scenario = scenario_for(1, 7, DispatchParallelism::SEQUENTIAL);
+    let scenario = scenario_for(1, 7);
     let cfg = sim_config(&scenario);
 
     let mut d = NonSharingDispatcher::new();
