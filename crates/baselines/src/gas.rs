@@ -112,10 +112,9 @@ impl GasDispatcher {
                 // travel time.
                 let revenue: f64 = grp.iter().map(|o| 10.0 * o.direct_cost as f64).sum();
                 let utility = revenue - total as f64;
-                if let Some((route, _)) = plan_with_start(start, &grp, ctx.now, limits, &ctx.oracle)
+                if let Some((plan, _)) = plan_with_start(start, &grp, ctx.now, limits, &ctx.oracle)
                 {
-                    let group =
-                        Group::new(grp.iter().map(|&o| o.clone()).collect(), route, &ctx.oracle);
+                    let group = plan.into_group(grp.iter().map(|&o| o.clone()).collect());
                     out.push((wid, group, utility));
                 }
             }

@@ -2,7 +2,8 @@
 //!
 //! A group `g = {o(1), …, o(|g|)}` is a set of orders served together on one
 //! route by one worker. [`Group`] carries the orders, the planned route and
-//! the per-order detours, and can evaluate the quantities Algorithm 2 needs:
+//! each order's sub-route cost `T(L^(i))`, from which it answers the
+//! quantities Algorithm 2 needs by arithmetic alone: the per-order detours,
 //! the group's **average extra time** and its **expiry** `τ_g` (Equation 3).
 
 use crate::ids::OrderId;
@@ -11,7 +12,6 @@ use crate::order::Order;
 use crate::route::Route;
 use crate::time::{Dur, Ts};
 use crate::TravelCost;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A shareable order group with its planned minimal-cost feasible route.
@@ -20,14 +20,21 @@ use std::sync::Arc;
 /// candidate groups per pooled order, and cloning a group (or offering it to
 /// each member) must bump reference counts rather than deep-copy every
 /// `Order`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The group is *self-timed*: the sub-route costs are fixed when it is
+/// built (the planner knows the elapsed time at every drop-off), and the
+/// expiry — a constant of `(orders, route)` — is computed once and stored,
+/// so pooled groups are re-checked every tick without touching the oracle.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Group {
-    /// Orders in the group, in pick-up order of the route.
+    /// Orders in the group.
     pub orders: Vec<Arc<Order>>,
     /// The minimal-cost feasible route found by the planner.
     pub route: Route,
-    /// Detour time `t_d^(i)` of each order, aligned with `orders`.
-    pub detours: Vec<Dur>,
+    /// Sub-route cost `T(L^(i))` of each order, aligned with `orders`.
+    subroute_costs: Vec<Dur>,
+    /// `τ_g`, see [`Group::expires_at`].
+    expires_at: Ts,
 }
 
 /// The decision-relevant quality numbers of a group at a point in time.
@@ -44,32 +51,62 @@ pub struct GroupQuality {
 }
 
 impl Group {
-    /// Build a group, computing detours from the route.
+    /// Build a group around a hand-built route, walking it with the oracle
+    /// for each order's sub-route cost. Planner output already carries
+    /// those costs: use [`Group::from_subroute_costs`] there.
     ///
     /// Accepts owned `Order`s (wrapped into fresh [`Arc`]s) or existing
     /// `Arc<Order>` handles (shared, no deep copy).
     ///
     /// # Panics
-    /// Panics (in debug builds) if some order's drop-off is missing from the
-    /// route — planners must only emit complete routes.
+    /// Panics if some order's drop-off is missing from the route —
+    /// planners must only emit complete routes.
     pub fn new<O: Into<Arc<Order>>>(
         orders: Vec<O>,
         route: Route,
         oracle: &impl TravelCost,
     ) -> Self {
         let orders: Vec<Arc<Order>> = orders.into_iter().map(Into::into).collect();
-        let detours = orders
+        let subroute_costs = orders
             .iter()
             .map(|o| {
                 route
-                    .detour(o.id, o.direct_cost, oracle)
+                    .subroute_cost(o.id, oracle)
                     .expect("route must visit every group order")
             })
             .collect();
+        Self::from_subroute_costs(orders, route, subroute_costs)
+    }
+
+    /// Build a group whose per-order sub-route costs `T(L^(i))` (aligned
+    /// with `orders`, measured from the route's first stop) are already
+    /// known — from the planner, or from a snapshot. Pure arithmetic: no
+    /// oracle queries.
+    ///
+    /// # Panics
+    /// Panics if `subroute_costs` does not align with `orders`.
+    pub fn from_subroute_costs(
+        orders: Vec<Arc<Order>>,
+        route: Route,
+        subroute_costs: Vec<Dur>,
+    ) -> Self {
+        assert_eq!(
+            orders.len(),
+            subroute_costs.len(),
+            "one sub-route cost per group order"
+        );
+        let expires_at = orders
+            .iter()
+            .zip(&subroute_costs)
+            // now + sub < τ  ⇔  now ≤ τ − sub − 1
+            .map(|(o, sub)| o.deadline - sub - 1)
+            .min()
+            .unwrap_or(Ts::MAX);
         Self {
             orders,
             route,
-            detours,
+            subroute_costs,
+            expires_at,
         }
     }
 
@@ -77,9 +114,9 @@ impl Group {
     /// pick-up → drop-off route.
     ///
     /// Uses the order's cached [`Order::direct_cost`] for the route cost
-    /// and a zero detour, so the dispatcher's solo "last call" path issues
-    /// **no oracle queries** (the oracle only backs a debug-build
-    /// consistency check inside [`Route::with_cost`]).
+    /// and the sub-route cost (zero detour), so the dispatcher's solo "last
+    /// call" path issues **no oracle queries** (the oracle only backs a
+    /// debug-build consistency check inside [`Route::with_cost`]).
     pub fn solo(order: impl Into<Arc<Order>>, oracle: &impl TravelCost) -> Self {
         let order: Arc<Order> = order.into();
         let route = Route::with_cost(
@@ -90,11 +127,8 @@ impl Group {
             order.direct_cost,
             oracle,
         );
-        Self {
-            orders: vec![order],
-            route,
-            detours: vec![0],
-        }
+        let direct = order.direct_cost;
+        Self::from_subroute_costs(vec![order], route, vec![direct])
     }
 
     /// Number of orders `|g|`.
@@ -124,11 +158,28 @@ impl Group {
         self.orders.iter().map(|o| o.riders).sum()
     }
 
+    /// Sub-route cost `T(L^(i))` of each member, aligned with `orders`.
+    pub fn subroute_costs(&self) -> &[Dur] {
+        &self.subroute_costs
+    }
+
+    /// Detour time `t_d^(i) = T(L^(i)) − cost(l_p, l_d)` of member `idx`
+    /// (Definition 5).
+    #[inline]
+    pub fn detour(&self, idx: usize) -> Dur {
+        (self.subroute_costs[idx] - self.orders[idx].direct_cost).max(0)
+    }
+
+    /// Detour times of all members, aligned with `orders`.
+    pub fn detours(&self) -> impl Iterator<Item = Dur> + '_ {
+        (0..self.orders.len()).map(|i| self.detour(i))
+    }
+
     /// Extra time `t_e^(i) = α·t_d + β·t_r` of member `i` if the group is
     /// dispatched at `now` (Definition 6).
     pub fn extra_time_of(&self, idx: usize, now: Ts, w: CostWeights) -> f64 {
         let o = &self.orders[idx];
-        w.extra_time(self.detours[idx], o.response_at(now))
+        w.extra_time(self.detour(idx), o.response_at(now))
     }
 
     /// Mean extra time `t̄_e` over members if dispatched at `now`.
@@ -146,20 +197,11 @@ impl Group {
     /// deadline. Dispatching at `expires_at` is the last feasible instant
     /// (the constraint is strict, so feasibility holds while
     /// `now < expires_at` … `now ≤ expires_at − 1`; we return the inclusive
-    /// last feasible instant).
-    pub fn expires_at(&self, oracle: &impl TravelCost) -> Ts {
-        self.orders
-            .iter()
-            .map(|o| {
-                let sub = self
-                    .route
-                    .subroute_cost(o.id, oracle)
-                    .expect("route must visit every group order");
-                // now + sub < τ  ⇔  now ≤ τ − sub − 1
-                o.deadline - sub - 1
-            })
-            .min()
-            .unwrap_or(Ts::MAX)
+    /// last feasible instant). Stored at construction: it depends only on
+    /// the deadlines and the sub-route costs, neither of which changes.
+    #[inline]
+    pub fn expires_at(&self) -> Ts {
+        self.expires_at
     }
 
     /// Earliest watching-window timeout among members (Algorithm 2 line 1).
@@ -172,17 +214,17 @@ impl Group {
     }
 
     /// Evaluate the group's decision-relevant quality at `now`.
-    pub fn quality(&self, now: Ts, w: CostWeights, oracle: &impl TravelCost) -> GroupQuality {
+    pub fn quality(&self, now: Ts, w: CostWeights) -> GroupQuality {
         GroupQuality {
             mean_extra_time: self.mean_extra_time(now, w),
             earliest_timeout: self.earliest_timeout(),
-            expires_at: self.expires_at(oracle),
+            expires_at: self.expires_at,
         }
     }
 
     /// Whether the group can still be feasibly dispatched at `now`.
-    pub fn is_live(&self, now: Ts, oracle: &impl TravelCost) -> bool {
-        now <= self.expires_at(oracle)
+    pub fn is_live(&self, now: Ts) -> bool {
+        now <= self.expires_at
     }
 }
 
@@ -230,7 +272,8 @@ mod tests {
     #[test]
     fn detours_computed() {
         let g = group();
-        assert_eq!(g.detours, vec![0, 10]);
+        assert_eq!(g.subroute_costs(), [30, 20]);
+        assert_eq!(g.detours().collect::<Vec<_>>(), vec![0, 10]);
     }
 
     #[test]
@@ -245,9 +288,9 @@ mod tests {
     fn expiry_is_min_over_members() {
         let g = group();
         // o0: 1000 - 30 - 1 = 969 ; o1: 500 - 20 - 1 = 479
-        assert_eq!(g.expires_at(&Line), 479);
-        assert!(g.is_live(479, &Line));
-        assert!(!g.is_live(480, &Line));
+        assert_eq!(g.expires_at(), 479);
+        assert!(g.is_live(479));
+        assert!(!g.is_live(480));
     }
 
     #[test]
@@ -259,7 +302,7 @@ mod tests {
     #[test]
     fn quality_bundles_fields() {
         let g = group();
-        let q = g.quality(20, CostWeights::default(), &Line);
+        let q = g.quality(20, CostWeights::default());
         assert_eq!(q.earliest_timeout, 100);
         assert_eq!(q.expires_at, 479);
         assert!((q.mean_extra_time - 15.0).abs() < 1e-9);
@@ -276,7 +319,9 @@ mod tests {
         let solo = Group::solo(o.clone(), &Line);
         assert_eq!(solo.len(), 1);
         assert_eq!(solo.route.cost(), 30);
-        assert_eq!(solo.detours, vec![0]);
+        assert_eq!(solo.detour(0), 0);
+        // 1000 − 30 − 1
+        assert_eq!(solo.expires_at(), 969);
         let route = Route::new(
             vec![
                 Stop::pickup(NodeId(0), OrderId(0)),

@@ -76,17 +76,34 @@ pub trait TravelCost: Send + Sync {
     fn path_cost(&self, nodes: &[NodeId]) -> Dur {
         nodes.windows(2).map(|w| self.cost(w[0], w[1])).sum()
     }
+
+    /// Whether `cost(a, b) == cost(b, a)` holds for **every** pair. A
+    /// memoizing wrapper may then answer both directions of a leg from one
+    /// entry. Defaults to `false`; a backend answers `true` only when it
+    /// has checked its metric (every edge has a same-weight mirror), and a
+    /// wrapper forwards its inner oracle's answer.
+    fn is_symmetric(&self) -> bool {
+        false
+    }
 }
 
 impl<T: TravelCost + ?Sized> TravelCost for &T {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).cost(a, b)
     }
+
+    fn is_symmetric(&self) -> bool {
+        (**self).is_symmetric()
+    }
 }
 
 impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).cost(a, b)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        (**self).is_symmetric()
     }
 }
 

@@ -184,8 +184,8 @@ fn grow<'a, C: TravelBound>(
             continue;
         }
         members.push(cand);
-        if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
-            let group = Group::new(members.to_orders(), route, oracle);
+        if let Some(plan) = plan_min_cost(&members.refs, now, limits, oracle) {
+            let group = plan.into_group(members.to_orders());
             let mean = group.mean_extra_time(now, weights);
             let better = match best {
                 Some((b, _)) => mean < *b,
@@ -238,8 +238,8 @@ fn collect<'a, C: TravelBound>(
             continue;
         }
         members.push(cand);
-        if let Some(route) = plan_min_cost(&members.refs, now, limits, oracle) {
-            out.push(Group::new(members.to_orders(), route, oracle));
+        if let Some(plan) = plan_min_cost(&members.refs, now, limits, oracle) {
+            out.push(plan.into_group(members.to_orders()));
             if members.len() < clique.max_group_size {
                 collect(
                     members,

@@ -27,7 +27,7 @@ pub mod share_graph;
 pub mod snapshot;
 pub mod spatial;
 
-pub use planner::{plan_min_cost, plan_with_start, PlanLimits};
+pub use planner::{plan_min_cost, plan_with_start, Plan, PlanLimits};
 pub use pool::{OrderPool, PoolConfig, PoolStats};
 pub use share_graph::{pair_prefilter, PairEdge, ShareGraph};
 pub use snapshot::{BestSnapshot, EdgeSnapshot, PoolSnapshot, RestoreError};

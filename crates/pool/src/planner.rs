@@ -24,8 +24,34 @@
 //! provably infeasible or non-improving subtrees. Group sizes are small
 //! (≤ vehicle capacity, ≤ 5 in all experiments), so the search is a few
 //! hundred states at worst.
+//!
+//! The search knows the elapsed time at every drop-off of its incumbent, so
+//! a [`Plan`] hands back each order's sub-route cost `T(L^(i))` with the
+//! route: a [`Group`] built from a plan never walks the route through the
+//! oracle again.
 
-use watter_core::{Dur, Order, Route, Stop, TravelBound, Ts};
+use std::sync::Arc;
+use watter_core::{Dur, Group, Order, Route, Stop, TravelBound, Ts};
+
+/// A planned route together with what the search learnt on the way.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Plan {
+    /// The minimal-cost feasible route.
+    pub route: Route,
+    /// Sub-route cost `T(L^(i))` of each order, aligned with the planned
+    /// `orders` slice and measured from the route's first stop (a fixed
+    /// start's approach leg is not part of it).
+    pub subroute_costs: Vec<Dur>,
+}
+
+impl Plan {
+    /// The group serving `orders` — the slice this plan was made for, in
+    /// the same order — on the planned route. No oracle queries.
+    pub fn into_group<O: Into<Arc<Order>>>(self, orders: Vec<O>) -> Group {
+        let orders = orders.into_iter().map(Into::into).collect();
+        Group::from_subroute_costs(orders, self.route, self.subroute_costs)
+    }
+}
 
 /// Hard limits for the planner.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +66,10 @@ impl Default for PlanLimits {
         Self { capacity: 4 }
     }
 }
+
+/// Largest group the planner accepts (the bitmask search is exponential
+/// long before this).
+const MAX_ORDERS: usize = 16;
 
 /// Stop encoding used during search: order index ×2, +1 for drop-off.
 #[inline]
@@ -61,7 +91,12 @@ struct Search<'a, C: TravelBound> {
     start: Option<watter_core::NodeId>,
     best_cost: Dur,
     best_seq: Vec<u8>,
+    /// `drop_at` of the incumbent.
+    best_drop_at: [Dur; MAX_ORDERS],
     seq: Vec<u8>,
+    /// Elapsed time at each order's drop-off on the current branch, by
+    /// order index; an entry is meaningful while its order is dropped.
+    drop_at: [Dur; MAX_ORDERS],
 }
 
 impl<C: TravelBound> Search<'_, C> {
@@ -80,7 +115,8 @@ impl<C: TravelBound> Search<'_, C> {
         if dropped.count_ones() == k {
             if elapsed < self.best_cost {
                 self.best_cost = elapsed;
-                self.best_seq = self.seq.clone();
+                self.best_seq.clone_from(&self.seq);
+                self.best_drop_at = self.drop_at;
             }
             return;
         }
@@ -129,6 +165,7 @@ impl<C: TravelBound> Search<'_, C> {
                     continue;
                 }
                 self.seq.push(((i as u8) << 1) | 1);
+                self.drop_at[i] = new_elapsed;
                 self.recurse(picked, dropped | bit, new_elapsed, onboard - o.riders);
                 self.seq.pop();
             }
@@ -146,8 +183,8 @@ pub fn plan_min_cost<C: TravelBound>(
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
-) -> Option<Route> {
-    plan_impl(None, orders, now, limits, oracle).map(|(route, _)| route)
+) -> Option<Plan> {
+    plan_impl(None, orders, now, limits, oracle).map(|(plan, _)| plan)
 }
 
 /// Like [`plan_min_cost`] but the route starts from a fixed node (a
@@ -155,15 +192,16 @@ pub fn plan_min_cost<C: TravelBound>(
 /// the total cost and in the deadline checks. Used by the GDP/GAS baselines
 /// whose source papers model the worker position explicitly.
 ///
-/// Returns the route (whose `cost()` still measures `T(L)` from the first
-/// stop) together with the total cost including the approach drive.
+/// Returns the plan (whose route `cost()` and sub-route costs still measure
+/// from the first stop) together with the total cost including the
+/// approach drive.
 pub fn plan_with_start<C: TravelBound>(
     start: watter_core::NodeId,
     orders: &[&Order],
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
-) -> Option<(Route, Dur)> {
+) -> Option<(Plan, Dur)> {
     plan_impl(Some(start), orders, now, limits, oracle)
 }
 
@@ -173,8 +211,8 @@ fn plan_impl<C: TravelBound>(
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
-) -> Option<(Route, Dur)> {
-    if orders.is_empty() || orders.len() > 16 {
+) -> Option<(Plan, Dur)> {
+    if orders.is_empty() || orders.len() > MAX_ORDERS {
         return None;
     }
     // Quick reject: a single order exceeding capacity can never be served.
@@ -189,7 +227,9 @@ fn plan_impl<C: TravelBound>(
         start,
         best_cost: Dur::MAX / 4,
         best_seq: Vec::new(),
+        best_drop_at: [0; MAX_ORDERS],
         seq: Vec::with_capacity(orders.len() * 2),
+        drop_at: [0; MAX_ORDERS],
     };
     s.recurse(0, 0, 0, 0);
     if s.best_seq.is_empty() {
@@ -208,13 +248,21 @@ fn plan_impl<C: TravelBound>(
         })
         .collect();
     let total = s.best_cost;
-    // `best_cost` includes the approach leg when a start node was given;
-    // `Route::cost()` must measure T(L) from the first stop only.
-    let route_cost = match (start, stops.first()) {
-        (Some(st), Some(first)) => total - oracle.cost(st, first.node),
-        _ => total,
+    // Elapsed times include the approach leg when a start node was given;
+    // `Route::cost()` and the sub-route costs measure from the first stop.
+    let approach = match (start, stops.first()) {
+        (Some(st), Some(first)) => oracle.cost(st, first.node),
+        _ => 0,
     };
-    Some((Route::with_cost(stops, route_cost, oracle), total))
+    let subroute_costs = s.best_drop_at[..orders.len()]
+        .iter()
+        .map(|at| at - approach)
+        .collect();
+    let plan = Plan {
+        route: Route::with_cost(stops, total - approach, oracle),
+        subroute_costs,
+    };
+    Some((plan, total))
 }
 
 #[cfg(test)]
@@ -247,9 +295,10 @@ mod tests {
     #[test]
     fn single_order_route_is_direct() {
         let o = order(0, 2, 7, 10_000);
-        let r = plan_min_cost(&[&o], 0, PlanLimits::default(), &Line).unwrap();
-        assert_eq!(r.cost(), 50);
-        assert_eq!(r.len(), 2);
+        let p = plan_min_cost(&[&o], 0, PlanLimits::default(), &Line).unwrap();
+        assert_eq!(p.route.cost(), 50);
+        assert_eq!(p.route.len(), 2);
+        assert_eq!(p.subroute_costs, vec![50]);
     }
 
     #[test]
@@ -257,12 +306,19 @@ mod tests {
         // o0: 0→10, o1: 4→6 nested inside. Optimal: p0 p1 d1 d0 cost 100.
         let o0 = order(0, 0, 10, 100_000);
         let o1 = order(1, 4, 6, 100_000);
-        let r = plan_min_cost(&[&o0, &o1], 0, PlanLimits::default(), &Line).unwrap();
+        let p = plan_min_cost(&[&o0, &o1], 0, PlanLimits::default(), &Line).unwrap();
+        let r = &p.route;
         assert_eq!(r.cost(), 100);
         assert_eq!(r.detour(OrderId(0), 100, &Line), Some(0));
         // Definition 5 measures L^(i) from the route's first stop, so o1's
         // "detour" includes the 40 s ride-along before boarding at node 4.
         assert_eq!(r.detour(OrderId(1), 20, &Line), Some(40));
+        // The plan carries the same sub-route costs the walk finds.
+        assert_eq!(p.subroute_costs, vec![100, 60]);
+        let g = p.into_group(vec![o0, o1]);
+        assert_eq!(g.detours().collect::<Vec<_>>(), vec![0, 40]);
+        // o0: 100 000 − 100 − 1 ; o1: 100 000 − 60 − 1
+        assert_eq!(g.expires_at(), 99_899);
     }
 
     #[test]
@@ -270,7 +326,9 @@ mod tests {
         // o1 must be dropped quickly; tight deadline excludes serving o0 first.
         let o0 = order(0, 0, 10, 100_000);
         let o1 = order(1, 0, 2, 25); // direct 20, slack 5 — barely feasible alone
-        let r = plan_min_cost(&[&o0, &o1], 0, PlanLimits::default(), &Line).unwrap();
+        let r = plan_min_cost(&[&o0, &o1], 0, PlanLimits::default(), &Line)
+            .unwrap()
+            .route;
         // must start at the shared pickup and drop o1 first
         assert_eq!(r.stops()[1].order, OrderId(1));
     }
@@ -287,7 +345,7 @@ mod tests {
         let o0 = order(0, 0, 10, 100_000);
         let o1 = order(1, 1, 9, 100_000);
         let limits = PlanLimits { capacity: 1 };
-        let r = plan_min_cost(&[&o0, &o1], 0, limits, &Line).unwrap();
+        let r = plan_min_cost(&[&o0, &o1], 0, limits, &Line).unwrap().route;
         // sequential service: p0 d0 p1 d1 or p1 d1 p0 d0
         let seq: Vec<_> = r.stops().iter().map(|s| (s.order, s.kind)).collect();
         use watter_core::StopKind::*;
@@ -321,7 +379,9 @@ mod tests {
         let o0 = order(0, 0, 4, 100_000);
         let o1 = order(1, 1, 5, 100_000);
         let o2 = order(2, 2, 6, 100_000);
-        let r = plan_min_cost(&[&o0, &o1, &o2], 0, PlanLimits::default(), &Line).unwrap();
+        let r = plan_min_cost(&[&o0, &o1, &o2], 0, PlanLimits::default(), &Line)
+            .unwrap()
+            .route;
         // optimal chain: p0 p1 p2 d0 d1 d2 = 60
         assert_eq!(r.cost(), 60);
         assert!(r.is_sequential());
@@ -334,7 +394,7 @@ mod tests {
         let mut o1 = order(1, 2, 8, 100_000);
         o1.riders = 2;
         let limits = PlanLimits { capacity: 4 };
-        let r = plan_min_cost(&[&o0, &o1], 0, limits, &Line).unwrap();
+        let r = plan_min_cost(&[&o0, &o1], 0, limits, &Line).unwrap().route;
         assert!(r.peak_load(|id| if id == OrderId(0) { 3 } else { 2 }) <= 4);
     }
 
@@ -348,10 +408,12 @@ mod tests {
     #[test]
     fn plan_with_start_counts_approach() {
         let o = order(0, 5, 8, 10_000);
-        let (route, total) =
+        let (plan, total) =
             plan_with_start(NodeId(0), &[&o], 0, PlanLimits::default(), &Line).unwrap();
-        assert_eq!(route.cost(), 30);
+        assert_eq!(plan.route.cost(), 30);
         assert_eq!(total, 50 + 30);
+        // The approach leg is not part of the order's sub-route.
+        assert_eq!(plan.subroute_costs, vec![30]);
     }
 
     #[test]

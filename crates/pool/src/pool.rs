@@ -183,15 +183,12 @@ impl OrderPool {
         for &id in ids {
             self.stats.removed += 1;
             self.graph.remove(id);
-            self.best.remove(&id);
+            // Drops the reverse-index entries pointing *from* `id`: by the
+            // `link_best` invariant those are exactly the members of its
+            // best group.
+            self.unlink_best(id);
             if let Some(holders) = self.contained_in.remove(&id) {
                 affected.extend(holders);
-            }
-        }
-        // Drop reverse-index entries pointing *from* removed ids.
-        for holders in self.contained_in.values_mut() {
-            for id in ids {
-                holders.remove(id);
             }
         }
         let recompute: Vec<OrderId> = affected
@@ -199,6 +196,12 @@ impl OrderPool {
             .filter(|&id| self.graph.order(id).is_some() && !ids.contains(&id))
             .collect();
         self.recompute_batch(&recompute, now, oracle);
+        debug_assert!(
+            self.contained_in
+                .values()
+                .all(|holders| ids.iter().all(|id| !holders.contains(id))),
+            "reverse index still names a departed order"
+        );
     }
 
     /// Periodic maintenance (Algorithm 1 lines 5–6): expire edges and
@@ -219,7 +222,7 @@ impl OrderPool {
         let stale: Vec<OrderId> = self
             .best
             .iter()
-            .filter(|(_, g)| g.expires_at(oracle) < now)
+            .filter(|(_, g)| g.expires_at() < now)
             .map(|(&id, _)| id)
             .collect();
         self.recompute_batch(&stale, now, oracle);
@@ -330,7 +333,7 @@ impl OrderPool {
                     id,
                     members: g.order_ids().collect(),
                     route: g.route.clone(),
-                    detours: g.detours.clone(),
+                    subroute_costs: g.subroute_costs().to_vec(),
                 })
                 .collect(),
             stats: self.stats,
@@ -375,7 +378,7 @@ impl OrderPool {
         self.best.clear();
         self.contained_in.clear();
         for b in &snap.best {
-            if b.detours.len() != b.members.len() {
+            if b.subroute_costs.len() != b.members.len() {
                 return Err(RestoreError::MalformedGroup(b.id));
             }
             let members: Result<Vec<Arc<Order>>, RestoreError> = b
@@ -388,11 +391,8 @@ impl OrderPool {
                         .ok_or(RestoreError::MissingOrder(*m))
                 })
                 .collect();
-            let group = Group {
-                orders: members?,
-                route: b.route.clone(),
-                detours: b.detours.clone(),
-            };
+            let group =
+                Group::from_subroute_costs(members?, b.route.clone(), b.subroute_costs.clone());
             self.link_best(b.id, group);
         }
         self.stats = snap.stats;
@@ -541,14 +541,14 @@ mod tests {
     }
 
     /// Fingerprint for state-identity checks: orders, edges, best groups
-    /// (members + exact route cost + detours) and counters.
+    /// (members + exact route cost + detours + expiry) and counters.
     #[allow(clippy::type_complexity)]
     fn fingerprint(
         p: &OrderPool,
     ) -> (
         Vec<OrderId>,
         Vec<(OrderId, OrderId, Ts, Dur)>,
-        Vec<(OrderId, Vec<OrderId>, Dur, Vec<Dur>)>,
+        Vec<(OrderId, Vec<OrderId>, Dur, Vec<Dur>, Ts)>,
         Vec<(Ts, OrderId)>,
         PoolStats,
     ) {
@@ -566,7 +566,8 @@ mod tests {
                         o.id,
                         g.order_ids().collect::<Vec<_>>(),
                         g.route.cost(),
-                        g.detours.clone(),
+                        g.detours().collect::<Vec<_>>(),
+                        g.expires_at(),
                     )
                 })
             })

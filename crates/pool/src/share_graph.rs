@@ -12,7 +12,7 @@ use crate::spatial::SpatialPrune;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use watter_core::{Dur, Group, Order, OrderId, TravelBound, Ts};
+use watter_core::{Dur, Order, OrderId, TravelBound, Ts};
 
 /// A shareability edge between two pooled orders.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -373,10 +373,10 @@ fn pair_edge<C: TravelBound>(
     if !pair_prefilter(a, b, now, oracle) {
         return None;
     }
-    let route = plan_min_cost(&[a.as_ref(), b.as_ref()], now, limits, oracle)?;
-    let group = Group::new(vec![Arc::clone(a), Arc::clone(b)], route, oracle);
+    let plan = plan_min_cost(&[a.as_ref(), b.as_ref()], now, limits, oracle)?;
+    let group = plan.into_group(vec![Arc::clone(a), Arc::clone(b)]);
     let edge = PairEdge {
-        expires_at: group.expires_at(oracle),
+        expires_at: group.expires_at(),
         route_cost: group.route.cost(),
     };
     (edge.expires_at >= now).then_some(edge)

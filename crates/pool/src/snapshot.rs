@@ -40,8 +40,10 @@ pub struct BestSnapshot {
     pub members: Vec<OrderId>,
     /// The group's planned route.
     pub route: Route,
-    /// Per-member detours, aligned with `members`.
-    pub detours: Vec<Dur>,
+    /// Per-member sub-route costs `T(L^(i))`, aligned with `members`. The
+    /// detours and the group's expiry are exact functions of them and the
+    /// members' own fields, so restore rebuilds both without an oracle.
+    pub subroute_costs: Vec<Dur>,
 }
 
 /// Complete serializable state of an [`crate::OrderPool`].
@@ -63,7 +65,8 @@ pub enum RestoreError {
     /// An edge or best-group entry references an order that is not in the
     /// snapshot's pooled-order set.
     MissingOrder(OrderId),
-    /// A best-group entry's detour list does not align with its members.
+    /// A best-group entry's sub-route cost list does not align with its
+    /// members.
     MalformedGroup(OrderId),
 }
 

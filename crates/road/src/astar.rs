@@ -172,6 +172,12 @@ impl TravelCost for AltOracle {
         let mut ws = self.ws.lock().unwrap_or_else(|e| e.into_inner());
         ws.search(&self.graph, &self.landmarks, self.symmetric, a, b)
     }
+
+    /// Every edge has a same-weight mirror, so shortest-path costs are
+    /// direction-free (the flag that already gates the landmark bound).
+    fn is_symmetric(&self) -> bool {
+        self.symmetric
+    }
 }
 
 impl TravelBound for AltOracle {

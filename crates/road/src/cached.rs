@@ -2,8 +2,8 @@
 //!
 //! Within one dispatch batch the same `(pickup, dropoff)` pair is queried
 //! many times: the shareability pre-filter, the pair planner, clique
-//! validation, group-expiry checks and worker assignment all walk the same
-//! few legs. For the dense table that repetition is free; for the
+//! validation and worker assignment all walk the same few legs. For the
+//! dense table that repetition is free; for the
 //! [`AltOracle`](crate::AltOracle) every repeat is another A* search.
 //! [`CachedOracle`] wraps any [`TravelCost`] backend with a fixed-capacity,
 //! direct-mapped cache: hits are allocation-free, eviction is deterministic
@@ -11,6 +11,16 @@
 //! are the inner oracle's answers verbatim — so a cached run is
 //! bit-identical to an uncached one (`tests/accel.rs` proves it
 //! property-wise).
+//!
+//! # Direction-free keys
+//!
+//! The pair filter and the planner ask most legs in both directions. When
+//! the backend reports a symmetric metric
+//! ([`TravelCost::is_symmetric`], read once at construction) the cache keys
+//! every lookup on `(min(a, b), max(a, b))`, so `cost(a, b)` and
+//! `cost(b, a)` share one entry: the same answers from half the distinct
+//! keys and half the compulsory misses. A backend that does not report
+//! symmetry (the default) keeps the two directions apart.
 //!
 //! # Concurrency
 //!
@@ -120,6 +130,8 @@ impl Slot {
 #[derive(Debug)]
 pub struct CachedOracle<C> {
     inner: C,
+    /// The backend's metric is symmetric: key on the unordered pair.
+    fold: bool,
     slots: Vec<Slot>,
     slot_mask: u64,
     hits: AtomicU64,
@@ -145,6 +157,7 @@ impl<C: TravelCost> CachedOracle<C> {
     pub fn new(inner: C, capacity: usize) -> Self {
         let slots = capacity.next_power_of_two().max(1);
         Self {
+            fold: inner.is_symmetric(),
             inner,
             slots: (0..slots).map(|_| Slot::empty()).collect(),
             slot_mask: (slots - 1) as u64,
@@ -211,7 +224,12 @@ impl<C: TravelCost> CachedOracle<C> {
 
 impl<C: TravelCost> TravelCost for CachedOracle<C> {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
-        let key = ((a.0 as u64) << 32) | b.0 as u64;
+        let (lo, hi) = if self.fold && a.0 > b.0 {
+            (b.0, a.0)
+        } else {
+            (a.0, b.0)
+        };
+        let key = ((lo as u64) << 32) | hi as u64;
         if key == EMPTY {
             return self.inner.cost(a, b);
         }
@@ -256,6 +274,10 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
         }
         cost
     }
+
+    fn is_symmetric(&self) -> bool {
+        self.fold
+    }
 }
 
 impl<C: TravelBound> TravelBound for CachedOracle<C> {
@@ -298,9 +320,32 @@ mod tests {
     #[test]
     fn directions_are_distinct_keys() {
         let c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        assert!(!c.is_symmetric());
         assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
         assert_eq!(c.cost(NodeId(4), NodeId(1)), 30);
         assert_eq!(c.inner().0.load(Ordering::Relaxed), 2);
+    }
+
+    /// [`Line`] declaring what is true of it: `|a − b|` is symmetric.
+    struct SymmetricLine(Line);
+    impl TravelCost for SymmetricLine {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            self.0.cost(a, b)
+        }
+        fn is_symmetric(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn symmetric_backend_shares_one_entry_per_leg() {
+        let c = CachedOracle::new(SymmetricLine(Line(AtomicUsize::new(0))), 64);
+        assert!(c.is_symmetric());
+        assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
+        assert_eq!(c.cost(NodeId(4), NodeId(1)), 30);
+        assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
+        assert_eq!(c.inner().0 .0.load(Ordering::Relaxed), 1);
+        assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
     #[test]

@@ -80,6 +80,10 @@ impl<C: TravelCost> TravelCost for ObservedOracle<C> {
             .record_stage_nanos(self.stage, t0.elapsed().as_nanos() as u64);
         cost
     }
+
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
+    }
 }
 
 impl<C: TravelBound> TravelBound for ObservedOracle<C> {

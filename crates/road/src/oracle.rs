@@ -94,6 +94,14 @@ impl TravelCost for CityOracle {
             CityOracle::Ch(o) => o.cost(a, b),
         }
     }
+
+    fn is_symmetric(&self) -> bool {
+        match self {
+            CityOracle::Dense(m) => m.is_symmetric(),
+            CityOracle::Alt(o) => o.is_symmetric(),
+            CityOracle::Ch(o) => o.is_symmetric(),
+        }
+    }
 }
 
 impl TravelBound for CityOracle {

@@ -13,9 +13,9 @@
 //! crash landing mid-write, a flipped bit from silent media corruption,
 //! an unrelated file dropped into the directory — is detected at read
 //! time and surfaces as a typed [`CheckpointError`], never a panic. The
-//! error distinguishes truncation, checksum mismatch and JSON parse
-//! failure so operators (and `tests/chaos.rs`) can tell torn writes from
-//! bit rot from format drift.
+//! error distinguishes truncation, checksum mismatch, a snapshot written
+//! in another schema version and JSON parse failure so operators (and
+//! `tests/chaos.rs`) can tell torn writes from bit rot from format drift.
 //!
 //! The store keeps the last *N* generations ([`CheckpointStore::keep`]).
 //! Recovery walks generations newest-first and returns the first one that
@@ -32,6 +32,8 @@
 //! one while producing bit-identical dispatch statistics.
 
 use crate::daemon::DaemonCheckpoint;
+use crate::snapshot::{json_field, DispatchSnapshot, SnapshotError};
+use serde::Deserialize;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -64,8 +66,12 @@ pub enum CheckpointError {
         /// Checksum of the bytes on disk.
         got: u64,
     },
+    /// Integrity checks passed but the dispatch snapshot inside declares a
+    /// schema this build does not read
+    /// ([`SnapshotError::Version`]) — a checkpoint from an older build.
+    Snapshot(SnapshotError),
     /// Integrity checks passed but the payload is not a valid checkpoint
-    /// document (format drift or a foreign file with a forged header).
+    /// document (a foreign file with a forged header).
     Parse(String),
     /// No generation in the directory passed validation.
     NoValidCheckpoint,
@@ -86,6 +92,7 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "checkpoint checksum mismatch: header {expected:016x}, payload {got:016x}"
             ),
+            Self::Snapshot(e) => write!(f, "checkpoint refused: {e}"),
             Self::Parse(e) => write!(f, "checkpoint parse: {e}"),
             Self::NoValidCheckpoint => write!(f, "no valid checkpoint generation found"),
         }
@@ -278,11 +285,19 @@ impl CheckpointStore {
         }
         let text =
             std::str::from_utf8(payload).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        serde_json::from_str(text).map_err(|e| CheckpointError::Parse(format!("{e:?}")))
+        let parse = |e: serde_json::Error| CheckpointError::Parse(format!("{e:?}"));
+        let doc = serde_json::parse_value(text).map_err(parse)?;
+        // The schema check comes before the typed parse, which an older
+        // schema would fail at some arbitrary missing field.
+        if let Some(snap) = json_field(&doc, "snap") {
+            DispatchSnapshot::check_document_version(snap).map_err(CheckpointError::Snapshot)?;
+        }
+        DaemonCheckpoint::from_json_value(&doc).map_err(parse)
     }
 
-    /// The newest generation that passes integrity checks and parses,
-    /// walking backwards over corrupt generations (each skip is counted in
+    /// The newest generation that passes integrity checks, is of this
+    /// build's snapshot schema and parses, walking backwards over corrupt
+    /// or refused generations (each skip is counted in
     /// [`CheckpointOps::discarded`]). `Ok(None)` means the directory holds
     /// no generations at all — a fresh start, not an error.
     pub fn latest_valid(&mut self) -> Result<Option<(u64, DaemonCheckpoint)>, CheckpointError> {
@@ -373,6 +388,7 @@ mod tests {
             ingest: crate::ingest::OrderIngest::default().snapshot(),
             robustness: RobustnessReport::default(),
             snap: DispatchSnapshot {
+                version: crate::snapshot::SNAPSHOT_VERSION,
                 core: CoreState {
                     config: SimConfig::default(),
                     clock: lines as i64,

@@ -57,7 +57,7 @@ impl SimCtx<'_> {
         self.measurements.record_worker_travel(travel);
         self.measurements.record_approach(approach);
         for (idx, order) in group.orders.iter().enumerate() {
-            self.record_served(order, group.detours[idx], group.len() as u32, Some(wid));
+            self.record_served(order, group.detour(idx), group.len() as u32, Some(wid));
         }
         Some(wid)
     }
@@ -81,7 +81,7 @@ impl SimCtx<'_> {
         self.measurements.record_worker_travel(travel);
         self.measurements.record_approach(approach);
         for (idx, order) in group.orders.iter().enumerate() {
-            self.record_served(order, group.detours[idx], group.len() as u32, Some(wid));
+            self.record_served(order, group.detour(idx), group.len() as u32, Some(wid));
         }
         true
     }
@@ -354,7 +354,7 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
             let dying = now + check_period + order.direct_cost >= order.deadline;
             let dispatched = match self.pool.best_group(id) {
                 Some(group) => {
-                    let quality = group.quality(now, ctx.weights, &ctx.oracle);
+                    let quality = group.quality(now, ctx.weights);
                     if self.policy.decide(group, quality, &decision_ctx) || dying {
                         let group = group.clone();
                         // Manual span: a drop-guard timer would borrow
@@ -375,7 +375,7 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
                                 }
                                 let members: Vec<OrderId> = group.order_ids().collect();
                                 for (idx, o) in group.orders.iter().enumerate() {
-                                    self.observer.on_dispatch(o, group.detours[idx], now, &env);
+                                    self.observer.on_dispatch(o, group.detour(idx), now, &env);
                                 }
                                 self.pool.remove_orders(&members, now, &ctx.oracle);
                                 true

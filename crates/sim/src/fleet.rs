@@ -5,7 +5,7 @@
 //! becomes idle at that location. The fleet tracks `(location, busy_until)`
 //! per worker and answers nearest-idle queries.
 
-use watter_core::{Dur, NodeId, TravelCost, Ts, Worker, WorkerId};
+use watter_core::{Dur, NodeId, TravelBound, Ts, Worker, WorkerId};
 
 /// Mutable runtime state of one worker.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +92,13 @@ impl Fleet {
     ///
     /// Ties on approach cost break toward the **lowest `WorkerId`** — an
     /// explicit part of the contract, not an accident of scan order.
-    pub fn nearest_idle<C: TravelCost>(
+    ///
+    /// Bound-guided: a worker whose admissible
+    /// [`lower_bound`](TravelBound::lower_bound) already reaches the
+    /// incumbent's cost is skipped without the exact approach query.
+    /// Workers are scanned in ascending id, so such a worker could at best
+    /// tie — and a tie goes to the incumbent.
+    pub fn nearest_idle<C: TravelBound>(
         &self,
         target: NodeId,
         now: Ts,
@@ -104,10 +110,13 @@ impl Fleet {
             if s.busy_until > now || self.workers[i].capacity < min_capacity {
                 continue;
             }
+            if best.is_some_and(|(bd, _)| oracle.lower_bound(s.loc, target) >= bd) {
+                continue;
+            }
             let d = oracle.cost(s.loc, target);
-            // Lexicographic (cost, id): strict improvement only, so the
-            // lowest id among equidistant workers wins deterministically.
-            if best.is_none_or(|(bd, bid)| (d, WorkerId(i as u32)) < (bd, bid)) {
+            // Strict improvement only: ids ascend, so the lowest id among
+            // equidistant workers wins deterministically.
+            if best.is_none_or(|(bd, _)| d < bd) {
                 best = Some((d, WorkerId(i as u32)));
             }
         }
@@ -150,9 +159,14 @@ mod tests {
     use super::*;
 
     struct Line;
-    impl TravelCost for Line {
+    impl watter_core::TravelCost for Line {
         fn cost(&self, a: NodeId, b: NodeId) -> Dur {
             (a.0 as i64 - b.0 as i64).abs() * 10
+        }
+    }
+    impl TravelBound for Line {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            (a.0 as i64 - b.0 as i64).abs() * 6
         }
     }
 

@@ -71,4 +71,5 @@ pub use fleet::Fleet;
 pub use ingest::{IngestConfig, IngestError, IngestSnapshot, IngestStats, LineError, OrderIngest};
 pub use snapshot::{
     DispatchSnapshot, DispatcherState, FleetSnapshot, SnapshotDispatcher, SnapshotError,
+    SNAPSHOT_VERSION,
 };

@@ -18,6 +18,10 @@
 //! `restore(snapshot(run at tick k)) + replay(tail)` produces the same
 //! `Measurements`/`Kpis` as the uninterrupted run, bit for bit, modulo
 //! the wall-clock timing fields.
+//!
+//! The serialized shape is versioned ([`SNAPSHOT_VERSION`]): a snapshot
+//! written in another schema is refused with
+//! [`SnapshotError::Version`], never half-read.
 
 use crate::core::DispatchCore;
 use crate::dispatcher::Dispatcher;
@@ -84,9 +88,19 @@ pub enum DispatcherState {
     },
 }
 
+/// Schema version of a serialized [`DispatchSnapshot`]. Bump it with every
+/// change to the serialized shape of the snapshot or of anything inside it.
+///
+/// * 1 — no `version` field; best groups carried `detours`.
+/// * 2 — `version`; best groups carry `subroute_costs` (detours and expiry
+///   derive from them).
+pub const SNAPSHOT_VERSION: u32 = 2;
+
 /// A complete, serializable dispatch-run snapshot.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DispatchSnapshot {
+    /// Schema the snapshot was written in ([`SNAPSHOT_VERSION`]).
+    pub version: u32,
     /// Core state.
     pub core: CoreState,
     /// Dispatcher state.
@@ -106,6 +120,13 @@ pub enum SnapshotError {
     Pool(RestoreError),
     /// Fleet vectors disagree in length.
     FleetMismatch,
+    /// The snapshot was written in another schema version.
+    Version {
+        /// Version the snapshot declares (1 if it predates the field).
+        found: u32,
+        /// The version this build reads ([`SNAPSHOT_VERSION`]).
+        expected: u32,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -116,6 +137,10 @@ impl std::fmt::Display for SnapshotError {
             }
             Self::Pool(e) => write!(f, "pool restore failed: {e}"),
             Self::FleetMismatch => write!(f, "fleet snapshot vectors misaligned"),
+            Self::Version { found, expected } => write!(
+                f,
+                "snapshot schema version {found}, this build reads version {expected}"
+            ),
         }
     }
 }
@@ -142,11 +167,53 @@ pub trait SnapshotDispatcher: Dispatcher {
     fn load_state(&mut self, state: &DispatcherState) -> Result<(), SnapshotError>;
 }
 
+impl DispatchSnapshot {
+    /// Refuse a serialized snapshot `doc` that declares another schema
+    /// version, *before* it is parsed into the typed struct — an older
+    /// schema would otherwise surface as whichever field happens to be
+    /// missing first. A document without the field predates it (version 1);
+    /// one that is not an object at all is left for the typed parse to
+    /// reject.
+    pub fn check_document_version(doc: &serde_json::Value) -> Result<(), SnapshotError> {
+        if !matches!(doc, serde_json::Value::Object(_)) {
+            return Ok(());
+        }
+        check_version(match json_field(doc, "version") {
+            None => 1,
+            // A version that is not a small integer is not one of ours.
+            Some(v) => v.as_u64().and_then(|n| u32::try_from(n).ok()).unwrap_or(0),
+        })
+    }
+}
+
+/// Field `key` of a JSON object document; `None` for anything else.
+pub(crate) fn json_field<'a>(
+    doc: &'a serde_json::Value,
+    key: &str,
+) -> Option<&'a serde_json::Value> {
+    match doc {
+        serde_json::Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+fn check_version(found: u32) -> Result<(), SnapshotError> {
+    if found == SNAPSHOT_VERSION {
+        Ok(())
+    } else {
+        Err(SnapshotError::Version {
+            found,
+            expected: SNAPSHOT_VERSION,
+        })
+    }
+}
+
 impl DispatchCore {
     /// Capture the run. Valid between any two [`crate::core::Event`]
     /// steps (the public API only exposes event boundaries).
     pub fn snapshot<D: SnapshotDispatcher>(&self, dispatcher: &D) -> DispatchSnapshot {
         DispatchSnapshot {
+            version: SNAPSHOT_VERSION,
             core: self.snapshot_parts(),
             dispatcher: dispatcher.save_state(),
         }
@@ -159,6 +226,7 @@ impl DispatchCore {
         snap: &DispatchSnapshot,
         dispatcher: &mut D,
     ) -> Result<Self, SnapshotError> {
+        check_version(snap.version)?;
         let f = &snap.core.fleet;
         if f.workers.len() != f.locations.len() || f.workers.len() != f.busy_until.len() {
             return Err(SnapshotError::FleetMismatch);

@@ -221,7 +221,7 @@ mod tests {
     fn online_always_dispatches() {
         let env = EnvSnapshot::empty(2);
         let g = pair_group();
-        let q = g.quality(0, CostWeights::default(), &Line);
+        let q = g.quality(0, CostWeights::default());
         assert!(OnlinePolicy.decide(&g, q, &ctx(0, &env)));
     }
 
@@ -230,9 +230,9 @@ mod tests {
         let env = EnvSnapshot::empty(2);
         let g = pair_group();
         let mut p = TimeoutPolicy { check_period: 10 };
-        let q_early = g.quality(0, CostWeights::default(), &Line);
+        let q_early = g.quality(0, CostWeights::default());
         assert!(!p.decide(&g, q_early, &ctx(0, &env)));
-        let q_late = g.quality(100, CostWeights::default(), &Line);
+        let q_late = g.quality(100, CostWeights::default());
         assert!(p.decide(&g, q_late, &ctx(100, &env)));
     }
 
@@ -241,8 +241,8 @@ mod tests {
         let env = EnvSnapshot::empty(2);
         let g = pair_group();
         let mut p = TimeoutPolicy { check_period: 10 };
-        let exp = g.expires_at(&Line);
-        let q = g.quality(exp - 5, CostWeights::default(), &Line);
+        let exp = g.expires_at();
+        let q = g.quality(exp - 5, CostWeights::default());
         assert!(p.decide(&g, q, &ctx(exp - 5, &env)));
     }
 
@@ -253,7 +253,7 @@ mod tests {
         // At now=0: o0 detour 0/response 0; o1 subroute 80 vs direct 60 →
         // detour 20 (includes the pre-board ride per Definition 5); mean
         // extra = 10.
-        let q = g.quality(0, CostWeights::default(), &Line);
+        let q = g.quality(0, CostWeights::default());
         assert!((q.mean_extra_time - 10.0).abs() < 1e-9);
         let mut low = ThresholdPolicy::new(ConstantThreshold(5.0), 10);
         let mut high = ThresholdPolicy::new(ConstantThreshold(15.0), 10);
@@ -266,7 +266,7 @@ mod tests {
         let env = EnvSnapshot::empty(2);
         let g = pair_group();
         let mut p = ThresholdPolicy::new(ConstantThreshold(0.0), 10);
-        let q = g.quality(101, CostWeights::default(), &Line);
+        let q = g.quality(101, CostWeights::default());
         assert!(p.decide(&g, q, &ctx(101, &env)));
     }
 

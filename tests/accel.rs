@@ -6,20 +6,25 @@
 //! properties pin that guarantee across all city profiles:
 //!
 //! 1. `CachedOracle` is bit-identical to its inner oracle under arbitrary
-//!    query sequences, at any capacity (constant eviction included);
+//!    query sequences, at any capacity (constant eviction included) —
+//!    with direction-free keys over a symmetric backend, and with the two
+//!    directions kept apart over one that is not;
 //! 2. the bound-guided `pair_prefilter` admits exactly the pairs the
 //!    exact-only filter admits (the landmark bound is admissible);
 //! 3. spatially pruned `ShareGraph` inserts produce the same edge sets as
 //!    the full scan under random order streams with removals;
-//! 4. end-to-end dispatch outcomes are identical across every
+//! 4. bound-guided `Fleet::nearest_idle` picks the worker the exhaustive
+//!    `(cost, id)` scan picks;
+//! 5. end-to-end dispatch outcomes are identical across every
 //!    acceleration configuration.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{NodeId, Order, OrderId, TravelBound, Ts};
+use watter_core::{NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
 use watter_pool::{pair_prefilter, PlanLimits, ShareGraph, SpatialPrune};
 use watter_road::{AltOracle, CachedOracle};
+use watter_sim::Fleet;
 
 fn profile(idx: usize) -> CityProfile {
     CityProfile::ALL[idx % CityProfile::ALL.len()]
@@ -39,6 +44,8 @@ proptest! {
 
     /// Cached answers are the inner oracle's answers verbatim for any
     /// query sequence and any capacity, and bounds pass through untouched.
+    /// The synthetic cities are symmetric, so the cache keys are
+    /// direction-free here: every leg is asked both ways round.
     #[test]
     fn cached_oracle_is_bit_identical(
         pidx in 0usize..3,
@@ -51,10 +58,16 @@ proptest! {
         let dense = CostMatrix::build(&graph);
         let alt = AltOracle::build(Arc::clone(&graph), 4);
         let cached = CachedOracle::new(&alt, capacity);
+        prop_assert!(cached.is_symmetric());
         let n = graph.node_count() as u32;
-        for (a, b) in queries {
+        for (i, (a, b)) in queries.into_iter().enumerate() {
             let (a, b) = (NodeId(a % n), NodeId(b % n));
             prop_assert_eq!(cached.cost(a, b), dense.cost(a, b), "cost {} -> {}", a, b);
+            // The reverse leg: at once for every other query (a hit on the
+            // shared entry), whenever it comes round again for the rest.
+            if i % 2 == 0 {
+                prop_assert_eq!(cached.cost(b, a), dense.cost(b, a), "cost {} -> {}", b, a);
+            }
             prop_assert_eq!(
                 cached.lower_bound(a, b),
                 alt.lower_bound(a, b),
@@ -116,6 +129,49 @@ proptest! {
         }
     }
 
+    /// Skipping workers whose lower bound already reaches the incumbent
+    /// never changes the pick: on the ALT oracle (real landmark bounds) and
+    /// the dense table (bound == cost) `nearest_idle` returns the lowest
+    /// `(approach cost, id)` among idle workers with enough seats.
+    #[test]
+    fn bound_guided_nearest_idle_matches_exhaustive_scan(
+        pidx in 0usize..3,
+        side in 5usize..10,
+        seed in 0u64..300,
+        landmarks in 1usize..6,
+        // (home, capacity, busy): co-located homes make ties.
+        roster in prop::collection::vec((0u32..10_000, 1u32..5, 0u8..4), 1..24),
+        targets in prop::collection::vec((0u32..10_000, 1u32..5), 1..12),
+    ) {
+        let graph = Arc::new(profile(pidx).city_config(side).generate(seed));
+        let dense = CostMatrix::build(&graph);
+        let alt = AltOracle::build(Arc::clone(&graph), landmarks);
+        let n = graph.node_count() as u32;
+        let workers: Vec<Worker> = roster
+            .iter()
+            .enumerate()
+            .map(|(i, &(home, cap, _))| Worker::new(WorkerId(i as u32), NodeId(home % n.min(7)), cap))
+            .collect();
+        let mut fleet = Fleet::new(workers.clone());
+        let now = 100;
+        for (w, &(_, _, busy)) in workers.iter().zip(&roster) {
+            if busy == 0 {
+                fleet.assign(w.id, w.home, 0, 1_000);
+            }
+        }
+        for (target, seats) in targets {
+            let target = NodeId(target % n);
+            let want = workers
+                .iter()
+                .filter(|w| fleet.is_idle(w.id, now) && w.capacity >= seats)
+                .map(|w| (dense.cost(fleet.location(w.id), target), w.id))
+                .min()
+                .map(|(_, id)| id);
+            prop_assert_eq!(fleet.nearest_idle(target, now, seats, &alt), want, "alt");
+            prop_assert_eq!(fleet.nearest_idle(target, now, seats, &dense), want, "dense");
+        }
+    }
+
     /// Spatially pruned inserts build the same shareability graph as the
     /// full scan under random arrival/removal streams.
     #[test]
@@ -167,6 +223,62 @@ proptest! {
             prop_assert_eq!(fe, pe, "adjacency of {} diverges", id);
         }
     }
+}
+
+/// Direction-free keys: over a backend that reports a symmetric metric the
+/// two directions of a leg share one cache entry; over one that does not
+/// (the one-way graph of `astar`'s `asymmetric_graph_degrades_to_exact_dijkstra`)
+/// the fold is off and each direction keeps its own exact answer.
+#[test]
+fn cache_folds_directions_only_over_a_symmetric_backend() {
+    use watter_road::graph::Edge;
+    use watter_road::{shortest_path_cost, RoadGraph};
+
+    let city = Arc::new(profile(0).city_config(8).generate(5));
+    let alt = AltOracle::build(Arc::clone(&city), 4);
+    assert!(alt.is_symmetric());
+    let cached = CachedOracle::new(&alt, 256);
+    let (a, b) = (NodeId(3), NodeId(42));
+    let there = cached.cost(a, b);
+    assert_eq!((cached.hits(), cached.misses()), (0, 1));
+    assert_eq!(cached.cost(b, a), there);
+    assert_eq!(
+        (cached.hits(), cached.misses()),
+        (1, 1),
+        "one miss, one hit"
+    );
+
+    let edge = |from: u32, to: u32, travel: i64| Edge {
+        from: NodeId(from),
+        to: NodeId(to),
+        travel,
+    };
+    // One-way streets: 0 → 1 → 2 plus a slow direct 0 → 2.
+    let one_way = Arc::new(RoadGraph::from_edges(
+        vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+        vec![edge(0, 1, 3), edge(1, 2, 4), edge(0, 2, 20)],
+    ));
+    let alt = AltOracle::build(Arc::clone(&one_way), 2);
+    assert!(!alt.is_symmetric());
+    let cached = CachedOracle::new(&alt, 256);
+    assert!(!cached.is_symmetric());
+    for round in 0..2 {
+        for a in one_way.nodes() {
+            for b in one_way.nodes() {
+                assert_eq!(
+                    cached.cost(a, b),
+                    shortest_path_cost(&one_way, a, b),
+                    "round {round}: {a} -> {b}"
+                );
+            }
+        }
+    }
+    assert_ne!(
+        cached.cost(NodeId(0), NodeId(2)),
+        cached.cost(NodeId(2), NodeId(0))
+    );
+    // 3 × 3 ordered pairs, each its own entry: missed once, then hit.
+    assert_eq!(cached.misses(), 9);
 }
 
 /// Regression: spatial pruning at the city border. `GridIndex::build`

@@ -111,7 +111,7 @@ proptest! {
         let now = o0.release.min(o1.release).min(o2.release);
         let orders = [&o0, &o1, &o2];
         let limits = PlanLimits { capacity: 3 };
-        let planned = plan_min_cost(&orders, now, limits, &Line);
+        let planned = plan_min_cost(&orders, now, limits, &Line).map(|p| p.route);
         let brute = brute_force_cost(&orders, now, 3);
         match (planned, brute) {
             (None, None) => {}
@@ -137,7 +137,8 @@ proptest! {
     #[test]
     fn detours_non_negative(o0 in arb_order(0), o1 in arb_order(1)) {
         let now = o0.release.min(o1.release);
-        if let Some(route) = plan_min_cost(&[&o0, &o1], now, PlanLimits { capacity: 4 }, &Line) {
+        if let Some(plan) = plan_min_cost(&[&o0, &o1], now, PlanLimits { capacity: 4 }, &Line) {
+            let route = plan.route;
             for o in [&o0, &o1] {
                 let d = route.detour(o.id, o.direct_cost, &Line);
                 prop_assert!(d.is_some());

@@ -6,7 +6,8 @@
 //! serialized to JSON, dropped, parsed back, restored into a *freshly
 //! constructed* dispatcher, and the tail replayed. Everything but the
 //! wall-clock timing fields must equal the uninterrupted run — across
-//! all three city profiles.
+//! all three city profiles. A snapshot written in another schema version
+//! is refused with a typed error at every level it can arrive through.
 
 use proptest::prelude::*;
 use watter::prelude::*;
@@ -186,4 +187,108 @@ fn snapshot_refuses_mismatched_dispatcher() {
 
     let mut watter = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
     assert!(watter.load_state(&snap.dispatcher).is_err());
+}
+
+/// A checkpoint from before the snapshot schema was versioned — no
+/// `version` field, best groups carrying `detours` — must come back as a
+/// typed refusal, not as a parse panic, a "missing field" string or a
+/// restored pool with a wrong expiry; `resume` then reports the store as
+/// holding nothing usable, which hosts answer by starting from scratch.
+#[test]
+fn old_schema_checkpoint_is_refused_with_a_typed_error() {
+    use watter_core::FaultPlan;
+    use watter_sim::checkpoint::fnv1a64;
+    use watter_sim::{
+        fault_lines, CheckpointError, CheckpointStore, Daemon, DaemonConfig, DaemonError, Event,
+        IngestConfig, SnapshotError, SNAPSHOT_VERSION,
+    };
+
+    let scenario = scenario_for(0, 11);
+    let dir = std::env::temp_dir().join(format!("watter_old_schema_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let make = || WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
+    let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
+    let cfg = DaemonConfig {
+        checkpoint_every_events: 0,
+        ..DaemonConfig::default()
+    };
+
+    // Half a run through a checkpointing daemon, then a power cut.
+    let store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open store");
+    let mut daemon = Daemon::new(
+        scenario.workers.clone(),
+        sim_config(&scenario),
+        make(),
+        scenario.oracle.as_ref(),
+        ingest_cfg,
+        cfg,
+        Some(store),
+    );
+    let lines = fault_lines(&scenario.orders, &FaultPlan::NONE);
+    for line in &lines[..lines.len() / 2] {
+        daemon.feed_line(line);
+    }
+    assert_eq!(daemon.checkpoint_now().expect("checkpoint"), Some(0));
+    drop(daemon);
+
+    // Rewrite generation 0 in the old schema, header and checksum valid.
+    let path = dir.join("ckpt-0.json");
+    let text = std::fs::read_to_string(&path).expect("read checkpoint");
+    let (_, payload) = text.split_once('\n').expect("header line");
+    assert!(
+        payload.contains("\"subroute_costs\":["),
+        "the checkpoint must carry best groups for this test to bite"
+    );
+    let old = payload
+        .replace(&format!("\"version\":{SNAPSHOT_VERSION},"), "")
+        .replace("\"subroute_costs\":", "\"detours\":");
+    assert_ne!(old, payload);
+    let header = format!(
+        "WATTERCKPT1 {} {:016x}\n",
+        old.len(),
+        fnv1a64(old.as_bytes())
+    );
+    std::fs::write(&path, header + &old).expect("write old-schema checkpoint");
+
+    let refused = CheckpointError::Snapshot(SnapshotError::Version {
+        found: 1,
+        expected: SNAPSHOT_VERSION,
+    });
+    assert_eq!(CheckpointStore::read_file(&path).unwrap_err(), refused);
+
+    let mut store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("reopen store");
+    assert_eq!(
+        store.latest_valid().unwrap_err(),
+        CheckpointError::NoValidCheckpoint
+    );
+    assert_eq!(store.ops().discarded, 1);
+
+    let store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("reopen store");
+    let resumed = Daemon::resume(store, make(), scenario.oracle.as_ref(), ingest_cfg, cfg);
+    assert_eq!(
+        resumed.err(),
+        Some(DaemonError::Checkpoint(CheckpointError::NoValidCheckpoint))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The same refusal for a snapshot handed over in memory.
+    let mut dispatcher = make();
+    let mut core = DispatchCore::new(scenario.workers.clone(), sim_config(&scenario));
+    for order in scenario.orders.iter().take(10).cloned() {
+        core.step(
+            Event::Arrive(order),
+            &mut dispatcher,
+            scenario.oracle.as_ref(),
+        );
+    }
+    let mut snap = core.snapshot(&dispatcher);
+    assert_eq!(snap.version, SNAPSHOT_VERSION);
+    snap.version = 1;
+    assert_eq!(
+        DispatchCore::restore(&snap, &mut make()).err(),
+        Some(SnapshotError::Version {
+            found: 1,
+            expected: SNAPSHOT_VERSION,
+        })
+    );
 }
