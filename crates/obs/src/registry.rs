@@ -549,8 +549,8 @@ impl PartialEq for Recorder {
 /// Serializes as the enabled flag only; always deserializes disabled
 /// (snapshots never resurrect a registry — the host re-attaches one).
 impl serde::Serialize for Recorder {
-    fn to_json_value(&self) -> serde::Value {
-        self.is_enabled().to_json_value()
+    fn write_json(&self, out: &mut String) {
+        self.is_enabled().write_json(out);
     }
 }
 

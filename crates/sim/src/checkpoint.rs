@@ -34,8 +34,9 @@
 use crate::daemon::DaemonCheckpoint;
 use crate::snapshot::{json_field, DispatchSnapshot, SnapshotError};
 use serde::Deserialize;
+use std::collections::VecDeque;
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use watter_core::{CorruptKind, FaultPlan};
 
@@ -134,7 +135,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,
-    next_gen: u64,
+    /// Generations this store believes are on disk, ascending: scanned once
+    /// in [`CheckpointStore::open`], extended by every `save`, trimmed by
+    /// `prune` — so rotation costs one `remove_file`, not a directory scan.
+    /// `keep >= 1`, so once anything was written the newest stays listed.
+    gens: VecDeque<u64>,
     io_failures_left: u32,
     ops: CheckpointOps,
 }
@@ -145,11 +150,10 @@ impl CheckpointStore {
     /// already present, so a recovered daemon never overwrites history.
     pub fn open(dir: &Path, keep: usize, fault: FaultPlan) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let next_gen = Self::generations(dir)?.last().map(|&g| g + 1).unwrap_or(0);
         Ok(Self {
             dir: dir.to_path_buf(),
             keep: keep.max(1),
-            next_gen,
+            gens: Self::generations(dir)?.into(),
             io_failures_left: fault.io_failures,
             ops: CheckpointOps::default(),
         })
@@ -174,6 +178,11 @@ impl CheckpointStore {
         Ok(gens)
     }
 
+    /// The number the next `save` writes: one past the newest known.
+    fn next_gen(&self) -> u64 {
+        self.gens.back().map_or(0, |&g| g + 1)
+    }
+
     fn path_of(&self, gen: u64) -> PathBuf {
         self.dir.join(format!("ckpt-{gen}.json"))
     }
@@ -185,15 +194,16 @@ impl CheckpointStore {
     pub fn save(&mut self, ckpt: &DaemonCheckpoint) -> Result<u64, CheckpointError> {
         let body =
             serde_json::to_string(ckpt).map_err(|e| CheckpointError::Parse(format!("{e:?}")))?;
-        let payload = body.as_bytes();
-        let header = format!("{MAGIC} {} {:016x}\n", payload.len(), fnv1a64(payload));
-        let gen = self.next_gen;
+        // Header and payload leave in one write.
+        let mut file = format!("{MAGIC} {} {:016x}\n", body.len(), fnv1a64(body.as_bytes()));
+        file.push_str(&body);
+        let gen = self.next_gen();
         let tmp = self.dir.join(format!("ckpt-{gen}.tmp"));
         let final_path = self.path_of(gen);
 
         let mut last_err = None;
         for attempt in 0..MAX_ATTEMPTS {
-            match self.try_write(&tmp, &final_path, header.as_bytes(), payload) {
+            match self.try_write(&tmp, &final_path, file.as_bytes()) {
                 Ok(()) => {
                     last_err = None;
                     break;
@@ -210,7 +220,7 @@ impl CheckpointStore {
         if let Some(e) = last_err {
             return Err(e);
         }
-        self.next_gen += 1;
+        self.gens.push_back(gen);
         self.ops.written += 1;
         self.prune()?;
         Ok(gen)
@@ -220,8 +230,7 @@ impl CheckpointStore {
         &mut self,
         tmp: &Path,
         final_path: &Path,
-        header: &[u8],
-        payload: &[u8],
+        bytes: &[u8],
     ) -> Result<(), CheckpointError> {
         // Injected transient failure (FaultPlan::io_failures): fail the
         // attempt *before* any bytes land, like a full disk would.
@@ -232,19 +241,22 @@ impl CheckpointStore {
         }
         let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
         let mut f = fs::File::create(tmp).map_err(io)?;
-        f.write_all(header).map_err(io)?;
-        f.write_all(payload).map_err(io)?;
+        f.write_all(bytes).map_err(io)?;
         f.sync_all().map_err(io)?;
         fs::rename(tmp, final_path).map_err(io)?;
         Ok(())
     }
 
+    /// Unlink the oldest known generations down to `keep`. A file already
+    /// gone (removed behind the store's back) is what pruning wanted.
     fn prune(&mut self) -> Result<(), CheckpointError> {
-        let gens = Self::generations(&self.dir)?;
-        if gens.len() > self.keep {
-            for &g in &gens[..gens.len() - self.keep] {
-                fs::remove_file(self.path_of(g)).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        while self.gens.len() > self.keep {
+            match fs::remove_file(self.path_of(self.gens[0])) {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => return Err(CheckpointError::Io(e.to_string())),
             }
+            self.gens.pop_front();
         }
         Ok(())
     }
@@ -300,6 +312,9 @@ impl CheckpointStore {
     /// or refused generations (each skip is counted in
     /// [`CheckpointOps::discarded`]). `Ok(None)` means the directory holds
     /// no generations at all — a fresh start, not an error.
+    ///
+    /// Reads the directory, not the list `save` keeps: recovery must see
+    /// files dropped or damaged behind the store's back.
     pub fn latest_valid(&mut self) -> Result<Option<(u64, DaemonCheckpoint)>, CheckpointError> {
         let gens = Self::generations(&self.dir)?;
         if gens.is_empty() {
@@ -320,6 +335,9 @@ impl CheckpointStore {
     /// Damage the newest generation file in place — the torn/bit-flipped
     /// checkpoint a crash mid-write leaves behind. Used by the fault plan
     /// at crash time and by chaos tests. No-op when the store is empty.
+    ///
+    /// Reads the directory, not the list `save` keeps: "newest" is whatever
+    /// a crash would find on disk.
     pub fn corrupt_newest(&self, kind: CorruptKind) -> Result<(), CheckpointError> {
         let Some(&gen) = Self::generations(&self.dir)?.last() else {
             return Ok(());
@@ -346,7 +364,9 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Generations currently on disk, ascending.
+    /// Generations currently on disk, ascending — a directory scan on
+    /// every call, deliberately not the list `save` keeps, so tests and
+    /// operators see what is really there.
     pub fn on_disk(&self) -> Result<Vec<u64>, CheckpointError> {
         Self::generations(&self.dir)
     }
@@ -415,19 +435,75 @@ mod tests {
     fn round_trip_and_rotation() {
         let dir = temp_dir("rot");
         let mut store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open");
-        for i in 0..5 {
+        for i in 0..10 {
             let gen = store.save(&checkpoint(i)).expect("save");
             assert_eq!(gen, i);
         }
-        // Keep-last-3: generations 2, 3, 4 survive.
-        assert_eq!(store.on_disk().expect("list"), vec![2, 3, 4]);
+        // Keep-last-3: exactly generations 7, 8, 9 survive, no `.tmp` left.
+        assert_eq!(store.on_disk().expect("list"), vec![7, 8, 9]);
+        assert_eq!(fs::read_dir(&dir).expect("list").count(), 3);
         let (gen, ckpt) = store.latest_valid().expect("read").expect("non-empty");
-        assert_eq!((gen, ckpt.lines_consumed), (4, 4));
-        assert_eq!(store.ops().written, 5);
+        assert_eq!((gen, ckpt.lines_consumed), (9, 9));
+        assert_eq!(store.ops().written, 10);
         assert_eq!(store.ops().discarded, 0);
         // A reopened store continues numbering after existing generations.
         let store2 = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("reopen");
-        assert_eq!(store2.next_gen, 5);
+        assert_eq!(store2.next_gen(), 10);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rotation_tolerates_files_removed_behind_its_back() {
+        let dir = temp_dir("gone");
+        let mut store = CheckpointStore::open(&dir, 2, FaultPlan::NONE).expect("open");
+        store.save(&checkpoint(0)).expect("save");
+        store.save(&checkpoint(1)).expect("save");
+        // An operator (or a tmp cleaner) removes the generation the next
+        // save is about to rotate out.
+        fs::remove_file(dir.join("ckpt-0.json")).expect("remove");
+        assert_eq!(store.save(&checkpoint(2)).expect("save"), 2);
+        assert_eq!(store.on_disk().expect("list"), vec![1, 2]);
+        assert_eq!(store.save(&checkpoint(3)).expect("save"), 3);
+        assert_eq!(store.on_disk().expect("list"), vec![2, 3]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopened_store_prunes_inherited_generations_on_first_save() {
+        let dir = temp_dir("inherit");
+        let mut wide = CheckpointStore::open(&dir, 5, FaultPlan::NONE).expect("open");
+        for i in 0..5 {
+            wide.save(&checkpoint(i)).expect("save");
+        }
+        assert_eq!(wide.on_disk().expect("list"), vec![0, 1, 2, 3, 4]);
+        // The same directory under a tighter retention: the first save
+        // brings it down to `keep`, counting the inherited files.
+        let mut narrow = CheckpointStore::open(&dir, 2, FaultPlan::NONE).expect("reopen");
+        assert_eq!(narrow.save(&checkpoint(5)).expect("save"), 5);
+        assert_eq!(narrow.on_disk().expect("list"), vec![4, 5]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `tests/fixtures/ckpt-v2.json` was written by the last build that
+    /// serialised through a `Value` tree (a daemon killed mid-run: 12×12
+    /// city, 150 orders, seed 7, timeout policy, 90 lines in). Reading it
+    /// and saving what was read must reproduce it byte for byte; if this
+    /// fails, the wire format drifted without a `SNAPSHOT_VERSION` bump.
+    #[test]
+    fn committed_fixture_reads_and_rewrites_byte_for_byte() {
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/ckpt-v2.json");
+        let ckpt = CheckpointStore::read_file(&fixture).expect("fixture reads");
+        assert_eq!(ckpt.lines_consumed, 90);
+        assert_eq!(ckpt.snap.version, crate::snapshot::SNAPSHOT_VERSION);
+        let dir = temp_dir("fixture");
+        let mut store = CheckpointStore::open(&dir, 1, FaultPlan::NONE).expect("open");
+        store.save(&ckpt).expect("save");
+        let rewritten = fs::read(dir.join("ckpt-0.json")).expect("read back");
+        assert!(
+            rewritten == fs::read(&fixture).expect("read fixture"),
+            "re-saved fixture differs from the committed bytes"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

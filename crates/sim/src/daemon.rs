@@ -780,19 +780,26 @@ mod tests {
     #[test]
     fn malformed_and_stale_lines_are_counted_not_fatal() {
         let mut d = daemon(DaemonConfig::default(), None);
-        assert!(matches!(
-            d.feed_line("{ not json"),
-            FeedOutcome::Rejected(LineError::Malformed(_))
-        ));
+        // Plain garbage, two million open brackets (a stack overflow in a
+        // parser without a nesting cap) and a high surrogate followed by a
+        // non-surrogate escape (an arithmetic overflow in a careless one).
+        let hostile = ["{ not json", &"[".repeat(2_000_000), r#""\ud800\u0041""#];
+        for line in hostile {
+            assert!(matches!(
+                d.feed_line(line),
+                FeedOutcome::Rejected(LineError::Malformed(_))
+            ));
+        }
         assert!(matches!(
             d.feed_line(&fault_lines(&[order(0, 50)], &FaultPlan::NONE)[0]),
             FeedOutcome::Admitted
         ));
         d.close_and_drain();
         let out = d.finish();
-        assert_eq!(out.ingest.malformed, 1);
+        assert_eq!(out.ingest.malformed, 3);
         assert_eq!(out.ingest.admitted, 1);
-        assert_eq!(out.lines_consumed, 2);
+        assert_eq!(out.measurements.served_orders, 1);
+        assert_eq!(out.lines_consumed, 4);
     }
 
     #[test]

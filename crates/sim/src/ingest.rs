@@ -396,20 +396,31 @@ mod tests {
     #[test]
     fn malformed_lines_are_typed_rejections_not_panics() {
         let mut ing = OrderIngest::new(IngestConfig::for_nodes(10));
-        // A truncated order, plain garbage, an empty line, and a valid
-        // JSON value of the wrong shape: all must come back as typed
-        // `Malformed` errors and count in the stats.
+        // A truncated order, plain garbage, an empty line, a valid JSON
+        // value of the wrong shape, nesting deep enough to overflow an
+        // uncapped parser's stack and a broken surrogate pair: all must
+        // come back as typed `Malformed` errors and count in the stats.
         let valid = serde_json::to_string(&order(1)).expect("serialize");
         let truncated = &valid[..valid.len() - 7];
-        for bad in [truncated, "not json at all", "", "[1,2,3]", "{\"id\":1}"] {
+        let deep = "[".repeat(2_000_000);
+        for bad in [
+            truncated,
+            "not json at all",
+            "",
+            "[1,2,3]",
+            "{\"id\":1}",
+            &deep,
+            r#""\ud800\u0041""#,
+        ] {
             let got = ing.admit_line(bad, 0);
             assert!(
                 matches!(got, Err(LineError::Malformed(_))),
-                "line {bad:?} must be malformed, got {got:?}"
+                "line {:?}… must be malformed, got {got:?}",
+                bad.chars().take(40).collect::<String>()
             );
         }
         let s = ing.stats();
-        assert_eq!((s.malformed, s.rejected, s.admitted), (5, 5, 0));
+        assert_eq!((s.malformed, s.rejected, s.admitted), (7, 7, 0));
         // A well-formed line still goes through full validation.
         assert!(ing.admit_line(&valid, 0).is_ok());
         let invalid = serde_json::to_string(&Order {

@@ -2,17 +2,29 @@
 //!
 //! The build environment has no crates.io access, so this shim provides the
 //! slice of serde used by the WATTER workspace: `#[derive(Serialize,
-//! Deserialize)]` plus JSON round-tripping through `serde_json`. Instead of
-//! serde's visitor machinery, both traits go through an intermediate
-//! [`Value`] tree; the derive macros (re-exported from `serde_derive`)
-//! generate `to_json_value` / `from_json_value` impls for plain structs,
-//! tuple structs and enums with unit/tuple/struct variants, using serde's
-//! externally-tagged representation so the JSON shape matches real serde.
+//! Deserialize)]` plus JSON round-tripping through `serde_json`, without
+//! serde's visitor machinery.
+//!
+//! **Serialisation is a writer.** [`Serialize::write_json`] appends the
+//! value's compact JSON text to a `String`; the derive macro (re-exported
+//! from `serde_derive`) generates it for plain structs, tuple structs and
+//! enums with unit/tuple/struct variants, using serde's externally-tagged
+//! representation so the JSON shape matches real serde, and
+//! `serde_json::to_string` is one call of it. No intermediate tree is
+//! built on the way out.
+//!
+//! **The [`Value`] tree is for parsing and pretty output.**
+//! [`Deserialize::from_json_value`] reads one (so a caller can inspect a
+//! document — a version field, say — before committing to a typed parse),
+//! and [`Serialize::to_json_value`], a provided method that parses what the
+//! writer wrote, serves the callers that want a tree of a typed value
+//! (`serde_json::to_string_pretty`).
 
 pub use serde_derive::{Deserialize, Serialize};
 
 mod value;
 
+use value::{write_bool, write_escaped, write_f64, write_i64, write_u64};
 pub use value::{Error, Value};
 
 /// Parse JSON text into a [`Value`] tree (used by the `serde_json` shim).
@@ -20,10 +32,47 @@ pub fn parse_json(s: &str) -> Result<Value, Error> {
     value::parse(s)
 }
 
-/// A type that can be converted into a JSON [`Value`] tree.
+/// A type that can be written as JSON text.
 pub trait Serialize {
-    /// Convert `self` into a JSON value.
-    fn to_json_value(&self) -> Value;
+    /// Append `self` as compact JSON to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// `self` as a JSON [`Value`] tree: what [`Serialize::write_json`]
+    /// writes, parsed back.
+    fn to_json_value(&self) -> Value {
+        let mut text = String::new();
+        self.write_json(&mut text);
+        value::parse(&text).expect("write_json emits valid JSON")
+    }
+}
+
+/// `[a,b,…]` from anything iterable.
+fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// `{"k":v,…}` in the iterator's order.
+fn write_map<'a, V: Serialize + 'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
+) {
+    out.push('{');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, k);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
 }
 
 /// A type that can be reconstructed from a JSON [`Value`] tree.
@@ -37,8 +86,8 @@ pub trait Deserialize: Sized {
 // ---------------------------------------------------------------------------
 
 impl Serialize for bool {
-    fn to_json_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        write_bool(out, *self);
     }
 }
 
@@ -54,8 +103,8 @@ impl Deserialize for bool {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn write_json(&self, out: &mut String) {
+                write_i64(out, *self as i64);
             }
         }
         impl Deserialize for $t {
@@ -73,8 +122,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn write_json(&self, out: &mut String) {
+                write_u64(out, *self as u64);
             }
         }
         impl Deserialize for $t {
@@ -92,8 +141,8 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn write_json(&self, out: &mut String) {
+                write_f64(out, *self as f64);
             }
         }
         impl Deserialize for $t {
@@ -110,10 +159,10 @@ impl_float!(f32, f64);
 // 128-bit integers render as u64/i64 when in range and as decimal strings
 // otherwise (real serde_json needs arbitrary-precision for these too).
 impl Serialize for u128 {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match u64::try_from(*self) {
-            Ok(n) => Value::UInt(n),
-            Err(_) => Value::Str(self.to_string()),
+            Ok(n) => write_u64(out, n),
+            Err(_) => write_escaped(out, &self.to_string()),
         }
     }
 }
@@ -133,10 +182,10 @@ impl Deserialize for u128 {
 }
 
 impl Serialize for i128 {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match i64::try_from(*self) {
-            Ok(n) => Value::Int(n),
-            Err(_) => Value::Str(self.to_string()),
+            Ok(n) => write_i64(out, n),
+            Err(_) => write_escaped(out, &self.to_string()),
         }
     }
 }
@@ -156,8 +205,8 @@ impl Deserialize for i128 {
 }
 
 impl Serialize for String {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
     }
 }
 
@@ -171,14 +220,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
     }
 }
 
 impl Serialize for char {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -196,16 +245,16 @@ impl Deserialize for char {
 // ---------------------------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.to_json_value(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -220,14 +269,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json_value(&self) -> Value {
-        self.as_slice().to_json_value()
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -241,14 +290,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_json_value(&self) -> Value {
-        self.as_slice().to_json_value()
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -262,8 +311,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 // the `rc` feature. Deserialization always produces a fresh allocation (no
 // sharing is reconstructed), which matches serde's documented behaviour.
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -274,8 +323,8 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -288,8 +337,15 @@ impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
 macro_rules! impl_tuple {
     ($(($($name:ident . $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_json_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_json_value()),+])
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    self.$idx.write_json(out);
+                    out.push(',');
+                )+
+                // A tuple has at least one element: the last comma closes it.
+                out.pop();
+                out.push(']');
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -319,12 +375,8 @@ impl_tuple! {
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_json_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_json_value()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_map(out, self);
     }
 }
 
@@ -341,13 +393,11 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
 }
 
 impl<V: Serialize> Serialize for std::collections::HashMap<String, V> {
-    fn to_json_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json_value()))
-            .collect();
-        fields.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(fields)
+    fn write_json(&self, out: &mut String) {
+        // Sorted, so the text does not depend on the hasher's order.
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        write_map(out, entries);
     }
 }
 
@@ -364,6 +414,10 @@ impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
 }
 
 impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     fn to_json_value(&self) -> Value {
         self.clone()
     }

@@ -1,7 +1,13 @@
-//! The JSON value tree shared by the `serde` and `serde_json` shims, plus
-//! the rendering (compact and pretty) and parsing routines.
+//! The JSON value tree shared by the `serde` and `serde_json` shims, the
+//! scalar writers every [`Serialize`](crate::Serialize) impl appends with,
+//! tree rendering (compact and pretty) and the parser.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace writes nests under 12 levels; the cap turns a hostile line of
+/// two million `[` into an [`Error`] instead of a stack overflow.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed or to-be-rendered JSON document.
 ///
@@ -89,26 +95,13 @@ impl Value {
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    pub(crate) fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::UInt(n) => out.push_str(&n.to_string()),
-            Value::Float(f) => {
-                if f.is_finite() {
-                    if f.fract() == 0.0 && f.abs() < 1.0e16 {
-                        // Keep whole floats recognizable as numbers ("1.0").
-                        out.push_str(&format!("{f:.1}"));
-                    } else {
-                        out.push_str(&f.to_string());
-                    }
-                } else {
-                    // serde_json renders non-finite floats as null.
-                    out.push_str("null");
-                }
-            }
+            Value::Bool(b) => write_bool(out, *b),
+            Value::Int(n) => write_i64(out, *n),
+            Value::UInt(n) => write_u64(out, *n),
+            Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
@@ -160,19 +153,69 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+pub(crate) fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+pub(crate) fn write_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(out, n.unsigned_abs());
+}
+
+pub(crate) fn write_f64(out: &mut String, f: f64) {
+    // `write!` into a `String` cannot fail, hence the ignored results.
+    if !f.is_finite() {
+        // serde_json renders non-finite floats as null.
+        out.push_str("null");
+    } else if f.fract() == 0.0 && f.abs() < 1.0e16 {
+        // Keep whole floats recognizable as numbers ("1.0").
+        let _ = write!(out, "{f:.1}");
+    } else {
+        let _ = write!(out, "{f}");
+    }
+}
+
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8 sequences and go out in one `push_str` each.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -213,29 +256,37 @@ impl std::error::Error for Error {}
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Parse a JSON document into a [`Value`] tree.
+/// Parse a JSON document into a [`Value`] tree, in time linear in its
+/// length and with nesting capped at [`MAX_DEPTH`].
 pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -245,7 +296,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -261,7 +312,7 @@ impl Parser<'_> {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             true
         } else {
@@ -275,14 +326,27 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(Error::msg(format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -350,65 +414,63 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
+            // The run of plain bytes up to the next delimiter is copied in
+            // one piece: the input is a `&str` and both delimiters are
+            // ASCII, so the run is made of whole UTF-8 sequences.
+            let start = self.pos;
+            let Some(run) = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
                 return Err(Error::msg("unterminated string"));
             };
+            let end = start + run;
+            out.push_str(&self.text[start..end]);
+            self.pos = end + 1;
+            if self.bytes()[end] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(Error::msg("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::msg("unterminated escape"));
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let c = match self.hex4()? {
+                        // Surrogate pairs for astral-plane characters.
+                        hi @ 0xD800..=0xDBFF => {
+                            if !self.eat_keyword("\\u") {
+                                return Err(Error::msg("unpaired surrogate"));
+                            }
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(Error::msg("unpaired surrogate"));
+                            }
+                            char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                        }
+                        0xDC00..=0xDFFF => return Err(Error::msg("unpaired surrogate")),
+                        cp => char::from_u32(cp),
                     };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs for astral-plane characters.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if !(self.eat_keyword("\\u")) {
-                                    return Err(Error::msg("unpaired surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| Error::msg("invalid \\u escape"))?);
-                        }
-                        other => {
-                            return Err(Error::msg(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
+                    out.push(c.ok_or_else(|| Error::msg("invalid \\u escape"))?);
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at the byte we
-                    // just consumed.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::msg("invalid utf-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    self.pos = start + c.len_utf8();
-                    out.push(c);
-                }
+                other => return Err(Error::msg(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.bytes().len() {
             return Err(Error::msg("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| Error::msg("invalid \\u escape"))?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| Error::msg("invalid \\u escape"))
@@ -430,7 +492,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Value::Int(n));
@@ -476,6 +538,47 @@ mod tests {
         assert_eq!(Value::Float(1.0e19).as_i64(), None);
         assert_eq!(Value::Float(-12.0).as_i64(), Some(-12));
         assert_eq!(Value::Float(0.5).as_i64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth counts what is open, not what has been seen.
+        assert!(parse(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
+        // Two million unclosed brackets: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(2_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(2_000_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_escapes() {
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("😀".to_string())
+        );
+        // High surrogate followed by an escape that is not a low one.
+        assert!(parse(r#""\ud800\u0041""#).is_err());
+        assert!(parse(r#""\ud800\ud800""#).is_err());
+        // Lone low, lone high before a plain character, lone high at EOF.
+        assert!(parse(r#""\udc00""#).is_err());
+        assert!(parse(r#""\ud800A""#).is_err());
+        assert!(parse(r#""\ud800"#).is_err());
+        assert!(parse(r#""\ud800\u"#).is_err());
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        assert_eq!(
+            parse(r#""é–😀 plain\n\"q\" é tail""#).unwrap(),
+            Value::Str("é–😀 plain\n\"q\" é tail".to_string())
+        );
+        assert_eq!(parse(r#""""#).unwrap(), Value::Str(String::new()));
+        assert!(parse(r#""open"#).is_err());
+        assert!(parse(r#""open\"#).is_err());
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\u00é9""#).is_err());
     }
 
     #[test]

@@ -289,64 +289,86 @@ fn parse_variants(mut c: Cursor) -> Result<Vec<(String, Shape)>, String> {
 // Code generation
 // ---------------------------------------------------------------------------
 
-fn field_pairs(prefix: &str, fields: &[String]) -> String {
-    fields
-        .iter()
-        .map(|f| {
-            format!(
-                "(::std::string::String::from({f:?}), ::serde::Serialize::to_json_value({prefix}{f})),"
-            )
-        })
-        .collect()
+/// `"name":` as it appears in the output. Rust identifiers hold no quote,
+/// backslash or control character, so the JSON-escaped form of a field or
+/// variant name is the name itself and the key is final at expansion time.
+fn json_key(name: &str) -> String {
+    format!("\"{name}\":")
+}
+
+/// Statements that append `open`, then each item — its key text (empty in
+/// an array) followed by the value of its expression — comma-separated,
+/// then `close`. All punctuation between two values is one literal.
+fn write_items(open: &str, items: &[(String, String)], close: &str) -> String {
+    let mut code = String::new();
+    let mut literal = open.to_string();
+    for (i, (key, expr)) in items.iter().enumerate() {
+        if i > 0 {
+            literal.push(',');
+        }
+        literal.push_str(key);
+        code.push_str(&format!(
+            "out.push_str({literal:?}); ::serde::Serialize::write_json({expr}, out);"
+        ));
+        literal.clear();
+    }
+    literal.push_str(close);
+    code.push_str(&format!("out.push_str({literal:?});"));
+    code
+}
+
+/// [`write_items`] for a struct or variant body: `{…}` for named fields,
+/// `[…]` for a tuple, the bare value for a newtype. `expr_of` turns a field
+/// name or tuple index into the expression that borrows it.
+fn write_shape(open: &str, shape: &Shape, close: &str, expr_of: impl Fn(&str) -> String) -> String {
+    match shape {
+        Shape::Unit => unreachable!("unit shapes have no body"),
+        Shape::Tuple(n) => {
+            let items: Vec<(String, String)> = (0..*n)
+                .map(|i| (String::new(), expr_of(&i.to_string())))
+                .collect();
+            if *n == 1 {
+                write_items(open, &items, close)
+            } else {
+                write_items(&format!("{open}["), &items, &format!("]{close}"))
+            }
+        }
+        Shape::Named(fields) => {
+            let items: Vec<(String, String)> =
+                fields.iter().map(|f| (json_key(f), expr_of(f))).collect();
+            write_items(&format!("{open}{{"), &items, &format!("}}{close}"))
+        }
+    }
 }
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::Struct(Shape::Unit) => "::serde::Value::Null".to_string(),
-        Body::Struct(Shape::Tuple(1)) => "::serde::Serialize::to_json_value(&self.0)".to_string(),
-        Body::Struct(Shape::Tuple(n)) => {
-            let items: String = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_json_value(&self.{i}),"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{items}])")
-        }
-        Body::Struct(Shape::Named(fields)) => {
-            let pairs = field_pairs("&self.", fields);
-            format!("::serde::Value::Object(::std::vec![{pairs}])")
-        }
+        Body::Struct(Shape::Unit) => "out.push_str(\"null\");".to_string(),
+        Body::Struct(shape) => write_shape("", shape, "", |f| format!("&self.{f}")),
         Body::Enum(variants) => {
             let arms: String = variants
                 .iter()
-                .map(|(v, shape)| match shape {
-                    Shape::Unit => format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from({v:?})),"
-                    ),
-                    Shape::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_json_value(x0)".to_string()
-                        } else {
-                            let items: String = binders
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_json_value({b}),"))
-                                .collect();
-                            format!("::serde::Value::Array(::std::vec![{items}])")
-                        };
-                        format!(
-                            "{name}::{v}({binds}) => ::serde::Value::Object(::std::vec![\
-                             (::std::string::String::from({v:?}), {inner})]),",
-                            binds = binders.join(", ")
-                        )
-                    }
-                    Shape::Named(fields) => {
-                        let pairs = field_pairs("", fields);
-                        format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Object(::std::vec![\
-                             (::std::string::String::from({v:?}), \
-                              ::serde::Value::Object(::std::vec![{pairs}]))]),",
-                            binds = fields.join(", ")
-                        )
+                .map(|(v, shape)| {
+                    let open = format!("{{{}", json_key(v));
+                    match shape {
+                        Shape::Unit => {
+                            let tag = format!("\"{v}\"");
+                            format!("{name}::{v} => {{ out.push_str({tag:?}); }}")
+                        }
+                        Shape::Tuple(n) => {
+                            let binders: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
+                            format!(
+                                "{name}::{v}({binds}) => {{ {body} }}",
+                                binds = binders.join(", "),
+                                body = write_shape(&open, shape, "}", |i| format!("x{i}"))
+                            )
+                        }
+                        Shape::Named(fields) => format!(
+                            "{name}::{v} {{ {binds} }} => {{ {body} }}",
+                            binds = fields.join(", "),
+                            body = write_shape(&open, shape, "}", str::to_string)
+                        ),
                     }
                 })
                 .collect();
@@ -355,7 +377,7 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
-         fn to_json_value(&self) -> ::serde::Value {{ {body} }} }}"
+         fn write_json(&self, out: &mut ::std::string::String) {{ {body} }} }}"
     )
 }
 
