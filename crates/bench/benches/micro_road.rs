@@ -134,7 +134,7 @@ impl<C: watter_core::TravelCost> MutexCache<C> {
 /// baseline, at 1 and 4 threads. The lock-free slots should be at worst
 /// even single-threaded and pull ahead under concurrent readers (on a
 /// single-core host the threaded numbers only measure scheduling, not
-/// contention — see BENCH_pool_scale.json's host note).
+/// contention).
 fn bench_cache_contention(c: &mut Criterion) {
     use watter_road::CachedOracle;
 

@@ -5,16 +5,12 @@
 //! ```
 //!
 //! `exp` ∈ {example1, fig3, fig4, fig5, fig6, eta, dt, grid, omega,
-//! ablations, kpis, oracle, pool, chaos, obs, all};
+//! ablations, kpis, chaos, obs, all};
 //! `scale` shrinks order/worker counts (default 1.0). Results are printed
 //! as tables and written to `results/<exp>.json`.
 //!
-//! `pool` takes a city side length instead of a scale
-//! (`reproduce -- pool 320` is the 10⁵-node scaling study) and writes
-//! `results/pool_scale.json`.
-//!
-//! `obs` also takes a side length: it times the large-city run with no
-//! recorder, a disabled recorder and a fully enabled recorder, writes
+//! `obs` takes a city side length instead of a scale: it times the
+//! large-city run with a disabled and a fully enabled recorder, writes
 //! `results/obs.json` with the per-stage latency breakdown, and exits
 //! non-zero if the enabled-path overhead exceeds 5%.
 
@@ -62,58 +58,6 @@ fn omega(scale: f64) {
         println!("  ω={omega:<5} {}", pts.join(" → "));
     }
     write_json(&results_path("omega"), &rows).expect("write results");
-}
-
-fn oracle() {
-    println!("\n## Oracle study: build/query trade-off per backend");
-    println!(
-        "{:<6} {:>8} {:<16} {:>12} {:>14} {:>12} {:>8}",
-        "side", "nodes", "backend", "build (ms)", "memory (B)", "query (µs)", "queries"
-    );
-    // 320 is the metropolis-scale city (102 400 nodes); dense backends
-    // are skipped there and CH/ALT/Dijkstra answer cold point queries.
-    let rows = experiments::oracle_study(&[12, 20, 32, 320]);
-    for r in &rows {
-        println!(
-            "{:<6} {:>8} {:<16} {:>12.1} {:>14} {:>12.2} {:>8}",
-            r.city_side, r.nodes, r.backend, r.build_ms, r.bytes, r.query_us, r.queries
-        );
-    }
-    write_json(&results_path("oracle"), &rows).expect("write results");
-    eprintln!("[oracle] -> results/oracle.json");
-}
-
-fn pool(side: usize) {
-    println!("\n## Pooling-acceleration scaling study ({side}×{side} blocks)");
-    println!(
-        "{:<18} {:>8} {:>7} {:>9} {:>11} {:>9} {:>13} {:>11} {:>11}",
-        "config",
-        "orders",
-        "served",
-        "rejected",
-        "service(%)",
-        "wall(s)",
-        "per-order(ms)",
-        "hits",
-        "misses"
-    );
-    let rows = watter_bench::experiments::pool_scale_study(side);
-    for r in &rows {
-        println!(
-            "{:<18} {:>8} {:>7} {:>9} {:>11.1} {:>9.1} {:>13.1} {:>11} {:>11}",
-            r.config,
-            r.orders,
-            r.served,
-            r.rejected,
-            r.service_rate_pct,
-            r.wall_s,
-            r.per_order_ms,
-            r.cache_hits,
-            r.cache_misses
-        );
-    }
-    write_json(&results_path("pool_scale"), &rows).expect("write results");
-    eprintln!("[pool] -> results/pool_scale.json");
 }
 
 fn obs(side: usize) {
@@ -256,8 +200,6 @@ fn main() {
         }),
         "omega" => omega(scale),
         "kpis" => kpis(scale),
-        "oracle" => oracle(),
-        "pool" => pool(args.get(2).and_then(|s| s.parse().ok()).unwrap_or(320)),
         "obs" => obs(args.get(2).and_then(|s| s.parse().ok()).unwrap_or(320)),
         "chaos" => chaos(scale),
         "ablations" => run_figure(
@@ -295,12 +237,11 @@ fn main() {
                 || experiments::ablations(scale),
             );
             kpis(scale);
-            oracle();
             chaos(scale);
             obs(320);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|kpis|oracle|pool|chaos|obs|all");
+            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|kpis|chaos|obs|all");
             std::process::exit(2);
         }
     }

@@ -276,12 +276,13 @@ pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
         wcfg.pool.clique.max_neighbors = fanout;
         let cfg = watter::runner::sim_config(&scenario);
         let mut d = watter_sim::WatterDispatcher::new(wcfg, watter_strategy::OnlinePolicy);
-        let m = watter_sim::run(
+        let (m, _) = watter_sim::run(
             scenario.orders.clone(),
             scenario.workers.clone(),
             &mut d,
             scenario.oracle.as_ref(),
             cfg,
+            Recorder::disabled(),
         );
         rows.push(ExperimentRow {
             city: profile.tag().into(),
@@ -331,228 +332,6 @@ pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
     rows
 }
 
-/// One row of the oracle engineering study: a (city size, backend)
-/// build/query measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OracleBenchRow {
-    /// City side length in blocks.
-    pub city_side: usize,
-    /// Node count (`side²`).
-    pub nodes: usize,
-    /// Backend tag: `dense-serial`, `dense-parallel`, `alt16`, `ch`,
-    /// `dijkstra`.
-    pub backend: String,
-    /// One-off construction time, milliseconds.
-    pub build_ms: f64,
-    /// Resident size of the precomputed structure, bytes.
-    pub bytes: u64,
-    /// Mean point-query latency over a fixed random pair set, microseconds.
-    pub query_us: f64,
-    /// Cold queries timed per backend at this size.
-    pub queries: usize,
-}
-
-/// Travel-cost oracle study: build time, memory and point-query latency of
-/// the dense table (serial and parallel build), the ALT oracle, the
-/// contraction hierarchy and raw Dijkstra across city sizes. All backends
-/// return bit-identical costs; this quantifies the memory/latency
-/// trade-off documented in the README. Dense rows are skipped beyond
-/// `DENSE_NODE_LIMIT` (the table would not fit), and per-query search
-/// backends time fewer pairs on metropolis-scale graphs to keep the study
-/// runnable.
-pub fn oracle_study(sides: &[usize]) -> Vec<OracleBenchRow> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-    use std::time::Instant;
-    use watter_core::{NodeId, DENSE_NODE_LIMIT};
-    use watter_road::{dijkstra, AltOracle, ChOracle, CostMatrix, RoadGraph};
-
-    const LANDMARKS: usize = 16;
-
-    let mut rows = Vec::new();
-    for &side in sides {
-        let graph = Arc::new(CityProfile::Chengdu.city_config(side).generate(7));
-        let n = graph.node_count();
-        // Per-query searches on a 10⁵-node graph cost milliseconds
-        // (Dijkstra: tens of ms); cap the pair count so the study stays
-        // minutes, not hours, while means remain stable.
-        let queries = if n > 20_000 { 200 } else { 2_000 };
-        let mut rng = StdRng::seed_from_u64(side as u64);
-        let pairs: Vec<(NodeId, NodeId)> = (0..queries)
-            .map(|_| {
-                (
-                    NodeId(rng.gen_range(0..n as u32)),
-                    NodeId(rng.gen_range(0..n as u32)),
-                )
-            })
-            .collect();
-        let time_queries = |f: &dyn Fn(NodeId, NodeId) -> i64| {
-            let t0 = Instant::now();
-            let mut acc = 0i64;
-            for &(a, b) in &pairs {
-                acc = acc.wrapping_add(f(a, b));
-            }
-            std::hint::black_box(acc);
-            t0.elapsed().as_secs_f64() * 1e6 / queries as f64
-        };
-        let mut push = |backend: &str, build_ms: f64, bytes: u64, query_us: f64| {
-            rows.push(OracleBenchRow {
-                city_side: side,
-                nodes: n,
-                backend: backend.to_string(),
-                build_ms,
-                bytes,
-                query_us,
-                queries,
-            });
-        };
-
-        if n <= DENSE_NODE_LIMIT {
-            let t0 = Instant::now();
-            let serial = CostMatrix::build_serial(&graph);
-            let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let q = time_queries(&|a, b| watter_core::TravelCost::cost(&serial, a, b));
-            push("dense-serial", serial_ms, (n * n * 4) as u64, q);
-            drop(serial);
-
-            let t0 = Instant::now();
-            let parallel = CostMatrix::build(&graph);
-            let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let q = time_queries(&|a, b| watter_core::TravelCost::cost(&parallel, a, b));
-            push("dense-parallel", parallel_ms, (n * n * 4) as u64, q);
-            drop(parallel);
-        }
-
-        let t0 = Instant::now();
-        let alt = AltOracle::build(Arc::clone(&graph), LANDMARKS);
-        let alt_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let q = time_queries(&|a, b| watter_core::TravelCost::cost(&alt, a, b));
-        push(
-            &format!("alt{LANDMARKS}"),
-            alt_ms,
-            alt.landmark_bytes() as u64,
-            q,
-        );
-        drop(alt);
-
-        let t0 = Instant::now();
-        let ch = ChOracle::build(Arc::clone(&graph));
-        let ch_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let q = time_queries(&|a, b| watter_core::TravelCost::cost(&ch, a, b));
-        push("ch", ch_ms, ch.resident_bytes() as u64, q);
-        drop(ch);
-
-        let graph_ref: &RoadGraph = &graph;
-        let q = time_queries(&|a, b| dijkstra::shortest_path_cost(graph_ref, a, b));
-        push("dijkstra", 0.0, 0, q);
-    }
-    rows
-}
-
-/// One row of the pooling-acceleration scaling study: a (configuration)
-/// large-city run with its dispatch outcome and wall-clock cost.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PoolScaleRow {
-    /// City side length in blocks.
-    pub city_side: usize,
-    /// Node count (`side²`).
-    pub nodes: usize,
-    /// Acceleration configuration: `full-scan` (PR 2-style pool insert
-    /// scanning every pooled order, uncached oracle), `spatial`
-    /// (grid-pruned insert), `spatial+cache` (grid-pruned insert +
-    /// memoized oracle). All three use the bound-guided pre-filter.
-    pub config: String,
-    /// Orders simulated.
-    pub orders: usize,
-    /// Orders served / rejected — must be identical across configurations
-    /// (the layers are exact accelerations, not approximations).
-    pub served: u64,
-    /// Orders rejected.
-    pub rejected: u64,
-    /// Extra Time (the METRS objective Φ), seconds.
-    pub extra_time_s: f64,
-    /// Service rate, percent.
-    pub service_rate_pct: f64,
-    /// End-to-end wall time of the simulation, seconds.
-    pub wall_s: f64,
-    /// Wall time per order, milliseconds — the headline scaling number.
-    pub per_order_ms: f64,
-    /// Cost-cache hits (0 when the cache is off).
-    pub cache_hits: u64,
-    /// Cost-cache misses (0 when the cache is off).
-    pub cache_misses: u64,
-}
-
-/// Pooling-acceleration scaling study (`reproduce -- pool [side]`): run
-/// the large-city scenario under each acceleration configuration and
-/// record per-order wall time. Dispatch outcomes must match across
-/// configurations — the function asserts it, so a regression that breaks
-/// the bit-identical guarantee fails the study loudly.
-pub fn pool_scale_study(city_side: usize) -> Vec<PoolScaleRow> {
-    use std::time::Instant;
-    use watter::runner::{sim_config, watter_config};
-    use watter_core::TravelBound;
-    use watter_road::CachedOracle;
-
-    let mut params = ScenarioParams::large_city();
-    params.city_side = city_side;
-    let scenario = Scenario::build(params);
-    let nodes = scenario.graph.node_count();
-
-    let mut rows: Vec<PoolScaleRow> = Vec::new();
-    for (config, spatial, cache) in [
-        ("full-scan", false, false),
-        ("spatial", true, false),
-        ("spatial+cache", true, true),
-    ] {
-        let cached =
-            cache.then(|| CachedOracle::with_default_capacity(Arc::clone(&scenario.oracle)));
-        let oracle: &dyn TravelBound = match &cached {
-            Some(c) => c,
-            None => scenario.oracle.as_ref(),
-        };
-        let mut wcfg = watter_config(&scenario);
-        if !spatial {
-            wcfg.spatial = None;
-        }
-        let mut d = WatterDispatcher::new(wcfg, OnlinePolicy);
-        let t0 = Instant::now();
-        let m = watter_sim::run(
-            scenario.orders.clone(),
-            scenario.workers.clone(),
-            &mut d,
-            oracle,
-            sim_config(&scenario),
-        );
-        let wall_s = t0.elapsed().as_secs_f64();
-        let stats = RunStats::from(&m);
-        let row = PoolScaleRow {
-            city_side,
-            nodes,
-            config: config.to_string(),
-            orders: scenario.orders.len(),
-            served: m.served_orders,
-            rejected: m.rejected_orders,
-            extra_time_s: stats.extra_time,
-            service_rate_pct: stats.service_rate_pct,
-            wall_s,
-            per_order_ms: wall_s * 1e3 / scenario.orders.len().max(1) as f64,
-            cache_hits: cached.as_ref().map_or(0, |c| c.hits()),
-            cache_misses: cached.as_ref().map_or(0, |c| c.misses()),
-        };
-        if let Some(base) = rows.first() {
-            assert_eq!(
-                (row.served, row.rejected, row.extra_time_s),
-                (base.served, base.rejected, base.extra_time_s),
-                "acceleration config `{config}` changed dispatch outcomes"
-            );
-        }
-        rows.push(row);
-    }
-    rows
-}
-
 /// One row of the observability overhead study: the large-city run
 /// under one recorder configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -561,10 +340,9 @@ pub struct ObsRow {
     pub city_side: usize,
     /// Node count (`side²`).
     pub nodes: usize,
-    /// Recorder configuration: `baseline` (the plain [`run_full`]
-    /// entry, recorder structurally absent), `disabled` (a disabled
-    /// recorder threaded through every hook — the zero-cost claim) or
-    /// `enabled` (full registry: counters, spans, windows, trace).
+    /// Recorder configuration: `disabled` (every hook short-circuits on
+    /// one atomic load) or `enabled` (full registry: counters, spans,
+    /// windows, trace).
     pub config: String,
     /// Timed repetitions (wall numbers are best-of).
     pub reps: usize,
@@ -580,32 +358,29 @@ pub struct ObsRow {
     pub wall_s: f64,
     /// Best wall time per order, milliseconds.
     pub per_order_ms: f64,
-    /// Wall-time overhead vs the baseline row, percent (the study's
-    /// headline: `disabled` must sit in the noise floor, `enabled`
-    /// within the 5% budget).
+    /// Wall-time overhead vs the `disabled` row, percent (the study's
+    /// headline: `enabled` must stay within the 5% budget).
     pub overhead_pct: f64,
     /// Per-stage latency breakdown (`enabled` row only).
     pub stages: Vec<watter_obs::StageSample>,
 }
 
 /// Observability overhead study (`reproduce -- obs [side]`): the
-/// large-city scenario timed under no recorder, a disabled recorder
-/// and a fully enabled recorder. Dispatch outcomes must be identical
-/// across all three (asserted — the metrics are observers, not
-/// participants); only wall clock may move, and the `reproduce` binary
-/// gates the enabled overhead at 5%.
+/// large-city scenario timed under a disabled and a fully enabled
+/// recorder. Dispatch outcomes must be identical across the two
+/// (asserted — the metrics are observers, not participants); only wall
+/// clock may move, and the `reproduce` binary gates the enabled
+/// overhead at 5%.
 pub fn obs_study(city_side: usize, reps: usize) -> Vec<ObsRow> {
     use std::time::Instant;
-    use watter::runner::{run_full, run_full_recorded, DriveMode};
-    use watter_obs::Recorder;
 
     let mut params = ScenarioParams::large_city();
     params.city_side = city_side;
     // The cache both accelerates the ALT oracle and exercises the
     // hit/miss observability stages.
     params.cost_cache = true;
-    // More riders than the pool study so each timed run lasts long
-    // enough to resolve sub-percent overhead differences.
+    // Enough riders that each timed run lasts long enough to resolve
+    // sub-percent overhead differences.
     params.n_orders = (params.n_orders * 10).max(400);
     params.n_workers = (params.n_workers * 10).max(100);
     let scenario = Scenario::build(params);
@@ -613,16 +388,16 @@ pub fn obs_study(city_side: usize, reps: usize) -> Vec<ObsRow> {
 
     // Untimed warm-up so the first timed configuration doesn't pay the
     // process's one-off costs (allocator growth, page faults, lazily
-    // built oracle state) that later configurations would get for free.
-    run_full(&scenario, Algo::WatterOnline, DriveMode::Batch).expect("batch mode always runs");
+    // built oracle state) that the later one would get for free.
+    run_scenario(&scenario, Algo::WatterOnline, Recorder::disabled());
 
-    // Reps are interleaved (baseline, disabled, enabled, baseline, …)
-    // rather than blocked per configuration: on a busy host wall times
-    // drift over minutes, and blocked reps would alias that drift into
-    // the overhead comparison.
-    let configs = ["baseline", "disabled", "enabled"];
+    // Reps are interleaved (disabled, enabled, disabled, …) rather than
+    // blocked per configuration: on a busy host wall times drift over
+    // minutes, and blocked reps would alias that drift into the
+    // overhead comparison.
+    let configs = ["disabled", "enabled"];
     let reps = reps.max(1);
-    let mut walls = [f64::INFINITY; 3];
+    let mut walls = [f64::INFINITY; 2];
     let mut outcomes: Vec<Option<(Measurements, watter_obs::ObsSnapshot)>> =
         vec![None; configs.len()];
     for _ in 0..reps {
@@ -632,16 +407,7 @@ pub fn obs_study(city_side: usize, reps: usize) -> Vec<ObsRow> {
                 _ => Recorder::disabled(),
             };
             let t0 = Instant::now();
-            let out = match *config {
-                "baseline" => run_full(&scenario, Algo::WatterOnline, DriveMode::Batch),
-                _ => run_full_recorded(
-                    &scenario,
-                    Algo::WatterOnline,
-                    DriveMode::Batch,
-                    recorder.clone(),
-                ),
-            }
-            .expect("batch mode always runs");
+            let out = run_scenario(&scenario, Algo::WatterOnline, recorder.clone());
             walls[i] = walls[i].min(t0.elapsed().as_secs_f64());
             outcomes[i] = Some((out.measurements, recorder.snapshot()));
         }
@@ -694,11 +460,10 @@ pub struct KpiRow {
 }
 
 /// KPI study (`reproduce -- kpis [scale]`): run the untrained algorithms
-/// on each profile through the batch driver and report the KPI surface —
+/// on each profile and report the KPI surface —
 /// extra-time distribution, fleet utilization, dispatch-latency
 /// percentiles, backlog high-water marks.
 pub fn kpi_study(scale: f64) -> Vec<KpiRow> {
-    use watter::runner::{run_full, DriveMode};
     let mut rows = Vec::new();
     for profile in CityProfile::ALL {
         let scenario = Scenario::build(scaled_params(profile, scale));
@@ -709,8 +474,7 @@ pub fn kpi_study(scale: f64) -> Vec<KpiRow> {
             Algo::WatterTimeout,
         ] {
             let name = algo.name();
-            let out = run_full(&scenario, algo, DriveMode::Batch)
-                .expect("batch mode is supported by every algorithm");
+            let out = run_scenario(&scenario, algo, Recorder::disabled());
             rows.push(KpiRow {
                 city: profile.tag().to_string(),
                 algorithm: name.to_string(),
@@ -834,27 +598,34 @@ pub mod example1 {
             spatial: None,
             parallelism: watter_core::DispatchParallelism::SEQUENTIAL,
         };
+        fn drive<D: Dispatcher>(mut d: D, matrix: &CostMatrix, cfg: SimConfig) -> Measurements {
+            run(
+                orders(),
+                workers(),
+                &mut d,
+                matrix,
+                cfg,
+                Recorder::disabled(),
+            )
+            .0
+        }
         let m = match which {
-            "nonshare" => {
-                let mut d = NonSharingDispatcher::new();
-                run(orders(), workers(), &mut d, &matrix, cfg)
-            }
-            "gdp" => {
-                let mut d = GdpDispatcher::new(GdpConfig::default(), &workers());
-                run(orders(), workers(), &mut d, &matrix, cfg)
-            }
-            "gas" => {
-                let mut d = GasDispatcher::new(GasConfig {
+            "nonshare" => drive(NonSharingDispatcher::new(), &matrix, cfg),
+            "gdp" => drive(
+                GdpDispatcher::new(GdpConfig::default(), &workers()),
+                &matrix,
+                cfg,
+            ),
+            "gas" => drive(
+                GasDispatcher::new(GasConfig {
                     batch_window: 10,
                     max_group_size: 4,
                     beam_width: 8,
-                });
-                run(orders(), workers(), &mut d, &matrix, cfg)
-            }
-            "watter" => {
-                let mut d = WatterDispatcher::new(wcfg, OnlinePolicy);
-                run(orders(), workers(), &mut d, &matrix, cfg)
-            }
+                }),
+                &matrix,
+                cfg,
+            ),
+            "watter" => drive(WatterDispatcher::new(wcfg, OnlinePolicy), &matrix, cfg),
             other => panic!("unknown strategy {other}"),
         };
         (m.worker_travel / 60.0, m.route_travel() / 60.0)

@@ -10,5 +10,5 @@
 pub mod experiments;
 pub mod report;
 
-pub use experiments::{ExperimentRow, OracleBenchRow, PoolScaleRow, TrainedCache};
+pub use experiments::{ExperimentRow, TrainedCache};
 pub use report::{print_table, write_json};

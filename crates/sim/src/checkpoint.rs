@@ -33,7 +33,7 @@
 
 use crate::daemon::DaemonCheckpoint;
 use crate::snapshot::{json_field, DispatchSnapshot, SnapshotError};
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fs;
 use std::io::{ErrorKind, Write};
@@ -104,7 +104,7 @@ impl std::error::Error for CheckpointError {}
 
 /// Operational counters of one store's lifetime (not checkpointed state —
 /// see the module docs for why).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CheckpointOps {
     /// Generations successfully written.
     pub written: u64,

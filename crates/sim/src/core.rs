@@ -3,16 +3,16 @@
 //! [`DispatchCore`] owns everything the simulation event loop used to
 //! hold inline — the fleet, the clock, buffered arrivals, the periodic
 //! check cadence and the metric accumulators — and exposes it as
-//! `step(Event) -> Vec<Effect>` semantics. Drivers merely feed events:
+//! `step(Event) -> Vec<Effect>` semantics. Algorithm 1's loop is two
+//! verbs over `step`: [`DispatchCore::catch_up_to`] (run every check due
+//! strictly before an arrival's release) and
+//! [`DispatchCore::close_and_drain`]. Everything that feeds a core calls
+//! those two:
 //!
-//! * the **batch driver** ([`crate::engine::run`]) queues a whole
-//!   scenario, closes the stream and drains — bit-identical to the
-//!   pre-refactor monolithic loop (kept as
-//!   [`crate::engine::run_monolithic`] and pinned by
-//!   `tests/streaming.rs`);
-//! * the **streaming driver** ([`crate::engine::run_stream`]) interleaves
-//!   ingest-validated arrivals with due checks, never materializing the
-//!   stream;
+//! * the **driver** ([`crate::engine::run`]) feeds a whole order list in
+//!   `(release, id)` order, catching up before each arrival — pinned
+//!   against the hand-written reference loop
+//!   [`crate::engine::run_monolithic`] by `tests/streaming.rs`;
 //! * the **daemon** ([`crate::daemon::Daemon`]) feeds newline-delimited
 //!   order lines from stdin, a FIFO or a socket, checkpointing between
 //!   steps.
@@ -408,9 +408,7 @@ impl DispatchCore {
 
     /// The instant the next [`Event::Check`] would run at, or `None` when
     /// a check could not run (drained, or nothing buffered before the
-    /// cadence anchors). Streaming drivers compare this against the next
-    /// arrival's release: checks strictly *before* it run first, while an
-    /// arrival at exactly this instant must be fed first (the tie rule).
+    /// cadence anchors).
     pub fn next_due(&self) -> Option<Ts> {
         if self.drained {
             return None;
@@ -421,6 +419,30 @@ impl DispatchCore {
         self.buffered
             .first_key_value()
             .map(|(&(r, _), _)| r + self.cfg.check_period)
+    }
+
+    /// Run every check due strictly *before* `release`, so virtual time
+    /// tracks the feed. Call it ahead of each [`Event::Arrive`]: an
+    /// arrival releasing at exactly the next check instant is then fed
+    /// first and that check sees it pooled (the tie rule).
+    pub fn catch_up_to<D: Dispatcher>(
+        &mut self,
+        release: Ts,
+        dispatcher: &mut D,
+        oracle: &dyn TravelBound,
+    ) {
+        while self.next_due().is_some_and(|due| due < release) {
+            self.step(Event::Check, dispatcher, oracle);
+        }
+    }
+
+    /// End of input: apply [`Event::Close`], then run checks until every
+    /// order has resolved (or the drain horizon has elapsed).
+    pub fn close_and_drain<D: Dispatcher>(&mut self, dispatcher: &mut D, oracle: &dyn TravelBound) {
+        self.step(Event::Close, dispatcher, oracle);
+        while !self.is_drained() {
+            self.step(Event::Check, dispatcher, oracle);
+        }
     }
 
     /// Whether the run is complete.

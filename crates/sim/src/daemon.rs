@@ -2,9 +2,11 @@
 //! [`DispatchCore`].
 //!
 //! [`Daemon`] consumes newline-delimited JSON order lines (the wire
-//! format `watter-daemon` reads from a pipe or Unix socket), interleaves
-//! due checks exactly like [`crate::engine::run_stream`], and layers on
-//! the three things a service needs that a batch run does not:
+//! format `watter-daemon` reads from a pipe or Unix socket), validates
+//! each at the door ([`OrderIngest`]), interleaves due checks exactly
+//! like [`crate::engine::run`] (both call
+//! [`DispatchCore::catch_up_to`]), and layers on the three things a
+//! service needs that an in-process run does not:
 //!
 //! * **checkpointing** — on an event-count and/or virtual-time cadence
 //!   the full daemon state ([`DaemonCheckpoint`]) is persisted through a
@@ -190,7 +192,7 @@ pub struct MetricsReport {
 }
 
 /// Final accounting of a daemon run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize)]
 pub struct DaemonOutput {
     /// The paper's measurements.
     pub measurements: Measurements,
@@ -309,7 +311,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     }
 
     /// Consume one input line: parse, validate, apply backpressure, feed
-    /// the core (running due checks first, like the streaming driver),
+    /// the core (running due checks first, like [`crate::engine::run`]),
     /// and fire any due checkpoint. Returns what happened; on
     /// [`FeedOutcome::Crashed`] the host must stop immediately.
     pub fn feed_line(&mut self, line: &str) -> FeedOutcome {
@@ -347,12 +349,8 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// Feed one already-parsed order (validation and backpressure still
     /// apply).
     fn feed_order(&mut self, raw: Order) -> FeedOutcome {
-        // Due checks strictly before the arrival run first — the same
-        // interleave as `run_stream`, so virtual time tracks the feed.
-        while !self.core.is_drained() && self.core.next_due().is_some_and(|due| due < raw.release) {
-            self.core
-                .step(Event::Check, &mut self.dispatcher, self.oracle);
-        }
+        self.core
+            .catch_up_to(raw.release, &mut self.dispatcher, self.oracle);
         let order = match self.ingest.admit(raw, self.core.clock()) {
             Ok(order) => order,
             Err(e) => return FeedOutcome::Rejected(LineError::Invalid(e)),
@@ -544,12 +542,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// drains. This is also the clean-shutdown path (`SIGTERM` in the
     /// binary: final checkpoint, then close and drain).
     pub fn close_and_drain(&mut self) {
-        self.core
-            .step(Event::Close, &mut self.dispatcher, self.oracle);
-        while !self.core.is_drained() {
-            self.core
-                .step(Event::Check, &mut self.dispatcher, self.oracle);
-        }
+        self.core.close_and_drain(&mut self.dispatcher, self.oracle);
     }
 
     /// Consume the daemon, returning the final accounting.
@@ -665,21 +658,26 @@ mod tests {
 
     /// Serve solo immediately; degraded mode is a no-op distinction here
     /// (the dispatcher is already solo-only) but the flag is tracked so
-    /// tests can observe transitions.
+    /// tests can observe transitions, and so is the interleaving of
+    /// arrivals (`'a'`) and checks (`'c'`).
     #[derive(Default)]
     struct Solo {
         degraded: bool,
         transitions: usize,
+        log: Vec<(char, Ts)>,
     }
 
     impl Dispatcher for Solo {
         fn on_arrival(&mut self, order: Order, ctx: &mut SimCtx<'_>) {
+            self.log.push(('a', ctx.now));
             match ctx.solo_group(&order).and_then(|g| ctx.dispatch_group(&g)) {
                 Some(_) => {}
                 None => ctx.reject(&order),
             }
         }
-        fn on_check(&mut self, _ctx: &mut SimCtx<'_>) {}
+        fn on_check(&mut self, ctx: &mut SimCtx<'_>) {
+            self.log.push(('c', ctx.now));
+        }
         fn pending(&self) -> usize {
             0
         }
@@ -756,23 +754,37 @@ mod tests {
             assert!(!matches!(d.feed_line(line), FeedOutcome::Crashed));
         }
         d.close_and_drain();
+        let daemon_log = std::mem::take(&mut d.dispatcher.log);
         let out = d.finish();
 
         let mut solo = Solo::default();
-        let stream = crate::engine::run_stream(
-            orders,
+        let (measurements, kpis) = crate::engine::run(
+            orders.clone(),
             workers(),
             &mut solo,
             &Line,
             SimConfig::default(),
-            IngestConfig::default(),
+            Recorder::disabled(),
         );
+        // Same interleaving of arrivals and checks as the driver and as
+        // the reference loop — order 10 releases at 70, a check instant.
+        let mut reference = Solo::default();
+        crate::engine::run_monolithic(
+            orders,
+            workers(),
+            &mut reference,
+            &Line,
+            SimConfig::default(),
+        );
+        assert!(reference.log.contains(&('c', 70)));
+        assert_eq!(daemon_log, reference.log);
+        assert_eq!(solo.log, reference.log);
         assert_eq!(
             out.measurements.without_timing(),
-            stream.measurements.without_timing()
+            measurements.without_timing()
         );
-        assert_eq!(out.kpis.without_timing(), stream.kpis.without_timing());
-        assert_eq!(out.ingest.admitted, stream.ingest.admitted);
+        assert_eq!(out.kpis.without_timing(), kpis.without_timing());
+        assert_eq!(out.ingest.admitted, 20);
         assert_eq!(out.robustness, RobustnessReport::default());
         assert_eq!(out.lines_consumed, 20);
     }

@@ -1,18 +1,12 @@
-//! Simulation drivers over the dispatch core.
+//! The in-process driver over the dispatch core.
 //!
-//! The event loop itself lives in [`crate::core::DispatchCore`]; this
-//! module provides the drivers that feed it:
-//!
-//! * [`run`] / [`run_with_kpis`] — the **batch driver**: queue a whole
-//!   scenario, close the stream, drain. Bit-identical to the
-//!   pre-refactor monolithic loop, which is preserved verbatim as
-//!   [`run_monolithic`] so the equivalence is a *testable* claim
-//!   (`tests/streaming.rs` proves it across all three city profiles);
-//! * [`run_stream`] — the **streaming driver**: orders flow through an
-//!   [`OrderIngest`] validation stage and interleave with due checks, so
-//!   the stream is never materialized, pre-sorted or pre-validated. For
-//!   a valid sorted stream the outcome equals the batch driver's (same
-//!   events in the same order).
+//! The event loop itself lives in [`crate::core::DispatchCore`]; [`run`]
+//! feeds it one order list through the core's two verbs (catch up to
+//! each release, then close and drain) — the same interleave
+//! [`crate::daemon::Daemon`] applies to order lines. [`run_monolithic`]
+//! is an independent hand-written loop kept as the reference `run` is
+//! tested against (`tests/streaming.rs`, all three city profiles and
+//! every dispatcher family).
 //!
 //! Timing: the dispatcher's wall-clock decision time per event feeds the
 //! paper's *Running Time* measurement; it is the one non-deterministic
@@ -21,13 +15,12 @@
 use crate::core::{DispatchCore, Event};
 use crate::dispatcher::{Dispatcher, SimCtx};
 use crate::fleet::Fleet;
-use crate::ingest::{IngestConfig, IngestStats, OrderIngest};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use watter_core::{
     CostWeights, DispatchParallelism, Dur, Kpis, Measurements, Order, TravelBound, Ts, Worker,
 };
-use watter_obs::{Counter, Stage};
+use watter_obs::Recorder;
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -56,163 +49,41 @@ impl Default for SimConfig {
     }
 }
 
-/// Run `dispatcher` over the order stream and return the measurements.
+/// Run `dispatcher` over `orders`: Algorithm 1's loop, spelled once.
 ///
-/// `orders` need not be sorted; the core merges arrivals by
-/// `(release, id)`. The fleet is rebuilt from `workers`, so repeated runs
-/// are independent.
+/// `orders` need not be sorted — the list is ordered by `(release, id)`
+/// first. Each order is then fed at its turn: every check due strictly
+/// before its release runs, the order arrives, and after the last one
+/// the stream is closed and drained. The fleet is rebuilt from
+/// `workers`, so repeated runs are independent.
+///
+/// `recorder` is attached to both the core (effect-stream counters,
+/// window KPIs, trace events) and the dispatcher (hot-path stage spans);
+/// outcomes are bit-identical whether it is enabled or
+/// [`Recorder::disabled`].
 pub fn run<D: Dispatcher>(
-    orders: Vec<Order>,
+    mut orders: Vec<Order>,
     workers: Vec<Worker>,
     dispatcher: &mut D,
     oracle: &dyn TravelBound,
     cfg: SimConfig,
-) -> Measurements {
-    run_with_kpis(orders, workers, dispatcher, oracle, cfg).0
-}
-
-/// [`run`], also returning the KPI accumulator.
-pub fn run_with_kpis<D: Dispatcher>(
-    orders: Vec<Order>,
-    workers: Vec<Worker>,
-    dispatcher: &mut D,
-    oracle: &dyn TravelBound,
-    cfg: SimConfig,
+    recorder: Recorder,
 ) -> (Measurements, Kpis) {
-    run_recorded(
-        orders,
-        workers,
-        dispatcher,
-        oracle,
-        cfg,
-        watter_obs::Recorder::disabled(),
-    )
-}
-
-/// [`run_with_kpis`] with an observability recorder attached to both the
-/// core (effect-stream counters, window KPIs, trace events) and the
-/// dispatcher (hot-path stage spans). Outcomes are bit-identical to the
-/// unrecorded run — pass [`watter_obs::Recorder::disabled`] to get
-/// exactly [`run_with_kpis`].
-pub fn run_recorded<D: Dispatcher>(
-    orders: Vec<Order>,
-    workers: Vec<Worker>,
-    dispatcher: &mut D,
-    oracle: &dyn TravelBound,
-    cfg: SimConfig,
-    recorder: watter_obs::Recorder,
-) -> (Measurements, Kpis) {
+    orders.sort_by_key(|o| (o.release, o.id));
     let mut core = DispatchCore::new(workers, cfg);
     core.set_recorder(recorder.clone());
     dispatcher.set_recorder(recorder);
     for order in orders {
+        core.catch_up_to(order.release, dispatcher, oracle);
         core.step(Event::Arrive(order), dispatcher, oracle);
     }
-    core.step(Event::Close, dispatcher, oracle);
-    while !core.is_drained() {
-        core.step(Event::Check, dispatcher, oracle);
-    }
+    core.close_and_drain(dispatcher, oracle);
     core.finish()
 }
 
-/// Outcome of a streamed run.
-#[derive(Clone, Debug)]
-pub struct StreamOutput {
-    /// The paper's measurements.
-    pub measurements: Measurements,
-    /// The KPI accumulator.
-    pub kpis: Kpis,
-    /// Ingest/validation counters.
-    pub ingest: IngestStats,
-}
-
-/// Stream `orders` through ingest validation into the dispatch core,
-/// running due checks between arrivals — the incremental front end a
-/// daemon would use. The stream is consumed lazily; it need not be
-/// sorted (the core merges arrivals) or pre-validated (ingest refuses
-/// malformed orders with typed errors, counted in
-/// [`StreamOutput::ingest`]).
-///
-/// A check due strictly before the next arrival's release runs first; an
-/// arrival releasing exactly at the next check instant is fed first,
-/// preserving the core's arrivals-before-check tie rule — which is why a
-/// valid sorted stream reproduces the batch driver's outcome exactly.
-pub fn run_stream<D, I>(
-    orders: I,
-    workers: Vec<Worker>,
-    dispatcher: &mut D,
-    oracle: &dyn TravelBound,
-    cfg: SimConfig,
-    ingest_cfg: IngestConfig,
-) -> StreamOutput
-where
-    D: Dispatcher,
-    I: IntoIterator<Item = Order>,
-{
-    run_stream_recorded(
-        orders,
-        workers,
-        dispatcher,
-        oracle,
-        cfg,
-        ingest_cfg,
-        watter_obs::Recorder::disabled(),
-    )
-}
-
-/// [`run_stream`] with an observability recorder: ingest validation is
-/// span-timed, admission totals are mirrored into the registry at the
-/// end of the run, and the core/dispatcher record as in
-/// [`run_recorded`]. Outcomes are bit-identical to the unrecorded run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_stream_recorded<D, I>(
-    orders: I,
-    workers: Vec<Worker>,
-    dispatcher: &mut D,
-    oracle: &dyn TravelBound,
-    cfg: SimConfig,
-    ingest_cfg: IngestConfig,
-    recorder: watter_obs::Recorder,
-) -> StreamOutput
-where
-    D: Dispatcher,
-    I: IntoIterator<Item = Order>,
-{
-    let mut ingest = OrderIngest::new(ingest_cfg);
-    let mut core = DispatchCore::new(workers, cfg);
-    core.set_recorder(recorder.clone());
-    dispatcher.set_recorder(recorder.clone());
-    for raw in orders {
-        while !core.is_drained() && core.next_due().is_some_and(|due| due < raw.release) {
-            core.step(Event::Check, dispatcher, oracle);
-        }
-        let admitted = {
-            let _span = recorder.time(Stage::Ingest);
-            ingest.admit(raw, core.clock())
-        };
-        if let Ok(order) = admitted {
-            core.step(Event::Arrive(order), dispatcher, oracle);
-        }
-        ingest.observe_backlog(core.backlog() + dispatcher.pending());
-    }
-    core.step(Event::Close, dispatcher, oracle);
-    while !core.is_drained() {
-        core.step(Event::Check, dispatcher, oracle);
-    }
-    let (measurements, kpis) = core.finish();
-    let stats = ingest.stats();
-    recorder.set_at_least(Counter::OrdersAdmitted, stats.admitted);
-    StreamOutput {
-        measurements,
-        kpis,
-        ingest: stats,
-    }
-}
-
-/// The pre-refactor monolithic event loop, preserved as the reference
-/// implementation the core-driven [`run`] is proven bit-identical
-/// against (`tests/streaming.rs`). Not for new callers — it exists so
-/// the equivalence stays an enforced test rather than a changelog claim.
+/// The one loop that does *not* go through [`DispatchCore`]: a
+/// hand-written event loop kept as the reference implementation [`run`]
+/// is compared against (`tests/streaming.rs`). Not for new callers.
 #[doc(hidden)]
 pub fn run_monolithic<D: Dispatcher>(
     mut orders: Vec<Order>,
@@ -327,11 +198,11 @@ mod tests {
 
     /// Records the interleaving of arrivals and checks.
     #[derive(Default)]
-    struct Recorder {
+    struct Interleaving {
         log: Vec<(char, Ts)>,
     }
 
-    impl Dispatcher for Recorder {
+    impl Dispatcher for Interleaving {
         fn on_arrival(&mut self, order: Order, ctx: &mut SimCtx<'_>) {
             self.log.push(('a', ctx.now));
             ctx.reject(&order); // resolve immediately so the run drains
@@ -346,7 +217,7 @@ mod tests {
         }
 
         fn name(&self) -> String {
-            "recorder".into()
+            "interleaving".into()
         }
     }
 
@@ -364,6 +235,22 @@ mod tests {
         }
     }
 
+    /// [`run`] on the line metric with default parameters, unrecorded.
+    fn drive<D: Dispatcher>(
+        orders: Vec<Order>,
+        workers: Vec<Worker>,
+        dispatcher: &mut D,
+    ) -> (Measurements, Kpis) {
+        run(
+            orders,
+            workers,
+            dispatcher,
+            &Line,
+            SimConfig::default(),
+            Recorder::disabled(),
+        )
+    }
+
     #[test]
     fn immediate_dispatcher_serves_when_workers_free() {
         let orders = vec![order(0, 0, 5, 0), order(1, 2, 9, 30)];
@@ -372,7 +259,7 @@ mod tests {
             Worker::new(WorkerId(1), NodeId(9), 4),
         ];
         let mut d = Immediate { pending: 0 };
-        let m = run(orders, workers, &mut d, &Line, SimConfig::default());
+        let (m, _) = drive(orders, workers, &mut d);
         assert_eq!(m.total_orders, 2);
         assert_eq!(m.served_orders, 2);
         assert_eq!(m.service_rate(), 1.0);
@@ -385,7 +272,7 @@ mod tests {
         let orders = vec![order(0, 0, 9, 0), order(1, 0, 9, 1)];
         let workers = vec![Worker::new(WorkerId(0), NodeId(0), 4)];
         let mut d = Immediate { pending: 0 };
-        let m = run(orders, workers, &mut d, &Line, SimConfig::default());
+        let (m, _) = drive(orders, workers, &mut d);
         assert_eq!(m.served_orders, 1);
         assert_eq!(m.rejected_orders, 1);
     }
@@ -397,13 +284,7 @@ mod tests {
         // time (the monolithic loop used to run one check off the
         // `first_release = 0` fallback).
         let mut d = Immediate { pending: 0 };
-        let (m, k) = run_with_kpis(
-            vec![],
-            vec![Worker::new(WorkerId(0), NodeId(0), 4)],
-            &mut d,
-            &Line,
-            SimConfig::default(),
-        );
+        let (m, k) = drive(vec![], vec![Worker::new(WorkerId(0), NodeId(0), 4)], &mut d);
         assert_eq!(m, Measurements::default());
         assert_eq!(k.checks, 0);
         assert_eq!(k.first_event, None);
@@ -412,7 +293,7 @@ mod tests {
     #[test]
     fn zero_worker_fleet_with_no_orders_is_pristine() {
         let mut d = Immediate { pending: 0 };
-        let (m, k) = run_with_kpis(vec![], vec![], &mut d, &Line, SimConfig::default());
+        let (m, k) = drive(vec![], vec![], &mut d);
         assert_eq!(m, Measurements::default());
         assert_eq!(k.fleet_size, 0);
         assert_eq!(k.checks, 0);
@@ -422,7 +303,7 @@ mod tests {
     fn zero_worker_fleet_rejects_everything_cleanly() {
         let orders = vec![order(0, 0, 5, 0), order(1, 2, 9, 30)];
         let mut d = Immediate { pending: 0 };
-        let m = run(orders, vec![], &mut d, &Line, SimConfig::default());
+        let (m, _) = drive(orders, vec![], &mut d);
         assert_eq!(m.total_orders, 2);
         assert_eq!(m.rejected_orders, 2);
         assert_eq!(m.served_orders, 0);
@@ -436,17 +317,15 @@ mod tests {
         // First release 0 ⇒ checks at 10, 20, ...; the second order
         // releases exactly at the first check instant.
         let orders = vec![order(0, 0, 5, 0), order(1, 2, 9, 10)];
-        let mut d = Recorder::default();
-        run(
+        let mut d = Interleaving::default();
+        drive(
             orders.clone(),
             vec![Worker::new(WorkerId(0), NodeId(0), 4)],
             &mut d,
-            &Line,
-            SimConfig::default(),
         );
         assert_eq!(d.log, vec![('a', 0), ('a', 10), ('c', 10)]);
         // And the monolithic reference loop agrees.
-        let mut dm = Recorder::default();
+        let mut dm = Interleaving::default();
         run_monolithic(
             orders,
             vec![Worker::new(WorkerId(0), NodeId(0), 4)],
@@ -464,7 +343,7 @@ mod tests {
             vec![Worker::new(WorkerId(0), NodeId(0), 4)],
             SimConfig::default(),
         );
-        let mut d = Recorder::default();
+        let mut d = Interleaving::default();
         core.step(Event::Arrive(order(0, 0, 5, 0)), &mut d, &Line);
         core.step(Event::Arrive(order(1, 2, 9, 10)), &mut d, &Line);
         let fx = core.step(Event::Check, &mut d, &Line);
@@ -491,7 +370,7 @@ mod tests {
             vec![Worker::new(WorkerId(0), NodeId(0), 4)],
             SimConfig::default(),
         );
-        let mut d = Recorder::default();
+        let mut d = Interleaving::default();
         core.step(Event::Arrive(order(0, 0, 5, 0)), &mut d, &Line);
         core.step(Event::Check, &mut d, &Line); // clock advances to 10
         let fx = core.step(Event::Arrive(order(1, 2, 9, 3)), &mut d, &Line);
@@ -515,6 +394,10 @@ mod tests {
         );
     }
 
+    /// Stream == batch is a property of the core: queueing everything
+    /// up front through raw `step` and then draining lands where the
+    /// interleaving driver does. Only the buffered-arrivals high-water
+    /// mark may differ (all orders at once vs one release at a time).
     #[test]
     fn streamed_run_matches_batch_run() {
         let orders: Vec<Order> = (0..12u32)
@@ -526,25 +409,21 @@ mod tests {
             Worker::new(WorkerId(1), NodeId(8), 4),
         ];
         let mut db = Immediate { pending: 0 };
-        let batch = run(
-            orders.clone(),
-            workers.clone(),
-            &mut db,
-            &Line,
-            SimConfig::default(),
-        );
+        let mut core = DispatchCore::new(workers.clone(), SimConfig::default());
+        for o in orders.iter().cloned() {
+            core.step(Event::Arrive(o), &mut db, &Line);
+        }
+        core.close_and_drain(&mut db, &Line);
+        let (batch, batch_kpis) = core.finish();
+
         let mut ds = Immediate { pending: 0 };
-        let out = run_stream(
-            orders,
-            workers,
-            &mut ds,
-            &Line,
-            SimConfig::default(),
-            IngestConfig::default(),
-        );
-        assert_eq!(out.measurements.without_timing(), batch.without_timing());
-        assert_eq!(out.ingest.rejected, 0);
-        assert!(out.ingest.admitted > 0);
+        let (streamed, mut streamed_kpis) = drive(orders.clone(), workers, &mut ds);
+        assert_eq!(streamed.without_timing(), batch.without_timing());
+        assert_eq!(streamed.total_orders as usize, orders.len());
+        assert_eq!(batch_kpis.peak_buffered, orders.len() as u64);
+        assert!(streamed_kpis.peak_buffered < batch_kpis.peak_buffered);
+        streamed_kpis.peak_buffered = batch_kpis.peak_buffered;
+        assert_eq!(streamed_kpis.without_timing(), batch_kpis.without_timing());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Streaming order ingest: the validation front end.
 //!
-//! [`OrderIngest`] sits between a raw order source and the dispatch core
-//! — the shape of angstrom's order-pool split (ingest → validation →
-//! pooled storage). Each submitted order passes a validation stage that
+//! [`OrderIngest`] sits between the daemon's line feed and the dispatch
+//! core — the shape of angstrom's order-pool split (ingest → validation
+//! → pooled storage). Each submitted order passes a validation stage that
 //! rejects malformed, expired and out-of-bounds orders with typed
 //! [`IngestError`]s before they ever reach the core; per-reason counters
 //! and a backlog watermark accumulate in [`IngestStats`].
@@ -12,9 +12,9 @@
 //! is filtered here with [`IngestError::Expired`] rather than burning a
 //! pool insert. Orders produced by `watter-workload` scenarios satisfy
 //! every check (the generator asserts `deadline > release + direct`,
-//! positive direct cost, one rider), so streaming a scenario through
-//! ingest admits everything — which is what makes the streaming driver's
-//! stats comparable to the batch driver's (the CI streaming smoke diffs
+//! positive direct cost, one rider), so a scenario fed to the daemon
+//! line by line is admitted whole — which is what makes the daemon's
+//! stats comparable to the in-process driver's (the CI chaos smoke diffs
 //! them).
 
 use serde::{Deserialize, Serialize};

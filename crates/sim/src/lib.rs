@@ -1,7 +1,7 @@
 //! # watter-sim
 //!
 //! Event-driven ridesharing simulator, layered as a reusable **dispatch
-//! core** plus thin **drivers**.
+//! core** plus two thin feeds: one in-process driver and the daemon.
 //!
 //! The core replays an order stream against a dispatcher (WATTER variants
 //! or the baselines in `watter-baselines`) over a shared fleet and road
@@ -10,12 +10,13 @@
 //!
 //! * [`core`] — [`DispatchCore`], the explicit event-driven state machine
 //!   (`step(Event) -> Vec<Effect>`): owns the fleet, clock, buffered
-//!   arrivals, check cadence and metric accumulators;
-//! * [`engine`] — the drivers: [`run`]/[`run_with_kpis`] (batch, proven
-//!   bit-identical to the pre-refactor monolithic loop) and
-//!   [`run_stream`] (streaming, through ingest validation);
-//! * [`ingest`] — [`OrderIngest`], the streaming validation front end
-//!   (typed rejections, per-reason counters, backlog watermark);
+//!   arrivals, check cadence and metric accumulators, and spells
+//!   Algorithm 1's loop as two verbs (`catch_up_to`, `close_and_drain`);
+//! * [`engine`] — [`run`], the in-process driver (an order list fed in
+//!   release order through the two verbs), tested against the
+//!   hand-written reference loop `engine::run_monolithic`;
+//! * [`ingest`] — [`OrderIngest`], the validation stage at the daemon's
+//!   door (typed rejections, per-reason counters, backlog watermark);
 //! * [`snapshot`] — [`DispatchSnapshot`]: serde-serializable capture of a
 //!   run between any two events; `restore + replay(tail)` reproduces the
 //!   uninterrupted run bit for bit;
@@ -34,7 +35,7 @@
 //!   policy (Algorithm 1 + Algorithm 2);
 //! * [`env`] — demand/supply snapshot construction over the grid index.
 //!
-//! The core is oracle-agnostic: every driver takes any
+//! The core is oracle-agnostic: the driver and the daemon take any
 //! `&dyn TravelBound` (the `TravelCost` super-trait with admissible
 //! lower bounds, trivially satisfied via the default `0` bound), so a
 //! simulation runs unchanged on the dense all-pairs table or the landmark
@@ -63,9 +64,7 @@ pub use daemon::{
     DaemonOutput, FeedOutcome, MetricsReport,
 };
 pub use dispatcher::{DegradableDispatcher, Dispatcher, SimCtx, WatterConfig, WatterDispatcher};
-pub use engine::{
-    run, run_recorded, run_stream, run_stream_recorded, run_with_kpis, SimConfig, StreamOutput,
-};
+pub use engine::{run, SimConfig};
 pub use env::build_env;
 pub use fleet::Fleet;
 pub use ingest::{IngestConfig, IngestError, IngestSnapshot, IngestStats, LineError, OrderIngest};

@@ -129,7 +129,15 @@ fn main() {
         },
         OnlinePolicy,
     );
-    let m = run(orders.clone(), workers.clone(), &mut watter, &oracle, cfg);
+    let off = Recorder::disabled();
+    let (m, _) = run(
+        orders.clone(),
+        workers.clone(),
+        &mut watter,
+        &oracle,
+        cfg,
+        off.clone(),
+    );
     println!(
         "\nWATTER pooling : {} served, group routes {:.0} min (+ {:.0} min approach)",
         m.served_orders,
@@ -138,7 +146,7 @@ fn main() {
     );
 
     let mut nonshare = watter::baselines::NonSharingDispatcher::new();
-    let m = run(orders, workers, &mut nonshare, &oracle, cfg);
+    let (m, _) = run(orders, workers, &mut nonshare, &oracle, cfg, off);
     println!(
         "non-sharing    : {} served, total travel {:.0} min",
         m.served_orders,

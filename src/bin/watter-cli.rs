@@ -6,8 +6,7 @@
 //!                  [--orders N] [--workers M] [--tau F] [--kw K] [--eta F]
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
 //!                  [--dense-limit N] [--import PATH]
-//!                  [--cost-cache] [--threads T]
-//!                  [--stream] [--snapshot-roundtrip] [--kpis json|PATH]
+//!                  [--cost-cache] [--threads T] [--kpis json|PATH]
 //!                  [--obs json|PATH] [--obs-window SECS] [--trace PATH]
 //!                  [--seed S] [--json PATH]
 //! watter-cli orders [scenario flags] [--fault-seed S] [--fault-malformed-every K]
@@ -46,15 +45,9 @@
 //! `--algo expect` trains a value function on a sibling "day" first (or
 //! loads one via `--model model.json`).
 //!
-//! `--stream` feeds the scenario through the ingest/validation front end
-//! and the streaming driver instead of the batch driver (identical
-//! results; ingest counters go to stderr). `--snapshot-roundtrip`
-//! serializes the run to JSON mid-stream, restores it into a fresh
-//! dispatcher and replays the tail — results again identical (stderr
-//! notes the round trip). `--kpis json` prints the KPI report (service
-//! rate, extra-time distribution, fleet utilization, per-tick latency
-//! percentiles) as JSON on stdout; any other value is a path to write it
-//! to.
+//! `--kpis json` prints the KPI report (service rate, extra-time
+//! distribution, fleet utilization, per-tick latency percentiles) as
+//! JSON on stdout; any other value is a path to write it to.
 //!
 //! `--obs` turns on the observability registry and emits the combined
 //! metrics report (KPIs + counters, per-stage latency percentiles,
@@ -68,6 +61,8 @@
 //! the `.prom` file `watter-daemon` writes for a `#metrics` control
 //! line) with the crate's own parser, exiting non-zero if any line is
 //! malformed.
+//!
+//! A flag outside the set above is a usage error (exit 2, flag named).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -76,7 +71,6 @@ use watter::cli::{
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
-use watter::runner::{run_full_recorded, Algo, DriveMode};
 use watter::sim::MetricsReport;
 
 /// Build the scenario: on the profile's synthetic city by default, or —
@@ -130,29 +124,8 @@ fn cmd_run(flags: HashMap<String, String>) {
             std::process::exit(2);
         }
     };
-    let mode = if flags.get("snapshot-roundtrip").map(|s| s.as_str()) == Some("true") {
-        DriveMode::SnapshotRoundtrip
-    } else if flags.get("stream").map(|s| s.as_str()) == Some("true") {
-        DriveMode::Stream
-    } else {
-        DriveMode::Batch
-    };
     let recorder = recorder_of(&flags);
-    let out = run_full_recorded(&scenario, algo, mode, recorder.clone()).unwrap_or_else(|e| {
-        eprintln!("run failed: {e}");
-        std::process::exit(1);
-    });
-    // Extra drive-mode info goes to stderr so stdout stays diffable
-    // against a plain batch run.
-    if let Some(ing) = &out.ingest {
-        eprintln!(
-            "ingest        : admitted={} rejected={} peak-backlog={}",
-            ing.admitted, ing.rejected, ing.peak_backlog
-        );
-    }
-    if mode == DriveMode::SnapshotRoundtrip {
-        eprintln!("snapshot      : mid-run JSON round trip ok");
-    }
+    let out = run_scenario(&scenario, algo, recorder.clone());
     let stats = RunStats::from(&out.measurements);
     print_stats(&params, &scenario.oracle.describe(), &algo_name, &stats);
     if let Some(path) = flags.get("json") {
@@ -278,13 +251,20 @@ fn cmd_promcheck(path: &str) {
     }
 }
 
+/// The flags this binary reads itself, on top of `watter::cli`'s common
+/// set.
+const OWN_FLAGS: &[&str] = &[
+    "algo", "model", "import", "json", "kpis", "obs", "out", "steps",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = || parse_flags(&args[1..], OWN_FLAGS);
     match args.first().map(|s| s.as_str()) {
-        Some("run") => cmd_run(parse_flags(&args[1..])),
-        Some("orders") => cmd_orders(parse_flags(&args[1..])),
-        Some("graph") => cmd_graph(parse_flags(&args[1..])),
-        Some("train") => cmd_train(parse_flags(&args[1..])),
+        Some("run") => cmd_run(flags()),
+        Some("orders") => cmd_orders(flags()),
+        Some("graph") => cmd_graph(flags()),
+        Some("train") => cmd_train(flags()),
         Some("promcheck") if args.len() == 2 => cmd_promcheck(&args[1]),
         _ => {
             eprintln!(

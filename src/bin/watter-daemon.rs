@@ -18,6 +18,8 @@
 //!               [--json PATH] [--kpis PATH]
 //! ```
 //!
+//! A flag outside this set is a usage error (exit 2, flag named).
+//!
 //! The scenario flags build the same workers/oracle/grid as `watter-cli
 //! run` with identical flags; the order *stream* comes from the input
 //! source (generate one with `watter-cli orders`). On end of input the
@@ -380,9 +382,28 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     }
 }
 
+/// The flags this binary reads itself, on top of `watter::cli`'s common
+/// set.
+const OWN_FLAGS: &[&str] = &[
+    "algo",
+    "input",
+    "socket",
+    "ckpt-dir",
+    "ckpt-every",
+    "ckpt-interval",
+    "ckpt-keep",
+    "resume",
+    "backpressure",
+    "high-watermark",
+    "low-watermark",
+    "no-obs",
+    "json",
+    "kpis",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = parse_flags(&args);
+    let flags = parse_flags(&args, OWN_FLAGS);
     install_sigterm();
     let params = params_of(&flags);
     let scenario = Scenario::build(params);

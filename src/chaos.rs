@@ -24,10 +24,10 @@
 use crate::runner::watter_config;
 use serde::Serialize;
 use std::path::Path;
-use watter_core::{FaultPlan, Kpis, Measurements, RobustnessReport};
+use watter_core::FaultPlan;
 use watter_sim::{
     fault_lines, BackpressurePolicy, CheckpointError, CheckpointStore, Daemon, DaemonConfig,
-    DaemonError, DegradableDispatcher, FeedOutcome, IngestConfig, IngestStats, SnapshotDispatcher,
+    DaemonError, DaemonOutput, DegradableDispatcher, FeedOutcome, IngestConfig, SnapshotDispatcher,
 };
 use watter_strategy::OnlinePolicy;
 use watter_workload::Scenario;
@@ -64,29 +64,14 @@ impl Default for ChaosSpec {
     }
 }
 
-/// Final accounting of one daemon run inside the harness.
-#[derive(Clone, Debug, Serialize)]
-pub struct ChaosRun {
-    /// The paper's measurements.
-    pub measurements: Measurements,
-    /// The KPI accumulator.
-    pub kpis: Kpis,
-    /// Ingest/validation counters.
-    pub ingest: IngestStats,
-    /// Backpressure consequence counters.
-    pub robustness: RobustnessReport,
-    /// Input lines consumed in total.
-    pub lines_consumed: u64,
-}
-
 /// Outcome of a chaos experiment (see the module docs).
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosOutcome {
     /// The uninterrupted reference run.
-    pub reference: ChaosRun,
+    pub reference: DaemonOutput,
     /// The crashed-and-recovered run (or the same uninterrupted run when
     /// the plan schedules no crash).
-    pub recovered: ChaosRun,
+    pub recovered: DaemonOutput,
     /// Line index the crash fired after, if it fired.
     pub crashed_at: Option<u64>,
     /// Replay cursor of the checkpoint recovery restored from (`0` when
@@ -120,18 +105,9 @@ fn daemon_config(spec: &ChaosSpec, fault: FaultPlan) -> DaemonConfig {
     }
 }
 
-fn drain_into_run<D: SnapshotDispatcher + DegradableDispatcher>(
-    mut daemon: Daemon<'_, D>,
-) -> ChaosRun {
+fn drain<D: SnapshotDispatcher + DegradableDispatcher>(mut daemon: Daemon<'_, D>) -> DaemonOutput {
     daemon.close_and_drain();
-    let out = daemon.finish();
-    ChaosRun {
-        measurements: out.measurements,
-        kpis: out.kpis,
-        ingest: out.ingest,
-        robustness: out.robustness,
-        lines_consumed: out.lines_consumed,
-    }
+    daemon.finish()
 }
 
 /// Run the chaos experiment on `scenario` with a dispatcher built by
@@ -171,7 +147,7 @@ where
             return Err("reference run must not crash".into());
         }
     }
-    let reference = drain_into_run(reference);
+    let reference = drain(reference);
 
     // Chaos run: checkpointing daemon under the full process-fault plan.
     let _ = std::fs::remove_dir_all(ckpt_dir);
@@ -196,7 +172,7 @@ where
     let Some(crash_line) = crashed_at else {
         // No crash scheduled (or it fell past the stream): the chaos run
         // itself is the recovered run.
-        let recovered = drain_into_run(chaos);
+        let recovered = drain(chaos);
         return Ok(ChaosOutcome {
             reference,
             recovered,
@@ -270,7 +246,7 @@ where
         .store_ops()
         .map(|ops| ops.discarded)
         .unwrap_or(scratch_discarded);
-    let recovered = drain_into_run(recovered);
+    let recovered = drain(recovered);
     Ok(ChaosOutcome {
         reference,
         recovered,

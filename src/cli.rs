@@ -13,13 +13,48 @@ use watter_core::{CorruptKind, FaultPlan, OracleKind, RunStats};
 use watter_obs::{Recorder, TraceRecord};
 use watter_workload::{CityProfile, ScenarioParams};
 
+/// The flags both binaries take: the scenario ([`params_of`]), the fault
+/// plan ([`fault_plan_of`]) and the two observability flags they share.
+const COMMON_FLAGS: &[&str] = &[
+    "profile",
+    "orders",
+    "workers",
+    "tau",
+    "kw",
+    "eta",
+    "seed",
+    "city-side",
+    "dense-limit",
+    "landmarks",
+    "oracle",
+    "cost-cache",
+    "threads",
+    "obs-window",
+    "trace",
+    "fault-seed",
+    "fault-crash-after",
+    "fault-corrupt",
+    "fault-io-failures",
+    "fault-malformed-every",
+    "fault-delay-every",
+    "fault-delay-slots",
+];
+
 /// Parse `--key value` / `--switch` pairs into a map (values never start
-/// with `--`; a flag with no value maps to `"true"`).
-pub fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// with `--`; a flag with no value maps to `"true"`). A flag that is
+/// neither common to both binaries nor in `own` (the calling binary's
+/// other flags) is a usage error: it is named on stderr and
+/// the process exits 2, so a misspelt or retired switch cannot be
+/// accepted in silence.
+pub fn parse_flags(args: &[String], own: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !COMMON_FLAGS.contains(&key) && !own.contains(&key) {
+                eprintln!("unknown flag `--{key}`");
+                std::process::exit(2);
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 flags.insert(key.to_string(), args[i + 1].clone());
                 i += 2;

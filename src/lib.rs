@@ -42,7 +42,7 @@ pub mod runner;
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use crate::pipeline::{train, TrainedWatter, TrainingConfig};
-    pub use crate::runner::{run_algorithm, run_full, Algo, DriveMode, RunOutput};
+    pub use crate::runner::{run_algorithm, run_scenario, Algo, RunOutput};
     pub use watter_core::{
         CostWeights, Dist, Group, KpiReport, Kpis, Measurements, OracleKind, Order, RunStats,
         TravelCost, Worker,
@@ -51,8 +51,8 @@ pub mod prelude {
     pub use watter_obs::{ObsSnapshot, Recorder, TraceEvent, TraceRecord};
     pub use watter_road::{AltOracle, CityConfig, CityOracle, CostMatrix, GridIndex, RoadGraph};
     pub use watter_sim::{
-        DispatchCore, DispatchSnapshot, Dispatcher, Effect, Event, IngestConfig, IngestStats,
-        OrderIngest, SimConfig, SnapshotDispatcher, WatterConfig, WatterDispatcher,
+        DispatchCore, DispatchSnapshot, Dispatcher, Effect, Event, SimConfig, SnapshotDispatcher,
+        WatterConfig, WatterDispatcher,
     };
     pub use watter_strategy::{
         ConstantThreshold, DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy,

@@ -18,6 +18,7 @@ use watter_learn::{
     Gmm, GmmThresholdProvider, StateFeaturizer, TrainerConfig, TransitionRecorder, ValueFunction,
     ValueTrainer,
 };
+use watter_obs::Recorder;
 use watter_sim::{run, WatterDispatcher};
 use watter_strategy::{OnlinePolicy, PoolObserver, ThresholdPolicy};
 use watter_workload::Scenario;
@@ -97,6 +98,7 @@ pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
         &mut collector,
         training.oracle.as_ref(),
         sim_cfg,
+        Recorder::disabled(),
     );
     let history = collector.into_observer().extra_times;
 
@@ -120,6 +122,7 @@ pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
         &mut generator,
         training.oracle.as_ref(),
         sim_cfg,
+        Recorder::disabled(),
     );
     let (memory, featurizer) = generator.into_observer().into_parts();
 

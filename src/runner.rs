@@ -1,10 +1,10 @@
 //! One-call experiment runner.
 //!
 //! Maps an algorithm name to a configured dispatcher and executes it on a
-//! [`Scenario`] through one of the dispatch-core drivers
-//! ([`DriveMode`]), returning the paper's four measurements plus the
-//! operational KPI surface. This is the unit of work of every table and
-//! figure reproduction.
+//! [`Scenario`] through the dispatch-core driver ([`watter_sim::run`]),
+//! returning the paper's four measurements plus the operational KPI
+//! surface. This is the unit of work of every table and figure
+//! reproduction.
 
 use std::sync::Arc;
 use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSharingDispatcher};
@@ -13,10 +13,7 @@ use watter_learn::ValueFunction;
 use watter_obs::{Counter, Recorder};
 use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig, SpatialPrune};
 use watter_road::{stage_for_backend, CachedOracle, CityOracle, ObservedOracle};
-use watter_sim::{
-    run_recorded, run_stream_recorded, DispatchCore, DispatchSnapshot, Dispatcher, Event,
-    IngestConfig, IngestStats, SimConfig, SnapshotDispatcher, WatterConfig, WatterDispatcher,
-};
+use watter_sim::{Dispatcher, SimConfig, WatterConfig, WatterDispatcher};
 use watter_strategy::{DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy};
 use watter_workload::Scenario;
 
@@ -62,25 +59,6 @@ impl Algo {
     }
 }
 
-/// How the runner feeds a scenario to the dispatch core.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DriveMode {
-    /// Batch driver: queue the whole scenario, close, drain
-    /// ([`run_with_kpis`]).
-    #[default]
-    Batch,
-    /// Streaming driver: orders flow through ingest validation and
-    /// interleave with due checks ([`run_stream`]).
-    Stream,
-    /// Batch semantics, but mid-run the core and dispatcher are
-    /// serialized to JSON, dropped, restored into a *fresh* dispatcher,
-    /// and the tail replayed — exercising the snapshot/restore contract
-    /// end to end. Identical results to [`DriveMode::Batch`] modulo
-    /// wall-clock timing. Only dispatchers with serializable runtime
-    /// state support it (the WATTER family and NonSharing).
-    SnapshotRoundtrip,
-}
-
 /// Outcome of one driven run.
 pub struct RunOutput {
     /// The paper's measurements.
@@ -88,8 +66,6 @@ pub struct RunOutput {
     /// The KPI accumulator (summarize via
     /// [`Kpis::report`]).
     pub kpis: Kpis,
-    /// Ingest counters ([`DriveMode::Stream`] only).
-    pub ingest: Option<IngestStats>,
     /// Cost-cache counters (`--cost-cache` runs only).
     pub cache: Option<OracleCacheKpis>,
 }
@@ -200,157 +176,15 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
     }
 }
 
-/// Drive a dispatcher without snapshot support (batch or stream only).
-fn drive_plain<D: Dispatcher>(
-    scenario: &Scenario,
-    cfg: SimConfig,
-    oracle: &dyn TravelBound,
-    dispatcher: &mut D,
-    mode: DriveMode,
-    recorder: &Recorder,
-) -> Result<RunOutput, String> {
-    let orders = scenario.orders.clone();
-    let workers = scenario.workers.clone();
-    match mode {
-        DriveMode::Batch => {
-            let (measurements, kpis) =
-                run_recorded(orders, workers, dispatcher, oracle, cfg, recorder.clone());
-            Ok(RunOutput {
-                measurements,
-                kpis,
-                ingest: None,
-                cache: None,
-            })
-        }
-        DriveMode::Stream => {
-            let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
-            let out = run_stream_recorded(
-                orders,
-                workers,
-                dispatcher,
-                oracle,
-                cfg,
-                ingest_cfg,
-                recorder.clone(),
-            );
-            Ok(RunOutput {
-                measurements: out.measurements,
-                kpis: out.kpis,
-                ingest: Some(out.ingest),
-                cache: None,
-            })
-        }
-        DriveMode::SnapshotRoundtrip => Err(format!(
-            "{} holds non-serializable runtime state; snapshot-roundtrip unsupported",
-            dispatcher.name()
-        )),
-    }
-}
-
-/// Drive a snapshot-capable dispatcher; `make` builds a fresh instance
-/// from the same configuration (called once per needed instance).
-fn drive_snap<D: SnapshotDispatcher>(
-    scenario: &Scenario,
-    cfg: SimConfig,
-    oracle: &dyn TravelBound,
-    make: impl Fn() -> D,
-    mode: DriveMode,
-    recorder: &Recorder,
-) -> Result<RunOutput, String> {
-    if mode != DriveMode::SnapshotRoundtrip {
-        return drive_plain(scenario, cfg, oracle, &mut make(), mode, recorder);
-    }
-    // Interleave arrivals with due checks so the snapshot lands mid-run
-    // with a genuine tail (pending pool state *and* undelivered
-    // arrivals), then serialize, restore into a fresh dispatcher, and
-    // replay the tail.
-    let orders = scenario.orders.clone();
-    let mid = orders
-        .first()
-        .zip(orders.last())
-        .map(|(f, l)| (f.release + l.release) / 2)
-        .unwrap_or(0);
-    let mut dispatcher = make();
-    dispatcher.set_recorder(recorder.clone());
-    let mut core = DispatchCore::new(scenario.workers.clone(), cfg);
-    core.set_recorder(recorder.clone());
-    let mut tail = Vec::new();
-    let mut snapped: Option<DispatchSnapshot> = None;
-    for order in orders {
-        if snapped.is_some() {
-            tail.push(order);
-            continue;
-        }
-        while !core.is_drained() && core.next_due().is_some_and(|due| due < order.release) {
-            core.step(Event::Check, &mut dispatcher, oracle);
-        }
-        if order.release > mid {
-            snapped = Some(core.snapshot(&dispatcher));
-            tail.push(order);
-            continue;
-        }
-        core.step(Event::Arrive(order), &mut dispatcher, oracle);
-    }
-    let snap = snapped.unwrap_or_else(|| core.snapshot(&dispatcher));
-    drop((core, dispatcher));
-
-    // Full JSON round trip: prove the snapshot survives serialization,
-    // not just cloning (f64 round-trips are exact — see the serde shim).
-    let json = serde_json::to_string(&snap).map_err(|e| format!("snapshot serialize: {e:?}"))?;
-    let snap: DispatchSnapshot =
-        serde_json::from_str(&json).map_err(|e| format!("snapshot parse: {e:?}"))?;
-
-    let mut dispatcher = make();
-    dispatcher.set_recorder(recorder.clone());
-    let mut core = DispatchCore::restore(&snap, &mut dispatcher)
-        .map_err(|e| format!("snapshot restore: {e}"))?;
-    // Re-attach after restore: the snapshot carries the journal's next
-    // sequence number, so the resumed half keeps numbering where the
-    // first half stopped.
-    core.set_recorder(recorder.clone());
-    for order in tail {
-        while !core.is_drained() && core.next_due().is_some_and(|due| due < order.release) {
-            core.step(Event::Check, &mut dispatcher, oracle);
-        }
-        core.step(Event::Arrive(order), &mut dispatcher, oracle);
-    }
-    core.step(Event::Close, &mut dispatcher, oracle);
-    while !core.is_drained() {
-        core.step(Event::Check, &mut dispatcher, oracle);
-    }
-    let (measurements, kpis) = core.finish();
-    Ok(RunOutput {
-        measurements,
-        kpis,
-        ingest: None,
-        cache: None,
-    })
-}
-
-/// Execute one algorithm on one scenario through `mode`.
-///
-/// Errors only when the combination is unsupported
-/// ([`DriveMode::SnapshotRoundtrip`] with GDP/GAS, whose schedule state
-/// is not serializable) or a snapshot fails to round-trip.
-pub fn run_full(scenario: &Scenario, algo: Algo, mode: DriveMode) -> Result<RunOutput, String> {
-    run_full_recorded(scenario, algo, mode, Recorder::disabled())
-}
-
-/// [`run_full`] with an observability recorder attached to every layer
-/// (core, dispatcher, pool, oracle). The caller keeps the handle:
-/// `recorder.snapshot()` after the run exposes counters, per-stage
-/// latency percentiles and windowed KPIs; `recorder.drain_trace()`
-/// yields the structured event journal. Passing
-/// [`Recorder::disabled`] is exactly [`run_full`] — every hook
-/// short-circuits and no probe wrapper is installed, so the disabled
-/// path pays nothing.
-pub fn run_full_recorded(
-    scenario: &Scenario,
-    algo: Algo,
-    mode: DriveMode,
-    recorder: Recorder,
-) -> Result<RunOutput, String> {
-    let cfg = sim_config(scenario);
+/// Execute one algorithm on one scenario with an observability recorder
+/// attached to every layer (core, dispatcher, pool, oracle). The caller
+/// keeps the handle: `recorder.snapshot()` after the run exposes
+/// counters, per-stage latency percentiles and windowed KPIs;
+/// `recorder.drain_trace()` yields the structured event journal. With
+/// [`Recorder::disabled`] every hook short-circuits and no probe wrapper
+/// is installed, so the disabled path pays nothing.
+pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunOutput {
+    let check_period = scenario.params.check_period;
     let mut sim_oracle = sim_oracle(scenario);
     sim_oracle.set_recorder(recorder.clone());
     // Sampled point-query latency probe, installed only when recording
@@ -367,121 +201,91 @@ pub fn run_full_recorded(
         }
         _ => sim_oracle.as_dyn(),
     };
-    fn watter<P: DecisionPolicy>(
-        scenario: &Scenario,
-        cfg: SimConfig,
-        oracle: &dyn TravelBound,
-        make_policy: impl Fn() -> P,
-        mode: DriveMode,
-        recorder: &Recorder,
-    ) -> Result<RunOutput, String> {
-        drive_snap(
-            scenario,
-            cfg,
-            oracle,
-            || WatterDispatcher::new(watter_config(scenario), make_policy()),
-            mode,
-            recorder,
-        )
-    }
-    let out = match algo {
+    let (measurements, kpis) = match algo {
         Algo::Gdp => {
-            let mut d = GdpDispatcher::new(GdpConfig::default(), &scenario.workers);
-            drive_plain(scenario, cfg, oracle, &mut d, mode, &recorder)
+            let d = GdpDispatcher::new(GdpConfig::default(), &scenario.workers);
+            run_on(scenario, oracle, &recorder, d)
         }
         Algo::Gas => {
-            let mut d = GasDispatcher::new(GasConfig {
-                batch_window: scenario.params.check_period.max(5),
+            let d = GasDispatcher::new(GasConfig {
+                batch_window: check_period.max(5),
                 max_group_size: scenario.params.max_capacity as usize,
                 beam_width: 8,
             });
-            drive_plain(scenario, cfg, oracle, &mut d, mode, &recorder)
+            run_on(scenario, oracle, &recorder, d)
         }
-        Algo::NonSharing => drive_snap(
-            scenario,
-            cfg,
-            oracle,
-            NonSharingDispatcher::new,
-            mode,
-            &recorder,
-        ),
-        Algo::WatterOnline => watter(scenario, cfg, oracle, || OnlinePolicy, mode, &recorder),
-        Algo::WatterTimeout => watter(
-            scenario,
-            cfg,
-            oracle,
-            || TimeoutPolicy {
-                check_period: cfg.check_period,
-            },
-            mode,
-            &recorder,
-        ),
-        Algo::WatterExpectGmm(gmm) => watter(
-            scenario,
-            cfg,
-            oracle,
-            || {
-                let provider = watter_learn::GmmThresholdProvider::from_gmm((*gmm).clone());
-                ThresholdPolicy::new(provider, cfg.check_period)
-            },
-            mode,
-            &recorder,
-        ),
-        Algo::WatterExpectValue(vf) => watter(
-            scenario,
-            cfg,
-            oracle,
-            || ThresholdPolicy::new(ArcProvider(Arc::clone(&vf)), cfg.check_period),
-            mode,
-            &recorder,
-        ),
-        Algo::WatterConstant(theta) => watter(
-            scenario,
-            cfg,
-            oracle,
-            || ThresholdPolicy::new(watter_strategy::ConstantThreshold(theta), cfg.check_period),
-            mode,
-            &recorder,
-        ),
-        Algo::WatterOnlineCancel(model) => drive_snap(
-            scenario,
-            cfg,
-            oracle,
-            || {
-                let mut wcfg = watter_config(scenario);
-                wcfg.cancellation = model;
-                WatterDispatcher::new(wcfg, OnlinePolicy)
-            },
-            mode,
-            &recorder,
-        ),
+        Algo::NonSharing => run_on(scenario, oracle, &recorder, NonSharingDispatcher::new()),
+        Algo::WatterOnline => run_on(scenario, oracle, &recorder, watter(scenario, OnlinePolicy)),
+        Algo::WatterTimeout => {
+            let d = watter(scenario, TimeoutPolicy { check_period });
+            run_on(scenario, oracle, &recorder, d)
+        }
+        Algo::WatterExpectGmm(gmm) => {
+            let provider = watter_learn::GmmThresholdProvider::from_gmm((*gmm).clone());
+            let policy = ThresholdPolicy::new(provider, check_period);
+            run_on(scenario, oracle, &recorder, watter(scenario, policy))
+        }
+        Algo::WatterExpectValue(vf) => {
+            let policy = ThresholdPolicy::new(ArcProvider(vf), check_period);
+            run_on(scenario, oracle, &recorder, watter(scenario, policy))
+        }
+        Algo::WatterConstant(theta) => {
+            let provider = watter_strategy::ConstantThreshold(theta);
+            let policy = ThresholdPolicy::new(provider, check_period);
+            run_on(scenario, oracle, &recorder, watter(scenario, policy))
+        }
+        Algo::WatterOnlineCancel(model) => {
+            let mut wcfg = watter_config(scenario);
+            wcfg.cancellation = model;
+            run_on(
+                scenario,
+                oracle,
+                &recorder,
+                WatterDispatcher::new(wcfg, OnlinePolicy),
+            )
+        }
     };
     // Attach the cache counters observed during the run (None when the
     // cost cache was off), and mirror the exact totals into the
     // registry — the sampled hit/miss latency stages only see 1 in
     // `SAMPLE_EVERY` queries.
-    out.map(|mut out| {
-        out.cache = sim_oracle.cache_stats();
-        if let Some(c) = out.cache {
-            recorder.set_at_least(Counter::CacheHits, c.hits);
-            recorder.set_at_least(Counter::CacheMisses, c.misses);
-            recorder.set_at_least(Counter::CacheEvictions, c.evictions);
-        }
-        out
-    })
+    let cache = sim_oracle.cache_stats();
+    if let Some(c) = cache {
+        recorder.set_at_least(Counter::CacheHits, c.hits);
+        recorder.set_at_least(Counter::CacheMisses, c.misses);
+        recorder.set_at_least(Counter::CacheEvictions, c.evictions);
+    }
+    RunOutput {
+        measurements,
+        kpis,
+        cache,
+    }
 }
 
-/// Execute one algorithm on one scenario, returning full measurements
-/// (batch driver).
-pub fn run_measured(scenario: &Scenario, algo: Algo) -> Measurements {
-    run_full(scenario, algo, DriveMode::Batch)
-        .expect("batch mode is supported by every algorithm")
-        .measurements
+fn watter<P: DecisionPolicy>(scenario: &Scenario, policy: P) -> WatterDispatcher<P> {
+    WatterDispatcher::new(watter_config(scenario), policy)
+}
+
+/// [`watter_sim::run`] on the scenario's orders and fleet.
+fn run_on<D: Dispatcher>(
+    scenario: &Scenario,
+    oracle: &dyn TravelBound,
+    recorder: &Recorder,
+    mut dispatcher: D,
+) -> (Measurements, Kpis) {
+    watter_sim::run(
+        scenario.orders.clone(),
+        scenario.workers.clone(),
+        &mut dispatcher,
+        oracle,
+        sim_config(scenario),
+        recorder.clone(),
+    )
 }
 
 /// Execute one algorithm and summarize into [`RunStats`].
 pub fn run_algorithm(scenario: &Scenario, algo: Algo) -> RunStats {
-    RunStats::from(&run_measured(scenario, algo))
+    RunStats::from(&run_scenario(scenario, algo, Recorder::disabled()).measurements)
 }
 
 /// Shared-ownership wrapper so a trained value function can serve many

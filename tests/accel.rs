@@ -396,12 +396,13 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
                 wcfg.spatial = None;
             }
             let mut d = WatterDispatcher::new(wcfg, OnlinePolicy);
-            let m = run(
+            let (m, _) = run(
                 scenario.orders.clone(),
                 scenario.workers.clone(),
                 &mut d,
                 oracle,
                 sim_config(&scenario),
+                Recorder::disabled(),
             );
             if let Some(c) = &cached {
                 assert!(c.hits() > 0, "cache never hit — the layer is inert");

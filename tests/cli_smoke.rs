@@ -163,4 +163,12 @@ fn unknown_usage_exits_nonzero() {
         .output()
         .expect("spawn watter-cli");
     assert!(!out.status.success(), "unknown algo must be rejected");
+    // A flag nobody parses — retired (`--stream`, `--shards`) or misspelt
+    // — is a usage error naming it, not a silent no-op.
+    for args in [&["run", "--stream"][..], &["run", "--shards", "2"]] {
+        let out = cli().args(args).output().expect("spawn watter-cli");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "{args:?} must be named: {stderr}");
+    }
 }

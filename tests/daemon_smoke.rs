@@ -279,3 +279,17 @@ fn malformed_lines_are_survived_and_counted() {
         "9 injected garbage lines must be counted, stderr:\n{stderr}"
     );
 }
+
+/// A flag the daemon does not read is a usage error naming it (exit 2)
+/// before any scenario is built — never a silent no-op.
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    let out = daemon()
+        .args(FLAGS)
+        .arg("--no-such-flag")
+        .output()
+        .expect("spawn watter-daemon");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--no-such-flag"), "stderr:\n{stderr}");
+}

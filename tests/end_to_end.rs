@@ -4,7 +4,12 @@
 
 use std::sync::Arc;
 use watter::prelude::*;
-use watter::runner::{run_algorithm, run_measured, Algo};
+use watter::runner::{run_algorithm, run_scenario, Algo};
+
+/// The paper's measurements of one unrecorded run.
+fn measure(scenario: &Scenario, algo: Algo) -> Measurements {
+    run_scenario(scenario, algo, Recorder::disabled()).measurements
+}
 
 fn small_scenario() -> Scenario {
     let mut p = ScenarioParams::default_for(CityProfile::Chengdu);
@@ -26,7 +31,7 @@ fn every_algorithm_resolves_every_order() {
         Algo::WatterConstant(150.0),
     ] {
         let name = algo.name();
-        let m = run_measured(&s, algo);
+        let m = measure(&s, algo);
         assert_eq!(
             m.total_orders,
             s.orders.len() as u64,
@@ -41,8 +46,8 @@ fn every_algorithm_resolves_every_order() {
 #[test]
 fn watter_groups_orders_while_nonsharing_does_not() {
     let s = small_scenario();
-    let watter = run_measured(&s, Algo::WatterOnline);
-    let solo = run_measured(&s, Algo::NonSharing);
+    let watter = measure(&s, Algo::WatterOnline);
+    let solo = measure(&s, Algo::NonSharing);
     assert!(watter.mean_group_size() > 1.2, "pooling must form groups");
     assert_eq!(solo.mean_group_size(), 1.0);
     assert!(
@@ -94,7 +99,7 @@ fn served_extra_time_never_exceeds_penalty() {
     let all_rejected: f64 = s.orders.iter().map(|o| o.penalty() as f64).sum();
     for algo in [Algo::WatterOnline, Algo::WatterTimeout, Algo::Gas] {
         let name = algo.name();
-        let m = run_measured(&s, algo);
+        let m = measure(&s, algo);
         assert!(
             m.extra_time() <= all_rejected + 1e-6,
             "{name}: Φ = {} exceeds the all-rejected bound {all_rejected}",
@@ -131,8 +136,8 @@ fn training_pipeline_produces_usable_value_function() {
 #[test]
 fn timeout_policy_waits_longer_than_online() {
     let s = small_scenario();
-    let online = run_measured(&s, Algo::WatterOnline);
-    let timeout = run_measured(&s, Algo::WatterTimeout);
+    let online = measure(&s, Algo::WatterOnline);
+    let timeout = measure(&s, Algo::WatterTimeout);
     let mean_resp = |m: &Measurements| m.total_response / m.served_orders.max(1) as f64;
     assert!(
         mean_resp(&timeout) > mean_resp(&online),
@@ -202,14 +207,14 @@ fn cancellation_reduces_service_not_correctness() {
     use watter::runner::Algo;
     use watter_sim::CancellationModel;
     let s = small_scenario();
-    let off = run_measured(&s, Algo::WatterOnlineCancel(CancellationModel::OFF));
-    let mild = run_measured(&s, Algo::WatterOnlineCancel(CancellationModel::mild()));
+    let off = measure(&s, Algo::WatterOnlineCancel(CancellationModel::OFF));
+    let mild = measure(&s, Algo::WatterOnlineCancel(CancellationModel::mild()));
     // The hazard must be genuinely heavy for service to drop: under
     // overload, mild abandonment relieves congestion and can *raise* the
     // goodput of the remaining orders (standard queueing-with-reneging
     // behavior), so monotonicity only holds once cancellations dominate
     // that relief effect.
-    let heavy = run_measured(
+    let heavy = measure(
         &s,
         Algo::WatterOnlineCancel(CancellationModel {
             base_hazard: 0.05,

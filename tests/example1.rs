@@ -96,7 +96,15 @@ fn run_watter() -> Measurements {
         },
         OnlinePolicy,
     );
-    run(orders(&oracle), workers(), &mut d, &oracle, sim_cfg())
+    let (m, _) = run(
+        orders(&oracle),
+        workers(),
+        &mut d,
+        &oracle,
+        sim_cfg(),
+        Recorder::disabled(),
+    );
+    m
 }
 
 #[test]
@@ -116,7 +124,14 @@ fn non_sharing_totals_twelve_minutes() {
     let graph = network();
     let oracle = CostMatrix::build(&graph);
     let mut d = NonSharingDispatcher::new();
-    let m = run(orders(&oracle), workers(), &mut d, &oracle, sim_cfg());
+    let (m, _) = run(
+        orders(&oracle),
+        workers(),
+        &mut d,
+        &oracle,
+        sim_cfg(),
+        Recorder::disabled(),
+    );
     assert_eq!(m.served_orders, 4);
     // ⟨d,f,e,f⟩ = 4 min and ⟨a,c,d,c⟩ = 8 min.
     assert_eq!(m.worker_travel, 12.0 * 60.0);
@@ -138,7 +153,14 @@ fn pooling_beats_non_sharing_overall() {
     let graph = network();
     let oracle = CostMatrix::build(&graph);
     let mut ns = NonSharingDispatcher::new();
-    let ns_m = run(orders(&oracle), workers(), &mut ns, &oracle, sim_cfg());
+    let (ns_m, _) = run(
+        orders(&oracle),
+        workers(),
+        &mut ns,
+        &oracle,
+        sim_cfg(),
+        Recorder::disabled(),
+    );
     let wt_m = run_watter();
     assert!(wt_m.worker_travel < ns_m.worker_travel);
     assert!(wt_m.unified_cost() < ns_m.unified_cost());

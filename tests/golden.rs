@@ -12,7 +12,7 @@
 //! so in its PR.
 
 use watter::prelude::*;
-use watter::runner::{run_measured, Algo};
+use watter::runner::{run_scenario, Algo};
 
 /// `(served, rejected, extra_time bits, unified_cost bits,
 /// mean_group_size bits)` — the outcome tuple `tests/accel.rs` compares.
@@ -40,7 +40,7 @@ fn outcomes_match_the_pre_deletion_commit() {
         params.seed = 7;
         let scenario = Scenario::build(params);
         let name = algo.name();
-        let m = run_measured(&scenario, algo);
+        let m = run_scenario(&scenario, algo, Recorder::disabled()).measurements;
         let fingerprint: Fingerprint = (
             m.served_orders,
             m.rejected_orders,

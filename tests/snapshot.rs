@@ -36,9 +36,7 @@ fn drive(scenario: &Scenario, cut: Option<Ts>) -> (Measurements, Kpis) {
     let mut core = DispatchCore::new(scenario.workers.clone(), cfg);
     let mut pending_cut = cut;
     for order in scenario.orders.clone() {
-        while !core.is_drained() && core.next_due().is_some_and(|due| due < order.release) {
-            core.step(Event::Check, &mut dispatcher, scenario.oracle.as_ref());
-        }
+        core.catch_up_to(order.release, &mut dispatcher, scenario.oracle.as_ref());
         if pending_cut.is_some_and(|t| order.release > t) {
             pending_cut = None;
             let snap = core.snapshot(&dispatcher);
@@ -54,10 +52,7 @@ fn drive(scenario: &Scenario, cut: Option<Ts>) -> (Measurements, Kpis) {
             scenario.oracle.as_ref(),
         );
     }
-    core.step(Event::Close, &mut dispatcher, scenario.oracle.as_ref());
-    while !core.is_drained() {
-        core.step(Event::Check, &mut dispatcher, scenario.oracle.as_ref());
-    }
+    core.close_and_drain(&mut dispatcher, scenario.oracle.as_ref());
     core.finish()
 }
 
@@ -105,9 +100,7 @@ fn drive_traced(scenario: &Scenario, cut: Option<Ts>) -> Vec<TraceRecord> {
     core.set_recorder(recorder.clone());
     let mut pending_cut = cut;
     for order in scenario.orders.clone() {
-        while !core.is_drained() && core.next_due().is_some_and(|due| due < order.release) {
-            core.step(Event::Check, &mut dispatcher, scenario.oracle.as_ref());
-        }
+        core.catch_up_to(order.release, &mut dispatcher, scenario.oracle.as_ref());
         if pending_cut.is_some_and(|t| order.release > t) {
             pending_cut = None;
             let snap = core.snapshot(&dispatcher);
@@ -130,10 +123,7 @@ fn drive_traced(scenario: &Scenario, cut: Option<Ts>) -> Vec<TraceRecord> {
             scenario.oracle.as_ref(),
         );
     }
-    core.step(Event::Close, &mut dispatcher, scenario.oracle.as_ref());
-    while !core.is_drained() {
-        core.step(Event::Check, &mut dispatcher, scenario.oracle.as_ref());
-    }
+    core.close_and_drain(&mut dispatcher, scenario.oracle.as_ref());
     records.extend(recorder.drain_trace());
     records
 }
