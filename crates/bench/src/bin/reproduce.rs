@@ -9,10 +9,12 @@
 //! `scale` shrinks order/worker counts (default 1.0). Results are printed
 //! as tables and written to `results/<exp>.json`.
 //!
-//! `obs` takes a city side length instead of a scale: it times the
-//! large-city run with a disabled and a fully enabled recorder, writes
-//! `results/obs.json` with the per-stage latency breakdown, and exits
-//! non-zero if the enabled-path overhead exceeds 5%.
+//! `obs` takes a city side length instead of a scale: it times a
+//! disabled-recorder / enabled-recorder pair on each oracle-stack shape
+//! (the default city's dense table, and the ALT city of that side behind
+//! the cache), writes `results/obs.json` with the per-stage latency
+//! breakdowns, and exits non-zero if either pair's enabled-path overhead
+//! exceeds 5%.
 
 use std::path::PathBuf;
 use watter_bench::{experiments, print_table, write_json};
@@ -61,23 +63,26 @@ fn omega(scale: f64) {
 }
 
 fn obs(side: usize) {
-    println!("\n## Observability overhead study ({side}×{side} blocks)");
-    println!(
-        "{:<10} {:>8} {:>7} {:>9} {:>9} {:>13} {:>12}",
-        "config", "orders", "served", "rejected", "wall(s)", "per-order(ms)", "overhead(%)"
-    );
+    println!("\n## Observability overhead study (dense default city + {side}×{side} ALT city)");
     let rows = watter_bench::experiments::obs_study(side, 3);
-    for r in &rows {
+    let mut failed = false;
+    // One (disabled, enabled) pair per oracle-stack shape.
+    for pair in rows.chunks(2) {
+        println!("\n{} — {} orders", pair[0].oracle, pair[0].orders);
         println!(
-            "{:<10} {:>8} {:>7} {:>9} {:>9.2} {:>13.2} {:>+12.2}",
-            r.config, r.orders, r.served, r.rejected, r.wall_s, r.per_order_ms, r.overhead_pct
+            "{:<10} {:>7} {:>9} {:>9} {:>13} {:>12}",
+            "config", "served", "rejected", "wall(s)", "per-order(ms)", "overhead(%)"
         );
-    }
-    if let Some(enabled) = rows.iter().find(|r| r.config == "enabled") {
-        println!("\nPer-stage latency (enabled run):");
+        for r in pair {
+            println!(
+                "{:<10} {:>7} {:>9} {:>9.2} {:>13.2} {:>+12.2}",
+                r.config, r.served, r.rejected, r.wall_s, r.per_order_ms, r.overhead_pct
+            );
+        }
+        let enabled = &pair[1];
         println!(
             "{:<22} {:>9} {:>11} {:>9} {:>9} {:>9} {:>9}",
-            "stage", "count", "sum(µs)", "p50(µs)", "p90(µs)", "p99(µs)", "max(µs)"
+            "stage (enabled)", "count", "sum(µs)", "p50(µs)", "p90(µs)", "p99(µs)", "max(µs)"
         );
         for s in &enabled.stages {
             println!(
@@ -85,14 +90,16 @@ fn obs(side: usize) {
                 s.stage, s.count, s.sum_us, s.p50_us, s.p90_us, s.p99_us, s.max_us
             );
         }
+        let overhead = enabled.overhead_pct;
+        eprintln!(
+            "[obs] {}: enabled-path overhead {overhead:+.2}%",
+            enabled.oracle
+        );
+        failed |= overhead > 5.0;
     }
     write_json(&results_path("obs"), &rows).expect("write results");
-    let enabled_overhead = rows
-        .iter()
-        .find(|r| r.config == "enabled")
-        .map_or(0.0, |r| r.overhead_pct);
-    eprintln!("[obs] enabled-path overhead {enabled_overhead:+.2}% -> results/obs.json");
-    if enabled_overhead > 5.0 {
+    eprintln!("[obs] -> results/obs.json");
+    if failed {
         eprintln!("[obs] FAIL: enabled-path overhead exceeds the 5% budget");
         std::process::exit(1);
     }

@@ -128,8 +128,8 @@ impl Kpis {
             } else {
                 0.0
             },
-            // Cache counters live outside the event stream; the runner
-            // attaches them when a cost cache was active.
+            // Cache counters live outside the event stream; the driver
+            // attaches its oracle's `TravelCost::cache_stats()`.
             cache: None,
         }
     }
@@ -252,8 +252,9 @@ pub struct KpiReport {
     /// `100 × busy / (fleet_size × span)`; may exceed 100 when routes
     /// extend past the last event.
     pub fleet_utilization_pct: f64,
-    /// Cost-cache hit/miss/evict counters, when the run wrapped its oracle
-    /// in the memoization layer (`--cost-cache`); `None` otherwise.
+    /// Cost-cache hit/miss/evict counters, when the run's oracle sits
+    /// behind the memoization layer (search backends: ALT, CH); `None` on
+    /// the dense table.
     pub cache: Option<OracleCacheKpis>,
 }
 

@@ -85,6 +85,14 @@ pub trait TravelCost: Send + Sync {
     fn is_symmetric(&self) -> bool {
         false
     }
+
+    /// Hit/miss/eviction counters of the memoization layer in front of
+    /// this oracle, if there is one. Defaults to `None`; the cache answers
+    /// `Some` and a wrapper forwards its inner oracle's answer, so a driver
+    /// holding only `&dyn TravelBound` can still report them.
+    fn cache_stats(&self) -> Option<OracleCacheKpis> {
+        None
+    }
 }
 
 impl<T: TravelCost + ?Sized> TravelCost for &T {
@@ -95,6 +103,10 @@ impl<T: TravelCost + ?Sized> TravelCost for &T {
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
     }
+
+    fn cache_stats(&self) -> Option<OracleCacheKpis> {
+        (**self).cache_stats()
+    }
 }
 
 impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
@@ -104,6 +116,10 @@ impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
 
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
+    }
+
+    fn cache_stats(&self) -> Option<OracleCacheKpis> {
+        (**self).cache_stats()
     }
 }
 

@@ -19,7 +19,7 @@
 //!   nothing when observability is off.
 //! * [`TraceEvent`] / [`TraceRecord`] — the typed structured event
 //!   journal (order admitted/shed, group formed, degrade flip,
-//!   checkpoint written, cache eviction), drained as JSON lines.
+//!   checkpoint written), drained as JSON lines.
 //!   Sequence numbers are carried by snapshots so a crash-recovery
 //!   replay resumes numbering instead of double-counting.
 //! * [`ObsSnapshot`] — the deterministic-ordered exposition of the

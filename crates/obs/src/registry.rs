@@ -162,23 +162,16 @@ pub enum Stage {
     Planner,
     /// Commit one dispatch decision to the fleet.
     DecisionCommit,
-    /// Point queries against the dense cost table.
-    OracleDense,
-    /// Point queries against the ALT (landmark A*) oracle.
-    OracleAlt,
-    /// Point queries against the contraction-hierarchy oracle.
-    OracleCh,
-    /// Point queries against any other backend (Dijkstra, imports).
-    OracleOther,
     /// Cost-cache hits (lookup only).
     OracleCacheHit,
-    /// Cost-cache misses (lookup + inner recompute + publish).
+    /// Cost-cache misses (lookup + backend query + publish): the search
+    /// backend's point-query latency.
     OracleCacheMiss,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in exposition order.
     pub const ALL: [Stage; Self::COUNT] = [
@@ -188,10 +181,6 @@ impl Stage {
         Stage::CliqueSearch,
         Stage::Planner,
         Stage::DecisionCommit,
-        Stage::OracleDense,
-        Stage::OracleAlt,
-        Stage::OracleCh,
-        Stage::OracleOther,
         Stage::OracleCacheHit,
         Stage::OracleCacheMiss,
     ];
@@ -205,10 +194,6 @@ impl Stage {
             Stage::CliqueSearch => "clique_search",
             Stage::Planner => "planner",
             Stage::DecisionCommit => "decision_commit",
-            Stage::OracleDense => "oracle_dense",
-            Stage::OracleAlt => "oracle_alt",
-            Stage::OracleCh => "oracle_ch",
-            Stage::OracleOther => "oracle_other",
             Stage::OracleCacheHit => "oracle_cache_hit",
             Stage::OracleCacheMiss => "oracle_cache_miss",
         }

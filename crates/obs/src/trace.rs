@@ -4,8 +4,10 @@
 //! The journal is the "what happened, in order" complement to the
 //! numeric registry: every notable state transition (order admitted or
 //! shed, a group formed, the backpressure policy flipping degrade on,
-//! a checkpoint landing, a cache slot evicted) is appended as a
-//! [`TraceRecord`] and drained as JSON lines by `--trace PATH`.
+//! a checkpoint landing) is appended as a [`TraceRecord`] and drained
+//! as JSON lines by `--trace PATH`. Events are functions of the input
+//! stream alone, so a resumed run re-emits what the crashed one did;
+//! process history (cache warmth) is counted, never journalled.
 //!
 //! Sequence numbers are the recovery contract: a snapshot carries the
 //! journal's next sequence number, and a restored run resumes from it
@@ -46,8 +48,6 @@ pub enum TraceEvent {
     DegradeFlip { engaged: bool },
     /// A checkpoint generation hit disk (after `lines` input lines).
     CheckpointWritten { lines: u64 },
-    /// The cost cache overwrote a slot holding a different pair.
-    CacheEviction { slot: u64 },
 }
 
 impl TraceEvent {
@@ -63,7 +63,6 @@ impl TraceEvent {
             TraceEvent::GroupFormed { .. } => "group_formed",
             TraceEvent::DegradeFlip { .. } => "degrade_flip",
             TraceEvent::CheckpointWritten { .. } => "checkpoint_written",
-            TraceEvent::CacheEviction { .. } => "cache_eviction",
         }
     }
 }

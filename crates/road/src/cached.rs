@@ -24,11 +24,11 @@
 //!
 //! # Concurrency
 //!
-//! The previous design guarded 16 `Mutex<Vec<Entry>>` shards; under the
-//! parallel dispatch engine those locks serialize *readers*, which is
-//! exactly the common case (`micro_road`'s contention bench measures the
-//! difference). Slots are now independent seqlocks built from three
-//! atomics, so readers never block and never block each other:
+//! Dispatch is single-threaded, but [`TravelCost`] is `Send + Sync` and
+//! setup-time `Exec` threads may share an oracle, so the cache has to be
+//! sound under concurrent queries. Each slot is an independent seqlock
+//! built from three atomics; readers never block and never block each
+//! other:
 //!
 //! * **read**: load `seq` (must be even = no writer mid-flight), then
 //!   `key`, then `cost`, then re-load `seq`; any mismatch → treat as a
@@ -46,8 +46,13 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
-use watter_core::{Dur, NodeId, TravelBound, TravelCost};
-use watter_obs::{Recorder, Stage, TraceEvent};
+use watter_core::{Dur, NodeId, OracleCacheKpis, TravelBound, TravelCost};
+use watter_obs::{Recorder, Stage};
+
+/// One query in this many is span-timed when a recorder is attached: a
+/// hit is a few nanoseconds, less than reading the clock. Stage *counts*
+/// are sampled counts; [`CachedOracle::hits`] / `misses` are exact.
+const SAMPLE_EVERY: u64 = 64;
 
 /// `(a, b)` packed into the slot key; `u64::MAX` doubles as the empty-slot
 /// sentinel (it would require both node ids to be `u32::MAX`, which no graph
@@ -138,13 +143,10 @@ pub struct CachedOracle<C> {
     misses: AtomicU64,
     evictions: AtomicU64,
     /// Observability handle (disabled by default): sampled hit/miss
-    /// latency stages plus eviction trace events. Exact hit/miss
-    /// *totals* stay in the atomics above — per-query counter traffic
-    /// through the registry would double the cost of a cache hit.
+    /// latency stages. Exact hit/miss *totals* stay in the atomics
+    /// above — per-query counter traffic through the registry would
+    /// double the cost of a cache hit.
     recorder: Recorder,
-    /// Query counter driving the 1-in-[`crate::observed::SAMPLE_EVERY`]
-    /// latency sampling; only touched when the recorder is enabled.
-    tick: AtomicU64,
 }
 
 impl<C: TravelCost> CachedOracle<C> {
@@ -165,13 +167,12 @@ impl<C: TravelCost> CachedOracle<C> {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             recorder: Recorder::disabled(),
-            tick: AtomicU64::new(0),
         }
     }
 
     /// Attach an observability recorder: hit/miss latencies are sampled
-    /// into the `oracle_cache_hit` / `oracle_cache_miss` stages and
-    /// evictions emit trace events. Answers are unaffected.
+    /// into the `oracle_cache_hit` / `oracle_cache_miss` stages (the miss
+    /// stage is the backend's query latency). Answers are unaffected.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -233,20 +234,14 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
         if key == EMPTY {
             return self.inner.cost(a, b);
         }
-        let slot_idx = (Self::mix(key) & self.slot_mask) as usize;
-        let slot = &self.slots[slot_idx];
-        // Latency sampling: one query in SAMPLE_EVERY reads the clock
-        // (timing every hit would cost more than the hit itself).
-        let t0 = if self.recorder.is_enabled()
-            && self
-                .tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(crate::observed::SAMPLE_EVERY)
-        {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let slot = &self.slots[(Self::mix(key) & self.slot_mask) as usize];
+        // Latency sampling: one query in SAMPLE_EVERY reads the clock.
+        // The query's number is read off the counters it is about to
+        // bump — no read-modify-write of its own; concurrent queries may
+        // both sample or both skip, which only jitters the rate.
+        let t0 = (self.recorder.is_enabled()
+            && (self.hits() + self.misses()).is_multiple_of(SAMPLE_EVERY))
+        .then(Instant::now);
         if let Some(cost) = slot.read(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if let Some(t0) = t0 {
@@ -259,14 +254,6 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
         let cost = self.inner.cost(a, b);
         if slot.publish(key, cost) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            // The cache has no virtual clock; eviction traces are
-            // stamped 0 and ordered by their sequence numbers.
-            self.recorder.trace(
-                0,
-                TraceEvent::CacheEviction {
-                    slot: slot_idx as u64,
-                },
-            );
         }
         if let Some(t0) = t0 {
             self.recorder
@@ -277,6 +264,14 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
 
     fn is_symmetric(&self) -> bool {
         self.fold
+    }
+
+    fn cache_stats(&self) -> Option<OracleCacheKpis> {
+        Some(OracleCacheKpis {
+            hits: self.hits(),
+            misses: self.misses(),
+            evictions: self.evictions(),
+        })
     }
 }
 
@@ -380,6 +375,24 @@ mod tests {
         let c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
         assert_eq!(c.lower_bound(NodeId(0), NodeId(6)), 30);
         assert_eq!(c.inner().0.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn latency_stages_sample_one_query_in_sample_every() {
+        let rec = Recorder::enabled();
+        let mut c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        c.set_recorder(rec.clone());
+        for i in 0..200u32 {
+            assert_eq!(c.cost(NodeId(i % 8), NodeId(0)), (i % 8) as i64 * 10);
+        }
+        // Queries 0, 64, 128 and 192 read the clock; the totals stay exact.
+        let sampled =
+            rec.stage_count(Stage::OracleCacheHit) + rec.stage_count(Stage::OracleCacheMiss);
+        assert_eq!(sampled, 200u64.div_ceil(SAMPLE_EVERY));
+        assert_eq!(rec.stage_count(Stage::OracleCacheMiss), 1, "query 0 missed");
+        assert_eq!((c.hits(), c.misses()), (192, 8));
+        let stats = c.cache_stats().expect("the cache reports its counters");
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (192, 8, 0));
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   upward queries: exact microsecond point queries at 10⁵–10⁶ nodes,
 //! * [`import`] — plain-text edge-list + coordinates graph format
 //!   (importer with typed errors, exact round-trip exporter),
-//! * [`CityOracle`] — the [`watter_core::OracleKind`]-selected oracle the
-//!   workloads, simulator and CLI plug in,
-//! * [`CachedOracle`] — a sharded, fixed-capacity, deterministic
+//! * [`CityOracle`] — the [`watter_core::OracleKind`]-selected backend a
+//!   scenario builds,
+//! * [`OracleStack`] — the one handle every run prices its legs through:
+//!   the dense table bare, a search backend (ALT, CH) behind the cache,
+//! * [`CachedOracle`] — a fixed-capacity, direct-mapped, deterministic
 //!   memoization layer over any point-query oracle (hits are
 //!   allocation-free; cached runs are bit-identical to uncached ones),
 //! * [`DijkstraWorkspace`] — reusable search state making repeated
@@ -43,7 +45,6 @@ pub mod grid;
 pub mod import;
 pub mod landmarks;
 pub mod matrix;
-pub mod observed;
 pub mod oracle;
 pub mod workspace;
 
@@ -57,6 +58,5 @@ pub use grid::GridIndex;
 pub use import::{export_graph, import_graph, parse_graph, ImportError};
 pub use landmarks::Landmarks;
 pub use matrix::CostMatrix;
-pub use observed::{stage_for_backend, ObservedOracle};
-pub use oracle::CityOracle;
+pub use oracle::{CityOracle, OracleStack};
 pub use workspace::DijkstraWorkspace;

@@ -9,13 +9,20 @@
 //! All three return bit-identical costs; the choice is purely a
 //! memory/latency trade-off, so workloads, the simulator and the CLI all
 //! pick through this one type.
+//!
+//! [`OracleStack`] is what a run then queries: the backend plus the layers
+//! it needs, composed in one place so no front end can forget one.
 
 use crate::astar::AltOracle;
+use crate::cached::CachedOracle;
 use crate::ch::ChOracle;
 use crate::graph::RoadGraph;
 use crate::matrix::CostMatrix;
 use std::sync::Arc;
-use watter_core::{Dur, Exec, NodeId, OracleKind, TravelBound, TravelCost, DENSE_NODE_LIMIT};
+use watter_core::{
+    Dur, Exec, NodeId, OracleCacheKpis, OracleKind, TravelBound, TravelCost, DENSE_NODE_LIMIT,
+};
+use watter_obs::Recorder;
 
 /// A travel-cost oracle selected by [`OracleKind`].
 #[derive(Debug)]
@@ -115,6 +122,63 @@ impl TravelBound for CityOracle {
             CityOracle::Alt(o) => o.lower_bound(a, b),
             CityOracle::Ch(o) => o.lower_bound(a, b),
         }
+    }
+}
+
+/// The oracle stack a run prices its legs through. Its shape follows the
+/// [`CityOracle`] variant and nothing a user sets:
+///
+/// * a **table** backend (`Dense`: `lower_bound == cost`, one array read)
+///   is handed out bare — a cache lookup or a latency probe costs more
+///   than the read it would save or time;
+/// * a **search** backend (`Alt`, `Ch`) always sits behind a
+///   [`CachedOracle`] with the run's recorder attached, whose sampled
+///   hit/miss stages are the latency probe (a miss is a backend query).
+///
+/// Answers are the backend's verbatim in both shapes (`tests/accel.rs`),
+/// so the shape moves latency, never outcomes.
+#[derive(Debug)]
+pub struct OracleStack(Shape);
+
+#[derive(Debug)]
+enum Shape {
+    Table(Arc<CityOracle>),
+    Search(CachedOracle<Arc<CityOracle>>),
+}
+
+impl OracleStack {
+    /// Compose the stack over `backend`; `recorder` (possibly disabled)
+    /// receives the cache's sampled latency stages.
+    pub fn new(backend: Arc<CityOracle>, recorder: Recorder) -> Self {
+        if matches!(*backend, CityOracle::Dense(_)) {
+            return Self(Shape::Table(backend));
+        }
+        let mut cached = CachedOracle::with_default_capacity(backend);
+        cached.set_recorder(recorder);
+        Self(Shape::Search(cached))
+    }
+
+    /// The top of the stack — what a driver queries: the table itself (as
+    /// fast as without the handle), or the cache over a search backend.
+    pub fn top(&self) -> &dyn TravelBound {
+        match &self.0 {
+            Shape::Table(backend) => backend.as_ref(),
+            Shape::Search(cached) => cached,
+        }
+    }
+
+    /// The backend's [`CityOracle::describe`] line, suffixed ` +cache`
+    /// when the stack memoizes it.
+    pub fn describe(&self) -> String {
+        match &self.0 {
+            Shape::Table(backend) => backend.describe(),
+            Shape::Search(cached) => format!("{} +cache", cached.inner().describe()),
+        }
+    }
+
+    /// The cache's hit/miss/eviction counters; `None` on a table.
+    pub fn cache_stats(&self) -> Option<OracleCacheKpis> {
+        self.top().cache_stats()
     }
 }
 

@@ -11,7 +11,8 @@
 //! * **checkpointing** — on an event-count and/or virtual-time cadence
 //!   the full daemon state ([`DaemonCheckpoint`]) is persisted through a
 //!   [`CheckpointStore`] (atomic rename, checksum header, generation
-//!   rotation). [`Daemon::resume`] restores the newest valid generation;
+//!   rotation). [`Daemon::resume`] restores the newest valid generation
+//!   ([`Daemon::resume_or_new`] starts fresh when there is none);
 //!   the host then re-feeds the input stream, skipping the first
 //!   [`Daemon::lines_consumed`] lines;
 //! * **backpressure** — when the backlog (buffered arrivals plus
@@ -191,6 +192,24 @@ pub struct MetricsReport {
     pub obs: watter_obs::ObsSnapshot,
 }
 
+impl MetricsReport {
+    /// Bundle `kpis` with a snapshot of `recorder`'s registry, first
+    /// mirroring the oracle's exact cache totals (`kpis.cache`) into the
+    /// `cache_*` counters (the latency stages only sample). The one
+    /// constructor behind `#metrics` and `--obs`.
+    pub fn new(kpis: KpiReport, recorder: &Recorder) -> Self {
+        if let Some(cache) = kpis.cache {
+            recorder.set_at_least(Counter::CacheHits, cache.hits);
+            recorder.set_at_least(Counter::CacheMisses, cache.misses);
+            recorder.set_at_least(Counter::CacheEvictions, cache.evictions);
+        }
+        Self {
+            kpis,
+            obs: recorder.snapshot(),
+        }
+    }
+}
+
 /// Final accounting of a daemon run.
 #[derive(Clone, Debug, Serialize)]
 pub struct DaemonOutput {
@@ -273,13 +292,13 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// Resume from the newest valid checkpoint generation in `store`.
     /// `dispatcher` must be freshly built from the same configuration as
     /// the crashed run's. Returns `Ok(None)` when the store holds no
-    /// generations (fresh start — the caller should fall back to
-    /// [`Daemon::new`]); a store with only corrupt generations is an
-    /// error. After a resume, re-feed the input stream skipping the first
-    /// [`Daemon::lines_consumed`] lines.
+    /// generations (fresh start — see [`Daemon::resume_or_new`] for the
+    /// constructor that falls back by itself); a store with only corrupt
+    /// generations is an error. After a resume, re-feed the input stream
+    /// skipping the first [`Daemon::lines_consumed`] lines.
     pub fn resume(
         mut store: CheckpointStore,
-        mut dispatcher: D,
+        dispatcher: D,
         oracle: &'a dyn TravelBound,
         ingest_cfg: IngestConfig,
         cfg: DaemonConfig,
@@ -287,13 +306,56 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         let Some((_gen, ckpt)) = store.latest_valid()? else {
             return Ok(None);
         };
+        Self::restore(store, &ckpt, dispatcher, oracle, ingest_cfg, cfg).map(Some)
+    }
+
+    /// Resume from `store`, or start fresh over `workers` when there is
+    /// nothing to resume from: the store is empty, or every generation in
+    /// it is corrupt. Either way the daemon keeps `store`, so
+    /// [`Daemon::store_ops`] says what happened (`resumed_from`,
+    /// `discarded`) and [`Daemon::lines_consumed`] is the replay cursor
+    /// (0 on a fresh start). Any other failure — storage I/O, a checkpoint
+    /// that validates but will not load — is an error.
+    #[allow(clippy::too_many_arguments)]
+    pub fn resume_or_new(
+        mut store: CheckpointStore,
+        workers: Vec<Worker>,
+        sim: SimConfig,
+        dispatcher: D,
+        oracle: &'a dyn TravelBound,
+        ingest_cfg: IngestConfig,
+        cfg: DaemonConfig,
+    ) -> Result<Self, DaemonError> {
+        match store.latest_valid() {
+            Ok(Some((_gen, ckpt))) => {
+                Self::restore(store, &ckpt, dispatcher, oracle, ingest_cfg, cfg)
+            }
+            Ok(None) | Err(CheckpointError::NoValidCheckpoint) => {
+                let store = Some(store);
+                Ok(Self::new(
+                    workers, sim, dispatcher, oracle, ingest_cfg, cfg, store,
+                ))
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The daemon `ckpt` describes, persisting on into `store`.
+    fn restore(
+        store: CheckpointStore,
+        ckpt: &DaemonCheckpoint,
+        mut dispatcher: D,
+        oracle: &'a dyn TravelBound,
+        ingest_cfg: IngestConfig,
+        cfg: DaemonConfig,
+    ) -> Result<Self, DaemonError> {
         let core = DispatchCore::restore(&ckpt.snap, &mut dispatcher)?;
         // The degraded flag is construction-time dispatcher state, not
         // part of the dispatch snapshot — re-derive it from the
         // checkpointed hysteresis state.
         dispatcher.set_degraded(ckpt.engaged && cfg.policy == BackpressurePolicy::Degrade);
         let last_ckpt_clock = Some(core.clock());
-        Ok(Some(Self {
+        Ok(Self {
             core,
             dispatcher,
             oracle,
@@ -307,7 +369,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             last_ckpt_clock,
             checkpoint_failures: 0,
             recorder: Recorder::disabled(),
-        }))
+        })
     }
 
     /// Consume one input line: parse, validate, apply backpressure, feed
@@ -559,9 +621,13 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         }
     }
 
-    /// Live KPI report over the state so far (the `--kpis` query).
+    /// KPI report over the state so far, with the oracle's cache counters
+    /// attached (the `#kpis` query; after [`Daemon::close_and_drain`], the
+    /// final `--kpis` report).
     pub fn kpi_report(&self) -> KpiReport {
-        self.core.kpis().report(self.core.measurements())
+        let mut report = self.core.kpis().report(self.core.measurements());
+        report.cache = self.oracle.cache_stats();
+        report
     }
 
     /// Live telemetry for the `#metrics` control line: the KPI report
@@ -569,10 +635,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// (counters, gauges, per-stage latency percentiles, windowed
     /// KPIs, trace-journal position).
     pub fn metrics_report(&self) -> MetricsReport {
-        MetricsReport {
-            kpis: self.kpi_report(),
-            obs: self.recorder.snapshot(),
-        }
+        MetricsReport::new(self.kpi_report(), &self.recorder)
     }
 
     /// Input lines consumed so far (the resume cursor).

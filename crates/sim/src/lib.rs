@@ -41,9 +41,10 @@
 //! simulation runs unchanged on the dense all-pairs table or the landmark
 //! A* oracle (`watter_road::CityOracle`, selected by
 //! `watter_core::OracleKind` when a scenario is built) — including
-//! 10⁵-node cities where only the latter fits in memory. Wrap the oracle
-//! in `watter_road::CachedOracle` to memoize repeated point queries;
-//! results are bit-identical either way.
+//! 10⁵-node cities where only the latter fits in memory. Front ends hand
+//! in a `watter_road::OracleStack`, which puts the memoization layer in
+//! front of the search backends by itself; results are bit-identical
+//! either way.
 
 pub mod cancel;
 pub mod checkpoint;

@@ -54,13 +54,6 @@ pub struct ScenarioParams {
     /// `Auto` builds the contraction hierarchy. Ignored when `oracle` is a
     /// concrete kind.
     pub dense_limit: usize,
-    /// Wrap the oracle in a sharded memoization layer
-    /// (`watter_road::CachedOracle`) for the simulation run. Cached answers
-    /// are the inner oracle's answers verbatim, so dispatch outcomes are
-    /// bit-identical either way; enable it whenever point queries are
-    /// expensive (the ALT oracle on large cities). The workload build
-    /// itself never uses the cache, so generated demand is unaffected.
-    pub cost_cache: bool,
     /// `threads` sizes contraction-hierarchy preprocessing (`--threads`);
     /// it never changes results, only `Scenario::build` time. `shards` is
     /// ignored.
@@ -91,7 +84,6 @@ impl ScenarioParams {
             echo_prob: 0.55,
             oracle: OracleKind::Auto,
             dense_limit: DENSE_NODE_LIMIT,
-            cost_cache: false,
             parallelism: DispatchParallelism::SEQUENTIAL,
             seed: 20_240_311, // arXiv submission date of the paper
         }

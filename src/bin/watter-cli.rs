@@ -6,7 +6,7 @@
 //!                  [--orders N] [--workers M] [--tau F] [--kw K] [--eta F]
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
 //!                  [--dense-limit N] [--import PATH]
-//!                  [--cost-cache] [--threads T] [--kpis json|PATH]
+//!                  [--threads T] [--kpis json|PATH]
 //!                  [--obs json|PATH] [--obs-window SECS] [--trace PATH]
 //!                  [--seed S] [--json PATH]
 //! watter-cli orders [scenario flags] [--fault-seed S] [--fault-malformed-every K]
@@ -34,9 +34,11 @@
 //! 10⁵-node cities), or by node count (`auto`, the default; the
 //! dense-vs-CH threshold is `--dense-limit`, default 8192).
 //!
-//! `--cost-cache` wraps the oracle in the sharded memoization layer for
-//! the simulation run — dispatch outcomes are bit-identical, only faster;
-//! worthwhile whenever the ALT backend is active.
+//! Nobody picks the rest of the stack: a search backend (`alt`, `ch`)
+//! always runs behind the memoization layer and prints `+cache` on the
+//! `oracle` line, the dense table never does (a lookup would cost more
+//! than the array read it saves). Dispatch outcomes are bit-identical
+//! either way.
 //!
 //! `--threads T` sizes contraction-hierarchy preprocessing (`0` = all
 //! cores); the hierarchy is bit-identical for every setting. Dispatch
@@ -127,7 +129,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     let recorder = recorder_of(&flags);
     let out = run_scenario(&scenario, algo, recorder.clone());
     let stats = RunStats::from(&out.measurements);
-    print_stats(&params, &scenario.oracle.describe(), &algo_name, &stats);
+    print_stats(&params, &out.oracle, &algo_name, &stats);
     if let Some(path) = flags.get("json") {
         let s = serde_json::to_string_pretty(&stats).expect("serialize stats");
         std::fs::write(path, s).expect("write json");
@@ -147,10 +149,7 @@ fn cmd_run(flags: HashMap<String, String>) {
         // Same shape the daemon's `#metrics` control line emits: the
         // KPI report plus the full registry snapshot (counters, gauges,
         // per-stage latency percentiles, windowed KPIs).
-        let report = MetricsReport {
-            kpis: out.kpi_report(),
-            obs: recorder.snapshot(),
-        };
+        let report = MetricsReport::new(out.kpi_report(), &recorder);
         let s = serde_json::to_string_pretty(&report).expect("serialize metrics");
         if dest == "json" || dest == "true" {
             println!("{s}");

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! watter-daemon [scenario flags: --profile --orders --workers --seed
-//!                --city-side --oracle --landmarks --cost-cache ...]
+//!                --city-side --oracle --landmarks --dense-limit ...]
 //!               [--algo online|timeout|nonshare]
 //!               [--input PATH | --socket PATH]          (default: stdin)
 //!               [--ckpt-dir DIR] [--ckpt-every N] [--ckpt-interval SECS]
@@ -20,8 +20,9 @@
 //!
 //! A flag outside this set is a usage error (exit 2, flag named).
 //!
-//! The scenario flags build the same workers/oracle/grid as `watter-cli
-//! run` with identical flags; the order *stream* comes from the input
+//! The scenario flags build the same workers/oracle stack/grid as
+//! `watter-cli run` with identical flags (a search backend behind the
+//! cache, the dense table bare); the order *stream* comes from the input
 //! source (generate one with `watter-cli orders`). On end of input the
 //! daemon closes the stream, drains, and prints the exact stat block
 //! `watter-cli run` prints — so CI can diff a daemon run (even one
@@ -55,16 +56,17 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{append_trace_jsonl, fault_plan_of, params_of, parse_flags, print_stats};
-use watter::runner::{sim_config, sim_oracle, watter_config};
+use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
-use watter_core::{FaultPlan, RunStats, TravelBound};
+use watter_core::{FaultPlan, RunStats};
 use watter_obs::{render_prometheus, Recorder};
+use watter_road::OracleStack;
 use watter_sim::{
-    BackpressurePolicy, CheckpointError, CheckpointStore, Daemon, DaemonConfig, DaemonError,
-    DegradableDispatcher, FeedOutcome, IngestConfig, SnapshotDispatcher, WatterDispatcher,
+    BackpressurePolicy, CheckpointStore, Daemon, DaemonConfig, DegradableDispatcher, FeedOutcome,
+    IngestConfig, SnapshotDispatcher, WatterDispatcher,
 };
 use watter_strategy::{OnlinePolicy, TimeoutPolicy};
 use watter_workload::Scenario;
@@ -190,13 +192,11 @@ fn daemon_config(flags: &HashMap<String, String>, fault: FaultPlan) -> DaemonCon
 }
 
 /// The daemon event loop, generic over the dispatcher family.
-#[allow(clippy::too_many_arguments)]
 fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     scenario: &Scenario,
     flags: &HashMap<String, String>,
     algo_name: &str,
-    oracle: &dyn TravelBound,
-    make: impl Fn() -> D,
+    dispatcher: D,
 ) {
     let fault = fault_plan_of(flags);
     let cfg = daemon_config(flags, fault);
@@ -205,59 +205,50 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
         .get("ckpt-keep")
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let open_store = || {
-        flags.get("ckpt-dir").map(|dir| {
-            CheckpointStore::open(std::path::Path::new(dir), keep, fault).unwrap_or_else(|e| {
-                eprintln!("open checkpoint store {dir}: {e}");
-                std::process::exit(1);
-            })
+    let store = flags.get("ckpt-dir").map(|dir| {
+        CheckpointStore::open(std::path::Path::new(dir), keep, fault).unwrap_or_else(|e| {
+            eprintln!("open checkpoint store {dir}: {e}");
+            std::process::exit(1);
         })
-    };
-    let fresh = |store| {
-        Daemon::new(
-            scenario.workers.clone(),
-            sim_config(scenario),
-            make(),
-            oracle,
-            ingest_cfg,
-            cfg,
-            store,
-        )
-    };
+    });
+    let recorder = daemon_recorder(flags);
+    let stack = OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
+    let oracle = stack.top();
+    let workers = scenario.workers.clone();
+    let sim = sim_config(scenario);
 
     let mut daemon = if flags.get("resume").map(|s| s.as_str()) == Some("true") {
-        let Some(store) = open_store() else {
+        let Some(store) = store else {
             eprintln!("--resume requires --ckpt-dir");
             std::process::exit(2);
         };
-        match Daemon::resume(store, make(), oracle, ingest_cfg, cfg) {
-            Ok(Some(daemon)) => {
-                eprintln!(
-                    "resumed       : {} lines already consumed",
-                    daemon.lines_consumed()
-                );
-                daemon
+        let daemon =
+            Daemon::resume_or_new(store, workers, sim, dispatcher, oracle, ingest_cfg, cfg)
+                .unwrap_or_else(|e| {
+                    eprintln!("resume failed: {e}");
+                    std::process::exit(1);
+                });
+        let ops = daemon
+            .store_ops()
+            .expect("a resumed daemon keeps its store");
+        match ops.resumed_from {
+            Some(_) => eprintln!(
+                "resumed       : {} lines already consumed",
+                daemon.lines_consumed()
+            ),
+            None if ops.discarded > 0 => {
+                eprintln!("resume        : every checkpoint generation corrupt, starting fresh")
             }
-            Ok(None) => {
-                eprintln!("resume        : no checkpoint found, starting fresh");
-                fresh(open_store())
-            }
-            Err(DaemonError::Checkpoint(CheckpointError::NoValidCheckpoint)) => {
-                eprintln!("resume        : every checkpoint generation corrupt, starting fresh");
-                fresh(open_store())
-            }
-            Err(e) => {
-                eprintln!("resume failed: {e}");
-                std::process::exit(1);
-            }
+            None => eprintln!("resume        : no checkpoint found, starting fresh"),
         }
+        daemon
     } else {
-        fresh(open_store())
+        Daemon::new(workers, sim, dispatcher, oracle, ingest_cfg, cfg, store)
     };
     // Attach after (possible) resume: the checkpoint carries the trace
     // journal's next sequence number, and `set_recorder` resumes
     // numbering from it.
-    daemon.set_recorder(daemon_recorder(flags));
+    daemon.set_recorder(recorder);
     let trace_path = flags.get("trace").cloned();
 
     // On resume the daemon has already consumed a prefix of the stream;
@@ -351,6 +342,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     flush_trace(daemon.recorder(), trace_path.as_ref());
     let robustness = daemon.robustness();
     let ops = daemon.store_ops();
+    let report = daemon.kpi_report();
     let out = daemon.finish();
     eprintln!(
         "ingest        : admitted={} rejected={} malformed={} peak-backlog={}",
@@ -368,14 +360,13 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     }
     let stats = RunStats::from(&out.measurements);
     let params = params_of(flags);
-    print_stats(&params, &scenario.oracle.describe(), algo_name, &stats);
+    print_stats(&params, &stack.describe(), algo_name, &stats);
     if let Some(path) = flags.get("json") {
         let s = serde_json::to_string_pretty(&stats).expect("serialize stats");
         std::fs::write(path, s).expect("write json");
         eprintln!("wrote {path}");
     }
     if let Some(path) = flags.get("kpis") {
-        let report = out.kpis.report(&out.measurements);
         let s = serde_json::to_string_pretty(&report).expect("serialize kpis");
         std::fs::write(path, s).expect("write kpis");
         eprintln!("wrote {path}");
@@ -407,26 +398,25 @@ fn main() {
     install_sigterm();
     let params = params_of(&flags);
     let scenario = Scenario::build(params);
-    let owned_oracle = sim_oracle(&scenario);
-    let oracle = owned_oracle.as_dyn();
     let algo = flags
         .get("algo")
         .map(|s| s.as_str())
         .unwrap_or("online")
         .to_string();
     match algo.as_str() {
-        "online" => serve(&scenario, &flags, &algo, oracle, || {
-            WatterDispatcher::new(watter_config(&scenario), OnlinePolicy)
-        }),
-        "timeout" => serve(&scenario, &flags, &algo, oracle, || {
-            WatterDispatcher::new(
-                watter_config(&scenario),
-                TimeoutPolicy {
-                    check_period: scenario.params.check_period,
-                },
-            )
-        }),
-        "nonshare" => serve(&scenario, &flags, &algo, oracle, NonSharingDispatcher::new),
+        "online" => serve(
+            &scenario,
+            &flags,
+            &algo,
+            WatterDispatcher::new(watter_config(&scenario), OnlinePolicy),
+        ),
+        "timeout" => {
+            let check_period = scenario.params.check_period;
+            let policy = TimeoutPolicy { check_period };
+            let dispatcher = WatterDispatcher::new(watter_config(&scenario), policy);
+            serve(&scenario, &flags, &algo, dispatcher)
+        }
+        "nonshare" => serve(&scenario, &flags, &algo, NonSharingDispatcher::new()),
         other => {
             eprintln!("unknown algo `{other}` (daemon supports online|timeout|nonshare)");
             std::process::exit(2);

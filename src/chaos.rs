@@ -24,10 +24,13 @@
 use crate::runner::watter_config;
 use serde::Serialize;
 use std::path::Path;
+use std::sync::Arc;
 use watter_core::FaultPlan;
+use watter_obs::Recorder;
+use watter_road::OracleStack;
 use watter_sim::{
-    fault_lines, BackpressurePolicy, CheckpointError, CheckpointStore, Daemon, DaemonConfig,
-    DaemonError, DaemonOutput, DegradableDispatcher, FeedOutcome, IngestConfig, SnapshotDispatcher,
+    fault_lines, BackpressurePolicy, CheckpointStore, Daemon, DaemonConfig, DaemonOutput,
+    DegradableDispatcher, FeedOutcome, IngestConfig, SnapshotDispatcher,
 };
 use watter_strategy::OnlinePolicy;
 use watter_workload::Scenario;
@@ -127,8 +130,8 @@ where
 {
     let lines = fault_lines(&scenario.orders, &spec.fault);
     let sim = crate::runner::sim_config(scenario);
-    let owned_oracle = crate::runner::sim_oracle(scenario);
-    let oracle = owned_oracle.as_dyn();
+    let stack = OracleStack::new(Arc::clone(&scenario.oracle), Recorder::disabled());
+    let oracle = stack.top();
     let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
     let workers = || scenario.workers.clone();
 
@@ -188,70 +191,31 @@ where
     // Recovery: newest valid generation, re-feed the tail.
     let store = CheckpointStore::open(ckpt_dir, spec.keep, FaultPlan::NONE)
         .map_err(|e| format!("reopen store: {e}"))?;
-    let recovery_cfg = daemon_config(spec, FaultPlan::NONE);
-    let mut scratch_discarded = 0u64;
-    let (mut recovered, resumed_from) =
-        match Daemon::resume(store, make(), oracle, ingest_cfg, recovery_cfg) {
-            Ok(Some(daemon)) => {
-                let cursor = daemon.lines_consumed();
-                (daemon, Some(cursor))
-            }
-            Ok(None) => {
-                // Crash predated every checkpoint: restart from scratch.
-                (
-                    Daemon::new(
-                        workers(),
-                        sim,
-                        make(),
-                        oracle,
-                        ingest_cfg,
-                        recovery_cfg,
-                        None,
-                    ),
-                    Some(0),
-                )
-            }
-            Err(DaemonError::Checkpoint(CheckpointError::NoValidCheckpoint)) => {
-                // Every on-disk generation is corrupt — possible when the
-                // only checkpoint written before the crash is the one the
-                // crash corrupted. Restart from scratch, counting them all
-                // as discarded.
-                scratch_discarded = std::fs::read_dir(ckpt_dir)
-                    .map(|d| d.count() as u64)
-                    .unwrap_or(0);
-                (
-                    Daemon::new(
-                        workers(),
-                        sim,
-                        make(),
-                        oracle,
-                        ingest_cfg,
-                        recovery_cfg,
-                        None,
-                    ),
-                    Some(0),
-                )
-            }
-            Err(e) => {
-                return Err(format!("recovery failed after crash at {crash_line}: {e}"));
-            }
-        };
-    let skip = recovered.lines_consumed() as usize;
-    for line in &lines[skip..] {
+    let mut recovered = Daemon::resume_or_new(
+        store,
+        workers(),
+        sim,
+        make(),
+        oracle,
+        ingest_cfg,
+        daemon_config(spec, FaultPlan::NONE),
+    )
+    .map_err(|e| format!("recovery failed after crash at {crash_line}: {e}"))?;
+    // The replay cursor: 0 when the crash predates every valid checkpoint
+    // and recovery restarted from scratch.
+    let resumed_from = recovered.lines_consumed();
+    let discarded = recovered.store_ops().map_or(0, |ops| ops.discarded);
+    for line in &lines[resumed_from as usize..] {
         if matches!(recovered.feed_line(line), FeedOutcome::Crashed) {
             return Err("recovered run must not crash again".into());
         }
     }
-    let discarded = recovered
-        .store_ops()
-        .map(|ops| ops.discarded)
-        .unwrap_or(scratch_discarded);
     let recovered = drain(recovered);
     Ok(ChaosOutcome {
         reference,
         recovered,
         crashed_at,
-        resumed_from,
+        resumed_from: Some(resumed_from),
         discarded_generations: discarded,
     })
 }

@@ -27,7 +27,6 @@ const COMMON_FLAGS: &[&str] = &[
     "dense-limit",
     "landmarks",
     "oracle",
-    "cost-cache",
     "threads",
     "obs-window",
     "trace",
@@ -80,7 +79,7 @@ pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
 
 /// Scenario parameters from the common flag set (`--orders`, `--workers`,
 /// `--tau`, `--kw`, `--eta`, `--seed`, `--city-side`, `--oracle`,
-/// `--landmarks`, `--dense-limit`, `--cost-cache`, `--threads`).
+/// `--landmarks`, `--dense-limit`, `--threads`).
 pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     let mut p = ScenarioParams::default_for(profile_of(flags));
     if let Some(n) = flags.get("orders").and_then(|s| s.parse().ok()) {
@@ -127,7 +126,6 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
             std::process::exit(2);
         }
     }
-    p.cost_cache = flags.get("cost-cache").map(|s| s.as_str()) == Some("true");
     if let Some(t) = flags.get("threads").and_then(|s| s.parse().ok()) {
         p.parallelism.threads = t;
     }
@@ -216,14 +214,11 @@ pub fn fault_plan_of(flags: &HashMap<String, String>) -> FaultPlan {
 /// Print the canonical run-stat block to stdout. `watter-cli run` and
 /// `watter-daemon` both emit exactly this, so CI can diff a recovered
 /// daemon run against a batch reference line for line (dropping only the
-/// wall-clock `running time` row).
+/// wall-clock `running time` row). `oracle_desc` is the run's
+/// `OracleStack::describe` line.
 pub fn print_stats(params: &ScenarioParams, oracle_desc: &str, algo_name: &str, stats: &RunStats) {
     println!("profile       : {}", params.profile.tag());
-    println!(
-        "oracle        : {}{}",
-        oracle_desc,
-        if params.cost_cache { " +cache" } else { "" }
-    );
+    println!("oracle        : {oracle_desc}");
     println!("orders/workers: {}/{}", params.n_orders, params.n_workers);
     println!("algorithm     : {algo_name}");
     println!("extra time    : {:.0} s", stats.extra_time);

@@ -13,12 +13,14 @@
 //!    threshold provider.
 
 use crate::runner::{sim_config, watter_config};
+use std::sync::Arc;
 use watter_core::{CostWeights, Dur, EnvSnapshot, Order, Ts};
 use watter_learn::{
     Gmm, GmmThresholdProvider, StateFeaturizer, TrainerConfig, TransitionRecorder, ValueFunction,
     ValueTrainer,
 };
 use watter_obs::Recorder;
+use watter_road::OracleStack;
 use watter_sim::{run, WatterDispatcher};
 use watter_strategy::{OnlinePolicy, PoolObserver, ThresholdPolicy};
 use watter_workload::Scenario;
@@ -85,6 +87,8 @@ impl PoolObserver for HistoryObserver {
 /// Run the full offline pipeline on a training scenario.
 pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
     let sim_cfg = sim_config(training);
+    let stack = OracleStack::new(Arc::clone(&training.oracle), Recorder::disabled());
+    let oracle = stack.top();
 
     // Phase 1: extra-time history under the online policy.
     let mut collector = WatterDispatcher::with_observer(
@@ -96,7 +100,7 @@ pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
         training.orders.clone(),
         training.workers.clone(),
         &mut collector,
-        training.oracle.as_ref(),
+        oracle,
         sim_cfg,
         Recorder::disabled(),
     );
@@ -120,7 +124,7 @@ pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
         training.orders.clone(),
         training.workers.clone(),
         &mut generator,
-        training.oracle.as_ref(),
+        oracle,
         sim_cfg,
         Recorder::disabled(),
     );

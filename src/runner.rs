@@ -10,9 +10,9 @@ use std::sync::Arc;
 use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSharingDispatcher};
 use watter_core::{CostWeights, Kpis, Measurements, OracleCacheKpis, RunStats, TravelBound};
 use watter_learn::ValueFunction;
-use watter_obs::{Counter, Recorder};
+use watter_obs::Recorder;
 use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig, SpatialPrune};
-use watter_road::{stage_for_backend, CachedOracle, CityOracle, ObservedOracle};
+use watter_road::OracleStack;
 use watter_sim::{Dispatcher, SimConfig, WatterConfig, WatterDispatcher};
 use watter_strategy::{DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy};
 use watter_workload::Scenario;
@@ -66,8 +66,11 @@ pub struct RunOutput {
     /// The KPI accumulator (summarize via
     /// [`Kpis::report`]).
     pub kpis: Kpis,
-    /// Cost-cache counters (`--cost-cache` runs only).
+    /// Cost-cache counters (`None` on the dense table, which runs
+    /// uncached).
     pub cache: Option<OracleCacheKpis>,
+    /// The [`OracleStack::describe`] line of the stack the run queried.
+    pub oracle: String,
 }
 
 impl RunOutput {
@@ -113,59 +116,6 @@ pub fn watter_config(scenario: &Scenario) -> WatterConfig {
     }
 }
 
-/// The travel-cost oracle a simulation run should query: the scenario's
-/// oracle, wrapped in a [`CachedOracle`] when
-/// [`ScenarioParams::cost_cache`](watter_workload::ScenarioParams) is set.
-/// Answers are bit-identical either way.
-pub fn sim_oracle(scenario: &Scenario) -> SimOracle {
-    if scenario.params.cost_cache {
-        SimOracle::Cached(CachedOracle::with_default_capacity(Arc::clone(
-            &scenario.oracle,
-        )))
-    } else {
-        SimOracle::Plain(Arc::clone(&scenario.oracle))
-    }
-}
-
-/// Owned oracle handle for one simulation run (see [`sim_oracle`]).
-pub enum SimOracle {
-    /// The scenario's oracle queried directly.
-    Plain(Arc<CityOracle>),
-    /// The scenario's oracle behind a sharded memoization layer.
-    Cached(CachedOracle<Arc<CityOracle>>),
-}
-
-impl SimOracle {
-    /// Borrow as the trait object the engine consumes.
-    pub fn as_dyn(&self) -> &dyn TravelBound {
-        match self {
-            SimOracle::Plain(o) => o.as_ref(),
-            SimOracle::Cached(c) => c,
-        }
-    }
-
-    /// Attach a recorder to the cache layer (sampled hit/miss latency
-    /// stages plus eviction trace events). No-op on the plain oracle,
-    /// whose latency probe is [`ObservedOracle`], applied by the runner.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        if let SimOracle::Cached(c) = self {
-            c.set_recorder(recorder);
-        }
-    }
-
-    /// Cache hit/miss/evict counters, when the cache is active.
-    pub fn cache_stats(&self) -> Option<OracleCacheKpis> {
-        match self {
-            SimOracle::Plain(_) => None,
-            SimOracle::Cached(c) => Some(OracleCacheKpis {
-                hits: c.hits(),
-                misses: c.misses(),
-                evictions: c.evictions(),
-            }),
-        }
-    }
-}
-
 /// Engine configuration derived from scenario parameters.
 pub fn sim_config(scenario: &Scenario) -> SimConfig {
     SimConfig {
@@ -177,30 +127,16 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
 }
 
 /// Execute one algorithm on one scenario with an observability recorder
-/// attached to every layer (core, dispatcher, pool, oracle). The caller
-/// keeps the handle: `recorder.snapshot()` after the run exposes
+/// attached to every layer (core, dispatcher, pool, oracle stack). The
+/// caller keeps the handle: `recorder.snapshot()` after the run exposes
 /// counters, per-stage latency percentiles and windowed KPIs;
 /// `recorder.drain_trace()` yields the structured event journal. With
-/// [`Recorder::disabled`] every hook short-circuits and no probe wrapper
-/// is installed, so the disabled path pays nothing.
+/// [`Recorder::disabled`] every hook short-circuits, so the disabled path
+/// pays nothing.
 pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunOutput {
     let check_period = scenario.params.check_period;
-    let mut sim_oracle = sim_oracle(scenario);
-    sim_oracle.set_recorder(recorder.clone());
-    // Sampled point-query latency probe, installed only when recording
-    // and only on the uncached oracle (the cache layer times its own
-    // hit/miss stages). Answers are unchanged either way.
-    let observed;
-    let oracle: &dyn TravelBound = match &sim_oracle {
-        SimOracle::Plain(o) if recorder.is_enabled() => {
-            let backend = scenario.oracle.describe();
-            let backend = backend.split('[').next().unwrap_or_default();
-            observed =
-                ObservedOracle::new(Arc::clone(o), recorder.clone(), stage_for_backend(backend));
-            &observed
-        }
-        _ => sim_oracle.as_dyn(),
-    };
+    let stack = OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
+    let oracle = stack.top();
     let (measurements, kpis) = match algo {
         Algo::Gdp => {
             let d = GdpDispatcher::new(GdpConfig::default(), &scenario.workers);
@@ -245,20 +181,11 @@ pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunO
             )
         }
     };
-    // Attach the cache counters observed during the run (None when the
-    // cost cache was off), and mirror the exact totals into the
-    // registry — the sampled hit/miss latency stages only see 1 in
-    // `SAMPLE_EVERY` queries.
-    let cache = sim_oracle.cache_stats();
-    if let Some(c) = cache {
-        recorder.set_at_least(Counter::CacheHits, c.hits);
-        recorder.set_at_least(Counter::CacheMisses, c.misses);
-        recorder.set_at_least(Counter::CacheEvictions, c.evictions);
-    }
     RunOutput {
         measurements,
         kpis,
-        cache,
+        cache: stack.cache_stats(),
+        oracle: stack.describe(),
     }
 }
 

@@ -16,14 +16,17 @@
 //! 4. bound-guided `Fleet::nearest_idle` picks the worker the exhaustive
 //!    `(cost, id)` scan picks;
 //! 5. end-to-end dispatch outcomes are identical across every
-//!    acceleration configuration.
+//!    acceleration configuration;
+//! 6. `OracleStack` — the one handle front ends query — answers exactly
+//!    what its bare backend answers, in both of its shapes, and picks the
+//!    shape from the backend alone.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
 use watter_core::{NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
 use watter_pool::{pair_prefilter, PlanLimits, ShareGraph, SpatialPrune};
-use watter_road::{AltOracle, CachedOracle};
+use watter_road::{AltOracle, CachedOracle, OracleStack};
 use watter_sim::Fleet;
 
 fn profile(idx: usize) -> CityProfile {
@@ -73,6 +76,39 @@ proptest! {
                 alt.lower_bound(a, b),
                 "bound {} -> {}", a, b
             );
+        }
+    }
+
+    /// The handle answers what its bare backend answers — costs and
+    /// bounds, whichever shape the backend gave it, with or without a
+    /// recorder sampling the cache.
+    #[test]
+    fn oracle_stack_is_bit_identical_to_its_backend(
+        pidx in 0usize..3,
+        side in 5usize..10,
+        seed in 0u64..300,
+        kind in 0usize..3,
+        observed in 0usize..2,
+        queries in prop::collection::vec((0u32..10_000, 0u32..10_000), 1..200),
+    ) {
+        let graph = Arc::new(profile(pidx).city_config(side).generate(seed));
+        let kind = [OracleKind::Dense, OracleKind::Alt { landmarks: 4 }, OracleKind::Ch][kind];
+        let backend = Arc::new(CityOracle::build(&graph, kind));
+        let recorder = if observed == 1 { Recorder::enabled() } else { Recorder::disabled() };
+        let stack = OracleStack::new(Arc::clone(&backend), recorder);
+        let top = stack.top();
+        let n = graph.node_count() as u32;
+        for (a, b) in queries {
+            let (a, b) = (NodeId(a % n), NodeId(b % n));
+            // Both directions, twice: misses, folded hits and plain hits.
+            for (a, b) in [(a, b), (b, a), (a, b)] {
+                prop_assert_eq!(top.cost(a, b), backend.cost(a, b), "cost {} -> {}", a, b);
+                prop_assert_eq!(
+                    top.lower_bound(a, b),
+                    backend.lower_bound(a, b),
+                    "bound {} -> {}", a, b
+                );
+            }
         }
     }
 
@@ -222,6 +258,34 @@ proptest! {
             let pe: Vec<_> = pruned.neighbors(id).collect();
             prop_assert_eq!(fe, pe, "adjacency of {} diverges", id);
         }
+    }
+}
+
+/// The stack's shape is a function of the backend variant: the table runs
+/// bare, a search backend always runs cached — and says so.
+#[test]
+fn stack_shape_follows_backend() {
+    let graph = Arc::new(profile(0).city_config(8).generate(5));
+    let (a, b) = (NodeId(3), NodeId(42));
+    for (kind, name, cached) in [
+        (OracleKind::Dense, "dense[", false),
+        (OracleKind::Alt { landmarks: 4 }, "alt[", true),
+        (OracleKind::Ch, "ch[", true),
+    ] {
+        let backend = Arc::new(CityOracle::build(&graph, kind));
+        let stack = OracleStack::new(Arc::clone(&backend), Recorder::enabled());
+        stack.top().cost(a, b);
+        stack.top().cost(a, b);
+        let hit_miss = stack.cache_stats().map(|c| (c.hits, c.misses));
+        assert_eq!(
+            hit_miss,
+            cached.then_some((1, 1)),
+            "{name}: cached iff search"
+        );
+        let line = stack.describe();
+        assert!(line.starts_with(name), "{line}");
+        assert_eq!(line.ends_with(" +cache"), cached, "{line}");
+        assert_eq!(stack.top().is_symmetric(), backend.is_symmetric(), "{name}");
     }
 }
 

@@ -149,28 +149,35 @@ fn corrupted_newest_checkpoint_falls_back_a_generation() {
     }
 }
 
-/// A crash before the first checkpoint ever lands: recovery restarts from
-/// scratch (resumed_from = 0) and still converges.
+/// A crash before the first *restorable* checkpoint — none has landed yet,
+/// or the only one is the one the crash corrupted: recovery restarts from
+/// scratch (resumed_from = 0), counts the damage, and still converges.
 #[test]
 fn crash_before_first_checkpoint_restarts_from_scratch() {
     let scenario = scenario(2, 7, 80);
-    let spec = ChaosSpec {
-        fault: FaultPlan {
-            seed: 7,
-            crash_after_events: Some(3),
-            ..FaultPlan::NONE
-        },
-        checkpoint_every_events: 50,
-        ..ChaosSpec::default()
-    };
-    let outcome = run_chaos(&scenario, &spec, &ckpt_dir("scratch")).unwrap();
-    assert_eq!(outcome.crashed_at, Some(3));
-    assert_eq!(
-        outcome.resumed_from,
-        Some(0),
-        "no checkpoint should predate the crash"
-    );
-    assert!(outcome.is_consistent());
+    for (crash_at, ckpt_every, corrupt, discarded) in
+        [(3, 50, None, 0), (10, 8, Some(CorruptKind::Torn), 1)]
+    {
+        let spec = ChaosSpec {
+            fault: FaultPlan {
+                seed: 7,
+                crash_after_events: Some(crash_at),
+                corrupt_on_crash: corrupt,
+                ..FaultPlan::NONE
+            },
+            checkpoint_every_events: ckpt_every,
+            ..ChaosSpec::default()
+        };
+        let outcome = run_chaos(&scenario, &spec, &ckpt_dir("scratch")).unwrap();
+        assert_eq!(outcome.crashed_at, Some(crash_at));
+        assert_eq!(
+            outcome.resumed_from,
+            Some(0),
+            "crash at {crash_at}: no valid checkpoint should predate the crash"
+        );
+        assert_eq!(outcome.discarded_generations, discarded);
+        assert!(outcome.is_consistent(), "crash at {crash_at}");
+    }
 }
 
 /// Shed and Degrade accounting reconciles against the ingest totals even
@@ -225,110 +232,147 @@ fn shed_and_degrade_counts_reconcile_after_recovery() {
 /// uninterrupted run's journal bit for bit. Replayed events re-emit
 /// the same sequence numbers as the originals, so stitching never
 /// double-counts.
+///
+/// Each process builds its own oracle stack with its recorder attached,
+/// as the binary does. On the dense table that is the bare backend; on
+/// ALT it is a cache that the resumed process starts *cold* — so the
+/// journal must carry nothing that depends on cache warmth.
 #[test]
 fn trace_journal_survives_kill_restore_replay() {
     use std::collections::BTreeMap;
-    use watter::prelude::{Recorder, TraceRecord};
+    use std::sync::Arc;
+    use watter::prelude::{OracleKind, Recorder, TraceRecord};
     use watter::runner::{sim_config, watter_config};
+    use watter_road::OracleStack;
     use watter_sim::{
         fault_lines, CheckpointStore, Daemon, DaemonConfig, FeedOutcome, IngestConfig,
         WatterDispatcher,
     };
     use watter_strategy::OnlinePolicy;
 
-    let scenario = scenario(0, 11, 90);
-    let lines = fault_lines(&scenario.orders, &FaultPlan::NONE);
-    let sim = sim_config(&scenario);
-    let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
-    let oracle = scenario.oracle.as_ref();
-    let make = || WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
-    let cfg = |fault| DaemonConfig {
-        checkpoint_every_events: 8,
-        fault,
-        ..DaemonConfig::default()
-    };
-    let open = |tag: &str, wipe: bool| {
-        let dir = ckpt_dir(tag);
-        if wipe {
-            let _ = std::fs::remove_dir_all(&dir);
+    // The ALT city is large enough for its working set to collide in the
+    // cache: evictions are the warmth-dependent state in question.
+    for (kind, tag, city_side) in [
+        (OracleKind::Dense, "dense", 10),
+        (OracleKind::Alt { landmarks: 4 }, "alt", 24),
+    ] {
+        let mut params = ScenarioParams::default_for(CityProfile::ALL[0]);
+        params.n_orders = 90;
+        params.n_workers = 12;
+        params.city_side = city_side;
+        params.seed = 11;
+        params.oracle = kind;
+        let scenario = Scenario::build(params);
+        let lines = fault_lines(&scenario.orders, &FaultPlan::NONE);
+        let sim = sim_config(&scenario);
+        let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
+        let stack =
+            |recorder: &Recorder| OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
+        let make = || WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
+        let cfg = |fault| DaemonConfig {
+            checkpoint_every_events: 8,
+            fault,
+            ..DaemonConfig::default()
+        };
+        let open = |name: &str, wipe: bool| {
+            let dir = ckpt_dir(&format!("{name}_{tag}"));
+            if wipe {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open store")
+        };
+
+        // Reference: uninterrupted, with its own store so checkpoint trace
+        // events land at the same line counts as in the killed run.
+        let recorder = Recorder::enabled();
+        let oracle = stack(&recorder);
+        let mut reference = Daemon::new(
+            scenario.workers.clone(),
+            sim,
+            make(),
+            oracle.top(),
+            ingest_cfg,
+            cfg(FaultPlan::NONE),
+            Some(open("trace_ref", true)),
+        );
+        reference.set_recorder(recorder);
+        for line in &lines {
+            assert!(!matches!(reference.feed_line(line), FeedOutcome::Crashed));
         }
-        CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open store")
-    };
-
-    // Reference: uninterrupted, with its own store so checkpoint trace
-    // events land at the same line counts as in the killed run.
-    let mut reference = Daemon::new(
-        scenario.workers.clone(),
-        sim,
-        make(),
-        oracle,
-        ingest_cfg,
-        cfg(FaultPlan::NONE),
-        Some(open("trace_ref", true)),
-    );
-    reference.set_recorder(Recorder::enabled());
-    for line in &lines {
-        assert!(!matches!(reference.feed_line(line), FeedOutcome::Crashed));
-    }
-    reference.close_and_drain();
-    let expected = reference.recorder().drain_trace();
-    assert!(!expected.is_empty(), "degenerate scenario");
-
-    // The kill: crash after line 21 — past the checkpoint at 16 but not
-    // on a checkpoint boundary, so recovery replays lines 17..=21 and
-    // re-emits their trace events.
-    let mut crashed = Daemon::new(
-        scenario.workers.clone(),
-        sim,
-        make(),
-        oracle,
-        ingest_cfg,
-        cfg(FaultPlan::crash_at(21, None)),
-        Some(open("trace_kill", true)),
-    );
-    crashed.set_recorder(Recorder::enabled());
-    let mut died = false;
-    for line in &lines {
-        if matches!(crashed.feed_line(line), FeedOutcome::Crashed) {
-            died = true;
-            break;
+        reference.close_and_drain();
+        let expected = reference.recorder().drain_trace();
+        assert!(!expected.is_empty(), "{tag}: degenerate scenario");
+        if let Some(cache) = oracle.cache_stats() {
+            assert!(
+                cache.evictions > 0,
+                "{tag}: no eviction — the warmth-dependence check is inert"
+            );
         }
-    }
-    assert!(died, "fault plan must fire");
-    // What a `--trace` tail had flushed before the power cut.
-    let part1 = crashed.recorder().drain_trace();
-    drop(crashed);
 
-    let mut recovered = Daemon::resume(
-        open("trace_kill", false),
-        make(),
-        oracle,
-        ingest_cfg,
-        cfg(FaultPlan::NONE),
-    )
-    .expect("resume")
-    .expect("a checkpoint predates the crash");
-    // Fresh recorder, attached *after* restore: it resumes numbering
-    // from the checkpoint's carried sequence, not from zero.
-    recovered.set_recorder(Recorder::enabled());
-    let skip = recovered.lines_consumed() as usize;
-    assert!(skip > 0 && skip < 21, "crash must outrun a checkpoint");
-    for line in &lines[skip..] {
-        assert!(!matches!(recovered.feed_line(line), FeedOutcome::Crashed));
-    }
-    recovered.close_and_drain();
-    let part2 = recovered.recorder().drain_trace();
-
-    // Stitch by sequence number. A seq seen twice (the replayed
-    // overlap) must carry the identical record.
-    let mut by_seq: BTreeMap<u64, TraceRecord> = BTreeMap::new();
-    for rec in part1.into_iter().chain(part2) {
-        if let Some(prev) = by_seq.insert(rec.seq, rec.clone()) {
-            assert_eq!(prev, rec, "conflicting records under one seq");
+        // The kill: crash after line 21 — past the checkpoint at 16 but not
+        // on a checkpoint boundary, so recovery replays lines 17..=21 and
+        // re-emits their trace events.
+        let recorder = Recorder::enabled();
+        let oracle = stack(&recorder);
+        let mut crashed = Daemon::new(
+            scenario.workers.clone(),
+            sim,
+            make(),
+            oracle.top(),
+            ingest_cfg,
+            cfg(FaultPlan::crash_at(21, None)),
+            Some(open("trace_kill", true)),
+        );
+        crashed.set_recorder(recorder);
+        let mut died = false;
+        for line in &lines {
+            if matches!(crashed.feed_line(line), FeedOutcome::Crashed) {
+                died = true;
+                break;
+            }
         }
+        assert!(died, "{tag}: fault plan must fire");
+        // What a `--trace` tail had flushed before the power cut.
+        let part1 = crashed.recorder().drain_trace();
+        drop(crashed);
+
+        // A new process: fresh recorder, fresh (cold) stack.
+        let recorder = Recorder::enabled();
+        let oracle = stack(&recorder);
+        let mut recovered = Daemon::resume(
+            open("trace_kill", false),
+            make(),
+            oracle.top(),
+            ingest_cfg,
+            cfg(FaultPlan::NONE),
+        )
+        .expect("resume")
+        .expect("a checkpoint predates the crash");
+        // Attached *after* restore: the recorder resumes numbering from
+        // the checkpoint's carried sequence, not from zero.
+        recovered.set_recorder(recorder);
+        let skip = recovered.lines_consumed() as usize;
+        assert!(
+            skip > 0 && skip < 21,
+            "{tag}: crash must outrun a checkpoint"
+        );
+        for line in &lines[skip..] {
+            assert!(!matches!(recovered.feed_line(line), FeedOutcome::Crashed));
+        }
+        recovered.close_and_drain();
+        let part2 = recovered.recorder().drain_trace();
+
+        // Stitch by sequence number. A seq seen twice (the replayed
+        // overlap) must carry the identical record.
+        let mut by_seq: BTreeMap<u64, TraceRecord> = BTreeMap::new();
+        for rec in part1.into_iter().chain(part2) {
+            if let Some(prev) = by_seq.insert(rec.seq, rec.clone()) {
+                assert_eq!(prev, rec, "{tag}: conflicting records under one seq");
+            }
+        }
+        let stitched: Vec<TraceRecord> = by_seq.into_values().collect();
+        assert_eq!(stitched, expected, "{tag}");
     }
-    let stitched: Vec<TraceRecord> = by_seq.into_values().collect();
-    assert_eq!(stitched, expected);
 }
 
 /// With no process faults scheduled the chaos harness degenerates to two

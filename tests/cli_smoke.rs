@@ -85,11 +85,12 @@ fn run_subcommand_is_deterministic_across_processes() {
 
 #[test]
 fn cost_cache_flag_does_not_change_outcomes() {
-    // `--cost-cache` wraps the oracle in the memoization layer; dispatch
-    // outcomes must be bit-identical to the uncached run (only the
-    // wall-clock "running time" row may differ).
-    let run = |cache: bool| {
-        let mut args = vec![
+    // The flag is gone — the stack caches a search backend by itself and
+    // never the dense table — but the contract it named stays: the cached
+    // and the uncached stack print bit-identical dispatch outcomes (only
+    // the `oracle` and wall-clock `running time` rows may differ).
+    let run = |oracle: &str, cached: bool| {
+        let args = [
             "run",
             "--orders",
             "60",
@@ -99,17 +100,18 @@ fn cost_cache_flag_does_not_change_outcomes() {
             "online",
             "--seed",
             "19",
+            "--oracle",
+            oracle,
+            "--landmarks",
+            "4",
         ];
-        if cache {
-            args.push("--cost-cache");
-        }
-        let out = cli().args(&args).output().expect("spawn watter-cli");
+        let out = cli().args(args).output().expect("spawn watter-cli");
         assert!(out.status.success());
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         assert_eq!(
             text.contains("+cache"),
-            cache,
-            "oracle line must reflect the cache flag:\n{text}"
+            cached,
+            "oracle line must reflect the stack's shape:\n{text}"
         );
         text.lines()
             .filter(|l| !l.starts_with("running time") && !l.starts_with("oracle"))
@@ -117,9 +119,9 @@ fn cost_cache_flag_does_not_change_outcomes() {
             .join("\n")
     };
     assert_eq!(
-        run(false),
-        run(true),
-        "--cost-cache changed dispatch outcomes"
+        run("dense", false),
+        run("alt", true),
+        "the cache changed dispatch outcomes"
     );
 }
 
@@ -163,9 +165,14 @@ fn unknown_usage_exits_nonzero() {
         .output()
         .expect("spawn watter-cli");
     assert!(!out.status.success(), "unknown algo must be rejected");
-    // A flag nobody parses — retired (`--stream`, `--shards`) or misspelt
-    // — is a usage error naming it, not a silent no-op.
-    for args in [&["run", "--stream"][..], &["run", "--shards", "2"]] {
+    // A flag nobody parses — retired (`--stream`, `--shards`,
+    // `--cost-cache`) or misspelt — is a usage error naming it, not a
+    // silent no-op.
+    for args in [
+        &["run", "--stream"][..],
+        &["run", "--shards", "2"],
+        &["run", "--cost-cache"],
+    ] {
         let out = cli().args(args).output().expect("spawn watter-cli");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -280,16 +280,112 @@ fn malformed_lines_are_survived_and_counted() {
     );
 }
 
-/// A flag the daemon does not read is a usage error naming it (exit 2)
-/// before any scenario is built — never a silent no-op.
+/// The daemon's telemetry sees the oracle: on a search backend the stack
+/// caches by itself, so a live `#metrics` answer carries the cache
+/// counters (JSON and Prometheus text) and the sampled cache stages, and
+/// the finished daemon's `--kpis` cache block equals `watter-cli run`'s on
+/// the same flags — same feed, same query sequence, and single-threaded
+/// counts are reproducible.
+#[test]
+fn alt_daemon_reports_the_cache_like_the_batch_run() {
+    const ALT: &[&str] = &[
+        "--city-side",
+        "24",
+        "--orders",
+        "200",
+        "--workers",
+        "30",
+        "--oracle",
+        "alt",
+        "--landmarks",
+        "8",
+    ];
+    let dir = temp_dir("alt_telemetry");
+    let orders = dir.join("orders.ndjson");
+    let out = cli()
+        .arg("orders")
+        .args(ALT)
+        .arg("--out")
+        .arg(&orders)
+        .output()
+        .expect("run watter-cli orders");
+    assert!(out.status.success(), "orders failed: {out:?}");
+    let batch_kpis = dir.join("batch_kpis.json");
+    let run = cli()
+        .arg("run")
+        .args(ALT)
+        .arg("--kpis")
+        .arg(&batch_kpis)
+        .output()
+        .expect("run watter-cli run");
+    assert!(run.status.success(), "run failed: {run:?}");
+
+    let metrics = dir.join("metrics.json");
+    let mut feed = std::fs::read_to_string(&orders).expect("read orders");
+    feed.push_str(&format!("#metrics {}\n", metrics.display()));
+    let feed_path = dir.join("orders_metrics.ndjson");
+    std::fs::write(&feed_path, feed).expect("write feed");
+    let daemon_kpis = dir.join("daemon_kpis.json");
+    let served = daemon()
+        .args(ALT)
+        .arg("--kpis")
+        .arg(&daemon_kpis)
+        .arg("--input")
+        .arg(&feed_path)
+        .output()
+        .expect("run daemon");
+    assert!(served.status.success(), "daemon failed: {served:?}");
+    assert_eq!(stable_stats(&served.stdout), stable_stats(&run.stdout));
+    assert!(
+        stable_stats(&served.stdout).contains("+cache"),
+        "an ALT daemon runs cached: {served:?}"
+    );
+
+    let read = |path: &Path| std::fs::read_to_string(path).expect("read report");
+    let live: watter_sim::MetricsReport = serde_json::from_str(&read(&metrics)).expect("metrics");
+    let live_cache = live.kpis.cache.expect("kpis.cache must be live on ALT");
+    assert!(
+        live_cache.hits > 0 && live_cache.misses > 0,
+        "{live_cache:?}"
+    );
+    assert!(
+        live.obs
+            .stages
+            .iter()
+            .any(|s| s.stage == "oracle_cache_miss" && s.count > 0),
+        "the miss stage is the backend's latency probe: {:?}",
+        live.obs.stages
+    );
+    let prom = read(Path::new(&format!("{}.prom", metrics.display())));
+    let prom_hits = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("watter_cache_hits_total "))
+        .and_then(|v| v.parse::<u64>().ok());
+    assert_eq!(
+        prom_hits,
+        Some(live_cache.hits),
+        "JSON and Prometheus agree"
+    );
+
+    let batch: watter_core::KpiReport = serde_json::from_str(&read(&batch_kpis)).expect("kpis");
+    let daemon: watter_core::KpiReport = serde_json::from_str(&read(&daemon_kpis)).expect("kpis");
+    assert!(batch.cache.is_some(), "the batch run caches ALT too");
+    assert_eq!(daemon.cache, batch.cache);
+}
+
+/// A flag the daemon does not read — never existed, or retired like
+/// `--cost-cache` — is a usage error naming it (exit 2) before any
+/// scenario is built — never a silent no-op.
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = daemon()
-        .args(FLAGS)
-        .arg("--no-such-flag")
-        .output()
-        .expect("spawn watter-daemon");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--no-such-flag"), "stderr:\n{stderr}");
+    for flag in ["--no-such-flag", "--cost-cache"] {
+        let out = daemon()
+            .args(FLAGS)
+            .arg(flag)
+            .output()
+            .expect("spawn watter-daemon");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr:\n{stderr}");
+    }
 }
