@@ -1,12 +1,16 @@
 //! Order-pool micro-benchmarks: route planning, pair-edge insertion,
 //! clique enumeration and the GDP insertion operator — the inner loops of
-//! the paper's running-time comparison.
+//! the paper's running-time comparison — plus the two searches (an
+//! infeasible four-order plan, one `best_group_for`) on each oracle stack.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 use watter_baselines::insertion::Schedule;
-use watter_core::{NodeId, OrderId};
-use watter_pool::{plan_min_cost, OrderPool, PlanLimits, PoolConfig, SpatialPrune};
-use watter_road::CachedOracle;
+use watter_core::{CostWeights, NodeId, OracleKind, Order, OrderId, TravelBound, Ts};
+use watter_obs::Recorder;
+use watter_pool::cliques::{best_group_for, CliqueLimits};
+use watter_pool::{plan_min_cost, OrderPool, PlanLimits, PoolConfig, ShareGraph, SpatialPrune};
+use watter_road::{CachedOracle, CityOracle, OracleStack};
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
 fn scenario() -> Scenario {
@@ -14,6 +18,110 @@ fn scenario() -> Scenario {
     p.n_orders = 300;
     p.n_workers = 30;
     Scenario::build(p)
+}
+
+/// The first pooled four-clique with no feasible route at `now` although
+/// each of its three-order subsets has one: the infeasible plan the clique
+/// search still has to make (no subset answers it), whole tree walked.
+fn infeasible_quad<C: TravelBound>(
+    graph: &ShareGraph,
+    now: Ts,
+    limits: PlanLimits,
+    oracle: &C,
+) -> Option<Vec<Order>> {
+    let live: Vec<&Order> = graph.orders().collect();
+    let linked = |a: &Order, b: &Order| graph.connected(a.id, b.id);
+    let plans = |group: &[&Order]| plan_min_cost(group, now, limits, oracle).is_some();
+    for (i, a) in live.iter().enumerate() {
+        for (j, b) in live.iter().enumerate().skip(i + 1) {
+            if !linked(a, b) {
+                continue;
+            }
+            for (k, c) in live.iter().enumerate().skip(j + 1) {
+                if !linked(a, c) || !linked(b, c) || !plans(&[a, b, c]) {
+                    continue;
+                }
+                for d in &live[k + 1..] {
+                    if linked(a, d)
+                        && linked(b, d)
+                        && linked(c, d)
+                        && plans(&[a, b, d])
+                        && plans(&[a, c, d])
+                        && plans(&[b, c, d])
+                        && !plans(&[a, b, c, d])
+                    {
+                        return Some([a, b, c, d].map(|o| (*o).clone()).to_vec());
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// The route search and the clique search where they are hottest, on the
+/// three stacks front ends build: the dense table bare, ALT and CH behind
+/// the cache. One 40×40 city and order stream for all three.
+fn bench_searches(c: &mut Criterion) {
+    let mut params = ScenarioParams::default_for(CityProfile::Chengdu);
+    params.n_orders = 300;
+    params.n_workers = 30;
+    params.city_side = 40;
+    params.oracle = OracleKind::Dense;
+    let s = Scenario::build(params);
+    let limits = PlanLimits { capacity: 4 };
+
+    // Pool the first 200 orders at their release instants; `now` is the
+    // last of them.
+    let mut pool = ShareGraph::new();
+    let mut now = 0;
+    for o in &s.orders[..200] {
+        now = o.release;
+        pool.insert(o.clone(), now, limits, &s.oracle);
+    }
+    let quad = infeasible_quad(&pool, now, limits, &s.oracle)
+        .expect("200 pooled orders hold an infeasible four-clique");
+    let quad: Vec<&Order> = quad.iter().collect();
+    let center = pool
+        .order_ids()
+        .max_by_key(|&id| {
+            pool.neighbors(id)
+                .filter(|(_, e)| e.expires_at >= now)
+                .count()
+        })
+        .and_then(|id| pool.order_handle(id))
+        .expect("the pool is not empty")
+        .clone();
+
+    let mut g = c.benchmark_group("pool");
+    // Microsecond routines: the default 20 iterations time the clock.
+    g.sample_size(2_000);
+    for (stack, kind) in [
+        ("dense", OracleKind::Dense),
+        ("alt+cache", OracleKind::Alt { landmarks: 8 }),
+        ("ch+cache", OracleKind::Ch),
+    ] {
+        let backend = Arc::new(CityOracle::build(&s.graph, kind));
+        let stack_oracle = OracleStack::new(backend, Recorder::disabled());
+        let oracle = stack_oracle.top();
+        g.bench_function(format!("plan_route_quad_infeasible/{stack}"), |b| {
+            b.iter(|| plan_min_cost(black_box(&quad), now, limits, &oracle))
+        });
+        g.bench_function(format!("best_group_for/{stack}"), |b| {
+            b.iter(|| {
+                best_group_for(
+                    black_box(&center),
+                    &pool,
+                    now,
+                    limits,
+                    CliqueLimits::default(),
+                    CostWeights::default(),
+                    &oracle,
+                )
+            })
+        });
+    }
+    g.finish();
 }
 
 fn bench_pool(c: &mut Criterion) {
@@ -128,6 +236,6 @@ fn bench_pool(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pool
+    targets = bench_pool, bench_searches
 }
 criterion_main!(benches);

@@ -63,6 +63,14 @@ pub use worker::Worker;
 /// the road substrate answers the query (exact all-pairs table, on-demand
 /// Dijkstra, ...).
 ///
+/// # Contract
+/// `cost` is a shortest-path metric: `cost(a, a) == 0` and
+/// `cost(a, c) ≤ cost(a, b) + cost(b, c)` for every triple. The route
+/// planner's prunes and the clique search's subset gate rely on it —
+/// dropping a stop from a route never delays a later stop — so an oracle
+/// that is not a metric (a corrupted table, per-leg noise) may change
+/// which groups are found, not merely how fast.
+///
 /// `Send + Sync` is a supertrait so that one backend can be shared across
 /// threads — oracle builds fan out over scoped threads and `CachedOracle`
 /// wraps a shared backend; every backend in this workspace is an immutable
@@ -131,8 +139,10 @@ impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
 /// even an optimistic bound on a leg already violates a deadline, the exact
 /// cost would too, and the expensive exact query can be skipped. Backends:
 ///
-/// * the dense table answers `lower_bound == cost` (exact, O(1) — the
-///   filter degenerates to the previous behaviour at no extra cost),
+/// * the dense table and the contraction hierarchy answer
+///   `lower_bound == cost` and say so through
+///   [`bound_is_exact`](TravelBound::bound_is_exact), so a caller asks the
+///   leg once, through `cost`,
 /// * the ALT oracle answers with the landmark triangle-inequality bound
 ///   (`O(landmarks)` integer ops instead of an A* search),
 /// * anything else falls back to the default `0` (always admissible,
@@ -148,16 +158,56 @@ pub trait TravelBound: TravelCost {
     fn lower_bound(&self, _a: NodeId, _b: NodeId) -> Dur {
         0
     }
+
+    /// Whether `lower_bound(a, b) == cost(a, b)` for **every** pair: the
+    /// bound is then no cheaper than the answer, and "bound, then exact"
+    /// pays two queries for one leg. Defaults to `false`; a backend answers
+    /// `true` only when its bound *is* its exact query, and a wrapper
+    /// forwards its inner oracle's answer.
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        false
+    }
+
+    /// "Bound, then exact", spelled once: `Some(cost(a, b))` when the cost
+    /// is strictly below `limit`, else `None`. The exact query is skipped
+    /// when the bound already reaches `limit`, and the bound is skipped
+    /// when it is the exact query; the answer never depends on either
+    /// shortcut (the bound is admissible).
+    #[inline]
+    fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
+        if !self.bound_is_exact() && self.lower_bound(a, b) >= limit {
+            return None;
+        }
+        let cost = self.cost(a, b);
+        (cost < limit).then_some(cost)
+    }
 }
 
 impl<T: TravelBound + ?Sized> TravelBound for &T {
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).lower_bound(a, b)
     }
+
+    fn bound_is_exact(&self) -> bool {
+        (**self).bound_is_exact()
+    }
+
+    fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
+        (**self).cost_if_below(a, b, limit)
+    }
 }
 
 impl<T: TravelBound + ?Sized> TravelBound for std::sync::Arc<T> {
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).lower_bound(a, b)
+    }
+
+    fn bound_is_exact(&self) -> bool {
+        (**self).bound_is_exact()
+    }
+
+    fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
+        (**self).cost_if_below(a, b, limit)
     }
 }

@@ -1,10 +1,11 @@
 //! Deterministic fork-join execution for setup-time work.
 //!
-//! [`Exec`] is an order-preserving chunked `map` over
-//! [`std::thread::scope`], with a strictly sequential fast path when one
-//! thread is configured (or the input is too small to be worth forking).
-//! Its callers parallelize **pure computation** at oracle-build time
-//! (contraction-hierarchy core distances and access sets) and commit
+//! [`Exec`] is an order-preserving chunked `map` (and an in-place row
+//! fill, [`Exec::fill_rows`]) over [`std::thread::scope`], with a strictly
+//! sequential fast path when one thread is configured (or the input is
+//! too small to be worth forking). Its callers parallelize **pure
+//! computation** at oracle-build time (the dense table's rows,
+//! contraction-hierarchy core distances and access sets) and commit
 //! results sequentially, so a build is bit-identical for any thread
 //! count. Dispatch itself is single-threaded: at the pool depths this
 //! repo reaches (~1 000 pending, 0.07–0.5 ms per order) a spawn + join
@@ -147,6 +148,34 @@ impl Exec {
         });
         out.into_iter().flatten().collect()
     }
+
+    /// Fill a preallocated row-major `table` of `row_len`-wide rows in
+    /// place: `f(first_row, rows)` receives one contiguous, whole-row block
+    /// and the index of its first row. The same contiguous split as
+    /// [`Exec::map_indexed`] (one block when sequential), so a table is
+    /// bit-identical for every thread count — without ever holding the
+    /// rows a second time in per-row vectors.
+    pub fn fill_rows<T, F>(&self, table: &mut [T], row_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        if table.is_empty() {
+            return;
+        }
+        let n = table.len() / row_len;
+        debug_assert_eq!(table.len(), n * row_len, "table is not whole rows");
+        if self.threads == 1 || n < MIN_PARALLEL_ITEMS {
+            return f(0, table);
+        }
+        let chunk = n.div_ceil(self.threads);
+        std::thread::scope(|scope| {
+            for (rows, first_row) in table.chunks_mut(chunk * row_len).zip((0..n).step_by(chunk)) {
+                let f = &f;
+                scope.spawn(move || f(first_row, rows));
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +215,26 @@ mod tests {
         let exec = Exec::new(4);
         assert_eq!(exec.map(&[] as &[u32], |x| *x), Vec::<u32>::new());
         assert_eq!(exec.map(&[7u32], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn fill_rows_writes_every_row_once_for_any_thread_count() {
+        // 10 rows of 3: uneven split at 4 threads, more threads than rows
+        // at 16, nothing at all for the empty table.
+        let expect: Vec<usize> = (0..30).map(|i| (i / 3) * 100 + i % 3).collect();
+        for threads in [1, 2, 3, 4, 16] {
+            let mut table = vec![usize::MAX; 30];
+            Exec::new(threads).fill_rows(&mut table, 3, |first_row, rows| {
+                for (r, row) in rows.chunks_mut(3).enumerate() {
+                    for (c, cell) in row.iter_mut().enumerate() {
+                        assert_eq!(*cell, usize::MAX, "cell written twice");
+                        *cell = (first_row + r) * 100 + c;
+                    }
+                }
+            });
+            assert_eq!(table, expect, "threads={threads}");
+            Exec::new(threads).fill_rows(&mut [] as &mut [u8], 0, |_, _| unreachable!());
+        }
     }
 
     #[test]

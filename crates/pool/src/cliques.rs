@@ -10,9 +10,24 @@
 //! cost and truncated to a configurable fan-out so that dense hot spots do
 //! not blow up the search. Within that candidate set we grow id-ordered
 //! cliques up to the maximum group size.
+//!
+//! # Feasibility is monotone
+//!
+//! Delete one order's two stops from a feasible route: over a shortest-path
+//! metric (the [`TravelCost`](watter_core::TravelCost) contract) no
+//! remaining stop is reached later and no load grows, so the rest is a
+//! feasible route for the smaller group. Hence **a group is infeasible as
+//! soon as any subset of it is** — Theorem IV.1's necessary condition, one
+//! level up. The walk uses it twice: it only extends feasible groups, and
+//! before it plans `S ∪ {x}` it requires every `S ∪ {x} ∖ {y}` (centre
+//! kept) to be feasible. Those subsets are exactly groups the walk would
+//! plan anyway, later, so checking them first through a memo makes no
+//! planner call the ungated walk would not make, and skips the — usually
+//! largest, most expensive — plans whose answer is already known.
 
-use crate::planner::{plan_min_cost, PlanLimits};
+use crate::planner::{Plan, PlanLimits, PlanScratch};
 use crate::share_graph::ShareGraph;
+use std::collections::HashMap;
 use std::sync::Arc;
 use watter_core::{CostWeights, Group, Order, OrderId, TravelBound, Ts};
 
@@ -39,7 +54,8 @@ impl Default for CliqueLimits {
 
 /// The best (minimal mean extra time) feasible **shared** group containing
 /// `center`, i.e. a validated clique of size ≥ 2, or `None` if the order has
-/// no live shareable partner.
+/// no live shareable partner. Among equal means the first group in walk
+/// order wins.
 pub fn best_group_for<C: TravelBound>(
     center: &Arc<Order>,
     graph: &ShareGraph,
@@ -49,29 +65,19 @@ pub fn best_group_for<C: TravelBound>(
     weights: CostWeights,
     oracle: &C,
 ) -> Option<Group> {
-    let candidates = ranked_candidates(center, graph, now, clique);
-    if candidates.is_empty() {
-        return None;
-    }
     let mut best: Option<(f64, Group)> = None;
-    let mut members = Members::with_center(center, clique.max_group_size);
-    grow(
-        &mut members,
-        &candidates,
-        0,
-        graph,
-        now,
-        limits,
-        clique,
-        weights,
-        oracle,
-        &mut best,
-    );
+    Walk::new(center, graph, now, limits, clique, oracle).run(&mut |group: Group| {
+        let mean = group.mean_extra_time(now, weights);
+        if best.as_ref().is_none_or(|(b, _)| mean < *b) {
+            best = Some((mean, group));
+        }
+    });
     best.map(|(_, g)| g)
 }
 
-/// Enumerate **all** validated shared groups (size ≥ 2) containing `center`
-/// — used by tests and by the GAS baseline's additive construction.
+/// Enumerate **all** validated shared groups (size ≥ 2) containing `center`,
+/// in walk order — what an arriving order offers its neighbours
+/// ([`OrderPool::insert`](crate::OrderPool::insert)).
 pub fn all_groups_for<C: TravelBound>(
     center: &Arc<Order>,
     graph: &ShareGraph,
@@ -80,20 +86,8 @@ pub fn all_groups_for<C: TravelBound>(
     clique: CliqueLimits,
     oracle: &C,
 ) -> Vec<Group> {
-    let candidates = ranked_candidates(center, graph, now, clique);
     let mut out = Vec::new();
-    let mut members = Members::with_center(center, clique.max_group_size);
-    collect(
-        &mut members,
-        &candidates,
-        0,
-        graph,
-        now,
-        limits,
-        clique,
-        oracle,
-        &mut out,
-    );
+    Walk::new(center, graph, now, limits, clique, oracle).run(&mut |group| out.push(group));
     out
 }
 
@@ -118,150 +112,148 @@ fn ranked_candidates<'g>(
         .collect()
 }
 
-/// The clique under construction: shared handles (cloned into emitted
-/// groups for the price of a refcount bump) plus a parallel plain-reference
-/// vector kept in sync for the planner, so the hot search loop allocates
-/// nothing per candidate.
-struct Members<'a> {
-    handles: Vec<&'a Arc<Order>>,
+/// What the walk has learnt about one member set.
+enum Verdict {
+    Infeasible,
+    /// The set's plan waits here from the moment it is made — possibly
+    /// ahead of time, as another set's subset — until the walk reaches the
+    /// set and emits it.
+    Feasible(Option<Plan>),
+}
+
+/// One depth-first walk over the cliques containing `center`: try extending
+/// the member set with each candidate after its last member, emit every
+/// feasible group, extend only those. Groups are emitted in that order and
+/// list their members in it (centre first, then ascending candidate rank),
+/// whatever order the plans were made in.
+struct Walk<'a, C: TravelBound> {
+    center: &'a Arc<Order>,
+    candidates: Vec<&'a Arc<Order>>,
+    graph: &'a ShareGraph,
+    now: Ts,
+    limits: PlanLimits,
+    max_group_size: usize,
+    oracle: &'a C,
+    /// The member set under construction: candidate ranks after the
+    /// centre, ascending.
+    members: Vec<usize>,
+    /// Every set planned (or ruled out) so far, keyed like `members` — a
+    /// list, so no fan-out is too wide for the key.
+    memo: HashMap<Vec<usize>, Verdict>,
+    /// The planner's view of a set, rebuilt per plan without allocating.
     refs: Vec<&'a Order>,
+    scratch: PlanScratch,
 }
 
-impl<'a> Members<'a> {
-    fn with_center(center: &'a Arc<Order>, capacity: usize) -> Self {
-        let mut m = Self {
-            handles: Vec::with_capacity(capacity),
-            refs: Vec::with_capacity(capacity),
+impl<'a, C: TravelBound> Walk<'a, C> {
+    fn new(
+        center: &'a Arc<Order>,
+        graph: &'a ShareGraph,
+        now: Ts,
+        limits: PlanLimits,
+        clique: CliqueLimits,
+        oracle: &'a C,
+    ) -> Self {
+        Self {
+            center,
+            candidates: ranked_candidates(center, graph, now, clique),
+            graph,
+            now,
+            limits,
+            max_group_size: clique.max_group_size,
+            oracle,
+            members: Vec::with_capacity(clique.max_group_size),
+            memo: HashMap::new(),
+            refs: Vec::with_capacity(clique.max_group_size),
+            scratch: PlanScratch::default(),
+        }
+    }
+
+    fn run(mut self, visit: &mut impl FnMut(Group)) {
+        self.extend(0, self.center.riders, visit);
+    }
+
+    /// Try each candidate from rank `from` on as the next member; `riders`
+    /// is the current set's head count.
+    fn extend(&mut self, from: usize, riders: u32, visit: &mut impl FnMut(Group)) {
+        for i in from..self.candidates.len() {
+            let cand = self.candidates[i];
+            let riders = riders + cand.riders;
+            if riders > self.limits.capacity || !self.extends_clique(cand) {
+                continue;
+            }
+            self.members.push(i);
+            if self.feasible() {
+                let Some(Verdict::Feasible(plan)) = self.memo.get_mut(&self.members) else {
+                    unreachable!("feasible() records its verdict");
+                };
+                let plan = plan.take().expect("the walk reaches each set once");
+                visit(plan.into_group(self.orders()));
+                if self.members.len() + 1 < self.max_group_size {
+                    self.extend(i + 1, riders, visit);
+                }
+            }
+            self.members.pop();
+        }
+    }
+
+    /// Whether `self.members` has a feasible route, planning it at most
+    /// once — and not at all when one of its subsets is already known (or
+    /// now found) to have none.
+    fn feasible(&mut self) -> bool {
+        if let Some(verdict) = self.memo.get(&self.members) {
+            return matches!(verdict, Verdict::Feasible(_));
+        }
+        let gated = self.members.len() >= 2
+            && (0..self.members.len()).any(|at| {
+                let left_out = self.members.remove(at);
+                let subset_feasible = self.feasible();
+                self.members.insert(at, left_out);
+                !subset_feasible
+            });
+        let plan = if gated {
+            debug_assert!(
+                self.plan().is_none(),
+                "{:?} + {:?} has a route although a subset has none",
+                self.center.id,
+                self.members
+            );
+            None
+        } else {
+            self.plan()
         };
-        m.push(center);
-        m
+        let feasible = plan.is_some();
+        let verdict = plan.map_or(Verdict::Infeasible, |p| Verdict::Feasible(Some(p)));
+        self.memo.insert(self.members.clone(), verdict);
+        feasible
     }
 
-    fn push(&mut self, o: &'a Arc<Order>) {
-        self.handles.push(o);
-        self.refs.push(o.as_ref());
+    /// Plan `self.members` (centre first).
+    fn plan(&mut self) -> Option<Plan> {
+        self.refs.clear();
+        self.refs.push(self.center);
+        self.refs
+            .extend(self.members.iter().map(|&i| self.candidates[i].as_ref()));
+        self.scratch
+            .plan_min_cost(&self.refs, self.now, self.limits, self.oracle)
     }
 
-    fn pop(&mut self) {
-        self.handles.pop();
-        self.refs.pop();
+    /// `cand` extends the current member set to a larger clique iff it is
+    /// adjacent to every current member (to the centre it is: candidates
+    /// are its neighbours).
+    fn extends_clique(&self, cand: &Order) -> bool {
+        self.members
+            .iter()
+            .all(|&m| self.graph.connected(self.candidates[m].id, cand.id))
     }
 
-    fn len(&self) -> usize {
-        self.handles.len()
+    /// The member handles as a group's order list (a refcount bump each).
+    fn orders(&self) -> Vec<Arc<Order>> {
+        std::iter::once(self.center)
+            .chain(self.members.iter().map(|&i| self.candidates[i]))
+            .cloned()
+            .collect()
     }
-
-    fn riders(&self) -> u32 {
-        self.refs.iter().map(|o| o.riders).sum()
-    }
-
-    /// Clone the member handles into a group's order list.
-    fn to_orders(&self) -> Vec<Arc<Order>> {
-        self.handles.iter().map(|&o| Arc::clone(o)).collect()
-    }
-}
-
-/// Best-group search: try extending the clique with each candidate from
-/// `from` on, recursing over the candidates after it.
-#[allow(clippy::too_many_arguments)]
-fn grow<'a, C: TravelBound>(
-    members: &mut Members<'a>,
-    candidates: &[&'a Arc<Order>],
-    from: usize,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    weights: CostWeights,
-    oracle: &C,
-    best: &mut Option<(f64, Group)>,
-) {
-    for i in from..candidates.len() {
-        let cand = candidates[i];
-        if !extends_clique(&members.refs, cand, graph)
-            || members.riders() + cand.riders > limits.capacity
-        {
-            continue;
-        }
-        members.push(cand);
-        if let Some(plan) = plan_min_cost(&members.refs, now, limits, oracle) {
-            let group = plan.into_group(members.to_orders());
-            let mean = group.mean_extra_time(now, weights);
-            let better = match best {
-                Some((b, _)) => mean < *b,
-                None => true,
-            };
-            if better {
-                *best = Some((mean, group));
-            }
-            // Only a *feasible* subgroup is worth extending: route
-            // feasibility is monotone-ish in practice and this keeps the
-            // search linear in the number of useful cliques.
-            if members.len() < clique.max_group_size {
-                grow(
-                    members,
-                    candidates,
-                    i + 1,
-                    graph,
-                    now,
-                    limits,
-                    clique,
-                    weights,
-                    oracle,
-                    best,
-                );
-            }
-        }
-        members.pop();
-    }
-}
-
-/// All-groups enumeration: the same walk as [`grow`], emitting every
-/// validated group in DFS order.
-#[allow(clippy::too_many_arguments)]
-fn collect<'a, C: TravelBound>(
-    members: &mut Members<'a>,
-    candidates: &[&'a Arc<Order>],
-    from: usize,
-    graph: &ShareGraph,
-    now: Ts,
-    limits: PlanLimits,
-    clique: CliqueLimits,
-    oracle: &C,
-    out: &mut Vec<Group>,
-) {
-    for i in from..candidates.len() {
-        let cand = candidates[i];
-        if !extends_clique(&members.refs, cand, graph)
-            || members.riders() + cand.riders > limits.capacity
-        {
-            continue;
-        }
-        members.push(cand);
-        if let Some(plan) = plan_min_cost(&members.refs, now, limits, oracle) {
-            out.push(plan.into_group(members.to_orders()));
-            if members.len() < clique.max_group_size {
-                collect(
-                    members,
-                    candidates,
-                    i + 1,
-                    graph,
-                    now,
-                    limits,
-                    clique,
-                    oracle,
-                    out,
-                );
-            }
-        }
-        members.pop();
-    }
-}
-
-/// `cand` extends the current member set to a larger clique iff it is
-/// adjacent to every current member.
-fn extends_clique(members: &[&Order], cand: &Order, graph: &ShareGraph) -> bool {
-    members.iter().all(|m| graph.connected(m.id, cand.id))
 }
 
 #[cfg(test)]

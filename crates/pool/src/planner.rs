@@ -12,18 +12,41 @@
 //! stop `l_1`; the worker's approach drive is charged separately by the
 //! simulator.
 //!
-//! The search is branch-and-bound over stop interleavings with two prunes:
-//! cost-so-far ≥ incumbent, and a lower bound on each not-yet-dropped
-//! order's remaining leg versus its deadline. The remaining-leg prune asks
-//! the oracle for an *optimistic* bound
-//! ([`TravelBound::lower_bound`]) rather than the exact cost: on the dense
-//! table the bound **is** the exact cost (identical pruning, O(1)); on the
-//! ALT oracle it is the landmark bound (`O(landmarks)` instead of an A*
-//! search per candidate state). Pruning strength may differ between
-//! backends but the returned route never does — prunes only discard
-//! provably infeasible or non-improving subtrees. Group sizes are small
-//! (≤ vehicle capacity, ≤ 5 in all experiments), so the search is a few
-//! hundred states at worst.
+//! # The search
+//!
+//! Depth-first over stop interleavings, orders tried in index order, a
+//! complete route accepted only when **strictly** cheaper than the
+//! incumbent. So among equal-cost optima the planner returns the first one
+//! that walk meets — the tie-break every golden fingerprint and digest
+//! rests on. Four prunes cut the walk; each discards only subtrees that
+//! hold no strictly cheaper feasible completion, so none of them can move
+//! the answer, whatever the backend:
+//!
+//! 1. **Incumbent** — the cost so far already reaches the incumbent's.
+//! 2. **Deadline** — an order on board cannot make its deadline even over
+//!    an optimistic leg straight to its drop-off.
+//! 3. **Bound** — the cost so far plus that optimistic leg already reaches
+//!    the incumbent's cost (the route still has to get there).
+//! 4. **Dominance** — the same set of orders waiting / on board / dropped
+//!    was reached at the same last stop no later than now: every prune is
+//!    monotone in the elapsed time and the incumbent only improves, so the
+//!    earlier arrival already offered every completion this one has.
+//!
+//! 2–4 lean on the oracle being a shortest-path metric (the
+//! [`TravelCost`](watter_core::TravelCost) contract). A pick-up is expanded
+//! through [`TravelBound::cost_if_below`], so a leg whose bound already
+//! leaves no room for the order's direct ride costs no exact query.
+//!
+//! What "optimistic leg" costs depends on the backend, and the backend
+//! says which ([`TravelBound::bound_is_exact`], read once per plan): when
+//! the bound *is* the cost (dense table, contraction hierarchy) the leg is
+//! asked through `cost()` — where a cache in front sees it — and reused as
+//! the exact leg of the drop-off expansion that follows, one query per
+//! (node, stop) and no `lower_bound` call at all; otherwise (ALT) the
+//! landmark bound prunes and only surviving expansions pay an A* search.
+//! A four-order plan still visits ~130 nodes on average on a deep pool
+//! (thousands at worst), which is why each of them asks as little as it
+//! can.
 //!
 //! The search knows the elapsed time at every drop-off of its incumbent, so
 //! a [`Plan`] hands back each order's sub-route cost `T(L^(i))` with the
@@ -31,7 +54,7 @@
 //! oracle again.
 
 use std::sync::Arc;
-use watter_core::{Dur, Group, Order, Route, Stop, TravelBound, Ts};
+use watter_core::{Dur, Group, NodeId, Order, Route, Stop, TravelBound, Ts};
 
 /// A planned route together with what the search learnt on the way.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,6 +94,44 @@ impl Default for PlanLimits {
 /// long before this).
 const MAX_ORDERS: usize = 16;
 
+/// Group sizes whose search keeps the dominance memo: a pair's walk has
+/// next to no repeated state, and past five orders the `3ᵏ·2k` table
+/// outgrows what it saves.
+const MEMO_SIZES: std::ops::RangeInclusive<usize> = 3..=5;
+
+/// `3ⁱ`: the weight of order `i` in the base-3 search-state index
+/// (0 waiting, 1 on board, 2 dropped).
+const POW3: [usize; MAX_ORDERS] = {
+    let mut p = [1; MAX_ORDERS];
+    let mut i = 1;
+    while i < MAX_ORDERS {
+        p[i] = p[i - 1] * 3;
+        i += 1;
+    }
+    p
+};
+
+/// Buffer a caller lends to consecutive plans (one per clique search), so
+/// the dominance memo is allocated once and only re-filled per plan.
+#[derive(Debug, Default)]
+pub(crate) struct PlanScratch {
+    /// Least elapsed time seen per `(state, last stop)`; see [`Search`].
+    least_elapsed: Vec<Dur>,
+}
+
+impl PlanScratch {
+    /// [`plan_min_cost`] on this buffer.
+    pub(crate) fn plan_min_cost<C: TravelBound>(
+        &mut self,
+        orders: &[&Order],
+        now: Ts,
+        limits: PlanLimits,
+        oracle: &C,
+    ) -> Option<Plan> {
+        plan_impl(None, orders, now, limits, oracle, self).map(|(plan, _)| plan)
+    }
+}
+
 /// Stop encoding used during search: order index ×2, +1 for drop-off.
 #[inline]
 fn is_dropoff(code: u8) -> bool {
@@ -88,7 +149,14 @@ struct Search<'a, C: TravelBound> {
     capacity: u32,
     /// Fixed route origin (worker location) whose approach leg counts into
     /// both cost and deadlines; `None` for the paper's free-start model.
-    start: Option<watter_core::NodeId>,
+    start: Option<NodeId>,
+    /// The oracle's bound is its cost: optimistic legs are asked through
+    /// `cost()` and reused, `lower_bound()` is never called.
+    exact: bool,
+    /// Dominance memo, `3ᵏ·2k` slots indexed `state · 2k + last stop`
+    /// (empty outside [`MEMO_SIZES`]): the least elapsed time any node in
+    /// that search state has been entered with.
+    least_elapsed: &'a mut [Dur],
     best_cost: Dur,
     best_seq: Vec<u8>,
     /// `drop_at` of the incumbent.
@@ -100,7 +168,7 @@ struct Search<'a, C: TravelBound> {
 }
 
 impl<C: TravelBound> Search<'_, C> {
-    fn node_of(&self, code: u8) -> watter_core::NodeId {
+    fn node_of(&self, code: u8) -> NodeId {
         let o = self.orders[order_of(code)];
         if is_dropoff(code) {
             o.dropoff
@@ -109,10 +177,11 @@ impl<C: TravelBound> Search<'_, C> {
         }
     }
 
-    /// `picked`/`dropped` are bitmasks over order indices.
-    fn recurse(&mut self, picked: u32, dropped: u32, elapsed: Dur, onboard: u32) {
-        let k = self.orders.len() as u32;
-        if dropped.count_ones() == k {
+    /// `picked`/`dropped` are bitmasks over order indices; `state` is the
+    /// same information as a base-3 index ([`POW3`]).
+    fn recurse(&mut self, picked: u32, dropped: u32, state: usize, elapsed: Dur, onboard: u32) {
+        let k = self.orders.len();
+        if dropped.count_ones() as usize == k {
             if elapsed < self.best_cost {
                 self.best_cost = elapsed;
                 self.best_seq.clone_from(&self.seq);
@@ -123,22 +192,35 @@ impl<C: TravelBound> Search<'_, C> {
         if elapsed >= self.best_cost {
             return;
         }
-        let cur = self.seq.last().map(|&c| self.node_of(c)).or(self.start);
-        // Lower-bound prune: every picked-but-not-dropped order still needs
-        // at least cost(cur, dropoff) more seconds.
+        let last = self.seq.last().copied();
+        if let (Some(last), false) = (last, self.least_elapsed.is_empty()) {
+            let seen = &mut self.least_elapsed[state * 2 * k + last as usize];
+            if elapsed >= *seen {
+                return;
+            }
+            *seen = elapsed;
+        }
+        let cur = last.map(|c| self.node_of(c)).or(self.start);
+        // Every order on board still needs at least its optimistic leg from
+        // here: that must fit its deadline, and beat the incumbent.
+        let mut owed = [0; MAX_ORDERS];
         if let Some(cur) = cur {
-            for i in 0..self.orders.len() {
+            for (i, o) in self.orders.iter().enumerate() {
                 let bit = 1u32 << i;
                 if picked & bit != 0 && dropped & bit == 0 {
-                    let o = self.orders[i];
-                    let lb = self.oracle.lower_bound(cur, o.dropoff);
-                    if self.now + elapsed + lb >= o.deadline {
+                    let leg = if self.exact {
+                        self.oracle.cost(cur, o.dropoff)
+                    } else {
+                        self.oracle.lower_bound(cur, o.dropoff)
+                    };
+                    if self.now + elapsed + leg >= o.deadline || elapsed + leg >= self.best_cost {
                         return;
                     }
+                    owed[i] = leg;
                 }
             }
         }
-        for i in 0..self.orders.len() {
+        for i in 0..k {
             let bit = 1u32 << i;
             let o = self.orders[i];
             if picked & bit == 0 {
@@ -147,26 +229,43 @@ impl<C: TravelBound> Search<'_, C> {
                 if new_onboard > self.capacity {
                     continue;
                 }
-                let leg = cur.map_or(0, |c| self.oracle.cost(c, o.pickup));
                 // Even reaching the pick-up must leave room to meet the
                 // deadline via the direct leg.
-                let new_elapsed = elapsed + leg;
-                if self.now + new_elapsed + o.direct_cost >= o.deadline {
-                    continue;
-                }
+                let room = o.deadline - self.now - elapsed - o.direct_cost;
+                let leg = match cur {
+                    Some(cur) => self.oracle.cost_if_below(cur, o.pickup, room),
+                    None => (0 < room).then_some(0),
+                };
+                let Some(leg) = leg else { continue };
                 self.seq.push((i as u8) << 1);
-                self.recurse(picked | bit, dropped, new_elapsed, new_onboard);
+                self.recurse(
+                    picked | bit,
+                    dropped,
+                    state + POW3[i],
+                    elapsed + leg,
+                    new_onboard,
+                );
                 self.seq.pop();
             } else if dropped & bit == 0 {
-                // try dropping off order i
-                let leg = cur.map_or(0, |c| self.oracle.cost(c, o.dropoff));
+                // try dropping off order i: the owed leg, exactly
+                let leg = match cur {
+                    Some(_) if self.exact => owed[i],
+                    Some(cur) => self.oracle.cost(cur, o.dropoff),
+                    None => 0,
+                };
                 let new_elapsed = elapsed + leg;
                 if self.now + new_elapsed >= o.deadline {
                     continue;
                 }
                 self.seq.push(((i as u8) << 1) | 1);
                 self.drop_at[i] = new_elapsed;
-                self.recurse(picked, dropped | bit, new_elapsed, onboard - o.riders);
+                self.recurse(
+                    picked,
+                    dropped | bit,
+                    state + POW3[i],
+                    new_elapsed,
+                    onboard - o.riders,
+                );
                 self.seq.pop();
             }
         }
@@ -184,7 +283,7 @@ pub fn plan_min_cost<C: TravelBound>(
     limits: PlanLimits,
     oracle: &C,
 ) -> Option<Plan> {
-    plan_impl(None, orders, now, limits, oracle).map(|(plan, _)| plan)
+    PlanScratch::default().plan_min_cost(orders, now, limits, oracle)
 }
 
 /// Like [`plan_min_cost`] but the route starts from a fixed node (a
@@ -196,21 +295,23 @@ pub fn plan_min_cost<C: TravelBound>(
 /// from the first stop) together with the total cost including the
 /// approach drive.
 pub fn plan_with_start<C: TravelBound>(
-    start: watter_core::NodeId,
+    start: NodeId,
     orders: &[&Order],
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
 ) -> Option<(Plan, Dur)> {
-    plan_impl(Some(start), orders, now, limits, oracle)
+    let mut scratch = PlanScratch::default();
+    plan_impl(Some(start), orders, now, limits, oracle, &mut scratch)
 }
 
 fn plan_impl<C: TravelBound>(
-    start: Option<watter_core::NodeId>,
+    start: Option<NodeId>,
     orders: &[&Order],
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
+    scratch: &mut PlanScratch,
 ) -> Option<(Plan, Dur)> {
     if orders.is_empty() || orders.len() > MAX_ORDERS {
         return None;
@@ -219,19 +320,26 @@ fn plan_impl<C: TravelBound>(
     if orders.iter().any(|o| o.riders > limits.capacity) {
         return None;
     }
+    let k = orders.len();
+    scratch.least_elapsed.clear();
+    if MEMO_SIZES.contains(&k) {
+        scratch.least_elapsed.resize(POW3[k] * 2 * k, Dur::MAX);
+    }
     let mut s = Search {
         orders,
         oracle,
         now,
         capacity: limits.capacity,
         start,
+        exact: oracle.bound_is_exact(),
+        least_elapsed: &mut scratch.least_elapsed,
         best_cost: Dur::MAX / 4,
         best_seq: Vec::new(),
         best_drop_at: [0; MAX_ORDERS],
-        seq: Vec::with_capacity(orders.len() * 2),
+        seq: Vec::with_capacity(k * 2),
         drop_at: [0; MAX_ORDERS],
     };
-    s.recurse(0, 0, 0, 0);
+    s.recurse(0, 0, 0, 0, 0);
     if s.best_seq.is_empty() {
         return None;
     }
@@ -254,10 +362,7 @@ fn plan_impl<C: TravelBound>(
         (Some(st), Some(first)) => oracle.cost(st, first.node),
         _ => 0,
     };
-    let subroute_costs = s.best_drop_at[..orders.len()]
-        .iter()
-        .map(|at| at - approach)
-        .collect();
+    let subroute_costs = s.best_drop_at[..k].iter().map(|at| at - approach).collect();
     let plan = Plan {
         route: Route::with_cost(stops, total - approach, oracle),
         subroute_costs,

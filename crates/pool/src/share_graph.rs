@@ -391,29 +391,22 @@ fn pair_edge<C: TravelBound>(
 /// if that already busts the second order's deadline in both pick-up orders,
 /// the pair is infeasible.
 ///
-/// The check is bound-guided: each arm is first tested against the
-/// oracle's [`lower_bound`](TravelBound::lower_bound) (free when ALT
-/// landmarks are active, exact on the dense table) and only arms the
-/// optimistic bound cannot rule out pay for an exact query. Because the
-/// bound is admissible, admission is **identical** to an exact-only filter
-/// (`tests/accel.rs` proves it property-wise).
+/// The check is bound-guided ([`TravelBound::cost_if_below`]): an arm pays
+/// for an exact query only when the oracle's optimistic bound cannot rule
+/// it out — and asks nothing but the exact query where the bound is one.
+/// Because the bound is admissible, admission is **identical** to an
+/// exact-only filter (`tests/accel.rs` proves it property-wise).
 pub fn pair_prefilter<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C) -> bool {
-    let a_solo = now + a.direct_cost < a.deadline;
-    let b_solo = now + b.direct_cost < b.deadline;
-    // Bound phase: optimistic pick-up legs.
-    let a_first_maybe =
-        a_solo && now + oracle.lower_bound(a.pickup, b.pickup) + b.direct_cost < b.deadline;
-    let b_first_maybe =
-        b_solo && now + oracle.lower_bound(b.pickup, a.pickup) + a.direct_cost < a.deadline;
-    if !a_first_maybe && !b_first_maybe {
-        return false;
-    }
-    // Exact phase, only for arms the bound could not rule out. Route
-    // starting at a's pickup: b picked up after ≥ cost(p_a, p_b) seconds.
-    if a_first_maybe && now + oracle.cost(a.pickup, b.pickup) + b.direct_cost < b.deadline {
-        return true;
-    }
-    b_first_maybe && now + oracle.cost(b.pickup, a.pickup) + a.direct_cost < a.deadline
+    // `first` is picked up first and can still ride alone; `second` boards
+    // after ≥ cost(p_first, p_second) seconds and then needs its direct leg.
+    let arm = |first: &Order, second: &Order| {
+        let room = second.deadline - now - second.direct_cost;
+        now + first.direct_cost < first.deadline
+            && oracle
+                .cost_if_below(first.pickup, second.pickup, room)
+                .is_some()
+    };
+    arm(a, b) || arm(b, a)
 }
 
 #[cfg(test)]

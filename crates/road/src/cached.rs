@@ -280,6 +280,13 @@ impl<C: TravelBound> TravelBound for CachedOracle<C> {
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         self.inner.lower_bound(a, b)
     }
+
+    /// The inner oracle's answer: over an exact-bound backend a caller
+    /// asks each leg through `cost`, where this cache sees it.
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        self.inner.bound_is_exact()
+    }
 }
 
 #[cfg(test)]

@@ -126,8 +126,7 @@ struct Arc_ {
 /// Exact contraction-hierarchy travel-cost oracle.
 ///
 /// Build once per graph ([`ChOracle::build`]); queries are `&self` and run
-/// on a thread-local workspace, so one instance serves the parallel
-/// dispatch engine without locking.
+/// on a thread-local workspace, so a shared instance needs no locking.
 #[derive(Debug)]
 pub struct ChOracle {
     graph: Arc<RoadGraph>,
@@ -601,17 +600,19 @@ impl ChOracle {
                 });
             }
         }
-        let core_table: Vec<Dur> = exec
-            .map_indexed(core_len, |i| {
-                WITNESS.with(|ws| {
-                    let mut ws = ws.borrow_mut();
-                    ws.search(&core_adj, i as u32, u32::MAX, UNREACHABLE, usize::MAX, &[]);
-                    ws.dist[..core_len].to_vec()
-                })
+        // Each sweep lands in its row of the one preallocated table, so
+        // the build never holds the (8 MB at 1 024 core nodes) table twice.
+        let mut core_table: Vec<Dur> = vec![UNREACHABLE; core_len * core_len];
+        exec.fill_rows(&mut core_table, core_len, |first_row, rows| {
+            WITNESS.with(|ws| {
+                let mut ws = ws.borrow_mut();
+                for (r, row) in rows.chunks_mut(core_len).enumerate() {
+                    let src = (first_row + r) as u32;
+                    ws.search(&core_adj, src, u32::MAX, UNREACHABLE, usize::MAX, &[]);
+                    row.copy_from_slice(&ws.dist[..core_len]);
+                }
             })
-            .into_iter()
-            .flatten()
-            .collect();
+        });
 
         let collect = |adj: &[Vec<Arc_>]| -> Vec<(u32, u32, Dur)> {
             adj.iter()
@@ -1011,6 +1012,12 @@ impl TravelBound for ChOracle {
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         self.cost(a, b)
+    }
+
+    /// The bound is a full query: a caller that knows asks once.
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        true
     }
 }
 

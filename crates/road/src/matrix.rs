@@ -15,7 +15,7 @@
 use crate::dijkstra::UNREACHABLE;
 use crate::graph::RoadGraph;
 use crate::workspace::DijkstraWorkspace;
-use watter_core::{Dur, NodeId, TravelBound, TravelCost};
+use watter_core::{Dur, Exec, NodeId, TravelBound, TravelCost};
 
 /// Dense all-pairs travel-time table implementing [`TravelCost`] in O(1).
 #[derive(Clone, Debug)]
@@ -48,24 +48,18 @@ impl CostMatrix {
     }
 
     /// Build with an explicit worker-thread count. Rows are split into
-    /// `threads` contiguous blocks, one scoped thread each; every thread
+    /// `threads` contiguous blocks ([`Exec::fill_rows`]); every block
     /// reuses one [`DijkstraWorkspace`] across its sweeps. Results are
     /// bit-identical for any `threads`.
     pub fn build_with_threads(graph: &RoadGraph, threads: usize) -> Self {
         let n = graph.node_count();
         let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 || n == 0 {
+        if threads <= 1 {
             return Self::build_serial(graph);
         }
         let mut data = vec![u32::MAX; n * n];
-        let rows_per = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk, first_row) in data.chunks_mut(rows_per * n).zip((0..n).step_by(rows_per)) {
-                scope.spawn(move || {
-                    let mut ws = DijkstraWorkspace::new(n);
-                    fill_rows(graph, first_row, chunk, &mut ws);
-                });
-            }
+        Exec::new(threads).fill_rows(&mut data, n, |first_row, rows| {
+            fill_rows(graph, first_row, rows, &mut DijkstraWorkspace::new(n));
         });
         Self { n, data }
     }
@@ -150,6 +144,11 @@ impl TravelBound for CostMatrix {
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         self.cost(a, b)
+    }
+
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        true
     }
 }
 

@@ -123,6 +123,15 @@ impl TravelBound for CityOracle {
             CityOracle::Ch(o) => o.lower_bound(a, b),
         }
     }
+
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        match self {
+            CityOracle::Dense(m) => m.bound_is_exact(),
+            CityOracle::Alt(o) => o.bound_is_exact(),
+            CityOracle::Ch(o) => o.bound_is_exact(),
+        }
+    }
 }
 
 /// The oracle stack a run prices its legs through. Its shape follows the

@@ -93,11 +93,11 @@ impl Fleet {
     /// Ties on approach cost break toward the **lowest `WorkerId`** — an
     /// explicit part of the contract, not an accident of scan order.
     ///
-    /// Bound-guided: a worker whose admissible
-    /// [`lower_bound`](TravelBound::lower_bound) already reaches the
-    /// incumbent's cost is skipped without the exact approach query.
-    /// Workers are scanned in ascending id, so such a worker could at best
-    /// tie — and a tie goes to the incumbent.
+    /// Bound-guided ([`TravelBound::cost_if_below`]): a worker whose
+    /// admissible bound already reaches the incumbent's cost is skipped
+    /// without the exact approach query. Workers are scanned in ascending
+    /// id, so such a worker could at best tie — and a tie goes to the
+    /// incumbent.
     pub fn nearest_idle<C: TravelBound>(
         &self,
         target: NodeId,
@@ -110,13 +110,10 @@ impl Fleet {
             if s.busy_until > now || self.workers[i].capacity < min_capacity {
                 continue;
             }
-            if best.is_some_and(|(bd, _)| oracle.lower_bound(s.loc, target) >= bd) {
-                continue;
-            }
-            let d = oracle.cost(s.loc, target);
             // Strict improvement only: ids ascend, so the lowest id among
             // equidistant workers wins deterministically.
-            if best.is_none_or(|(bd, _)| d < bd) {
+            let to_beat = best.map_or(Dur::MAX, |(bd, _)| bd);
+            if let Some(d) = oracle.cost_if_below(s.loc, target, to_beat) {
                 best = Some((d, WorkerId(i as u32)));
             }
         }

@@ -19,12 +19,15 @@
 //!    acceleration configuration;
 //! 6. `OracleStack` — the one handle front ends query — answers exactly
 //!    what its bare backend answers, in both of its shapes, and picks the
-//!    shape from the backend alone.
+//!    shape from the backend alone;
+//! 7. a backend that calls its bound exact answers its cost for every
+//!    pair, the claim survives every wrapper, and `cost_if_below` is
+//!    "the cost, if below" whichever shortcut it takes.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
+use watter_core::{Dur, NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
 use watter_pool::{pair_prefilter, PlanLimits, ShareGraph, SpatialPrune};
 use watter_road::{AltOracle, CachedOracle, OracleStack};
 use watter_sim::Fleet;
@@ -488,5 +491,49 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
                 "{profile:?}: config `{tag}` changed dispatch outcomes"
             );
         }
+    }
+}
+
+/// The capability contract behind "ask once": `bound_is_exact()` is `true`
+/// only where `lower_bound == cost` on every pair (the dense table and CH;
+/// never the landmark bound), `&`, `Arc`, `CachedOracle` and `OracleStack`
+/// forward the answer, and `cost_if_below` returns exactly the costs below
+/// the limit on both sides of the capability.
+#[test]
+fn an_exact_bound_claim_holds_on_every_pair_and_survives_wrapping() {
+    fn claims(oracle: impl TravelBound) -> bool {
+        oracle.bound_is_exact()
+    }
+    let graph = Arc::new(profile(0).city_config(7).generate(11));
+    for (kind, exact) in [
+        (OracleKind::Dense, true),
+        (OracleKind::Alt { landmarks: 4 }, false),
+        (OracleKind::Ch, true),
+    ] {
+        let backend = Arc::new(CityOracle::build(&graph, kind));
+        let name = backend.describe();
+        assert_eq!(backend.bound_is_exact(), exact, "{name}");
+        assert_eq!(claims(backend.as_ref()), exact, "&{name}");
+        assert_eq!(claims(Arc::clone(&backend)), exact, "Arc<{name}>");
+        let cached = CachedOracle::new(Arc::clone(&backend), 64);
+        assert_eq!(claims(&cached), exact, "{name} +cache");
+        let stack = OracleStack::new(Arc::clone(&backend), Recorder::disabled());
+        assert_eq!(stack.top().bound_is_exact(), exact, "stack over {name}");
+
+        let mut slack = 0;
+        for a in graph.nodes() {
+            for b in graph.nodes() {
+                let (cost, bound) = (backend.cost(a, b), backend.lower_bound(a, b));
+                assert!(bound <= cost, "{name}: inadmissible bound {a} -> {b}");
+                slack += cost - bound;
+                for limit in [0, cost, cost + 1, bound, Dur::MAX] {
+                    let want = (cost < limit).then_some(cost);
+                    assert_eq!(backend.cost_if_below(a, b, limit), want, "{name}");
+                    assert_eq!(stack.top().cost_if_below(a, b, limit), want, "{name}");
+                }
+            }
+        }
+        // Exactly the backends that make the claim have no slack anywhere.
+        assert_eq!(slack == 0, exact, "{name}: total bound slack {slack}");
     }
 }
