@@ -16,6 +16,8 @@
 //! All three implement `watter_sim::Dispatcher`, so they run on exactly the
 //! same event streams, fleet and metrics as the WATTER variants.
 
+#![forbid(unsafe_code)]
+
 pub mod gas;
 pub mod gdp;
 pub mod insertion;

@@ -1,7 +1,8 @@
 //! Order-pool micro-benchmarks: route planning, pair-edge insertion,
 //! clique enumeration and the GDP insertion operator — the inner loops of
 //! the paper's running-time comparison — plus the two searches (an
-//! infeasible four-order plan, one `best_group_for`) on each oracle stack.
+//! infeasible four-order plan, one `best_group_for`) on each oracle stack
+//! and one share-graph insert at pool depth 100.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use watter_baselines::insertion::Schedule;
 use watter_core::{CostWeights, NodeId, OracleKind, Order, OrderId, TravelBound, Ts};
 use watter_obs::Recorder;
 use watter_pool::cliques::{best_group_for, CliqueLimits};
-use watter_pool::{plan_min_cost, OrderPool, PlanLimits, PoolConfig, ShareGraph, SpatialPrune};
+use watter_pool::{plan_min_cost, OrderPool, PlanLimits, PoolConfig, ShareGraph};
 use watter_road::{CachedOracle, CityOracle, OracleStack};
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
@@ -93,6 +94,16 @@ fn bench_searches(c: &mut Criterion) {
         .expect("the pool is not empty")
         .clone();
 
+    // One arrival against a pool 100 deep: the first hundred orders pooled
+    // at their release instants, the next hundred inserted one at a time at
+    // the last of those instants and taken out again.
+    let mut deep = ShareGraph::new();
+    for o in &s.orders[..100] {
+        deep.insert(o.clone(), o.release, limits, &s.oracle);
+    }
+    let deep_now = s.orders[99].release;
+    let arrivals = &s.orders[100..200];
+
     let mut g = c.benchmark_group("pool");
     // Microsecond routines: the default 20 iterations time the clock.
     g.sample_size(2_000);
@@ -120,6 +131,23 @@ fn bench_searches(c: &mut Criterion) {
                 )
             })
         });
+        // The contraction hierarchy takes the dense table's path here (its
+        // bound is its cost). Behind the cache every leg is a hit after the
+        // first hundred inserts: this times the pair gate and the bounds,
+        // `micro_road`'s `alt_point_query_64x64_k16` times a miss.
+        if stack != "ch+cache" {
+            let mut next = 0;
+            g.bench_function(format!("share_graph_insert_depth100/{stack}"), |b| {
+                b.iter(|| {
+                    let order = arrivals[next % arrivals.len()].clone();
+                    next += 1;
+                    let id = order.id;
+                    let edges = deep.insert(order, deep_now, limits, &oracle).len();
+                    deep.remove(id);
+                    edges
+                })
+            });
+        }
     }
     g.finish();
 }
@@ -167,11 +195,11 @@ fn bench_pool(c: &mut Criterion) {
 
     // The acceleration layers target the *point-query* oracle regime
     // (ALT), where every exact travel-cost query is an A* search: the
-    // bound-guided pre-filter skips most searches outright, the cache
-    // turns repeats into an array read, and spatial pruning keeps the
-    // insert scan O(nearby). On the dense table those queries are already
-    // O(1) array reads, so the layers are deliberately inert there (the
-    // `pool_insert_100` number above is the dense control).
+    // bound-only pair gate and the bound-guided pre-filter skip most
+    // searches outright and the cache turns repeats into an array read. On
+    // the dense table those queries are already O(1) array reads, so the
+    // layers are deliberately inert there (the `pool_insert_100` number
+    // above is the dense control).
     let mut alt_params = ScenarioParams::default_for(CityProfile::Chengdu);
     alt_params.n_orders = 300;
     alt_params.n_workers = 30;
@@ -194,36 +222,16 @@ fn bench_pool(c: &mut Criterion) {
             black_box(pool.len())
         })
     });
-    g.bench_function("pool_insert_100_alt_spatial", |b| {
-        let spatial = SpatialPrune::for_graph(&s.graph, s.grid.clone());
-        b.iter(|| {
-            let mut pool = OrderPool::with_spatial(
-                PoolConfig {
-                    limits,
-                    ..PoolConfig::default()
-                },
-                spatial.clone(),
-            );
-            for o in &orders[..100] {
-                pool.insert(o.clone(), o.release, &oracle);
-            }
-            black_box(pool.len())
-        })
-    });
-    g.bench_function("pool_insert_100_alt_spatial_cached", |b| {
-        let spatial = SpatialPrune::for_graph(&s.graph, s.grid.clone());
+    g.bench_function("pool_insert_100_alt_cached", |b| {
         b.iter(|| {
             // Cache built inside the loop: steady-state hit rate is
             // reached within one batch, and a fresh cache per iteration
             // keeps the measurement honest about cold misses.
             let cached = CachedOracle::with_default_capacity(oracle);
-            let mut pool = OrderPool::with_spatial(
-                PoolConfig {
-                    limits,
-                    ..PoolConfig::default()
-                },
-                spatial.clone(),
-            );
+            let mut pool = OrderPool::new(PoolConfig {
+                limits,
+                ..PoolConfig::default()
+            });
             for o in &orders[..100] {
                 pool.insert(o.clone(), o.release, &cached);
             }

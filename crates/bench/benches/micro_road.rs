@@ -90,6 +90,45 @@ fn bench_oracle(c: &mut Criterion) {
     g.bench_function("landmarks_build_parallel_40x40_k16", |b| {
         b.iter(|| watter_road::Landmarks::build(black_box(&big), 16))
     });
+
+    // The benchmark's `metro_alt_cached` city (`benchmark/src/workload.rs`:
+    // Chengdu 64×64, seed 20240311, 16 landmarks). One iteration is a
+    // batch over scattered nodes, so the landmark table is read from
+    // memory the way a dispatch run reads it, not from one hot line:
+    // 1 024 bounds between arbitrary nodes, and 256 searches over legs of
+    // at most 24 blocks a side (a trip, not a crossing of the city).
+    let metro = Arc::new(CityProfile::Chengdu.city_config(64).generate(20_240_311));
+    let metro_alt = AltOracle::build(Arc::clone(&metro), 16);
+    let node = |i: u32| NodeId(i.wrapping_mul(2_654_435_761) % 4_096);
+    let bound_pairs: Vec<(NodeId, NodeId)> =
+        (0..1_024).map(|i| (node(i), node(i + 7_919))).collect();
+    let search_pairs: Vec<(NodeId, NodeId)> = (0..256u32)
+        .map(|i| {
+            let a = node(i);
+            let (x, y) = (a.0 % 64, a.0 / 64);
+            let shift = |at: u32, by: u32| (at + 64 + by % 49 - 24).clamp(64, 127) - 64;
+            (a, NodeId(shift(y, i / 7) * 64 + shift(x, i)))
+        })
+        .collect();
+    // Microsecond batches: the default 20 iterations time the clock.
+    g.sample_size(2_000);
+    g.bench_function("landmarks_lower_bound_64x64_k16", |b| {
+        b.iter(|| {
+            let lm = metro_alt.landmarks();
+            black_box(&bound_pairs)
+                .iter()
+                .map(|&(a, b)| lm.lower_bound(a, b))
+                .sum::<i64>()
+        })
+    });
+    g.bench_function("alt_point_query_64x64_k16", |b| {
+        b.iter(|| {
+            black_box(&search_pairs)
+                .iter()
+                .map(|&(a, b)| metro_alt.cost(a, b))
+                .sum::<i64>()
+        })
+    });
     g.finish();
 }
 

@@ -614,7 +614,6 @@ pub mod example1 {
             check_period: 10,
             cancellation: watter_sim::CancellationModel::OFF,
             cancel_seed: 0,
-            spatial: None,
             parallelism: watter_core::DispatchParallelism::SEQUENTIAL,
         };
         fn drive<D: Dispatcher>(mut d: D, matrix: &CostMatrix, cfg: SimConfig) -> Measurements {

@@ -7,6 +7,8 @@
 //! rows/series the paper reports. Criterion micro-benchmarks live in
 //! `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 

@@ -23,6 +23,8 @@
 //! networks (see `watter-road`) beyond the opaque [`NodeId`] location handle
 //! and the [`TravelCost`] oracle trait.
 
+#![forbid(unsafe_code)]
+
 pub mod constraints;
 pub mod env;
 pub mod error;
@@ -209,5 +211,42 @@ impl<T: TravelBound + ?Sized> TravelBound for std::sync::Arc<T> {
 
     fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
         (**self).cost_if_below(a, b, limit)
+    }
+}
+
+/// The relaxed instance of an oracle: every leg costs its
+/// [`lower_bound`](TravelBound::lower_bound), and nothing here ever calls
+/// the inner `cost`.
+///
+/// Whatever a search decides over this view it decides from bounds alone.
+/// Every leg is at most the true leg, so a check that only gets harder to
+/// pass as time elapses (a deadline, a slack) and fails here fails on the
+/// real oracle too: "infeasible over the view" is a proof, "feasible over
+/// the view" is merely a candidate. The view calls its bound exact
+/// because, for the instance it poses, it is — a caller asks each leg
+/// once, through `cost`.
+///
+/// The view is *not* a shortest-path metric (a landmark bound need not obey
+/// the triangle inequality); see `watter_pool::share_graph` for why the
+/// one caller does not need it to be.
+#[derive(Debug)]
+pub struct Optimistic<'a, C: ?Sized>(pub &'a C);
+
+impl<C: TravelBound + ?Sized> TravelCost for Optimistic<'_, C> {
+    #[inline]
+    fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+        self.0.lower_bound(a, b)
+    }
+}
+
+impl<C: TravelBound + ?Sized> TravelBound for Optimistic<'_, C> {
+    #[inline]
+    fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+        self.0.lower_bound(a, b)
+    }
+
+    #[inline]
+    fn bound_is_exact(&self) -> bool {
+        true
     }
 }

@@ -19,6 +19,8 @@
 //! * [`value`] — the trained value function as a
 //!   [`watter_strategy::ThresholdProvider`] via `θ^(i) = p^(i) − V(s^(i))`.
 
+#![forbid(unsafe_code)]
+
 pub mod erf;
 pub mod gmm;
 pub mod mdp;

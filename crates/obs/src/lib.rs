@@ -37,6 +37,8 @@
 //! schedules) vary run to run — the same split the engine already
 //! makes for `Measurements::decision_nanos` / `Kpis` tick timings.
 
+#![forbid(unsafe_code)]
+
 pub mod prom;
 pub mod registry;
 pub mod sketch;

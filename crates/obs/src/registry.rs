@@ -152,7 +152,7 @@ impl Gauge {
 pub enum Stage {
     /// Parse + validate one input line.
     Ingest,
-    /// Insert an order into the share graph (includes spatial prune).
+    /// Insert an order into the share graph (candidate scan, pair edges).
     PoolInsert,
     /// Candidate-partner prefilter (lower-bound gate).
     PairFilter,

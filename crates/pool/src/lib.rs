@@ -20,15 +20,15 @@
 //!   Section IV-B (order arrival, order departure, edge expiry, group
 //!   expiry) while keeping the best-group map consistent.
 
+#![forbid(unsafe_code)]
+
 pub mod cliques;
 pub mod planner;
 pub mod pool;
 pub mod share_graph;
 pub mod snapshot;
-pub mod spatial;
 
 pub use planner::{plan_min_cost, plan_with_start, Plan, PlanLimits};
 pub use pool::{OrderPool, PoolConfig, PoolStats};
 pub use share_graph::{pair_prefilter, PairEdge, ShareGraph};
 pub use snapshot::{BestSnapshot, EdgeSnapshot, PoolSnapshot, RestoreError};
-pub use spatial::SpatialPrune;

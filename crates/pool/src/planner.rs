@@ -52,6 +52,12 @@
 //! a [`Plan`] hands back each order's sub-route cost `T(L^(i))` with the
 //! route: a [`Group`] built from a plan never walks the route through the
 //! oracle again.
+//!
+//! The same walk also answers "is there a route at all"
+//! (`PlanScratch::has_route`): it stops at the first complete route and
+//! records nothing but that it got there. The shareability graph asks that
+//! question of the bounds alone before it lets a pair near the exact
+//! oracle (see [`crate::share_graph`]).
 
 use std::sync::Arc;
 use watter_core::{Dur, Group, NodeId, Order, Route, Stop, TravelBound, Ts};
@@ -111,16 +117,22 @@ const POW3: [usize; MAX_ORDERS] = {
     p
 };
 
-/// Buffer a caller lends to consecutive plans (one per clique search), so
-/// the dominance memo is allocated once and only re-filled per plan.
+/// Incumbent cost of a search that has found no route yet.
+const NO_ROUTE: Dur = Dur::MAX / 4;
+
+/// Buffers a caller lends to consecutive searches (one per clique search,
+/// one per pool insert), so the dominance memo and the branch under
+/// construction are allocated once and only re-filled per search.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Least elapsed time seen per `(state, last stop)`; see [`Search`].
     least_elapsed: Vec<Dur>,
+    /// The stop sequence of the branch being walked.
+    seq: Vec<u8>,
 }
 
 impl PlanScratch {
-    /// [`plan_min_cost`] on this buffer.
+    /// [`plan_min_cost`] on these buffers.
     pub(crate) fn plan_min_cost<C: TravelBound>(
         &mut self,
         orders: &[&Order],
@@ -129,6 +141,19 @@ impl PlanScratch {
         oracle: &C,
     ) -> Option<Plan> {
         plan_impl(None, orders, now, limits, oracle, self).map(|(plan, _)| plan)
+    }
+
+    /// Whether [`plan_min_cost`] would find a route — the same search as a
+    /// yes/no question: it stops at its first complete route, builds no
+    /// [`Plan`] and, on warm buffers, allocates nothing.
+    pub(crate) fn has_route<C: TravelBound>(
+        &mut self,
+        orders: &[&Order],
+        now: Ts,
+        limits: PlanLimits,
+        oracle: &C,
+    ) -> bool {
+        search(None, orders, now, limits, oracle, self, true).is_some()
     }
 }
 
@@ -157,11 +182,14 @@ struct Search<'a, C: TravelBound> {
     /// (empty outside [`MEMO_SIZES`]): the least elapsed time any node in
     /// that search state has been entered with.
     least_elapsed: &'a mut [Dur],
+    /// Yes/no mode ([`PlanScratch::has_route`]): the first complete route
+    /// ends the walk and only its cost is recorded.
+    any_route: bool,
     best_cost: Dur,
     best_seq: Vec<u8>,
     /// `drop_at` of the incumbent.
     best_drop_at: [Dur; MAX_ORDERS],
-    seq: Vec<u8>,
+    seq: &'a mut Vec<u8>,
     /// Elapsed time at each order's drop-off on the current branch, by
     /// order index; an entry is meaningful while its order is dropped.
     drop_at: [Dur; MAX_ORDERS],
@@ -184,8 +212,10 @@ impl<C: TravelBound> Search<'_, C> {
         if dropped.count_ones() as usize == k {
             if elapsed < self.best_cost {
                 self.best_cost = elapsed;
-                self.best_seq.clone_from(&self.seq);
-                self.best_drop_at = self.drop_at;
+                if !self.any_route {
+                    self.best_seq.clone_from(self.seq);
+                    self.best_drop_at = self.drop_at;
+                }
             }
             return;
         }
@@ -221,6 +251,9 @@ impl<C: TravelBound> Search<'_, C> {
             }
         }
         for i in 0..k {
+            if self.any_route && self.best_cost < NO_ROUTE {
+                return;
+            }
             let bit = 1u32 << i;
             let o = self.orders[i];
             if picked & bit == 0 {
@@ -305,14 +338,17 @@ pub fn plan_with_start<C: TravelBound>(
     plan_impl(Some(start), orders, now, limits, oracle, &mut scratch)
 }
 
-fn plan_impl<C: TravelBound>(
+/// Run the search; `Some` iff it found a route. In `any_route` mode only
+/// `best_cost` of the returned search means anything.
+fn search<'a, C: TravelBound>(
     start: Option<NodeId>,
-    orders: &[&Order],
+    orders: &'a [&'a Order],
     now: Ts,
     limits: PlanLimits,
-    oracle: &C,
-    scratch: &mut PlanScratch,
-) -> Option<(Plan, Dur)> {
+    oracle: &'a C,
+    scratch: &'a mut PlanScratch,
+    any_route: bool,
+) -> Option<Search<'a, C>> {
     if orders.is_empty() || orders.len() > MAX_ORDERS {
         return None;
     }
@@ -325,6 +361,8 @@ fn plan_impl<C: TravelBound>(
     if MEMO_SIZES.contains(&k) {
         scratch.least_elapsed.resize(POW3[k] * 2 * k, Dur::MAX);
     }
+    scratch.seq.clear();
+    scratch.seq.reserve(k * 2);
     let mut s = Search {
         orders,
         oracle,
@@ -333,16 +371,27 @@ fn plan_impl<C: TravelBound>(
         start,
         exact: oracle.bound_is_exact(),
         least_elapsed: &mut scratch.least_elapsed,
-        best_cost: Dur::MAX / 4,
+        any_route,
+        best_cost: NO_ROUTE,
         best_seq: Vec::new(),
         best_drop_at: [0; MAX_ORDERS],
-        seq: Vec::with_capacity(k * 2),
+        seq: &mut scratch.seq,
         drop_at: [0; MAX_ORDERS],
     };
     s.recurse(0, 0, 0, 0, 0);
-    if s.best_seq.is_empty() {
-        return None;
-    }
+    (s.best_cost < NO_ROUTE).then_some(s)
+}
+
+fn plan_impl<C: TravelBound>(
+    start: Option<NodeId>,
+    orders: &[&Order],
+    now: Ts,
+    limits: PlanLimits,
+    oracle: &C,
+    scratch: &mut PlanScratch,
+) -> Option<(Plan, Dur)> {
+    let k = orders.len();
+    let s = search(start, orders, now, limits, oracle, scratch, false)?;
     let stops: Vec<Stop> = s
         .best_seq
         .iter()

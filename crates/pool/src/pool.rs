@@ -77,19 +77,6 @@ impl OrderPool {
         }
     }
 
-    /// Empty pool whose shareability graph prunes insert scans spatially
-    /// (see [`ShareGraph::with_spatial`]): inserts visit only the
-    /// slack-reachable cell ring around the new order's pick-up instead of
-    /// every pooled order. Pool state stays bit-identical to
-    /// [`OrderPool::new`].
-    pub fn with_spatial(cfg: PoolConfig, spatial: crate::spatial::SpatialPrune) -> Self {
-        Self {
-            cfg,
-            graph: ShareGraph::with_spatial(spatial),
-            ..Self::default()
-        }
-    }
-
     /// Number of pooled orders.
     pub fn len(&self) -> usize {
         self.graph.len()
@@ -310,9 +297,9 @@ impl OrderPool {
     }
 
     /// Serialize the pool's complete state: pooled orders, live edges and
-    /// the best-group map, plus the lifetime counters. Derived structures
-    /// (spatial buckets, the `contained_in` reverse index) are rebuilt by
-    /// [`OrderPool::restore`] instead.
+    /// the best-group map, plus the lifetime counters. The derived
+    /// `contained_in` reverse index is rebuilt by [`OrderPool::restore`]
+    /// instead.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
             orders: self.graph.orders().cloned().collect(),
@@ -341,7 +328,7 @@ impl OrderPool {
     }
 
     /// Replace this pool's state with `snap`'s. The pool's *configuration*
-    /// (planner limits, weights, spatial pruning) is kept as built — a
+    /// (planner limits, weights) is kept as built — a
     /// snapshot restores into a pool configured the same way it was taken
     /// from, which the engine-level
     /// [`restore`](crate::snapshot) path guarantees by reconstructing the

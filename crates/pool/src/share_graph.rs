@@ -6,13 +6,43 @@
 //! created when an order is inserted (by running the pair planner against
 //! every live node that passes a cheap slack pre-filter) and removed lazily
 //! once expired.
+//!
+//! # Bounds before searches
+//!
+//! Where the oracle's bound is cheaper than its cost
+//! ([`TravelBound::bound_is_exact`] is `false`: the landmark bound in front
+//! of an A* search) a candidate pair first meets the *relaxed* pair
+//! problem: the same pre-filter and the same route search, run over
+//! [`Optimistic`] — every leg costs its lower bound, no exact query is
+//! made. Only a pair with a relaxed route goes on to the exact pre-filter
+//! and the exact plan; the others get no edge and cost no search at all.
+//! Where the bound *is* the cost (dense table, contraction hierarchy) the
+//! relaxed problem is the exact one, and the step is skipped.
+//!
+//! **Why the gate cannot lose an edge.** Take a pair with a truly feasible
+//! route `R`. Every leg of the view is ≤ the true leg, so walking `R` over
+//! the view the elapsed time at every stop is ≤ the true one. The pre-filter
+//! and each prune of the route search either compare against an incumbent
+//! (there is none until a route is complete, and the first complete route
+//! ends the relaxed walk) or get harder to pass as time elapses for a fixed
+//! set of orders waiting / on board / dropped — so they pass on `R` over
+//! the view if they pass in truth, and a branch the dominance memo drops
+//! is dropped for an earlier arrival in the same state, from which the
+//! rest of `R` passes all the more. The one prune that looks ahead, the
+//! optimistic leg to an on-board order's drop-off, satisfies
+//! `lower_bound(cur, d) ≤ cost(cur, d) ≤` the true remaining ride along
+//! `R` (the *true* metric's triangle inequality). Hence the relaxed walk
+//! reaches the end of `R` unless it stopped earlier at another route, and
+//! "no relaxed route" implies "no route". Only `lower_bound ≤ cost` and the
+//! true metric's triangle inequality are used — the bound itself need not
+//! be a metric, and a loose, zero or triangle-violating bound only makes
+//! the gate pass more pairs (`tests/accel.rs` pins each).
 
-use crate::planner::{plan_min_cost, PlanLimits};
-use crate::spatial::SpatialPrune;
+use crate::planner::{PlanLimits, PlanScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use watter_core::{Dur, Order, OrderId, TravelBound, Ts};
+use watter_core::{Dur, Optimistic, Order, OrderId, TravelBound, Ts};
 
 /// A shareability edge between two pooled orders.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -38,74 +68,12 @@ pub struct PairEdge {
 pub struct ShareGraph {
     orders: BTreeMap<OrderId, Arc<Order>>,
     adj: BTreeMap<OrderId, BTreeMap<OrderId, PairEdge>>,
-    spatial: Option<SpatialState>,
-}
-
-/// Grid bucketing of pooled orders by pick-up cell, used to restrict the
-/// insert scan to the slack-reachable ring. Produces bit-identical edge
-/// sets to the full scan (the pruning bound is a necessary condition for
-/// the pair pre-filter to pass).
-#[derive(Clone, Debug)]
-struct SpatialState {
-    prune: SpatialPrune,
-    /// Pooled order ids per pick-up cell; `BTreeSet` keeps within-cell
-    /// iteration id-ordered and run-to-run deterministic.
-    cells: BTreeMap<usize, BTreeSet<OrderId>>,
-    /// Histogram of `deadline − direct_cost` ("latest feasible solo start")
-    /// over pooled orders. Its maximum bounds every pooled order's slack at
-    /// any `now`, which caps the ring radius an insert must visit.
-    latest_start: BTreeMap<Ts, usize>,
-}
-
-impl SpatialState {
-    fn track(&mut self, o: &Order) {
-        let cell = self.prune.grid().cell_of(o.pickup);
-        self.cells.entry(cell).or_default().insert(o.id);
-        *self
-            .latest_start
-            .entry(o.deadline - o.direct_cost)
-            .or_insert(0) += 1;
-    }
-
-    fn forget(&mut self, o: &Order) {
-        let cell = self.prune.grid().cell_of(o.pickup);
-        if let Some(bucket) = self.cells.get_mut(&cell) {
-            bucket.remove(&o.id);
-            if bucket.is_empty() {
-                self.cells.remove(&cell);
-            }
-        }
-        if let Some(count) = self.latest_start.get_mut(&(o.deadline - o.direct_cost)) {
-            *count -= 1;
-            if *count == 0 {
-                self.latest_start.remove(&(o.deadline - o.direct_cost));
-            }
-        }
-    }
-
-    fn max_latest_start(&self) -> Option<Ts> {
-        self.latest_start.keys().next_back().copied()
-    }
 }
 
 impl ShareGraph {
     /// Empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty graph with spatial candidate pruning: inserts bucket orders by
-    /// pick-up cell and scan only the slack-reachable ring instead of the
-    /// whole pool. Edge sets are bit-identical to [`ShareGraph::new`].
-    pub fn with_spatial(spatial: SpatialPrune) -> Self {
-        Self {
-            spatial: Some(SpatialState {
-                prune: spatial,
-                cells: BTreeMap::new(),
-                latest_start: BTreeMap::new(),
-            }),
-            ..Self::default()
-        }
     }
 
     /// Number of pooled orders.
@@ -157,11 +125,9 @@ impl ShareGraph {
     }
 
     /// Insert a new order at time `now`, creating shareability edges to
-    /// every live order whose pair route is feasible (Section IV-A).
-    ///
-    /// Candidate scan: the full pool, or only the slack-reachable cell ring
-    /// when the graph was built [`with_spatial`](ShareGraph::with_spatial)
-    /// — same edges either way.
+    /// every live order whose pair route is feasible (Section IV-A). Every
+    /// pooled order is a candidate; the module docs say how little most of
+    /// them cost.
     ///
     /// Returns the ids of the new neighbours, ascending.
     pub fn insert<C: TravelBound>(
@@ -172,98 +138,23 @@ impl ShareGraph {
         oracle: &C,
     ) -> Vec<OrderId> {
         let order = Arc::new(order);
-        let edges: Vec<(OrderId, PairEdge)> = self
-            .candidate_partners(&order, now)
-            .into_iter()
-            .filter_map(|j| {
-                self.eval_edge(&order, j, now, limits, oracle)
-                    .map(|e| (j, e))
-            })
-            .collect();
-        self.commit(order, edges)
-    }
-
-    /// Candidate partner ids for an arriving order, ascending: the whole
-    /// pool, or — with spatial pruning — only orders in the slack-reachable
-    /// cell ring that also pass the per-pair ring refinement.
-    fn candidate_partners(&self, order: &Order, now: Ts) -> Vec<OrderId> {
-        match &self.spatial {
-            None => self.orders.keys().copied().collect(),
-            Some(st) => {
-                // Both pre-filter arms require the *new* order to have solo
-                // slack left; without it no pair is admissible and the scan
-                // can be skipped outright.
-                let slack_new = order.deadline - order.direct_cost - now;
-                let Some(pool_slack) = st.max_latest_start().map(|dd| dd - now) else {
-                    return Vec::new();
-                };
-                if slack_new <= 0 {
-                    return Vec::new();
-                }
-                // No pooled order's slack exceeds this, so once the ring
-                // bound reaches it the remaining rings cannot hold an
-                // admissible partner.
-                let ring_limit = slack_new.max(pool_slack);
-                let grid = st.prune.grid();
-                let (cx, cy) = grid.cell_xy(grid.cell_of(order.pickup));
-                let mut candidates: Vec<OrderId> = Vec::new();
-                grid.ring_search(order.pickup, |cell| {
-                    let (x, y) = grid.cell_xy(cell);
-                    let d = cx.abs_diff(x).max(cy.abs_diff(y));
-                    if st.prune.skip(d, ring_limit) {
-                        return true; // this ring and beyond: hopeless
-                    }
-                    if let Some(bucket) = st.cells.get(&cell) {
-                        candidates.extend(bucket.iter().copied());
-                    }
-                    false
-                });
-                candidates.sort_unstable();
-                candidates.retain(|cand| {
-                    let other = &self.orders[cand];
-                    // Per-pair refinement of the ring bound: the pre-filter
-                    // can only pass if the pick-up leg is below one of the
-                    // pair's slacks.
-                    let d = grid.cell_distance(order.pickup, other.pickup);
-                    let pair_slack = slack_new.max(other.deadline - other.direct_cost - now);
-                    !st.prune.skip(d, pair_slack)
-                });
-                candidates
-            }
-        }
-    }
-
-    /// Validate the candidate pair `(order, cand)`: pre-filter, pair
-    /// planner, edge-expiry computation.
-    fn eval_edge<C: TravelBound>(
-        &self,
-        order: &Arc<Order>,
-        cand: OrderId,
-        now: Ts,
-        limits: PlanLimits,
-        oracle: &C,
-    ) -> Option<PairEdge> {
-        pair_edge(order, self.orders.get(&cand)?, now, limits, oracle)
-    }
-
-    /// Commit an arriving order and its validated edges (`(id, edge)`
-    /// ascending by id) into the graph. Returns the neighbour ids,
-    /// ascending.
-    fn commit(&mut self, order: Arc<Order>, edges: Vec<(OrderId, PairEdge)>) -> Vec<OrderId> {
         let id = order.id;
         debug_assert!(
             !self.orders.contains_key(&id),
             "order {id} inserted twice into the pool"
         );
-        // Ascending by construction: the full scan iterates the ordered
-        // order map and the spatial path sorts candidates up front.
-        debug_assert!(edges.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut scratch = PlanScratch::default();
+        // Ascending by construction: the order map iterates in id order.
+        let edges: Vec<(OrderId, PairEdge)> = self
+            .orders
+            .iter()
+            .filter_map(|(&j, cand)| {
+                pair_edge(&order, cand, now, limits, oracle, &mut scratch).map(|e| (j, e))
+            })
+            .collect();
         for &(j, e) in &edges {
             self.adj.entry(id).or_default().insert(j, e);
             self.adj.entry(j).or_default().insert(id, e);
-        }
-        if let Some(st) = &mut self.spatial {
-            st.track(&order);
         }
         self.orders.insert(id, order);
         edges.into_iter().map(|(j, _)| j).collect()
@@ -282,11 +173,7 @@ impl ShareGraph {
                 m.remove(&id);
             }
         }
-        if let Some(order) = self.orders.remove(&id) {
-            if let Some(st) = &mut self.spatial {
-                st.forget(&order);
-            }
-        }
+        self.orders.remove(&id);
         neighbors
     }
 
@@ -316,10 +203,7 @@ impl ShareGraph {
     }
 
     /// Rebuild the graph from snapshot parts: replaces the order set and
-    /// adjacency wholesale and re-derives the spatial insert-prune buckets
-    /// (when configured) from the restored orders. The pruning *setup*
-    /// (grid, cost bound) is configuration, not state — it is kept as
-    /// built.
+    /// adjacency wholesale.
     ///
     /// `edges` must reference orders present in `orders`; the caller
     /// ([`crate::OrderPool::restore`]) validates this.
@@ -328,18 +212,8 @@ impl ShareGraph {
         orders: Vec<Arc<Order>>,
         edges: &[(OrderId, OrderId, PairEdge)],
     ) {
-        self.orders.clear();
         self.adj.clear();
-        if let Some(st) = &mut self.spatial {
-            st.cells.clear();
-            st.latest_start.clear();
-        }
-        for o in orders {
-            if let Some(st) = &mut self.spatial {
-                st.track(&o);
-            }
-            self.orders.insert(o.id, o);
-        }
+        self.orders = orders.into_iter().map(|o| (o.id, o)).collect();
         for &(a, b, e) in edges {
             debug_assert!(
                 self.orders.contains_key(&a) && self.orders.contains_key(&b),
@@ -361,7 +235,8 @@ impl ShareGraph {
     }
 }
 
-/// Validate one candidate pair: pre-filter, then the pair planner; returns
+/// Validate one candidate pair: the bound-only gate (module docs) where
+/// bounds are cheaper than costs, then pre-filter and pair planner; returns
 /// the shareability edge if a live joint route exists.
 fn pair_edge<C: TravelBound>(
     a: &Arc<Order>,
@@ -369,11 +244,20 @@ fn pair_edge<C: TravelBound>(
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
+    scratch: &mut PlanScratch,
 ) -> Option<PairEdge> {
+    let pair = [a.as_ref(), b.as_ref()];
+    if !oracle.bound_is_exact() {
+        let relaxed = Optimistic(oracle);
+        if !pair_prefilter(a, b, now, &relaxed) || !scratch.has_route(&pair, now, limits, &relaxed)
+        {
+            return None;
+        }
+    }
     if !pair_prefilter(a, b, now, oracle) {
         return None;
     }
-    let plan = plan_min_cost(&[a.as_ref(), b.as_ref()], now, limits, oracle)?;
+    let plan = scratch.plan_min_cost(&pair, now, limits, oracle)?;
     let group = plan.into_group(vec![Arc::clone(a), Arc::clone(b)]);
     let edge = PairEdge {
         expires_at: group.expires_at(),
@@ -489,61 +373,6 @@ mod tests {
         g.insert(order(0, 0, 10, 0, 200), 0, limits(), &Line); // direct 100
         assert!(g.dead_orders(50).is_empty());
         assert_eq!(g.dead_orders(100), vec![OrderId(0)]);
-    }
-
-    #[test]
-    fn spatial_insert_matches_full_scan() {
-        use watter_core::TravelCost as _;
-        use watter_road::{citygen::CityConfig, CostMatrix, GridIndex};
-        let g = CityConfig {
-            width: 10,
-            height: 10,
-            ..Default::default()
-        }
-        .generate(5);
-        let oracle = CostMatrix::build(&g);
-        let spatial = SpatialPrune::for_graph(&g, GridIndex::build(&g, 6));
-        let mut full = ShareGraph::new();
-        let mut pruned = ShareGraph::with_spatial(spatial);
-        let n = g.node_count() as u32;
-        let limits = limits();
-        // Deterministic pseudo-random order stream with mixed slacks, so
-        // some pairs are admitted, some are prefilter-rejected and some
-        // sit in skippable rings.
-        let mut now = 0;
-        for i in 0..60u32 {
-            let p = NodeId((i * 37 + 11) % n);
-            let d = NodeId((i * 53 + 29) % n);
-            let direct = oracle.cost(p, d);
-            if p == d || direct <= 0 {
-                continue;
-            }
-            now += 7;
-            let o = Order {
-                id: OrderId(i),
-                pickup: p,
-                dropoff: d,
-                riders: 1,
-                release: now,
-                deadline: now + direct * (1 + i as i64 % 3) + i as i64 % 11,
-                wait_limit: direct,
-                direct_cost: direct,
-            };
-            let a = full.insert(o.clone(), now, limits, &oracle);
-            let b = pruned.insert(o, now, limits, &oracle);
-            assert_eq!(a, b, "insert {i}: neighbour sets diverge");
-            if i % 13 == 0 {
-                let victim = OrderId(i / 2);
-                assert_eq!(full.remove(victim), pruned.remove(victim));
-            }
-        }
-        assert!(full.edge_count() > 0, "test must exercise real edges");
-        assert_eq!(full.edge_count(), pruned.edge_count());
-        for id in full.order_ids() {
-            let fe: Vec<_> = full.neighbors(id).collect();
-            let pe: Vec<_> = pruned.neighbors(id).collect();
-            assert_eq!(fe, pe, "adjacency of {id} diverges");
-        }
     }
 
     #[test]

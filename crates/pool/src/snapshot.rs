@@ -10,8 +10,7 @@
 //! bit-identical `restore + replay == run` contract requires
 //! (`tests/snapshot.rs`).
 //!
-//! Derived structures are rebuilt on restore, not serialized: the spatial
-//! insert-prune buckets are a pure function of the pooled orders, and the
+//! Derived structures are rebuilt on restore, not serialized: the
 //! `contained_in` reverse index is a pure function of the best map.
 
 use serde::{Deserialize, Serialize};

@@ -122,24 +122,6 @@ impl GridIndex {
             }
         }
     }
-
-    /// Chebyshev cell distance between two nodes' cells — a cheap proximity
-    /// proxy for shareability pre-filtering.
-    pub fn cell_distance(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.cell_xy(self.cell_of(a));
-        let (bx, by) = self.cell_xy(self.cell_of(b));
-        ax.abs_diff(bx).max(ay.abs_diff(by))
-    }
-
-    /// The smaller of the two cell side lengths, in coordinate units.
-    ///
-    /// Two nodes whose cells are `d ≥ 1` apart (Chebyshev) are at least
-    /// `(d − 1) × min_cell_extent()` apart in Euclidean distance — the
-    /// geometric leg of the spatial candidate-pruning bound.
-    #[inline]
-    pub fn min_cell_extent(&self) -> f64 {
-        self.cell_size.0.min(self.cell_size.1)
-    }
 }
 
 #[cfg(test)]
@@ -198,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_distance_is_chebyshev() {
-        let g = city();
-        let idx = GridIndex::build(&g, 4);
-        for n in g.nodes() {
-            assert_eq!(idx.cell_distance(n, n), 0);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_dim_rejected() {
         let g = city();
@@ -260,10 +233,9 @@ mod tests {
         for n in g.nodes() {
             assert_ring_search_terminates(&idx, n);
         }
-        // Chebyshev distances along the line stay monotone in x.
-        assert!(
-            idx.cell_distance(NodeId(0), NodeId(11)) >= idx.cell_distance(NodeId(0), NodeId(5))
-        );
+        // Cell columns along the line stay monotone in x.
+        let column = |n| idx.cell_xy(idx.cell_of(NodeId(n))).0;
+        assert!(column(0) <= column(5) && column(5) <= column(11));
     }
 
     #[test]

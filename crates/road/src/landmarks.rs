@@ -6,23 +6,55 @@
 //! orders' slack, no exact query is needed. We precompute distances from a
 //! handful of far-apart landmark nodes and use the triangle inequality
 //! `|d(ℓ, a) − d(ℓ, b)| ≤ d(a, b)`.
+//!
+//! # Layout
+//!
+//! A bound is asked millions of times per thousand orders (the pair gate,
+//! the planner's optimistic legs, A*'s heuristic at every relaxed edge),
+//! and each time it reads *one node's* distance to *every* landmark. So
+//! the table is node-major, `table[v · k + ℓ]`, with `u32` entries: at the
+//! default 16 landmarks a node's entries are 64 bytes — one cache line —
+//! where a vector per landmark costs a line per landmark per node.
+//!
+//! An entry of `u32::MAX` (`NO_ENTRY`) says the landmark cannot speak for
+//! the node: it does not reach it, or the distance does not fit in 32 bits
+//! (graph import does not bound edge weights). A landmark without an entry
+//! for either end of a pair is skipped for that pair, which only loosens
+//! the bound — it stays admissible.
 
-use crate::dijkstra::UNREACHABLE;
 use crate::graph::RoadGraph;
 use crate::workspace::DijkstraWorkspace;
 use watter_core::{Dur, NodeId};
 
-/// Precomputed landmark distance vectors.
+/// Table entry of a landmark that has no usable distance to a node.
+pub(crate) const NO_ENTRY: u32 = u32::MAX;
+
+/// `max_ℓ |a[ℓ] − b[ℓ]|` over the landmarks with an entry on both sides:
+/// the bound between the two nodes whose entries `a` and `b` are.
+#[inline]
+pub(crate) fn max_gap(a: &[u32], b: &[u32]) -> Dur {
+    let mut gap = 0;
+    for (&da, &db) in a.iter().zip(b) {
+        if da != NO_ENTRY && db != NO_ENTRY {
+            gap = gap.max(da.abs_diff(db));
+        }
+    }
+    Dur::from(gap)
+}
+
+/// Precomputed landmark distances.
 #[derive(Clone, Debug)]
 pub struct Landmarks {
-    /// The selected landmark nodes, aligned with `dist`.
+    /// The selected landmark nodes; entry `ℓ` of every node belongs to
+    /// `nodes[ℓ]`.
     nodes: Vec<NodeId>,
-    /// `dist[l][v]` = shortest travel time from landmark `l` to node `v`.
-    dist: Vec<Vec<Dur>>,
+    /// `table[v · k + ℓ]` = shortest travel time from landmark `ℓ` to node
+    /// `v`, or [`NO_ENTRY`] (module docs).
+    table: Vec<u32>,
 }
 
 impl Landmarks {
-    /// Select up to `k` landmarks and precompute their distance vectors,
+    /// Select up to `k` landmarks and precompute their distances,
     /// parallelizing the Dijkstra sweeps across all available cores.
     ///
     /// Selection is farthest-point sampling in coordinate space with a
@@ -37,7 +69,7 @@ impl Landmarks {
     }
 
     /// Single-threaded build — the baseline the parallel build is benched
-    /// against. Same landmarks, same distance vectors.
+    /// against. Same landmarks, same table.
     pub fn build_serial(graph: &RoadGraph, k: usize) -> Self {
         Self::build_with_threads(graph, k, 1)
     }
@@ -45,38 +77,54 @@ impl Landmarks {
     /// Build with an explicit worker-thread count. The selected landmark
     /// set is computed up front (cheap, thread-independent); the distance
     /// sweeps are split into contiguous chunks, one scoped thread each,
-    /// every thread reusing one [`DijkstraWorkspace`]. Bit-identical output
-    /// for any `threads`.
+    /// every thread reusing one [`DijkstraWorkspace`]; the per-landmark
+    /// rows are transposed into the node-major table at the end.
+    /// Bit-identical output for any `threads`.
     pub fn build_with_threads(graph: &RoadGraph, k: usize, threads: usize) -> Self {
         let n = graph.node_count();
         if n == 0 || k == 0 {
             return Self {
                 nodes: Vec::new(),
-                dist: Vec::new(),
+                table: Vec::new(),
             };
         }
         let nodes = select_landmarks(graph, k);
-        let mut dist: Vec<Vec<Dur>> = vec![Vec::new(); nodes.len()];
-        let threads = threads.clamp(1, nodes.len());
+        let k = nodes.len();
+        // One landmark's row of the table: `UNREACHABLE` and every other
+        // distance that is not a `u32` below `NO_ENTRY` become `NO_ENTRY`.
+        let sweep = |ws: &mut DijkstraWorkspace, node: NodeId| -> Vec<u32> {
+            ws.single_source(graph, node)
+                .iter()
+                .map(|&d| u32::try_from(d).unwrap_or(NO_ENTRY))
+                .collect()
+        };
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let threads = threads.clamp(1, k);
         if threads <= 1 {
             let mut ws = DijkstraWorkspace::new(n);
-            for (node, row) in nodes.iter().zip(dist.iter_mut()) {
-                *row = ws.single_source(graph, *node).to_vec();
+            for (node, row) in nodes.iter().zip(rows.iter_mut()) {
+                *row = sweep(&mut ws, *node);
             }
         } else {
-            let per = nodes.len().div_ceil(threads);
+            let per = k.div_ceil(threads);
             std::thread::scope(|scope| {
-                for (node_chunk, row_chunk) in nodes.chunks(per).zip(dist.chunks_mut(per)) {
+                for (node_chunk, row_chunk) in nodes.chunks(per).zip(rows.chunks_mut(per)) {
                     scope.spawn(move || {
                         let mut ws = DijkstraWorkspace::new(n);
                         for (node, row) in node_chunk.iter().zip(row_chunk.iter_mut()) {
-                            *row = ws.single_source(graph, *node).to_vec();
+                            *row = sweep(&mut ws, *node);
                         }
                     });
                 }
             });
         }
-        Self { nodes, dist }
+        let mut table = vec![NO_ENTRY; n * k];
+        for (l, row) in rows.iter().enumerate() {
+            for (v, &d) in row.iter().enumerate() {
+                table[v * k + l] = d;
+            }
+        }
+        Self { nodes, table }
     }
 
     /// The selected landmark nodes, in selection order.
@@ -84,35 +132,36 @@ impl Landmarks {
         &self.nodes
     }
 
-    /// Distance vector of landmark `l` (`dist[v]` = travel time `l → v`).
-    pub(crate) fn row(&self, l: usize) -> &[Dur] {
-        &self.dist[l]
+    /// Node `v`'s entries, one per landmark in selection order.
+    #[inline]
+    pub(crate) fn entries(&self, v: NodeId) -> &[u32] {
+        let k = self.nodes.len();
+        &self.table[v.index() * k..][..k]
     }
 
     /// Number of landmarks.
     pub fn len(&self) -> usize {
-        self.dist.len()
+        self.nodes.len()
     }
 
     /// Whether no landmarks were built.
     pub fn is_empty(&self) -> bool {
-        self.dist.is_empty()
+        self.nodes.is_empty()
+    }
+
+    /// Resident size of the table, in bytes.
+    pub(crate) fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(self.table.as_slice())
     }
 
     /// Triangle-inequality lower bound on `cost(a, b)`.
     ///
-    /// Symmetric-graph form: `max_ℓ |d(ℓ,a) − d(ℓ,b)|`. Always ≤ the true
-    /// distance on undirected graphs; 0 when no landmark reaches both.
+    /// Symmetric-graph form: `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over the landmarks
+    /// with an entry for both. Always ≤ the true distance on undirected
+    /// graphs; 0 when no landmark speaks for both.
+    #[inline]
     pub fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
-        let mut lb = 0;
-        for row in &self.dist {
-            let da = row[a.index()];
-            let db = row[b.index()];
-            if da < UNREACHABLE && db < UNREACHABLE {
-                lb = lb.max((da - db).abs());
-            }
-        }
-        lb
+        max_gap(self.entries(a), self.entries(b))
     }
 }
 
@@ -224,6 +273,111 @@ mod tests {
         RoadGraph::from_undirected_edges(coords, edges)
     }
 
+    /// `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over the landmarks that speak for both
+    /// nodes, from sweeps of this test's own — nothing of the table's
+    /// layout in it.
+    fn assert_bounds_are_the_formula(g: &RoadGraph, lm: &Landmarks) {
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        let sweeps: Vec<Vec<Dur>> = lm
+            .nodes()
+            .iter()
+            .map(|&l| ws.single_source(g, l).to_vec())
+            .collect();
+        let speaks = |d: Dur| d < Dur::from(u32::MAX);
+        for a in g.nodes() {
+            for b in g.nodes() {
+                let want = sweeps
+                    .iter()
+                    .map(|d| (d[a.index()], d[b.index()]))
+                    .filter(|&(da, db)| speaks(da) && speaks(db))
+                    .map(|(da, db)| (da - db).abs())
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(lm.lower_bound(a, b), want, "lb({a},{b})");
+            }
+        }
+    }
+
+    fn e(from: u32, to: u32, travel: Dur) -> Edge {
+        Edge {
+            from: NodeId(from),
+            to: NodeId(to),
+            travel,
+        }
+    }
+
+    /// Two paths, {0,1,2} and {3,4,5}: no landmark reaches every node.
+    fn two_paths() -> RoadGraph {
+        let coords = (0..6).map(|i| (i as f64, 0.0)).collect();
+        RoadGraph::from_undirected_edges(
+            coords,
+            vec![e(0, 1, 5), e(1, 2, 7), e(3, 4, 11), e(4, 5, 2)],
+        )
+    }
+
+    #[test]
+    fn bound_is_the_landmark_formula_on_every_pair() {
+        // More nodes than landmarks and no symmetry between them: reading
+        // the table landmark-major cannot pass.
+        let city = crate::citygen::CityConfig {
+            width: 7,
+            height: 5,
+            ..Default::default()
+        }
+        .generate(19);
+        let lm = Landmarks::build(&city, 6);
+        assert_eq!(lm.len(), 6);
+        assert_eq!(lm.table_bytes(), 6 * 35 * 4);
+        assert_bounds_are_the_formula(&city, &lm);
+
+        let split = two_paths();
+        let lm = Landmarks::build(&split, 3);
+        assert_bounds_are_the_formula(&split, &lm);
+        // Across the gap no landmark speaks for both ends.
+        assert_eq!(lm.lower_bound(NodeId(1), NodeId(4)), 0);
+    }
+
+    /// One road longer than a table entry can say: the landmarks on either
+    /// side of it cannot speak for the nodes beyond it and are skipped for
+    /// pairs that straddle it. The bound gets looser there, never wrong,
+    /// and the search — whose heuristic is then merely admissible — stays
+    /// exact.
+    #[test]
+    fn a_distance_beyond_u32_silences_the_landmark_not_the_oracle() {
+        use crate::astar::AltOracle;
+        use watter_core::{TravelBound, TravelCost};
+
+        let long = Dur::from(u32::MAX) + 3;
+        let coords = (0..6).map(|i| (i as f64, (i % 2) as f64)).collect();
+        let g = std::sync::Arc::new(RoadGraph::from_undirected_edges(
+            coords,
+            vec![
+                e(0, 1, 5),
+                e(1, 2, long),
+                e(2, 3, 7),
+                e(3, 4, 2),
+                e(0, 5, 4),
+                e(5, 1, 4),
+            ],
+        ));
+        let lm = Landmarks::build(&g, 3);
+        let silent = lm.table.iter().filter(|&&d| d == NO_ENTRY).count();
+        assert!(silent > 0, "every distance fits: {:?}", lm.table);
+        assert!(silent < lm.table.len(), "no distance fits");
+        assert_bounds_are_the_formula(&g, &lm);
+
+        let alt = AltOracle::with_landmarks(std::sync::Arc::clone(&g), lm);
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        for a in g.nodes() {
+            let exact = ws.single_source(&g, a).to_vec();
+            for b in g.nodes() {
+                assert!(alt.lower_bound(a, b) <= exact[b.index()], "lb({a},{b})");
+                assert_eq!(alt.cost(a, b), exact[b.index()], "{a} -> {b}");
+            }
+        }
+        assert_eq!(alt.cost(NodeId(0), NodeId(4)), 5 + long + 9);
+    }
+
     #[test]
     fn bounds_never_exceed_true_distance() {
         let g = grid3();
@@ -310,18 +464,11 @@ mod tests {
         for threads in [2, 3, 5, 64] {
             let par = Landmarks::build_with_threads(&city, 6, threads);
             assert_eq!(par.nodes(), serial.nodes(), "{threads} threads");
-            for a in city.nodes() {
-                for b in city.nodes() {
-                    assert_eq!(
-                        par.lower_bound(a, b),
-                        serial.lower_bound(a, b),
-                        "{threads} threads {a}->{b}"
-                    );
-                }
-            }
+            assert_eq!(par.table, serial.table, "{threads} threads");
         }
         let auto = Landmarks::build(&city, 6);
         assert_eq!(auto.nodes(), serial.nodes());
+        assert_eq!(auto.table, serial.table);
     }
 
     #[test]

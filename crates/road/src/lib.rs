@@ -35,6 +35,8 @@
 //! * [`citygen`] — synthetic city generation (perturbed grid with optional
 //!   diagonal arterials).
 
+#![forbid(unsafe_code)]
+
 pub mod astar;
 pub mod cached;
 pub mod ch;

@@ -15,7 +15,7 @@ use watter_core::{
     TravelBound, Ts, WorkerId,
 };
 use watter_obs::{Counter, Recorder, Stage, TraceEvent};
-use watter_pool::{OrderPool, PoolConfig, SpatialPrune};
+use watter_pool::{OrderPool, PoolConfig};
 use watter_road::GridIndex;
 use watter_strategy::{DecisionContext, DecisionPolicy, NoopObserver, PoolObserver};
 
@@ -205,11 +205,6 @@ pub struct WatterConfig {
     pub cancellation: crate::cancel::CancellationModel,
     /// Seed for the deterministic cancellation draws.
     pub cancel_seed: u64,
-    /// Optional spatial candidate pruning for pool inserts: bucket pooled
-    /// orders by pick-up cell and scan only the slack-reachable ring
-    /// instead of the whole pool. Bit-identical outcomes either way; `None`
-    /// keeps the full scan.
-    pub spatial: Option<SpatialPrune>,
     /// Carried and ignored: dispatch is single-threaded. Kept because
     /// `benchmark/` constructs this struct field by field.
     pub parallelism: DispatchParallelism,
@@ -247,10 +242,7 @@ impl<P: DecisionPolicy, O: PoolObserver> WatterDispatcher<P, O> {
     /// (offline experience generation, Section VI-B).
     pub fn with_observer(cfg: WatterConfig, policy: P, observer: O) -> Self {
         Self {
-            pool: match cfg.spatial {
-                Some(spatial) => OrderPool::with_spatial(cfg.pool, spatial),
-                None => OrderPool::new(cfg.pool),
-            },
+            pool: OrderPool::new(cfg.pool),
             policy,
             grid: cfg.grid,
             check_period: cfg.check_period,

@@ -46,6 +46,8 @@
 //! front of the search backends by itself; results are bit-identical
 //! either way.
 
+#![forbid(unsafe_code)]
+
 pub mod cancel;
 pub mod checkpoint;
 pub mod core;

@@ -16,6 +16,8 @@
 //! runs with a constant threshold, the GMM-optimal threshold of Section V-C,
 //! or the learned value function of Section VI (`θ = p − V(s)`).
 
+#![forbid(unsafe_code)]
+
 use watter_core::{Dur, EnvSnapshot, Group, GroupQuality, Order, Ts};
 
 pub mod observer;

@@ -18,6 +18,8 @@
 //!   pick-up distribution and capacities uniform in `[2, Kw]`
 //!   (Section VII-A, *Implementation*).
 
+#![forbid(unsafe_code)]
+
 pub mod hotspot;
 pub mod params;
 pub mod profile;

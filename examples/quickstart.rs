@@ -120,7 +120,6 @@ fn main() {
                 clique: CliqueLimits::default(),
                 weights: CostWeights::default(),
             },
-            spatial: Some(watter_pool::SpatialPrune::for_graph(&graph, grid.clone())),
             grid,
             check_period: 10,
             cancellation: watter_sim::CancellationModel::OFF,

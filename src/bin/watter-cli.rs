@@ -66,6 +66,8 @@
 //!
 //! A flag outside the set above is a usage error (exit 2, flag named).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{

@@ -113,6 +113,16 @@ fn install_sigterm() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
+    // SAFETY: the declaration matches libc's `signal(int, void (*)(int))` on
+    // every platform std supports — `int` is `i32` and a handler pointer
+    // (like the `SIG_*` sentinels it may return) is pointer-sized, so
+    // `usize` — and `on_term` is a real `extern "C" fn(i32)` that lives as
+    // long as the process. The handler may interrupt any thread at any
+    // instruction, so it must be async-signal-safe: it does one atomic
+    // store to a `static` (lock-free on every target with `AtomicBool`),
+    // takes no lock, allocates nothing and touches no other state.
+    // Installing it races with nothing: `main` calls this once, first
+    // thing, before any other thread exists.
     unsafe {
         signal(15, on_term as extern "C" fn(i32) as *const () as usize);
     }

@@ -24,6 +24,8 @@
 //! assert!(stats.service_rate_pct > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use watter_baselines as baselines;
 pub use watter_core as core;
 pub use watter_learn as learn;

@@ -11,7 +11,7 @@ use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSh
 use watter_core::{CostWeights, Kpis, Measurements, OracleCacheKpis, RunStats, TravelBound};
 use watter_learn::ValueFunction;
 use watter_obs::Recorder;
-use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig, SpatialPrune};
+use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig};
 use watter_road::OracleStack;
 use watter_sim::{Dispatcher, SimConfig, WatterConfig, WatterDispatcher};
 use watter_strategy::{DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy};
@@ -97,10 +97,6 @@ pub fn pool_config(scenario: &Scenario) -> PoolConfig {
 }
 
 /// WATTER dispatcher configuration derived from scenario parameters.
-///
-/// Pool inserts always use spatial candidate pruning (bit-identical to the
-/// full scan, strictly less work — see `watter_pool::spatial`), bucketing
-/// pooled orders with the same grid the snapshots use.
 pub fn watter_config(scenario: &Scenario) -> WatterConfig {
     WatterConfig {
         pool: pool_config(scenario),
@@ -108,10 +104,6 @@ pub fn watter_config(scenario: &Scenario) -> WatterConfig {
         check_period: scenario.params.check_period,
         cancellation: watter_sim::CancellationModel::OFF,
         cancel_seed: scenario.params.seed,
-        spatial: Some(SpatialPrune::for_graph(
-            &scenario.graph,
-            scenario.grid.clone(),
-        )),
         parallelism: scenario.params.parallelism,
     }
 }

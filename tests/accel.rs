@@ -1,9 +1,9 @@
 //! Query-acceleration equivalence properties.
 //!
-//! PR 3's speed layers (memoized oracle, bound-guided pre-filter, spatial
-//! insert pruning) are *exact* accelerations: they must never change a
-//! single answer, admission or dispatch outcome — only latency. These
-//! properties pin that guarantee across all city profiles:
+//! The speed layers (memoized oracle, bound-guided pre-filter, bound-only
+//! pair gate) are *exact* accelerations: they must never change a single
+//! answer, admission or dispatch outcome — only latency. These properties
+//! pin that guarantee across all city profiles:
 //!
 //! 1. `CachedOracle` is bit-identical to its inner oracle under arbitrary
 //!    query sequences, at any capacity (constant eviction included) —
@@ -11,12 +11,14 @@
 //!    directions kept apart over one that is not;
 //! 2. the bound-guided `pair_prefilter` admits exactly the pairs the
 //!    exact-only filter admits (the landmark bound is admissible);
-//! 3. spatially pruned `ShareGraph` inserts produce the same edge sets as
-//!    the full scan under random order streams with removals;
+//! 3. `ShareGraph::insert`, bound-only gate included, builds the edges an
+//!    ungated, exact-only pair test written here builds, under random order
+//!    streams with removals — over landmark bounds and over hand-made ones
+//!    (loose, zero, and admissible but not a metric);
 //! 4. bound-guided `Fleet::nearest_idle` picks the worker the exhaustive
 //!    `(cost, id)` scan picks;
 //! 5. end-to-end dispatch outcomes are identical across every
-//!    acceleration configuration;
+//!    acceleration configuration (dense / ALT, bare / cached);
 //! 6. `OracleStack` — the one handle front ends query — answers exactly
 //!    what its bare backend answers, in both of its shapes, and picks the
 //!    shape from the backend alone;
@@ -28,7 +30,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
 use watter_core::{Dur, NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
-use watter_pool::{pair_prefilter, PlanLimits, ShareGraph, SpatialPrune};
+use watter_pool::{pair_prefilter, plan_min_cost, PairEdge, PlanLimits, ShareGraph};
 use watter_road::{AltOracle, CachedOracle, OracleStack};
 use watter_sim::Fleet;
 
@@ -43,6 +45,114 @@ fn exact_prefilter<C: TravelCost>(a: &Order, b: &Order, now: Ts, oracle: &C) -> 
     let b_solo = now + b.direct_cost < b.deadline;
     (a_solo && now + oracle.cost(a.pickup, b.pickup) + b.direct_cost < b.deadline)
         || (b_solo && now + oracle.cost(b.pickup, a.pickup) + a.direct_cost < a.deadline)
+}
+
+/// The shareability edge of a pair as it was decided before the bound-only
+/// gate: the exact-only pre-filter, then the pair plan — `new` first, the
+/// order `ShareGraph::insert` plans in.
+fn reference_edge<C: TravelBound>(
+    new: &Order,
+    pooled: &Order,
+    now: Ts,
+    limits: PlanLimits,
+    oracle: &C,
+) -> Option<PairEdge> {
+    if !exact_prefilter(new, pooled, now, oracle) {
+        return None;
+    }
+    let plan = plan_min_cost(&[new, pooled], now, limits, oracle)?;
+    let group = plan.into_group(vec![new.clone(), pooled.clone()]);
+    let edge = PairEdge {
+        expires_at: group.expires_at(),
+        route_cost: group.route.cost(),
+    };
+    (edge.expires_at >= now).then_some(edge)
+}
+
+/// `(pick-up, drop-off, deadline scale, deadline jitter, action)` per
+/// arrival; action 0 also removes an earlier order.
+type Arrival = (u32, u32, i64, i64, u8);
+
+/// Feed `specs` to a [`ShareGraph`] over `oracle` — one arrival every 5 s,
+/// now and then a removal — and hold every insert and the final graph
+/// against [`reference_edge`].
+fn check_inserts_against_reference<C: TravelBound>(
+    specs: &[Arrival],
+    n_nodes: u32,
+    oracle: &C,
+) -> Result<(), TestCaseError> {
+    let limits = PlanLimits { capacity: 4 };
+    let mut graph = ShareGraph::new();
+    let mut pooled: Vec<Order> = Vec::new();
+    let mut want: Vec<(OrderId, OrderId, PairEdge)> = Vec::new();
+    let mut now = 0;
+    for (i, &(p, d, scale, jitter, action)) in specs.iter().enumerate() {
+        let (p, d) = (NodeId(p % n_nodes), NodeId(d % n_nodes));
+        let direct = oracle.cost(p, d);
+        if p == d || direct >= watter_road::dijkstra::UNREACHABLE {
+            continue;
+        }
+        now += 5;
+        let o = Order {
+            id: OrderId(i as u32),
+            pickup: p,
+            dropoff: d,
+            riders: 1,
+            release: now,
+            deadline: now + scale * direct + jitter,
+            wait_limit: direct,
+            direct_cost: direct,
+        };
+        let edges: Vec<(OrderId, OrderId, PairEdge)> = pooled
+            .iter()
+            .filter_map(|old| Some((old.id, o.id, reference_edge(&o, old, now, limits, oracle)?)))
+            .collect();
+        let neighbours: Vec<OrderId> = edges.iter().map(|e| e.0).collect();
+        prop_assert_eq!(
+            graph.insert(o.clone(), now, limits, oracle),
+            neighbours,
+            "insert {}: neighbour sets diverge",
+            i
+        );
+        want.extend(edges);
+        pooled.push(o);
+        if action == 0 && i > 0 {
+            let victim = OrderId((i / 2) as u32);
+            graph.remove(victim);
+            pooled.retain(|o| o.id != victim);
+            want.retain(|e| e.0 != victim && e.1 != victim);
+        }
+    }
+    // `edges()` lists each edge once, `(a, b)` ascending.
+    want.sort_by_key(|e| (e.0, e.1));
+    prop_assert_eq!(graph.edges().collect::<Vec<_>>(), want);
+    Ok(())
+}
+
+/// 1-D metric, `|a − b| × 10` s, behind a hand-made bound: what
+/// `bound(a, b, cost(a, b))` says, never claimed exact.
+struct BoundedLine {
+    bound: fn(NodeId, NodeId, Dur) -> Dur,
+}
+impl TravelCost for BoundedLine {
+    fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+        (a.0 as i64 - b.0 as i64).abs() * 10
+    }
+}
+impl TravelBound for BoundedLine {
+    fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+        (self.bound)(a, b, self.cost(a, b))
+    }
+}
+
+/// Admissible, and no metric: exact on a third of the pairs, silent on the
+/// rest, so `bound(a, c) > bound(a, b) + bound(b, c)` all over the line.
+fn patchy_bound(a: NodeId, b: NodeId, cost: Dur) -> Dur {
+    if (a.0 + b.0).is_multiple_of(3) {
+        cost
+    } else {
+        0
+    }
 }
 
 proptest! {
@@ -211,55 +321,34 @@ proptest! {
         }
     }
 
-    /// Spatially pruned inserts build the same shareability graph as the
-    /// full scan under random arrival/removal streams.
+    /// The gated insert builds the ungated reference's graph over real
+    /// landmark bounds, few landmarks (loose) to several (tight).
     #[test]
-    fn spatial_insert_equals_full_scan(
+    fn gated_insert_equals_ungated_reference_on_alt_cities(
         pidx in 0usize..3,
         side in 6usize..11,
         seed in 0u64..300,
-        grid_dim in 2usize..8,
+        landmarks in 1usize..6,
         specs in prop::collection::vec((0u32..10_000, 0u32..10_000, 1i64..4, 0i64..40, 0u8..8), 4..40),
     ) {
         let graph = Arc::new(profile(pidx).city_config(side).generate(seed));
-        let oracle = CostMatrix::build(&graph);
-        let spatial = SpatialPrune::for_graph(&graph, GridIndex::build(&graph, grid_dim));
-        let limits = PlanLimits { capacity: 4 };
-        let mut full = ShareGraph::new();
-        let mut pruned = ShareGraph::with_spatial(spatial);
         let n = graph.node_count() as u32;
-        let mut now = 0;
-        for (i, &(p, d, scale, jitter, action)) in specs.iter().enumerate() {
-            let p = NodeId(p % n);
-            let d = NodeId(d % n);
-            let direct = oracle.cost(p, d);
-            if p == d || direct >= watter_road::dijkstra::UNREACHABLE {
-                continue;
-            }
-            now += 5;
-            let o = Order {
-                id: OrderId(i as u32),
-                pickup: p,
-                dropoff: d,
-                riders: 1,
-                release: now,
-                deadline: now + scale * direct + jitter,
-                wait_limit: direct,
-                direct_cost: direct,
-            };
-            let a = full.insert(o.clone(), now, limits, &oracle);
-            let b = pruned.insert(o, now, limits, &oracle);
-            prop_assert_eq!(a, b, "insert {}: neighbour sets diverge", i);
-            if action == 0 && i > 0 {
-                let victim = OrderId((i / 2) as u32);
-                prop_assert_eq!(full.remove(victim), pruned.remove(victim));
-            }
-        }
-        prop_assert_eq!(full.edge_count(), pruned.edge_count());
-        for id in full.order_ids() {
-            let fe: Vec<_> = full.neighbors(id).collect();
-            let pe: Vec<_> = pruned.neighbors(id).collect();
-            prop_assert_eq!(fe, pe, "adjacency of {} diverges", id);
+        let alt = AltOracle::build(graph, landmarks);
+        prop_assert!(!alt.bound_is_exact());
+        check_inserts_against_reference(&specs, n, &alt)?;
+    }
+
+    /// Soundness needs `lower_bound ≤ cost` and nothing else of the bound:
+    /// half the cost, nothing at all, and a bound that breaks the triangle
+    /// inequality all leave the edge set alone.
+    #[test]
+    fn gated_insert_equals_ungated_reference_on_hand_made_bounds(
+        specs in prop::collection::vec((0u32..40, 0u32..40, 1i64..4, 0i64..40, 0u8..8), 4..40),
+    ) {
+        let bounds: [fn(NodeId, NodeId, Dur) -> Dur; 3] =
+            [|_, _, cost| cost / 2, |_, _, _| 0, patchy_bound];
+        for bound in bounds {
+            check_inserts_against_reference(&specs, 40, &BoundedLine { bound })?;
         }
     }
 }
@@ -348,86 +437,10 @@ fn cache_folds_directions_only_over_a_symmetric_backend() {
     assert_eq!(cached.misses(), 9);
 }
 
-/// Regression: spatial pruning at the city border. `GridIndex::build`
-/// clamps coordinates into the outermost cells, and `ring_search` from an
-/// edge or corner cell visits only the in-grid part of each square ring —
-/// a bug in either (skipping clamped border cells, or stopping before the
-/// far corner's ring) would silently drop shareable partners for orders
-/// at the map margin. Pin full-scan/pruned equality on a stream placed
-/// entirely in corner and edge cells, with slacks generous enough that
-/// every partial ring out to the opposite corner must be scanned.
-#[test]
-fn spatial_prune_covers_clamped_border_cells() {
-    let side = 12usize;
-    for (pidx, grid_dim) in [(0usize, 6usize), (1, 8), (2, 12)] {
-        let graph = Arc::new(profile(pidx).city_config(side).generate(97));
-        let oracle = CostMatrix::build(&graph);
-        let grid = GridIndex::build(&graph, grid_dim);
-        let spatial = SpatialPrune::for_graph(&graph, grid.clone());
-        let limits = PlanLimits { capacity: 4 };
-        let n = graph.node_count() as u32;
-        let last_row = (side - 1) as u32 * side as u32;
-        // Row-major city: the four corners, edge midpoints and one center
-        // node. Corner pick-ups straddle the grid's clamped border cells.
-        let spots = [
-            0,
-            side as u32 - 1,
-            last_row,
-            n - 1,
-            side as u32 / 2,
-            last_row + side as u32 / 2,
-            (side as u32 / 2) * side as u32,
-            (side as u32 / 2) * side as u32 + side as u32 - 1,
-            (side as u32 / 2) * side as u32 + side as u32 / 2,
-        ];
-        let mut full = ShareGraph::new();
-        let mut pruned = ShareGraph::with_spatial(spatial);
-        let now = 0;
-        let mut id = 0u32;
-        for &p in &spots {
-            for &d in &spots {
-                let (p, d) = (NodeId(p), NodeId(d));
-                let direct = oracle.cost(p, d);
-                if p == d || direct >= watter_road::dijkstra::UNREACHABLE {
-                    continue;
-                }
-                let o = Order {
-                    id: OrderId(id),
-                    pickup: p,
-                    dropoff: d,
-                    riders: 1,
-                    release: now,
-                    // Slack spans the whole city: corner-to-corner pairs
-                    // stay shareable, so pruning must reach the far rings.
-                    deadline: now + 6 * direct + 3_600,
-                    wait_limit: 2 * direct,
-                    direct_cost: direct,
-                };
-                id += 1;
-                let a = full.insert(o.clone(), now, limits, &oracle);
-                let b = pruned.insert(o, now, limits, &oracle);
-                assert_eq!(
-                    a, b,
-                    "grid_dim {grid_dim}: neighbour sets diverge for order at ({p}, {d})"
-                );
-            }
-        }
-        assert!(
-            full.edge_count() > 0,
-            "border stream produced no shareable pairs — test is inert"
-        );
-        assert_eq!(full.edge_count(), pruned.edge_count());
-        for oid in full.order_ids() {
-            let fe: Vec<_> = full.neighbors(oid).collect();
-            let pe: Vec<_> = pruned.neighbors(oid).collect();
-            assert_eq!(fe, pe, "grid_dim {grid_dim}: adjacency of {oid} diverges");
-        }
-    }
-}
-
-/// End-to-end: every acceleration configuration (full scan / spatial /
-/// spatial + cached oracle) produces the same dispatch outcomes on the
-/// same scenario — the layers change latency, never results.
+/// End-to-end: the dense table (which skips the pair gate) and the ALT
+/// oracle (which takes it), each bare and cached, produce the same
+/// dispatch outcomes on the same scenario — the layers change latency,
+/// never results.
 #[test]
 fn acceleration_layers_do_not_change_dispatch_outcomes() {
     use watter::runner::{sim_config, watter_config};
@@ -446,23 +459,24 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
         params.seed = seed;
         let scenario = Scenario::build(params);
 
+        assert!(scenario.oracle.bound_is_exact(), "the default is the table");
+        let alt = Arc::new(CityOracle::build(
+            &scenario.graph,
+            OracleKind::Alt { landmarks: 4 },
+        ));
         let mut outcomes = Vec::new();
-        for (tag, spatial, cache) in [
-            ("full-scan", false, false),
-            ("spatial", true, false),
-            ("spatial+cache", true, true),
+        for (tag, backend, cache) in [
+            ("dense", &scenario.oracle, false),
+            ("dense+cache", &scenario.oracle, true),
+            ("alt", &alt, false),
+            ("alt+cache", &alt, true),
         ] {
-            let cached =
-                cache.then(|| CachedOracle::with_default_capacity(Arc::clone(&scenario.oracle)));
+            let cached = cache.then(|| CachedOracle::with_default_capacity(Arc::clone(backend)));
             let oracle: &dyn TravelBound = match &cached {
                 Some(c) => c,
-                None => scenario.oracle.as_ref(),
+                None => backend.as_ref(),
             };
-            let mut wcfg = watter_config(&scenario);
-            if !spatial {
-                wcfg.spatial = None;
-            }
-            let mut d = WatterDispatcher::new(wcfg, OnlinePolicy);
+            let mut d = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
             let (m, _) = run(
                 scenario.orders.clone(),
                 scenario.workers.clone(),

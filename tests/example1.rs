@@ -87,7 +87,6 @@ fn run_watter() -> Measurements {
                 clique: CliqueLimits::default(),
                 weights: CostWeights::default(),
             },
-            spatial: Some(watter_pool::SpatialPrune::for_graph(&graph, grid.clone())),
             grid,
             check_period: 10,
             cancellation: watter_sim::CancellationModel::OFF,

@@ -16,16 +16,18 @@
 //!    `best_group_for`'s answer, on random pools at several instants;
 //! 3. a counting oracle pins what the planner asks: nothing but one `cost`
 //!    per (node, stop) where the bound is exact, no exact query for a
-//!    pick-up the bound rejects where it is not.
+//!    pick-up the bound rejects where it is not — and what a pool insert
+//!    asks: no exact query at all for a pair the bounds alone rule out,
+//!    none beyond the ungated test's for a pair they let through.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use watter::prelude::*;
-use watter_core::{Dur, NodeId, OrderId, Stop, TravelBound, Ts};
+use watter_core::{Dur, NodeId, Optimistic, OrderId, Stop, TravelBound, Ts};
 use watter_pool::cliques::{all_groups_for, best_group_for, CliqueLimits};
-use watter_pool::{plan_min_cost, plan_with_start, Plan, PlanLimits, ShareGraph};
+use watter_pool::{pair_prefilter, plan_min_cost, plan_with_start, Plan, PlanLimits, ShareGraph};
 use watter_road::dijkstra::UNREACHABLE;
-use watter_road::CachedOracle;
+use watter_road::{AltOracle, CachedOracle};
 
 // ---------------------------------------------------------------------
 // 1. The reference planner
@@ -731,6 +733,92 @@ fn a_pickup_the_bound_rejects_costs_no_exact_query() {
         log.iter().filter(to_p1).all(|c| c.0),
         "an exact query to a pick-up the bound had rejected: {log:?}"
     );
+}
+
+/// The pair gate of `ShareGraph::insert`, by its bill. Over a bound that
+/// is not declared exact — the landmark bound (loose) and the table's own
+/// cost passed off as a mere bound (tight) — a pair the relaxed problem
+/// rules out costs **no** `cost` call, where the ungated test usually paid
+/// for the pre-filter's pick-up leg and often for a plan; a pair it lets
+/// through costs exactly the ungated test's `cost` calls. Over a bound
+/// declared exact the insert asks what the ungated test asks, call for
+/// call. Either way the verdict is the ungated one.
+#[test]
+fn the_pair_gate_rules_out_on_bounds_alone_and_never_asks_more() {
+    let city = Arc::new(CityProfile::Chengdu.city_config(10).generate(3));
+    let dense = CostMatrix::build(&city);
+    let alt = AltOracle::build(Arc::clone(&city), 3);
+    let n = city.node_count() as u32;
+    let limits = PlanLimits { capacity: 4 };
+    const NOW: Ts = 0;
+    let spread: Vec<Spec> = (0..12u32)
+        .map(|i| (i * 13 + 2, i * 29 + 41, 1, 120 + (i as i64 * 37) % 110, 10))
+        .collect();
+    let orders = orders_from(&spread, n, NOW, &dense);
+    let pairs = || {
+        let all = orders
+            .iter()
+            .flat_map(|a| orders.iter().map(move |b| (a, b)));
+        all.filter(|(a, b)| a.id != b.id)
+    };
+    // `(made the edge, (cost calls, lower_bound calls))` of inserting `new`
+    // into a pool holding `pooled`, and of the test as it was before the gate.
+    fn insert_bill<C: TravelBound>(
+        (new, pooled): (&Order, &Order),
+        limits: PlanLimits,
+        oracle: &Asked<C>,
+    ) -> (bool, (usize, usize)) {
+        let mut graph = ShareGraph::new();
+        graph.insert(pooled.clone(), NOW, limits, oracle);
+        assert_eq!(oracle.take_counts(), (0, 0), "an empty pool asks nothing");
+        let made = !graph.insert(new.clone(), NOW, limits, oracle).is_empty();
+        (made, oracle.take_counts())
+    }
+    fn ungated_bill<C: TravelBound>(
+        (new, pooled): (&Order, &Order),
+        limits: PlanLimits,
+        oracle: &Asked<C>,
+    ) -> (bool, (usize, usize)) {
+        let made = pair_prefilter(new, pooled, NOW, oracle)
+            && plan_min_cost(&[new, pooled], NOW, limits, oracle).is_some();
+        (made, oracle.take_counts())
+    }
+
+    // [ruled out, ruled out where the ungated test paid, let through and
+    // feasible, let through and not]
+    let mut seen = [0; 4];
+    let loose = Asked::new(&alt, false);
+    let tight = Asked::new(&dense, false);
+    for pair in pairs() {
+        let (made, (costs, _)) = insert_bill(pair, limits, &loose);
+        let (want, (ungated_costs, _)) = ungated_bill(pair, limits, &loose);
+        assert_eq!(made, want, "{:?}", (pair.0.id, pair.1.id));
+        let relaxed = Optimistic(&alt);
+        let let_through = pair_prefilter(pair.0, pair.1, NOW, &relaxed)
+            && plan_min_cost(&[pair.0, pair.1], NOW, limits, &relaxed).is_some();
+        if let_through {
+            assert_eq!(costs, ungated_costs, "a pair let through pays the old bill");
+            seen[2 + usize::from(!made)] += 1;
+        } else {
+            assert_eq!((made, costs), (false, 0), "ruled out, yet asked");
+            seen[0] += 1;
+            seen[1] += usize::from(ungated_costs > 0);
+        }
+
+        // A tight bound rules out every pair that has no route.
+        let (made, (costs, _)) = insert_bill(pair, limits, &tight);
+        let (want, (ungated_costs, _)) = ungated_bill(pair, limits, &tight);
+        assert_eq!(made, want);
+        assert_eq!(costs, if made { ungated_costs } else { 0 });
+    }
+    assert!(seen.iter().all(|&cases| cases >= 5), "coverage {seen:?}");
+
+    let exact = Asked::new(&dense, true);
+    for pair in pairs() {
+        let (made, bill) = insert_bill(pair, limits, &exact);
+        assert_eq!((made, bill), ungated_bill(pair, limits, &exact));
+        assert_eq!(bill.1, 0, "lower_bound on an exact-bound oracle");
+    }
 }
 
 /// Oracle calls (`cost` + `lower_bound`) of one four-order plan and of one
