@@ -1,8 +1,9 @@
 //! Order-pool micro-benchmarks: route planning, pair-edge insertion,
 //! clique enumeration and the GDP insertion operator — the inner loops of
 //! the paper's running-time comparison — plus the two searches (an
-//! infeasible four-order plan, one `best_group_for`) on each oracle stack
-//! and one share-graph insert at pool depth 100.
+//! infeasible four-order plan, one `best_group_for`, and the one that
+//! follows the departure of its winner's partner) on each oracle stack and
+//! one share-graph insert at pool depth 100.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -93,6 +94,14 @@ fn bench_searches(c: &mut Criterion) {
         .and_then(|id| pool.order_handle(id))
         .expect("the pool is not empty")
         .clone();
+    let (clique, weights) = (CliqueLimits::default(), CostWeights::default());
+    // Update event 2: the centre's best partner departs, and `remove_orders`
+    // searches the centre's next best group in what is left.
+    let partner = best_group_for(&center, &pool, now, limits, clique, weights, &s.oracle)
+        .and_then(|best| best.order_ids().find(|&id| id != center.id))
+        .expect("the busiest order has a partner");
+    let mut departed = pool.clone();
+    departed.remove(partner);
 
     // One arrival against a pool 100 deep: the first hundred orders pooled
     // at their release instants, the next hundred inserted one at a time at
@@ -118,19 +127,24 @@ fn bench_searches(c: &mut Criterion) {
         g.bench_function(format!("plan_route_quad_infeasible/{stack}"), |b| {
             b.iter(|| plan_min_cost(black_box(&quad), now, limits, &oracle))
         });
-        g.bench_function(format!("best_group_for/{stack}"), |b| {
-            b.iter(|| {
-                best_group_for(
-                    black_box(&center),
-                    &pool,
-                    now,
-                    limits,
-                    CliqueLimits::default(),
-                    CostWeights::default(),
-                    &oracle,
-                )
-            })
-        });
+        for (name, pool) in [
+            ("best_group_for", &pool),
+            ("recompute_after_departure", &departed),
+        ] {
+            g.bench_function(format!("{name}/{stack}"), |b| {
+                b.iter(|| {
+                    best_group_for(
+                        black_box(&center),
+                        pool,
+                        now,
+                        limits,
+                        clique,
+                        weights,
+                        &oracle,
+                    )
+                })
+            });
+        }
         // The contraction hierarchy takes the dense table's path here (its
         // bound is its cost). Behind the cache every leg is a hit after the
         // first hundred inserts: this times the pair gate and the bounds,

@@ -9,7 +9,10 @@
 //! (re)computed): candidates are its live neighbours, ranked by pair route
 //! cost and truncated to a configurable fan-out so that dense hot spots do
 //! not blow up the search. Within that candidate set we grow id-ordered
-//! cliques up to the maximum group size.
+//! cliques up to the maximum group size. One `Walk` does it for both
+//! callers: [`all_groups_for`] takes every feasible group,
+//! [`best_group_for`] only the ones that could still beat the best it
+//! holds.
 //!
 //! # Feasibility is monotone
 //!
@@ -18,18 +21,65 @@
 //! remaining stop is reached later and no load grows, so the rest is a
 //! feasible route for the smaller group. Hence **a group is infeasible as
 //! soon as any subset of it is** — Theorem IV.1's necessary condition, one
-//! level up. The walk uses it twice: it only extends feasible groups, and
-//! before it plans `S ∪ {x}` it requires every `S ∪ {x} ∖ {y}` (centre
-//! kept) to be feasible. Those subsets are exactly groups the walk would
-//! plan anyway, later, so checking them first through a memo makes no
-//! planner call the ungated walk would not make, and skips the — usually
-//! largest, most expensive — plans whose answer is already known.
+//! level up. The walk uses it twice: it only extends groups not known to be
+//! infeasible, and before it plans `S ∪ {x}` it requires every
+//! `S ∪ {x} ∖ {y}` (centre kept) to be feasible. Those subsets are exactly
+//! groups the ungated walk would plan anyway, so checking them first
+//! through a memo makes no planner call it would not make, and skips the —
+//! usually largest, most expensive — plans whose answer is already known.
+//!
+//! # The bound
+//!
+//! A search for the *best* group holds an incumbent after its first pair
+//! and replaces it only by a strictly smaller mean extra time, so a member
+//! set whose mean cannot get below the incumbent's need not be planned.
+//! The walk bounds a set's mean from below out of its *pairs*:
+//!
+//! * **Detour floor.** `floor[u][v]` is the least detour `u` has on any
+//!   route of the pair `{u, v}` that meets both deadlines at `now`
+//!   (Definition 7's strict `<`): six interleavings, sub-route costs
+//!   counted from the route's first stop as [`Plan::subroute_costs`] counts
+//!   them, the detour clamped at 0 as [`Group::detour`] clamps it — eight
+//!   legs beside the two stored direct costs, asked through `cost()` where
+//!   the bound is exact and through `lower_bound()` otherwise, **never an
+//!   exact query on a search backend** (a smaller leg passes more routes
+//!   and shortens each, so the floor only sinks). A pair no interleaving
+//!   serves has floor `+∞`. Floors live in the walk, are filled when a
+//!   bound first needs them, and die with it.
+//! * **Bound.** For a member set `G` let `L_i = max_{j ∈ G∖{i}} floor[i][j]`
+//!   and `bound(G) = (Σ_i α·L_i + β·t_r(i)) / |G|`, summed in the member
+//!   order and with the expression [`Group::mean_extra_time`] uses.
+//!
+//! **Why it is a lower bound.** Take any feasible route of `G` and delete
+//! every stop but those of `i` and `j`. Over a shortest-path metric no
+//! remaining stop is reached later and no load grows, so what is left is a
+//! feasible pair route; its clock starts at its own first stop, no earlier
+//! than the group route's, so `i`'s sub-route cost on it is no larger.
+//! Hence `detour_i(G) ≥ floor[i][j]` for every `j`, that is
+//! `L_i ≤ detour_i(G)` member by member. For `α ≥ 0` every term, every
+//! partial sum and the quotient are monotone in `L_i` under IEEE rounding,
+//! so `bound(G) ≤ mean_extra_time(G)` holds **between the two `f64`s**, no
+//! epsilon, and "skip when `bound ≥ incumbent`" can neither lose a winner
+//! nor move the first-found tie-break. For `α < 0` no bound is asked.
+//!
+//! **Why supersets of a skipped set are still visited.** Unlike
+//! feasibility, the bound is not monotone in the set: a member that has
+//! just arrived has response time 0 and pulls the mean *down*, so a triple
+//! can win where its pair could not. A skipped set is neither planned nor
+//! emitted, but the walk descends below it all the same; only a set the
+//! memo *knows* to be infeasible cuts its subtree. A superset worth
+//! planning meets the subset gate, which plans the skipped set then —
+//! lazily, once, never emitted.
+//!
+//! Debug builds plan every skipped set after all and assert that it has no
+//! route or a mean that indeed does not beat the incumbent.
 
 use crate::planner::{Plan, PlanLimits, PlanScratch};
 use crate::share_graph::ShareGraph;
 use std::collections::HashMap;
+use std::iter::once;
 use std::sync::Arc;
-use watter_core::{CostWeights, Group, Order, OrderId, TravelBound, Ts};
+use watter_core::{CostWeights, Dur, Group, Order, OrderId, TravelBound, Ts};
 
 /// Knobs bounding clique search.
 #[derive(Clone, Copy, Debug)]
@@ -38,8 +88,13 @@ pub struct CliqueLimits {
     /// are bounded by the vehicle capacity `Kw`.
     pub max_group_size: usize,
     /// Consider at most this many nearest neighbours (by pair route cost)
-    /// when growing cliques. Engineering guard absent from the paper; set
-    /// high enough to be inactive at the paper's densities.
+    /// when growing cliques. Engineering guard absent from the paper, and
+    /// **active** at the densities this repo runs: on a 24×24 city with
+    /// 4 000 orders / 400 workers a walk has 18.1 live neighbours on
+    /// average and the cap binds on 4 732 of 11 598 walks (64×64 ALT,
+    /// 600 / 120: 5.4 on average, 200 of 1 426). Which neighbours survive
+    /// — the ranking by `(pair route cost, id)` — is therefore part of the
+    /// outcome contract, not a tuning detail.
     pub max_neighbors: usize,
 }
 
@@ -55,7 +110,8 @@ impl Default for CliqueLimits {
 /// The best (minimal mean extra time) feasible **shared** group containing
 /// `center`, i.e. a validated clique of size ≥ 2, or `None` if the order has
 /// no live shareable partner. Among equal means the first group in walk
-/// order wins.
+/// order wins. Sets whose [bound](self#the-bound) already reaches the best
+/// mean so far are not planned.
 pub fn best_group_for<C: TravelBound>(
     center: &Arc<Order>,
     graph: &ShareGraph,
@@ -65,14 +121,13 @@ pub fn best_group_for<C: TravelBound>(
     weights: CostWeights,
     oracle: &C,
 ) -> Option<Group> {
-    let mut best: Option<(f64, Group)> = None;
-    Walk::new(center, graph, now, limits, clique, oracle).run(&mut |group: Group| {
-        let mean = group.mean_extra_time(now, weights);
-        if best.as_ref().is_none_or(|(b, _)| mean < *b) {
-            best = Some((mean, group));
-        }
-    });
-    best.map(|(_, g)| g)
+    let mut best = Best {
+        now,
+        weights,
+        incumbent: None,
+    };
+    Walk::new(center, graph, now, limits, clique, oracle).run(&mut best);
+    best.incumbent.map(|(_, g)| g)
 }
 
 /// Enumerate **all** validated shared groups (size ≥ 2) containing `center`,
@@ -87,8 +142,54 @@ pub fn all_groups_for<C: TravelBound>(
     oracle: &C,
 ) -> Vec<Group> {
     let mut out = Vec::new();
-    Walk::new(center, graph, now, limits, clique, oracle).run(&mut |group| out.push(group));
+    Walk::new(center, graph, now, limits, clique, oracle).run(&mut out);
     out
+}
+
+/// Who a walk reports to.
+trait Visitor {
+    /// Whether a member set still matters when every group over it has a
+    /// mean extra time of at least `bound(weights)`. Asked before the set
+    /// is planned; `bound` costs nothing unless called.
+    fn wants(&self, bound: impl FnOnce(CostWeights) -> f64) -> bool;
+
+    /// A feasible group over a wanted set, in walk order.
+    fn group(&mut self, group: Group);
+}
+
+/// Every group.
+impl Visitor for Vec<Group> {
+    fn wants(&self, _bound: impl FnOnce(CostWeights) -> f64) -> bool {
+        true
+    }
+
+    fn group(&mut self, group: Group) {
+        self.push(group);
+    }
+}
+
+/// The first group with the strictly smallest mean extra time.
+struct Best {
+    now: Ts,
+    weights: CostWeights,
+    incumbent: Option<(f64, Group)>,
+}
+
+impl Visitor for Best {
+    fn wants(&self, bound: impl FnOnce(CostWeights) -> f64) -> bool {
+        match &self.incumbent {
+            // Under a negative α a detour floor caps the mean instead.
+            Some((mean, _)) if self.weights.alpha >= 0.0 => bound(self.weights) < *mean,
+            _ => true,
+        }
+    }
+
+    fn group(&mut self, group: Group) {
+        let mean = group.mean_extra_time(self.now, self.weights);
+        if self.incumbent.as_ref().is_none_or(|(b, _)| mean < *b) {
+            self.incumbent = Some((mean, group));
+        }
+    }
 }
 
 /// Live neighbours of `center` ranked by `(pair route cost, id)` and
@@ -98,7 +199,7 @@ fn ranked_candidates<'g>(
     graph: &'g ShareGraph,
     now: Ts,
     clique: CliqueLimits,
-) -> Vec<&'g Arc<Order>> {
+) -> impl Iterator<Item = &'g Arc<Order>> {
     let mut neighbors: Vec<(OrderId, i64)> = graph
         .neighbors(center.id)
         .filter(|(_, e)| e.expires_at >= now)
@@ -107,9 +208,8 @@ fn ranked_candidates<'g>(
     neighbors.sort_by_key(|&(j, c)| (c, j.0));
     neighbors.truncate(clique.max_neighbors);
     neighbors
-        .iter()
-        .filter_map(|&(j, _)| graph.order_handle(j))
-        .collect()
+        .into_iter()
+        .filter_map(|(j, _)| graph.order_handle(j))
 }
 
 /// What the walk has learnt about one member set.
@@ -117,25 +217,85 @@ enum Verdict {
     Infeasible,
     /// The set's plan waits here from the moment it is made — possibly
     /// ahead of time, as another set's subset — until the walk reaches the
-    /// set and emits it.
+    /// set and, if the visitor wants it, emits it.
     Feasible(Option<Plan>),
 }
 
-/// One depth-first walk over the cliques containing `center`: try extending
-/// the member set with each candidate after its last member, emit every
-/// feasible group, extend only those. Groups are emitted in that order and
-/// list their members in it (centre first, then ascending candidate rank),
-/// whatever order the plans were made in.
+/// A detour floor not computed yet (floors are ≥ 0).
+const UNKNOWN: Dur = -1;
+/// The detour floor of a pair no interleaving serves.
+const NO_ROUTE: Dur = Dur::MAX;
+
+/// The detour floors `(a's, b's)` of the pair `{a, b}` at `now` (module
+/// docs): the least detour each has on any interleaving that meets both
+/// deadlines. Capacity excludes none — the walk only bounds sets whose
+/// riders all fit the vehicle at once.
+fn pair_floors<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C) -> (Dur, Dur) {
+    let exact = oracle.bound_is_exact();
+    let leg = |from, to| {
+        if exact {
+            oracle.cost(from, to)
+        } else {
+            oracle.lower_bound(from, to)
+        }
+    };
+    let (pa, da, pb, db) = (a.pickup, a.dropoff, b.pickup, b.dropoff);
+    let (papb, pbpa) = (leg(pa, pb), leg(pb, pa));
+    let (dadb, dbda) = (leg(da, db), leg(db, da));
+    let (pa_pb_da, pa_pb_db) = (papb + leg(pb, da), papb + b.direct_cost);
+    let (pb_pa_da, pb_pa_db) = (pbpa + a.direct_cost, pbpa + leg(pa, db));
+    let a_b = a.direct_cost + leg(da, pb) + b.direct_cost;
+    let b_a = b.direct_cost + leg(db, pa) + a.direct_cost;
+    // Sub-route costs (a's, b's) from the first stop of each interleaving:
+    // pa pb da db, pa pb db da, pb pa da db, pb pa db da, then one after
+    // the other.
+    let routes = [
+        (pa_pb_da, pa_pb_da + dadb),
+        (pa_pb_db + dbda, pa_pb_db),
+        (pb_pa_da, pb_pa_da + dadb),
+        (pb_pa_db + dbda, pb_pa_db),
+        (a.direct_cost, a_b),
+        (b_a, b.direct_cost),
+    ];
+    let mut floors = (NO_ROUTE, NO_ROUTE);
+    for (sub_a, sub_b) in routes {
+        if now + sub_a < a.deadline && now + sub_b < b.deadline {
+            floors.0 = floors.0.min((sub_a - a.direct_cost).max(0));
+            floors.1 = floors.1.min((sub_b - b.direct_cost).max(0));
+        }
+    }
+    floors
+}
+
+/// The ranks of a member set, centre first — the member order of the
+/// groups the walk emits.
+fn ranks(members: &[usize]) -> impl Iterator<Item = usize> + Clone + '_ {
+    once(0).chain(members.iter().copied())
+}
+
+/// One depth-first walk over the cliques containing the centre: try
+/// extending the member set with each candidate after its last member, emit
+/// every feasible group the visitor wants, and descend below every set not
+/// known to be infeasible. Groups are emitted in that order and list their
+/// members in it (centre first, then ascending candidate rank), whatever
+/// order the plans were made in.
 struct Walk<'a, C: TravelBound> {
-    center: &'a Arc<Order>,
-    candidates: Vec<&'a Arc<Order>>,
-    graph: &'a ShareGraph,
+    /// The orders the walk concerns, by **rank**: the centre, then its
+    /// candidates as ranked. `n = orders.len()` sizes the two tables.
+    orders: Vec<&'a Arc<Order>>,
+    /// `adjacent[u * n + v]` for candidate ranks `u < v`: whether the graph
+    /// joins them, asked once (every candidate is joined to the centre).
+    /// Empty when groups stop at pairs: nothing reads it then.
+    adjacent: Vec<bool>,
+    /// `floors[u * n + v]`: `u`'s detour floor in the pair `{u, v}`,
+    /// [`UNKNOWN`] until a bound needs it; empty until the first bound.
+    floors: Vec<Dur>,
     now: Ts,
     limits: PlanLimits,
     max_group_size: usize,
     oracle: &'a C,
-    /// The member set under construction: candidate ranks after the
-    /// centre, ascending.
+    /// The member set under construction: ranks after the centre,
+    /// ascending.
     members: Vec<usize>,
     /// Every set planned (or ruled out) so far, keyed like `members` — a
     /// list, so no fan-out is too wide for the key.
@@ -154,10 +314,23 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         clique: CliqueLimits,
         oracle: &'a C,
     ) -> Self {
+        let orders: Vec<&Arc<Order>> = once(center)
+            .chain(ranked_candidates(center, graph, now, clique))
+            .collect();
+        let n = orders.len();
+        let mut adjacent = Vec::new();
+        if clique.max_group_size > 2 {
+            adjacent.resize(n * n, false);
+            for u in 1..n {
+                for v in u + 1..n {
+                    adjacent[u * n + v] = graph.connected(orders[u].id, orders[v].id);
+                }
+            }
+        }
         Self {
-            center,
-            candidates: ranked_candidates(center, graph, now, clique),
-            graph,
+            orders,
+            adjacent,
+            floors: Vec::new(),
             now,
             limits,
             max_group_size: clique.max_group_size,
@@ -169,29 +342,44 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         }
     }
 
-    fn run(mut self, visit: &mut impl FnMut(Group)) {
-        self.extend(0, self.center.riders, visit);
+    fn run(mut self, visit: &mut impl Visitor) {
+        self.extend(1, self.orders[0].riders, visit);
     }
 
     /// Try each candidate from rank `from` on as the next member; `riders`
     /// is the current set's head count.
-    fn extend(&mut self, from: usize, riders: u32, visit: &mut impl FnMut(Group)) {
-        for i in from..self.candidates.len() {
-            let cand = self.candidates[i];
-            let riders = riders + cand.riders;
-            if riders > self.limits.capacity || !self.extends_clique(cand) {
+    fn extend(&mut self, from: usize, riders: u32, visit: &mut impl Visitor) {
+        for rank in from..self.orders.len() {
+            let riders = riders + self.orders[rank].riders;
+            if riders > self.limits.capacity || !self.extends_clique(rank) {
                 continue;
             }
-            self.members.push(i);
-            if self.feasible() {
-                let Some(Verdict::Feasible(plan)) = self.memo.get_mut(&self.members) else {
-                    unreachable!("feasible() records its verdict");
-                };
-                let plan = plan.take().expect("the walk reaches each set once");
-                visit(plan.into_group(self.orders()));
-                if self.members.len() + 1 < self.max_group_size {
-                    self.extend(i + 1, riders, visit);
+            self.members.push(rank);
+            let descend = if visit.wants(|weights| self.bound(weights)) {
+                let feasible = self.feasible();
+                if feasible {
+                    let Some(Verdict::Feasible(plan)) = self.memo.get_mut(&self.members) else {
+                        unreachable!("feasible() records its verdict");
+                    };
+                    let plan = plan.take().expect("the walk reaches each set once");
+                    visit.group(plan.into_group(self.group_orders()));
                 }
+                feasible
+            } else {
+                debug_assert!(
+                    self.plan().is_none_or(|plan| {
+                        let group = plan.into_group(self.group_orders());
+                        !visit.wants(|weights| group.mean_extra_time(self.now, weights))
+                    }),
+                    "{:?} + {:?} was skipped on its bound, yet its group matters",
+                    self.orders[0].id,
+                    self.members
+                );
+                // Unplanned, so possibly feasible; see "The bound".
+                !matches!(self.memo.get(&self.members), Some(Verdict::Infeasible))
+            };
+            if descend && self.members.len() + 1 < self.max_group_size {
+                self.extend(rank + 1, riders, visit);
             }
             self.members.pop();
         }
@@ -215,7 +403,7 @@ impl<'a, C: TravelBound> Walk<'a, C> {
             debug_assert!(
                 self.plan().is_none(),
                 "{:?} + {:?} has a route although a subset has none",
-                self.center.id,
+                self.orders[0].id,
                 self.members
             );
             None
@@ -231,35 +419,62 @@ impl<'a, C: TravelBound> Walk<'a, C> {
     /// Plan `self.members` (centre first).
     fn plan(&mut self) -> Option<Plan> {
         self.refs.clear();
-        self.refs.push(self.center);
-        self.refs
-            .extend(self.members.iter().map(|&i| self.candidates[i].as_ref()));
+        let set = ranks(&self.members);
+        self.refs.extend(set.map(|rank| self.orders[rank].as_ref()));
         self.scratch
             .plan_min_cost(&self.refs, self.now, self.limits, self.oracle)
     }
 
-    /// `cand` extends the current member set to a larger clique iff it is
-    /// adjacent to every current member (to the centre it is: candidates
-    /// are its neighbours).
-    fn extends_clique(&self, cand: &Order) -> bool {
-        self.members
-            .iter()
-            .all(|&m| self.graph.connected(self.candidates[m].id, cand.id))
+    /// The lower bound on the mean extra time of every group over
+    /// `self.members` (module docs), filling the floors it reads.
+    fn bound(&mut self, weights: CostWeights) -> f64 {
+        let n = self.orders.len();
+        if self.floors.is_empty() {
+            self.floors.resize(n * n, UNKNOWN);
+        }
+        for (at, &v) in self.members.iter().enumerate() {
+            for u in ranks(&self.members[..at]) {
+                if self.floors[u * n + v] == UNKNOWN {
+                    let (of_u, of_v) =
+                        pair_floors(self.orders[u], self.orders[v], self.now, self.oracle);
+                    self.floors[u * n + v] = of_u;
+                    self.floors[v * n + u] = of_v;
+                }
+            }
+        }
+        let set = ranks(&self.members);
+        let sum: f64 = set
+            .clone()
+            .map(|u| {
+                let others = set.clone().filter(|&v| v != u);
+                let floor = others.map(|v| self.floors[u * n + v]).max();
+                let floor = floor.expect("a shared set has a second member");
+                weights.extra_time(floor, self.orders[u].response_at(self.now))
+            })
+            .sum();
+        sum / (self.members.len() + 1) as f64
+    }
+
+    /// The candidate at `rank` extends the current member set to a larger
+    /// clique iff it is adjacent to every current member.
+    fn extends_clique(&self, rank: usize) -> bool {
+        let n = self.orders.len();
+        self.members.iter().all(|&m| self.adjacent[m * n + rank])
     }
 
     /// The member handles as a group's order list (a refcount bump each).
-    fn orders(&self) -> Vec<Arc<Order>> {
-        std::iter::once(self.center)
-            .chain(self.members.iter().map(|&i| self.candidates[i]))
-            .cloned()
-            .collect()
+    fn group_orders(&self) -> Vec<Arc<Order>> {
+        let set = ranks(&self.members);
+        set.map(|rank| Arc::clone(self.orders[rank])).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watter_core::{Dur, NodeId, TravelCost};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use watter_core::{NodeId, TravelCost};
 
     struct Line;
     impl TravelCost for Line {
@@ -400,5 +615,193 @@ mod tests {
         assert!(best.contains(OrderId(1)));
         assert_eq!(best.len(), 2);
         assert!((best.mean_extra_time(0, CostWeights::default()) - 0.0).abs() < 1e-9);
+    }
+
+    /// Manhattan metric on a 7×7 lattice whose bound is its cost; `exact`
+    /// is whether it says so, i.e. which door floor legs go through. Counts
+    /// its `(cost, lower_bound)` calls.
+    struct Lattice {
+        exact: bool,
+        asked: [AtomicUsize; 2],
+    }
+
+    impl Lattice {
+        const W: u32 = 7;
+
+        fn new(exact: bool) -> Self {
+            Self {
+                exact,
+                asked: Default::default(),
+            }
+        }
+
+        fn steps(a: NodeId, b: NodeId) -> Dur {
+            let (ax, ay, bx, by) = (a.0 % Self::W, a.0 / Self::W, b.0 % Self::W, b.0 / Self::W);
+            (ax.abs_diff(bx) + ay.abs_diff(by)) as Dur * 10
+        }
+
+        /// Drain the `(cost, lower_bound)` call counts.
+        fn take_asked(&self) -> (usize, usize) {
+            let [costs, bounds] = &self.asked;
+            (costs.swap(0, Relaxed), bounds.swap(0, Relaxed))
+        }
+    }
+
+    impl TravelCost for Lattice {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            self.asked[0].fetch_add(1, Relaxed);
+            Self::steps(a, b)
+        }
+    }
+
+    impl TravelBound for Lattice {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            self.asked[1].fetch_add(1, Relaxed);
+            Self::steps(a, b)
+        }
+        fn bound_is_exact(&self) -> bool {
+            self.exact
+        }
+    }
+
+    /// An order on the lattice's bottom row (`Line`'s costs there).
+    fn released(id: u32, p: u32, d: u32, release: Ts, deadline: Ts) -> Order {
+        Order {
+            release,
+            ..order(id, p, d, deadline)
+        }
+    }
+
+    #[test]
+    fn pair_floors_are_least_detours_over_routes_still_in_time() {
+        let exact = Lattice::new(true);
+        // b nested in a. Loose deadlines: each rides detour-free on some
+        // route (b on `pb db pa da`, which costs a 140 s).
+        let (a, b) = (order(0, 0, 6, 10_000), order(1, 1, 5, 10_000));
+        assert_eq!(pair_floors(&a, &b, 0, &exact), (0, 0));
+        assert_eq!(pair_floors(&b, &a, 0, &exact), (0, 0));
+        // a has to be dropped within 80 s: that rules b's solo-first route
+        // out, and b's best is `pa pb db da` (10 + 40, direct 40).
+        let a = order(0, 0, 6, 80);
+        assert_eq!(pair_floors(&a, &b, 0, &exact), (0, 10));
+        assert_eq!(pair_floors(&b, &a, 0, &exact), (10, 0));
+        // ... while it lasts: at 19 a's sub-route must stay below 61, at
+        // 20 not even its direct ride does.
+        assert_eq!(pair_floors(&a, &b, 19, &exact), (0, 10));
+        assert_eq!(pair_floors(&a, &b, 20, &exact), (NO_ROUTE, NO_ROUTE));
+    }
+
+    /// Eight legs a pair, all through `cost()` where the bound is exact and
+    /// all through `lower_bound()` where it is not.
+    #[test]
+    fn floor_legs_never_reach_cost_unless_the_bound_is_exact() {
+        let (a, b) = (order(0, 0, 6, 10_000), order(1, 8, 12, 10_000));
+        for exact in [true, false] {
+            let oracle = Lattice::new(exact);
+            pair_floors(&a, &b, 0, &oracle);
+            let want = if exact { (8, 0) } else { (0, 8) };
+            assert_eq!(oracle.take_asked(), want, "exact: {exact}");
+        }
+    }
+
+    /// What "still descends" exists for. Four riders of the same trip; the
+    /// centre has waited 100 s, order 1 (three seats) 20 s, order 2 40 s
+    /// and order 3 has just arrived. The walk meets {0,1} first (mean 60),
+    /// cannot seat anyone beside it, skips {0,2} (bound 70) — and below it
+    /// finds {0,2,3}: mean 46.7, better than {0,3}'s 50 that follows.
+    #[test]
+    fn a_fresh_member_makes_a_triple_win_below_a_skipped_pair() {
+        let oracle = Lattice::new(true);
+        let mut graph = ShareGraph::new();
+        let mut big = released(1, 0, 6, 80, 10_000);
+        big.riders = 3;
+        for (o, at) in [
+            (released(0, 0, 6, 0, 10_000), 0),
+            (released(2, 0, 6, 60, 10_000), 60),
+            (big, 80),
+            (released(3, 0, 6, 100, 10_000), 100),
+        ] {
+            graph.insert(o, at, limits(), &oracle);
+        }
+        let center = graph.order_handle(OrderId(0)).unwrap().clone();
+        let (clique, weights) = (CliqueLimits::default(), CostWeights::default());
+        let all = all_groups_for(&center, &graph, 100, limits(), clique, &oracle);
+        let means: Vec<(Vec<u32>, f64)> = all
+            .iter()
+            .map(|g| {
+                let ids = g.order_ids().map(|id| id.0).collect();
+                (ids, g.mean_extra_time(100, weights))
+            })
+            .collect();
+        let want = [
+            (vec![0, 1], 60.0),
+            (vec![0, 2], 70.0),
+            (vec![0, 2, 3], 140.0 / 3.0),
+            (vec![0, 3], 50.0),
+        ];
+        assert_eq!(means, want);
+        let best = best_group_for(&center, &graph, 100, limits(), clique, weights, &oracle);
+        assert_eq!(best.as_ref(), Some(&all[2]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// For every group the walk emits, the bound of its member set is
+        /// at most its mean extra time **as `f64`s** — any weights with
+        /// `α ≥ 0`, both leg doors, at the last arrival and later, when
+        /// cheapest routes have expired and costlier ones have not.
+        #[test]
+        fn bound_never_exceeds_the_mean_of_an_emitted_group(
+            specs in prop::collection::vec(
+                (0u32..49, 0u32..49, 1u32..3, 130i64..330, 0i64..60),
+                4..14,
+            ),
+            later in 1i64..150,
+            exact in 0u32..2,
+        ) {
+            let oracle = Lattice::new(exact == 1);
+            let mut graph = ShareGraph::new();
+            let mut now = 0;
+            for (id, &(p, d, riders, scale, jitter)) in specs.iter().enumerate() {
+                let direct = Lattice::steps(NodeId(p), NodeId(d));
+                if direct == 0 {
+                    continue;
+                }
+                now += 2 + jitter % 11;
+                let order = Order {
+                    id: OrderId(id as u32),
+                    pickup: NodeId(p),
+                    dropoff: NodeId(d),
+                    riders,
+                    release: now,
+                    deadline: now + direct * scale / 100 + jitter,
+                    wait_limit: direct,
+                    direct_cost: direct,
+                };
+                graph.insert(order, now, limits(), &oracle);
+            }
+            let clique = CliqueLimits::default();
+            for now in [now, now + later] {
+                for id in graph.order_ids() {
+                    let center = graph.order_handle(id).unwrap();
+                    let groups = all_groups_for(center, &graph, now, limits(), clique, &oracle);
+                    let mut walk = Walk::new(center, &graph, now, limits(), clique, &oracle);
+                    for group in &groups {
+                        let rank = |o: &Arc<Order>| walk.orders.iter().position(|w| w.id == o.id);
+                        walk.members = group.orders[1..].iter().map(|o| rank(o).unwrap()).collect();
+                        for (alpha, beta) in [(1.0, 1.0), (0.7, 1.3), (2.5, 0.1), (0.0, 1.0)] {
+                            let weights = CostWeights { alpha, beta };
+                            let (bound, mean) = (walk.bound(weights), group.mean_extra_time(now, weights));
+                            prop_assert!(
+                                bound <= mean,
+                                "{:?} at {}: bound {} > mean {} under ({}, {})",
+                                group.order_ids().collect::<Vec<_>>(), now, bound, mean, alpha, beta
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

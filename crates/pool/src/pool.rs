@@ -13,6 +13,13 @@
 //! 3. **edge expiry** — orders incident to expired edges revalidate;
 //! 4. **group expiry** — a best group whose `τ_g` passed is recomputed.
 //!
+//! Events 2–4 run inside the periodic check, the one operation with a
+//! real-time budget, and each recomputation is a *bounded* search
+//! ([`best_group_for`]): it wants one winner, so once it holds a group it
+//! plans no member set whose mean extra time provably cannot get below
+//! that group's (see [`crate::cliques`], "The bound"). Event 1 has to offer
+//! every group to every member and enumerates them all.
+//!
 //! Best-group rankings are stable over time between structural events:
 //! every pooled order's response time grows at 1 s/s, so each group's mean
 //! extra time grows at exactly `β` s/s and comparisons are time-invariant.

@@ -348,12 +348,11 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
                 Some(group) => {
                     let quality = group.quality(now, ctx.weights);
                     if self.policy.decide(group, quality, &decision_ctx) || dying {
-                        let group = group.clone();
                         // Manual span: a drop-guard timer would borrow
                         // `self.recorder` across the `&mut self` solo
                         // fallback below.
                         let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
-                        let committed = match ctx.dispatch_group(&group) {
+                        let committed = match ctx.dispatch_group(group) {
                             Some(wid) => {
                                 if group.len() >= 2 {
                                     self.recorder.incr(Counter::GroupsFormed);

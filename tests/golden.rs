@@ -11,14 +11,26 @@
 //! re-captures them — print `fingerprint` for the failing row — and says
 //! so in its PR.
 
+use std::sync::Arc;
 use watter::prelude::*;
-use watter::runner::{run_scenario, Algo};
+use watter::runner::{run_scenario, sim_config, watter_config, Algo};
+use watter_pool::PoolStats;
+use watter_road::OracleStack;
 
 /// `(served, rejected, extra_time bits, unified_cost bits,
 /// mean_group_size bits)` — the outcome tuple `tests/accel.rs` compares.
 type Fingerprint = (u64, u64, u64, u64, u64);
 
 /// 150 orders / 15 workers on a 12×12 city, seed 7.
+fn scenario(profile: CityProfile) -> Scenario {
+    let mut params = ScenarioParams::default_for(profile);
+    params.n_orders = 150;
+    params.n_workers = 15;
+    params.city_side = 12;
+    params.seed = 7;
+    Scenario::build(params)
+}
+
 #[test]
 fn outcomes_match_the_pre_deletion_commit() {
     #[rustfmt::skip]
@@ -33,14 +45,8 @@ fn outcomes_match_the_pre_deletion_commit() {
          (44, 106, 4672504679484096512, 4689719303543455744, 4607182418800017408)),
     ];
     for (profile, algo, expected) in golden {
-        let mut params = ScenarioParams::default_for(profile);
-        params.n_orders = 150;
-        params.n_workers = 15;
-        params.city_side = 12;
-        params.seed = 7;
-        let scenario = Scenario::build(params);
         let name = algo.name();
-        let m = run_scenario(&scenario, algo, Recorder::disabled()).measurements;
+        let m = run_scenario(&scenario(profile), algo, Recorder::disabled()).measurements;
         let fingerprint: Fingerprint = (
             m.served_orders,
             m.rejected_orders,
@@ -56,5 +62,40 @@ fn outcomes_match_the_pre_deletion_commit() {
             m.extra_time(),
             m.unified_cost()
         );
+    }
+}
+
+/// The pool's lifetime counters on the three WATTER rows above (captured
+/// at PR 20, equal at its parent; the run is the runner's, dispatcher
+/// kept). Outcomes can stay put while the work behind them moves: a change
+/// to what an arrival enumerates or to when a best group is recomputed
+/// re-captures these — print the failing row's stats — and says so in its
+/// PR.
+#[test]
+fn pool_counters_match_the_captured_ones() {
+    let stats = |inserted, recomputes, groups_enumerated| PoolStats {
+        inserted,
+        removed: inserted,
+        recomputes,
+        groups_enumerated,
+    };
+    let golden = [
+        (CityProfile::Nyc, stats(150, 100, 316)),
+        (CityProfile::Chengdu, stats(150, 105, 523)),
+        (CityProfile::Xian, stats(150, 113, 650)),
+    ];
+    for (profile, expected) in golden {
+        let scenario = scenario(profile);
+        let stack = OracleStack::new(Arc::clone(&scenario.oracle), Recorder::disabled());
+        let mut dispatcher = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
+        watter_sim::run(
+            scenario.orders.clone(),
+            scenario.workers.clone(),
+            &mut dispatcher,
+            stack.top(),
+            sim_config(&scenario),
+            Recorder::disabled(),
+        );
+        assert_eq!(dispatcher.pool().stats(), expected, "{profile:?}");
     }
 }

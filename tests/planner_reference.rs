@@ -10,15 +10,20 @@
 //!    agree with `plan_min_cost` / `plan_with_start` on route, cost **and**
 //!    sub-route costs, over a line, a tie-ridden grid (declared exact and
 //!    not), and dense / ALT / CH cities bare and cached;
-//! 2. the clique walk as it was before the subset gate (plan every clique
-//!    whose parent is feasible) must list the same groups in the same
-//!    order as `all_groups_for`, and its first strict minimum must be
-//!    `best_group_for`'s answer, on random pools at several instants;
+//! 2. the clique walk as it was before the subset gate and the
+//!    mean-extra-time bound (plan every clique whose parent is feasible)
+//!    must list the same groups in the same order as `all_groups_for`, and
+//!    its first strict minimum must be `best_group_for`'s answer — the
+//!    bounded search may skip plans, never change the winner — on random
+//!    pools at several instants, under several weights, over exact, loose,
+//!    zero and patchy bounds;
 //! 3. a counting oracle pins what the planner asks: nothing but one `cost`
 //!    per (node, stop) where the bound is exact, no exact query for a
-//!    pick-up the bound rejects where it is not — and what a pool insert
-//!    asks: no exact query at all for a pair the bounds alone rule out,
-//!    none beyond the ungated test's for a pair they let through.
+//!    pick-up the bound rejects where it is not — what a pool insert asks:
+//!    no exact query at all for a pair the bounds alone rule out, none
+//!    beyond the ungated test's for a pair they let through — and what the
+//!    bounded search asks: no plan the unbounded walk does not make, floor
+//!    legs through `cost()` only where the bound is exact.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -485,11 +490,21 @@ fn pool_from(
     (graph, now)
 }
 
+/// `(α, β)` the bounded search is checked under. Under the last one a
+/// detour floor is no lower bound on the mean: nothing may be skipped.
+const WEIGHTS: [(f64, f64); 5] = [(1.0, 1.0), (0.7, 1.3), (2.5, 0.1), (0.0, 1.0), (-0.5, 1.0)];
+
 /// `all_groups_for` and `best_group_for` against the ungated walk, for
-/// every pooled order as centre — and the gated walk's bill against the
-/// ungated one's: it may skip plans, never add one (in debug builds every
-/// skipped set is planned after all, for the assertion, so the two bills
-/// are equal).
+/// every pooled order as centre, and their bills:
+///
+/// * the gated walk may skip plans of the ungated one, never add one (in
+///   debug builds every gated set is planned after all, for the assertion,
+///   so the two bills are equal);
+/// * the bounded search makes no plan the gated walk does not make and asks
+///   its floors — eight legs a pair of the walk's orders at most — through
+///   `cost()` where the bound is exact and through `lower_bound()` where it
+///   is not (release builds: debug builds plan every skipped set after all);
+/// * under a negative `α` it is the gated walk, call for call.
 fn check_walks<C: TravelBound>(
     graph: &ShareGraph,
     now: Ts,
@@ -497,39 +512,98 @@ fn check_walks<C: TravelBound>(
     clique: CliqueLimits,
     oracle: &C,
 ) -> Result<(), TestCaseError> {
-    let weights = CostWeights::default();
-    let oracle = &Asked::new(oracle, oracle.bound_is_exact());
+    let exact = oracle.bound_is_exact();
+    let oracle = &Asked::new(oracle, exact);
     for id in graph.order_ids() {
         let center = graph.order_handle(id).expect("listed").clone();
         let want = reference_groups(&center, graph, now, limits, clique, oracle);
         let ungated = oracle.take().len();
         let got = all_groups_for(&center, graph, now, limits, clique, oracle);
-        let gated = oracle.take().len();
+        let gated = oracle.take_counts();
+        let gated_total = gated.0 + gated.1;
         prop_assert_eq!(&got, &want, "groups of {} at {}", id, now);
         if cfg!(debug_assertions) {
-            prop_assert_eq!(gated, ungated, "queries around {} at {}", id, now);
+            prop_assert_eq!(gated_total, ungated, "queries around {} at {}", id, now);
         } else {
             prop_assert!(
-                gated <= ungated,
+                gated_total <= ungated,
                 "{} > {} around {} at {}",
-                gated,
+                gated_total,
                 ungated,
                 id,
                 now
             );
         }
-        let best = best_group_for(&center, graph, now, limits, clique, weights, oracle);
-        prop_assert_eq!(
-            best.as_ref(),
-            reference_best(&want, now, weights),
-            "best group of {} at {}",
-            id,
-            now
-        );
-        // One walk, two visitors: the same bill either way.
-        prop_assert_eq!(oracle.take().len(), gated, "best_group_for's queries");
+        let live = graph.neighbors(id).filter(|(_, e)| e.expires_at >= now);
+        let walked = 1 + live.count().min(clique.max_neighbors);
+        let floor_legs = 8 * walked * (walked - 1) / 2;
+        for (alpha, beta) in WEIGHTS {
+            let weights = CostWeights { alpha, beta };
+            let best = best_group_for(&center, graph, now, limits, clique, weights, oracle);
+            prop_assert_eq!(
+                best.as_ref(),
+                reference_best(&want, now, weights),
+                "best group of {} at {} under {:?}",
+                id,
+                now,
+                weights
+            );
+            let bounded = oracle.take_counts();
+            if alpha < 0.0 {
+                prop_assert_eq!(bounded, gated, "one walk, two visitors");
+            } else if !cfg!(debug_assertions) {
+                let floors = if exact {
+                    (floor_legs, 0)
+                } else {
+                    (0, floor_legs)
+                };
+                prop_assert!(
+                    bounded.0 <= gated.0 + floors.0 && bounded.1 <= gated.1 + floors.1,
+                    "{:?} against {:?} around {} at {} under {:?}",
+                    bounded,
+                    gated,
+                    id,
+                    now,
+                    weights
+                );
+            }
+        }
     }
     Ok(())
+}
+
+/// An inner oracle's costs behind a hand-made bound, never claimed exact:
+/// what `bound(a, b, cost(a, b))` says.
+struct Bounded<C> {
+    inner: C,
+    bound: fn(NodeId, NodeId, Dur) -> Dur,
+}
+impl<C: TravelCost> TravelCost for Bounded<C> {
+    fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+        self.inner.cost(a, b)
+    }
+}
+impl<C: TravelCost> TravelBound for Bounded<C> {
+    fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+        (self.bound)(a, b, self.cost(a, b))
+    }
+}
+
+/// Admissible, and no metric (`tests/accel.rs`): exact on a third of the
+/// pairs, silent on the rest.
+fn patchy_bound(a: NodeId, b: NodeId, cost: Dur) -> Dur {
+    if (a.0 + b.0).is_multiple_of(3) {
+        cost
+    } else {
+        0
+    }
+}
+
+/// The instants a pool is searched at: its last arrival, then later ones —
+/// nothing sweeps these pools, so by then pairs of candidates are still
+/// joined whose cheapest route has expired (a costlier one may not have).
+fn instants(last: Ts, later: &[i64]) -> impl Iterator<Item = Ts> + '_ {
+    std::iter::once(last).chain(later.iter().map(move |dt| last + dt))
 }
 
 proptest! {
@@ -556,14 +630,51 @@ proptest! {
         let dense = CostMatrix::build(&graph);
         let alt = CityOracle::build(&graph, OracleKind::Alt { landmarks: 4 });
         let (pool, last) = pool_from(&specs, n, limits, &dense);
-        for now in std::iter::once(last).chain(later.iter().map(|dt| last + dt)) {
+        for now in instants(last, &later) {
             check_walks(&pool, now, limits, clique, &dense)?;
             check_walks(&pool, now, limits, clique, &alt)?;
         }
         let lattice = Lattice { exact: true };
         let (pool, last) = pool_from(&specs, 36, limits, &lattice);
-        for now in std::iter::once(last).chain(later.iter().map(|dt| last + dt)) {
+        for now in instants(last, &later) {
             check_walks(&pool, now, limits, clique, &lattice)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The same check on the other stacks a search can meet: CH bare, ALT
+    /// and CH behind the cache, and costs behind a zero bound (the line's
+    /// default) and a patchy one.
+    #[test]
+    fn clique_walk_matches_the_ungated_walk_on_every_stack(
+        pidx in 0usize..3,
+        seed in 0u64..300,
+        specs in specs(6..18),
+        capacity in 2u32..6,
+        later in prop::collection::vec(1i64..400, 1..3),
+    ) {
+        let limits = PlanLimits { capacity };
+        let clique = CliqueLimits::default();
+        let graph = Arc::new(CityProfile::ALL[pidx].city_config(6).generate(seed));
+        let n = graph.node_count() as u32;
+        let dense = CostMatrix::build(&graph);
+        let ch = Arc::new(CityOracle::build(&graph, OracleKind::Ch));
+        let alt = Arc::new(CityOracle::build(&graph, OracleKind::Alt { landmarks: 4 }));
+        let patchy = Bounded { inner: &dense, bound: patchy_bound };
+        let (pool, last) = pool_from(&specs, n, limits, &dense);
+        for now in instants(last, &later) {
+            check_walks(&pool, now, limits, clique, &ch)?;
+            check_walks(&pool, now, limits, clique, &CachedOracle::new(Arc::clone(&ch), 64))?;
+            check_walks(&pool, now, limits, clique, &CachedOracle::new(Arc::clone(&alt), 64))?;
+            check_walks(&pool, now, limits, clique, &patchy)?;
+        }
+        let (pool, last) = pool_from(&specs, 36, limits, &Line);
+        for now in instants(last, &later) {
+            check_walks(&pool, now, limits, clique, &Line)?;
+            check_walks(&pool, now, limits, clique, &Bounded { inner: Line, bound: patchy_bound })?;
         }
     }
 }
@@ -821,13 +932,15 @@ fn the_pair_gate_rules_out_on_bounds_alone_and_never_asks_more() {
     }
 }
 
-/// Oracle calls (`cost` + `lower_bound`) of one four-order plan and of one
-/// `best_group_for` over a fourteen-order pool, pinned on the exact-bound
-/// path. Before the bound-guided, dominance-pruned search and the subset
-/// gate the same two asked 1 063 (586 + 477) and 137 130 (80 290 + 56 840).
-/// The search total is a release-build figure: debug builds re-plan every
-/// gated set to assert it infeasible, which is exactly the ungated walk's
-/// bill.
+/// Oracle calls (`cost` + `lower_bound`) of one four-order plan and of the
+/// two searches over a fourteen-order pool, pinned on the exact-bound path.
+/// Before the bound-guided, dominance-pruned search and the subset gate the
+/// plan asked 1 063 (586 + 477) and the walk 137 130 (80 290 + 56 840).
+/// `best_group_for` asked what `all_groups_for` asks until it learnt to
+/// bound: here the first pair it plans (14 calls) is never beaten, and 78
+/// pairs of floors (624 legs) say so. The search totals are release-build
+/// figures: debug builds re-plan every gated set to assert it infeasible —
+/// exactly the ungated walk's bill — and every skipped one.
 #[test]
 fn query_totals_of_one_plan_and_one_search_are_pinned() {
     let (dense, n) = chengdu_10();
@@ -859,20 +972,24 @@ fn query_totals_of_one_plan_and_one_search_are_pinned() {
     let weights = CostWeights::default();
     let oracle = Asked::new(&dense, true);
     let best = best_group_for(&center, &pool, now, limits, clique, weights, &oracle);
+    let (bounded, _) = oracle.take_counts();
+    let all = all_groups_for(&center, &pool, now, limits, clique, &oracle);
     let (gated, _) = oracle.take_counts();
     let groups = reference_groups(&center, &pool, now, limits, clique, &oracle);
     let (ungated, _) = oracle.take_counts();
+    assert_eq!(all, groups);
     assert_eq!(best.as_ref(), reference_best(&groups, now, weights));
     assert!(groups.iter().any(|g| g.len() >= 3), "no group beyond pairs");
     if cfg!(debug_assertions) {
         assert_eq!(gated, ungated);
     } else {
-        assert_eq!((gated, ungated), SEARCH_QUERIES);
+        assert_eq!((bounded, gated, ungated), SEARCH_QUERIES);
     }
 }
 
 /// Search-only `cost` calls of [`fixed_quad`]'s plan on an exact-bound
 /// oracle.
 const QUAD_QUERIES: usize = 381;
-/// `(gated, ungated)` queries of the pinned `best_group_for`, release.
-const SEARCH_QUERIES: (usize, usize) = (43_271, 64_534);
+/// `(best_group_for, all_groups_for, ungated walk)` queries of the pinned
+/// search, release.
+const SEARCH_QUERIES: (usize, usize, usize) = (638, 43_271, 64_534);
