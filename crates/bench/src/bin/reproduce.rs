@@ -5,9 +5,12 @@
 //! ```
 //!
 //! `exp` ∈ {example1, fig3, fig4, fig5, fig6, eta, dt, grid, omega,
-//! ablations, kpis, chaos, obs, all};
+//! ablations, chaos, obs, all};
 //! `scale` shrinks order/worker counts (default 1.0). Results are printed
-//! as tables and written to `results/<exp>.json`.
+//! as tables and written to `results/<exp>.json`; every figure row
+//! carries the run's full `RunReport` (the table's columns plus the
+//! extra-time distribution, fleet utilization, tick latency and backlog
+//! marks).
 //!
 //! `obs` takes a city side length instead of a scale: it times a
 //! disabled-recorder / enabled-recorder pair on each oracle-stack shape
@@ -105,39 +108,6 @@ fn obs(side: usize) {
     }
 }
 
-fn kpis(scale: f64) {
-    println!("\n## KPI study: service-operations view per (city, algorithm)");
-    println!(
-        "{:<5} {:<22} {:>8} {:>9} {:>9} {:>8} {:>10} {:>8} {:>8}",
-        "city",
-        "algorithm",
-        "serve(%)",
-        "extraP50",
-        "extraP90",
-        "util(%)",
-        "tickP99µs",
-        "checks",
-        "peakQ"
-    );
-    let rows = experiments::kpi_study(scale);
-    for r in &rows {
-        println!(
-            "{:<5} {:<22} {:>8.1} {:>9.0} {:>9.0} {:>8.1} {:>10.1} {:>8} {:>8}",
-            r.city,
-            r.algorithm,
-            r.report.service_rate_pct,
-            r.report.extra_time_s.p50,
-            r.report.extra_time_s.p90,
-            r.report.fleet_utilization_pct,
-            r.report.tick_latency_us.p99,
-            r.report.checks,
-            r.report.peak_pending
-        );
-    }
-    write_json(&results_path("kpis"), &rows).expect("write results");
-    eprintln!("[kpis] -> results/kpis.json");
-}
-
 fn chaos(scale: f64) {
     println!("\n## Chaos study: crash/corrupt/recover per (city, fault, policy)");
     println!(
@@ -206,7 +176,6 @@ fn main() {
             experiments::appendix_grid(scale)
         }),
         "omega" => omega(scale),
-        "kpis" => kpis(scale),
         "obs" => obs(args.get(2).and_then(|s| s.parse().ok()).unwrap_or(320)),
         "chaos" => chaos(scale),
         "ablations" => run_figure(
@@ -243,12 +212,11 @@ fn main() {
                 "Ablations: clique fan-out, demand correlation, cancellation",
                 || experiments::ablations(scale),
             );
-            kpis(scale);
             chaos(scale);
             obs(320);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|kpis|chaos|obs|all");
+            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|chaos|obs|all");
             std::process::exit(2);
         }
     }

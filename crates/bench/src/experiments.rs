@@ -24,8 +24,8 @@ pub struct ExperimentRow {
     pub x: String,
     /// Algorithm name.
     pub algorithm: String,
-    /// The four measurements.
-    pub stats: RunStats,
+    /// The run's report: the four measurements and the KPI columns.
+    pub stats: RunReport,
 }
 
 /// Per-profile trained artifacts, shared across sweep points (the paper
@@ -277,20 +277,28 @@ pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
         wcfg.pool.clique.max_neighbors = fanout;
         let cfg = watter::runner::sim_config(&scenario);
         let mut d = watter_sim::WatterDispatcher::new(wcfg, watter_strategy::OnlinePolicy);
-        let stack = OracleStack::new(Arc::clone(&scenario.oracle), Recorder::disabled());
-        let (m, _) = watter_sim::run(
+        let recorder = Recorder::disabled();
+        let stack = OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
+        let (measurements, kpis) = watter_sim::run(
             scenario.orders.clone(),
             scenario.workers.clone(),
             &mut d,
             stack.top(),
             cfg,
-            Recorder::disabled(),
+            recorder.clone(),
         );
+        let out = RunOutput {
+            measurements,
+            kpis,
+            cache: stack.cache_stats(),
+            oracle: stack.describe(),
+            recorder,
+        };
         rows.push(ExperimentRow {
             city: profile.tag().into(),
             x: format!("fanout={fanout}"),
             algorithm: "WATTER-online".into(),
-            stats: RunStats::from(&m),
+            stats: out.report(),
         });
     }
 
@@ -412,8 +420,7 @@ fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
     // overhead comparison.
     let configs = ["disabled", "enabled"];
     let mut walls = [f64::INFINITY; 2];
-    let mut outcomes: Vec<Option<(RunOutput, watter_obs::ObsSnapshot)>> =
-        configs.iter().map(|_| None).collect();
+    let mut outcomes: Vec<Option<RunOutput>> = configs.iter().map(|_| None).collect();
     let (mut reps, mut timed_s) = (0, 0.0);
     while reps < min_reps || timed_s < OBS_MIN_TIMED_S {
         for (i, config) in configs.iter().enumerate() {
@@ -422,10 +429,10 @@ fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
                 _ => Recorder::disabled(),
             };
             let t0 = Instant::now();
-            let out = run_scenario(scenario, Algo::WatterOnline, recorder.clone());
+            let out = run_scenario(scenario, Algo::WatterOnline, recorder);
             let wall_s = t0.elapsed().as_secs_f64();
             walls[i] = walls[i].min(wall_s);
-            outcomes[i] = Some((out, recorder.snapshot()));
+            outcomes[i] = Some(out);
             timed_s += wall_s / configs.len() as f64;
         }
         reps += 1;
@@ -433,8 +440,8 @@ fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
 
     let mut rows: Vec<ObsRow> = Vec::new();
     for (i, config) in configs.iter().enumerate() {
-        let (out, snap) = outcomes[i].take().expect("reps >= 1");
-        let stats = RunStats::from(&out.measurements);
+        let out = outcomes[i].take().expect("reps >= 1");
+        let report = out.report();
         let wall_s = walls[i];
         let baseline_wall = rows.first().map_or(wall_s, |r| r.wall_s);
         let row = ObsRow {
@@ -444,13 +451,13 @@ fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
             config: config.to_string(),
             reps,
             orders: scenario.orders.len(),
-            served: out.measurements.served_orders,
-            rejected: out.measurements.rejected_orders,
-            extra_time_s: stats.extra_time,
+            served: report.served_orders,
+            rejected: report.rejected_orders,
+            extra_time_s: report.extra_time,
             wall_s,
             per_order_ms: wall_s * 1e3 / scenario.orders.len().max(1) as f64,
             overhead_pct: (wall_s - baseline_wall) / baseline_wall * 100.0,
-            stages: snap.stages,
+            stages: report.obs.map_or_else(Vec::new, |obs| obs.stages),
         };
         if let Some(base) = rows.first() {
             assert_eq!(
@@ -460,46 +467,6 @@ fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
             );
         }
         rows.push(row);
-    }
-    rows
-}
-
-/// One row of the KPI study: the operational report of a
-/// (city, algorithm) run — the service-operations view
-/// (`reproduce -- kpis`), complementing the paper's four headline
-/// metrics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct KpiRow {
-    /// City tag (NYC/CDC/XIA).
-    pub city: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// The full KPI report (distributions, utilization, backlog marks).
-    pub report: KpiReport,
-}
-
-/// KPI study (`reproduce -- kpis [scale]`): run the untrained algorithms
-/// on each profile and report the KPI surface —
-/// extra-time distribution, fleet utilization, dispatch-latency
-/// percentiles, backlog high-water marks.
-pub fn kpi_study(scale: f64) -> Vec<KpiRow> {
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        let scenario = Scenario::build(scaled_params(profile, scale));
-        for algo in [
-            Algo::Gdp,
-            Algo::NonSharing,
-            Algo::WatterOnline,
-            Algo::WatterTimeout,
-        ] {
-            let name = algo.name();
-            let out = run_scenario(&scenario, algo, Recorder::disabled());
-            rows.push(KpiRow {
-                city: profile.tag().to_string(),
-                algorithm: name.to_string(),
-                report: out.kpis.report(&out.measurements),
-            });
-        }
     }
     rows
 }

@@ -39,29 +39,31 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watter::prelude::RunStats;
+    use watter::prelude::{Kpis, Measurements, Recorder, RunReport};
 
     #[test]
     fn json_roundtrips() {
         let dir = std::env::temp_dir().join("watter_bench_test");
         let path = dir.join("probe.json");
+        let mut stats = RunReport::new(
+            &Measurements::default(),
+            &Kpis::new(3),
+            None,
+            &Recorder::disabled(),
+        );
+        stats.extra_time = 1.0;
         let rows = vec![crate::ExperimentRow {
             city: "CDC".into(),
             x: "n=1000".into(),
             algorithm: "GDP".into(),
-            stats: RunStats {
-                extra_time: 1.0,
-                unified_cost: 2.0,
-                service_rate_pct: 3.0,
-                running_time: 4.0,
-                mean_group_size: 5.0,
-            },
+            stats,
         }];
         write_json(&path, &rows).unwrap();
         let back: Vec<crate::ExperimentRow> =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].stats.extra_time, 1.0);
+        assert_eq!(back[0].stats.fleet_size, 3);
         std::fs::remove_dir_all(dir).ok();
     }
 }

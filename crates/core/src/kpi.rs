@@ -8,8 +8,12 @@
 //! span, and per-check dispatch-latency percentiles.
 //!
 //! [`Kpis`] is the raw accumulator the dispatch core feeds as it applies
-//! events; it is serde-serializable so snapshots carry it. [`KpiReport`]
-//! is the derived, report-ready summary (CLI `--kpis json`, `reproduce`).
+//! events; it is serde-serializable so snapshots carry it. [`RunReport`]
+//! is the one derived, report-ready document of a run: the paper's
+//! headline numbers, the KPI summary, the cache counters and the
+//! observability snapshot (`--report`, the daemon's `#report`,
+//! `reproduce`). The accumulators stay where the state lives; the report
+//! is drained from them on demand and never fed back.
 //!
 //! Determinism: everything in [`Kpis`] except `tick_nanos` is a pure
 //! function of the event stream. `tick_nanos` is wall-clock measurement
@@ -25,7 +29,7 @@
 use crate::metrics::Measurements;
 use crate::time::Ts;
 use serde::{Deserialize, Serialize};
-use watter_obs::Sketch;
+use watter_obs::{Counter, ObsSnapshot, Recorder, Sketch};
 
 /// Raw KPI accumulator, updated by the dispatch core per applied event.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -101,38 +105,6 @@ impl Kpis {
             None => 0.0,
         }
     }
-
-    /// Derive the report-ready summary. `measurements` supplies the
-    /// outcome counts and total worker-travel seconds.
-    pub fn report(&self, measurements: &Measurements) -> KpiReport {
-        let fleet_seconds = self.fleet_size as f64 * self.span_seconds();
-        let busy = measurements.worker_travel;
-        KpiReport {
-            total_orders: measurements.total_orders,
-            served_orders: measurements.served_orders,
-            rejected_orders: measurements.rejected_orders,
-            service_rate_pct: 100.0 * measurements.service_rate(),
-            extra_time_s: Dist::from_sketch(&self.extra_times, 1.0),
-            tick_latency_us: Dist::from_sketch(&self.tick_nanos, 1e-3),
-            checks: self.checks,
-            peak_pending: self.peak_pending,
-            peak_buffered: self.peak_buffered,
-            fleet_size: self.fleet_size,
-            span_s: self.span_seconds(),
-            busy_s: busy,
-            // Fraction of fleet-time spent driving within the observed
-            // span. Routes extending past the last event can push this
-            // over 100% — reported raw, not clamped.
-            fleet_utilization_pct: if fleet_seconds > 0.0 {
-                100.0 * busy / fleet_seconds
-            } else {
-                0.0
-            },
-            // Cache counters live outside the event stream; the driver
-            // attaches its oracle's `TravelCost::cache_stats()`.
-            cache: None,
-        }
-    }
 }
 
 /// Cost-cache efficacy counters of one run (`CachedOracle` in
@@ -179,27 +151,10 @@ pub struct Dist {
 }
 
 impl Dist {
-    /// Summarize `samples` (order-independent; copies and sorts).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        Self {
-            count: sorted.len() as u64,
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: percentile(&sorted, 50.0),
-            p90: percentile(&sorted, 90.0),
-            p99: percentile(&sorted, 99.0),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-
     /// Summarize a streaming sketch, scaling every statistic by
     /// `scale` (e.g. `1e-3` for nanoseconds → microseconds).
     /// Percentiles are exact nearest-rank values while the sketch is
-    /// within its exact window, identical to [`Dist::from_samples`].
+    /// within its exact window.
     pub fn from_sketch(sketch: &Sketch, scale: f64) -> Self {
         if sketch.is_empty() {
             return Self::default();
@@ -215,24 +170,28 @@ impl Dist {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted, non-empty sample set.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Report-ready KPI summary of one run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct KpiReport {
+/// The report of one run — batch or daemon, finished or live — drained
+/// from the accumulators `(Measurements, Kpis)`, the oracle's cache
+/// counters and the observability registry. The one document `--report`
+/// and `#report` emit and every `reproduce` row carries.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct RunReport {
+    /// Extra Time (s): the METRS objective Φ.
+    pub extra_time: f64,
+    /// Unified Cost.
+    pub unified_cost: f64,
+    /// `100 × served / total` (0 when no orders).
+    pub service_rate_pct: f64,
+    /// Average decision seconds per order (wall clock).
+    pub running_time: f64,
+    /// Mean dispatched group size.
+    pub mean_group_size: f64,
     /// Orders that reached a terminal outcome.
     pub total_orders: u64,
     /// Orders served.
     pub served_orders: u64,
     /// Orders rejected.
     pub rejected_orders: u64,
-    /// `100 × served / total` (0 when no orders).
-    pub service_rate_pct: f64,
     /// Distribution of per-served-order extra time, seconds.
     pub extra_time_s: Dist,
     /// Distribution of per-check dispatcher wall time, microseconds.
@@ -256,26 +215,94 @@ pub struct KpiReport {
     /// behind the memoization layer (search backends: ALT, CH); `None` on
     /// the dense table.
     pub cache: Option<OracleCacheKpis>,
+    /// Observability registry snapshot (counters, gauges, stage latency
+    /// percentiles, windowed KPIs, trace position); `None` when the
+    /// registry is off. A pure function of the event stream except for
+    /// the wall-clock stage latencies.
+    pub obs: Option<ObsSnapshot>,
+}
+
+impl RunReport {
+    /// Drain the report. `cache` is the oracle's
+    /// `TravelCost::cache_stats()`: the counters live outside the event
+    /// stream, and their exact totals are mirrored into the registry's
+    /// `cache_*` counters before the snapshot (the latency stages only
+    /// sample).
+    pub fn new(
+        measurements: &Measurements,
+        kpis: &Kpis,
+        cache: Option<OracleCacheKpis>,
+        recorder: &Recorder,
+    ) -> Self {
+        if let Some(cache) = cache {
+            recorder.set_at_least(Counter::CacheHits, cache.hits);
+            recorder.set_at_least(Counter::CacheMisses, cache.misses);
+            recorder.set_at_least(Counter::CacheEvictions, cache.evictions);
+        }
+        let fleet_seconds = kpis.fleet_size as f64 * kpis.span_seconds();
+        let busy = measurements.worker_travel;
+        Self {
+            extra_time: measurements.extra_time(),
+            unified_cost: measurements.unified_cost(),
+            service_rate_pct: 100.0 * measurements.service_rate(),
+            running_time: measurements.running_time_per_order(),
+            mean_group_size: measurements.mean_group_size(),
+            total_orders: measurements.total_orders,
+            served_orders: measurements.served_orders,
+            rejected_orders: measurements.rejected_orders,
+            extra_time_s: Dist::from_sketch(&kpis.extra_times, 1.0),
+            tick_latency_us: Dist::from_sketch(&kpis.tick_nanos, 1e-3),
+            checks: kpis.checks,
+            peak_pending: kpis.peak_pending,
+            peak_buffered: kpis.peak_buffered,
+            fleet_size: kpis.fleet_size,
+            span_s: kpis.span_seconds(),
+            busy_s: busy,
+            // Fraction of fleet-time spent driving within the observed
+            // span. Routes extending past the last event can push this
+            // over 100% — reported raw, not clamped.
+            fleet_utilization_pct: if fleet_seconds > 0.0 {
+                100.0 * busy / fleet_seconds
+            } else {
+                0.0
+            },
+            cache,
+            obs: recorder.is_enabled().then(|| recorder.snapshot()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{NodeId, OrderId};
+    use crate::metrics::OrderOutcome;
+    use crate::{CostWeights, Order};
+
+    fn report(k: &Kpis, m: &Measurements) -> RunReport {
+        RunReport::new(m, k, None, &Recorder::disabled())
+    }
+
+    fn dist_of(samples: impl IntoIterator<Item = f64>) -> Dist {
+        let mut sketch = Sketch::default();
+        for s in samples {
+            sketch.record(s);
+        }
+        Dist::from_sketch(&sketch, 1.0)
+    }
 
     #[test]
     fn percentiles_nearest_rank() {
-        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&s, 50.0), 50.0);
-        assert_eq!(percentile(&s, 90.0), 90.0);
-        assert_eq!(percentile(&s, 99.0), 99.0);
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+        let d = dist_of((1..=100).map(|i| i as f64));
+        assert_eq!((d.p50, d.p90, d.p99), (50.0, 90.0, 99.0));
+        let d = dist_of([7.0]);
+        assert_eq!((d.p50, d.p99), (7.0, 7.0));
     }
 
     #[test]
     fn dist_is_sample_order_independent() {
-        let a = Dist::from_samples(&[3.0, 1.0, 2.0]);
-        let b = Dist::from_samples(&[1.0, 2.0, 3.0]);
+        let a = dist_of([3.0, 1.0, 2.0]);
+        let b = dist_of([1.0, 2.0, 3.0]);
         assert_eq!(a, b);
         assert_eq!(a.count, 3);
         assert_eq!(a.mean, 2.0);
@@ -283,9 +310,84 @@ mod tests {
     }
 
     #[test]
+    fn run_report_headlines_equal_the_getters_and_round_trip() {
+        let order = |id: u32, direct, deadline| Order {
+            id: OrderId(id),
+            pickup: NodeId(0),
+            dropoff: NodeId(1),
+            riders: 1,
+            release: 0,
+            deadline,
+            wait_limit: 10,
+            direct_cost: direct,
+        };
+        let mut m = Measurements::default();
+        for (id, detour, response, group_size) in [(0, 10, 5, 1), (1, 31, 7, 2), (2, 0, 3, 2)] {
+            let served = OrderOutcome::Served {
+                detour,
+                response,
+                group_size,
+            };
+            m.record(&order(id, 100, 200), &served, CostWeights::default());
+        }
+        m.record(
+            &order(3, 70, 250),
+            &OrderOutcome::Rejected,
+            CostWeights::default(),
+        );
+        m.record_worker_travel(333);
+        m.record_decision_time(7_000_001);
+        let mut k = Kpis::new(2);
+        k.note_event(0);
+        k.note_event(90);
+        k.record_extra(15.0);
+        k.record_tick(4_000);
+
+        let enabled = Recorder::enabled();
+        let cache = OracleCacheKpis {
+            hits: 9,
+            misses: 4,
+            evictions: 1,
+        };
+        let r = RunReport::new(&m, &k, Some(cache), &enabled);
+        // Bit for bit what the accumulator's getters say.
+        assert_eq!(r.extra_time.to_bits(), m.extra_time().to_bits());
+        assert_eq!(r.unified_cost.to_bits(), m.unified_cost().to_bits());
+        assert_eq!(
+            r.service_rate_pct.to_bits(),
+            (100.0 * m.service_rate()).to_bits()
+        );
+        assert_eq!(
+            r.running_time.to_bits(),
+            m.running_time_per_order().to_bits()
+        );
+        assert_eq!(r.mean_group_size.to_bits(), m.mean_group_size().to_bits());
+        assert_eq!((r.extra_time, r.service_rate_pct), (56.0 + 180.0, 75.0));
+        assert_eq!((r.total_orders, r.served_orders), (4, 3));
+        assert_eq!(r.cache, Some(cache));
+        // The exact cache totals are mirrored into the registry first.
+        let obs = r.obs.as_ref().expect("an enabled registry is reported");
+        assert_eq!(obs.counter("cache_hits"), 9);
+        assert_eq!(obs.counter("cache_evictions"), 1);
+        let text = serde_json::to_string(&r).expect("serialize");
+        let back: RunReport = serde_json::from_str(&text).expect("parse");
+        assert_eq!(back, r);
+
+        // A registry that is off reports `null`, and round-trips too.
+        let off = report(&k, &m);
+        assert_eq!(off.obs, None);
+        let text = serde_json::to_string(&off).expect("serialize");
+        assert!(text.contains("\"obs\":null"), "{text}");
+        assert_eq!(
+            serde_json::from_str::<RunReport>(&text).expect("parse"),
+            off
+        );
+    }
+
+    #[test]
     fn empty_run_reports_zeros() {
         let k = Kpis::new(5);
-        let r = k.report(&Measurements::default());
+        let r = report(&k, &Measurements::default());
         assert_eq!(r.total_orders, 0);
         assert_eq!(r.service_rate_pct, 0.0);
         assert_eq!(r.span_s, 0.0);
@@ -300,7 +402,7 @@ mod tests {
         k.note_event(200); // span 100 s, 2 workers ⇒ 200 fleet-seconds
         let mut m = Measurements::default();
         m.record_worker_travel(50);
-        let r = k.report(&m);
+        let r = report(&k, &m);
         assert_eq!(r.span_s, 100.0);
         assert_eq!(r.fleet_utilization_pct, 25.0);
     }
@@ -329,8 +431,16 @@ mod tests {
             k.record_extra(s);
             k.record_tick((s * 1e3) as u64); // 1–100 µs in nanos
         }
-        let r = k.report(&Measurements::default());
-        assert_eq!(r.extra_time_s, Dist::from_samples(&samples));
+        let r = report(&k, &Measurements::default());
+        let want = Dist {
+            count: 100,
+            mean: 50.5,
+            p50: 50.0,
+            p90: 90.0,
+            p99: 99.0,
+            max: 100.0,
+        };
+        assert_eq!(r.extra_time_s, want);
         // Tick latencies scale ns → µs exactly while the sketch holds
         // its exact window.
         assert_eq!(r.tick_latency_us.p50, 50.0);
@@ -344,7 +454,7 @@ mod tests {
         let mut k = Kpis::new(1);
         k.record_extra(42.5);
         k.record_tick(7_000);
-        let r = k.report(&Measurements::default());
+        let r = report(&k, &Measurements::default());
         for v in [
             r.extra_time_s.p50,
             r.extra_time_s.p90,
@@ -364,7 +474,7 @@ mod tests {
         for _ in 0..50 {
             k.record_extra(9.0);
         }
-        let r = k.report(&Measurements::default());
+        let r = report(&k, &Measurements::default());
         assert_eq!(r.extra_time_s.p50, 9.0);
         assert_eq!(r.extra_time_s.p99, 9.0);
         assert_eq!(r.extra_time_s.max, 9.0);
@@ -379,7 +489,7 @@ mod tests {
         k.note_event(400);
         let mut m = Measurements::default();
         m.record_worker_travel(10);
-        let r = k.report(&m);
+        let r = report(&k, &m);
         assert_eq!(r.fleet_size, 0);
         assert_eq!(r.span_s, 300.0);
         // No fleet-seconds to divide by: utilization reports 0, not NaN.
@@ -396,7 +506,7 @@ mod tests {
         }
         assert!(!k.tick_nanos.is_exact());
         assert!(!k.extra_times.is_exact());
-        let r = k.report(&Measurements::default());
+        let r = report(&k, &Measurements::default());
         assert_eq!(r.tick_latency_us.count, watter_obs::EXACT_CAP as u64 * 4);
         // Estimates stay within the observed range.
         assert!(r.tick_latency_us.p99 <= r.tick_latency_us.max);
@@ -413,7 +523,7 @@ mod tests {
         assert_eq!(c.hit_rate_pct(), 75.0);
         assert_eq!(OracleCacheKpis::default().hit_rate_pct(), 0.0);
         // Reports carry the counters only when a cache was active.
-        let r = Kpis::new(1).report(&Measurements::default());
+        let r = report(&Kpis::new(1), &Measurements::default());
         assert_eq!(r.cache, None);
         let json = serde_json::to_string(&c).expect("serialize");
         let back: OracleCacheKpis = serde_json::from_str(&json).expect("parse");

@@ -47,8 +47,8 @@ pub use error::CoreError;
 pub use fault::{CorruptKind, FaultPlan, RobustnessReport};
 pub use group::{Group, GroupQuality};
 pub use ids::{NodeId, OrderId, WorkerId};
-pub use kpi::{Dist, KpiReport, Kpis, OracleCacheKpis};
-pub use metrics::{Measurements, OrderOutcome, RunStats};
+pub use kpi::{Dist, Kpis, OracleCacheKpis, RunReport};
+pub use metrics::{Measurements, OrderOutcome};
 pub use objective::{extra_time, CostWeights};
 pub use oracle::{OracleKind, DEFAULT_LANDMARKS, DENSE_NODE_LIMIT};
 pub use order::Order;

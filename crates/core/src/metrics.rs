@@ -178,33 +178,6 @@ impl Measurements {
     }
 }
 
-/// A finished run: the four headline measurements in report-ready form.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunStats {
-    /// Extra Time (s): the METRS objective Φ.
-    pub extra_time: f64,
-    /// Unified Cost.
-    pub unified_cost: f64,
-    /// Service rate in percent.
-    pub service_rate_pct: f64,
-    /// Average decision seconds per order.
-    pub running_time: f64,
-    /// Mean dispatched group size.
-    pub mean_group_size: f64,
-}
-
-impl From<&Measurements> for RunStats {
-    fn from(m: &Measurements) -> Self {
-        Self {
-            extra_time: m.extra_time(),
-            unified_cost: m.unified_cost(),
-            service_rate_pct: 100.0 * m.service_rate(),
-            running_time: m.running_time_per_order(),
-            mean_group_size: m.mean_group_size(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,22 +264,5 @@ mod tests {
             );
         }
         assert!((m.mean_group_size() - 5.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn run_stats_snapshot() {
-        let mut m = Measurements::default();
-        m.record(
-            &order(100, 200),
-            &OrderOutcome::Served {
-                detour: 10,
-                response: 5,
-                group_size: 1,
-            },
-            CostWeights::default(),
-        );
-        let s = RunStats::from(&m);
-        assert_eq!(s.extra_time, 15.0);
-        assert_eq!(s.service_rate_pct, 100.0);
     }
 }

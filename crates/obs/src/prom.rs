@@ -3,9 +3,9 @@
 //! the rendering stays valid.
 //!
 //! The snapshot is the single serialization surface of the registry:
-//! `#metrics PATH` writes it as JSON (`serde`) next to the Prometheus
-//! text ([`render_prometheus`]), and `--kpis`-style consumers embed
-//! it in their reports. Ordering is fixed (enum order for counters,
+//! the daemon's `#report PATH` writes it as JSON (`serde`, the `obs`
+//! field of `watter_core::RunReport`) next to the Prometheus text
+//! ([`render_prometheus`]). Ordering is fixed (enum order for counters,
 //! gauges and stages; ascending window start), so equal registries
 //! produce byte-equal expositions.
 

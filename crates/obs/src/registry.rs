@@ -295,13 +295,13 @@ pub struct RegistryInner {
 }
 
 impl RegistryInner {
-    fn new(window_secs: i64) -> Self {
+    fn new() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicI64::new(0)),
             stages: std::array::from_fn(|_| AtomicHist::new()),
             journal: Mutex::new(Journal::default()),
-            windows: Mutex::new(WindowSeries::new(window_secs)),
+            windows: Mutex::new(WindowSeries::default()),
         }
     }
 }
@@ -317,15 +317,10 @@ impl Recorder {
         Recorder(None)
     }
 
-    /// A live registry with the default window width.
+    /// A live registry (window KPIs bucket every
+    /// [`crate::window::DEFAULT_WINDOW_SECS`] of virtual time).
     pub fn enabled() -> Self {
-        Self::enabled_with_windows(crate::window::DEFAULT_WINDOW_SECS)
-    }
-
-    /// A live registry bucketing window KPIs every `window_secs` of
-    /// virtual time.
-    pub fn enabled_with_windows(window_secs: i64) -> Self {
-        Recorder(Some(Arc::new(RegistryInner::new(window_secs))))
+        Recorder(Some(Arc::new(RegistryInner::new())))
     }
 
     /// `true` when this handle points at a live registry.

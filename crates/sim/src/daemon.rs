@@ -41,7 +41,7 @@ use crate::ingest::{IngestConfig, IngestSnapshot, IngestStats, LineError, OrderI
 use crate::snapshot::{DispatchSnapshot, SnapshotDispatcher, SnapshotError};
 use serde::{Deserialize, Serialize};
 use watter_core::{
-    Dur, FaultPlan, KpiReport, Kpis, Measurements, Order, RobustnessReport, TravelBound, Ts, Worker,
+    Dur, FaultPlan, Kpis, Measurements, Order, RobustnessReport, RunReport, TravelBound, Ts, Worker,
 };
 use watter_obs::{Counter, Gauge, Recorder, Stage, TraceEvent};
 
@@ -176,37 +176,6 @@ impl From<CheckpointError> for DaemonError {
 impl From<SnapshotError> for DaemonError {
     fn from(e: SnapshotError) -> Self {
         Self::Snapshot(e)
-    }
-}
-
-/// Live telemetry bundle answered to the daemon's `#metrics` control
-/// line: the paper-KPI report plus the observability snapshot. The
-/// snapshot side is a pure function of the event stream except for the
-/// wall-clock stage latencies (see `watter-obs`'s determinism notes).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MetricsReport {
-    /// Derived paper KPIs over the run so far.
-    pub kpis: KpiReport,
-    /// Observability registry snapshot (counters, gauges, stage
-    /// latency percentiles, windowed KPIs, trace position).
-    pub obs: watter_obs::ObsSnapshot,
-}
-
-impl MetricsReport {
-    /// Bundle `kpis` with a snapshot of `recorder`'s registry, first
-    /// mirroring the oracle's exact cache totals (`kpis.cache`) into the
-    /// `cache_*` counters (the latency stages only sample). The one
-    /// constructor behind `#metrics` and `--obs`.
-    pub fn new(kpis: KpiReport, recorder: &Recorder) -> Self {
-        if let Some(cache) = kpis.cache {
-            recorder.set_at_least(Counter::CacheHits, cache.hits);
-            recorder.set_at_least(Counter::CacheMisses, cache.misses);
-            recorder.set_at_least(Counter::CacheEvictions, cache.evictions);
-        }
-        Self {
-            kpis,
-            obs: recorder.snapshot(),
-        }
     }
 }
 
@@ -621,21 +590,16 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         }
     }
 
-    /// KPI report over the state so far, with the oracle's cache counters
-    /// attached (the `#kpis` query; after [`Daemon::close_and_drain`], the
-    /// final `--kpis` report).
-    pub fn kpi_report(&self) -> KpiReport {
-        let mut report = self.core.kpis().report(self.core.measurements());
-        report.cache = self.oracle.cache_stats();
-        report
-    }
-
-    /// Live telemetry for the `#metrics` control line: the KPI report
-    /// plus a deterministic snapshot of the observability registry
-    /// (counters, gauges, per-stage latency percentiles, windowed
-    /// KPIs, trace-journal position).
-    pub fn metrics_report(&self) -> MetricsReport {
-        MetricsReport::new(self.kpi_report(), &self.recorder)
+    /// The report over the state so far — the `#report` query, and after
+    /// [`Daemon::close_and_drain`] the final `--report` — with the
+    /// oracle's cache counters and the registry snapshot attached.
+    pub fn report(&self) -> RunReport {
+        RunReport::new(
+            self.core.measurements(),
+            self.core.kpis(),
+            self.oracle.cache_stats(),
+            &self.recorder,
+        )
     }
 
     /// Input lines consumed so far (the resume cursor).

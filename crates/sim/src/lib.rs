@@ -64,7 +64,7 @@ pub use cancel::CancellationModel;
 pub use checkpoint::{CheckpointError, CheckpointOps, CheckpointStore};
 pub use daemon::{
     fault_lines, BackpressurePolicy, Daemon, DaemonCheckpoint, DaemonConfig, DaemonError,
-    DaemonOutput, FeedOutcome, MetricsReport,
+    DaemonOutput, FeedOutcome,
 };
 pub use dispatcher::{DegradableDispatcher, Dispatcher, SimCtx, WatterConfig, WatterDispatcher};
 pub use engine::{run, SimConfig};

@@ -6,9 +6,8 @@
 //!                  [--orders N] [--workers M] [--tau F] [--kw K] [--eta F]
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
 //!                  [--dense-limit N] [--import PATH]
-//!                  [--threads T] [--kpis json|PATH]
-//!                  [--obs json|PATH] [--obs-window SECS] [--trace PATH]
-//!                  [--seed S] [--json PATH]
+//!                  [--threads T] [--seed S]
+//!                  [--report json|PATH] [--obs] [--trace PATH]
 //! watter-cli orders [scenario flags] [--fault-seed S] [--fault-malformed-every K]
 //!                   [--fault-delay-every K] [--fault-delay-slots N] [--out PATH]
 //! watter-cli graph [scenario flags] [--out PATH]
@@ -47,35 +46,37 @@
 //! `--algo expect` trains a value function on a sibling "day" first (or
 //! loads one via `--model model.json`).
 //!
-//! `--kpis json` prints the KPI report (service rate, extra-time
-//! distribution, fleet utilization, per-tick latency percentiles) as
-//! JSON on stdout; any other value is a path to write it to.
-//!
-//! `--obs` turns on the observability registry and emits the combined
-//! metrics report (KPIs + counters, per-stage latency percentiles,
-//! windowed KPIs) as JSON — to stdout with `--obs json`, else to the
-//! given path. `--trace PATH` (implies `--obs`) appends the structured
-//! event journal to `PATH` as JSON lines, one record per line. The stat
-//! block on stdout is bit-identical with or without these flags: only
-//! wall-clock stage timings differ run to run.
+//! `--report json` prints the run's one report document
+//! (`watter_core::RunReport`: the headline measurements of the stat
+//! block, the extra-time and per-tick latency distributions, fleet
+//! utilization, backlog marks, the `cache` counters of a search backend
+//! and `obs`) as JSON on stdout; any other value is a path to write it
+//! to. `obs` is `null` unless `--obs` turns the observability registry
+//! on (counters, per-stage latency percentiles, windowed KPIs).
+//! `--trace PATH` (implies `--obs`) appends the structured event journal
+//! to `PATH` as JSON lines, one record per line. The stat block on
+//! stdout is bit-identical with or without these flags: only wall-clock
+//! stage timings differ run to run.
 //!
 //! `promcheck FILE` validates a Prometheus text-exposition file (such as
-//! the `.prom` file `watter-daemon` writes for a `#metrics` control
+//! the `.prom` file `watter-daemon` writes for a `#report` control
 //! line) with the crate's own parser, exiting non-zero if any line is
 //! malformed.
 //!
-//! A flag outside the set above is a usage error (exit 2, flag named).
+//! Usage errors exit 2 naming the offender: a flag outside the set above,
+//! a value that does not parse (`--orders abc`), a valued flag without a
+//! value, a positional word. An output file that cannot be written exits 1.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{
-    append_trace_jsonl, fault_plan_of, params_of, parse_flags, print_stats, recorder_of,
+    append_trace_jsonl, emit_report, fault_plan_of, params_of, parse_flags, parsed, print_stats,
+    recorder_of, write_or_exit,
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
-use watter::sim::MetricsReport;
 
 /// Build the scenario: on the profile's synthetic city by default, or —
 /// with `--import PATH` — on a road network loaded from the plain-text
@@ -128,42 +129,14 @@ fn cmd_run(flags: HashMap<String, String>) {
             std::process::exit(2);
         }
     };
-    let recorder = recorder_of(&flags);
-    let out = run_scenario(&scenario, algo, recorder.clone());
-    let stats = RunStats::from(&out.measurements);
-    print_stats(&params, &out.oracle, &algo_name, &stats);
-    if let Some(path) = flags.get("json") {
-        let s = serde_json::to_string_pretty(&stats).expect("serialize stats");
-        std::fs::write(path, s).expect("write json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(dest) = flags.get("kpis") {
-        let report = out.kpi_report();
-        let s = serde_json::to_string_pretty(&report).expect("serialize kpis");
-        if dest == "json" || dest == "true" {
-            println!("{s}");
-        } else {
-            std::fs::write(dest, s).expect("write kpis");
-            eprintln!("wrote {dest}");
-        }
-    }
-    if let Some(dest) = flags.get("obs") {
-        // Same shape the daemon's `#metrics` control line emits: the
-        // KPI report plus the full registry snapshot (counters, gauges,
-        // per-stage latency percentiles, windowed KPIs).
-        let report = MetricsReport::new(out.kpi_report(), &recorder);
-        let s = serde_json::to_string_pretty(&report).expect("serialize metrics");
-        if dest == "json" || dest == "true" {
-            println!("{s}");
-        } else {
-            std::fs::write(dest, s).expect("write metrics");
-            eprintln!("wrote {dest}");
-        }
-    }
+    let out = run_scenario(&scenario, algo, recorder_of(&flags));
+    let report = out.report();
+    print_stats(&params, &out.oracle, &algo_name, &report);
+    emit_report(&flags, &report);
     if let Some(path) = flags.get("trace") {
-        let records = recorder.drain_trace();
+        let records = out.recorder.drain_trace();
         let n = records.len();
-        append_trace_jsonl(path, &records).expect("write trace");
+        write_or_exit(path, append_trace_jsonl(path, &records));
         eprintln!("wrote {path} ({n} trace records)");
     }
 }
@@ -181,7 +154,7 @@ fn cmd_orders(flags: HashMap<String, String>) {
     let lines = watter::sim::fault_lines(&scenario.orders, &plan).join("\n");
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, lines + "\n").expect("write orders");
+            write_or_exit(path, std::fs::write(path, lines + "\n"));
             eprintln!("wrote {path}");
         }
         None => println!("{lines}"),
@@ -198,7 +171,7 @@ fn cmd_graph(flags: HashMap<String, String>) {
     let text = export_graph(&scenario.graph);
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, &text).expect("write graph");
+            write_or_exit(path, std::fs::write(path, &text));
             eprintln!(
                 "wrote {path} ({} nodes, {} edges)",
                 scenario.graph.node_count(),
@@ -214,7 +187,7 @@ fn cmd_train(flags: HashMap<String, String>) {
     params.seed ^= 0xDEAD_BEEF;
     let training = Scenario::build(params);
     let mut cfg = TrainingConfig::default();
-    if let Some(steps) = flags.get("steps").and_then(|s| s.parse().ok()) {
+    if let Some(steps) = parsed(&flags, "steps") {
         cfg.train_steps = steps;
     }
     eprintln!("training …");
@@ -229,15 +202,12 @@ fn cmd_train(flags: HashMap<String, String>) {
         .get("out")
         .cloned()
         .unwrap_or_else(|| "model.json".to_string());
-    trained
-        .value
-        .save_json(std::path::Path::new(&out))
-        .expect("save model");
+    write_or_exit(&out, trained.value.save_json(std::path::Path::new(&out)));
     println!("saved value function to {out}");
 }
 
 /// Validate a Prometheus text-exposition file with the same parser the
-/// test suite uses — the CI hook for the daemon's `#metrics` output.
+/// test suite uses — the CI hook for the daemon's `#report` output.
 fn cmd_promcheck(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("read {path}: {e}");
@@ -254,9 +224,7 @@ fn cmd_promcheck(path: &str) {
 
 /// The flags this binary reads itself, on top of `watter::cli`'s common
 /// set.
-const OWN_FLAGS: &[&str] = &[
-    "algo", "model", "import", "json", "kpis", "obs", "out", "steps",
-];
+const OWN_FLAGS: &[&str] = &["algo", "model", "import", "obs", "out", "steps"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

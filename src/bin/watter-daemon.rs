@@ -1,7 +1,7 @@
 //! `watter-daemon` — dispatch as a service: a long-lived process that
 //! reads newline-delimited JSON orders from a pipe, file/FIFO or Unix
 //! socket, dispatches them through the WATTER engine, checkpoints its
-//! state for crash recovery, and answers live KPI queries.
+//! state for crash recovery, and answers live report queries.
 //!
 //! ```text
 //! watter-daemon [scenario flags: --profile --orders --workers --seed
@@ -14,11 +14,12 @@
 //!               [--high-watermark N] [--low-watermark N]
 //!               [--fault-crash-after K] [--fault-corrupt torn|bitflip]
 //!               [--fault-io-failures N]
-//!               [--no-obs] [--obs-window SECS] [--trace PATH]
-//!               [--json PATH] [--kpis PATH]
+//!               [--no-obs] [--trace PATH] [--report json|PATH]
 //! ```
 //!
-//! A flag outside this set is a usage error (exit 2, flag named).
+//! Usage errors exit 2 naming the offender: a flag outside this set, a
+//! value that does not parse (`--high-watermark x`), a valued flag
+//! without a value, a positional word.
 //!
 //! The scenario flags build the same workers/oracle stack/grid as
 //! `watter-cli run` with identical flags (a search backend behind the
@@ -26,21 +27,23 @@
 //! source (generate one with `watter-cli orders`). On end of input the
 //! daemon closes the stream, drains, and prints the exact stat block
 //! `watter-cli run` prints — so CI can diff a daemon run (even one
-//! recovered from a crash) against the batch reference.
+//! recovered from a crash) against the batch reference — and
+//! `--report` writes the same `watter_core::RunReport` document
+//! `watter-cli run --report` does (exit 1 if it cannot be written).
 //!
 //! Control lines on the input stream (prefix `#`):
 //!
-//! * `#kpis PATH` — write the live KPI report as JSON to `PATH`;
-//! * `#metrics PATH` — write the live metrics report (KPIs + counters,
-//!   per-stage latency percentiles, windowed KPIs) as JSON to `PATH`
-//!   *and* the Prometheus text exposition to `PATH.prom`; with no path,
-//!   print the JSON to stdout;
+//! * `#report [PATH]` — write the live report (headline measurements,
+//!   KPI summary, cache counters and, under `obs`, the registry's
+//!   counters, per-stage latency percentiles and windowed KPIs) as JSON
+//!   to `PATH` *and* the Prometheus text exposition of `obs` to
+//!   `PATH.prom`; with no path, print the JSON to stdout;
 //! * `#checkpoint` — checkpoint immediately;
 //! * `#close` — treat as end of input (useful over sockets, where the
 //!   listener outlives any one client).
 //!
 //! The observability registry is on by default (`--no-obs` disables
-//! it; `--obs-window` sets the windowed-KPI width in virtual seconds).
+//! it, and the report's `obs` is then `null`).
 //! `--trace PATH` appends the structured event journal to `PATH` as
 //! JSON lines, flushed while idle and on every control line; a resumed
 //! daemon continues the sequence numbering its checkpoint carried, so
@@ -58,10 +61,13 @@ use std::io::{BufRead, BufReader, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use watter::cli::{append_trace_jsonl, fault_plan_of, params_of, parse_flags, print_stats};
+use watter::cli::{
+    append_trace_jsonl, emit_report, fault_plan_of, params_of, parse_flags, parsed, print_stats,
+    write_report,
+};
 use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
-use watter_core::{FaultPlan, RunStats};
+use watter_core::FaultPlan;
 use watter_obs::{render_prometheus, Recorder};
 use watter_road::OracleStack;
 use watter_sim::{
@@ -76,15 +82,12 @@ use watter_workload::Scenario;
 const CRASH_EXIT: i32 = 42;
 
 /// The daemon's recorder: on by default (a long-lived service wants
-/// its registry populated before anyone asks), `--no-obs` turns it
-/// off, `--obs-window SECS` overrides the windowed-KPI width.
+/// its registry populated before anyone asks), `--no-obs` turns it off.
 fn daemon_recorder(flags: &HashMap<String, String>) -> Recorder {
-    if flags.get("no-obs").map(|s| s.as_str()) == Some("true") {
-        return Recorder::disabled();
-    }
-    match flags.get("obs-window").and_then(|s| s.parse().ok()) {
-        Some(secs) => Recorder::enabled_with_windows(secs),
-        None => Recorder::enabled(),
+    if flags.contains_key("no-obs") {
+        Recorder::disabled()
+    } else {
+        Recorder::enabled()
     }
 }
 
@@ -176,10 +179,10 @@ fn daemon_config(flags: &HashMap<String, String>, fault: FaultPlan) -> DaemonCon
         fault,
         ..DaemonConfig::default()
     };
-    if let Some(n) = flags.get("ckpt-every").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "ckpt-every") {
         cfg.checkpoint_every_events = n;
     }
-    if let Some(s) = flags.get("ckpt-interval").and_then(|s| s.parse().ok()) {
+    if let Some(s) = parsed(flags, "ckpt-interval") {
         cfg.checkpoint_interval = s;
     }
     match flags.get("backpressure").map(|s| s.as_str()) {
@@ -191,11 +194,11 @@ fn daemon_config(flags: &HashMap<String, String>, fault: FaultPlan) -> DaemonCon
             std::process::exit(2);
         }
     }
-    if let Some(n) = flags.get("high-watermark").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "high-watermark") {
         cfg.high_watermark = n;
         cfg.low_watermark = n / 2;
     }
-    if let Some(n) = flags.get("low-watermark").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "low-watermark") {
         cfg.low_watermark = n;
     }
     cfg
@@ -211,10 +214,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     let fault = fault_plan_of(flags);
     let cfg = daemon_config(flags, fault);
     let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
-    let keep = flags
-        .get("ckpt-keep")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let keep = parsed(flags, "ckpt-keep").unwrap_or(3);
     let store = flags.get("ckpt-dir").map(|dir| {
         CheckpointStore::open(std::path::Path::new(dir), keep, fault).unwrap_or_else(|e| {
             eprintln!("open checkpoint store {dir}: {e}");
@@ -227,7 +227,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     let workers = scenario.workers.clone();
     let sim = sim_config(scenario);
 
-    let mut daemon = if flags.get("resume").map(|s| s.as_str()) == Some("true") {
+    let mut daemon = if flags.contains_key("resume") {
         let Some(store) = store else {
             eprintln!("--resume requires --ckpt-dir");
             std::process::exit(2);
@@ -286,36 +286,20 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             flush_trace(daemon.recorder(), trace_path.as_ref());
             let mut words = ctl.split_whitespace();
             match words.next() {
-                Some("kpis") => {
-                    let report = daemon.kpi_report();
-                    let json =
-                        serde_json::to_string_pretty(&report).expect("kpi report serializes");
-                    match words.next() {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(path, json) {
-                                eprintln!("write kpis {path}: {e}");
-                            }
-                        }
-                        None => println!("{json}"),
-                    }
-                }
-                Some("metrics") => {
-                    let report = daemon.metrics_report();
-                    let json =
-                        serde_json::to_string_pretty(&report).expect("metrics report serializes");
-                    match words.next() {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(path, json) {
-                                eprintln!("write metrics {path}: {e}");
-                            }
-                            let prom_path = format!("{path}.prom");
-                            if let Err(e) =
-                                std::fs::write(&prom_path, render_prometheus(&report.obs))
-                            {
-                                eprintln!("write metrics {prom_path}: {e}");
-                            }
-                        }
-                        None => println!("{json}"),
+                Some("report") => {
+                    let report = daemon.report();
+                    let path = words.next();
+                    let written =
+                        write_report(path.unwrap_or("json"), &report).and_then(|()| match path {
+                            Some(path) => std::fs::write(
+                                format!("{path}.prom"),
+                                render_prometheus(&report.obs.unwrap_or_default()),
+                            ),
+                            None => Ok(()),
+                        });
+                    // A query that cannot be answered must not stop dispatch.
+                    if let Err(e) = written {
+                        eprintln!("write {}: {e}", path.unwrap_or("report"));
                     }
                 }
                 Some("checkpoint") => match daemon.checkpoint_now() {
@@ -352,7 +336,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     flush_trace(daemon.recorder(), trace_path.as_ref());
     let robustness = daemon.robustness();
     let ops = daemon.store_ops();
-    let report = daemon.kpi_report();
+    let report = daemon.report();
     let out = daemon.finish();
     eprintln!(
         "ingest        : admitted={} rejected={} malformed={} peak-backlog={}",
@@ -368,19 +352,8 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             ops.written, ops.retries, ops.discarded, ops.resumed_from
         );
     }
-    let stats = RunStats::from(&out.measurements);
-    let params = params_of(flags);
-    print_stats(&params, &stack.describe(), algo_name, &stats);
-    if let Some(path) = flags.get("json") {
-        let s = serde_json::to_string_pretty(&stats).expect("serialize stats");
-        std::fs::write(path, s).expect("write json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = flags.get("kpis") {
-        let s = serde_json::to_string_pretty(&report).expect("serialize kpis");
-        std::fs::write(path, s).expect("write kpis");
-        eprintln!("wrote {path}");
-    }
+    print_stats(&params_of(flags), &stack.describe(), algo_name, &report);
+    emit_report(flags, &report);
 }
 
 /// The flags this binary reads itself, on top of `watter::cli`'s common
@@ -398,8 +371,6 @@ const OWN_FLAGS: &[&str] = &[
     "high-watermark",
     "low-watermark",
     "no-obs",
-    "json",
-    "kpis",
 ];
 
 fn main() {

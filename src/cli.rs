@@ -9,12 +9,13 @@
 //! structural instead of copy-paste luck.
 
 use std::collections::HashMap;
-use watter_core::{CorruptKind, FaultPlan, OracleKind, RunStats};
+use std::str::FromStr;
+use watter_core::{CorruptKind, FaultPlan, OracleKind, RunReport};
 use watter_obs::{Recorder, TraceRecord};
 use watter_workload::{CityProfile, ScenarioParams};
 
 /// The flags both binaries take: the scenario ([`params_of`]), the fault
-/// plan ([`fault_plan_of`]) and the two observability flags they share.
+/// plan ([`fault_plan_of`]), `--trace` and `--report` ([`emit_report`]).
 const COMMON_FLAGS: &[&str] = &[
     "profile",
     "orders",
@@ -28,8 +29,8 @@ const COMMON_FLAGS: &[&str] = &[
     "landmarks",
     "oracle",
     "threads",
-    "obs-window",
     "trace",
+    "report",
     "fault-seed",
     "fault-crash-after",
     "fault-corrupt",
@@ -39,33 +40,53 @@ const COMMON_FLAGS: &[&str] = &[
     "fault-delay-slots",
 ];
 
-/// Parse `--key value` / `--switch` pairs into a map (values never start
-/// with `--`; a flag with no value maps to `"true"`). A flag that is
-/// neither common to both binaries nor in `own` (the calling binary's
-/// other flags) is a usage error: it is named on stderr and
-/// the process exits 2, so a misspelt or retired switch cannot be
-/// accepted in silence.
+/// The flags that take no value; every other flag requires one.
+const SWITCHES: &[&str] = &["obs", "no-obs", "resume"];
+
+/// A usage error: say why on stderr and exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Parse `--key value` / `--switch` arguments into a map (a switch maps
+/// to `"true"`). Anything the caller cannot have meant is a usage error
+/// naming it (exit 2), never a silent no-op: a flag that is neither
+/// common to both binaries nor in `own` (the calling binary's other
+/// flags) — misspelt or retired —, a valued flag with no value, and a
+/// positional word.
 pub fn parse_flags(args: &[String], own: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if !COMMON_FLAGS.contains(&key) && !own.contains(&key) {
-                eprintln!("unknown flag `--{key}`");
-                std::process::exit(2);
-            }
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            usage_error(format!("unexpected argument `{arg}`"));
+        };
+        if !COMMON_FLAGS.contains(&key) && !own.contains(&key) {
+            usage_error(format!("unknown flag `--{key}`"));
         }
+        let value = if SWITCHES.contains(&key) {
+            "true"
+        } else {
+            match args.next() {
+                Some(value) if !value.starts_with("--") => value,
+                _ => usage_error(format!("flag `--{key}` needs a value")),
+            }
+        };
+        flags.insert(key.to_string(), value.to_string());
     }
     flags
+}
+
+/// The value of `--key` parsed as a `T`; `None` when the flag is absent.
+/// A value that does not parse is a usage error naming the flag (exit
+/// 2) — it must not read as "flag absent".
+pub fn parsed<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    flags.get(key).map(|value| {
+        value
+            .parse()
+            .unwrap_or_else(|_| usage_error(format!("invalid value `{value}` for `--{key}`")))
+    })
 }
 
 /// The `--profile` flag (default Chengdu, like every experiment default).
@@ -73,7 +94,8 @@ pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
     match flags.get("profile").map(|s| s.as_str()) {
         Some("nyc") => CityProfile::Nyc,
         Some("xia") => CityProfile::Xian,
-        _ => CityProfile::Chengdu,
+        Some("cdc") | None => CityProfile::Chengdu,
+        Some(other) => usage_error(format!("unknown profile `{other}` (expected nyc|cdc|xia)")),
     }
 }
 
@@ -82,31 +104,31 @@ pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
 /// `--landmarks`, `--dense-limit`, `--threads`).
 pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     let mut p = ScenarioParams::default_for(profile_of(flags));
-    if let Some(n) = flags.get("orders").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "orders") {
         p.n_orders = n;
     }
-    if let Some(m) = flags.get("workers").and_then(|s| s.parse().ok()) {
+    if let Some(m) = parsed(flags, "workers") {
         p.n_workers = m;
     }
-    if let Some(t) = flags.get("tau").and_then(|s| s.parse().ok()) {
+    if let Some(t) = parsed(flags, "tau") {
         p.deadline_scale = t;
     }
-    if let Some(k) = flags.get("kw").and_then(|s| s.parse().ok()) {
+    if let Some(k) = parsed(flags, "kw") {
         p.max_capacity = k;
     }
-    if let Some(e) = flags.get("eta").and_then(|s| s.parse().ok()) {
+    if let Some(e) = parsed(flags, "eta") {
         p.wait_scale = e;
     }
-    if let Some(s) = flags.get("seed").and_then(|s| s.parse().ok()) {
+    if let Some(s) = parsed(flags, "seed") {
         p.seed = s;
     }
-    if let Some(side) = flags.get("city-side").and_then(|s| s.parse().ok()) {
+    if let Some(side) = parsed(flags, "city-side") {
         p.city_side = side;
     }
-    if let Some(limit) = flags.get("dense-limit").and_then(|s| s.parse().ok()) {
+    if let Some(limit) = parsed(flags, "dense-limit") {
         p.dense_limit = limit;
     }
-    let explicit_landmarks: Option<usize> = flags.get("landmarks").and_then(|s| s.parse().ok());
+    let explicit_landmarks: Option<usize> = parsed(flags, "landmarks");
     let landmarks = explicit_landmarks.unwrap_or(watter_core::DEFAULT_LANDMARKS);
     match flags.get("oracle").map(|s| s.as_str()) {
         Some("dense") => p.oracle = OracleKind::Dense,
@@ -121,30 +143,25 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
                 p.oracle = OracleKind::Alt { landmarks };
             }
         }
-        Some(other) => {
-            eprintln!("unknown oracle `{other}` (expected auto|dense|alt|ch)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format!(
+            "unknown oracle `{other}` (expected auto|dense|alt|ch)"
+        )),
     }
-    if let Some(t) = flags.get("threads").and_then(|s| s.parse().ok()) {
+    if let Some(t) = parsed(flags, "threads") {
         p.parallelism.threads = t;
     }
     p
 }
 
-/// The observability recorder the common flags ask for: `--obs`
+/// The observability recorder `watter-cli`'s flags ask for: `--obs`
 /// (metrics registry on) and `--trace PATH` (structured event journal,
-/// which needs the registry) enable it; `--obs-window SECS` overrides
-/// the windowed-KPI width (default 600 virtual seconds). Absent both
-/// switches the recorder is [`Recorder::disabled`] and every hook in
-/// the engine short-circuits.
+/// which needs the registry) enable it. Absent both the recorder is
+/// [`Recorder::disabled`] and every hook in the engine short-circuits.
 pub fn recorder_of(flags: &HashMap<String, String>) -> Recorder {
-    if !flags.contains_key("obs") && !flags.contains_key("trace") {
-        return Recorder::disabled();
-    }
-    match flags.get("obs-window").and_then(|s| s.parse().ok()) {
-        Some(secs) => Recorder::enabled_with_windows(secs),
-        None => Recorder::enabled(),
+    if flags.contains_key("obs") || flags.contains_key("trace") {
+        Recorder::enabled()
+    } else {
+        Recorder::disabled()
     }
 }
 
@@ -177,35 +194,27 @@ pub fn append_trace_jsonl(path: &str, records: &[TraceRecord]) -> std::io::Resul
 /// [`FaultPlan::NONE`].
 pub fn fault_plan_of(flags: &HashMap<String, String>) -> FaultPlan {
     let mut plan = FaultPlan::NONE;
-    if let Some(s) = flags.get("fault-seed").and_then(|s| s.parse().ok()) {
+    if let Some(s) = parsed(flags, "fault-seed") {
         plan.seed = s;
     }
-    if let Some(k) = flags.get("fault-crash-after").and_then(|s| s.parse().ok()) {
-        plan.crash_after_events = Some(k);
-    }
+    plan.crash_after_events = parsed(flags, "fault-crash-after");
     match flags.get("fault-corrupt").map(|s| s.as_str()) {
         Some("torn") => plan.corrupt_on_crash = Some(CorruptKind::Torn),
         Some("bitflip") => plan.corrupt_on_crash = Some(CorruptKind::BitFlip),
-        Some(other) => {
-            eprintln!("unknown corruption kind `{other}` (expected torn|bitflip)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format!(
+            "unknown corruption kind `{other}` (expected torn|bitflip)"
+        )),
         None => {}
     }
-    if let Some(n) = flags.get("fault-io-failures").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "fault-io-failures") {
         plan.io_failures = n;
     }
-    if let Some(k) = flags
-        .get("fault-malformed-every")
-        .and_then(|s| s.parse().ok())
-    {
-        plan.malformed_every = Some(k);
-    }
-    if let Some(k) = flags.get("fault-delay-every").and_then(|s| s.parse().ok()) {
+    plan.malformed_every = parsed(flags, "fault-malformed-every");
+    if let Some(k) = parsed(flags, "fault-delay-every") {
         plan.delay_every = Some(k);
         plan.delay_slots = 1;
     }
-    if let Some(n) = flags.get("fault-delay-slots").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parsed(flags, "fault-delay-slots") {
         plan.delay_slots = n;
     }
     plan
@@ -216,7 +225,7 @@ pub fn fault_plan_of(flags: &HashMap<String, String>) -> FaultPlan {
 /// daemon run against a batch reference line for line (dropping only the
 /// wall-clock `running time` row). `oracle_desc` is the run's
 /// `OracleStack::describe` line.
-pub fn print_stats(params: &ScenarioParams, oracle_desc: &str, algo_name: &str, stats: &RunStats) {
+pub fn print_stats(params: &ScenarioParams, oracle_desc: &str, algo_name: &str, stats: &RunReport) {
     println!("profile       : {}", params.profile.tag());
     println!("oracle        : {oracle_desc}");
     println!("orders/workers: {}/{}", params.n_orders, params.n_workers);
@@ -226,4 +235,33 @@ pub fn print_stats(params: &ScenarioParams, oracle_desc: &str, algo_name: &str, 
     println!("service rate  : {:.1} %", stats.service_rate_pct);
     println!("running time  : {:.4} ms/order", stats.running_time * 1e3);
     println!("mean group    : {:.2}", stats.mean_group_size);
+}
+
+/// Write `report` as pretty JSON: to stdout when `dest` is `json`, else
+/// to the file `dest`.
+pub fn write_report(dest: &str, report: &RunReport) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(report).expect("a report serializes");
+    if dest == "json" {
+        println!("{json}");
+        return Ok(());
+    }
+    std::fs::write(dest, json)?;
+    eprintln!("wrote {dest}");
+    Ok(())
+}
+
+/// An output that cannot be written is named on stderr (`write PATH:
+/// error`) and the process exits 1.
+pub fn write_or_exit(path: &str, written: std::io::Result<()>) {
+    if let Err(e) = written {
+        eprintln!("write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Honour `--report json|PATH` at the end of a run.
+pub fn emit_report(flags: &HashMap<String, String>, report: &RunReport) {
+    if let Some(dest) = flags.get("report") {
+        write_or_exit(dest, write_report(dest, report));
+    }
 }

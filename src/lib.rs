@@ -46,8 +46,8 @@ pub mod prelude {
     pub use crate::pipeline::{train, TrainedWatter, TrainingConfig};
     pub use crate::runner::{run_algorithm, run_scenario, Algo, RunOutput};
     pub use watter_core::{
-        CostWeights, Dist, Group, KpiReport, Kpis, Measurements, OracleKind, Order, RunStats,
-        TravelCost, Worker,
+        CostWeights, Dist, Group, Kpis, Measurements, OracleKind, Order, RunReport, TravelCost,
+        Worker,
     };
     pub use watter_learn::{Gmm, GmmThresholdProvider, ValueFunction};
     pub use watter_obs::{ObsSnapshot, Recorder, TraceEvent, TraceRecord};

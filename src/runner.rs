@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSharingDispatcher};
-use watter_core::{CostWeights, Kpis, Measurements, OracleCacheKpis, RunStats, TravelBound};
+use watter_core::{CostWeights, Kpis, Measurements, OracleCacheKpis, RunReport, TravelBound};
 use watter_learn::ValueFunction;
 use watter_obs::Recorder;
 use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig};
@@ -63,22 +63,22 @@ impl Algo {
 pub struct RunOutput {
     /// The paper's measurements.
     pub measurements: Measurements,
-    /// The KPI accumulator (summarize via
-    /// [`Kpis::report`]).
+    /// The KPI accumulator.
     pub kpis: Kpis,
     /// Cost-cache counters (`None` on the dense table, which runs
     /// uncached).
     pub cache: Option<OracleCacheKpis>,
     /// The [`OracleStack::describe`] line of the stack the run queried.
     pub oracle: String,
+    /// The observability handle every layer of the run recorded into.
+    pub recorder: Recorder,
 }
 
 impl RunOutput {
-    /// The report-ready KPI summary, with the cache counters attached.
-    pub fn kpi_report(&self) -> watter_core::KpiReport {
-        let mut report = self.kpis.report(&self.measurements);
-        report.cache = self.cache;
-        report
+    /// The run's report: headline measurements, KPI summary, cache
+    /// counters and the registry snapshot.
+    pub fn report(&self) -> RunReport {
+        RunReport::new(&self.measurements, &self.kpis, self.cache, &self.recorder)
     }
 }
 
@@ -120,8 +120,8 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
 
 /// Execute one algorithm on one scenario with an observability recorder
 /// attached to every layer (core, dispatcher, pool, oracle stack). The
-/// caller keeps the handle: `recorder.snapshot()` after the run exposes
-/// counters, per-stage latency percentiles and windowed KPIs;
+/// output keeps the handle: [`RunOutput::report`] carries its counters,
+/// per-stage latency percentiles and windowed KPIs;
 /// `recorder.drain_trace()` yields the structured event journal. With
 /// [`Recorder::disabled`] every hook short-circuits, so the disabled path
 /// pays nothing.
@@ -178,6 +178,7 @@ pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunO
         kpis,
         cache: stack.cache_stats(),
         oracle: stack.describe(),
+        recorder,
     }
 }
 
@@ -202,9 +203,9 @@ fn run_on<D: Dispatcher>(
     )
 }
 
-/// Execute one algorithm and summarize into [`RunStats`].
-pub fn run_algorithm(scenario: &Scenario, algo: Algo) -> RunStats {
-    RunStats::from(&run_scenario(scenario, algo, Recorder::disabled()).measurements)
+/// Execute one algorithm, unobserved, and summarize into a [`RunReport`].
+pub fn run_algorithm(scenario: &Scenario, algo: Algo) -> RunReport {
+    run_scenario(scenario, algo, Recorder::disabled()).report()
 }
 
 /// Shared-ownership wrapper so a trained value function can serve many

@@ -31,7 +31,7 @@ fn run_subcommand_reports_stats_and_writes_json() {
             "online",
             "--seed",
             "7",
-            "--json",
+            "--report",
         ])
         .arg(&json)
         .output()
@@ -47,17 +47,22 @@ fn run_subcommand_reports_stats_and_writes_json() {
         assert!(stdout.contains(marker), "missing `{marker}` in:\n{stdout}");
     }
 
-    // The --json sidecar must be valid and carry the printed stats.
-    let body = std::fs::read_to_string(&json).expect("json sidecar written");
-    let stats: watter_core::RunStats = serde_json::from_str(&body).expect("valid RunStats json");
-    assert!(stats.service_rate_pct > 0.0 && stats.service_rate_pct <= 100.0);
-    assert!(stats.extra_time >= 0.0);
+    // The --report document must be valid and carry the printed stats.
+    let body = std::fs::read_to_string(&json).expect("report written");
+    let report: watter_core::RunReport = serde_json::from_str(&body).expect("valid RunReport json");
+    assert!(report.service_rate_pct > 0.0 && report.service_rate_pct <= 100.0);
+    assert!(report.extra_time >= 0.0);
+    let extra_row = format!("extra time    : {:.0} s", report.extra_time);
+    assert!(stdout.contains(&extra_row), "{extra_row}\n{stdout}");
+    assert_eq!(report.total_orders, 40);
+    assert_eq!(report.extra_time_s.count, report.served_orders);
+    assert_eq!(report.obs, None, "the registry is off without --obs");
     std::fs::remove_file(&json).ok();
 }
 
 #[test]
 fn run_subcommand_is_deterministic_across_processes() {
-    let run = || {
+    let run = |extra: &[&str]| {
         let out = cli()
             .args([
                 "run",
@@ -70,6 +75,7 @@ fn run_subcommand_is_deterministic_across_processes() {
                 "--seed",
                 "11",
             ])
+            .args(extra)
             .output()
             .expect("spawn watter-cli");
         assert!(out.status.success());
@@ -80,7 +86,30 @@ fn run_subcommand_is_deterministic_across_processes() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(run(), run(), "identical seeds must print identical stats");
+    let plain = run(&[]);
+    assert_eq!(
+        plain,
+        run(&[]),
+        "identical seeds must print identical stats"
+    );
+
+    // Observing the run changes nothing it prints, and the journal it
+    // leaves is numbered contiguously from 0.
+    let trace = temp_path("determinism_trace.jsonl");
+    std::fs::remove_file(&trace).ok();
+    let observed = run(&["--obs", "--trace", trace.to_str().expect("utf-8 temp path")]);
+    assert_eq!(plain, observed, "--obs --trace changed the stat block");
+    let journal = std::fs::read_to_string(&trace).expect("trace written");
+    let seqs: Vec<u64> = journal
+        .lines()
+        .map(|l| {
+            let rec: watter_obs::TraceRecord = serde_json::from_str(l).expect("a trace record");
+            rec.seq
+        })
+        .collect();
+    assert!(seqs.len() >= 40, "every order is at least admitted");
+    assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
@@ -118,11 +147,9 @@ fn cost_cache_flag_does_not_change_outcomes() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(
-        run("dense", false),
-        run("alt", true),
-        "the cache changed dispatch outcomes"
-    );
+    let dense = run("dense", false);
+    assert_eq!(dense, run("alt", true), "the cache changed outcomes on ALT");
+    assert_eq!(dense, run("ch", true), "the cache changed outcomes on CH");
 }
 
 #[test]
@@ -166,16 +193,40 @@ fn unknown_usage_exits_nonzero() {
         .expect("spawn watter-cli");
     assert!(!out.status.success(), "unknown algo must be rejected");
     // A flag nobody parses — retired (`--stream`, `--shards`,
-    // `--cost-cache`) or misspelt — is a usage error naming it, not a
-    // silent no-op.
+    // `--cost-cache`, and `--json` / `--kpis` / `--obs-window`, which
+    // `--report` and the bare `--obs` replaced) or misspelt —, a value
+    // that does not parse, a valued flag without its value and a
+    // positional word are usage errors naming the offender, not silent
+    // no-ops.
     for args in [
         &["run", "--stream"][..],
         &["run", "--shards", "2"],
         &["run", "--cost-cache"],
+        &["run", "--json", "x.json"],
+        &["run", "--kpis", "json"],
+        &["run", "--obs-window", "60"],
+        &["run", "--orders", "abc", "--workers", "10"],
+        &["run", "--profile", "paris"],
+        &["run", "--orders"],
+        &["run", "online", "--orders", "60"],
+        &["run", "--obs", "json"],
+        &["train", "--steps", "many"],
     ] {
         let out = cli().args(args).output().expect("spawn watter-cli");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[1]), "{args:?} must be named: {stderr}");
+        let named = args[1..].iter().any(|a| stderr.contains(a));
+        assert!(named, "{args:?}: the offender must be named: {stderr}");
     }
+    // A report that cannot be written is an I/O error (exit 1) after the
+    // run, named on stderr — not a panic.
+    let out = cli()
+        .args(["run", "--orders", "40", "--workers", "8"])
+        .args(["--report", "/nonexistent/dir/x.json"])
+        .output()
+        .expect("spawn watter-cli");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("write /nonexistent/dir/x.json"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -184,14 +184,14 @@ fn injected_crash_then_resume_matches_batch_reference() {
 }
 
 /// SIGTERM converts into a final checkpoint and a clean drain: exit 0,
-/// the stat block on stdout, and a `#kpis` control line answered live
+/// the stat block on stdout, and a `#report` control line answered live
 /// beforehand proves the event loop was serving queries mid-stream.
 #[test]
 fn sigterm_drains_cleanly_and_serves_live_kpis() {
     let dir = temp_dir("sigterm");
     let (orders, want) = reference(&dir);
     let ckpt = dir.join("ckpt");
-    let kpis = dir.join("live_kpis.json");
+    let kpis = dir.join("live_report.json");
     let text = std::fs::read_to_string(&orders).expect("read orders");
 
     let mut child = daemon()
@@ -207,15 +207,15 @@ fn sigterm_drains_cleanly_and_serves_live_kpis() {
     for line in text.lines() {
         writeln!(stdin, "{line}").expect("write order line");
     }
-    // The kpis file doubles as a sync barrier: once it exists, every
+    // The report file doubles as a sync barrier: once it exists, every
     // order line before the control line has been consumed.
-    writeln!(stdin, "#kpis {}", kpis.display()).expect("write control line");
+    writeln!(stdin, "#report {}", kpis.display()).expect("write control line");
     stdin.flush().expect("flush");
-    wait_for(|| kpis.exists(), "live kpi query answered");
-    let live = std::fs::read_to_string(&kpis).expect("read live kpis");
+    wait_for(|| kpis.exists(), "live report query answered");
+    let live = std::fs::read_to_string(&kpis).expect("read live report");
     assert!(
         live.trim_start().starts_with('{'),
-        "live KPI report should be JSON, got: {live}"
+        "live report should be JSON, got: {live}"
     );
 
     // SIGTERM while stdin is still open — the drain must come from the
@@ -281,11 +281,12 @@ fn malformed_lines_are_survived_and_counted() {
 }
 
 /// The daemon's telemetry sees the oracle: on a search backend the stack
-/// caches by itself, so a live `#metrics` answer carries the cache
+/// caches by itself, so a live `#report` answer carries the cache
 /// counters (JSON and Prometheus text) and the sampled cache stages, and
-/// the finished daemon's `--kpis` cache block equals `watter-cli run`'s on
-/// the same flags — same feed, same query sequence, and single-threaded
-/// counts are reproducible.
+/// the finished daemon's `--report` equals `watter-cli run --obs
+/// --report` on the same flags — same feed, same query sequence, and
+/// single-threaded counts are reproducible — once the wall-clock parts
+/// and what only the daemon's door tells the registry are set aside.
 #[test]
 fn alt_daemon_reports_the_cache_like_the_batch_run() {
     const ALT: &[&str] = &[
@@ -310,26 +311,26 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
         .output()
         .expect("run watter-cli orders");
     assert!(out.status.success(), "orders failed: {out:?}");
-    let batch_kpis = dir.join("batch_kpis.json");
+    let batch_report = dir.join("batch_report.json");
     let run = cli()
         .arg("run")
         .args(ALT)
-        .arg("--kpis")
-        .arg(&batch_kpis)
+        .args(["--obs", "--report"])
+        .arg(&batch_report)
         .output()
         .expect("run watter-cli run");
     assert!(run.status.success(), "run failed: {run:?}");
 
-    let metrics = dir.join("metrics.json");
+    let live_report = dir.join("live_report.json");
     let mut feed = std::fs::read_to_string(&orders).expect("read orders");
-    feed.push_str(&format!("#metrics {}\n", metrics.display()));
-    let feed_path = dir.join("orders_metrics.ndjson");
+    feed.push_str(&format!("#report {}\n", live_report.display()));
+    let feed_path = dir.join("orders_report.ndjson");
     std::fs::write(&feed_path, feed).expect("write feed");
-    let daemon_kpis = dir.join("daemon_kpis.json");
+    let daemon_report = dir.join("daemon_report.json");
     let served = daemon()
         .args(ALT)
-        .arg("--kpis")
-        .arg(&daemon_kpis)
+        .arg("--report")
+        .arg(&daemon_report)
         .arg("--input")
         .arg(&feed_path)
         .output()
@@ -342,21 +343,25 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
     );
 
     let read = |path: &Path| std::fs::read_to_string(path).expect("read report");
-    let live: watter_sim::MetricsReport = serde_json::from_str(&read(&metrics)).expect("metrics");
-    let live_cache = live.kpis.cache.expect("kpis.cache must be live on ALT");
+    let report = |path: &Path| -> watter_core::RunReport {
+        serde_json::from_str(&read(path)).expect("a RunReport")
+    };
+    let live = report(&live_report);
+    let live_cache = live.cache.expect("cache must be live on ALT");
     assert!(
         live_cache.hits > 0 && live_cache.misses > 0,
         "{live_cache:?}"
     );
+    let live_obs = live.obs.expect("the daemon's registry is on by default");
     assert!(
-        live.obs
+        live_obs
             .stages
             .iter()
             .any(|s| s.stage == "oracle_cache_miss" && s.count > 0),
         "the miss stage is the backend's latency probe: {:?}",
-        live.obs.stages
+        live_obs.stages
     );
-    let prom = read(Path::new(&format!("{}.prom", metrics.display())));
+    let prom = read(Path::new(&format!("{}.prom", live_report.display())));
     let prom_hits = prom
         .lines()
         .find_map(|l| l.strip_prefix("watter_cache_hits_total "))
@@ -367,25 +372,64 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
         "JSON and Prometheus agree"
     );
 
-    let batch: watter_core::KpiReport = serde_json::from_str(&read(&batch_kpis)).expect("kpis");
-    let daemon: watter_core::KpiReport = serde_json::from_str(&read(&daemon_kpis)).expect("kpis");
+    // One document, one schema: the drained daemon's report is the batch
+    // run's. Set aside the wall clock (`running_time`, `tick_latency_us`,
+    // `obs.stages`) and the door only a daemon has: ingest mirrors its
+    // `orders_admitted` total into the registry and samples the backlog
+    // per fed line — the first time before any event has set the clock.
+    let comparable = |mut r: watter_core::RunReport| {
+        r.running_time = 0.0;
+        r.tick_latency_us = Default::default();
+        let obs = r.obs.as_mut().expect("both registries are on");
+        obs.stages.clear();
+        obs.counters.retain(|c| c.name != "orders_admitted");
+        obs.windows.retain(|w| w.start >= 0);
+        for w in &mut obs.windows {
+            (w.backlog_max, w.band_max) = (0, 0);
+        }
+        r
+    };
+    let (batch, daemon) = (report(&batch_report), report(&daemon_report));
     assert!(batch.cache.is_some(), "the batch run caches ALT too");
-    assert_eq!(daemon.cache, batch.cache);
+    assert_eq!(comparable(daemon), comparable(batch));
 }
 
 /// A flag the daemon does not read — never existed, or retired like
-/// `--cost-cache` — is a usage error naming it (exit 2) before any
-/// scenario is built — never a silent no-op.
+/// `--cost-cache`, `--json`, `--kpis` and `--obs-window` —, a value that
+/// does not parse and a positional word are usage errors naming the
+/// offender (exit 2) before any scenario is built — never a silent
+/// no-op. A final report that cannot be written exits 1, not a panic.
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    for flag in ["--no-such-flag", "--cost-cache"] {
+    for args in [
+        &["--no-such-flag"][..],
+        &["--cost-cache"],
+        &["--json", "x.json"],
+        &["--kpis", "x.json"],
+        &["--obs-window", "60"],
+        &["--high-watermark", "x"],
+        &["--ckpt-keep"],
+        &["online"],
+        &["--no-obs", "json"],
+    ] {
         let out = daemon()
             .args(FLAGS)
-            .arg(flag)
+            .args(args)
             .output()
             .expect("spawn watter-daemon");
-        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "stderr:\n{stderr}");
+        let named = args.iter().any(|a| stderr.contains(a));
+        assert!(named, "{args:?}: the offender must be named: {stderr}");
     }
+    let out = daemon()
+        .args(FLAGS)
+        .args(["--report", "/nonexistent/dir/x.json"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn watter-daemon");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("write /nonexistent/dir/x.json"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
