@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use watter::prelude::*;
 use watter_core::NodeId;
-use watter_road::{dijkstra, AltOracle, GridIndex};
+use watter_road::{dijkstra, AltOracle, ChOracle, GridIndex};
 
 fn bench_road(c: &mut Criterion) {
     let city = CityConfig {
@@ -128,6 +128,23 @@ fn bench_oracle(c: &mut Criterion) {
                 .map(|&(a, b)| metro_alt.cost(a, b))
                 .sum::<i64>()
         })
+    });
+    // The same city and legs on the contraction hierarchy — the
+    // benchmark's `metro_ch_cold` backend: per-query cost beside ALT's.
+    let metro_ch = ChOracle::build(Arc::clone(&metro));
+    g.bench_function("ch_point_query_64x64", |b| {
+        b.iter(|| {
+            black_box(&search_pairs)
+                .iter()
+                .map(|&(a, b)| metro_ch.cost(a, b))
+                .sum::<i64>()
+        })
+    });
+    // And its build (`setup_s` on that row is this plus graph and demand
+    // generation): half a second an iteration, so few of them.
+    g.sample_size(10);
+    g.bench_function("ch_build_64x64", |b| {
+        b.iter(|| ChOracle::build(Arc::clone(black_box(&metro))))
     });
     g.finish();
 }

@@ -34,7 +34,8 @@ use crate::window::{WindowField, WindowSeries};
 /// Monotone event counters, fixed at compile time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Orders that passed ingest validation.
+    /// Orders let through the door: the daemon's ingest validation, or
+    /// every order a batch run is handed.
     OrdersAdmitted,
     /// Orders actually fed into the dispatch core.
     OrdersDispatched,

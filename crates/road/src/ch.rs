@@ -22,27 +22,34 @@
 //!    build deep chains with snowballing shortcut fan-out. Priorities are
 //!    recomputed lazily on pop (re-inserted when stale), with node id as
 //!    the deterministic tie-break.
-//! 2. **Shortcut insertion** — contracting `v` adds `u → x` with weight
-//!    `w(u,v) + w(v,x)` for every in/out neighbor pair unless a bounded
-//!    **witness search** (Dijkstra from `u` avoiding `v`, capped at
-//!    [`WITNESS_SETTLE_LIMIT`] settled nodes) already proves a path at most
-//!    that long. The search exits as soon as every shortcut target is
+//! 2. **Contraction, up to the wall** — contracting `v` adds `u → x` with
+//!    weight `w(u,v) + w(v,x)` for every in/out neighbor pair unless a
+//!    bounded **witness search** (Dijkstra from `u` avoiding `v`, capped
+//!    at [`WITNESS_SETTLE_LIMIT`] settled nodes) already proves a path at
+//!    most that long. The search exits as soon as every shortcut target is
 //!    settled, and a truncated search errs toward *adding* the shortcut —
 //!    never toward dropping one — so limits trade preprocessing time for
-//!    a few redundant edges, not correctness.
-//! 3. **Upward/downward CSR split** — the final edge set (originals +
+//!    a few redundant edges, not correctness. The loop ends once all but
+//!    `min(CORE_SIZE, n / 4)` nodes are contracted: the survivors are the
+//!    *core*, ranked above everything else by ascending node id. They
+//!    would be by far the dearest nodes to contract, and no query reads
+//!    an order or a shortcut among them (step 3).
+//! 3. **Core distance table** — on grid-like networks the bidirectional
+//!    upward search space grows like √n (unlike the near-constant top of
+//!    motorway hierarchies), so the core's exact pairwise distances go
+//!    into a flat table and searches below treat the core as a wall. The
+//!    table is one Dijkstra per core node over the *remaining graph* as
+//!    the loop left it: every contraction preserves shortest-path costs
+//!    among the nodes still uncontracted, so that graph is distance-exact
+//!    for the core without any arc of a contracted node.
+//! 4. **Upward/downward CSR split** — the final edge set (originals +
 //!    shortcuts, deduplicated to minimum weight per arc, then pruned of
 //!    strictly dominated arcs by a second witness pass) is split into an
 //!    upward graph (arcs into higher-ranked nodes, searched forward from
 //!    the source) and a downward graph (arcs into lower-ranked nodes,
-//!    stored reversed and searched backward from the target).
-//! 4. **Core distance table** — on grid-like networks the bidirectional
-//!    upward search space grows like √n (unlike the near-constant top of
-//!    motorway hierarchies), so the top [`CORE_SIZE`] ranks become a
-//!    *core*: their exact pairwise distances go into a flat table (one
-//!    Dijkstra per core node over the core subgraph, which contains the
-//!    full remainder graph at that point of the contraction and is
-//!    therefore distance-exact). Searches below treat the core as a wall.
+//!    stored reversed and searched backward from the target). Arcs
+//!    between two core nodes are not kept: a search records a core node
+//!    as an entry point and never relaxes out of it.
 //! 5. **Access-node sets** — for every node and direction, a build-time
 //!    upward search below the core collects the node's core entry points
 //!    `(core index, distance)`. Entries dominated through the table
@@ -78,7 +85,7 @@
 //! answer `UNREACHABLE`. Directed (asymmetric) graphs are handled
 //! natively — no symmetry fallback is needed.
 
-use crate::dijkstra::UNREACHABLE;
+use crate::dijkstra::{shortest_path_cost, UNREACHABLE};
 use crate::graph::RoadGraph;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -130,7 +137,8 @@ struct Arc_ {
 #[derive(Debug)]
 pub struct ChOracle {
     graph: Arc<RoadGraph>,
-    /// Contraction rank per node (0 = contracted first / least important).
+    /// Contraction rank per node (0 = contracted first / least important;
+    /// the uncontracted core holds the top ranks in node-id order).
     rank: Vec<u32>,
     /// Upward graph in *rank space*: CSR over ranks of arcs `u → v` with
     /// `rank[v] > rank[u]`. Rank indexing is a locality optimization:
@@ -162,7 +170,7 @@ pub struct ChOracle {
     coords: Vec<(f64, f64)>,
     /// [`RoadGraph::min_cost_per_unit_distance`], cached at build.
     gamma: f64,
-    /// Shortcut arcs added by preprocessing (diagnostic).
+    /// Shortcut arcs added while contracting below the core (diagnostic).
     shortcuts: usize,
 }
 
@@ -357,10 +365,13 @@ fn reduce_arcs(adj: &mut [Vec<Arc_>], n: usize) -> usize {
     removed
 }
 
-/// The shortcuts contracting `v` would add (`None`) or does add
-/// (`Some(sink)`), given the remaining graph. Pure function of
-/// `(fwd, bwd, v)` — this is what runs under the fork-join executor.
-fn contraction_shortcuts(
+/// Edge difference of contracting `v` in the remaining graph — shortcuts
+/// added minus arcs removed — with every shortcut fed to `emit`. Pure
+/// function of `(fwd, bwd, v)`: this is what runs under the fork-join
+/// executor. The contraction priority adds the deleted-neighbors term
+/// that spreads contraction uniformly and the depth term that keeps the
+/// hierarchy in balanced layers.
+fn edge_difference(
     fwd: &[Vec<Arc_>],
     bwd: &[Vec<Arc_>],
     v: u32,
@@ -397,16 +408,7 @@ fn contraction_shortcuts(
             }
         });
     }
-    added
-}
-
-/// Contraction priority of `v`: shortcuts added minus arcs removed, plus
-/// the deleted-neighbors term that spreads contraction uniformly and the
-/// depth term that keeps the hierarchy in balanced layers.
-fn priority(fwd: &[Vec<Arc_>], bwd: &[Vec<Arc_>], v: u32, deleted: i64, depth: i64) -> i64 {
-    let removed = (fwd[v as usize].len() + bwd[v as usize].len()) as i64;
-    let added = contraction_shortcuts(fwd, bwd, v, |_, _, _| {});
-    added - removed + DELETED_NEIGHBOR_WEIGHT * deleted + DEPTH_WEIGHT * depth
+    added - (fwd[v as usize].len() + bwd[v as usize].len()) as i64
 }
 
 impl ChOracle {
@@ -469,24 +471,33 @@ impl ChOracle {
         }
 
         // Initial priorities: pure per-node work, fanned out deterministically.
-        let init: Vec<i64> = exec.map_indexed(n, |v| priority(&fwd, &bwd, v as u32, 0, 0));
+        let init: Vec<i64> =
+            exec.map_indexed(n, |v| edge_difference(&fwd, &bwd, v as u32, |_, _, _| {}));
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = (0..n as u32)
             .map(|v| Reverse((init[v as usize], v)))
             .collect();
 
+        // The loop stops at the wall (module docs, step 2). `n / 4` keeps
+        // small graphs honest: even unit tests cross the core code path
+        // instead of leaving it to metropolis runs.
+        let core_len = CORE_SIZE.min(n / 4);
+        let core_start = (n - core_len) as u32;
         let mut rank = vec![0u32; n];
         let mut deleted = vec![0i64; n];
         let mut depth = vec![0i64; n];
-        let mut contracted = vec![false; n];
         let mut shortcuts: Vec<(u32, u32, Dur)> = Vec::new();
+        let mut new_arcs: Vec<(u32, u32, Dur)> = Vec::new();
         let mut next_rank = 0u32;
 
-        while let Some(Reverse((p, v))) = heap.pop() {
-            if contracted[v as usize] {
-                continue;
-            }
+        while next_rank < core_start {
+            // A node is queued exactly once until it is contracted.
+            let Reverse((p, v)) = heap.pop().expect("uncontracted nodes are queued");
             // Lazy update: recompute; if the node no longer wins, requeue.
-            let fresh = priority(&fwd, &bwd, v, deleted[v as usize], depth[v as usize]);
+            // The evaluation that wins contracts with the shortcuts it saw.
+            new_arcs.clear();
+            let fresh = edge_difference(&fwd, &bwd, v, |u, x, w| new_arcs.push((u, x, w)))
+                + DELETED_NEIGHBOR_WEIGHT * deleted[v as usize]
+                + DEPTH_WEIGHT * depth[v as usize];
             if fresh > p {
                 if let Some(&Reverse((top, _))) = heap.peek() {
                     if fresh > top {
@@ -498,8 +509,6 @@ impl ChOracle {
 
             // Contract v: materialize its shortcuts into the remaining
             // graph and the final arc set, then disconnect it.
-            let mut new_arcs: Vec<(u32, u32, Dur)> = Vec::new();
-            contraction_shortcuts(&fwd, &bwd, v, |u, x, w| new_arcs.push((u, x, w)));
             for &(u, x, w) in &new_arcs {
                 // Keep the remaining graph deduplicated: tighten an
                 // existing arc in place, insert otherwise.
@@ -540,23 +549,43 @@ impl ChOracle {
                 depth[a.other as usize] = depth[a.other as usize].max(depth[v as usize] + 1);
             }
 
-            contracted[v as usize] = true;
             rank[v as usize] = next_rank;
             next_rank += 1;
         }
 
-        // Final arc set: originals + shortcuts, minimum weight per arc.
+        // The survivors are the core, ranked by ascending node id, and
+        // `fwd` is now the core graph (step 3): one full Dijkstra per core
+        // node over it — fanned out on the executor, order-preserving, so
+        // still deterministic — fills the table.
+        let mut core_nodes: Vec<u32> = heap.into_iter().map(|Reverse((_, v))| v).collect();
+        core_nodes.sort_unstable();
+        for (i, &v) in core_nodes.iter().enumerate() {
+            rank[v as usize] = core_start + i as u32;
+        }
+        let core_arc = |a: &Arc_| Arc_ {
+            other: rank[a.other as usize] - core_start,
+            weight: a.weight,
+        };
+        let core_adj: Vec<Vec<Arc_>> = core_nodes
+            .iter()
+            .map(|&v| fwd[v as usize].iter().map(core_arc).collect())
+            .collect();
+
+        // Final arc set: originals + shortcuts, minimum weight per arc,
+        // minus the arcs between two core nodes — the table answers those
+        // and the searches never relax out of a core rank.
         let shortcut_count = shortcuts.len();
         all_arcs.extend(shortcuts);
         all_arcs.sort_unstable_by_key(|&(u, v, w)| (u, v, w));
         all_arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
 
-        let core_len = CORE_SIZE.min(n / 4);
-        let core_start = (n - core_len) as u32;
         let mut up_adj: Vec<Vec<Arc_>> = vec![Vec::new(); n];
         let mut down_adj: Vec<Vec<Arc_>> = vec![Vec::new(); n];
         for &(u, v, w) in &all_arcs {
             let (ru, rv) = (rank[u as usize], rank[v as usize]);
+            if ru.min(rv) >= core_start {
+                continue;
+            }
             if rv > ru {
                 up_adj[ru as usize].push(Arc_ {
                     other: rv,
@@ -576,30 +605,6 @@ impl ChOracle {
         reduce_arcs(&mut up_adj, n);
         reduce_arcs(&mut down_adj, n);
 
-        // Distance-table core. The arcs among the top `core_len` ranks are
-        // a superset of the remaining graph at the moment every lower node
-        // had been contracted, so shortest paths inside that subgraph equal
-        // full-graph distances between core nodes (the contraction
-        // invariant); one full Dijkstra per core node — fanned out on the
-        // executor, order-preserving, so still deterministic — fills the
-        // table. `n / 4` keeps small graphs honest: even unit tests cross
-        // the core code path instead of leaving it to metropolis runs.
-        let mut core_adj: Vec<Vec<Arc_>> = vec![Vec::new(); core_len];
-        for u in core_start..n as u32 {
-            for a in &up_adj[u as usize] {
-                core_adj[(u - core_start) as usize].push(Arc_ {
-                    other: a.other - core_start,
-                    weight: a.weight,
-                });
-            }
-            // `down_adj[u]` stores the real arc `a.other → u` reversed.
-            for a in &down_adj[u as usize] {
-                core_adj[(a.other - core_start) as usize].push(Arc_ {
-                    other: u - core_start,
-                    weight: a.weight,
-                });
-            }
-        }
         // Each sweep lands in its row of the one preallocated table, so
         // the build never holds the (8 MB at 1 024 core nodes) table twice.
         let mut core_table: Vec<Dur> = vec![UNREACHABLE; core_len * core_len];
@@ -613,6 +618,15 @@ impl ChOracle {
                 }
             })
         });
+        // Debug builds re-derive a sample of entries on the original graph.
+        for i in (0..core_len).step_by(core_len / 8 + 1) {
+            let j = (i * 7 + 3) % core_len;
+            let (a, b) = (NodeId(core_nodes[i]), NodeId(core_nodes[j]));
+            debug_assert_eq!(
+                core_table[i * core_len + j],
+                shortest_path_cost(&graph, a, b)
+            );
+        }
 
         let collect = |adj: &[Vec<Arc_>]| -> Vec<(u32, u32, Dur)> {
             adj.iter()
@@ -673,7 +687,8 @@ impl ChOracle {
         &self.graph
     }
 
-    /// Shortcut arcs added by preprocessing.
+    /// Shortcut arcs added while contracting the nodes below the core —
+    /// the core itself is never contracted.
     pub fn shortcut_count(&self) -> usize {
         self.shortcuts
     }
@@ -683,7 +698,8 @@ impl ChOracle {
         self.rank[n.index()]
     }
 
-    /// Resident bytes of the search structure (both CSR halves + ranks).
+    /// Resident bytes of the search structure: both CSR halves, both
+    /// access-set CSRs, ranks, the core table and the rank-order coords.
     pub fn resident_bytes(&self) -> usize {
         let csr = |c: &SplitCsr| {
             c.offsets.len() * 4 + c.targets.len() * 4 + c.weights.len() * std::mem::size_of::<Dur>()
@@ -718,7 +734,8 @@ impl ChOracle {
         self.cost(a, b) < UNREACHABLE
     }
 
-    /// Query + search-space diagnostics `(cost, settled, relaxed, stalled)`.
+    /// Query + search-space diagnostics: `(cost, [settled, relaxed, stalled,
+    /// table entries scanned by the access join, access entries read])`.
     #[doc(hidden)]
     pub fn cost_with_stats(&self, a: NodeId, b: NodeId) -> (Dur, [usize; 5]) {
         QUERY.with(|ws| {
@@ -1169,6 +1186,29 @@ mod tests {
                 base.same_hierarchy(&other),
                 "hierarchy differs at {threads} threads"
             );
+        }
+    }
+
+    /// The second city is the benchmark's (`metro_ch_cold`: Chengdu 64×64,
+    /// seed 20240311). Contracting every node adds 34 750 shortcuts there,
+    /// 22 578 of them before the first core node: a larger count means
+    /// the loop ran past the wall, any other that the hierarchy below the
+    /// core — the part queries walk — has changed.
+    #[test]
+    fn contraction_stops_at_the_wall() {
+        for (g, shortcuts) in [(city(9, 8, 11), 218), (city(64, 64, 20_240_311), 22_578)] {
+            let ch = ChOracle::build(g.clone());
+            assert_eq!(ch.shortcut_count(), shortcuts);
+            let n = g.node_count() as u32;
+            assert_eq!(ch.core_start, n - n / 4);
+            // The core is ranked by node id, and no stored arc leaves it.
+            let core: Vec<NodeId> = g.nodes().filter(|&v| ch.rank(v) >= ch.core_start).collect();
+            assert!(core.windows(2).all(|w| ch.rank(w[0]) < ch.rank(w[1])));
+            for r in ch.core_start..n {
+                assert!(ch.up.arcs(r).0.is_empty() && ch.down.arcs(r).0.is_empty());
+            }
+            // Arcs *into* the core survive: nodes below still enter it.
+            assert!((0..ch.core_start).any(|r| !ch.fwd_access.arcs(r).0.is_empty()));
         }
     }
 

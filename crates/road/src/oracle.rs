@@ -83,8 +83,10 @@ impl CityOracle {
                 o.graph().node_count(),
                 o.landmarks().len()
             ),
+            // The core is a distance table, never contracted: the
+            // shortcuts are those of the hierarchy below it.
             CityOracle::Ch(o) => format!(
-                "ch[{} nodes, {} shortcuts]",
+                "ch[{} nodes, {} shortcuts below the core]",
                 o.graph().node_count(),
                 o.shortcut_count()
             ),

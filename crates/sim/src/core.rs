@@ -247,10 +247,9 @@ impl DispatchCore {
                 self.recorder
                     .trace(at, TraceEvent::OrderRejected { order: id.0 as u64 });
             }
-            Effect::Checked { at, pending } => {
+            Effect::Checked { at, .. } => {
                 self.recorder.incr(Counter::Checks);
                 self.recorder.window_count(at, WindowField::Checks);
-                self.recorder.window_backlog(at, pending as u64, 0);
             }
             Effect::Drained { .. } => {}
         }
@@ -285,6 +284,12 @@ impl DispatchCore {
                 .gauge_set(Gauge::PoolPending, dispatcher.pending() as i64);
             self.recorder
                 .gauge_set(Gauge::Backlog, self.buffered.len() as i64);
+            // The pipeline's depth after every step, in the window of the
+            // run clock — once an event has set it.
+            if self.clock > Ts::MIN {
+                let depth = dispatcher.pending() + self.buffered.len();
+                self.recorder.window_backlog(self.clock, depth as u64, 0);
+            }
         }
         effects
     }

@@ -396,10 +396,13 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             BackpressurePolicy::Shed => {
                 self.robustness.shed += 1;
                 self.recorder.incr(Counter::OrdersShed);
+                // Virtual time tracks the feed; before the first event
+                // the clock is unset and the order's release is all there is.
+                let at = self.core.clock().max(order.release);
                 self.recorder
-                    .window_count(self.core.clock(), watter_obs::WindowField::Shed);
+                    .window_count(at, watter_obs::WindowField::Shed);
                 self.recorder.trace(
-                    self.core.clock(),
+                    at,
                     TraceEvent::OrderShed {
                         order: order.id.0 as u64,
                     },
@@ -494,14 +497,20 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             .set_at_least(Counter::OrdersAdmitted, stats.admitted);
         self.recorder
             .set_at_least(Counter::LinesMalformed, stats.malformed);
-        let backlog = self.backlog();
-        let band = if backlog >= self.cfg.high_watermark {
-            2
-        } else {
-            u64::from(backlog > self.cfg.low_watermark)
-        };
-        self.recorder
-            .window_backlog(self.core.clock(), backlog as u64, band);
+        // The core samples the depth at every step; the door adds the
+        // watermark band. There is none while backpressure is off (the
+        // high watermark is unreachable) and no window to put it in
+        // before the first event has set the clock.
+        if self.cfg.high_watermark < usize::MAX && self.core.clock() > Ts::MIN {
+            let backlog = self.backlog();
+            let band = if backlog >= self.cfg.high_watermark {
+                2
+            } else {
+                u64::from(backlog > self.cfg.low_watermark)
+            };
+            self.recorder
+                .window_backlog(self.core.clock(), backlog as u64, band);
+        }
         if let Some(ops) = self.store.as_ref().map(|s| s.ops()) {
             self.recorder
                 .set_at_least(Counter::CheckpointRetries, ops.retries);
@@ -906,6 +915,10 @@ mod tests {
             rec.counter(Counter::OrdersServed) + rec.counter(Counter::OrdersRejected),
             dispatched
         );
+        // The malformed first line and every shed order were fed before
+        // any event had set the clock: no window opens at `i64::MIN`.
+        let windows = rec.snapshot().windows;
+        assert!(windows.iter().all(|w| w.start >= 0), "{windows:?}");
         // The degrade hysteresis engaged at least once and every flip
         // journaled a trace event with monotone sequence numbers.
         assert!(rec.counter(Counter::DegradeFlips) > 0);
@@ -952,6 +965,7 @@ mod tests {
         };
         let orders: Vec<Order> = (0..12u32).map(|i| order(i, (i as i64) / 4)).collect();
         let mut d = daemon(cfg, None);
+        d.set_recorder(Recorder::enabled());
         for line in fault_lines(&orders, &FaultPlan::NONE) {
             let out = d.feed_line(&line);
             assert!(
@@ -960,6 +974,11 @@ mod tests {
             );
         }
         d.close_and_drain();
+        // With a reachable high watermark the door reports the band the
+        // backlog touched, in a window of the run clock.
+        let windows = d.recorder().snapshot().windows;
+        assert!(windows.iter().all(|w| w.start >= 0), "{windows:?}");
+        assert!(windows.iter().any(|w| w.band_max > 0), "{windows:?}");
         let out = d.finish();
         assert_eq!(out.robustness.shed, 0);
         assert_eq!(out.measurements.total_orders, out.ingest.admitted);

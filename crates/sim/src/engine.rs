@@ -20,7 +20,7 @@ use std::time::Instant;
 use watter_core::{
     CostWeights, DispatchParallelism, Dur, Kpis, Measurements, Order, TravelBound, Ts, Worker,
 };
-use watter_obs::Recorder;
+use watter_obs::{Counter, Recorder};
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -75,6 +75,7 @@ pub fn run<D: Dispatcher>(
     dispatcher.set_recorder(recorder);
     for order in orders {
         core.catch_up_to(order.release, dispatcher, oracle);
+        core.recorder().incr(Counter::OrdersAdmitted);
         core.step(Event::Arrive(order), dispatcher, oracle);
     }
     core.close_and_drain(dispatcher, oracle);

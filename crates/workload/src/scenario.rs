@@ -11,6 +11,7 @@ use crate::temporal::TemporalModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::Instant;
 use watter_core::{Exec, Order, OrderId, TravelCost, Worker, WorkerId};
 use watter_road::{CityOracle, GridIndex, RoadGraph};
 
@@ -25,6 +26,9 @@ pub struct Scenario {
     /// [`ScenarioParams::oracle`] (dense table, landmark A* or contraction
     /// hierarchy — identical costs any way).
     pub oracle: Arc<CityOracle>,
+    /// Wall time of the oracle build, for a front end to log — the one
+    /// field that is not a function of the parameters.
+    pub oracle_build_s: f64,
     /// Grid spatial index (worker search + MDP state quantization).
     pub grid: GridIndex,
     /// Orders sorted by release time, ids dense in release order.
@@ -57,12 +61,14 @@ impl Scenario {
     /// on a real street topology.
     pub fn build_on_graph(params: ScenarioParams, graph: Arc<RoadGraph>) -> Self {
         let exec = Exec::from_parallelism(params.parallelism);
+        let started = Instant::now();
         let oracle = Arc::new(CityOracle::build_with_limit(
             &graph,
             params.oracle,
             params.dense_limit,
             &exec,
         ));
+        let oracle_build_s = started.elapsed().as_secs_f64();
         let grid = GridIndex::build(&graph, params.grid_dim);
         let mut rng = StdRng::seed_from_u64(params.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let hotspots = HotspotModel::build(
@@ -147,6 +153,7 @@ impl Scenario {
             params,
             graph,
             oracle,
+            oracle_build_s,
             grid,
             orders,
             workers,

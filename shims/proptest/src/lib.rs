@@ -9,7 +9,10 @@
 //! Differences from real proptest: no shrinking (a failing case reports its
 //! inputs via `Debug` where available but is not minimized), and the RNG
 //! seed is a deterministic function of the test-function name, so failures
-//! always reproduce.
+//! always reproduce and CI replays the same cases every run. To explore
+//! instead, set `PROPTEST_SEED` (mixed into every test's name-derived
+//! seed) and `PROPTEST_CASES` (overrides every test's case count); a
+//! failing property prints the pair that replays it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,19 +64,55 @@ impl fmt::Display for TestCaseError {
 /// [`StdRng`] from the rand shim).
 pub struct TestRunner {
     rng: StdRng,
+    /// The `PROPTEST_SEED` this runner was seeded with, if any.
+    seed: Option<u64>,
+}
+
+/// An environment override as an unsigned integer. A value that does not
+/// parse is a usage error, never "unset": a soak that silently ran the
+/// fixed cases would look green.
+fn env_u64(var: &str) -> Option<u64> {
+    let raw = std::env::var(var).ok()?;
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => panic!("{var}={raw:?} is not an unsigned integer"),
+    }
 }
 
 impl TestRunner {
-    /// Runner seeded deterministically from a test-identifying string.
-    pub fn deterministic(test_name: &str) -> Self {
+    /// The runner of one [`proptest!`] function: seeded from its name,
+    /// and from `PROPTEST_SEED` when that is set.
+    pub fn from_env(test_name: &str) -> Self {
+        Self::seeded(test_name, env_u64("PROPTEST_SEED"))
+    }
+
+    /// Runner seeded deterministically from a test-identifying string,
+    /// with `seed` mixed in after the name: `None` is the fixed stream CI
+    /// runs, and one seed gives every test a stream of its own.
+    pub fn seeded(test_name: &str, seed: Option<u64>) -> Self {
         // FNV-1a over the test name: stable across runs and platforms.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in test_name.as_bytes() {
+        let extra = seed.map(u64::to_le_bytes);
+        for b in test_name.as_bytes().iter().chain(extra.iter().flatten()) {
             h ^= *b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         Self {
             rng: StdRng::seed_from_u64(h),
+            seed,
+        }
+    }
+
+    /// How many cases to run: `PROPTEST_CASES`, else the test's own count.
+    pub fn cases(&self, configured: u32) -> u32 {
+        env_u64("PROPTEST_CASES").map_or(configured, |c| c.min(u32::MAX as u64) as u32)
+    }
+
+    /// The environment that replays a run of `cases` cases of this runner.
+    pub fn replay(&self, cases: u32) -> String {
+        match self.seed {
+            Some(seed) => format!("PROPTEST_SEED={seed} PROPTEST_CASES={cases}"),
+            None => format!("PROPTEST_CASES={cases} with PROPTEST_SEED unset (name-derived seed)"),
         }
     }
 
@@ -227,20 +266,22 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $config;
-            let mut runner = $crate::TestRunner::deterministic(concat!(
+            let mut runner = $crate::TestRunner::from_env(concat!(
                 module_path!(), "::", stringify!($name)
             ));
-            for case in 0..config.cases {
+            let cases = runner.cases(config.cases);
+            for case in 0..cases {
                 $(let $arg = $crate::Strategy::new_value(&$strategy, &mut runner);)+
                 let outcome: ::std::result::Result<(), $crate::TestCaseError> =
                     (|| { $body ::std::result::Result::Ok(()) })();
                 if let ::std::result::Result::Err(e) = outcome {
                     panic!(
-                        "proptest case {}/{} for `{}` failed: {}",
+                        "proptest case {}/{} for `{}` failed: {}\nreplay: {}",
                         case + 1,
-                        config.cases,
+                        cases,
                         stringify!($name),
-                        e
+                        e,
+                        runner.replay(cases)
                     );
                 }
             }
@@ -315,6 +356,12 @@ mod tests {
         }
 
         #[test]
+        #[should_panic(expected = "replay: PROPTEST_")]
+        fn a_failure_says_how_to_replay_it(x in 0u32..10) {
+            prop_assert!(x > 10);
+        }
+
+        #[test]
         fn map_and_vec(v in prop::collection::vec((0u32..10, 0u32..10), 1..5)) {
             prop_assert!(!v.is_empty() && v.len() < 5);
             for &(a, b) in &v {
@@ -323,11 +370,28 @@ mod tests {
         }
     }
 
+    /// `PROPTEST_SEED` moves every test to a new stream that is again a
+    /// function of (name, seed) alone; unset, the stream is the fixed one.
+    #[test]
+    fn a_seed_override_is_its_own_deterministic_stream() {
+        let strat = (0u64..1_000_000, 0u64..1_000_000);
+        let draw = |name: &str, seed: Option<u64>| {
+            let mut r = crate::TestRunner::seeded(name, seed);
+            (0..8).map(|_| strat.new_value(&mut r)).collect::<Vec<_>>()
+        };
+        assert_eq!(draw("t", Some(7)), draw("t", Some(7)));
+        assert_ne!(draw("t", Some(7)), draw("t", None));
+        assert_ne!(draw("t", Some(7)), draw("t", Some(8)));
+        assert_ne!(draw("t", Some(7)), draw("u", Some(7)));
+        let replay = crate::TestRunner::seeded("t", Some(7)).replay(64);
+        assert_eq!(replay, "PROPTEST_SEED=7 PROPTEST_CASES=64");
+    }
+
     #[test]
     fn deterministic_across_runs() {
         let strat = (0u64..1_000_000, 0u64..1_000_000);
-        let mut a = crate::TestRunner::deterministic("t");
-        let mut b = crate::TestRunner::deterministic("t");
+        let mut a = crate::TestRunner::seeded("t", None);
+        let mut b = crate::TestRunner::seeded("t", None);
         for _ in 0..16 {
             assert_eq!(strat.new_value(&mut a), strat.new_value(&mut b));
         }

@@ -72,8 +72,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{
-    append_trace_jsonl, emit_report, fault_plan_of, params_of, parse_flags, parsed, print_stats,
-    recorder_of, write_or_exit,
+    append_trace_jsonl, emit_report, fault_plan_of, log_oracle_build, params_of, parse_flags,
+    parsed, print_stats, recorder_of, write_or_exit,
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
@@ -84,7 +84,7 @@ use watter::road::{export_graph, import_graph};
 /// generation are identical code either way, so any scenario flag set
 /// runs unchanged on an imported city.
 fn build_scenario(flags: &HashMap<String, String>, params: ScenarioParams) -> Scenario {
-    match flags.get("import") {
+    let scenario = match flags.get("import") {
         Some(path) => {
             let graph = import_graph(path).unwrap_or_else(|e| {
                 eprintln!("import {path}: {e}");
@@ -93,7 +93,9 @@ fn build_scenario(flags: &HashMap<String, String>, params: ScenarioParams) -> Sc
             Scenario::build_on_graph(params, Arc::new(graph))
         }
         None => Scenario::build(params),
-    }
+    };
+    log_oracle_build(&scenario);
+    scenario
 }
 
 fn cmd_run(flags: HashMap<String, String>) {

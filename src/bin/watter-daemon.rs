@@ -62,8 +62,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{
-    append_trace_jsonl, emit_report, fault_plan_of, params_of, parse_flags, parsed, print_stats,
-    write_report,
+    append_trace_jsonl, emit_report, fault_plan_of, log_oracle_build, params_of, parse_flags,
+    parsed, print_stats, write_report,
 };
 use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
@@ -379,6 +379,7 @@ fn main() {
     install_sigterm();
     let params = params_of(&flags);
     let scenario = Scenario::build(params);
+    log_oracle_build(&scenario);
     let algo = flags
         .get("algo")
         .map(|s| s.as_str())

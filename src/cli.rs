@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::str::FromStr;
 use watter_core::{CorruptKind, FaultPlan, OracleKind, RunReport};
 use watter_obs::{Recorder, TraceRecord};
-use watter_workload::{CityProfile, ScenarioParams};
+use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
 /// The flags both binaries take: the scenario ([`params_of`]), the fault
 /// plan ([`fault_plan_of`]), `--trace` and `--report` ([`emit_report`]).
@@ -218,6 +218,17 @@ pub fn fault_plan_of(flags: &HashMap<String, String>) -> FaultPlan {
         plan.delay_slots = n;
     }
     plan
+}
+
+/// Log the oracle build on **stderr** as soon as the scenario stands — a
+/// metropolis CH build takes minutes, and stdout must stay bit-identical
+/// across processes.
+pub fn log_oracle_build(scenario: &Scenario) {
+    let took = scenario.oracle_build_s;
+    eprintln!(
+        "oracle built in {took:.2} s: {}",
+        scenario.oracle.describe()
+    );
 }
 
 /// Print the canonical run-stat block to stdout. `watter-cli run` and

@@ -286,7 +286,7 @@ fn malformed_lines_are_survived_and_counted() {
 /// the finished daemon's `--report` equals `watter-cli run --obs
 /// --report` on the same flags — same feed, same query sequence, and
 /// single-threaded counts are reproducible — once the wall-clock parts
-/// and what only the daemon's door tells the registry are set aside.
+/// are set aside.
 #[test]
 fn alt_daemon_reports_the_cache_like_the_batch_run() {
     const ALT: &[&str] = &[
@@ -373,20 +373,14 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
     );
 
     // One document, one schema: the drained daemon's report is the batch
-    // run's. Set aside the wall clock (`running_time`, `tick_latency_us`,
-    // `obs.stages`) and the door only a daemon has: ingest mirrors its
-    // `orders_admitted` total into the registry and samples the backlog
-    // per fed line — the first time before any event has set the clock.
+    // run's once the wall clock (`running_time`, `tick_latency_us`,
+    // `obs.stages`) is set aside — `orders_admitted` and the windows'
+    // backlog included.
     let comparable = |mut r: watter_core::RunReport| {
         r.running_time = 0.0;
         r.tick_latency_us = Default::default();
         let obs = r.obs.as_mut().expect("both registries are on");
         obs.stages.clear();
-        obs.counters.retain(|c| c.name != "orders_admitted");
-        obs.windows.retain(|w| w.start >= 0);
-        for w in &mut obs.windows {
-            (w.backlog_max, w.band_max) = (0, 0);
-        }
         r
     };
     let (batch, daemon) = (report(&batch_report), report(&daemon_report));

@@ -21,8 +21,74 @@ fn profile(idx: usize) -> CityProfile {
     CityProfile::ALL[idx % CityProfile::ALL.len()]
 }
 
+/// A Chengdu grid of `side²` nodes rewritten arc by arc: 0 as generated
+/// (symmetric), 1 one-way streets with direction-dependent times, 2 cut
+/// in two along a river no street crosses, 3 with a fifth of the arcs so
+/// slow that any path over two of them saturates.
+fn city_variant(kind: usize, side: usize, seed: u64) -> RoadGraph {
+    let city = CityProfile::Chengdu.city_config(side).generate(seed);
+    let west = |v: u32| (v as usize % side) < side / 2;
+    let mut edges = Vec::new();
+    for u in city.nodes() {
+        let (targets, weights) = city.out_edges(u);
+        for (&v, &w) in targets.iter().zip(weights) {
+            // Not symmetric in (u, v): each direction draws its own fate.
+            let h = (u.0 as u64 * 0x9E37_79B9 + v as u64 * 0x85EB_CA6B + seed) % 1_009;
+            let travel = match kind {
+                0 => Some(w),
+                1 => (!h.is_multiple_of(4)).then_some(w + (h % 31) as i64),
+                2 => (west(u.0) == west(v)).then_some(w),
+                _ => Some(if h.is_multiple_of(5) { i64::MAX / 3 } else { w }),
+            };
+            edges.extend(travel.map(|travel| Edge {
+                from: u,
+                to: NodeId(v),
+                travel,
+            }));
+        }
+    }
+    RoadGraph::from_edges(city.coords().to_vec(), edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// CH == Dijkstra on pairs drawn per rank class. The build stops
+    /// contracting at the core wall, and each class takes its own way
+    /// across it: below→below meets locally or joins two access sets
+    /// through the table, a core endpoint is its own single entry, and
+    /// core→core is one table read — over symmetric, one-way,
+    /// disconnected and saturating graphs.
+    #[test]
+    fn ch_matches_dijkstra_on_every_rank_class(side in 4usize..10, seed in 0u64..10_000) {
+        for kind in 0..4 {
+            let graph = Arc::new(city_variant(kind, side, seed));
+            let ch = ChOracle::build(Arc::clone(&graph));
+            let n = graph.node_count();
+            // The `n / 4` rule: `CORE_SIZE` does not bind below 8 192 nodes.
+            let wall = (n - n / 4) as u32;
+            let (core, below): (Vec<NodeId>, Vec<NodeId>) =
+                graph.nodes().partition(|&v| ch.rank(v) >= wall);
+            prop_assert_eq!(core.len(), n / 4);
+            let classes = [
+                ("below->below", &below, &below),
+                ("below->core", &below, &core),
+                ("core->below", &core, &below),
+                ("core->core", &core, &core),
+            ];
+            let mut finite = 0;
+            for (class, from, to) in classes {
+                for i in 0..40 {
+                    let a = from[(i * 7 + seed as usize) % from.len()];
+                    let b = to[(i * 13 + 5) % to.len()];
+                    let want = shortest_path_cost(&graph, a, b);
+                    prop_assert_eq!(ch.cost(a, b), want, "kind {} {} {} -> {}", kind, class, a, b);
+                    finite += usize::from(want < UNREACHABLE);
+                }
+            }
+            prop_assert!(finite > 0, "kind {}: every sampled pair unreachable", kind);
+        }
+    }
 
     /// `AltOracle` returns costs bit-identical to `CostMatrix` and to
     /// point-to-point Dijkstra on tier-1 city topologies of every profile.
