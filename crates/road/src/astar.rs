@@ -5,18 +5,35 @@
 //! 10⁵ nodes). [`AltOracle`] instead answers each `cost(a, b)` query with
 //! an A* search whose heuristic is the [`Landmarks`] triangle-inequality
 //! lower bound `max_ℓ |d(ℓ, v) − d(ℓ, b)|` — the classic ALT technique.
-//! The bound is **admissible** (consistent, even, wherever every landmark
-//! has an entry for every node — see [`crate::landmarks`] for when one has
-//! not), and the search re-opens a node whenever it finds a shorter way to
-//! it, so the search is *exact*: it returns bit-identical costs to Dijkstra
-//! and to the dense table, it just settles far fewer nodes on the way.
 //!
-//! Among open nodes of equal `f = g + h` the one with the **larger `g`** —
-//! the one nearer the target — is expanded first. On a grid-like city
-//! whole plateaus share one `f`; taking the shallowest first (the natural
-//! order of an `(f, g)` min-heap) sweeps each plateau breadth-first before
-//! the target pops. The tie-break cannot change an answer, only how soon it
-//! is reached (13 % fewer pops on the benchmark's 64×64 city).
+//! # Consistency, and the queue it buys
+//!
+//! On a symmetric graph the heuristic is **consistent**: `h(u) ≤ w + h(v)`
+//! for every arc `u → v` of weight `w`. Per landmark, `|d(ℓ,u) − d(ℓ,v)| ≤
+//! w` by the triangle inequality both ways round the mirrored arc; the
+//! table's saturation only shrinks that gap (`|min(x,M) − min(y,M)| ≤
+//! |x − y|`, [`crate::landmarks`]); the two ends of an arc share a
+//! component, so their entries are both finite or both the unreachable
+//! `M`; and `||a − t| − |b − t|| ≤ |a − b|` carries the gap through the
+//! target's entry and the max. So `f = g + h` never falls along a path:
+//! the first pop of a node has its final `g`, and the search is *exact* —
+//! bit-identical to Dijkstra and to the dense table — while settling far
+//! fewer nodes.
+//!
+//! Consistency also makes the popped keys non-decreasing, which is all a
+//! **monotone radix queue** needs: 65 buckets keyed by the highest bit in
+//! which `f` differs from the last popped key. A push is a
+//! `leading_zeros` and a `Vec::push`; a pop takes bucket 0, or first
+//! spreads the lowest non-empty bucket around its minimum, so an entry
+//! moves at most once per bit. A node that pops again is stale and
+//! skipped. Debug builds assert that no key is pushed below the last pop.
+//!
+//! The key is `f` alone; ties pop last in, first out. The latest pop's
+//! children are the deeper labels, so LIFO does what an `(f, larger g
+//! first)` heap order does — 7 956 pops over `micro_road`'s 256 legs on
+//! the benchmark's 64×64 city against that heap's 8 011, and 8 956 for
+//! smaller `g` first — without a key that is not monotone (a child across
+//! a tight arc keeps `f` and grows `g`).
 //!
 //! The symmetric-graph form of the bound is only admissible on graphs
 //! where every edge has a same-weight mirror (all the synthetic cities in
@@ -27,38 +44,96 @@
 use crate::dijkstra::UNREACHABLE;
 use crate::graph::RoadGraph;
 use crate::landmarks::{max_gap, Landmarks};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 use watter_core::{Dur, NodeId, TravelBound, TravelCost};
 
 /// Exact point-query travel-cost oracle for graphs too large for a dense
-/// table. `O(landmarks × n)` memory, millisecond-scale queries.
-///
-/// Queries require `&self` (the [`TravelCost`] contract), so the reusable
-/// search workspace sits behind a mutex; queries are short and the
-/// simulator is single-threaded, making contention a non-issue.
+/// table. `O(landmarks × n)` memory, microsecond-scale queries.
 #[derive(Debug)]
 pub struct AltOracle {
     graph: Arc<RoadGraph>,
     landmarks: Landmarks,
     /// Whether the landmark bound may be used (see module docs).
     symmetric: bool,
-    ws: Mutex<AstarWorkspace>,
 }
 
-/// Reusable A* state: g-scores with a touched list, the open heap, and the
-/// per-query cache of landmark distances to the target.
+thread_local! {
+    /// Per-thread search scratch: repeated queries allocate nothing, and
+    /// threads sharing one oracle search side by side.
+    static QUERY: RefCell<AstarWorkspace> = RefCell::new(AstarWorkspace::default());
+}
+
+/// Reusable A* state: g-scores and settled flags with a touched list, the
+/// open queue, the per-query copy of the target's landmark entries, and
+/// the queue traffic [`AltOracle::cost_with_stats`] reports.
 #[derive(Debug, Default)]
 struct AstarWorkspace {
     dist: Vec<Dur>,
+    settled: Vec<bool>,
     touched: Vec<u32>,
-    /// `Reverse((f, Reverse(g), node))`: ordered by f = g + h, ties broken
-    /// by larger g (module docs) then smaller node id for determinism.
-    heap: BinaryHeap<Reverse<(Dur, Reverse<Dur>, u32)>>,
-    /// The target's landmark entries, copied once per query (empty when
-    /// the bound may not be used).
-    target_bounds: Vec<u32>,
+    open: RadixQueue,
+    /// The target's landmark entries (empty when the bound may not be
+    /// used).
+    target_bounds: Vec<u16>,
+    pops: usize,
+    pushes: usize,
+}
+
+/// Monotone radix queue of `(key, node)`: every key pushed is at least the
+/// last key popped (module docs).
+#[derive(Debug)]
+struct RadixQueue {
+    last: u64,
+    /// `buckets[b]`: the entries whose key first differs from `last` in bit
+    /// `b − 1`; bucket 0 holds those equal to it, as a stack.
+    buckets: [Vec<(u64, u32)>; 65],
+}
+
+impl Default for RadixQueue {
+    fn default() -> Self {
+        Self {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl RadixQueue {
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    fn clear(&mut self) {
+        self.last = 0;
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64, node: u32) {
+        debug_assert!(key >= self.last, "{key} pushed below the last pop");
+        let b = self.bucket(key);
+        self.buckets[b].push((key, node));
+    }
+
+    /// The least key, the latest pushed among equals. Every entry of the
+    /// lowest non-empty bucket differs from `last` only below that
+    /// bucket's bit, so around their minimum they all land lower.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.buckets[0].is_empty() {
+            let b = self.buckets.iter().position(|q| !q.is_empty())?;
+            let mut spill = std::mem::take(&mut self.buckets[b]);
+            self.last = spill.iter().map(|&(key, _)| key).min()?;
+            for &(key, node) in &spill {
+                let to = self.bucket(key);
+                self.buckets[to].push((key, node));
+            }
+            spill.clear();
+            self.buckets[b] = spill;
+        }
+        self.buckets[0].pop()
+    }
 }
 
 impl AltOracle {
@@ -73,15 +148,10 @@ impl AltOracle {
     /// pre-filtering).
     pub fn with_landmarks(graph: Arc<RoadGraph>, landmarks: Landmarks) -> Self {
         let symmetric = graph.is_symmetric();
-        let n = graph.node_count();
         Self {
             graph,
             landmarks,
             symmetric,
-            ws: Mutex::new(AstarWorkspace {
-                dist: vec![UNREACHABLE; n],
-                ..AstarWorkspace::default()
-            }),
         }
     }
 
@@ -104,22 +174,46 @@ impl AltOracle {
     pub fn landmark_bytes(&self) -> usize {
         self.landmarks.table_bytes()
     }
+
+    /// Query + search-effort diagnostics: `(cost, [pops, pushes])` of the
+    /// open queue, stale pops included.
+    #[doc(hidden)]
+    pub fn cost_with_stats(&self, a: NodeId, b: NodeId) -> (Dur, [usize; 2]) {
+        if a == b {
+            return (0, [0, 0]);
+        }
+        QUERY.with(|ws| {
+            let mut ws = ws.borrow_mut();
+            let c = ws.search(&self.graph, &self.landmarks, self.symmetric, a, b);
+            (c, [ws.pops, ws.pushes])
+        })
+    }
 }
 
 impl AstarWorkspace {
     fn begin(&mut self, n: usize) {
         for &t in &self.touched {
             self.dist[t as usize] = UNREACHABLE;
+            self.settled[t as usize] = false;
         }
         self.touched.clear();
-        self.heap.clear();
+        self.open.clear();
         if self.dist.len() < n {
             self.dist.resize(n, UNREACHABLE);
+            self.settled.resize(n, false);
         }
+        self.pops = 0;
+        self.pushes = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, f: Dur, v: u32) {
+        self.pushes += 1;
+        self.open.push(f as u64, v);
     }
 
     /// Heuristic `h(v)`: the tightest landmark lower bound on the
-    /// remaining distance `v → target`, 0 when no landmark covers both.
+    /// remaining distance `v → target`, 0 when the bound may not be used.
     #[inline]
     fn h(&self, landmarks: &Landmarks, v: u32) -> Dur {
         max_gap(landmarks.entries(NodeId(v)), &self.target_bounds)
@@ -140,14 +234,15 @@ impl AstarWorkspace {
         }
         self.dist[src.index()] = 0;
         self.touched.push(src.0);
-        let h0 = self.h(landmarks, src.0);
-        self.heap.push(Reverse((h0, Reverse(0), src.0)));
-        while let Some(Reverse((_, Reverse(g), u))) = self.heap.pop() {
+        self.push(self.h(landmarks, src.0), src.0);
+        while let Some((_, u)) = self.open.pop() {
+            self.pops += 1;
+            if std::mem::replace(&mut self.settled[u as usize], true) {
+                continue;
+            }
+            let g = self.dist[u as usize];
             if u == dst.0 {
                 return g;
-            }
-            if g > self.dist[u as usize] {
-                continue;
             }
             let (targets, travels) = graph.out_edges(NodeId(u));
             for (&v, &w) in targets.iter().zip(travels) {
@@ -157,8 +252,7 @@ impl AstarWorkspace {
                         self.touched.push(v);
                     }
                     self.dist[v as usize] = ng;
-                    let f = ng.saturating_add(self.h(landmarks, v));
-                    self.heap.push(Reverse((f, Reverse(ng), v)));
+                    self.push(ng + self.h(landmarks, v), v);
                 }
             }
         }
@@ -171,8 +265,10 @@ impl TravelCost for AltOracle {
         if a == b {
             return 0;
         }
-        let mut ws = self.ws.lock().unwrap_or_else(|e| e.into_inner());
-        ws.search(&self.graph, &self.landmarks, self.symmetric, a, b)
+        QUERY.with(|ws| {
+            ws.borrow_mut()
+                .search(&self.graph, &self.landmarks, self.symmetric, a, b)
+        })
     }
 
     /// Every edge has a same-weight mirror, so shortest-path costs are
@@ -184,10 +280,10 @@ impl TravelCost for AltOracle {
 
 impl TravelBound for AltOracle {
     /// The landmark triangle-inequality bound the A* heuristic already
-    /// uses: `O(landmarks)` integer ops, no search, no locking. On
-    /// asymmetric graphs — where the symmetric-form bound is inadmissible —
-    /// this degrades to `0` (always admissible, never prunes), mirroring
-    /// the zero-heuristic fallback of the search itself.
+    /// uses: `O(landmarks)` integer ops, no search. On asymmetric graphs —
+    /// where the symmetric-form bound is inadmissible — this degrades to
+    /// `0` (always admissible, never prunes), mirroring the zero-heuristic
+    /// fallback of the search itself.
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         if self.symmetric {
@@ -296,5 +392,70 @@ mod tests {
             }
         }
         assert_eq!(alt.landmark_bytes(), 0);
+    }
+
+    /// Random monotone traffic against a plain list: every pop is the
+    /// least key, the latest pushed among equals, with keys from plateaus
+    /// of ties up to `UNREACHABLE + u16::MAX`.
+    #[test]
+    fn radix_queue_pops_the_least_key_latest_first() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let top = (UNREACHABLE + Dur::from(u16::MAX)) as u64;
+        fn pop(q: &mut RadixQueue, model: &mut Vec<(u64, u32)>, last: &mut u64) {
+            let least = model.iter().map(|&(key, _)| key).min();
+            let want = least.map(|k| {
+                let at = model.iter().rposition(|&(key, _)| key == k).unwrap();
+                model.remove(at)
+            });
+            assert_eq!(q.pop(), want);
+            *last = least.unwrap_or(*last);
+        }
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut q = RadixQueue::default();
+        for _ in 0..200 {
+            q.clear();
+            let mut model: Vec<(u64, u32)> = Vec::new();
+            let mut last = 0;
+            for id in 0..300u32 {
+                if rng.gen_bool(0.55) {
+                    let key = match rng.gen_range(0..4) {
+                        0 => last,
+                        1 => last + rng.gen_range(0..8u64),
+                        2 => last + rng.gen_range(0..1u64 << 20),
+                        _ => rng.gen_range(last..=top),
+                    };
+                    q.push(key.min(top), id);
+                    model.push((key.min(top), id));
+                } else {
+                    pop(&mut q, &mut model, &mut last);
+                }
+            }
+            while !model.is_empty() {
+                pop(&mut q, &mut model, &mut last);
+            }
+            assert_eq!(q.pop(), None);
+        }
+    }
+
+    /// The queue's traffic over `micro_road`'s 256 legs on the benchmark's
+    /// city (`alt_point_query_64x64_k16`), pinned: a change to the tie
+    /// order or the heuristic shows up here before it shows up in a run.
+    #[test]
+    fn queue_traffic_on_the_benchmark_legs_is_pinned() {
+        let g = city(64, 64, 20_240_311);
+        let alt = AltOracle::build(g.clone(), 16);
+        let dij = DijkstraOracle::new(&g);
+        let node = |i: u32| NodeId(i.wrapping_mul(2_654_435_761) % 4_096);
+        let shift = |at: u32, by: u32| (at + 64 + by % 49 - 24).clamp(64, 127) - 64;
+        let mut traffic = [0; 2];
+        for i in 0..256u32 {
+            let a = node(i);
+            let b = NodeId(shift(a.0 / 64, i / 7) * 64 + shift(a.0 % 64, i));
+            let (c, [pops, pushes]) = alt.cost_with_stats(a, b);
+            assert_eq!(c, dij.cost(a, b), "{a} -> {b}");
+            traffic[0] += pops;
+            traffic[1] += pushes;
+        }
+        assert_eq!(traffic, [7_956, 18_421]);
     }
 }

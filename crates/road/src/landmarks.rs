@@ -12,33 +12,32 @@
 //! A bound is asked millions of times per thousand orders (the pair gate,
 //! the planner's optimistic legs, A*'s heuristic at every relaxed edge),
 //! and each time it reads *one node's* distance to *every* landmark. So
-//! the table is node-major, `table[v · k + ℓ]`, with `u32` entries: at the
-//! default 16 landmarks a node's entries are 64 bytes — one cache line —
-//! where a vector per landmark costs a line per landmark per node.
+//! the table is node-major, `table[v · k + ℓ]`, with `u16` entries: at the
+//! default 16 landmarks a node's entries are 32 bytes — half a cache line
+//! — where a vector per landmark costs a line per landmark per node.
 //!
-//! An entry of `u32::MAX` (`NO_ENTRY`) says the landmark cannot speak for
-//! the node: it does not reach it, or the distance does not fit in 32 bits
-//! (graph import does not bound edge weights). A landmark without an entry
-//! for either end of a pair is skipped for that pair, which only loosens
-//! the bound — it stays admissible.
+//! An entry saturates at `M = u16::MAX` seconds (18 h), and a node the
+//! landmark does not reach reads `M` too. Every landmark counts for every
+//! pair, with no branch: `|min(x,M) − min(y,M)| ≤ |x − y|`, so a saturated
+//! entry only loosens the bound — it stays admissible, and consistent
+//! ([`crate::astar`]). An unreachable entry meets a finite one only across
+//! two components, where the cost is `UNREACHABLE` anyway. Synthetic
+//! cities stay well below `M` — the 64×64 benchmark city's longest path
+//! is 6 525 s, and at 320×320 twice the centre's eccentricity is at most
+//! 33 430 s on every profile — so there the bound is the exact formula.
 
 use crate::graph::RoadGraph;
 use crate::workspace::DijkstraWorkspace;
 use watter_core::{Dur, NodeId};
 
-/// Table entry of a landmark that has no usable distance to a node.
-pub(crate) const NO_ENTRY: u32 = u32::MAX;
-
-/// `max_ℓ |a[ℓ] − b[ℓ]|` over the landmarks with an entry on both sides:
-/// the bound between the two nodes whose entries `a` and `b` are.
+/// `max_ℓ |a[ℓ] − b[ℓ]|`: the bound between the two nodes whose entries
+/// `a` and `b` are.
 #[inline]
-pub(crate) fn max_gap(a: &[u32], b: &[u32]) -> Dur {
-    let mut gap = 0;
-    for (&da, &db) in a.iter().zip(b) {
-        if da != NO_ENTRY && db != NO_ENTRY {
-            gap = gap.max(da.abs_diff(db));
-        }
-    }
+pub(crate) fn max_gap(a: &[u16], b: &[u16]) -> Dur {
+    let gap = a
+        .iter()
+        .zip(b)
+        .fold(0, |gap, (&da, &db)| gap.max(da.abs_diff(db)));
     Dur::from(gap)
 }
 
@@ -49,8 +48,8 @@ pub struct Landmarks {
     /// `nodes[ℓ]`.
     nodes: Vec<NodeId>,
     /// `table[v · k + ℓ]` = shortest travel time from landmark `ℓ` to node
-    /// `v`, or [`NO_ENTRY`] (module docs).
-    table: Vec<u32>,
+    /// `v`, saturated at `u16::MAX` (module docs).
+    table: Vec<u16>,
 }
 
 impl Landmarks {
@@ -90,15 +89,14 @@ impl Landmarks {
         }
         let nodes = select_landmarks(graph, k);
         let k = nodes.len();
-        // One landmark's row of the table: `UNREACHABLE` and every other
-        // distance that is not a `u32` below `NO_ENTRY` become `NO_ENTRY`.
-        let sweep = |ws: &mut DijkstraWorkspace, node: NodeId| -> Vec<u32> {
+        // One landmark's row of the table, `UNREACHABLE` included saturated.
+        let sweep = |ws: &mut DijkstraWorkspace, node: NodeId| -> Vec<u16> {
             ws.single_source(graph, node)
                 .iter()
-                .map(|&d| u32::try_from(d).unwrap_or(NO_ENTRY))
+                .map(|&d| u16::try_from(d).unwrap_or(u16::MAX))
                 .collect()
         };
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut rows: Vec<Vec<u16>> = vec![Vec::new(); k];
         let threads = threads.clamp(1, k);
         if threads <= 1 {
             let mut ws = DijkstraWorkspace::new(n);
@@ -118,7 +116,7 @@ impl Landmarks {
                 }
             });
         }
-        let mut table = vec![NO_ENTRY; n * k];
+        let mut table = vec![u16::MAX; n * k];
         for (l, row) in rows.iter().enumerate() {
             for (v, &d) in row.iter().enumerate() {
                 table[v * k + l] = d;
@@ -134,7 +132,7 @@ impl Landmarks {
 
     /// Node `v`'s entries, one per landmark in selection order.
     #[inline]
-    pub(crate) fn entries(&self, v: NodeId) -> &[u32] {
+    pub(crate) fn entries(&self, v: NodeId) -> &[u16] {
         let k = self.nodes.len();
         &self.table[v.index() * k..][..k]
     }
@@ -156,9 +154,9 @@ impl Landmarks {
 
     /// Triangle-inequality lower bound on `cost(a, b)`.
     ///
-    /// Symmetric-graph form: `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over the landmarks
-    /// with an entry for both. Always ≤ the true distance on undirected
-    /// graphs; 0 when no landmark speaks for both.
+    /// Symmetric-graph form: `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over saturated
+    /// entries (module docs). Always ≤ the true distance on undirected
+    /// graphs.
     #[inline]
     pub fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         max_gap(self.entries(a), self.entries(b))
@@ -273,9 +271,8 @@ mod tests {
         RoadGraph::from_undirected_edges(coords, edges)
     }
 
-    /// `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over the landmarks that speak for both
-    /// nodes, from sweeps of this test's own — nothing of the table's
-    /// layout in it.
+    /// `max_ℓ |min(d(ℓ,a), M) − min(d(ℓ,b), M)|` over every landmark, from
+    /// sweeps of this test's own — nothing of the table's layout in it.
     fn assert_bounds_are_the_formula(g: &RoadGraph, lm: &Landmarks) {
         let mut ws = DijkstraWorkspace::new(g.node_count());
         let sweeps: Vec<Vec<Dur>> = lm
@@ -283,14 +280,12 @@ mod tests {
             .iter()
             .map(|&l| ws.single_source(g, l).to_vec())
             .collect();
-        let speaks = |d: Dur| d < Dur::from(u32::MAX);
+        let m = |d: Dur| d.min(Dur::from(u16::MAX));
         for a in g.nodes() {
             for b in g.nodes() {
                 let want = sweeps
                     .iter()
-                    .map(|d| (d[a.index()], d[b.index()]))
-                    .filter(|&(da, db)| speaks(da) && speaks(db))
-                    .map(|(da, db)| (da - db).abs())
+                    .map(|d| (m(d[a.index()]) - m(d[b.index()])).abs())
                     .max()
                     .unwrap_or(0);
                 assert_eq!(lm.lower_bound(a, b), want, "lb({a},{b})");
@@ -327,27 +322,26 @@ mod tests {
         .generate(19);
         let lm = Landmarks::build(&city, 6);
         assert_eq!(lm.len(), 6);
-        assert_eq!(lm.table_bytes(), 6 * 35 * 4);
+        assert_eq!(lm.table_bytes(), 6 * 35 * 2);
         assert_bounds_are_the_formula(&city, &lm);
 
         let split = two_paths();
         let lm = Landmarks::build(&split, 3);
         assert_bounds_are_the_formula(&split, &lm);
-        // Across the gap no landmark speaks for both ends.
-        assert_eq!(lm.lower_bound(NodeId(1), NodeId(4)), 0);
+        // Across the gap an unreachable entry meets a finite one: the bound
+        // exceeds every finite distance, and the cost is `UNREACHABLE`.
+        assert!(lm.lower_bound(NodeId(1), NodeId(4)) > 5 + 7 + 11 + 2);
     }
 
-    /// One road longer than a table entry can say: the landmarks on either
-    /// side of it cannot speak for the nodes beyond it and are skipped for
-    /// pairs that straddle it. The bound gets looser there, never wrong,
-    /// and the search — whose heuristic is then merely admissible — stays
-    /// exact.
+    /// One road longer than a table entry can say: the entries beyond it
+    /// saturate at 65 535 s. The bound gets looser for pairs that straddle
+    /// it, never wrong, and the search stays exact.
     #[test]
-    fn a_distance_beyond_u32_silences_the_landmark_not_the_oracle() {
+    fn a_distance_beyond_u16_saturates_the_entry_not_the_oracle() {
         use crate::astar::AltOracle;
         use watter_core::{TravelBound, TravelCost};
 
-        let long = Dur::from(u32::MAX) + 3;
+        let long = Dur::from(u16::MAX) + 3;
         let coords = (0..6).map(|i| (i as f64, (i % 2) as f64)).collect();
         let g = std::sync::Arc::new(RoadGraph::from_undirected_edges(
             coords,
@@ -361,9 +355,9 @@ mod tests {
             ],
         ));
         let lm = Landmarks::build(&g, 3);
-        let silent = lm.table.iter().filter(|&&d| d == NO_ENTRY).count();
-        assert!(silent > 0, "every distance fits: {:?}", lm.table);
-        assert!(silent < lm.table.len(), "no distance fits");
+        let saturated = lm.table.iter().filter(|&&d| d == u16::MAX).count();
+        assert!(saturated > 0, "every distance fits: {:?}", lm.table);
+        assert!(saturated < lm.table.len(), "no distance fits");
         assert_bounds_are_the_formula(&g, &lm);
 
         let alt = AltOracle::with_landmarks(std::sync::Arc::clone(&g), lm);
@@ -376,6 +370,7 @@ mod tests {
             }
         }
         assert_eq!(alt.cost(NodeId(0), NodeId(4)), 5 + long + 9);
+        assert!(alt.lower_bound(NodeId(0), NodeId(4)) < 5 + long + 9);
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl CityOracle {
     }
 
     /// Build with an explicit `Auto` threshold (CLI `--dense-limit`) and a
-    /// fork-join executor for parallelizable preprocessing (currently the
-    /// CH initial-priority pass; dense builds parallelize internally).
+    /// fork-join executor for parallelizable preprocessing (the CH build's
+    /// initial priorities, core-table rows and access sets; dense and
+    /// landmark builds parallelize internally).
     pub fn build_with_limit(
         graph: &Arc<RoadGraph>,
         kind: OracleKind,

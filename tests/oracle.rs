@@ -12,10 +12,10 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{Exec, NodeId, TravelBound};
+use watter_core::{Dur, Exec, NodeId, TravelBound};
 use watter_road::dijkstra::{shortest_path_cost, UNREACHABLE};
 use watter_road::graph::Edge;
-use watter_road::{export_graph, parse_graph, AltOracle, ChOracle};
+use watter_road::{export_graph, parse_graph, AltOracle, ChOracle, Landmarks};
 
 fn profile(idx: usize) -> CityProfile {
     CityProfile::ALL[idx % CityProfile::ALL.len()]
@@ -24,7 +24,9 @@ fn profile(idx: usize) -> CityProfile {
 /// A Chengdu grid of `side²` nodes rewritten arc by arc: 0 as generated
 /// (symmetric), 1 one-way streets with direction-dependent times, 2 cut
 /// in two along a river no street crosses, 3 with a fifth of the arcs so
-/// slow that any path over two of them saturates.
+/// slow that any path over two of them saturates, 4 every road 40 times
+/// as long (symmetric; from side 20 on, the corners lie beyond the
+/// 65 535 s a landmark entry holds).
 fn city_variant(kind: usize, side: usize, seed: u64) -> RoadGraph {
     let city = CityProfile::Chengdu.city_config(side).generate(seed);
     let west = |v: u32| (v as usize % side) < side / 2;
@@ -38,7 +40,8 @@ fn city_variant(kind: usize, side: usize, seed: u64) -> RoadGraph {
                 0 => Some(w),
                 1 => (!h.is_multiple_of(4)).then_some(w + (h % 31) as i64),
                 2 => (west(u.0) == west(v)).then_some(w),
-                _ => Some(if h.is_multiple_of(5) { i64::MAX / 3 } else { w }),
+                3 => Some(if h.is_multiple_of(5) { i64::MAX / 3 } else { w }),
+                _ => Some(w * 40),
             };
             edges.extend(travel.map(|travel| Edge {
                 from: u,
@@ -87,6 +90,58 @@ proptest! {
                 }
             }
             prop_assert!(finite > 0, "kind {}: every sampled pair unreachable", kind);
+        }
+    }
+
+    /// ALT == Dijkstra with 1, 2 and 16 landmarks on every variant:
+    /// symmetric, one-way and saturating (where the heuristic is zero),
+    /// split in two (unreachable entries) and long roads (saturated
+    /// entries — the corner-to-corner bound is the cap itself).
+    #[test]
+    fn alt_matches_dijkstra_on_every_variant(side in 20usize..28, seed in 0u64..10_000) {
+        for kind in 0..5 {
+            let graph = Arc::new(city_variant(kind, side, seed));
+            let n = graph.node_count() as u32;
+            let (first, last) = (NodeId(0), NodeId(n - 1));
+            for k in [1, 2, 16] {
+                let alt = AltOracle::build(Arc::clone(&graph), k);
+                let probes = (0..40u32)
+                    .map(|i| (NodeId((i * 37 + seed as u32) % n), NodeId((i * 101 + 13) % n)))
+                    .chain([(first, last), (last, first)]);
+                for (a, b) in probes {
+                    let want = shortest_path_cost(&graph, a, b);
+                    prop_assert_eq!(alt.cost(a, b), want, "kind {} k {} {} -> {}", kind, k, a, b);
+                }
+                if kind == 4 {
+                    prop_assert_eq!(alt.lower_bound(first, last), Dur::from(u16::MAX));
+                }
+            }
+        }
+    }
+
+    /// On every arc of the symmetric variants the landmark heuristic is
+    /// consistent, `|h_t(u) − h_t(v)| ≤ w(u, v)`, across the river and
+    /// where entries saturate: what lets A* pop from a monotone queue.
+    #[test]
+    fn alt_heuristic_is_consistent_on_every_arc(
+        side in 20usize..28,
+        seed in 0u64..10_000,
+        k in 1usize..17,
+    ) {
+        for kind in [0, 2, 4] {
+            let graph = city_variant(kind, side, seed);
+            prop_assert!(graph.is_symmetric(), "kind {}", kind);
+            let lm = Landmarks::build(&graph, k);
+            let n = graph.node_count() as u32;
+            for t in [0, n - 1, seed as u32 % n].map(NodeId) {
+                for u in graph.nodes() {
+                    let (targets, weights) = graph.out_edges(u);
+                    for (&v, &w) in targets.iter().zip(weights) {
+                        let (hu, hv) = (lm.lower_bound(u, t), lm.lower_bound(NodeId(v), t));
+                        prop_assert!((hu - hv).abs() <= w, "kind {} {}->{} to {}: {} vs {}", kind, u, v, t, hu, hv);
+                    }
+                }
+            }
         }
     }
 
