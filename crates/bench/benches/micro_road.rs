@@ -141,7 +141,8 @@ fn bench_oracle(c: &mut Criterion) {
         })
     });
     // And its build (`setup_s` on that row is this plus graph and demand
-    // generation): half a second an iteration, so few of them.
+    // generation), on every core: about 0.3 s an iteration on two, so
+    // few of them.
     g.sample_size(10);
     g.bench_function("ch_build_64x64", |b| {
         b.iter(|| ChOracle::build(Arc::clone(black_box(&metro))))

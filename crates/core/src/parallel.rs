@@ -19,15 +19,15 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Thread setting of one scenario. `threads = 0` resolves to the host's
-/// available parallelism at [`Exec`] construction time.
+/// Thread setting of one scenario, carried and ignored: dispatch is
+/// sequential and every oracle build runs on every core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DispatchParallelism {
-    /// Worker threads for contraction-hierarchy preprocessing (its one
-    /// reader is `Scenario::build`). `0` = use every available core.
+    /// Carried and ignored: oracle builds no longer take a thread count.
+    /// Kept because `benchmark/` constructs this struct field by field.
     pub threads: usize,
-    /// Carried and ignored: the pool is no longer sharded. Kept because
-    /// `benchmark/` constructs this struct field by field.
+    /// Carried and ignored: the pool is no longer sharded. Kept for the
+    /// same reason.
     pub shards: usize,
 }
 
@@ -51,14 +51,6 @@ impl DispatchParallelism {
     pub fn sequential() -> Self {
         Self::SEQUENTIAL
     }
-
-    /// The effective thread count (`0` resolved against the host).
-    pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
 }
 
 /// Below this many items a parallel map falls back to the sequential path:
@@ -80,11 +72,11 @@ impl Default for Exec {
 impl Exec {
     /// Executor over `threads` scoped threads (`0` = available cores).
     pub fn new(threads: usize) -> Self {
-        Self {
-            threads: DispatchParallelism { threads, shards: 1 }
-                .resolved_threads()
-                .max(1),
-        }
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        Self { threads }
     }
 
     /// The strictly sequential executor.
@@ -92,19 +84,9 @@ impl Exec {
         Self { threads: 1 }
     }
 
-    /// Executor configured by a [`DispatchParallelism`].
-    pub fn from_parallelism(p: DispatchParallelism) -> Self {
-        Self::new(p.threads)
-    }
-
     /// Configured worker-thread count (≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether more than one thread is configured.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 
     /// Map `f` over `items`, returning results in input order.
@@ -184,20 +166,17 @@ mod tests {
 
     #[test]
     fn default_is_sequential() {
-        let p = DispatchParallelism::default();
-        assert_eq!(p, DispatchParallelism::SEQUENTIAL);
-        assert_eq!(p.resolved_threads(), 1);
-        assert!(!Exec::from_parallelism(p).is_parallel());
+        assert_eq!(
+            DispatchParallelism::default(),
+            DispatchParallelism::SEQUENTIAL
+        );
+        assert_eq!(Exec::default().threads(), 1);
     }
 
     #[test]
     fn zero_threads_resolves_to_host_cores() {
-        let p = DispatchParallelism {
-            threads: 0,
-            shards: 1,
-        };
-        assert!(p.resolved_threads() >= 1);
-        assert!(Exec::new(0).threads() >= 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Exec::new(0).threads(), cores);
     }
 
     #[test]

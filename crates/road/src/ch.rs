@@ -57,10 +57,22 @@
 //!    tens of thousands of potential entries shrink to ~20 per node.
 //!
 //! Initial priorities, core-table rows and access-node sets are
-//! embarrassingly parallel and run through the workspace's deterministic
-//! fork-join ([`watter_core::Exec`]); the contraction loop itself is
-//! sequential, so the hierarchy is bit-identical for every thread count
-//! (`tests/oracle.rs` proves it).
+//! embarrassingly parallel and run on every core through the workspace's
+//! deterministic fork-join ([`watter_core::Exec`]), as the dense and
+//! landmark tables' sweeps do; the contraction loop and the arc reduction
+//! are sequential, so the hierarchy is bit-identical for every thread
+//! count (`tests/oracle.rs` proves it).
+//!
+//! **Packed keys.** Every witness search and core-table sweep pops its
+//! labels in ascending `(d, node)` order. When `max_arc · n < 2³²` —
+//! `max_arc` the largest weight the remaining graph has held, `n` the
+//! searched graph's node count — the frontier is a heap of single `u64`
+//! keys `d · 2³² + node`; otherwise a heap of `(d, node)` tuples. The two
+//! pop identical sequences, stale entries included: a label is only pushed
+//! from a settled one, a shortest distance and so a simple path of at most
+//! `n − 1` arcs, plus one arc, so every label is at most `n · max_arc <
+//! 2³²`, and packing preserves the tuple order. Which heap runs, even
+//! switching mid-build, changes speed and nothing else.
 //!
 //! # Queries
 //!
@@ -243,29 +255,61 @@ impl SplitCsr {
     }
 }
 
+/// A graph a witness search or core-table sweep runs over: adjacency
+/// lists and a bound on every weight they hold, which picks the frontier
+/// (module docs, "Packed keys").
+#[derive(Clone, Copy)]
+struct SearchGraph<'a> {
+    adj: &'a [Vec<Arc_>],
+    max_arc: Dur,
+}
+
+impl SearchGraph<'_> {
+    /// Whether every label a search pushes is below 2³²: at most
+    /// `n · max_arc` (module docs).
+    fn packs(&self) -> bool {
+        self.max_arc as u128 * self.adj.len() as u128 <= u32::MAX as u128
+    }
+}
+
 /// Reusable scratch for one witness search (bounded Dijkstra).
 #[derive(Default)]
 struct WitnessWorkspace {
     dist: Vec<Dur>,
     touched: Vec<u32>,
-    heap: BinaryHeap<Reverse<(Dur, u32)>>,
+    /// The frontier while the searched graph packs
+    /// ([`SearchGraph::packs`]): `d · 2³² + node` orders like `(d, node)`
+    /// at one `u64` compare per sift step instead of a tuple's two.
+    packed: BinaryHeap<Reverse<u64>>,
+    /// The frontier otherwise, on the `(d, node)` tuple itself.
+    wide: BinaryHeap<Reverse<(Dur, u32)>>,
+    /// Whether this search pushes onto `packed`.
+    pack: bool,
     /// Shortcut targets not yet settled; the search stops when empty.
     pending: Vec<u32>,
 }
 
 impl WitnessWorkspace {
-    fn begin(&mut self, n: usize) {
-        for &t in &self.touched {
-            self.dist[t as usize] = UNREACHABLE;
-        }
-        self.touched.clear();
-        self.heap.clear();
-        if self.dist.len() < n {
-            self.dist.resize(n, UNREACHABLE);
+    #[inline]
+    fn push(&mut self, d: Dur, v: u32) {
+        if self.pack {
+            debug_assert!((0..=u32::MAX as Dur).contains(&d), "{d} does not pack");
+            self.packed.push(Reverse(((d as u64) << 32) | u64::from(v)));
+        } else {
+            self.wide.push(Reverse((d, v)));
         }
     }
 
-    /// Bounded multi-target Dijkstra from `src` over `fwd`, skipping the
+    /// The least label of whichever frontier this search uses.
+    #[inline]
+    fn pop(&mut self) -> Option<(Dur, u32)> {
+        match self.packed.pop() {
+            Some(Reverse(key)) => Some(((key >> 32) as Dur, key as u32)),
+            None => self.wide.pop().map(|Reverse(label)| label),
+        }
+    }
+
+    /// Bounded multi-target Dijkstra from `src` over `g`, skipping the
     /// node being contracted (`banned`) and stopping once every node in
     /// `targets` is settled, `limit` nodes are settled, or the frontier
     /// exceeds `cap`. Afterwards `self.dist` holds (possibly truncated)
@@ -274,21 +318,30 @@ impl WitnessWorkspace {
     /// endpoints settle after a small local exploration.
     fn search(
         &mut self,
-        fwd: &[Vec<Arc_>],
+        g: SearchGraph,
         src: u32,
         banned: u32,
         cap: Dur,
         limit: usize,
         targets: &[u32],
     ) {
-        self.begin(fwd.len());
+        for &t in &self.touched {
+            self.dist[t as usize] = UNREACHABLE;
+        }
+        self.touched.clear();
+        if self.dist.len() < g.adj.len() {
+            self.dist.resize(g.adj.len(), UNREACHABLE);
+        }
+        self.packed.clear();
+        self.wide.clear();
+        self.pack = g.packs();
         self.pending.clear();
         self.pending.extend(targets.iter().filter(|&&t| t != src));
         self.dist[src as usize] = 0;
         self.touched.push(src);
-        self.heap.push(Reverse((0, src)));
+        self.push(0, src);
         let mut settled = 0;
-        while let Some(Reverse((d, u))) = self.heap.pop() {
+        while let Some((d, u)) = self.pop() {
             if d > self.dist[u as usize] {
                 continue;
             }
@@ -302,7 +355,7 @@ impl WitnessWorkspace {
             if settled > limit || d > cap {
                 break;
             }
-            for a in &fwd[u as usize] {
+            for a in &g.adj[u as usize] {
                 if a.other == banned {
                     continue;
                 }
@@ -312,7 +365,7 @@ impl WitnessWorkspace {
                         self.touched.push(a.other);
                     }
                     self.dist[a.other as usize] = nd;
-                    self.heap.push(Reverse((nd, a.other)));
+                    self.push(nd, a.other);
                 }
             }
         }
@@ -320,8 +373,9 @@ impl WitnessWorkspace {
 }
 
 thread_local! {
-    /// Per-thread witness scratch (preprocessing) — initial priorities run
-    /// under the fork-join executor, so each thread needs its own.
+    /// Per-thread witness scratch (preprocessing) — initial priorities and
+    /// core-table rows run under the fork-join executor, so each thread
+    /// needs its own.
     static WITNESS: RefCell<WitnessWorkspace> = RefCell::new(WitnessWorkspace::default());
     /// Per-thread query scratch: repeated queries allocate nothing.
     static QUERY: RefCell<ChWorkspace> = RefCell::new(ChWorkspace::default());
@@ -336,10 +390,10 @@ const REDUCTION_SETTLE_LIMIT: usize = 1_000;
 /// early; queries then relax the dominated arcs for nothing. Dropping an
 /// arc only when a strictly shorter path exists keeps all distances exact
 /// (the witness path survives any removal order), so the pass is safe to
-/// run on either search half independently. Returns the arcs removed.
-fn reduce_arcs(adj: &mut [Vec<Arc_>], n: usize) -> usize {
-    let mut removed = 0;
-    for u in 0..n as u32 {
+/// run on either search half independently. `max_arc` bounds every
+/// weight in `adj`.
+fn reduce_arcs(adj: &mut [Vec<Arc_>], max_arc: Dur) {
+    for u in 0..adj.len() as u32 {
         if adj[u as usize].len() < 2 {
             continue; // a dominating path must start with a different arc
         }
@@ -355,14 +409,12 @@ fn reduce_arcs(adj: &mut [Vec<Arc_>], n: usize) -> usize {
             // No banned node: the search may use every arc, including the
             // one under test — `dist[v] < w` then certifies a multi-hop
             // path strictly shorter than the direct arc.
-            ws.search(adj, u, u32::MAX, cap, REDUCTION_SETTLE_LIMIT, &targets);
-            let before = adj[u as usize].len();
+            let g = SearchGraph { adj, max_arc };
+            ws.search(g, u, u32::MAX, cap, REDUCTION_SETTLE_LIMIT, &targets);
             let dist = &ws.dist;
             adj[u as usize].retain(|a| dist[a.other as usize] >= a.weight);
-            removed += before - adj[u as usize].len();
         });
     }
-    removed
 }
 
 /// Edge difference of contracting `v` in the remaining graph — shortcuts
@@ -372,17 +424,18 @@ fn reduce_arcs(adj: &mut [Vec<Arc_>], n: usize) -> usize {
 /// that spreads contraction uniformly and the depth term that keeps the
 /// hierarchy in balanced layers.
 fn edge_difference(
-    fwd: &[Vec<Arc_>],
+    fwd: SearchGraph,
     bwd: &[Vec<Arc_>],
     v: u32,
     mut emit: impl FnMut(u32, u32, Dur),
 ) -> i64 {
     let mut added = 0i64;
-    let targets: Vec<u32> = fwd[v as usize].iter().map(|out| out.other).collect();
+    let outs = &fwd.adj[v as usize];
+    let targets: Vec<u32> = outs.iter().map(|out| out.other).collect();
     for inc in &bwd[v as usize] {
         let u = inc.other;
         // Cap the witness search at the worst chain through v.
-        let cap = fwd[v as usize]
+        let cap = outs
             .iter()
             .map(|out| inc.weight.saturating_add(out.weight))
             .max()
@@ -391,7 +444,7 @@ fn edge_difference(
         WITNESS.with(|ws| {
             let mut ws = ws.borrow_mut();
             ws.search(fwd, u, v, cap, WITNESS_SETTLE_LIMIT, &targets);
-            for out in &fwd[v as usize] {
+            for out in outs {
                 let x = out.other;
                 if x == u {
                     continue;
@@ -408,19 +461,21 @@ fn edge_difference(
             }
         });
     }
-    added - (fwd[v as usize].len() + bwd[v as usize].len()) as i64
+    added - (outs.len() + bwd[v as usize].len()) as i64
 }
 
 impl ChOracle {
-    /// Preprocess `graph` into a contraction hierarchy, sequentially.
+    /// Preprocess `graph` into a contraction hierarchy on every available
+    /// core.
     pub fn build(graph: Arc<RoadGraph>) -> Self {
-        Self::build_with_exec(graph, &Exec::sequential())
+        Self::build_with_exec(graph, &Exec::new(0))
     }
 
-    /// Preprocess with initial priorities computed on `exec`'s fork-join
-    /// threads. The hierarchy is bit-identical for every thread count: the
-    /// parallel stage is a pure order-preserving map, and the contraction
-    /// loop is sequential with deterministic tie-breaks.
+    /// Preprocess with initial priorities, core-table rows and access sets
+    /// computed on `exec`'s fork-join threads. The hierarchy is
+    /// bit-identical for every thread count: the parallel stages are pure
+    /// order-preserving maps, and the contraction loop is sequential with
+    /// deterministic tie-breaks.
     pub fn build_with_exec(graph: Arc<RoadGraph>, exec: &Exec) -> Self {
         let n = graph.node_count();
 
@@ -462,17 +517,22 @@ impl ChOracle {
             }
         }
 
-        // Original (deduplicated) arcs, later merged with shortcuts.
+        // Original (deduplicated) arcs, later merged with shortcuts, and
+        // the largest weight among them: with every shortcut's, it bounds
+        // each arc any later search reads (module docs, "Packed keys").
         let mut all_arcs: Vec<(u32, u32, Dur)> = Vec::new();
         for u in 0..n as u32 {
             for a in &fwd[u as usize] {
                 all_arcs.push((u, a.other, a.weight));
             }
         }
+        let mut max_arc = all_arcs.iter().map(|a| a.2).max().unwrap_or(0);
 
         // Initial priorities: pure per-node work, fanned out deterministically.
-        let init: Vec<i64> =
-            exec.map_indexed(n, |v| edge_difference(&fwd, &bwd, v as u32, |_, _, _| {}));
+        let init: Vec<i64> = exec.map_indexed(n, |v| {
+            let g = SearchGraph { adj: &fwd, max_arc };
+            edge_difference(g, &bwd, v as u32, |_, _, _| {})
+        });
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = (0..n as u32)
             .map(|v| Reverse((init[v as usize], v)))
             .collect();
@@ -495,7 +555,8 @@ impl ChOracle {
             // Lazy update: recompute; if the node no longer wins, requeue.
             // The evaluation that wins contracts with the shortcuts it saw.
             new_arcs.clear();
-            let fresh = edge_difference(&fwd, &bwd, v, |u, x, w| new_arcs.push((u, x, w)))
+            let g = SearchGraph { adj: &fwd, max_arc };
+            let fresh = edge_difference(g, &bwd, v, |u, x, w| new_arcs.push((u, x, w)))
                 + DELETED_NEIGHBOR_WEIGHT * deleted[v as usize]
                 + DEPTH_WEIGHT * depth[v as usize];
             if fresh > p {
@@ -510,6 +571,7 @@ impl ChOracle {
             // Contract v: materialize its shortcuts into the remaining
             // graph and the final arc set, then disconnect it.
             for &(u, x, w) in &new_arcs {
+                max_arc = max_arc.max(w);
                 // Keep the remaining graph deduplicated: tighten an
                 // existing arc in place, insert otherwise.
                 match fwd[u as usize].iter_mut().find(|a| a.other == x) {
@@ -602,18 +664,22 @@ impl ChOracle {
 
         // Arc reduction: late shortcuts dominate early arcs; prune them so
         // queries never relax an arc a shorter multi-hop path beats.
-        reduce_arcs(&mut up_adj, n);
-        reduce_arcs(&mut down_adj, n);
+        reduce_arcs(&mut up_adj, max_arc);
+        reduce_arcs(&mut down_adj, max_arc);
 
         // Each sweep lands in its row of the one preallocated table, so
         // the build never holds the (8 MB at 1 024 core nodes) table twice.
         let mut core_table: Vec<Dur> = vec![UNREACHABLE; core_len * core_len];
+        let core = SearchGraph {
+            adj: &core_adj,
+            max_arc,
+        };
         exec.fill_rows(&mut core_table, core_len, |first_row, rows| {
             WITNESS.with(|ws| {
                 let mut ws = ws.borrow_mut();
                 for (r, row) in rows.chunks_mut(core_len).enumerate() {
                     let src = (first_row + r) as u32;
-                    ws.search(&core_adj, src, u32::MAX, UNREACHABLE, usize::MAX, &[]);
+                    ws.search(core, src, u32::MAX, UNREACHABLE, usize::MAX, &[]);
                     row.copy_from_slice(&ws.dist[..core_len]);
                 }
             })
@@ -1057,6 +1123,18 @@ mod tests {
         )
     }
 
+    /// Build the hierarchy and check it against Dijkstra on every pair.
+    fn exact_on_all_pairs(g: &Arc<RoadGraph>) -> ChOracle {
+        let ch = ChOracle::build(g.clone());
+        let dij = DijkstraOracle::new(g);
+        for a in g.nodes() {
+            for b in g.nodes() {
+                assert_eq!(ch.cost(a, b), dij.cost(a, b), "{a} -> {b}");
+            }
+        }
+        ch
+    }
+
     #[test]
     fn matches_dense_table_on_all_pairs() {
         let g = city(8, 7, 3);
@@ -1081,13 +1159,7 @@ mod tests {
             coords,
             vec![e(0, 1, 5), e(1, 2, 7), e(3, 4, 11), e(4, 5, 2)],
         ));
-        let ch = ChOracle::build(g.clone());
-        let dij = DijkstraOracle::new(&g);
-        for a in g.nodes() {
-            for b in g.nodes() {
-                assert_eq!(ch.cost(a, b), dij.cost(a, b), "{a} -> {b}");
-            }
-        }
+        let ch = exact_on_all_pairs(&g);
         assert!(!ch.reachable(NodeId(0), NodeId(3)));
         assert!(ch.reachable(NodeId(3), NodeId(5)));
     }
@@ -1115,13 +1187,7 @@ mod tests {
                 },
             ],
         ));
-        let ch = ChOracle::build(g.clone());
-        let dij = DijkstraOracle::new(&g);
-        for a in g.nodes() {
-            for b in g.nodes() {
-                assert_eq!(ch.cost(a, b), dij.cost(a, b), "{a} -> {b}");
-            }
-        }
+        let ch = exact_on_all_pairs(&g);
         assert_eq!(ch.cost(NodeId(0), NodeId(2)), 7);
         assert!(!ch.reachable(NodeId(2), NodeId(0)));
     }
@@ -1145,13 +1211,7 @@ mod tests {
                 e(2, 0, 5),
             ],
         ));
-        let ch = ChOracle::build(g.clone());
-        let dij = DijkstraOracle::new(&g);
-        for a in g.nodes() {
-            for b in g.nodes() {
-                assert_eq!(ch.cost(a, b), dij.cost(a, b), "{a} -> {b}");
-            }
-        }
+        let ch = exact_on_all_pairs(&g);
         assert_eq!(ch.cost(NodeId(0), NodeId(2)), 10);
     }
 
@@ -1189,11 +1249,30 @@ mod tests {
         }
     }
 
+    /// Query work over 20 000 fixed pairs: the `cost_with_stats` counters
+    /// summed, and the costs summed. Any change to the hierarchy — ranks,
+    /// arcs, table or access sets — moves some of it.
+    fn query_work(ch: &ChOracle, n: u64) -> ([usize; 5], Dur) {
+        let mut stats = [0; 5];
+        let mut cost = 0;
+        for i in 0..20_000u64 {
+            let a = NodeId((i * 2_654_435_761 % n) as u32);
+            let b = NodeId(((i * 40_503 + 17) % n) as u32);
+            let (c, s) = ch.cost_with_stats(a, b);
+            cost += c;
+            for (total, x) in stats.iter_mut().zip(s) {
+                *total += x;
+            }
+        }
+        (stats, cost)
+    }
+
     /// The second city is the benchmark's (`metro_ch_cold`: Chengdu 64×64,
     /// seed 20240311). Contracting every node adds 34 750 shortcuts there,
     /// 22 578 of them before the first core node: a larger count means
     /// the loop ran past the wall, any other that the hierarchy below the
-    /// core — the part queries walk — has changed.
+    /// core — the part queries walk — has changed. The query work pins the
+    /// rest of it.
     #[test]
     fn contraction_stops_at_the_wall() {
         for (g, shortcuts) in [(city(9, 8, 11), 218), (city(64, 64, 20_240_311), 22_578)] {
@@ -1209,6 +1288,92 @@ mod tests {
             }
             // Arcs *into* the core survive: nodes below still enter it.
             assert!((0..ch.core_start).any(|r| !ch.fwd_access.arcs(r).0.is_empty()));
+            if n == 64 * 64 {
+                let work = ([146_005, 163_127, 1_866, 598_138, 220_644], 44_980_323);
+                assert_eq!(query_work(&ch, n.into()), work);
+            }
+        }
+    }
+
+    /// The same pins on a city four times the benchmark's, where far more
+    /// witness searches tie and pop orders have more room to differ. A
+    /// release build takes seconds: CI runs it with `--ignored`.
+    #[test]
+    #[ignore = "seconds in release, minutes in debug"]
+    fn hierarchy_is_pinned_at_128x128() {
+        let g = city(128, 128, 20_240_311);
+        let ch = ChOracle::build(g.clone());
+        assert_eq!(ch.shortcut_count(), 119_684);
+        let work = ([546_381, 964_106, 42_527, 1_581_320, 359_876], 88_676_141);
+        assert_eq!(query_work(&ch, g.node_count() as u64), work);
+    }
+
+    /// Random monotone Dijkstra-like traffic — each push at or above the
+    /// last pop, ties on `d` and repeated labels included — up to the top
+    /// of the packable range: the packed frontier, the tuple frontier and
+    /// a sorted-list model pop the same sequence.
+    #[test]
+    fn packed_and_tuple_frontiers_pop_identical_sequences() {
+        let (mut packed, mut wide) = (WitnessWorkspace::default(), WitnessWorkspace::default());
+        packed.pack = true;
+        let mut model: Vec<(Dur, u32)> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let top = u32::MAX as Dur;
+        let mut floor = top - 3_000;
+        for _ in 0..20_000 {
+            for _ in 0..rand(3) {
+                let d = (floor + rand(64) as Dur).min(top);
+                let v = [rand(8) as u32, u32::MAX - rand(4) as u32][rand(2) as usize];
+                packed.push(d, v);
+                wide.push(d, v);
+                let at = model.partition_point(|&l| l > (d, v));
+                model.insert(at, (d, v));
+            }
+            let want = model.pop();
+            assert_eq!((packed.pop(), wide.pop()), (want, want));
+            floor = want.map_or(floor, |l| l.0);
+        }
+        assert!(packed.wide.is_empty() && wide.packed.is_empty());
+        assert_eq!(floor, top, "the traffic reaches 2³² − 1");
+    }
+
+    /// The wide path: every weight of a 6×6 city times 2³¹, so no search
+    /// packs. Scaling preserves every comparison the build makes, so the
+    /// ranks match the unscaled city's, and every answer is exactly 2³¹
+    /// times the unscaled one — and Dijkstra's.
+    #[test]
+    fn huge_weights_take_the_tuple_frontier_and_build_the_same_hierarchy() {
+        const SCALE: Dur = 1 << 31;
+        let g = city(6, 6, 2);
+        let edges = g
+            .nodes()
+            .flat_map(|u| {
+                let (targets, weights) = g.out_edges(u);
+                targets.iter().zip(weights).map(move |(&v, &w)| Edge {
+                    from: u,
+                    to: NodeId(v),
+                    travel: w * SCALE,
+                })
+            })
+            .collect();
+        let scaled = Arc::new(RoadGraph::from_edges(g.coords().to_vec(), edges));
+        assert!(
+            SCALE as usize * g.node_count() > u32::MAX as usize,
+            "must not pack"
+        );
+        let (ch, wide) = (ChOracle::build(g.clone()), exact_on_all_pairs(&scaled));
+        for a in g.nodes() {
+            assert_eq!(wide.rank(a), ch.rank(a), "rank of {a}");
+            for b in g.nodes() {
+                assert!(ch.reachable(a, b), "{a} -> {b}");
+                assert_eq!(wide.cost(a, b), ch.cost(a, b) * SCALE, "{a} -> {b}");
+            }
         }
     }
 

@@ -7,14 +7,12 @@
 //! reuses a thread-local one, so repeated point queries allocate nothing.
 //!
 //! Distances saturate at [`UNREACHABLE`]: a path whose cost would reach it
-//! (≈ 73 000 years of travel) is reported as no path at all, which keeps
+//! (≈ 7.3 × 10¹⁰ years of travel) is reported as no path at all, which keeps
 //! relaxation overflow-free for any edge weights.
 
 use crate::graph::RoadGraph;
 use crate::workspace::DijkstraWorkspace;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use watter_core::{Dur, NodeId};
 
 /// Distance value for unreachable nodes.
@@ -141,111 +139,5 @@ mod tests {
             ],
         );
         assert_eq!(shortest_path_cost(&g, NodeId(0), NodeId(2)), 2);
-    }
-}
-
-/// Shortest path as an explicit node sequence (for traces/visualization).
-///
-/// Returns `None` when `dst` is unreachable from `src`.
-pub fn shortest_path(graph: &RoadGraph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let n = graph.node_count();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut prev = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0, src.0)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if u == dst.0 {
-            break;
-        }
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (v, w) in graph.neighbors(NodeId(u)) {
-            let nd = d.saturating_add(w).min(UNREACHABLE);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = u;
-                heap.push(Reverse((nd, v.0)));
-            }
-        }
-    }
-    if dist[dst.index()] >= UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = NodeId(prev[cur.index()]);
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
-#[cfg(test)]
-mod path_tests {
-    use super::*;
-    use crate::graph::Edge;
-
-    fn line(n: u32) -> RoadGraph {
-        let coords = (0..n).map(|i| (i as f64, 0.0)).collect();
-        let edges = (0..n - 1)
-            .map(|i| Edge {
-                from: NodeId(i),
-                to: NodeId(i + 1),
-                travel: 5,
-            })
-            .collect();
-        RoadGraph::from_undirected_edges(coords, edges)
-    }
-
-    #[test]
-    fn path_matches_cost() {
-        let g = line(6);
-        let p = shortest_path(&g, NodeId(1), NodeId(4)).unwrap();
-        assert_eq!(p, vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
-        // Sum the actual edge weights along the returned path.
-        let cost: i64 = p
-            .windows(2)
-            .map(|w| {
-                g.neighbors(w[0])
-                    .find(|&(n, _)| n == w[1])
-                    .map(|(_, d)| d)
-                    .expect("consecutive path nodes must be adjacent")
-            })
-            .sum();
-        assert_eq!(cost, shortest_path_cost(&g, NodeId(1), NodeId(4)));
-    }
-
-    #[test]
-    fn trivial_and_unreachable_paths() {
-        let g = line(3);
-        assert_eq!(
-            shortest_path(&g, NodeId(2), NodeId(2)),
-            Some(vec![NodeId(2)])
-        );
-        let iso = RoadGraph::from_edges(vec![(0.0, 0.0), (1.0, 1.0)], vec![]);
-        assert_eq!(shortest_path(&iso, NodeId(0), NodeId(1)), None);
-    }
-
-    #[test]
-    fn path_endpoints_correct_on_grid() {
-        let cfg = crate::citygen::CityConfig {
-            width: 6,
-            height: 6,
-            ..Default::default()
-        };
-        let g = cfg.generate(3);
-        let p = shortest_path(&g, NodeId(0), NodeId(35)).unwrap();
-        assert_eq!(*p.first().unwrap(), NodeId(0));
-        assert_eq!(*p.last().unwrap(), NodeId(35));
-        // consecutive nodes must be road neighbours
-        for w in p.windows(2) {
-            assert!(g.neighbors(w[0]).any(|(v, _)| v == w[1]));
-        }
     }
 }

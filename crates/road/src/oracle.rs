@@ -20,7 +20,7 @@ use crate::graph::RoadGraph;
 use crate::matrix::CostMatrix;
 use std::sync::Arc;
 use watter_core::{
-    Dur, Exec, NodeId, OracleCacheKpis, OracleKind, TravelBound, TravelCost, DENSE_NODE_LIMIT,
+    Dur, NodeId, OracleCacheKpis, OracleKind, TravelBound, TravelCost, DENSE_NODE_LIMIT,
 };
 use watter_obs::Recorder;
 
@@ -41,27 +41,19 @@ impl CityOracle {
     /// Build the oracle `kind` resolves to for this graph, with the default
     /// `Auto` dense-table threshold ([`DENSE_NODE_LIMIT`]).
     pub fn build(graph: &Arc<RoadGraph>, kind: OracleKind) -> Self {
-        Self::build_with_limit(graph, kind, DENSE_NODE_LIMIT, &Exec::sequential())
+        Self::build_with_limit(graph, kind, DENSE_NODE_LIMIT)
     }
 
-    /// Build with an explicit `Auto` threshold (CLI `--dense-limit`) and a
-    /// fork-join executor for parallelizable preprocessing (the CH build's
-    /// initial priorities, core-table rows and access sets; dense and
-    /// landmark builds parallelize internally).
-    pub fn build_with_limit(
-        graph: &Arc<RoadGraph>,
-        kind: OracleKind,
-        dense_limit: usize,
-        exec: &Exec,
-    ) -> Self {
+    /// Build with an explicit `Auto` threshold (CLI `--dense-limit`). Every
+    /// backend's preprocessing runs on every available core, bit-identical
+    /// to a sequential build.
+    pub fn build_with_limit(graph: &Arc<RoadGraph>, kind: OracleKind, dense_limit: usize) -> Self {
         match kind.resolve_with_limit(graph.node_count(), dense_limit) {
             OracleKind::Dense => CityOracle::Dense(CostMatrix::build(graph)),
             OracleKind::Alt { landmarks } => {
                 CityOracle::Alt(AltOracle::build(Arc::clone(graph), landmarks))
             }
-            OracleKind::Ch => {
-                CityOracle::Ch(Box::new(ChOracle::build_with_exec(Arc::clone(graph), exec)))
-            }
+            OracleKind::Ch => CityOracle::Ch(Box::new(ChOracle::build(Arc::clone(graph)))),
             OracleKind::Auto => unreachable!("resolve() never returns Auto"),
         }
     }
@@ -233,15 +225,14 @@ mod tests {
     fn dense_limit_moves_the_auto_boundary() {
         let g = city();
         let n = g.node_count();
-        let exec = Exec::sequential();
         // Limit below the node count: Auto now builds the CH backend.
-        let small = CityOracle::build_with_limit(&g, OracleKind::Auto, n - 1, &exec);
+        let small = CityOracle::build_with_limit(&g, OracleKind::Auto, n - 1);
         assert!(matches!(small, CityOracle::Ch(_)));
         // Limit exactly at the node count: still dense.
-        let exact = CityOracle::build_with_limit(&g, OracleKind::Auto, n, &exec);
+        let exact = CityOracle::build_with_limit(&g, OracleKind::Auto, n);
         assert!(matches!(exact, CityOracle::Dense(_)));
         // Explicit kinds ignore the limit.
-        let forced = CityOracle::build_with_limit(&g, OracleKind::Dense, 0, &exec);
+        let forced = CityOracle::build_with_limit(&g, OracleKind::Dense, 0);
         assert!(matches!(forced, CityOracle::Dense(_)));
     }
 

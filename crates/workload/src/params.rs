@@ -54,9 +54,8 @@ pub struct ScenarioParams {
     /// `Auto` builds the contraction hierarchy. Ignored when `oracle` is a
     /// concrete kind.
     pub dense_limit: usize,
-    /// `threads` sizes contraction-hierarchy preprocessing (`--threads`);
-    /// it never changes results, only `Scenario::build` time. `shards` is
-    /// ignored.
+    /// Carried and ignored, `threads` and `shards` alike: the oracle build
+    /// runs on every core and dispatch on one.
     pub parallelism: DispatchParallelism,
     /// Master seed for the road network, demand and fleet.
     pub seed: u64,

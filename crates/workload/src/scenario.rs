@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
-use watter_core::{Exec, Order, OrderId, TravelCost, Worker, WorkerId};
+use watter_core::{Order, OrderId, TravelCost, Worker, WorkerId};
 use watter_road::{CityOracle, GridIndex, RoadGraph};
 
 /// A fully materialized experiment input.
@@ -60,13 +60,11 @@ impl Scenario {
     /// only the graph's provenance differs, so any scenario runs unchanged
     /// on a real street topology.
     pub fn build_on_graph(params: ScenarioParams, graph: Arc<RoadGraph>) -> Self {
-        let exec = Exec::from_parallelism(params.parallelism);
         let started = Instant::now();
         let oracle = Arc::new(CityOracle::build_with_limit(
             &graph,
             params.oracle,
             params.dense_limit,
-            &exec,
         ));
         let oracle_build_s = started.elapsed().as_secs_f64();
         let grid = GridIndex::build(&graph, params.grid_dim);

@@ -5,8 +5,7 @@
 //! watter-cli run   [--profile nyc|cdc|xia] [--algo gdp|gas|nonshare|online|timeout|expect]
 //!                  [--orders N] [--workers M] [--tau F] [--kw K] [--eta F]
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
-//!                  [--dense-limit N] [--import PATH]
-//!                  [--threads T] [--seed S]
+//!                  [--dense-limit N] [--import PATH] [--seed S]
 //!                  [--report json|PATH] [--obs] [--trace PATH]
 //! watter-cli orders [scenario flags] [--fault-seed S] [--fault-malformed-every K]
 //!                   [--fault-delay-every K] [--fault-delay-slots N] [--out PATH]
@@ -39,9 +38,8 @@
 //! than the array read it saves). Dispatch outcomes are bit-identical
 //! either way.
 //!
-//! `--threads T` sizes contraction-hierarchy preprocessing (`0` = all
-//! cores); the hierarchy is bit-identical for every setting. Dispatch
-//! itself is single-threaded.
+//! Oracle preprocessing runs on every core and builds the same table or
+//! hierarchy for any core count. Dispatch itself is single-threaded.
 //!
 //! `--algo expect` trains a value function on a sibling "day" first (or
 //! loads one via `--model model.json`).

@@ -28,7 +28,6 @@ const COMMON_FLAGS: &[&str] = &[
     "dense-limit",
     "landmarks",
     "oracle",
-    "threads",
     "trace",
     "report",
     "fault-seed",
@@ -101,7 +100,7 @@ pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
 
 /// Scenario parameters from the common flag set (`--orders`, `--workers`,
 /// `--tau`, `--kw`, `--eta`, `--seed`, `--city-side`, `--oracle`,
-/// `--landmarks`, `--dense-limit`, `--threads`).
+/// `--landmarks`, `--dense-limit`).
 pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     let mut p = ScenarioParams::default_for(profile_of(flags));
     if let Some(n) = parsed(flags, "orders") {
@@ -146,9 +145,6 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
         Some(other) => usage_error(format!(
             "unknown oracle `{other}` (expected auto|dense|alt|ch)"
         )),
-    }
-    if let Some(t) = parsed(flags, "threads") {
-        p.parallelism.threads = t;
     }
     p
 }

@@ -192,15 +192,16 @@ fn unknown_usage_exits_nonzero() {
         .output()
         .expect("spawn watter-cli");
     assert!(!out.status.success(), "unknown algo must be rejected");
-    // A flag nobody parses — retired (`--stream`, `--shards`,
-    // `--cost-cache`, and `--json` / `--kpis` / `--obs-window`, which
-    // `--report` and the bare `--obs` replaced) or misspelt —, a value
-    // that does not parse, a valued flag without its value and a
-    // positional word are usage errors naming the offender, not silent
-    // no-ops.
+    // A flag nobody parses — retired (`--stream`, `--shards`, `--threads`
+    // now that every oracle build uses every core, `--cost-cache`, and
+    // `--json` / `--kpis` / `--obs-window`, which `--report` and the bare
+    // `--obs` replaced) or misspelt —, a value that does not parse, a
+    // valued flag without its value and a positional word are usage
+    // errors naming the offender, not silent no-ops.
     for args in [
         &["run", "--stream"][..],
         &["run", "--shards", "2"],
+        &["run", "--threads", "2"],
         &["run", "--cost-cache"],
         &["run", "--json", "x.json"],
         &["run", "--kpis", "json"],
