@@ -3,8 +3,8 @@
 //! Every figure of Section VII is a sweep of one parameter × three city
 //! profiles × the compared algorithms, reporting Extra Time, Unified Cost,
 //! Service Rate and Running Time. `scale` shrinks order/worker counts for
-//! quick runs (1.0 = the calibrated defaults documented in
-//! EXPERIMENTS.md).
+//! quick runs (1.0 = `ScenarioParams::default_for`: 1/50 of Table III's
+//! daily orders and 1/25 of its workers over a 30-minute window).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -261,9 +261,10 @@ pub fn appendix_omega(scale: f64) -> (Vec<ExperimentRow>, Vec<(f64, Vec<f32>)>) 
     (rows, curves)
 }
 
-/// Design-choice ablations called out in DESIGN.md: clique-enumeration
-/// fan-out (`max_neighbors`), demand correlation (`echo_prob`) and the
-/// rider-cancellation robustness check.
+/// Ablations of three choices the paper leaves open: the
+/// clique-enumeration fan-out bound (`max_neighbors`; the paper has
+/// none), demand correlation (`echo_prob`) and explicit rider
+/// cancellation (the paper treats it as an implicit expiration).
 pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
     let profile = CityProfile::Chengdu;
@@ -290,6 +291,7 @@ pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
         let out = RunOutput {
             measurements,
             kpis,
+            orders: scenario.orders.len() as u64,
             cache: stack.cache_stats(),
             oracle: stack.describe(),
             recorder,
@@ -353,8 +355,8 @@ pub struct ObsRow {
     /// Node count (`side²`).
     pub nodes: usize,
     /// Recorder configuration: `disabled` (every hook short-circuits on
-    /// one atomic load) or `enabled` (full registry: counters, spans,
-    /// windows, trace).
+    /// one atomic load) or `enabled` (full registry: spans, windows,
+    /// trace).
     pub config: String,
     /// Timed repetitions (wall numbers are best-of).
     pub reps: usize,

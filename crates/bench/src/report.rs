@@ -39,6 +39,7 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use watter::core::DriverCounts;
     use watter::prelude::{Kpis, Measurements, Recorder, RunReport};
 
     #[test]
@@ -49,6 +50,7 @@ mod tests {
             &Measurements::default(),
             &Kpis::new(3),
             None,
+            DriverCounts::default(),
             &Recorder::disabled(),
         );
         stats.extra_time = 1.0;

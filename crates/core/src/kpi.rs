@@ -13,7 +13,9 @@
 //! headline numbers, the KPI summary, the cache counters and the
 //! observability snapshot (`--report`, the daemon's `#report`,
 //! `reproduce`). The accumulators stay where the state lives; the report
-//! is drained from them on demand and never fed back.
+//! is drained from them on demand and never fed back — the snapshot's
+//! counters and gauges included, so they survive whatever the
+//! accumulators survive (a checkpoint and resume).
 //!
 //! Determinism: everything in [`Kpis`] except `tick_nanos` is a pure
 //! function of the event stream. `tick_nanos` is wall-clock measurement
@@ -26,10 +28,11 @@
 //! while a multi-day daemon run degrades to log₂-bucket estimates at
 //! constant memory instead of growing a `Vec` per tick.
 
+use crate::fault::RobustnessReport;
 use crate::metrics::Measurements;
 use crate::time::Ts;
 use serde::{Deserialize, Serialize};
-use watter_obs::{Counter, ObsSnapshot, Recorder, Sketch};
+use watter_obs::{CounterSample, GaugeSample, ObsSnapshot, Recorder, Sketch};
 
 /// Raw KPI accumulator, updated by the dispatch core per applied event.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -170,10 +173,38 @@ impl Dist {
     }
 }
 
+/// What the driver in front of the dispatch core counted, handed to
+/// [`RunReport::new`] as one plain value: the daemon's door
+/// (`IngestStats`, `RobustnessReport`), its checkpoint store
+/// (`CheckpointOps`) and its live levels. A batch run hands in only
+/// `admitted`, the number of orders it was given.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DriverCounts {
+    /// Orders let through the door.
+    pub admitted: u64,
+    /// Input lines that failed to parse.
+    pub malformed: u64,
+    /// Orders shed, degraded or blocked by backpressure.
+    pub robustness: RobustnessReport,
+    /// Checkpoint generations this process wrote.
+    pub checkpoints_written: u64,
+    /// Checkpoint writes this process retried.
+    pub checkpoint_retries: u64,
+    /// Checkpoint triggers this process abandoned after retries.
+    pub checkpoint_failures: u64,
+    /// Arrivals buffered in the core ahead of delivery.
+    pub backlog: u64,
+    /// Orders pending inside the dispatcher.
+    pub pending: u64,
+    /// Whether backpressure is engaged (the `degraded` gauge).
+    pub engaged: bool,
+}
+
 /// The report of one run — batch or daemon, finished or live — drained
-/// from the accumulators `(Measurements, Kpis)`, the oracle's cache
-/// counters and the observability registry. The one document `--report`
-/// and `#report` emit and every `reproduce` row carries.
+/// from the accumulators `(Measurements, Kpis)`, the [`DriverCounts`],
+/// the oracle's cache counters and the observability registry. The one
+/// document `--report` and `#report` emit and every `reproduce` row
+/// carries.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Extra Time (s): the METRS objective Φ.
@@ -215,30 +246,24 @@ pub struct RunReport {
     /// behind the memoization layer (search backends: ALT, CH); `None` on
     /// the dense table.
     pub cache: Option<OracleCacheKpis>,
-    /// Observability registry snapshot (counters, gauges, stage latency
-    /// percentiles, windowed KPIs, trace position); `None` when the
-    /// registry is off. A pure function of the event stream except for
-    /// the wall-clock stage latencies.
+    /// Observability snapshot (counters and gauges read off the
+    /// accumulators, the registry's stage latency percentiles, windowed
+    /// KPIs and trace position); `None` when the registry is off.
     pub obs: Option<ObsSnapshot>,
 }
 
 impl RunReport {
     /// Drain the report. `cache` is the oracle's
-    /// `TravelCost::cache_stats()`: the counters live outside the event
-    /// stream, and their exact totals are mirrored into the registry's
-    /// `cache_*` counters before the snapshot (the latency stages only
-    /// sample).
+    /// `TravelCost::cache_stats()`; with the registry on, the snapshot's
+    /// counters and gauges are read off it, `driver` and the two
+    /// accumulators.
     pub fn new(
         measurements: &Measurements,
         kpis: &Kpis,
         cache: Option<OracleCacheKpis>,
+        driver: DriverCounts,
         recorder: &Recorder,
     ) -> Self {
-        if let Some(cache) = cache {
-            recorder.set_at_least(Counter::CacheHits, cache.hits);
-            recorder.set_at_least(Counter::CacheMisses, cache.misses);
-            recorder.set_at_least(Counter::CacheEvictions, cache.evictions);
-        }
         let fleet_seconds = kpis.fleet_size as f64 * kpis.span_seconds();
         let busy = measurements.worker_travel;
         Self {
@@ -267,9 +292,63 @@ impl RunReport {
                 0.0
             },
             cache,
-            obs: recorder.is_enabled().then(|| recorder.snapshot()),
+            obs: recorder.is_enabled().then(|| {
+                let mut snap = recorder.snapshot();
+                (snap.counters, snap.gauges) = obs_counts(measurements, kpis, cache, driver);
+                snap
+            }),
         }
     }
+}
+
+/// The report's counters and gauges, in exposition order, from the
+/// accumulators that own them. `orders_dispatched` is the core's own
+/// count — resolved plus still buffered plus still pending — so
+/// `orders_admitted == orders_dispatched + orders_shed` cross-checks the
+/// door against the core.
+fn obs_counts(
+    m: &Measurements,
+    kpis: &Kpis,
+    cache: Option<OracleCacheKpis>,
+    d: DriverCounts,
+) -> (Vec<CounterSample>, Vec<GaugeSample>) {
+    let cache = cache.unwrap_or_default();
+    // `group_size_hist[i]` counts the orders served in groups of `i + 1`.
+    let groups_formed = (m.group_size_hist.iter().zip(1u64..).skip(1))
+        .map(|(&orders, size)| orders / size)
+        .sum();
+    let counters = [
+        ("orders_admitted", d.admitted),
+        ("orders_dispatched", m.total_orders + d.backlog + d.pending),
+        ("orders_shed", d.robustness.shed),
+        ("orders_degraded", d.robustness.degraded),
+        ("orders_blocked", d.robustness.blocked),
+        ("orders_served", m.served_orders),
+        ("orders_rejected", m.rejected_orders),
+        ("groups_formed", groups_formed),
+        ("checks", kpis.checks),
+        ("lines_malformed", d.malformed),
+        ("checkpoints_written", d.checkpoints_written),
+        ("checkpoint_retries", d.checkpoint_retries),
+        ("checkpoint_failures", d.checkpoint_failures),
+        ("cache_hits", cache.hits),
+        ("cache_misses", cache.misses),
+        ("cache_evictions", cache.evictions),
+    ];
+    let gauges = [
+        ("backlog", d.backlog as i64),
+        ("pool_pending", d.pending as i64),
+        ("degraded", i64::from(d.engaged)),
+    ];
+    let counter = |(name, value): (&str, u64)| CounterSample {
+        name: name.to_string(),
+        value,
+    };
+    let gauge = |(name, value): (&str, i64)| GaugeSample {
+        name: name.to_string(),
+        value,
+    };
+    (counters.map(counter).into(), gauges.map(gauge).into())
 }
 
 #[cfg(test)]
@@ -280,7 +359,7 @@ mod tests {
     use crate::{CostWeights, Order};
 
     fn report(k: &Kpis, m: &Measurements) -> RunReport {
-        RunReport::new(m, k, None, &Recorder::disabled())
+        RunReport::new(m, k, None, DriverCounts::default(), &Recorder::disabled())
     }
 
     fn dist_of(samples: impl IntoIterator<Item = f64>) -> Dist {
@@ -349,7 +428,7 @@ mod tests {
             misses: 4,
             evictions: 1,
         };
-        let r = RunReport::new(&m, &k, Some(cache), &enabled);
+        let r = RunReport::new(&m, &k, Some(cache), DriverCounts::default(), &enabled);
         // Bit for bit what the accumulator's getters say.
         assert_eq!(r.extra_time.to_bits(), m.extra_time().to_bits());
         assert_eq!(r.unified_cost.to_bits(), m.unified_cost().to_bits());
@@ -365,10 +444,12 @@ mod tests {
         assert_eq!((r.extra_time, r.service_rate_pct), (56.0 + 180.0, 75.0));
         assert_eq!((r.total_orders, r.served_orders), (4, 3));
         assert_eq!(r.cache, Some(cache));
-        // The exact cache totals are mirrored into the registry first.
+        // The snapshot's counters are read off the same accumulators.
         let obs = r.obs.as_ref().expect("an enabled registry is reported");
         assert_eq!(obs.counter("cache_hits"), 9);
         assert_eq!(obs.counter("cache_evictions"), 1);
+        assert_eq!(obs.counter("orders_served"), r.served_orders);
+        assert_eq!(obs.counter("checks"), r.checks);
         let text = serde_json::to_string(&r).expect("serialize");
         let back: RunReport = serde_json::from_str(&text).expect("parse");
         assert_eq!(back, r);
@@ -382,6 +463,97 @@ mod tests {
             serde_json::from_str::<RunReport>(&text).expect("parse"),
             off
         );
+    }
+
+    /// Every counter and gauge comes from the accumulators and the
+    /// driver's value, in the exposition order the Prometheus lines keep.
+    #[test]
+    fn obs_counters_and_gauges_are_read_off_the_accumulators() {
+        let m = Measurements {
+            total_orders: 20,
+            served_orders: 19,
+            rejected_orders: 1,
+            // 5 solo orders, 3 pairs, a group of 3 plus a stray member
+            // (a whole division: 4 / 3 = 1), a group of 4.
+            group_size_hist: vec![5, 6, 4, 4],
+            ..Measurements::default()
+        };
+        let mut k = Kpis::new(2);
+        k.record_tick(10);
+        k.record_tick(10);
+        let driver = DriverCounts {
+            admitted: 31,
+            malformed: 2,
+            robustness: RobustnessReport {
+                shed: 6,
+                degraded: 4,
+                blocked: 1,
+            },
+            checkpoints_written: 7,
+            checkpoint_retries: 3,
+            checkpoint_failures: 1,
+            backlog: 2,
+            pending: 3,
+            engaged: true,
+        };
+        let cache = OracleCacheKpis {
+            hits: 11,
+            misses: 5,
+            evictions: 2,
+        };
+        let r = RunReport::new(&m, &k, Some(cache), driver, &Recorder::enabled());
+        let obs = r.obs.expect("registry on");
+        let counters: Vec<(&str, u64)> = obs
+            .counters
+            .iter()
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                ("orders_admitted", 31),
+                ("orders_dispatched", 25),
+                ("orders_shed", 6),
+                ("orders_degraded", 4),
+                ("orders_blocked", 1),
+                ("orders_served", 19),
+                ("orders_rejected", 1),
+                ("groups_formed", 3 + 1 + 1),
+                ("checks", 2),
+                ("lines_malformed", 2),
+                ("checkpoints_written", 7),
+                ("checkpoint_retries", 3),
+                ("checkpoint_failures", 1),
+                ("cache_hits", 11),
+                ("cache_misses", 5),
+                ("cache_evictions", 2),
+            ]
+        );
+        let gauges: Vec<(&str, i64)> = obs
+            .gauges
+            .iter()
+            .map(|g| (g.name.as_str(), g.value))
+            .collect();
+        assert_eq!(
+            gauges,
+            [("backlog", 2), ("pool_pending", 3), ("degraded", 1)]
+        );
+        // Without a cache (the dense table) the cache counters read 0;
+        // a batch run's driver value carries only `admitted`.
+        let batch = DriverCounts {
+            admitted: 20,
+            ..DriverCounts::default()
+        };
+        let obs = RunReport::new(&m, &k, None, batch, &Recorder::enabled())
+            .obs
+            .expect("registry on");
+        assert_eq!(obs.counter("cache_hits"), 0);
+        assert_eq!(obs.counter("orders_dispatched"), 20);
+        assert_eq!(
+            obs.counter("orders_admitted"),
+            obs.counter("orders_dispatched") + obs.counter("orders_shed")
+        );
+        assert!(obs.gauges.iter().all(|g| g.value == 0));
     }
 
     #[test]

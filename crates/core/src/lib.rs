@@ -47,7 +47,7 @@ pub use error::CoreError;
 pub use fault::{CorruptKind, FaultPlan, RobustnessReport};
 pub use group::{Group, GroupQuality};
 pub use ids::{NodeId, OrderId, WorkerId};
-pub use kpi::{Dist, Kpis, OracleCacheKpis, RunReport};
+pub use kpi::{Dist, DriverCounts, Kpis, OracleCacheKpis, RunReport};
 pub use metrics::{Measurements, OrderOutcome};
 pub use objective::{extra_time, CostWeights};
 pub use oracle::{OracleKind, DEFAULT_LANDMARKS, DENSE_NODE_LIMIT};

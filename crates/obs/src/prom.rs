@@ -5,9 +5,9 @@
 //! The snapshot is the single serialization surface of the registry:
 //! the daemon's `#report PATH` writes it as JSON (`serde`, the `obs`
 //! field of `watter_core::RunReport`) next to the Prometheus text
-//! ([`render_prometheus`]). Ordering is fixed (enum order for counters,
-//! gauges and stages; ascending window start), so equal registries
-//! produce byte-equal expositions.
+//! ([`render_prometheus`]). Ordering is fixed (the report's order for
+//! counters and gauges, enum order for stages, ascending window start),
+//! so equal snapshots produce byte-equal expositions.
 
 use serde::{Deserialize, Serialize};
 
@@ -80,9 +80,11 @@ pub struct WindowSample {
 pub struct ObsSnapshot {
     /// `false` for the empty snapshot of a disabled recorder.
     pub enabled: bool,
-    /// Every counter, in [`crate::Counter::ALL`] order.
+    /// Every counter, in a fixed order. Filled when the report is
+    /// drawn, from the accumulators (`watter_core::RunReport::new`);
+    /// empty in [`crate::Recorder::snapshot`].
     pub counters: Vec<CounterSample>,
-    /// Every gauge, in [`crate::Gauge::ALL`] order.
+    /// Every gauge, in a fixed order; filled like `counters`.
     pub gauges: Vec<GaugeSample>,
     /// Stages with at least one recorded call, in
     /// [`crate::Stage::ALL`] order.
@@ -277,20 +279,26 @@ pub fn parse_prometheus(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Counter, Gauge, Recorder, Stage};
+    use crate::registry::{Recorder, Stage};
     use crate::window::WindowField;
 
+    /// A registry's stages, windows and journal, plus the counters and
+    /// gauges the report fills in from its accumulators.
     fn populated() -> ObsSnapshot {
         let r = Recorder::enabled();
-        r.add(Counter::OrdersAdmitted, 40);
-        r.add(Counter::OrdersServed, 31);
-        r.gauge_set(Gauge::Backlog, 3);
         r.record_stage_nanos(Stage::PoolInsert, 1_000);
         r.record_stage_nanos(Stage::PoolInsert, 9_000);
         r.window_count(30, WindowField::Admitted);
         r.window_backlog(30, 7, 1);
         r.trace(30, crate::TraceEvent::OrderAdmitted { order: 1 });
-        r.snapshot()
+        let mut snap = r.snapshot();
+        for (name, value) in [("orders_admitted", 40), ("orders_served", 31)] {
+            let name = name.to_string();
+            snap.counters.push(CounterSample { name, value });
+        }
+        let name = "backlog".to_string();
+        snap.gauges.push(GaugeSample { name, value: 3 });
+        snap
     }
 
     #[test]
@@ -298,7 +306,9 @@ mod tests {
         let snap = populated();
         let text = render_prometheus(&snap);
         let n = parse_prometheus(&text).expect("valid exposition");
-        assert!(n > 20, "expected a full exposition, got {n} samples");
+        // 2 counters + 1 gauge + one stage's 3 quantiles, sum and
+        // count + one window's 3 rows + the trace position's 2.
+        assert_eq!(n, 2 + 1 + 5 + 3 + 2, "{text}");
         assert!(text.contains("watter_orders_admitted_total 40"));
         assert!(text.contains("watter_backlog 3"));
         assert!(text.contains("stage=\"pool_insert\",quantile=\"0.99\""));

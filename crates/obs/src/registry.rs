@@ -1,16 +1,20 @@
 //! The metrics registry and its cloneable [`Recorder`] handle.
 //!
+//! The registry holds only what no checkpointed accumulator can: stage
+//! latency histograms, the trace journal and the window series. Counts
+//! and levels (orders served, checks, backlog, …) live in the
+//! accumulators that own the state; the report derives its counters
+//! and gauges from them (`watter_core::RunReport::new`).
+//!
 //! Design constraints, in order:
 //!
 //! 1. **Disabled must cost nothing.** A disabled `Recorder` is a
 //!    `None`; every operation is one branch and returns. The dispatch
 //!    hot path can therefore be instrumented unconditionally.
-//! 2. **Enabled must be lock-cheap.** Counters and gauges are fixed
-//!    arrays of atomics indexed by enum discriminant — no hashing, no
-//!    locks, shareable across the fork-join worker threads. Stage
-//!    latency histograms are atomic log₂-bucket arrays. Only the
-//!    trace journal and the window series (low-rate, virtual-time
-//!    events) sit behind a `Mutex`.
+//! 2. **Enabled must be lock-cheap.** Stage latency histograms are
+//!    atomic log₂-bucket arrays indexed by enum discriminant — no
+//!    hashing, no locks. Only the trace journal and the window series
+//!    (low-rate, virtual-time events) sit behind a `Mutex`.
 //! 3. **Snapshots must be deterministic.** [`Recorder::snapshot`]
 //!    emits every series in fixed enum order, so two snapshots of
 //!    equal registries are byte-equal JSON.
@@ -23,130 +27,13 @@
 //! enabled flag and always deserializes disabled; the daemon/runner
 //! re-attaches a live one after restore.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::prom::{CounterSample, GaugeSample, ObsSnapshot, StageSample, WindowSample};
+use crate::prom::{ObsSnapshot, StageSample, WindowSample};
 use crate::trace::{Journal, TraceEvent, TraceRecord};
 use crate::window::{WindowField, WindowSeries};
-
-/// Monotone event counters, fixed at compile time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Counter {
-    /// Orders let through the door: the daemon's ingest validation, or
-    /// every order a batch run is handed.
-    OrdersAdmitted,
-    /// Orders actually fed into the dispatch core.
-    OrdersDispatched,
-    /// Orders shed by backpressure.
-    OrdersShed,
-    /// Orders admitted while degrade was engaged.
-    OrdersDegraded,
-    /// Orders that waited behind a blocked ingest.
-    OrdersBlocked,
-    /// Orders that reached a worker's route.
-    OrdersServed,
-    /// Orders rejected after their deadline slack ran out.
-    OrdersRejected,
-    /// Pooled groups (2+ riders) committed.
-    GroupsFormed,
-    /// Periodic checks executed.
-    Checks,
-    /// Input lines that failed to parse.
-    LinesMalformed,
-    /// Checkpoint generations written.
-    CheckpointsWritten,
-    /// Checkpoint writes retried after an injected I/O failure.
-    CheckpointRetries,
-    /// Checkpoint writes abandoned after exhausting retries.
-    CheckpointFailures,
-    /// Cost-cache queries answered from the cache.
-    CacheHits,
-    /// Cost-cache queries recomputed through the inner oracle.
-    CacheMisses,
-    /// Cost-cache slot overwrites displacing a different pair.
-    CacheEvictions,
-    /// Backpressure degrade engagements (off→on transitions).
-    DegradeFlips,
-}
-
-impl Counter {
-    /// Number of counters (array size of the registry).
-    pub const COUNT: usize = 17;
-
-    /// Every counter, in exposition order.
-    pub const ALL: [Counter; Self::COUNT] = [
-        Counter::OrdersAdmitted,
-        Counter::OrdersDispatched,
-        Counter::OrdersShed,
-        Counter::OrdersDegraded,
-        Counter::OrdersBlocked,
-        Counter::OrdersServed,
-        Counter::OrdersRejected,
-        Counter::GroupsFormed,
-        Counter::Checks,
-        Counter::LinesMalformed,
-        Counter::CheckpointsWritten,
-        Counter::CheckpointRetries,
-        Counter::CheckpointFailures,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::CacheEvictions,
-        Counter::DegradeFlips,
-    ];
-
-    /// Stable snake_case metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::OrdersAdmitted => "orders_admitted",
-            Counter::OrdersDispatched => "orders_dispatched",
-            Counter::OrdersShed => "orders_shed",
-            Counter::OrdersDegraded => "orders_degraded",
-            Counter::OrdersBlocked => "orders_blocked",
-            Counter::OrdersServed => "orders_served",
-            Counter::OrdersRejected => "orders_rejected",
-            Counter::GroupsFormed => "groups_formed",
-            Counter::Checks => "checks",
-            Counter::LinesMalformed => "lines_malformed",
-            Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::CheckpointRetries => "checkpoint_retries",
-            Counter::CheckpointFailures => "checkpoint_failures",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::CacheEvictions => "cache_evictions",
-            Counter::DegradeFlips => "degrade_flips",
-        }
-    }
-}
-
-/// Instantaneous levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Gauge {
-    /// Orders buffered between ingest and the dispatch core.
-    Backlog,
-    /// Orders pending inside the dispatcher pool.
-    PoolPending,
-    /// 1 while backpressure degrade is engaged, else 0.
-    Degraded,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = 3;
-
-    /// Every gauge, in exposition order.
-    pub const ALL: [Gauge; Self::COUNT] = [Gauge::Backlog, Gauge::PoolPending, Gauge::Degraded];
-
-    /// Stable snake_case metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::Backlog => "backlog",
-            Gauge::PoolPending => "pool_pending",
-            Gauge::Degraded => "degraded",
-        }
-    }
-}
 
 /// Instrumented stages of the dispatch hot path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,8 +175,6 @@ impl AtomicHist {
 /// The shared registry behind an enabled [`Recorder`].
 #[derive(Debug)]
 pub struct RegistryInner {
-    counters: [AtomicU64; Counter::COUNT],
-    gauges: [AtomicI64; Gauge::COUNT],
     stages: [AtomicHist; Stage::COUNT],
     journal: Mutex<Journal>,
     windows: Mutex<WindowSeries>,
@@ -298,8 +183,6 @@ pub struct RegistryInner {
 impl RegistryInner {
     fn new() -> Self {
         Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicI64::new(0)),
             stages: std::array::from_fn(|_| AtomicHist::new()),
             journal: Mutex::new(Journal::default()),
             windows: Mutex::new(WindowSeries::default()),
@@ -327,54 +210,6 @@ impl Recorder {
     /// `true` when this handle points at a live registry.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Increment a counter by 1.
-    #[inline]
-    pub fn incr(&self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Increment a counter by `n`.
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        if let Some(r) = &self.0 {
-            r.counters[c as usize].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise a counter to at least `n` (mirror an absolute total kept
-    /// elsewhere, e.g. the checkpoint store's retry count, without
-    /// double-counting on repeated mirrors).
-    #[inline]
-    pub fn set_at_least(&self, c: Counter, n: u64) {
-        if let Some(r) = &self.0 {
-            r.counters[c as usize].fetch_max(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value of a counter (0 when disabled).
-    pub fn counter(&self, c: Counter) -> u64 {
-        match &self.0 {
-            Some(r) => r.counters[c as usize].load(Ordering::Relaxed),
-            None => 0,
-        }
-    }
-
-    /// Set a gauge to `v`.
-    #[inline]
-    pub fn gauge_set(&self, g: Gauge, v: i64) {
-        if let Some(r) = &self.0 {
-            r.gauges[g as usize].store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value of a gauge (0 when disabled).
-    pub fn gauge(&self, g: Gauge) -> i64 {
-        match &self.0 {
-            Some(r) => r.gauges[g as usize].load(Ordering::Relaxed),
-            None => 0,
-        }
     }
 
     /// Start timing a stage; the elapsed wall time is recorded when
@@ -454,27 +289,15 @@ impl Recorder {
         }
     }
 
-    /// Deterministic-ordered snapshot of the whole registry. Disabled
-    /// handles return the default (all-empty, `enabled: false`)
-    /// snapshot.
+    /// Deterministic-ordered snapshot of the whole registry. Its
+    /// `counters` and `gauges` stay empty: the registry keeps none, and
+    /// `watter_core::RunReport::new` fills them from the accumulators.
+    /// Disabled handles return the default (all-empty, `enabled:
+    /// false`) snapshot.
     pub fn snapshot(&self) -> ObsSnapshot {
         let Some(r) = &self.0 else {
             return ObsSnapshot::default();
         };
-        let counters = Counter::ALL
-            .iter()
-            .map(|&c| CounterSample {
-                name: c.name().to_string(),
-                value: r.counters[c as usize].load(Ordering::Relaxed),
-            })
-            .collect();
-        let gauges = Gauge::ALL
-            .iter()
-            .map(|&g| GaugeSample {
-                name: g.name().to_string(),
-                value: r.gauges[g as usize].load(Ordering::Relaxed),
-            })
-            .collect();
         let stages = Stage::ALL
             .iter()
             .filter(|&&s| r.stages[s as usize].count.load(Ordering::Relaxed) > 0)
@@ -506,8 +329,8 @@ impl Recorder {
         };
         ObsSnapshot {
             enabled: true,
-            counters,
-            gauges,
+            counters: Vec::new(),
+            gauges: Vec::new(),
             stages,
             window_secs,
             windows,
@@ -565,32 +388,38 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let r = Recorder::disabled();
-        r.incr(Counter::OrdersAdmitted);
-        r.gauge_set(Gauge::Backlog, 9);
         r.record_stage_nanos(Stage::PoolInsert, 100);
         r.trace(0, TraceEvent::OrderAdmitted { order: 1 });
+        r.window_count(0, WindowField::Admitted);
         drop(r.time(Stage::Planner));
         assert!(!r.is_enabled());
-        assert_eq!(r.counter(Counter::OrdersAdmitted), 0);
-        assert_eq!(r.gauge(Gauge::Backlog), 0);
+        assert_eq!(r.stage_count(Stage::PoolInsert), 0);
+        assert_eq!(r.trace_seq(), 0);
         assert!(r.drain_trace().is_empty());
         let snap = r.snapshot();
         assert!(!snap.enabled);
-        assert!(snap.counters.is_empty());
+        assert!(snap.stages.is_empty() && snap.windows.is_empty());
     }
 
     #[test]
-    fn counters_gauges_and_mirrors() {
+    fn stage_counts_and_window_marks_accumulate() {
         let r = Recorder::enabled();
-        r.incr(Counter::OrdersAdmitted);
-        r.add(Counter::OrdersAdmitted, 2);
-        assert_eq!(r.counter(Counter::OrdersAdmitted), 3);
-        r.set_at_least(Counter::CheckpointRetries, 5);
-        r.set_at_least(Counter::CheckpointRetries, 3);
-        assert_eq!(r.counter(Counter::CheckpointRetries), 5);
-        r.gauge_set(Gauge::Backlog, 4);
-        r.gauge_set(Gauge::Backlog, 2);
-        assert_eq!(r.gauge(Gauge::Backlog), 2);
+        r.record_stage_nanos(Stage::Ingest, 10);
+        r.record_stage_nanos(Stage::Ingest, 30);
+        r.record_stage_nanos(Stage::Ingest, 20);
+        assert_eq!(r.stage_count(Stage::Ingest), 3);
+        assert_eq!(r.stage_count(Stage::Planner), 0);
+        // Window backlog marks are high-water marks: a lower later
+        // observation never lowers them.
+        r.window_backlog(5, 7, 2);
+        r.window_backlog(9, 3, 1);
+        r.window_count(9, WindowField::Served);
+        r.window_count(9, WindowField::Served);
+        let snap = r.snapshot();
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
+        let w = snap.windows[0];
+        assert_eq!((w.backlog_max, w.band_max, w.served), (7, 2, 2));
+        assert_eq!(snap.stage("ingest").map(|s| s.count), Some(3));
     }
 
     #[test]
@@ -616,9 +445,15 @@ mod tests {
     fn clones_share_one_registry() {
         let a = Recorder::enabled();
         let b = a.clone();
-        a.incr(Counter::OrdersServed);
-        b.incr(Counter::OrdersServed);
-        assert_eq!(a.counter(Counter::OrdersServed), 2);
+        a.record_stage_nanos(Stage::Planner, 100);
+        b.record_stage_nanos(Stage::Planner, 200);
+        a.trace(1, TraceEvent::OrderAdmitted { order: 1 });
+        b.trace(2, TraceEvent::OrderAdmitted { order: 2 });
+        assert_eq!(a.stage_count(Stage::Planner), 2);
+        assert_eq!(a.trace_seq(), 2);
+        let drained = b.drain_trace();
+        assert_eq!(drained.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
+        assert!(a.drain_trace().is_empty());
     }
 
     #[test]
@@ -640,9 +475,9 @@ mod tests {
     fn snapshot_order_is_deterministic() {
         let mk = || {
             let r = Recorder::enabled();
-            r.incr(Counter::OrdersShed);
-            r.add(Counter::OrdersAdmitted, 7);
-            r.gauge_set(Gauge::PoolPending, 3);
+            r.record_stage_nanos(Stage::Planner, 1_000);
+            r.record_stage_nanos(Stage::Ingest, 300);
+            r.trace(30, TraceEvent::OrderShed { order: 4 });
             r.window_count(30, WindowField::Admitted);
             r
         };
@@ -654,7 +489,7 @@ mod tests {
     #[test]
     fn recorder_serde_round_trip_detaches() {
         let r = Recorder::enabled();
-        r.incr(Counter::OrdersAdmitted);
+        r.trace(0, TraceEvent::OrderAdmitted { order: 1 });
         let json = serde_json::to_string(&r).expect("serialize");
         let back: Recorder = serde_json::from_str(&json).expect("parse");
         assert!(!back.is_enabled());

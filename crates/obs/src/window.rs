@@ -8,9 +8,10 @@
 //! touched — the orders/s and service-rate curves a dashboard plots.
 //!
 //! Windows are keyed by the *run clock* (event timestamps), not wall
-//! time, so the series is a pure function of the event stream: the
-//! same scenario yields the same windows whether it ran live, batch,
-//! or resumed from a checkpoint. The series is bounded
+//! time, so the series is a pure function of the events this process
+//! saw: the same scenario yields the same windows live or batch. The
+//! series is not checkpointed, so a daemon resumed from a checkpoint
+//! holds only the windows of what it fed since. The series is bounded
 //! ([`MAX_WINDOWS`]); overflow drops the oldest windows and counts
 //! them.
 

@@ -54,7 +54,7 @@ use crate::fleet::Fleet;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use watter_core::{Kpis, Measurements, Order, OrderId, TravelBound, Ts, WorkerId};
-use watter_obs::{Counter, Gauge, Recorder, TraceEvent, WindowField};
+use watter_obs::{Recorder, TraceEvent, WindowField};
 
 /// An input to the dispatch core.
 #[derive(Clone, Debug)]
@@ -197,7 +197,7 @@ impl DispatchCore {
     }
 
     /// Attach an observability recorder. The core mirrors its effect
-    /// stream into the registry (counters, window KPIs, trace events);
+    /// stream into the registry (window KPIs, trace events);
     /// outcomes are unaffected, so runs with and without a live
     /// recorder stay bit-identical. If this core was restored from a
     /// snapshot, the recorder's trace sequence resumes from the
@@ -207,17 +207,10 @@ impl DispatchCore {
         self.recorder = recorder;
     }
 
-    /// The attached observability handle (disabled unless
-    /// [`DispatchCore::set_recorder`] was called).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
     /// Mirror one effect into the observability registry.
     fn observe(&self, e: &Effect) {
         match *e {
-            Effect::Queued { .. } => self.recorder.incr(Counter::OrdersDispatched),
-            Effect::Refused { .. } => {}
+            Effect::Queued { .. } | Effect::Refused { .. } | Effect::Drained { .. } => {}
             Effect::Admitted { id, at } => {
                 self.recorder.window_count(at, WindowField::Admitted);
                 self.recorder
@@ -230,7 +223,6 @@ impl DispatchCore {
                 group_size,
                 ..
             } => {
-                self.recorder.incr(Counter::OrdersServed);
                 self.recorder.window_count(at, WindowField::Served);
                 self.recorder.trace(
                     at,
@@ -242,16 +234,11 @@ impl DispatchCore {
                 );
             }
             Effect::Rejected { id, at } => {
-                self.recorder.incr(Counter::OrdersRejected);
                 self.recorder.window_count(at, WindowField::Rejected);
                 self.recorder
                     .trace(at, TraceEvent::OrderRejected { order: id.0 as u64 });
             }
-            Effect::Checked { at, .. } => {
-                self.recorder.incr(Counter::Checks);
-                self.recorder.window_count(at, WindowField::Checks);
-            }
-            Effect::Drained { .. } => {}
+            Effect::Checked { at, .. } => self.recorder.window_count(at, WindowField::Checks),
         }
     }
 
@@ -280,10 +267,6 @@ impl DispatchCore {
             for e in &effects {
                 self.observe(e);
             }
-            self.recorder
-                .gauge_set(Gauge::PoolPending, dispatcher.pending() as i64);
-            self.recorder
-                .gauge_set(Gauge::Backlog, self.buffered.len() as i64);
             // The pipeline's depth after every step, in the window of the
             // run clock — once an event has set it.
             if self.clock > Ts::MIN {

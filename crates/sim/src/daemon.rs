@@ -41,9 +41,10 @@ use crate::ingest::{IngestConfig, IngestSnapshot, IngestStats, LineError, OrderI
 use crate::snapshot::{DispatchSnapshot, SnapshotDispatcher, SnapshotError};
 use serde::{Deserialize, Serialize};
 use watter_core::{
-    Dur, FaultPlan, Kpis, Measurements, Order, RobustnessReport, RunReport, TravelBound, Ts, Worker,
+    DriverCounts, Dur, FaultPlan, Kpis, Measurements, Order, RobustnessReport, RunReport,
+    TravelBound, Ts, Worker,
 };
-use watter_obs::{Counter, Gauge, Recorder, Stage, TraceEvent};
+use watter_obs::{Recorder, Stage, TraceEvent};
 
 /// Safety bound on the synchronous check-draining loop of
 /// [`BackpressurePolicy::Block`]: with a positive check period the clock
@@ -245,11 +246,11 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// Attach an observability recorder to the daemon, its core and its
     /// dispatcher. On a resumed daemon the recorder's trace sequence
     /// continues from the checkpoint's position. Outcomes are
-    /// unaffected: the daemon mirrors counters it already keeps.
+    /// unaffected, and so are the report's counters: [`Daemon::report`]
+    /// reads them off the daemon's own accumulators.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.core.set_recorder(recorder.clone());
         self.dispatcher.set_recorder(recorder.clone());
-        recorder.gauge_set(Gauge::Degraded, i64::from(self.engaged));
         self.recorder = recorder;
     }
 
@@ -355,16 +356,13 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         let outcome = match parsed {
             Err(e) => {
                 self.ingest.note_malformed();
-                self.recorder.incr(Counter::LinesMalformed);
                 FeedOutcome::Rejected(e)
             }
             Ok(order) => self.feed_order(order),
         };
         self.ingest
             .observe_backlog(self.core.backlog() + self.dispatcher.pending());
-        if self.recorder.is_enabled() {
-            self.observe_feed();
-        }
+        self.observe_backlog_band();
         self.maybe_checkpoint();
         if self.cfg.fault.crashes_at(self.lines_consumed) {
             if let (Some(kind), Some(store)) =
@@ -395,7 +393,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         match self.cfg.policy {
             BackpressurePolicy::Shed => {
                 self.robustness.shed += 1;
-                self.recorder.incr(Counter::OrdersShed);
                 // Virtual time tracks the feed; before the first event
                 // the clock is unset and the order's release is all there is.
                 let at = self.core.clock().max(order.release);
@@ -411,7 +408,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             }
             BackpressurePolicy::Degrade => {
                 self.robustness.degraded += 1;
-                self.recorder.incr(Counter::OrdersDegraded);
                 self.recorder.trace(
                     self.core.clock(),
                     TraceEvent::OrderDegraded {
@@ -438,7 +434,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
                 let blocked = restamped > order.release;
                 if blocked {
                     self.robustness.blocked += 1;
-                    self.recorder.incr(Counter::OrdersBlocked);
                     self.recorder.trace(
                         self.core.clock(),
                         TraceEvent::OrderBlocked {
@@ -473,9 +468,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             self.engaged = false;
         }
         if was != self.engaged {
-            self.recorder.incr(Counter::DegradeFlips);
-            self.recorder
-                .gauge_set(Gauge::Degraded, i64::from(self.engaged));
             self.recorder.trace(
                 self.core.clock(),
                 TraceEvent::DegradeFlip {
@@ -488,20 +480,16 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         }
     }
 
-    /// Mirror the daemon's own counters into the registry after a fed
-    /// line (only called with an enabled recorder). `set_at_least` keeps
-    /// mirrored absolute totals idempotent across replays.
-    fn observe_feed(&self) {
-        let stats = self.ingest.stats();
-        self.recorder
-            .set_at_least(Counter::OrdersAdmitted, stats.admitted);
-        self.recorder
-            .set_at_least(Counter::LinesMalformed, stats.malformed);
-        // The core samples the depth at every step; the door adds the
-        // watermark band. There is none while backpressure is off (the
-        // high watermark is unreachable) and no window to put it in
-        // before the first event has set the clock.
-        if self.cfg.high_watermark < usize::MAX && self.core.clock() > Ts::MIN {
+    /// Fold the backlog's watermark band into the window after a fed
+    /// line. The core samples the depth at every step; the door adds the
+    /// band. There is none while backpressure is off (the high watermark
+    /// is unreachable) and no window to put it in before the first event
+    /// has set the clock.
+    fn observe_backlog_band(&self) {
+        if self.recorder.is_enabled()
+            && self.cfg.high_watermark < usize::MAX
+            && self.core.clock() > Ts::MIN
+        {
             let backlog = self.backlog();
             let band = if backlog >= self.cfg.high_watermark {
                 2
@@ -510,10 +498,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             };
             self.recorder
                 .window_backlog(self.core.clock(), backlog as u64, band);
-        }
-        if let Some(ops) = self.store.as_ref().map(|s| s.ops()) {
-            self.recorder
-                .set_at_least(Counter::CheckpointRetries, ops.retries);
         }
     }
 
@@ -541,7 +525,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         // next trigger; the failure is counted for the operator.
         if self.checkpoint_now().is_err() {
             self.checkpoint_failures += 1;
-            self.recorder.incr(Counter::CheckpointFailures);
         }
     }
 
@@ -574,7 +557,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         let gen = store.save(&ckpt)?;
         self.events_since_ckpt = 0;
         self.last_ckpt_clock = Some(self.core.clock());
-        self.recorder.incr(Counter::CheckpointsWritten);
         Ok(Some(gen))
     }
 
@@ -601,12 +583,29 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
 
     /// The report over the state so far — the `#report` query, and after
     /// [`Daemon::close_and_drain`] the final `--report` — with the
-    /// oracle's cache counters and the registry snapshot attached.
+    /// oracle's cache counters and the registry snapshot attached. The
+    /// snapshot's counters and gauges come from the checkpointed
+    /// accumulators, so a resumed daemon reports the whole run; only
+    /// the store's and the cache's belong to this process.
     pub fn report(&self) -> RunReport {
+        let ingest = self.ingest.stats();
+        let ops = self.store_ops().unwrap_or_default();
+        let driver = DriverCounts {
+            admitted: ingest.admitted,
+            malformed: ingest.malformed,
+            robustness: self.robustness,
+            checkpoints_written: ops.written,
+            checkpoint_retries: ops.retries,
+            checkpoint_failures: self.checkpoint_failures,
+            backlog: self.core.backlog() as u64,
+            pending: self.dispatcher.pending() as u64,
+            engaged: self.engaged,
+        };
         RunReport::new(
             self.core.measurements(),
             self.core.kpis(),
             self.oracle.cache_stats(),
+            driver,
             &self.recorder,
         )
     }
@@ -895,34 +894,48 @@ mod tests {
         for line in fault_lines(&orders, &FaultPlan::NONE) {
             assert!(!matches!(d.feed_line(&line), FeedOutcome::Crashed));
         }
-        d.close_and_drain();
-        let rec = d.recorder().clone();
-        let out = d.finish();
-        // The registry alone must reconcile the pipeline: every validated
-        // admission either reached the core or was shed, no third fate.
-        let admitted = rec.counter(Counter::OrdersAdmitted);
-        let dispatched = rec.counter(Counter::OrdersDispatched);
-        let shed = rec.counter(Counter::OrdersShed);
+        // Mid-stream the same-instant burst is still buffered: dispatched
+        // counts the core's buffered and pending orders too.
+        let live = d.report().obs.expect("registry on");
+        let [admitted, dispatched, shed] =
+            ["orders_admitted", "orders_dispatched", "orders_shed"].map(|c| live.counter(c));
         assert!(shed > 0, "watermark 1 must shed something");
         assert_eq!(admitted, dispatched + shed);
-        // And the mirrors agree with the daemon's own accounting.
-        assert_eq!(admitted, out.ingest.admitted);
-        assert_eq!(shed, out.robustness.shed);
-        assert_eq!(rec.counter(Counter::LinesMalformed), out.ingest.malformed);
-        assert_eq!(rec.counter(Counter::LinesMalformed), 1);
-        // Terminal outcomes cover everything the core accepted.
+        assert!(live
+            .gauges
+            .iter()
+            .any(|g| g.name == "backlog" && g.value > 0));
+        d.close_and_drain();
+        // The report alone reconciles the pipeline: every validated
+        // admission either reached the core or was shed, no third fate,
+        // and every order the core took reached a terminal outcome.
+        let obs = d.report().obs.expect("registry on");
+        let [admitted, dispatched, shed] =
+            ["orders_admitted", "orders_dispatched", "orders_shed"].map(|c| obs.counter(c));
+        assert_eq!(admitted, 10);
+        assert_eq!(admitted, dispatched + shed);
         assert_eq!(
-            rec.counter(Counter::OrdersServed) + rec.counter(Counter::OrdersRejected),
+            obs.counter("orders_served") + obs.counter("orders_rejected"),
             dispatched
         );
+        assert_eq!(obs.counter("lines_malformed"), 1);
+        // Drained: nothing buffered or pending. The hysteresis stays
+        // where the last fed line left it (no line since to release it).
+        let gauges: Vec<i64> = obs.gauges.iter().map(|g| g.value).collect();
+        assert_eq!(gauges, [0, 0, i64::from(d.engaged())]);
+        // And they are the daemon's own accounting.
+        assert_eq!(shed, d.robustness().shed);
+        assert_eq!(admitted, d.ingest_stats().admitted);
         // The malformed first line and every shed order were fed before
         // any event had set the clock: no window opens at `i64::MIN`.
-        let windows = rec.snapshot().windows;
-        assert!(windows.iter().all(|w| w.start >= 0), "{windows:?}");
+        assert!(
+            obs.windows.iter().all(|w| w.start >= 0),
+            "{:?}",
+            obs.windows
+        );
         // The degrade hysteresis engaged at least once and every flip
         // journaled a trace event with monotone sequence numbers.
-        assert!(rec.counter(Counter::DegradeFlips) > 0);
-        let trace = rec.drain_trace();
+        let trace = d.recorder().drain_trace();
         assert!(trace.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(trace.iter().any(|r| r.event.kind() == "degrade_flip"));
         assert!(trace.iter().any(|r| r.event.kind() == "order_shed"));

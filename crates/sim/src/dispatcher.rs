@@ -14,7 +14,7 @@ use watter_core::{
     CostWeights, DispatchParallelism, Dur, Group, Measurements, Order, OrderId, OrderOutcome,
     TravelBound, Ts, WorkerId,
 };
-use watter_obs::{Counter, Recorder, Stage, TraceEvent};
+use watter_obs::{Recorder, Stage, TraceEvent};
 use watter_pool::{OrderPool, PoolConfig};
 use watter_road::GridIndex;
 use watter_strategy::{DecisionContext, DecisionPolicy, NoopObserver, PoolObserver};
@@ -355,7 +355,6 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
                         let committed = match ctx.dispatch_group(group) {
                             Some(wid) => {
                                 if group.len() >= 2 {
-                                    self.recorder.incr(Counter::GroupsFormed);
                                     self.recorder.trace(
                                         now,
                                         TraceEvent::GroupFormed {

@@ -20,7 +20,7 @@ use std::time::Instant;
 use watter_core::{
     CostWeights, DispatchParallelism, Dur, Kpis, Measurements, Order, TravelBound, Ts, Worker,
 };
-use watter_obs::{Counter, Recorder};
+use watter_obs::Recorder;
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -57,8 +57,8 @@ impl Default for SimConfig {
 /// the stream is closed and drained. The fleet is rebuilt from
 /// `workers`, so repeated runs are independent.
 ///
-/// `recorder` is attached to both the core (effect-stream counters,
-/// window KPIs, trace events) and the dispatcher (hot-path stage spans);
+/// `recorder` is attached to both the core (window KPIs, trace events)
+/// and the dispatcher (hot-path stage spans);
 /// outcomes are bit-identical whether it is enabled or
 /// [`Recorder::disabled`].
 pub fn run<D: Dispatcher>(
@@ -75,7 +75,6 @@ pub fn run<D: Dispatcher>(
     dispatcher.set_recorder(recorder);
     for order in orders {
         core.catch_up_to(order.release, dispatcher, oracle);
-        core.recorder().incr(Counter::OrdersAdmitted);
         core.step(Event::Arrive(order), dispatcher, oracle);
     }
     core.close_and_drain(dispatcher, oracle);

@@ -3,11 +3,13 @@
 //! The paper's defaults: riders 100 K (NYC) / 50 K (CDC, XIA) per day,
 //! 5 K workers, deadline scale τ = 1.6, capacity Kw = 4, watching window
 //! η = 0.8, time slot Δt = 10 s, 10 × 10 grid index. This reproduction
-//! scales order and worker counts by ≈ 1/50 and simulates a 30-minute
-//! window around the morning peak instead of a full day, keeping the
-//! paper's *arrival density* (orders per second per worker) so pooling
-//! opportunities match; every *relative* sweep of Figures 3–6 is
-//! preserved. See EXPERIMENTS.md for the scaling note.
+//! simulates a 30-minute window around the morning peak instead of a
+//! full day, with 1/50 of the paper's daily orders (2 000 NYC, 1 000
+//! CDC/XIA) and 1/25 of its workers (200). That is not the paper's
+//! arrival density: 1 000 CDC orders over 1 800 s on 200 workers is
+//! 2.8 × 10⁻³ orders/s/worker, about 24× Table III's daily mean (50 K a
+//! day on 5 K workers, 1.2 × 10⁻⁴). Every *relative* sweep of Figures
+//! 3–6 is preserved around these defaults.
 
 use crate::profile::CityProfile;
 use serde::{Deserialize, Serialize};
@@ -115,7 +117,7 @@ impl ScenarioParams {
         factors.iter().map(|f| (base * f) as usize).collect()
     }
 
-    /// The paper's sweep for worker count `m` (3K–6K, scaled ≈ 1/30).
+    /// The paper's sweep for worker count `m` (3K–6K, scaled 1/25).
     pub fn worker_sweep() -> Vec<usize> {
         vec![120, 160, 200, 240]
     }

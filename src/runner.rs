@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSharingDispatcher};
-use watter_core::{CostWeights, Kpis, Measurements, OracleCacheKpis, RunReport, TravelBound};
+use watter_core::{
+    CostWeights, DriverCounts, Kpis, Measurements, OracleCacheKpis, RunReport, TravelBound,
+};
 use watter_learn::ValueFunction;
 use watter_obs::Recorder;
 use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig};
@@ -65,6 +67,8 @@ pub struct RunOutput {
     pub measurements: Measurements,
     /// The KPI accumulator.
     pub kpis: Kpis,
+    /// Orders the run was handed (its `orders_admitted`).
+    pub orders: u64,
     /// Cost-cache counters (`None` on the dense table, which runs
     /// uncached).
     pub cache: Option<OracleCacheKpis>,
@@ -76,9 +80,21 @@ pub struct RunOutput {
 
 impl RunOutput {
     /// The run's report: headline measurements, KPI summary, cache
-    /// counters and the registry snapshot.
+    /// counters and the registry snapshot. A batch run has no door, no
+    /// store and nothing left in flight, so its driver value is the
+    /// order count alone.
     pub fn report(&self) -> RunReport {
-        RunReport::new(&self.measurements, &self.kpis, self.cache, &self.recorder)
+        let driver = DriverCounts {
+            admitted: self.orders,
+            ..DriverCounts::default()
+        };
+        RunReport::new(
+            &self.measurements,
+            &self.kpis,
+            self.cache,
+            driver,
+            &self.recorder,
+        )
     }
 }
 
@@ -120,7 +136,7 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
 
 /// Execute one algorithm on one scenario with an observability recorder
 /// attached to every layer (core, dispatcher, pool, oracle stack). The
-/// output keeps the handle: [`RunOutput::report`] carries its counters,
+/// output keeps the handle: [`RunOutput::report`] carries its
 /// per-stage latency percentiles and windowed KPIs;
 /// `recorder.drain_trace()` yields the structured event journal. With
 /// [`Recorder::disabled`] every hook short-circuits, so the disabled path
@@ -176,6 +192,7 @@ pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunO
     RunOutput {
         measurements,
         kpis,
+        orders: scenario.orders.len() as u64,
         cache: stack.cache_stats(),
         oracle: stack.describe(),
         recorder,

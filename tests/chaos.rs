@@ -237,11 +237,16 @@ fn shed_and_degrade_counts_reconcile_after_recovery() {
 /// as the binary does. On the dense table that is the bare backend; on
 /// ALT it is a cache that the resumed process starts *cold* — so the
 /// journal must carry nothing that depends on cache warmth.
+///
+/// The report's counters and gauges survive the same way: the recovered
+/// daemon's drained `report().obs` reads what the uninterrupted one's
+/// does, set aside the `checkpoint*` and `cache_*` counters (the store
+/// and the cache belong to the process).
 #[test]
 fn trace_journal_survives_kill_restore_replay() {
     use std::collections::BTreeMap;
     use std::sync::Arc;
-    use watter::prelude::{OracleKind, Recorder, TraceRecord};
+    use watter::prelude::{ObsSnapshot, OracleKind, Recorder, TraceRecord};
     use watter::runner::{sim_config, watter_config};
     use watter_road::OracleStack;
     use watter_sim::{
@@ -249,6 +254,18 @@ fn trace_journal_survives_kill_restore_replay() {
         WatterDispatcher,
     };
     use watter_strategy::OnlinePolicy;
+
+    // The counters and gauges that describe the run, not the process.
+    let run_counts = |obs: Option<ObsSnapshot>| -> Vec<(String, i64)> {
+        let obs = obs.expect("the registry is on");
+        let counters = obs
+            .counters
+            .into_iter()
+            .filter(|c| !c.name.starts_with("checkpoint") && !c.name.starts_with("cache_"))
+            .map(|c| (c.name, c.value as i64));
+        let gauges = obs.gauges.into_iter().map(|g| (g.name, g.value));
+        counters.chain(gauges).collect()
+    };
 
     // The ALT city is large enough for its working set to collide in the
     // cache: evictions are the warmth-dependent state in question.
@@ -301,6 +318,7 @@ fn trace_journal_survives_kill_restore_replay() {
         }
         reference.close_and_drain();
         let expected = reference.recorder().drain_trace();
+        let expected_counts = run_counts(reference.report().obs);
         assert!(!expected.is_empty(), "{tag}: degenerate scenario");
         if let Some(cache) = oracle.cache_stats() {
             assert!(
@@ -361,6 +379,9 @@ fn trace_journal_survives_kill_restore_replay() {
         }
         recovered.close_and_drain();
         let part2 = recovered.recorder().drain_trace();
+        let counts = run_counts(recovered.report().obs);
+        assert_eq!(counts, expected_counts, "{tag}: counters and gauges");
+        assert_eq!(counts.len(), 10 + 3, "{tag}: {counts:?}");
 
         // Stitch by sequence number. A seq seen twice (the replayed
         // overlap) must carry the identical record.
