@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::NodeId;
+use watter_core::{Exec, NodeId};
 use watter_road::{dijkstra, AltOracle, ChOracle, GridIndex};
 
 fn bench_road(c: &mut Criterion) {
@@ -141,11 +141,16 @@ fn bench_oracle(c: &mut Criterion) {
         })
     });
     // And its build (`setup_s` on that row is this plus graph and demand
-    // generation), on every core: about 0.3 s an iteration on two, so
-    // few of them.
+    // generation), on every core: about 0.25 s an iteration on two, so
+    // few of them. The same build on one thread is every stage's
+    // parallel gain at once — the fork-join maps' and the contraction
+    // crew's — on any host.
     g.sample_size(10);
     g.bench_function("ch_build_64x64", |b| {
         b.iter(|| ChOracle::build(Arc::clone(black_box(&metro))))
+    });
+    g.bench_function("ch_build_64x64_one_thread", |b| {
+        b.iter(|| ChOracle::build_with_exec(Arc::clone(black_box(&metro)), &Exec::new(1)))
     });
     g.finish();
 }

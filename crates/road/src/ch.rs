@@ -59,9 +59,23 @@
 //! Initial priorities, core-table rows and access-node sets are
 //! embarrassingly parallel and run on every core through the workspace's
 //! deterministic fork-join ([`watter_core::Exec`]), as the dense and
-//! landmark tables' sweeps do; the contraction loop and the arc reduction
-//! are sequential, so the hierarchy is bit-identical for every thread
-//! count (`tests/oracle.rs` proves it).
+//! landmark tables' sweeps do; the arc reduction is sequential.
+//!
+//! **The crew.** The contraction loop decides on one thread — which node
+//! pops, whether it is requeued, what contracting it writes — but the
+//! work of each priority evaluation, one witness search per in-neighbour,
+//! is shared by a crew of `exec.threads()` threads started once per build,
+//! the loop thread among them. Members claim in-neighbour indices from one
+//! atomic counter and search the remaining graph, which is read-shared
+//! during an evaluation and written only by the loop thread between
+//! evaluations. The loop thread merges the shortcuts in in-neighbour
+//! order, the order one thread finds them in, so every evaluation's
+//! shortcut list, the adjacency lists' insertion order and with them the
+//! whole hierarchy are bit-identical for every thread count (`ch::tests`
+//! and `tests/oracle.rs` prove it); one thread claims every index itself.
+//! It is a crew and not [`Exec::map_indexed`]: an evaluation is a handful
+//! of microsecond searches, and spawning threads for each one made the
+//! loop 2.5× slower than not splitting it at all.
 //!
 //! **Packed keys.** Every witness search and core-table sweep pops its
 //! labels in ascending `(d, node)` order. When `max_arc · n < 2³²` —
@@ -102,7 +116,9 @@ use crate::graph::RoadGraph;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread::ScopedJoinHandle;
 use watter_core::{Dur, Exec, NodeId, TravelBound, TravelCost};
 
 /// Witness searches stop after settling this many nodes. Larger limits
@@ -136,7 +152,7 @@ const CORE_SIZE: usize = 2_048;
 
 /// A directed arc of the remaining (uncontracted) graph during
 /// preprocessing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Arc_ {
     other: u32,
     weight: Dur,
@@ -374,8 +390,8 @@ impl WitnessWorkspace {
 
 thread_local! {
     /// Per-thread witness scratch (preprocessing) — initial priorities and
-    /// core-table rows run under the fork-join executor, so each thread
-    /// needs its own.
+    /// core-table rows run under the fork-join executor and contraction
+    /// priorities on the crew, so each thread needs its own.
     static WITNESS: RefCell<WitnessWorkspace> = RefCell::new(WitnessWorkspace::default());
     /// Per-thread query scratch: repeated queries allocate nothing.
     static QUERY: RefCell<ChWorkspace> = RefCell::new(ChWorkspace::default());
@@ -417,71 +433,35 @@ fn reduce_arcs(adj: &mut [Vec<Arc_>], max_arc: Dur) {
     }
 }
 
-/// Edge difference of contracting `v` in the remaining graph — shortcuts
-/// added minus arcs removed — with every shortcut fed to `emit`. Pure
-/// function of `(fwd, bwd, v)`: this is what runs under the fork-join
-/// executor. The contraction priority adds the deleted-neighbors term
-/// that spreads contraction uniformly and the depth term that keeps the
-/// hierarchy in balanced layers.
-fn edge_difference(
-    fwd: SearchGraph,
-    bwd: &[Vec<Arc_>],
-    v: u32,
-    mut emit: impl FnMut(u32, u32, Dur),
-) -> i64 {
-    let mut added = 0i64;
-    let outs = &fwd.adj[v as usize];
-    let targets: Vec<u32> = outs.iter().map(|out| out.other).collect();
-    for inc in &bwd[v as usize] {
-        let u = inc.other;
-        // Cap the witness search at the worst chain through v.
-        let cap = outs
-            .iter()
-            .map(|out| inc.weight.saturating_add(out.weight))
-            .max()
-            .unwrap_or(0)
-            .min(UNREACHABLE);
-        WITNESS.with(|ws| {
-            let mut ws = ws.borrow_mut();
-            ws.search(fwd, u, v, cap, WITNESS_SETTLE_LIMIT, &targets);
-            for out in outs {
-                let x = out.other;
-                if x == u {
-                    continue;
-                }
-                let via = inc.weight.saturating_add(out.weight).min(UNREACHABLE);
-                if via >= UNREACHABLE {
-                    continue; // indistinguishable from no path
-                }
-                if ws.dist[x as usize] <= via {
-                    continue; // witness found: shortcut redundant
-                }
-                added += 1;
-                emit(u, x, via);
-            }
-        });
-    }
-    added - (outs.len() + bwd[v as usize].len()) as i64
+/// The remaining (uncontracted) graph while the contraction loop runs,
+/// and the node whose priority evaluation is in flight: what an
+/// evaluation reads and what contracting writes.
+struct Remaining {
+    fwd: Vec<Vec<Arc_>>,
+    bwd: Vec<Vec<Arc_>>,
+    /// The largest weight `fwd` has held (module docs, "Packed keys").
+    max_arc: Dur,
+    node: u32,
 }
 
-impl ChOracle {
-    /// Preprocess `graph` into a contraction hierarchy on every available
-    /// core.
-    pub fn build(graph: Arc<RoadGraph>) -> Self {
-        Self::build_with_exec(graph, &Exec::new(0))
-    }
+/// What the contraction loop leaves behind.
+#[derive(PartialEq)]
+struct Contracted {
+    rank: Vec<u32>,
+    /// Every shortcut in the order contracting added it.
+    shortcuts: Vec<(u32, u32, Dur)>,
+    /// The uncontracted nodes, ascending: ranked from the core's start.
+    core_nodes: Vec<u32>,
+    /// The remaining graph at the wall: arcs among core nodes only.
+    fwd: Vec<Vec<Arc_>>,
+    max_arc: Dur,
+}
 
-    /// Preprocess with initial priorities, core-table rows and access sets
-    /// computed on `exec`'s fork-join threads. The hierarchy is
-    /// bit-identical for every thread count: the parallel stages are pure
-    /// order-preserving maps, and the contraction loop is sequential with
-    /// deterministic tie-breaks.
-    pub fn build_with_exec(graph: Arc<RoadGraph>, exec: &Exec) -> Self {
+impl Remaining {
+    /// `graph` without self loops, deduplicated to the minimum weight per
+    /// arc (parallel arcs never matter for shortest paths).
+    fn new(graph: &RoadGraph) -> Self {
         let n = graph.node_count();
-
-        // Working adjacency of the *remaining* graph, deduplicated to the
-        // minimum weight per arc (parallel arcs never matter for shortest
-        // paths). Contracted nodes are disconnected as we go.
         let mut fwd: Vec<Vec<Arc_>> = vec![Vec::new(); n];
         let mut bwd: Vec<Vec<Arc_>> = vec![Vec::new(); n];
         for u in graph.nodes() {
@@ -516,114 +496,373 @@ impl ChOracle {
                 });
             }
         }
-
-        // Original (deduplicated) arcs, later merged with shortcuts, and
-        // the largest weight among them: with every shortcut's, it bounds
-        // each arc any later search reads (module docs, "Packed keys").
-        let mut all_arcs: Vec<(u32, u32, Dur)> = Vec::new();
-        for u in 0..n as u32 {
-            for a in &fwd[u as usize] {
-                all_arcs.push((u, a.other, a.weight));
-            }
+        let max_arc = fwd.iter().flatten().map(|a| a.weight).max().unwrap_or(0);
+        Self {
+            fwd,
+            bwd,
+            max_arc,
+            node: 0,
         }
-        let mut max_arc = all_arcs.iter().map(|a| a.2).max().unwrap_or(0);
+    }
 
+    fn search_graph(&self) -> SearchGraph<'_> {
+        SearchGraph {
+            adj: &self.fwd,
+            max_arc: self.max_arc,
+        }
+    }
+
+    /// Edge difference of contracting `v` with `added` shortcuts —
+    /// shortcuts added minus arcs removed. The contraction priority adds
+    /// the deleted-neighbors term that spreads contraction uniformly and
+    /// the depth term that keeps the hierarchy in balanced layers.
+    fn edge_difference(&self, v: u32, added: usize) -> i64 {
+        added as i64 - (self.fwd[v as usize].len() + self.bwd[v as usize].len()) as i64
+    }
+
+    /// The shortcuts contracting `v` needs on behalf of its `i`-th
+    /// in-neighbour `u`: one witness search from `u` avoiding `v`, then
+    /// `u → x`, in out-arc order, for every out-neighbour `x` (`targets`)
+    /// the search reaches no cheaper than through `v`. A pure function of
+    /// the graph, so any thread may run it.
+    fn witness(&self, v: u32, i: usize, targets: &[u32], mut emit: impl FnMut(u32, u32, Dur)) {
+        let inc = self.bwd[v as usize][i];
+        let outs = &self.fwd[v as usize];
+        let u = inc.other;
+        // Cap the witness search at the worst chain through v.
+        let cap = outs
+            .iter()
+            .map(|out| inc.weight.saturating_add(out.weight))
+            .max()
+            .unwrap_or(0)
+            .min(UNREACHABLE);
+        WITNESS.with(|ws| {
+            let mut ws = ws.borrow_mut();
+            ws.search(
+                self.search_graph(),
+                u,
+                v,
+                cap,
+                WITNESS_SETTLE_LIMIT,
+                targets,
+            );
+            for out in outs {
+                let x = out.other;
+                if x == u {
+                    continue;
+                }
+                let via = inc.weight.saturating_add(out.weight).min(UNREACHABLE);
+                if via >= UNREACHABLE {
+                    continue; // indistinguishable from no path
+                }
+                if ws.dist[x as usize] <= via {
+                    continue; // witness found: shortcut redundant
+                }
+                emit(u, x, via);
+            }
+        });
+    }
+
+    fn targets(&self, v: u32) -> Vec<u32> {
+        self.fwd[v as usize].iter().map(|out| out.other).collect()
+    }
+
+    /// Contract nodes in lazy-priority order up to the wall (module docs,
+    /// steps 1–2), each evaluation's searches shared by a crew of
+    /// `exec.threads()` threads; the survivors are the core.
+    fn contract(self, exec: &Exec) -> Contracted {
+        let n = self.fwd.len();
+        // `n / 4` keeps small graphs honest: even unit tests cross the
+        // core code path instead of leaving it to metropolis runs.
+        let core_start = (n - CORE_SIZE.min(n / 4)) as u32;
         // Initial priorities: pure per-node work, fanned out deterministically.
         let init: Vec<i64> = exec.map_indexed(n, |v| {
-            let g = SearchGraph { adj: &fwd, max_arc };
-            edge_difference(g, &bwd, v as u32, |_, _, _| {})
+            let (v, targets) = (v as u32, self.targets(v as u32));
+            let mut added = 0;
+            for i in 0..self.bwd[v as usize].len() {
+                self.witness(v, i, &targets, |_, _, _| added += 1);
+            }
+            self.edge_difference(v, added)
         });
         let mut heap: BinaryHeap<Reverse<(i64, u32)>> = (0..n as u32)
             .map(|v| Reverse((init[v as usize], v)))
             .collect();
 
-        // The loop stops at the wall (module docs, step 2). `n / 4` keeps
-        // small graphs honest: even unit tests cross the core code path
-        // instead of leaving it to metropolis runs.
-        let core_len = CORE_SIZE.min(n / 4);
-        let core_start = (n - core_len) as u32;
         let mut rank = vec![0u32; n];
         let mut deleted = vec![0i64; n];
         let mut depth = vec![0i64; n];
         let mut shortcuts: Vec<(u32, u32, Dur)> = Vec::new();
         let mut new_arcs: Vec<(u32, u32, Dur)> = Vec::new();
         let mut next_rank = 0u32;
+        let crew = Crew::new(self);
 
-        while next_rank < core_start {
-            // A node is queued exactly once until it is contracted.
-            let Reverse((p, v)) = heap.pop().expect("uncontracted nodes are queued");
-            // Lazy update: recompute; if the node no longer wins, requeue.
-            // The evaluation that wins contracts with the shortcuts it saw.
-            new_arcs.clear();
-            let g = SearchGraph { adj: &fwd, max_arc };
-            let fresh = edge_difference(g, &bwd, v, |u, x, w| new_arcs.push((u, x, w)))
-                + DELETED_NEIGHBOR_WEIGHT * deleted[v as usize]
-                + DEPTH_WEIGHT * depth[v as usize];
-            if fresh > p {
-                if let Some(&Reverse((top, _))) = heap.peek() {
-                    if fresh > top {
-                        heap.push(Reverse((fresh, v)));
-                        continue;
-                    }
-                }
-            }
-
-            // Contract v: materialize its shortcuts into the remaining
-            // graph and the final arc set, then disconnect it.
-            for &(u, x, w) in &new_arcs {
-                max_arc = max_arc.max(w);
-                // Keep the remaining graph deduplicated: tighten an
-                // existing arc in place, insert otherwise.
-                match fwd[u as usize].iter_mut().find(|a| a.other == x) {
-                    Some(a) if a.weight <= w => {}
-                    Some(a) => {
-                        a.weight = w;
-                        if let Some(b) = bwd[x as usize].iter_mut().find(|a| a.other == u) {
-                            b.weight = w;
+        std::thread::scope(|scope| {
+            let _dismiss = Dismiss(&crew.dismissed);
+            let members: Vec<_> = (1..exec.threads())
+                .map(|_| scope.spawn(|| crew.serve()))
+                .collect();
+            while next_rank < core_start {
+                // A node is queued exactly once until it is contracted.
+                let Reverse((p, v)) = heap.pop().expect("uncontracted nodes are queued");
+                // Lazy update: recompute; if the node no longer wins,
+                // requeue. The evaluation that wins contracts with the
+                // shortcuts it saw.
+                new_arcs.clear();
+                let fresh = crew.evaluate(v, &mut new_arcs, &members)
+                    + DELETED_NEIGHBOR_WEIGHT * deleted[v as usize]
+                    + DEPTH_WEIGHT * depth[v as usize];
+                if fresh > p {
+                    if let Some(&Reverse((top, _))) = heap.peek() {
+                        if fresh > top {
+                            heap.push(Reverse((fresh, v)));
+                            continue;
                         }
                     }
-                    None => {
-                        fwd[u as usize].push(Arc_ {
-                            other: x,
-                            weight: w,
-                        });
-                        bwd[x as usize].push(Arc_ {
-                            other: u,
-                            weight: w,
-                        });
-                    }
                 }
-                shortcuts.push((u, x, w));
-            }
 
-            // Disconnect v; bump the deleted-neighbors and depth terms of
-            // its (still uncontracted) neighborhood.
-            let out = std::mem::take(&mut fwd[v as usize]);
-            for a in &out {
-                bwd[a.other as usize].retain(|b| b.other != v);
-                deleted[a.other as usize] += 1;
-                depth[a.other as usize] = depth[a.other as usize].max(depth[v as usize] + 1);
-            }
-            let inc = std::mem::take(&mut bwd[v as usize]);
-            for a in &inc {
-                fwd[a.other as usize].retain(|b| b.other != v);
-                deleted[a.other as usize] += 1;
-                depth[a.other as usize] = depth[a.other as usize].max(depth[v as usize] + 1);
-            }
+                // Contract v: materialize its shortcuts into the remaining
+                // graph and the final arc set, then disconnect it.
+                let mut g = crew.graph.write().expect("only the loop thread writes");
+                let Remaining {
+                    fwd, bwd, max_arc, ..
+                } = &mut *g;
+                for &(u, x, w) in &new_arcs {
+                    *max_arc = (*max_arc).max(w);
+                    // Keep the remaining graph deduplicated: tighten an
+                    // existing arc in place, insert otherwise.
+                    match fwd[u as usize].iter_mut().find(|a| a.other == x) {
+                        Some(a) if a.weight <= w => {}
+                        Some(a) => {
+                            a.weight = w;
+                            if let Some(b) = bwd[x as usize].iter_mut().find(|a| a.other == u) {
+                                b.weight = w;
+                            }
+                        }
+                        None => {
+                            fwd[u as usize].push(Arc_ {
+                                other: x,
+                                weight: w,
+                            });
+                            bwd[x as usize].push(Arc_ {
+                                other: u,
+                                weight: w,
+                            });
+                        }
+                    }
+                    shortcuts.push((u, x, w));
+                }
 
-            rank[v as usize] = next_rank;
-            next_rank += 1;
-        }
+                // Disconnect v; bump the deleted-neighbors and depth terms
+                // of its (still uncontracted) neighborhood.
+                let out = std::mem::take(&mut fwd[v as usize]);
+                for a in &out {
+                    bwd[a.other as usize].retain(|b| b.other != v);
+                    deleted[a.other as usize] += 1;
+                    depth[a.other as usize] = depth[a.other as usize].max(depth[v as usize] + 1);
+                }
+                let inc = std::mem::take(&mut bwd[v as usize]);
+                for a in &inc {
+                    fwd[a.other as usize].retain(|b| b.other != v);
+                    deleted[a.other as usize] += 1;
+                    depth[a.other as usize] = depth[a.other as usize].max(depth[v as usize] + 1);
+                }
 
-        // The survivors are the core, ranked by ascending node id, and
-        // `fwd` is now the core graph (step 3): one full Dijkstra per core
-        // node over it — fanned out on the executor, order-preserving, so
-        // still deterministic — fills the table.
+                rank[v as usize] = next_rank;
+                next_rank += 1;
+            }
+        });
+
+        // The survivors are the core, ranked by ascending node id.
         let mut core_nodes: Vec<u32> = heap.into_iter().map(|Reverse((_, v))| v).collect();
         core_nodes.sort_unstable();
         for (i, &v) in core_nodes.iter().enumerate() {
             rank[v as usize] = core_start + i as u32;
         }
+        let g = crew
+            .graph
+            .into_inner()
+            .expect("only the loop thread writes");
+        Contracted {
+            rank,
+            shortcuts,
+            core_nodes,
+            fwd: g.fwd,
+            max_arc: g.max_arc,
+        }
+    }
+}
+
+/// Busy-wait iterations before a crew thread starts yielding its core:
+/// evaluations follow each other within microseconds, but a crew wider
+/// than the host's cores only moves on once a waiting thread steps aside.
+const CREW_SPINS: u32 = 256;
+
+fn pause(waited: &mut u32) {
+    if *waited < CREW_SPINS {
+        *waited += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// One build's contraction crew (module docs, "The crew").
+///
+/// Orderings: `next` and `done` are reset under the write lock and
+/// claimed under the read lock, so the lock orders them against each
+/// evaluation and a claim needs only the atomicity of `fetch_add`;
+/// `published` and `dismissed` are hints that publish no data (the job
+/// itself is read under the lock). A member's `found` append happens
+/// before its `Release` add to `done`, which the loop thread's `Acquire`
+/// load pairs with before it merges.
+struct Crew {
+    graph: RwLock<Remaining>,
+    /// Bumped once per published evaluation; idle members watch it.
+    published: AtomicUsize,
+    /// The next unclaimed in-neighbour index of the evaluation in flight.
+    next: AtomicUsize,
+    /// In-neighbours searched whose shortcuts are in `found`.
+    done: AtomicUsize,
+    /// `(in-neighbour index, u, x, w)` per shortcut, in completion order.
+    found: Mutex<Vec<(usize, u32, u32, Dur)>>,
+    dismissed: AtomicBool,
+}
+
+/// Dismisses the crew when the loop ends, by returning or by unwinding:
+/// the scope joins every member before it does either.
+struct Dismiss<'a>(&'a AtomicBool);
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+impl Crew {
+    fn new(graph: Remaining) -> Self {
+        Self {
+            graph: RwLock::new(graph),
+            published: AtomicUsize::new(0),
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            found: Mutex::new(Vec::new()),
+            dismissed: AtomicBool::new(false),
+        }
+    }
+
+    /// A member's life: wait for an evaluation, help with it, repeat.
+    fn serve(&self) {
+        let (mut seen, mut waited) = (0, 0);
+        while !self.dismissed.load(Ordering::Relaxed) {
+            let now = self.published.load(Ordering::Relaxed);
+            // Never sleep on the lock: the loop thread holds it for
+            // writing only for microseconds, and waking a sleeper would
+            // put a system call on its path.
+            if now != seen {
+                if let Ok(g) = self.graph.try_read() {
+                    (seen, waited) = (now, 0);
+                    self.work(&g);
+                    continue;
+                }
+            }
+            pause(&mut waited);
+        }
+    }
+
+    /// Claim in-neighbours of the evaluation in flight until none is
+    /// left, search each, and hand the shortcuts in.
+    fn work(&self, g: &Remaining) {
+        let v = g.node;
+        let ins = g.bwd[v as usize].len();
+        let mut i = self.next.fetch_add(1, Ordering::Relaxed);
+        if i >= ins {
+            return;
+        }
+        let targets = g.targets(v);
+        let (mut mine, mut searched) = (Vec::new(), 0);
+        while i < ins {
+            g.witness(v, i, &targets, |u, x, w| mine.push((i, u, x, w)));
+            searched += 1;
+            i = self.next.fetch_add(1, Ordering::Relaxed);
+        }
+        self.found
+            .lock()
+            .expect("no member panics holding `found`")
+            .append(&mut mine);
+        self.done.fetch_add(searched, Ordering::Release);
+    }
+
+    /// Evaluate `v` with the crew: its shortcuts appended to `new_arcs` in
+    /// in-neighbour order, its edge difference returned. `members` are
+    /// watched so that a member that died fails the build, not stalls it.
+    fn evaluate(
+        &self,
+        v: u32,
+        new_arcs: &mut Vec<(u32, u32, Dur)>,
+        members: &[ScopedJoinHandle<()>],
+    ) -> i64 {
+        {
+            let mut g = self.graph.write().expect("only the loop thread writes");
+            g.node = v;
+            self.next.store(0, Ordering::Relaxed);
+            self.done.store(0, Ordering::Relaxed);
+        }
+        self.published.fetch_add(1, Ordering::Relaxed);
+        let g = self.graph.read().expect("only the loop thread writes");
+        self.work(&g);
+        let ins = g.bwd[v as usize].len();
+        let mut waited = 0;
+        while self.done.load(Ordering::Acquire) < ins {
+            assert!(
+                !members.iter().any(|m| m.is_finished()),
+                "a contraction crew member died"
+            );
+            pause(&mut waited);
+        }
+        let mut found = self.found.lock().expect("no member panics holding `found`");
+        // Stable: one search's shortcuts keep their out-arc order.
+        found.sort_by_key(|s| s.0);
+        new_arcs.extend(found.drain(..).map(|(_, u, x, w)| (u, x, w)));
+        g.edge_difference(v, new_arcs.len())
+    }
+}
+
+impl ChOracle {
+    /// Preprocess `graph` into a contraction hierarchy on every available
+    /// core.
+    pub fn build(graph: Arc<RoadGraph>) -> Self {
+        Self::build_with_exec(graph, &Exec::new(0))
+    }
+
+    /// Preprocess with initial priorities, core-table rows and access sets
+    /// computed on `exec`'s fork-join threads and each contraction
+    /// priority's witness searches on a crew of `exec.threads()` threads.
+    /// The hierarchy is bit-identical for every thread count: the
+    /// fork-join stages are pure order-preserving maps, and the crew's
+    /// results merge in the order one thread finds them (module docs).
+    pub fn build_with_exec(graph: Arc<RoadGraph>, exec: &Exec) -> Self {
+        let n = graph.node_count();
+        let remaining = Remaining::new(&graph);
+
+        // Original (deduplicated) arcs, later merged with shortcuts.
+        let mut all_arcs: Vec<(u32, u32, Dur)> = Vec::new();
+        for (u, arcs) in remaining.fwd.iter().enumerate() {
+            all_arcs.extend(arcs.iter().map(|a| (u as u32, a.other, a.weight)));
+        }
+
+        let Contracted {
+            rank,
+            shortcuts,
+            core_nodes,
+            fwd,
+            max_arc,
+        } = remaining.contract(exec);
+        let core_len = core_nodes.len();
+        let core_start = (n - core_len) as u32;
+
+        // `fwd` is now the core graph (step 3): one full Dijkstra per core
+        // node over it — fanned out on the executor, order-preserving, so
+        // still deterministic — fills the table.
         let core_arc = |a: &Arc_| Arc_ {
             other: rank[a.other as usize] - core_start,
             weight: a.weight,
@@ -1236,16 +1475,67 @@ mod tests {
         assert_eq!(ch.cost(NodeId(0), NodeId(2)), UNREACHABLE);
     }
 
-    #[test]
-    fn preprocessing_is_deterministic_across_thread_counts() {
-        let g = city(9, 8, 11);
+    /// The width changes nothing: the contraction — ranks, every shortcut
+    /// in the order it was added, the remaining graph at the wall in
+    /// insertion order — and the hierarchy are one thread's.
+    fn assert_width_invariant(g: &Arc<RoadGraph>, widths: &[usize]) {
+        let contract = |threads| Remaining::new(g).contract(&Exec::new(threads));
+        let one = contract(1);
         let base = ChOracle::build_with_exec(g.clone(), &Exec::new(1));
-        for threads in [2, 3, 8] {
+        for &threads in widths {
+            assert!(
+                contract(threads) == one,
+                "contraction differs at {threads} threads"
+            );
             let other = ChOracle::build_with_exec(g.clone(), &Exec::new(threads));
             assert!(
                 base.same_hierarchy(&other),
                 "hierarchy differs at {threads} threads"
             );
+        }
+    }
+
+    /// The second city is the benchmark's, where evaluations have enough
+    /// in-neighbours for a crew of 7 to finish them out of order.
+    #[test]
+    fn preprocessing_is_deterministic_across_thread_counts() {
+        assert_width_invariant(&city(9, 8, 11), &[2, 3, 8]);
+        assert_width_invariant(&city(64, 64, 20_240_311), &[2, 7]);
+    }
+
+    #[test]
+    #[ignore = "seconds in release, minutes in debug"]
+    fn preprocessing_is_deterministic_across_thread_counts_at_128x128() {
+        assert_width_invariant(&city(128, 128, 20_240_311), &[2, 7]);
+    }
+
+    /// Shapes with nothing to split — a path (one in-neighbour a side), a
+    /// star (one hub, spokes of degree one), a lone node (none at all) —
+    /// still finish on a crew of 8, exact and as one thread builds them.
+    #[test]
+    fn a_wide_crew_finishes_shapes_with_nothing_to_split() {
+        let e = |a: u32, b: u32, t: i64| Edge {
+            from: NodeId(a),
+            to: NodeId(b),
+            travel: t,
+        };
+        let coords = |n: u32| (0..n).map(|i| (i as f64, 0.0)).collect();
+        let path = (0..11).map(|i| e(i, i + 1, 3 + i as i64 % 4)).collect();
+        let star = (1..12).map(|i| e(0, i, 2 + i as i64 % 5)).collect();
+        for g in [
+            RoadGraph::from_undirected_edges(coords(12), path),
+            RoadGraph::from_undirected_edges(coords(12), star),
+            RoadGraph::from_edges(coords(1), vec![]),
+        ] {
+            let g = Arc::new(g);
+            let wide = ChOracle::build_with_exec(g.clone(), &Exec::new(8));
+            assert!(wide.same_hierarchy(&ChOracle::build_with_exec(g.clone(), &Exec::new(1))));
+            let dij = DijkstraOracle::new(&g);
+            for a in g.nodes() {
+                for b in g.nodes() {
+                    assert_eq!(wide.cost(a, b), dij.cost(a, b), "{a} -> {b}");
+                }
+            }
         }
     }
 

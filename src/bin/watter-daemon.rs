@@ -131,21 +131,52 @@ fn install_sigterm() {
     }
 }
 
+/// The longest input line the reader buffers, in bytes. An order line is
+/// a few hundred bytes and a control line a word and a path; anything
+/// longer is consumed unread.
+const MAX_LINE_BYTES: usize = 1 << 16;
+
+/// One input line as the reader hands it over: its text, or why it has
+/// none (not UTF-8, or over [`MAX_LINE_BYTES`]). A line without text is
+/// still a data line: fed to the daemon as malformed — counted, and
+/// consumed for `--resume`'s skip — never read as a control line.
+type Line = Result<String, &'static str>;
+
+/// Forward `reader`'s lines (`\n` or `\r\n` ended, like
+/// [`BufRead::lines`]) until EOF or a read error.
+fn forward(tx: &mpsc::Sender<Line>, reader: &mut dyn Read) {
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let line = if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+            if reader.skip_until(b'\n').is_err() {
+                break;
+            }
+            Err("over the 64 KiB line cap")
+        } else {
+            let text = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            let text = text.strip_suffix(b"\r").unwrap_or(text);
+            String::from_utf8(text.to_vec()).map_err(|_| "not UTF-8")
+        };
+        if tx.send(line).is_err() {
+            break;
+        }
+    }
+}
+
 /// Spawn the reader thread for the chosen input source; lines arrive on
 /// the returned channel, EOF closes it.
-fn spawn_reader(flags: &HashMap<String, String>) -> mpsc::Receiver<String> {
-    let (tx, rx) = mpsc::channel::<String>();
+fn spawn_reader(flags: &HashMap<String, String>) -> mpsc::Receiver<Line> {
+    let (tx, rx) = mpsc::channel::<Line>();
     let input = flags.get("input").cloned();
     let socket = flags.get("socket").cloned();
     std::thread::spawn(move || {
-        let forward = |tx: &mpsc::Sender<String>, reader: &mut dyn Read| {
-            for line in BufReader::new(reader).lines() {
-                let Ok(line) = line else { break };
-                if tx.send(line).is_err() {
-                    break;
-                }
-            }
-        };
         if let Some(path) = socket {
             let _ = std::fs::remove_file(&path);
             let listener = match std::os::unix::net::UnixListener::bind(&path) {
@@ -282,7 +313,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break 'serve, // EOF
         };
-        if let Some(ctl) = line.strip_prefix('#') {
+        if let Some(ctl) = line.as_deref().ok().and_then(|l| l.strip_prefix('#')) {
             flush_trace(daemon.recorder(), trace_path.as_ref());
             let mut words = ctl.split_whitespace();
             match words.next() {
@@ -316,13 +347,18 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             skip -= 1;
             continue;
         }
-        match daemon.feed_line(&line) {
+        // A line without text reaches the door empty: no order parses
+        // from that, so it is counted malformed like any garbage.
+        match daemon.feed_line(line.as_deref().unwrap_or("")) {
             FeedOutcome::Crashed => {
                 // The simulated power cut: no drain, no final checkpoint.
                 eprintln!("injected crash after {} lines", daemon.lines_consumed());
                 std::process::exit(CRASH_EXIT);
             }
-            FeedOutcome::Rejected(e) => eprintln!("rejected line : {e}"),
+            FeedOutcome::Rejected(e) => match line {
+                Ok(_) => eprintln!("rejected line : {e}"),
+                Err(why) => eprintln!("rejected line : {why}"),
+            },
             _ => {}
         }
     }

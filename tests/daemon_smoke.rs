@@ -245,20 +245,31 @@ fn sigterm_drains_cleanly_and_serves_live_kpis() {
 }
 
 /// Malformed input lines are counted and reported, never fatal: a stream
-/// with garbage interleaved still drains to a clean exit.
+/// with garbage interleaved still drains to a clean exit with every
+/// order admitted. The garbage includes a line that is not UTF-8 and a
+/// line past the reader's 64 KiB cap — an order's own line behind 70 000
+/// spaces, which would parse if the reader buffered it whole.
 #[test]
 fn malformed_lines_are_survived_and_counted() {
     let dir = temp_dir("malformed");
     let (orders, _) = reference(&dir);
     let text = std::fs::read_to_string(&orders).expect("read orders");
-    let mut garbled = String::new();
+    let mut garbled = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if i % 7 == 0 {
-            garbled.push_str(&line[..line.len() / 2]);
-            garbled.push('\n');
+            garbled.extend_from_slice(&line.as_bytes()[..line.len() / 2]);
+            garbled.push(b'\n');
         }
-        garbled.push_str(line);
-        garbled.push('\n');
+        if i == 30 {
+            garbled.extend_from_slice(b"garbage \xff\xfe line\n");
+        }
+        if i == 45 {
+            garbled.extend(std::iter::repeat_n(b' ', 70_000));
+            garbled.extend_from_slice(line.as_bytes());
+            garbled.push(b'\n');
+        }
+        garbled.extend_from_slice(line.as_bytes());
+        garbled.push(b'\n');
     }
     let garbled_path = dir.join("garbled.ndjson");
     std::fs::write(&garbled_path, garbled).expect("write garbled stream");
@@ -275,8 +286,8 @@ fn malformed_lines_are_survived_and_counted() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("malformed=9"),
-        "9 injected garbage lines must be counted, stderr:\n{stderr}"
+        stderr.contains("admitted=60 rejected=11 malformed=11 "),
+        "all 60 orders admitted, 11 garbage lines counted, stderr:\n{stderr}"
     );
 }
 
