@@ -15,8 +15,7 @@ use std::path::{Path, PathBuf};
 use watter::runner::{sim_config, watter_config};
 use watter_core::FaultPlan;
 use watter_sim::{
-    fault_lines, CheckpointStore, Daemon, DaemonCheckpoint, DaemonConfig, IngestConfig,
-    WatterDispatcher,
+    CheckpointStore, Daemon, DaemonCheckpoint, DaemonConfig, IngestConfig, WatterDispatcher,
 };
 use watter_strategy::TimeoutPolicy;
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
@@ -52,7 +51,6 @@ fn daemon<'a>(
         // Checkpoints are taken by hand, at the chosen line only.
         DaemonConfig {
             checkpoint_every_events: 0,
-            checkpoint_interval: 0,
             ..DaemonConfig::default()
         },
         store,
@@ -63,11 +61,10 @@ fn daemon<'a>(
 /// public surface only: feed, checkpoint into `dir`, read the generation
 /// back.
 fn midrun_checkpoint(s: &Scenario, dir: &Path) -> DaemonCheckpoint {
-    let lines = fault_lines(&s.orders, &FaultPlan::NONE);
     let store = CheckpointStore::open(dir, 1, FaultPlan::NONE).expect("open store");
     let mut d = daemon(s, Some(store));
-    for line in &lines[..lines.len() / 2] {
-        d.feed_line(line);
+    for order in &s.orders[..s.orders.len() / 2] {
+        d.feed_line(&serde_json::to_string(order).expect("orders serialize"));
     }
     let gen = d
         .checkpoint_now()

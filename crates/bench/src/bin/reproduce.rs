@@ -5,7 +5,7 @@
 //! ```
 //!
 //! `exp` ∈ {example1, fig3, fig4, fig5, fig6, eta, dt, grid, omega,
-//! ablations, chaos, obs, all};
+//! ablations, obs, all};
 //! `scale` shrinks order/worker counts (default 1.0). Results are printed
 //! as tables and written to `results/<exp>.json`; every figure row
 //! carries the run's full `RunReport` (the table's columns plus the
@@ -108,45 +108,6 @@ fn obs(side: usize) {
     }
 }
 
-fn chaos(scale: f64) {
-    println!("\n## Chaos study: crash/corrupt/recover per (city, fault, policy)");
-    println!(
-        "{:<5} {:<18} {:<9} {:>9} {:>9} {:>10} {:>6} {:>9} {:>8} {:>11}",
-        "city",
-        "fault",
-        "policy",
-        "crash@",
-        "resume@",
-        "discarded",
-        "shed",
-        "degraded",
-        "blocked",
-        "consistent"
-    );
-    let rows = experiments::chaos_study(scale);
-    for r in &rows {
-        println!(
-            "{:<5} {:<18} {:<9} {:>9} {:>9} {:>10} {:>6} {:>9} {:>8} {:>11}",
-            r.city,
-            r.fault,
-            r.policy,
-            r.crashed_at.map_or("-".into(), |c| c.to_string()),
-            r.resumed_from.map_or("-".into(), |c| c.to_string()),
-            r.discarded_generations,
-            r.shed,
-            r.degraded,
-            r.blocked,
-            r.consistent
-        );
-    }
-    write_json(&results_path("chaos"), &rows).expect("write results");
-    let violations = rows.iter().filter(|r| !r.consistent).count();
-    eprintln!("[chaos] {violations} consistency violations -> results/chaos.json");
-    if violations > 0 {
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let exp = args.get(1).map(|s| s.as_str()).unwrap_or("all");
@@ -177,7 +138,6 @@ fn main() {
         }),
         "omega" => omega(scale),
         "obs" => obs(args.get(2).and_then(|s| s.parse().ok()).unwrap_or(320)),
-        "chaos" => chaos(scale),
         "ablations" => run_figure(
             "ablations",
             "Ablations: clique fan-out, demand correlation, cancellation",
@@ -212,11 +172,10 @@ fn main() {
                 "Ablations: clique fan-out, demand correlation, cancellation",
                 || experiments::ablations(scale),
             );
-            chaos(scale);
             obs(320);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|chaos|obs|all");
+            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|obs|all");
             std::process::exit(2);
         }
     }

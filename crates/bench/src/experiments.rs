@@ -618,101 +618,3 @@ pub mod example1 {
         (m.worker_travel / 60.0, m.route_travel() / 60.0)
     }
 }
-
-/// One row of the chaos study: a seeded crash/corruption scenario and
-/// whether recovery reproduced the uninterrupted reference bit for bit.
-#[derive(Clone, Debug, Serialize)]
-pub struct ChaosStudyRow {
-    /// City tag (NYC/CDC/XIA).
-    pub city: String,
-    /// Human-readable fault schedule, e.g. `crash@30+bitflip`.
-    pub fault: String,
-    /// Backpressure policy under test.
-    pub policy: String,
-    /// Line index the crash fired after.
-    pub crashed_at: Option<u64>,
-    /// Replay cursor recovery restored from.
-    pub resumed_from: Option<u64>,
-    /// Checkpoint generations discarded as corrupt during recovery.
-    pub discarded_generations: u64,
-    /// Orders shed / degraded-dispatched / blocked in the recovered run.
-    pub shed: u64,
-    /// See `shed`.
-    pub degraded: u64,
-    /// See `shed`.
-    pub blocked: u64,
-    /// The recovery contract: recovered == reference, bit for bit.
-    pub consistent: bool,
-}
-
-/// Chaos study (`reproduce -- chaos [scale]`): for each city profile,
-/// crash a checkpointing daemon mid-stream under every corruption mode ×
-/// backpressure policy, recover it, and record whether the recovered run
-/// matches the uninterrupted reference. Every row must report
-/// `consistent: true`; the CI smoke greps for violations.
-pub fn chaos_study(scale: f64) -> Vec<ChaosStudyRow> {
-    use watter::chaos::{run_chaos, ChaosSpec};
-    use watter_core::{CorruptKind, FaultPlan};
-    use watter_sim::BackpressurePolicy;
-
-    let corruptions: [(Option<CorruptKind>, &str); 3] = [
-        (None, "clean"),
-        (Some(CorruptKind::Torn), "torn"),
-        (Some(CorruptKind::BitFlip), "bitflip"),
-    ];
-    let policies = [
-        (BackpressurePolicy::Block, "block"),
-        (BackpressurePolicy::Shed, "shed"),
-        (BackpressurePolicy::Degrade, "degrade"),
-    ];
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        let mut params = scaled_params(profile, (scale * 0.25).min(1.0));
-        params.city_side = params.city_side.min(12);
-        let scenario = Scenario::build(params);
-        let crash_at = (scenario.orders.len() / 2) as u64;
-        for (corrupt, ctag) in corruptions {
-            for (policy, ptag) in policies {
-                let spec = ChaosSpec {
-                    fault: FaultPlan {
-                        seed: 0xC4A0 ^ crash_at,
-                        crash_after_events: Some(crash_at),
-                        corrupt_on_crash: corrupt,
-                        malformed_every: Some(11),
-                        delay_every: Some(9),
-                        delay_slots: 2,
-                        io_failures: 1,
-                    },
-                    policy,
-                    high_watermark: 6,
-                    low_watermark: 3,
-                    checkpoint_every_events: 7,
-                    keep: 3,
-                };
-                let dir = std::env::temp_dir().join(format!(
-                    "watter_chaos_study_{}_{}_{}_{}",
-                    std::process::id(),
-                    profile.tag(),
-                    ctag,
-                    ptag
-                ));
-                let outcome =
-                    run_chaos(&scenario, &spec, &dir).expect("chaos harness must not error");
-                let _ = std::fs::remove_dir_all(&dir);
-                rows.push(ChaosStudyRow {
-                    city: profile.tag().to_string(),
-                    fault: format!("crash@{crash_at}+{ctag}"),
-                    policy: ptag.to_string(),
-                    crashed_at: outcome.crashed_at,
-                    resumed_from: outcome.resumed_from,
-                    discarded_generations: outcome.discarded_generations,
-                    shed: outcome.recovered.robustness.shed,
-                    degraded: outcome.recovered.robustness.degraded,
-                    blocked: outcome.recovered.robustness.blocked,
-                    consistent: outcome.is_consistent(),
-                });
-            }
-        }
-    }
-    rows
-}

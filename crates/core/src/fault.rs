@@ -1,25 +1,17 @@
-//! Deterministic fault injection and robustness accounting.
+//! Injected checkpoint faults and robustness accounting.
 //!
 //! A long-running dispatch daemon has failure modes the batch simulator
 //! never sees: the process dies mid-run, a checkpoint write is torn by
-//! the crash, a disk write fails transiently, the order feed delivers
-//! malformed or late lines. [`FaultPlan`] describes such a failure
-//! schedule **deterministically** — every decision is a pure function of
-//! `(seed, event index)`, the same stateless-hash idiom the cancellation
-//! model uses — so a chaos run is reproducible bit for bit and the
-//! recovery contract (`kill → restore → replay == uninterrupted run`)
-//! stays a *testable* property (`tests/chaos.rs`).
-//!
-//! Faults split into two kinds:
-//!
-//! * **input faults** (malformed lines, delayed arrivals) corrupt the
-//!   order feed itself. They are baked into the line stream *before* the
-//!   daemon sees it, so the reference run and the crashed run consume the
-//!   exact same bytes;
-//! * **process faults** (crash after event *k*, torn/bit-flipped
-//!   checkpoint at crash time, transient snapshot-IO errors) hit the
-//!   daemon. They must not change the final statistics — that is the
-//!   chaos property.
+//! the crash, a disk write fails transiently. The daemon itself schedules
+//! none of them. A host that wants a crash stops feeding and drops the
+//! daemon, damaging the newest checkpoint first if it likes
+//! ([`CorruptKind`], `CheckpointStore::corrupt_newest`); the chaos
+//! harness in `tests/chaos.rs` does exactly that, and `watter-daemon`'s
+//! `--fault-crash-after` / `--fault-corrupt` do it for scripted runs.
+//! [`FaultPlan`] keeps the one fault only the checkpoint store can
+//! inject: transient write failures on its retry path. The recovery
+//! contract (`kill → restore → replay == uninterrupted run`) stays a
+//! *testable* property.
 //!
 //! [`RobustnessReport`] counts the *order-level* consequences of the
 //! daemon's backpressure policy (shed, degraded, blocked orders). It is
@@ -38,114 +30,25 @@ pub enum CorruptKind {
     BitFlip,
 }
 
-/// A deterministic, seeded failure schedule for one daemon run.
+/// The faults a checkpoint store injects into its own writes.
 ///
-/// All-`None`/zero ([`FaultPlan::NONE`]) injects nothing. Every decision
-/// method is a pure function of the plan and the event index, so two runs
-/// with the same plan see identical faults.
+/// [`FaultPlan::NONE`] injects nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Seed for the per-event fault draws.
-    pub seed: u64,
-    /// Kill the process after consuming exactly this many input lines
-    /// (no final checkpoint, no drain — the simulated power cut).
-    pub crash_after_events: Option<u64>,
-    /// Damage the newest checkpoint at crash time (the torn-write that a
-    /// real crash inflicts on the file being written). Recovery must fall
-    /// back to the previous valid generation.
-    pub corrupt_on_crash: Option<CorruptKind>,
     /// Fail this many checkpoint write attempts with an injected IO error
     /// before letting writes succeed (exercises the retry/backoff path).
     pub io_failures: u32,
-    /// Replace roughly one in `k` order lines with malformed JSON
-    /// (truncated mid-token). Which lines is decided by a seeded hash.
-    pub malformed_every: Option<u64>,
-    /// Delay roughly one in `k` order lines by [`FaultPlan::delay_slots`]
-    /// positions in the feed (late delivery / reordering).
-    pub delay_every: Option<u64>,
-    /// How many feed positions a delayed line slips by.
-    pub delay_slots: u64,
 }
 
 impl FaultPlan {
     /// The empty plan: no faults.
-    pub const NONE: Self = Self {
-        seed: 0,
-        crash_after_events: None,
-        corrupt_on_crash: None,
-        io_failures: 0,
-        malformed_every: None,
-        delay_every: None,
-        delay_slots: 0,
-    };
-
-    /// A plan that injects nothing into the input feed but crashes after
-    /// `k` consumed lines (optionally tearing the newest checkpoint).
-    pub fn crash_at(k: u64, corrupt: Option<CorruptKind>) -> Self {
-        Self {
-            crash_after_events: Some(k),
-            corrupt_on_crash: corrupt,
-            ..Self::NONE
-        }
-    }
-
-    /// The plan with all process faults removed: the *same input stream*
-    /// without the crash/corruption/IO schedule. This is what the chaos
-    /// reference run uses, so recovered and uninterrupted runs consume
-    /// identical bytes.
-    pub fn input_only(&self) -> Self {
-        Self {
-            crash_after_events: None,
-            corrupt_on_crash: None,
-            io_failures: 0,
-            ..*self
-        }
-    }
-
-    /// Whether any input fault (malformed / delayed lines) is configured.
-    pub fn has_input_faults(&self) -> bool {
-        self.malformed_every.is_some() || self.delay_every.is_some()
-    }
-
-    /// Should input line `i` (0-based) be replaced with malformed JSON?
-    pub fn is_malformed(&self, i: u64) -> bool {
-        match self.malformed_every {
-            Some(k) if k > 0 => fault_hash(self.seed, i, 0x4D41_4C46).is_multiple_of(k),
-            _ => false,
-        }
-    }
-
-    /// How many feed positions input line `i` slips by (0 = on time).
-    pub fn delay_of(&self, i: u64) -> u64 {
-        match self.delay_every {
-            Some(k) if k > 0 && fault_hash(self.seed, i, 0x4445_4C41).is_multiple_of(k) => {
-                self.delay_slots.max(1)
-            }
-            _ => 0,
-        }
-    }
-
-    /// Does the process crash after `consumed` input lines?
-    pub fn crashes_at(&self, consumed: u64) -> bool {
-        self.crash_after_events == Some(consumed)
-    }
+    pub const NONE: Self = Self { io_failures: 0 };
 }
 
 impl Default for FaultPlan {
     fn default() -> Self {
         Self::NONE
     }
-}
-
-/// Stateless fault draw: splitmix64 finalizer over `(seed, index, tag)`,
-/// the same construction the cancellation model uses for its
-/// deterministic per-order draws.
-fn fault_hash(seed: u64, index: u64, tag: u64) -> u64 {
-    let mut x =
-        seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Order-level robustness counters of a daemon run.
@@ -181,62 +84,6 @@ impl RobustnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn none_plan_injects_nothing() {
-        let p = FaultPlan::NONE;
-        for i in 0..1_000 {
-            assert!(!p.is_malformed(i));
-            assert_eq!(p.delay_of(i), 0);
-            assert!(!p.crashes_at(i));
-        }
-    }
-
-    #[test]
-    fn fault_draws_are_deterministic_and_seed_sensitive() {
-        let a = FaultPlan {
-            seed: 7,
-            malformed_every: Some(5),
-            delay_every: Some(7),
-            delay_slots: 3,
-            ..FaultPlan::NONE
-        };
-        let b = FaultPlan { seed: 8, ..a };
-        let draws = |p: &FaultPlan| {
-            (0..200)
-                .map(|i| (p.is_malformed(i), p.delay_of(i)))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draws(&a), draws(&a), "same plan must draw identically");
-        assert_ne!(draws(&a), draws(&b), "different seeds must differ");
-        let malformed = (0..200).filter(|&i| a.is_malformed(i)).count();
-        assert!(
-            (10..=90).contains(&malformed),
-            "1-in-5 rate should land near 40/200, got {malformed}"
-        );
-    }
-
-    #[test]
-    fn input_only_strips_process_faults() {
-        let full = FaultPlan {
-            seed: 3,
-            crash_after_events: Some(10),
-            corrupt_on_crash: Some(CorruptKind::Torn),
-            io_failures: 2,
-            malformed_every: Some(9),
-            delay_every: Some(4),
-            delay_slots: 2,
-        };
-        let input = full.input_only();
-        assert_eq!(input.crash_after_events, None);
-        assert_eq!(input.corrupt_on_crash, None);
-        assert_eq!(input.io_failures, 0);
-        // Input-side draws are untouched.
-        for i in 0..100 {
-            assert_eq!(input.is_malformed(i), full.is_malformed(i));
-            assert_eq!(input.delay_of(i), full.delay_of(i));
-        }
-    }
 
     #[test]
     fn robustness_report_round_trips_and_sums() {

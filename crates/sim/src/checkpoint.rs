@@ -333,8 +333,9 @@ impl CheckpointStore {
     }
 
     /// Damage the newest generation file in place — the torn/bit-flipped
-    /// checkpoint a crash mid-write leaves behind. Used by the fault plan
-    /// at crash time and by chaos tests. No-op when the store is empty.
+    /// checkpoint a crash mid-write leaves behind. Hosts that script a
+    /// crash call it (the chaos harness, `watter-daemon
+    /// --fault-corrupt`). No-op when the store is empty.
     ///
     /// Reads the directory, not the list `save` keeps: "newest" is whatever
     /// a crash would find on disk.
@@ -597,10 +598,7 @@ mod tests {
     #[test]
     fn injected_io_failures_are_retried_with_backoff() {
         let dir = temp_dir("retry");
-        let fault = FaultPlan {
-            io_failures: 2,
-            ..FaultPlan::NONE
-        };
+        let fault = FaultPlan { io_failures: 2 };
         let mut store = CheckpointStore::open(&dir, 2, fault).expect("open");
         // Two injected failures, then the third attempt succeeds.
         let gen = store
@@ -619,7 +617,6 @@ mod tests {
         let dir = temp_dir("exhaust");
         let fault = FaultPlan {
             io_failures: MAX_ATTEMPTS,
-            ..FaultPlan::NONE
         };
         let mut store = CheckpointStore::open(&dir, 2, fault).expect("open");
         assert!(matches!(

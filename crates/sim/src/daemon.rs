@@ -8,7 +8,7 @@
 //! [`DispatchCore::catch_up_to`]), and layers on the three things a
 //! service needs that an in-process run does not:
 //!
-//! * **checkpointing** — on an event-count and/or virtual-time cadence
+//! * **checkpointing** — every `checkpoint_every_events` consumed lines
 //!   the full daemon state ([`DaemonCheckpoint`]) is persisted through a
 //!   [`CheckpointStore`] (atomic rename, checksum header, generation
 //!   rotation). [`Daemon::resume`] restores the newest valid generation
@@ -20,18 +20,16 @@
 //!   [`BackpressurePolicy`] engages until the backlog falls back to
 //!   `low_watermark` (hysteresis, so the policy does not flap at the
 //!   boundary). Every affected order is counted in the checkpointed
-//!   [`RobustnessReport`];
-//! * **fault injection** — a [`FaultPlan`] can kill the run after a
-//!   chosen line ([`FeedOutcome::Crashed`]), damage the newest checkpoint
-//!   at crash time, and fail checkpoint writes transiently. Input-side
-//!   faults (malformed / delayed lines) are instead baked into the line
-//!   stream by [`fault_lines`], so a crashed-and-recovered run and its
-//!   uninterrupted reference consume identical bytes.
+//!   [`RobustnessReport`].
 //!
-//! The contract `tests/chaos.rs` enforces: with the input stream fixed,
-//! process faults (crash, checkpoint corruption, IO errors) never change
-//! the final [`Measurements`]/[`Kpis`] (modulo wall-clock timing),
-//! [`IngestStats`] or [`RobustnessReport`].
+//! The daemon schedules no faults. A crash is the host's act: stop
+//! feeding after some line, optionally damage the newest generation
+//! (`CheckpointStore::corrupt_newest`), and drop the daemon — no final
+//! checkpoint, no drain. The contract `tests/chaos.rs` enforces: with the
+//! input stream fixed, such a crash, a damaged checkpoint or transient
+//! checkpoint-IO errors never change the final
+//! [`Measurements`]/[`Kpis`] (modulo wall-clock timing), [`IngestStats`]
+//! or [`RobustnessReport`] of the resumed run.
 
 use crate::checkpoint::{CheckpointError, CheckpointOps, CheckpointStore};
 use crate::core::{DispatchCore, Event};
@@ -41,8 +39,7 @@ use crate::ingest::{IngestConfig, IngestSnapshot, IngestStats, LineError, OrderI
 use crate::snapshot::{DispatchSnapshot, SnapshotDispatcher, SnapshotError};
 use serde::{Deserialize, Serialize};
 use watter_core::{
-    DriverCounts, Dur, FaultPlan, Kpis, Measurements, Order, RobustnessReport, RunReport,
-    TravelBound, Ts, Worker,
+    DriverCounts, Kpis, Measurements, Order, RobustnessReport, RunReport, TravelBound, Ts, Worker,
 };
 use watter_obs::{Recorder, Stage, TraceEvent};
 
@@ -74,35 +71,25 @@ pub enum BackpressurePolicy {
 /// Daemon parameters (engine parameters live in [`SimConfig`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DaemonConfig {
-    /// Checkpoint after this many consumed input lines (0 disables the
-    /// event-count trigger).
+    /// Checkpoint after this many consumed input lines (0: only explicit
+    /// [`Daemon::checkpoint_now`] calls checkpoint).
     pub checkpoint_every_events: u64,
-    /// Checkpoint when the virtual clock advanced this far since the last
-    /// checkpoint (0 disables the virtual-time trigger).
-    pub checkpoint_interval: Dur,
     /// Overload policy.
     pub policy: BackpressurePolicy,
     /// Backlog at which backpressure engages.
     pub high_watermark: usize,
     /// Backlog at which engaged backpressure releases.
     pub low_watermark: usize,
-    /// Process-fault schedule (crash / checkpoint corruption / IO
-    /// failures). Input faults do not belong here — bake them into the
-    /// line stream with [`fault_lines`] so reference and recovered runs
-    /// read the same bytes.
-    pub fault: FaultPlan,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         Self {
             checkpoint_every_events: 64,
-            checkpoint_interval: 0,
             policy: BackpressurePolicy::Block,
             // Backpressure off by default: the watermark is unreachable.
             high_watermark: usize::MAX,
             low_watermark: 0,
-            fault: FaultPlan::NONE,
         }
     }
 }
@@ -141,11 +128,6 @@ pub enum FeedOutcome {
     Shed,
     /// Refused at the door (malformed bytes or failed validation).
     Rejected(LineError),
-    /// The fault plan kills the process after this line. Any planned
-    /// checkpoint corruption has already been applied; the host must stop
-    /// feeding and abandon the daemon without a final checkpoint (the
-    /// simulated power cut).
-    Crashed,
 }
 
 /// Why a daemon could not be built or resumed.
@@ -209,7 +191,6 @@ pub struct Daemon<'a, D> {
     engaged: bool,
     lines_consumed: u64,
     events_since_ckpt: u64,
-    last_ckpt_clock: Option<Ts>,
     checkpoint_failures: u64,
     recorder: Recorder,
 }
@@ -237,7 +218,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             engaged: false,
             lines_consumed: 0,
             events_since_ckpt: 0,
-            last_ckpt_clock: None,
             checkpoint_failures: 0,
             recorder: Recorder::disabled(),
         }
@@ -324,7 +304,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         // part of the dispatch snapshot — re-derive it from the
         // checkpointed hysteresis state.
         dispatcher.set_degraded(ckpt.engaged && cfg.policy == BackpressurePolicy::Degrade);
-        let last_ckpt_clock = Some(core.clock());
         Ok(Self {
             core,
             dispatcher,
@@ -336,7 +315,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             engaged: ckpt.engaged,
             lines_consumed: ckpt.lines_consumed,
             events_since_ckpt: 0,
-            last_ckpt_clock,
             checkpoint_failures: 0,
             recorder: Recorder::disabled(),
         })
@@ -344,8 +322,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
 
     /// Consume one input line: parse, validate, apply backpressure, feed
     /// the core (running due checks first, like [`crate::engine::run`]),
-    /// and fire any due checkpoint. Returns what happened; on
-    /// [`FeedOutcome::Crashed`] the host must stop immediately.
+    /// and fire any due checkpoint. Returns what happened.
     pub fn feed_line(&mut self, line: &str) -> FeedOutcome {
         self.lines_consumed += 1;
         self.events_since_ckpt += 1;
@@ -364,14 +341,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             .observe_backlog(self.core.backlog() + self.dispatcher.pending());
         self.observe_backlog_band();
         self.maybe_checkpoint();
-        if self.cfg.fault.crashes_at(self.lines_consumed) {
-            if let (Some(kind), Some(store)) =
-                (self.cfg.fault.corrupt_on_crash, self.store.as_ref())
-            {
-                let _ = store.corrupt_newest(kind);
-            }
-            return FeedOutcome::Crashed;
-        }
         outcome
     }
 
@@ -508,16 +477,9 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     }
 
     fn maybe_checkpoint(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        let clock = self.core.clock();
-        let anchor = *self.last_ckpt_clock.get_or_insert(clock);
-        let due_events = self.cfg.checkpoint_every_events > 0
+        let due = self.cfg.checkpoint_every_events > 0
             && self.events_since_ckpt >= self.cfg.checkpoint_every_events;
-        let due_time =
-            self.cfg.checkpoint_interval > 0 && clock - anchor >= self.cfg.checkpoint_interval;
-        if !(due_events || due_time) {
+        if !due || self.store.is_none() {
             return;
         }
         // A failed checkpoint (after the store's own retries) must not
@@ -556,7 +518,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         };
         let gen = store.save(&ckpt)?;
         self.events_since_ckpt = 0;
-        self.last_ckpt_clock = Some(self.core.clock());
         Ok(Some(gen))
     }
 
@@ -651,37 +612,14 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     }
 }
 
-/// Serialize `orders` to daemon wire lines, applying the plan's **input**
-/// faults: roughly one in `malformed_every` lines is truncated mid-token,
-/// and roughly one in `delay_every` lines slips [`FaultPlan::delay_slots`]
-/// positions later in the feed (late delivery — the daemon's ingest then
-/// refuses it as stale if its release has already passed). Deterministic:
-/// the same `(orders, plan)` always yields the same lines, which is what
-/// lets a chaos reference run and a crashed run consume identical bytes.
-pub fn fault_lines(orders: &[Order], plan: &FaultPlan) -> Vec<String> {
-    let mut keyed: Vec<(u64, u64, String)> = orders
-        .iter()
-        .enumerate()
-        .map(|(i, order)| {
-            let i = i as u64;
-            let mut line = serde_json::to_string(order).expect("orders serialize");
-            if plan.is_malformed(i) {
-                line.truncate(line.len() / 2);
-            }
-            (i + plan.delay_of(i), i, line)
-        })
-        .collect();
-    keyed.sort_by_key(|&(slot, i, _)| (slot, i));
-    keyed.into_iter().map(|(_, _, line)| line).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dispatcher::Dispatcher;
+    use crate::ingest::IngestError;
     use crate::snapshot::DispatcherState;
     use crate::SimCtx;
-    use watter_core::{NodeId, OrderId, TravelCost, WorkerId};
+    use watter_core::{Dur, FaultPlan, NodeId, OrderId, TravelCost, WorkerId};
 
     struct Line;
     impl TravelCost for Line {
@@ -761,6 +699,14 @@ mod tests {
         }
     }
 
+    /// `orders` as daemon wire lines.
+    fn wire(orders: &[Order]) -> Vec<String> {
+        orders
+            .iter()
+            .map(|o| serde_json::to_string(o).expect("orders serialize"))
+            .collect()
+    }
+
     fn workers() -> Vec<Worker> {
         vec![
             Worker::new(WorkerId(0), NodeId(0), 4),
@@ -783,10 +729,9 @@ mod tests {
     #[test]
     fn daemon_feed_matches_streamed_run() {
         let orders: Vec<Order> = (0..20u32).map(|i| order(i, (i as i64) * 7)).collect();
-        let lines = fault_lines(&orders, &FaultPlan::NONE);
         let mut d = daemon(DaemonConfig::default(), None);
-        for line in &lines {
-            assert!(!matches!(d.feed_line(line), FeedOutcome::Crashed));
+        for line in &wire(&orders) {
+            d.feed_line(line);
         }
         d.close_and_drain();
         let daemon_log = std::mem::take(&mut d.dispatcher.log);
@@ -838,7 +783,7 @@ mod tests {
             ));
         }
         assert!(matches!(
-            d.feed_line(&fault_lines(&[order(0, 50)], &FaultPlan::NONE)[0]),
+            d.feed_line(&wire(&[order(0, 50)])[0]),
             FeedOutcome::Admitted
         ));
         d.close_and_drain();
@@ -862,7 +807,7 @@ mod tests {
         let orders: Vec<Order> = (0..10u32).map(|i| order(i, 0)).collect();
         let mut d = daemon(cfg, None);
         let mut shed = 0;
-        for line in fault_lines(&orders, &FaultPlan::NONE) {
+        for line in wire(&orders) {
             if matches!(d.feed_line(&line), FeedOutcome::Shed) {
                 shed += 1;
             }
@@ -891,8 +836,8 @@ mod tests {
         let mut d = daemon(cfg, None);
         d.set_recorder(Recorder::enabled());
         d.feed_line("definitely not json");
-        for line in fault_lines(&orders, &FaultPlan::NONE) {
-            assert!(!matches!(d.feed_line(&line), FeedOutcome::Crashed));
+        for line in wire(&orders) {
+            d.feed_line(&line);
         }
         // Mid-stream the same-instant burst is still buffered: dispatched
         // counts the core's buffered and pending orders too.
@@ -951,10 +896,10 @@ mod tests {
         };
         let orders: Vec<Order> = (0..12u32).map(|i| order(i, 0)).collect();
         let mut d = daemon(cfg, None);
-        for line in fault_lines(&orders, &FaultPlan::NONE) {
+        for line in wire(&orders) {
             let out = d.feed_line(&line);
             assert!(
-                !matches!(out, FeedOutcome::Shed | FeedOutcome::Crashed),
+                !matches!(out, FeedOutcome::Shed),
                 "degrade never drops: {out:?}"
             );
         }
@@ -979,10 +924,10 @@ mod tests {
         let orders: Vec<Order> = (0..12u32).map(|i| order(i, (i as i64) / 4)).collect();
         let mut d = daemon(cfg, None);
         d.set_recorder(Recorder::enabled());
-        for line in fault_lines(&orders, &FaultPlan::NONE) {
+        for line in wire(&orders) {
             let out = d.feed_line(&line);
             assert!(
-                !matches!(out, FeedOutcome::Shed | FeedOutcome::Crashed),
+                !matches!(out, FeedOutcome::Shed),
                 "block never drops: {out:?}"
             );
         }
@@ -1006,7 +951,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let orders: Vec<Order> = (0..30u32).map(|i| order(i, (i as i64) * 5)).collect();
-        let lines = fault_lines(&orders, &FaultPlan::NONE);
+        let lines = wire(&orders);
 
         // Reference: uninterrupted, no store.
         let mut reference = daemon(DaemonConfig::default(), None);
@@ -1016,22 +961,17 @@ mod tests {
         reference.close_and_drain();
         let reference = reference.finish();
 
-        // Crashed run: checkpoint every 4 lines, die after line 17.
+        // Crashed run: checkpoint every 4 lines, feed 17 lines, drop.
         let cfg = DaemonConfig {
             checkpoint_every_events: 4,
-            fault: FaultPlan::crash_at(17, None),
             ..DaemonConfig::default()
         };
         let store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open");
         let mut crashed = daemon(cfg, Some(store));
-        let mut died = false;
-        for line in &lines {
-            if matches!(crashed.feed_line(line), FeedOutcome::Crashed) {
-                died = true;
-                break;
-            }
+        for line in &lines[..17] {
+            crashed.feed_line(line);
         }
-        assert!(died, "fault plan must fire");
+        assert_eq!(crashed.lines_consumed(), 17);
         drop(crashed); // the power cut: no final checkpoint
 
         // Recover and replay the tail.
@@ -1048,7 +988,7 @@ mod tests {
         let skip = recovered.lines_consumed() as usize;
         assert!((4..17).contains(&skip), "resumed from a mid-run checkpoint");
         for line in &lines[skip..] {
-            assert!(!matches!(recovered.feed_line(line), FeedOutcome::Crashed));
+            recovered.feed_line(line);
         }
         recovered.close_and_drain();
         let recovered = recovered.finish();
@@ -1067,35 +1007,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The door the daemon ships — `feed_line` — refuses malformed bytes
+    /// with a typed, counted rejection and never panics, and a
+    /// well-formed line still goes through full validation.
     #[test]
-    fn fault_lines_bake_deterministic_input_faults() {
-        let orders: Vec<Order> = (0..40u32).map(|i| order(i, (i as i64) * 3)).collect();
-        let plan = FaultPlan {
-            seed: 11,
-            malformed_every: Some(6),
-            delay_every: Some(8),
-            delay_slots: 3,
-            ..FaultPlan::NONE
-        };
-        let a = fault_lines(&orders, &plan);
-        assert_eq!(a, fault_lines(&orders, &plan), "must be deterministic");
-        assert_eq!(a.len(), orders.len(), "faults never lose lines");
-        let clean = fault_lines(&orders, &FaultPlan::NONE);
-        assert_ne!(a, clean, "plan must actually perturb the stream");
-        let malformed = a
-            .iter()
-            .filter(|l| serde_json::from_str::<Order>(l).is_err())
-            .count();
-        assert!(malformed > 0, "1-in-6 over 40 lines should corrupt some");
-        // And the daemon digests the faulted stream without panicking,
-        // counting every malformed line.
+    fn malformed_lines_are_typed_rejections_not_panics() {
         let mut d = daemon(DaemonConfig::default(), None);
-        for line in &a {
-            d.feed_line(line);
+        // A truncated order, plain garbage, an empty line, a valid JSON
+        // value of the wrong shape, nesting deep enough to overflow an
+        // uncapped parser's stack and a broken surrogate pair: all must
+        // come back as typed `Malformed` errors and count in the stats.
+        let valid = wire(&[order(1, 100)]).remove(0);
+        let truncated = &valid[..valid.len() - 7];
+        let deep = "[".repeat(2_000_000);
+        for bad in [
+            truncated,
+            "not json at all",
+            "",
+            "[1,2,3]",
+            "{\"id\":1}",
+            &deep,
+            r#""\ud800\u0041""#,
+        ] {
+            let got = d.feed_line(bad);
+            assert!(
+                matches!(got, FeedOutcome::Rejected(LineError::Malformed(_))),
+                "line {:?}… must be malformed, got {got:?}",
+                bad.chars().take(40).collect::<String>()
+            );
         }
-        d.close_and_drain();
-        let out = d.finish();
-        assert_eq!(out.ingest.malformed as usize, malformed);
-        assert_eq!(out.lines_consumed as usize, a.len());
+        let s = d.ingest_stats();
+        assert_eq!((s.malformed, s.rejected, s.admitted), (7, 7, 0));
+        // A well-formed line still goes through full validation.
+        assert_eq!(d.feed_line(&valid), FeedOutcome::Admitted);
+        let invalid = wire(&[Order {
+            riders: 0,
+            ..order(2, 100)
+        }])
+        .remove(0);
+        assert_eq!(
+            d.feed_line(&invalid),
+            FeedOutcome::Rejected(LineError::Invalid(IngestError::ZeroRiders))
+        );
     }
 }

@@ -131,8 +131,8 @@ pub struct IngestStats {
     /// Refusals: duplicate id.
     pub duplicate: u64,
     /// Refusals: line did not parse as an order at all
-    /// ([`LineError::Malformed`]; only the line-oriented
-    /// [`OrderIngest::admit_line`] path can count these).
+    /// ([`LineError::Malformed`], counted by
+    /// [`OrderIngest::note_malformed`]).
     pub malformed: u64,
     /// High-water mark of the observed backlog (buffered arrivals plus
     /// dispatcher-pending orders at submission time).
@@ -172,27 +172,11 @@ impl OrderIngest {
         }
     }
 
-    /// Parse one newline-delimited JSON order line and validate it for
-    /// submission at `clock` — the daemon's door. Malformed bytes are a
-    /// typed, counted rejection ([`IngestStats::malformed`]), never a
-    /// panic; well-formed orders go through the same validation as
-    /// [`OrderIngest::admit`].
-    pub fn admit_line(&mut self, line: &str, clock: Ts) -> Result<Order, LineError> {
-        let order = match Self::parse_line(line) {
-            Ok(order) => order,
-            Err(e) => {
-                self.note_malformed();
-                return Err(e);
-            }
-        };
-        self.admit(order, clock).map_err(LineError::Invalid)
-    }
-
-    /// Parse one wire line into an [`Order`] without validating or
-    /// counting anything. Split out of [`OrderIngest::admit_line`] for
-    /// callers that need the decoded order *before* committing to
-    /// admission (the daemon runs due checks against the order's release
-    /// first, then admits at the advanced clock) — pair a failure with
+    /// Parse one newline-delimited JSON order line into an [`Order`]
+    /// without validating or counting anything. Malformed bytes are a
+    /// typed error, never a panic. The daemon's door parses first, runs
+    /// due checks against the order's release, then [`OrderIngest::admit`]s
+    /// at the advanced clock; it pairs a failure here with
     /// [`OrderIngest::note_malformed`] so the counters stay complete.
     pub fn parse_line(line: &str) -> Result<Order, LineError> {
         serde_json::from_str(line).map_err(|e| LineError::Malformed(format!("{e:?}")))
@@ -394,51 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_are_typed_rejections_not_panics() {
-        let mut ing = OrderIngest::new(IngestConfig::for_nodes(10));
-        // A truncated order, plain garbage, an empty line, a valid JSON
-        // value of the wrong shape, nesting deep enough to overflow an
-        // uncapped parser's stack and a broken surrogate pair: all must
-        // come back as typed `Malformed` errors and count in the stats.
-        let valid = serde_json::to_string(&order(1)).expect("serialize");
-        let truncated = &valid[..valid.len() - 7];
-        let deep = "[".repeat(2_000_000);
-        for bad in [
-            truncated,
-            "not json at all",
-            "",
-            "[1,2,3]",
-            "{\"id\":1}",
-            &deep,
-            r#""\ud800\u0041""#,
-        ] {
-            let got = ing.admit_line(bad, 0);
-            assert!(
-                matches!(got, Err(LineError::Malformed(_))),
-                "line {:?}… must be malformed, got {got:?}",
-                bad.chars().take(40).collect::<String>()
-            );
-        }
-        let s = ing.stats();
-        assert_eq!((s.malformed, s.rejected, s.admitted), (7, 7, 0));
-        // A well-formed line still goes through full validation.
-        assert!(ing.admit_line(&valid, 0).is_ok());
-        let invalid = serde_json::to_string(&Order {
-            riders: 0,
-            ..order(2)
-        })
-        .expect("serialize");
-        assert_eq!(
-            ing.admit_line(&invalid, 0).unwrap_err(),
-            LineError::Invalid(IngestError::ZeroRiders)
-        );
-    }
-
-    #[test]
     fn snapshot_restores_duplicate_filter_and_counters() {
         let mut ing = OrderIngest::new(IngestConfig::default());
         assert!(ing.admit(order(1), 0).is_ok());
-        assert!(ing.admit_line("garbage", 0).is_err());
+        assert!(OrderIngest::parse_line("garbage").is_err());
+        ing.note_malformed();
         let snap = ing.snapshot();
         let text = serde_json::to_string(&snap).expect("serialize");
         let back: IngestSnapshot = serde_json::from_str(&text).expect("parse");

@@ -24,10 +24,9 @@
 //!   generation-rotated persistence for daemon checkpoints, with typed
 //!   integrity errors and fallback recovery;
 //! * [`daemon`] — [`Daemon`], the long-lived service driver: line-oriented
-//!   ingest, periodic checkpointing, watermark backpressure
-//!   ([`BackpressurePolicy`]) and deterministic fault injection
-//!   (`watter_core::FaultPlan`), with crash recovery proven bit-identical
-//!   by `tests/chaos.rs`;
+//!   ingest, periodic checkpointing and watermark backpressure
+//!   ([`BackpressurePolicy`]). It schedules no faults: a host crashes it by
+//!   dropping it, and `tests/chaos.rs` proves recovery bit-identical;
 //! * [`fleet`] — worker runtime state (location, busy-until),
 //!   nearest-idle queries;
 //! * [`dispatcher`] — the [`Dispatcher`] trait plus [`WatterDispatcher`],
@@ -63,8 +62,8 @@ pub use self::core::{DispatchCore, Effect, Event, RefuseReason};
 pub use cancel::CancellationModel;
 pub use checkpoint::{CheckpointError, CheckpointOps, CheckpointStore};
 pub use daemon::{
-    fault_lines, BackpressurePolicy, Daemon, DaemonCheckpoint, DaemonConfig, DaemonError,
-    DaemonOutput, FeedOutcome,
+    BackpressurePolicy, Daemon, DaemonCheckpoint, DaemonConfig, DaemonError, DaemonOutput,
+    FeedOutcome,
 };
 pub use dispatcher::{DegradableDispatcher, Dispatcher, SimCtx, WatterConfig, WatterDispatcher};
 pub use engine::{run, SimConfig};

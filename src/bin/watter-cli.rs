@@ -7,21 +7,23 @@
 //!                  [--city-side B] [--oracle auto|dense|alt|ch] [--landmarks K]
 //!                  [--dense-limit N] [--import PATH] [--seed S]
 //!                  [--report json|PATH] [--obs] [--trace PATH]
-//! watter-cli orders [scenario flags] [--fault-seed S] [--fault-malformed-every K]
-//!                   [--fault-delay-every K] [--fault-delay-slots N] [--out PATH]
-//! watter-cli graph [scenario flags] [--out PATH]
-//! watter-cli train [--profile nyc|cdc|xia] [--out model.json] [--steps N]
+//! watter-cli orders [scenario flags] [--import PATH] [--out PATH]
+//! watter-cli graph [scenario flags] [--import PATH] [--out PATH]
+//! watter-cli train [scenario flags] [--out model.json] [--steps N]
 //! watter-cli promcheck FILE
 //! ```
 //!
+//! The scenario flags are `--profile --orders --workers --tau --kw --eta
+//! --seed --city-side --oracle --landmarks --dense-limit`; every
+//! subcommand takes them.
+//!
 //! `orders` dumps the scenario's order stream as newline-delimited JSON —
-//! the wire format `watter-daemon` consumes — optionally with
-//! deterministic input faults baked in (see `watter_core::FaultPlan`).
+//! the wire format `watter-daemon` consumes.
 //!
 //! `graph` exports the scenario's road network in the plain-text
 //! interchange format (`nodes N` / `v id x y` / `e from to travel`);
-//! `--import PATH` runs any subcommand's scenario on such a file instead
-//! of the synthetic city — the round trip is exact, so
+//! `--import PATH` runs `run`'s, `orders`' or `graph`'s scenario on such
+//! a file instead of the synthetic city — the round trip is exact, so
 //! `graph --out c.graph` followed by `run --import c.graph` reproduces
 //! the synthetic run bit for bit.
 //!
@@ -61,17 +63,18 @@
 //! line) with the crate's own parser, exiting non-zero if any line is
 //! malformed.
 //!
-//! Usage errors exit 2 naming the offender: a flag outside the set above,
-//! a value that does not parse (`--orders abc`), a valued flag without a
-//! value, a positional word. An output file that cannot be written exits 1.
+//! Usage errors exit 2 naming the offender: a flag the subcommand does
+//! not read (each accepts only its own row above), a value that does not
+//! parse (`--orders abc`), a valued flag without a value, a positional
+//! word. An output file that cannot be written exits 1.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{
-    append_trace_jsonl, emit_report, fault_plan_of, log_oracle_build, params_of, parse_flags,
-    parsed, print_stats, recorder_of, write_or_exit,
+    append_trace_jsonl, emit_report, log_oracle_build, params_of, parse_flags, parsed, print_stats,
+    recorder_of, write_or_exit,
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
@@ -144,14 +147,16 @@ fn cmd_run(flags: HashMap<String, String>) {
 /// Dump the scenario's order stream as newline-delimited JSON — the wire
 /// format `watter-daemon` consumes. The same scenario flags produce the
 /// same workers/oracle in both binaries, so piping this output into the
-/// daemon reproduces `watter-cli run` exactly. Fault flags
-/// (`--fault-seed`, `--fault-malformed-every`, `--fault-delay-every`,
-/// `--fault-delay-slots`) bake deterministic input faults into the lines.
+/// daemon reproduces `watter-cli run` exactly.
 fn cmd_orders(flags: HashMap<String, String>) {
     let params = params_of(&flags);
     let scenario = build_scenario(&flags, params);
-    let plan = fault_plan_of(&flags);
-    let lines = watter::sim::fault_lines(&scenario.orders, &plan).join("\n");
+    let lines = scenario
+        .orders
+        .iter()
+        .map(|o| serde_json::to_string(o).expect("orders serialize"))
+        .collect::<Vec<_>>()
+        .join("\n");
     match flags.get("out") {
         Some(path) => {
             write_or_exit(path, std::fs::write(path, lines + "\n"));
@@ -222,18 +227,18 @@ fn cmd_promcheck(path: &str) {
     }
 }
 
-/// The flags this binary reads itself, on top of `watter::cli`'s common
-/// set.
-const OWN_FLAGS: &[&str] = &["algo", "model", "import", "obs", "out", "steps"];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = || parse_flags(&args[1..], OWN_FLAGS);
+    // Each subcommand's flags on top of `watter::cli`'s scenario set:
+    // exactly the ones it reads.
+    let flags = |own: &[&str]| parse_flags(&args[1..], own);
     match args.first().map(|s| s.as_str()) {
-        Some("run") => cmd_run(flags()),
-        Some("orders") => cmd_orders(flags()),
-        Some("graph") => cmd_graph(flags()),
-        Some("train") => cmd_train(flags()),
+        Some("run") => cmd_run(flags(&[
+            "algo", "model", "import", "obs", "trace", "report",
+        ])),
+        Some("orders") => cmd_orders(flags(&["import", "out"])),
+        Some("graph") => cmd_graph(flags(&["import", "out"])),
+        Some("train") => cmd_train(flags(&["out", "steps"])),
         Some("promcheck") if args.len() == 2 => cmd_promcheck(&args[1]),
         _ => {
             eprintln!(

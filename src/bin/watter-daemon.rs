@@ -8,12 +8,10 @@
 //!                --city-side --oracle --landmarks --dense-limit ...]
 //!               [--algo online|timeout|nonshare]
 //!               [--input PATH | --socket PATH]          (default: stdin)
-//!               [--ckpt-dir DIR] [--ckpt-every N] [--ckpt-interval SECS]
-//!               [--ckpt-keep N] [--resume]
+//!               [--ckpt-dir DIR] [--ckpt-every N] [--ckpt-keep N] [--resume]
 //!               [--backpressure block|shed|degrade]
 //!               [--high-watermark N] [--low-watermark N]
-//!               [--fault-crash-after K] [--fault-corrupt torn|bitflip]
-//!               [--fault-io-failures N]
+//!               [--fault-crash-after K [--fault-corrupt torn|bitflip]]
 //!               [--no-obs] [--trace PATH] [--report json|PATH]
 //! ```
 //!
@@ -50,24 +48,28 @@
 //! replayed events re-emit the *same* `seq` — consumers dedup by it.
 //!
 //! `SIGTERM` triggers a final checkpoint, a clean close-and-drain, the
-//! stat block, exit 0. An injected crash (`--fault-crash-after`) exits
-//! with code 42 *without* drain or final checkpoint — the simulated
-//! power cut the chaos harness recovers from; `--resume` restores the
+//! stat block, exit 0. `--fault-crash-after K` is a scripted power cut,
+//! kept here in the host loop (the daemon library schedules no faults):
+//! once K data lines are consumed — counting a resumed prefix; 0, or K
+//! past the end of the input, never fires — it damages the newest
+//! generation in `--ckpt-dir` as `--fault-corrupt` says, then exits with
+//! code 42 *without* drain or final checkpoint. `--resume` restores the
 //! newest valid checkpoint generation from `--ckpt-dir` and skips the
 //! already-consumed prefix of the re-fed input.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{
-    append_trace_jsonl, emit_report, fault_plan_of, log_oracle_build, params_of, parse_flags,
-    parsed, print_stats, write_report,
+    append_trace_jsonl, emit_report, log_oracle_build, params_of, parse_flags, parsed, print_stats,
+    write_report,
 };
 use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
-use watter_core::FaultPlan;
+use watter_core::{CorruptKind, FaultPlan};
 use watter_obs::{render_prometheus, Recorder};
 use watter_road::OracleStack;
 use watter_sim::{
@@ -80,6 +82,48 @@ use watter_workload::Scenario;
 /// Exit code of an injected crash — distinguishable from real failures
 /// so scripted harnesses can assert the fault actually fired.
 const CRASH_EXIT: i32 = 42;
+
+/// The scripted crash `--fault-crash-after K [--fault-corrupt KIND]`
+/// asks for: after this many consumed lines, with this damage.
+struct Crash {
+    after: u64,
+    corrupt: Option<CorruptKind>,
+}
+
+fn crash_of(flags: &HashMap<String, String>) -> Option<Crash> {
+    let corrupt = match flags.get("fault-corrupt").map(|s| s.as_str()) {
+        None => None,
+        Some("torn") => Some(CorruptKind::Torn),
+        Some("bitflip") => Some(CorruptKind::BitFlip),
+        Some(other) => {
+            eprintln!("unknown corruption kind `{other}` (expected torn|bitflip)");
+            std::process::exit(2);
+        }
+    };
+    match parsed(flags, "fault-crash-after") {
+        Some(after) => Some(Crash { after, corrupt }),
+        None if corrupt.is_some() => {
+            eprintln!("--fault-corrupt requires --fault-crash-after");
+            std::process::exit(2);
+        }
+        None => None,
+    }
+}
+
+/// The power cut: damage the newest checkpoint generation if asked
+/// (what a crash mid-write leaves behind), then exit without drain or
+/// final checkpoint.
+fn crash(plan: &Crash, ckpt_dir: Option<&String>) -> ! {
+    if let (Some(kind), Some(dir)) = (plan.corrupt, ckpt_dir) {
+        let damaged = CheckpointStore::open(Path::new(dir), 1, FaultPlan::NONE)
+            .and_then(|store| store.corrupt_newest(kind));
+        if let Err(e) = damaged {
+            eprintln!("corrupt checkpoint in {dir}: {e}");
+        }
+    }
+    eprintln!("injected crash after {} lines", plan.after);
+    std::process::exit(CRASH_EXIT);
+}
 
 /// The daemon's recorder: on by default (a long-lived service wants
 /// its registry populated before anyone asks), `--no-obs` turns it off.
@@ -205,16 +249,10 @@ fn spawn_reader(flags: &HashMap<String, String>) -> mpsc::Receiver<Line> {
     rx
 }
 
-fn daemon_config(flags: &HashMap<String, String>, fault: FaultPlan) -> DaemonConfig {
-    let mut cfg = DaemonConfig {
-        fault,
-        ..DaemonConfig::default()
-    };
+fn daemon_config(flags: &HashMap<String, String>) -> DaemonConfig {
+    let mut cfg = DaemonConfig::default();
     if let Some(n) = parsed(flags, "ckpt-every") {
         cfg.checkpoint_every_events = n;
-    }
-    if let Some(s) = parsed(flags, "ckpt-interval") {
-        cfg.checkpoint_interval = s;
     }
     match flags.get("backpressure").map(|s| s.as_str()) {
         Some("block") | None => cfg.policy = BackpressurePolicy::Block,
@@ -242,12 +280,12 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     algo_name: &str,
     dispatcher: D,
 ) {
-    let fault = fault_plan_of(flags);
-    let cfg = daemon_config(flags, fault);
+    let cfg = daemon_config(flags);
+    let scripted_crash = crash_of(flags);
     let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
     let keep = parsed(flags, "ckpt-keep").unwrap_or(3);
     let store = flags.get("ckpt-dir").map(|dir| {
-        CheckpointStore::open(std::path::Path::new(dir), keep, fault).unwrap_or_else(|e| {
+        CheckpointStore::open(Path::new(dir), keep, FaultPlan::NONE).unwrap_or_else(|e| {
             eprintln!("open checkpoint store {dir}: {e}");
             std::process::exit(1);
         })
@@ -349,17 +387,16 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
         }
         // A line without text reaches the door empty: no order parses
         // from that, so it is counted malformed like any garbage.
-        match daemon.feed_line(line.as_deref().unwrap_or("")) {
-            FeedOutcome::Crashed => {
-                // The simulated power cut: no drain, no final checkpoint.
-                eprintln!("injected crash after {} lines", daemon.lines_consumed());
-                std::process::exit(CRASH_EXIT);
-            }
-            FeedOutcome::Rejected(e) => match line {
+        if let FeedOutcome::Rejected(e) = daemon.feed_line(line.as_deref().unwrap_or("")) {
+            match line {
                 Ok(_) => eprintln!("rejected line : {e}"),
                 Err(why) => eprintln!("rejected line : {why}"),
-            },
-            _ => {}
+            }
+        }
+        if let Some(c) = scripted_crash.as_ref() {
+            if c.after == daemon.lines_consumed() {
+                crash(c, flags.get("ckpt-dir"));
+            }
         }
     }
 
@@ -392,21 +429,23 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     emit_report(flags, &report);
 }
 
-/// The flags this binary reads itself, on top of `watter::cli`'s common
-/// set.
+/// The flags this binary reads on top of `watter::cli`'s scenario set.
 const OWN_FLAGS: &[&str] = &[
     "algo",
     "input",
     "socket",
     "ckpt-dir",
     "ckpt-every",
-    "ckpt-interval",
     "ckpt-keep",
     "resume",
     "backpressure",
     "high-watermark",
     "low-watermark",
     "no-obs",
+    "trace",
+    "report",
+    "fault-crash-after",
+    "fault-corrupt",
 ];
 
 fn main() {

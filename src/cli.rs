@@ -10,13 +10,13 @@
 
 use std::collections::HashMap;
 use std::str::FromStr;
-use watter_core::{CorruptKind, FaultPlan, OracleKind, RunReport};
+use watter_core::{OracleKind, RunReport};
 use watter_obs::{Recorder, TraceRecord};
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
-/// The flags both binaries take: the scenario ([`params_of`]), the fault
-/// plan ([`fault_plan_of`]), `--trace` and `--report` ([`emit_report`]).
-const COMMON_FLAGS: &[&str] = &[
+/// The scenario flags ([`params_of`]): every subcommand of both binaries
+/// takes them.
+const SCENARIO_FLAGS: &[&str] = &[
     "profile",
     "orders",
     "workers",
@@ -28,15 +28,6 @@ const COMMON_FLAGS: &[&str] = &[
     "dense-limit",
     "landmarks",
     "oracle",
-    "trace",
-    "report",
-    "fault-seed",
-    "fault-crash-after",
-    "fault-corrupt",
-    "fault-io-failures",
-    "fault-malformed-every",
-    "fault-delay-every",
-    "fault-delay-slots",
 ];
 
 /// The flags that take no value; every other flag requires one.
@@ -50,10 +41,10 @@ fn usage_error(msg: String) -> ! {
 
 /// Parse `--key value` / `--switch` arguments into a map (a switch maps
 /// to `"true"`). Anything the caller cannot have meant is a usage error
-/// naming it (exit 2), never a silent no-op: a flag that is neither
-/// common to both binaries nor in `own` (the calling binary's other
-/// flags) — misspelt or retired —, a valued flag with no value, and a
-/// positional word.
+/// naming it (exit 2), never a silent no-op: a flag that is neither a
+/// scenario flag nor in `own` (the other flags the calling subcommand
+/// reads) — misspelt, retired or another subcommand's —, a valued flag
+/// with no value, and a positional word.
 pub fn parse_flags(args: &[String], own: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut args = args.iter();
@@ -61,7 +52,7 @@ pub fn parse_flags(args: &[String], own: &[&str]) -> HashMap<String, String> {
         let Some(key) = arg.strip_prefix("--") else {
             usage_error(format!("unexpected argument `{arg}`"));
         };
-        if !COMMON_FLAGS.contains(&key) && !own.contains(&key) {
+        if !SCENARIO_FLAGS.contains(&key) && !own.contains(&key) {
             usage_error(format!("unknown flag `--{key}`"));
         }
         let value = if SWITCHES.contains(&key) {
@@ -181,39 +172,6 @@ pub fn append_trace_jsonl(path: &str, records: &[TraceRecord]) -> std::io::Resul
         .append(true)
         .open(path)?
         .write_all(out.as_bytes())
-}
-
-/// A deterministic fault schedule from the common fault flags:
-/// `--fault-seed S`, `--fault-crash-after K`, `--fault-corrupt
-/// torn|bitflip`, `--fault-io-failures N`, `--fault-malformed-every K`,
-/// `--fault-delay-every K`, `--fault-delay-slots N`. All absent ⇒
-/// [`FaultPlan::NONE`].
-pub fn fault_plan_of(flags: &HashMap<String, String>) -> FaultPlan {
-    let mut plan = FaultPlan::NONE;
-    if let Some(s) = parsed(flags, "fault-seed") {
-        plan.seed = s;
-    }
-    plan.crash_after_events = parsed(flags, "fault-crash-after");
-    match flags.get("fault-corrupt").map(|s| s.as_str()) {
-        Some("torn") => plan.corrupt_on_crash = Some(CorruptKind::Torn),
-        Some("bitflip") => plan.corrupt_on_crash = Some(CorruptKind::BitFlip),
-        Some(other) => usage_error(format!(
-            "unknown corruption kind `{other}` (expected torn|bitflip)"
-        )),
-        None => {}
-    }
-    if let Some(n) = parsed(flags, "fault-io-failures") {
-        plan.io_failures = n;
-    }
-    plan.malformed_every = parsed(flags, "fault-malformed-every");
-    if let Some(k) = parsed(flags, "fault-delay-every") {
-        plan.delay_every = Some(k);
-        plan.delay_slots = 1;
-    }
-    if let Some(n) = parsed(flags, "fault-delay-slots") {
-        plan.delay_slots = n;
-    }
-    plan
 }
 
 /// Log the oracle build on **stderr** as soon as the scenario stands — a

@@ -36,7 +36,6 @@ pub use watter_sim as sim;
 pub use watter_strategy as strategy;
 pub use watter_workload as workload;
 
-pub mod chaos;
 pub mod cli;
 pub mod pipeline;
 pub mod runner;

@@ -9,6 +9,32 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_watter-cli"))
 }
 
+fn daemon() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_watter-daemon"))
+}
+
+/// A scenario small enough that a row the parser wrongly let through
+/// finishes in a blink instead of running the default city.
+const TINY: &[&str] = &[
+    "--orders",
+    "40",
+    "--workers",
+    "8",
+    "--city-side",
+    "10",
+    "--seed",
+    "7",
+];
+
+/// `cmd TINY args` must exit 2 naming one of `args`.
+fn assert_usage_error(mut cmd: Command, args: &[&str]) {
+    let out = cmd.args(TINY).args(args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let named = args.iter().any(|a| stderr.contains(a));
+    assert!(named, "{args:?}: the offender must be named: {stderr}");
+}
+
 fn temp_path(name: &str) -> PathBuf {
     // Per-process directory so concurrent test invocations (parallel CI
     // jobs on one runner) can't race on the same file names.
@@ -192,12 +218,15 @@ fn unknown_usage_exits_nonzero() {
         .output()
         .expect("spawn watter-cli");
     assert!(!out.status.success(), "unknown algo must be rejected");
-    // A flag nobody parses — retired (`--stream`, `--shards`, `--threads`
-    // now that every oracle build uses every core, `--cost-cache`, and
-    // `--json` / `--kpis` / `--obs-window`, which `--report` and the bare
-    // `--obs` replaced) or misspelt —, a value that does not parse, a
-    // valued flag without its value and a positional word are usage
-    // errors naming the offender, not silent no-ops.
+    // A flag the subcommand does not read — retired (`--stream`,
+    // `--shards`, `--threads` now that every oracle build uses every
+    // core, `--cost-cache`, `--json` / `--kpis` / `--obs-window`, which
+    // `--report` and the bare `--obs` replaced, the input-fault and IO
+    // fault flags, `--ckpt-interval`), another subcommand's (`--out` on
+    // `run`, `--algo` on `graph`, `--import` on `train`) or misspelt —, a
+    // value that does not parse, a valued flag without its value and a
+    // positional word are usage errors naming the offender, not silent
+    // no-ops.
     for args in [
         &["run", "--stream"][..],
         &["run", "--shards", "2"],
@@ -212,12 +241,41 @@ fn unknown_usage_exits_nonzero() {
         &["run", "online", "--orders", "60"],
         &["run", "--obs", "json"],
         &["train", "--steps", "many"],
+        &[
+            "run",
+            "--fault-crash-after",
+            "3",
+            "--fault-corrupt",
+            "torn",
+            "--fault-io-failures",
+            "9",
+            "--fault-malformed-every",
+            "2",
+        ],
+        &["orders", "--fault-seed", "3"],
+        &[
+            "graph", "--algo", "gdp", "--obs", "--trace", "t.jsonl", "--report", "json",
+        ],
+        &["run", "--out", "x.txt", "--steps", "3"],
+        &["train", "--import", "c.graph"],
     ] {
-        let out = cli().args(args).output().expect("spawn watter-cli");
-        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let named = args[1..].iter().any(|a| stderr.contains(a));
-        assert!(named, "{args:?}: the offender must be named: {stderr}");
+        let mut cmd = cli();
+        cmd.arg(args[0]);
+        assert_usage_error(cmd, &args[1..]);
+    }
+    for args in [
+        &[
+            "--fault-malformed-every",
+            "2",
+            "--fault-delay-every",
+            "3",
+            "--fault-seed",
+            "5",
+        ][..],
+        &["--ckpt-interval", "60"],
+        &["--fault-corrupt", "torn"],
+    ] {
+        assert_usage_error(daemon(), args);
     }
     // A report that cannot be written is an I/O error (exit 1) after the
     // run, named on stderr — not a panic.

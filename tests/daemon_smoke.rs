@@ -183,6 +183,59 @@ fn injected_crash_then_resume_matches_batch_reference() {
     assert_eq!(stable_stats(&resumed.stdout), want, "stderr:\n{stderr}");
 }
 
+/// The scripted crash lives in the host loop and counts consumed lines:
+/// at K = the stream's last line it still fires (exit 42, no drain, so
+/// no stat block) and `--resume` converges on the batch reference; K = 0
+/// or K past the end never fires and the run drains as usual.
+#[test]
+fn scripted_crash_at_the_last_line_fires_and_past_it_never_does() {
+    let dir = temp_dir("crash_edges");
+    let (orders, want) = reference(&dir);
+    let n = std::fs::read_to_string(&orders)
+        .expect("read orders")
+        .lines()
+        .count();
+    assert_eq!(n, 60);
+    let ckpt = dir.join("ckpt");
+
+    let crashed = daemon()
+        .args(FLAGS)
+        .args(["--ckpt-every", "8", "--ckpt-dir"])
+        .arg(&ckpt)
+        .args(["--fault-crash-after", &n.to_string(), "--input"])
+        .arg(&orders)
+        .output()
+        .expect("run crashing daemon");
+    assert_eq!(crashed.status.code(), Some(42), "{crashed:?}");
+    assert!(
+        crashed.stdout.is_empty(),
+        "a crash drains nothing: {crashed:?}"
+    );
+    let resumed = daemon()
+        .args(FLAGS)
+        .args(["--ckpt-dir"])
+        .arg(&ckpt)
+        .args(["--resume", "--input"])
+        .arg(&orders)
+        .output()
+        .expect("resume daemon");
+    assert!(resumed.status.success(), "resume failed: {resumed:?}");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("resumed"), "stderr:\n{stderr}");
+    assert_eq!(stable_stats(&resumed.stdout), want, "stderr:\n{stderr}");
+
+    for k in [0, n + 1] {
+        let out = daemon()
+            .args(FLAGS)
+            .args(["--fault-crash-after", &k.to_string(), "--input"])
+            .arg(&orders)
+            .output()
+            .expect("run daemon");
+        assert!(out.status.success(), "K = {k} must not fire: {out:?}");
+        assert_eq!(stable_stats(&out.stdout), want, "K = {k}");
+    }
+}
+
 /// SIGTERM converts into a final checkpoint and a clean drain: exit 0,
 /// the stat block on stdout, and a `#report` control line answered live
 /// beforehand proves the event loop was serving queries mid-stream.

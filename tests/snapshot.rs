@@ -189,8 +189,8 @@ fn old_schema_checkpoint_is_refused_with_a_typed_error() {
     use watter_core::FaultPlan;
     use watter_sim::checkpoint::fnv1a64;
     use watter_sim::{
-        fault_lines, CheckpointError, CheckpointStore, Daemon, DaemonConfig, DaemonError, Event,
-        IngestConfig, SnapshotError, SNAPSHOT_VERSION,
+        CheckpointError, CheckpointStore, Daemon, DaemonConfig, DaemonError, Event, IngestConfig,
+        SnapshotError, SNAPSHOT_VERSION,
     };
 
     let scenario = scenario_for(0, 11);
@@ -214,9 +214,8 @@ fn old_schema_checkpoint_is_refused_with_a_typed_error() {
         cfg,
         Some(store),
     );
-    let lines = fault_lines(&scenario.orders, &FaultPlan::NONE);
-    for line in &lines[..lines.len() / 2] {
-        daemon.feed_line(line);
+    for order in &scenario.orders[..scenario.orders.len() / 2] {
+        daemon.feed_line(&serde_json::to_string(order).expect("orders serialize"));
     }
     assert_eq!(daemon.checkpoint_now().expect("checkpoint"), Some(0));
     drop(daemon);
