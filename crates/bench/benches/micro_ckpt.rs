@@ -1,7 +1,9 @@
 //! Checkpoint data-path micro-benchmarks: the four layers one generation
-//! passes through — typed state → JSON text, JSON text → `Value` tree,
-//! `CheckpointStore::save` (serialise + FNV + write + fsync + rename +
-//! rotate) and `CheckpointStore::read_file` (read + verify + parse + typed
+//! passes through — typed state → JSON text (`json/to_string_170k`, the
+//! dispatch thread's share of a save), JSON text → `Value` tree,
+//! `CheckpointStore::save` + `wait` (`ckpt/save_170k`: serialise, then on
+//! the writer thread FNV + write + fsync + rename + rotate — the durable
+//! cost) and `CheckpointStore::read_file` (read + verify + parse + typed
 //! load) — on the state `benchmark/`'s `stream_ckpt_timeout` workload
 //! checkpoints: a 24×24 dense city, 1 500 orders / 150 workers through
 //! `Daemon::feed_line` under `TimeoutPolicy`, captured half way through the
@@ -99,7 +101,10 @@ fn bench_ckpt(c: &mut Criterion) {
     g.bench_function("save_170k", |b| {
         let dir = scratch_dir("save");
         let mut store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open store");
-        b.iter(|| store.save(black_box(&ckpt)).expect("save"));
+        b.iter(|| {
+            store.save(black_box(&ckpt)).expect("save");
+            store.wait().expect("write")
+        });
         let _ = std::fs::remove_dir_all(&dir);
     });
     g.bench_function("read_file_170k", |b| {

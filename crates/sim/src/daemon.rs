@@ -9,9 +9,10 @@
 //! service needs that an in-process run does not:
 //!
 //! * **checkpointing** — every `checkpoint_every_events` consumed lines
-//!   the full daemon state ([`DaemonCheckpoint`]) is persisted through a
-//!   [`CheckpointStore`] (atomic rename, checksum header, generation
-//!   rotation). [`Daemon::resume`] restores the newest valid generation
+//!   the full daemon state ([`DaemonCheckpoint`]) is serialized and handed
+//!   to a [`CheckpointStore`], whose writer thread persists it (atomic
+//!   rename, checksum header, generation rotation) while dispatch goes
+//!   on. [`Daemon::resume`] restores the newest valid generation
 //!   ([`Daemon::resume_or_new`] starts fresh when there is none);
 //!   the host then re-feeds the input stream, skipping the first
 //!   [`Daemon::lines_consumed`] lines;
@@ -23,9 +24,12 @@
 //!   [`RobustnessReport`].
 //!
 //! The daemon schedules no faults. A crash is the host's act: stop
-//! feeding after some line, optionally damage the newest generation
-//! (`CheckpointStore::corrupt_newest`), and drop the daemon — no final
-//! checkpoint, no drain. The contract `tests/chaos.rs` enforces: with the
+//! feeding after some line, drop the daemon — no final checkpoint, no
+//! drain, but the store's writer finishes the generation in flight — and
+//! optionally damage the newest generation
+//! (`CheckpointStore::corrupt_newest`). A kill, unlike a drop, can lose
+//! the generation in flight; the resumed run then replays one interval
+//! more. The contract `tests/chaos.rs` enforces: with the
 //! input stream fixed, such a crash, a damaged checkpoint or transient
 //! checkpoint-IO errors never change the final
 //! [`Measurements`]/[`Kpis`] (modulo wall-clock timing), [`IngestStats`]
@@ -191,7 +195,6 @@ pub struct Daemon<'a, D> {
     engaged: bool,
     lines_consumed: u64,
     events_since_ckpt: u64,
-    checkpoint_failures: u64,
     recorder: Recorder,
 }
 
@@ -218,7 +221,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             engaged: false,
             lines_consumed: 0,
             events_since_ckpt: 0,
-            checkpoint_failures: 0,
             recorder: Recorder::disabled(),
         }
     }
@@ -315,7 +317,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             engaged: ckpt.engaged,
             lines_consumed: ckpt.lines_consumed,
             events_since_ckpt: 0,
-            checkpoint_failures: 0,
             recorder: Recorder::disabled(),
         })
     }
@@ -479,33 +480,32 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     fn maybe_checkpoint(&mut self) {
         let due = self.cfg.checkpoint_every_events > 0
             && self.events_since_ckpt >= self.cfg.checkpoint_every_events;
-        if !due || self.store.is_none() {
-            return;
-        }
-        // A failed checkpoint (after the store's own retries) must not
-        // kill dispatch — the daemon keeps serving and tries again at the
-        // next trigger; the failure is counted for the operator.
-        if self.checkpoint_now().is_err() {
-            self.checkpoint_failures += 1;
+        if due {
+            // No wait: the generation reaches the disk while dispatch goes
+            // on. A failed one (after the store's own retries) must not
+            // kill dispatch either — the store counts it when it comes
+            // back, and the next trigger tries again.
+            let _ = self.hand_over();
         }
     }
 
-    /// Persist the current state as a new checkpoint generation. No-op
-    /// (`Ok(None)`) without a store.
-    pub fn checkpoint_now(&mut self) -> Result<Option<u64>, CheckpointError> {
-        if self.store.is_some() {
-            // Traced *before* the snapshot is captured so the carried
-            // trace sequence counts this record — a recovery replay
-            // resumes past it instead of reusing its number. On a save
-            // failure the optimistic record stays, paired with a
-            // `checkpoint_failures` increment.
-            self.recorder.trace(
-                self.core.clock(),
-                TraceEvent::CheckpointWritten {
-                    lines: self.lines_consumed,
-                },
-            );
-        }
+    /// Snapshot the current state and hand it to the store's writer as
+    /// the next generation (no-op without a store).
+    fn hand_over(&mut self) -> Result<(), CheckpointError> {
+        let Some(store) = self.store.as_mut() else {
+            return Ok(());
+        };
+        // Traced *before* the snapshot is captured so the carried trace
+        // sequence counts this record — a recovery replay resumes past it
+        // instead of reusing its number. On a write failure the
+        // optimistic record stays, paired with a `checkpoint_failures`
+        // increment.
+        self.recorder.trace(
+            self.core.clock(),
+            TraceEvent::CheckpointWritten {
+                lines: self.lines_consumed,
+            },
+        );
         let ckpt = DaemonCheckpoint {
             lines_consumed: self.lines_consumed,
             engaged: self.engaged,
@@ -513,12 +513,19 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             robustness: self.robustness,
             snap: self.core.snapshot(&self.dispatcher),
         };
-        let Some(store) = self.store.as_mut() else {
-            return Ok(None);
-        };
-        let gen = store.save(&ckpt)?;
         self.events_since_ckpt = 0;
-        Ok(Some(gen))
+        store.save(&ckpt)
+    }
+
+    /// Persist the current state as a new checkpoint generation and return
+    /// once it is renamed into place — a durable point, for `SIGTERM` and
+    /// `#checkpoint`; the periodic trigger in [`Daemon::feed_line`] does
+    /// not wait. Returns the generation written, or `Ok(None)` without a
+    /// store. A failed write is returned here and counted in
+    /// [`Daemon::checkpoint_failures`].
+    pub fn checkpoint_now(&mut self) -> Result<Option<u64>, CheckpointError> {
+        self.hand_over()?;
+        self.store.as_mut().map_or(Ok(None), CheckpointStore::wait)
     }
 
     /// End of input: close the stream and run checks until the core
@@ -528,7 +535,8 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         self.core.close_and_drain(&mut self.dispatcher, self.oracle);
     }
 
-    /// Consume the daemon, returning the final accounting.
+    /// Consume the daemon, returning the final accounting (once the
+    /// checkpoint generation in flight has landed).
     pub fn finish(self) -> DaemonOutput {
         let ops = self.store.as_ref().map(|s| s.ops());
         let (measurements, kpis) = self.core.finish();
@@ -557,7 +565,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
             robustness: self.robustness,
             checkpoints_written: ops.written,
             checkpoint_retries: ops.retries,
-            checkpoint_failures: self.checkpoint_failures,
+            checkpoint_failures: ops.failed,
             backlog: self.core.backlog() as u64,
             pending: self.dispatcher.pending() as u64,
             engaged: self.engaged,
@@ -591,12 +599,15 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         self.engaged
     }
 
-    /// Checkpoint triggers that failed even after the store's retries.
+    /// Checkpoint generations that failed even after the store's retries
+    /// ([`CheckpointOps::failed`]).
     pub fn checkpoint_failures(&self) -> u64 {
-        self.checkpoint_failures
+        self.store_ops().map_or(0, |ops| ops.failed)
     }
 
-    /// Checkpoint-store operation counters, if a store is attached.
+    /// Checkpoint-store operation counters, if a store is attached. Waits
+    /// for the generation in flight first, so they describe finished
+    /// generations only.
     pub fn store_ops(&self) -> Option<CheckpointOps> {
         self.store.as_ref().map(|s| s.ops())
     }
@@ -615,8 +626,9 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::MAX_ATTEMPTS;
     use crate::dispatcher::Dispatcher;
-    use crate::ingest::IngestError;
+    use crate::ingest::{IngestError, MAX_LINE_BYTES};
     use crate::snapshot::DispatcherState;
     use crate::SimCtx;
     use watter_core::{Dur, FaultPlan, NodeId, OrderId, TravelCost, WorkerId};
@@ -772,10 +784,14 @@ mod tests {
     #[test]
     fn malformed_and_stale_lines_are_counted_not_fatal() {
         let mut d = daemon(DaemonConfig::default(), None);
-        // Plain garbage, two million open brackets (a stack overflow in a
-        // parser without a nesting cap) and a high surrogate followed by a
+        // Plain garbage, a line-cap's worth of open brackets (a stack
+        // overflow in a parser without a nesting cap) and a high surrogate followed by a
         // non-surrogate escape (an arithmetic overflow in a careless one).
-        let hostile = ["{ not json", &"[".repeat(2_000_000), r#""\ud800\u0041""#];
+        let hostile = [
+            "{ not json",
+            &"[".repeat(MAX_LINE_BYTES),
+            r#""\ud800\u0041""#,
+        ];
         for line in hostile {
             assert!(matches!(
                 d.feed_line(line),
@@ -1019,7 +1035,7 @@ mod tests {
         // come back as typed `Malformed` errors and count in the stats.
         let valid = wire(&[order(1, 100)]).remove(0);
         let truncated = &valid[..valid.len() - 7];
-        let deep = "[".repeat(2_000_000);
+        let deep = "[".repeat(MAX_LINE_BYTES);
         for bad in [
             truncated,
             "not json at all",
@@ -1049,5 +1065,100 @@ mod tests {
             d.feed_line(&invalid),
             FeedOutcome::Rejected(LineError::Invalid(IngestError::ZeroRiders))
         );
+    }
+
+    /// An order line one byte over the cap — an order behind spaces,
+    /// which would parse — is refused unparsed and counted, and changes
+    /// nothing else: the same order's own line is admitted afterwards.
+    #[test]
+    fn an_over_cap_line_is_malformed_and_changes_nothing() {
+        let mut d = daemon(DaemonConfig::default(), None);
+        assert_eq!(
+            d.feed_line(&wire(&[order(0, 50)])[0]),
+            FeedOutcome::Admitted
+        );
+        let line = wire(&[order(1, 100)]).remove(0);
+        let padded = format!("{}{line}", " ".repeat(MAX_LINE_BYTES + 1 - line.len()));
+        assert_eq!(padded.len(), MAX_LINE_BYTES + 1);
+        assert!(OrderIngest::parse_line(&padded[1..]).is_ok());
+        let before = (d.clock(), d.backlog(), d.ingest_stats());
+        assert!(matches!(
+            d.feed_line(&padded),
+            FeedOutcome::Rejected(LineError::Malformed(_))
+        ));
+        let after = d.ingest_stats();
+        assert_eq!((after.malformed, after.rejected), (1, 1));
+        assert_eq!(
+            IngestStats {
+                malformed: 0,
+                rejected: 0,
+                ..after
+            },
+            before.2
+        );
+        assert_eq!((d.clock(), d.backlog()), (before.0, before.1));
+        assert_eq!(d.feed_line(&line), FeedOutcome::Admitted);
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "watter_daemon_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A generation that fails behind dispatch is counted once, when the
+    /// next trigger hands over its successor, and feeding never stops.
+    #[test]
+    fn a_failed_periodic_generation_is_counted_once_and_feeding_goes_on() {
+        let dir = temp_dir("late_failure");
+        let fault = FaultPlan {
+            io_failures: MAX_ATTEMPTS + 1,
+        };
+        let store = CheckpointStore::open(&dir, 3, fault).expect("open");
+        let cfg = DaemonConfig {
+            checkpoint_every_events: 4,
+            ..DaemonConfig::default()
+        };
+        let mut d = daemon(cfg, Some(store));
+        let orders: Vec<Order> = (0..8u32).map(|i| order(i, (i as i64) * 5)).collect();
+        for line in &wire(&orders) {
+            assert_eq!(d.feed_line(line), FeedOutcome::Admitted);
+        }
+        assert_eq!(d.checkpoint_failures(), 1);
+        let ops = d.store_ops().expect("store attached");
+        assert_eq!((ops.written, ops.failed), (1, 1));
+        drop(d);
+        // The failed generation's number went to its successor.
+        let mut store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("reopen");
+        let (gen, ckpt) = store.latest_valid().expect("read").expect("written");
+        assert_eq!((gen, ckpt.lines_consumed), (0, 8));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Dropping a daemon straight after a periodic trigger leaves that
+    /// trigger's generation on disk, complete.
+    #[test]
+    fn a_drop_right_after_a_trigger_keeps_its_generation() {
+        let dir = temp_dir("drop_after_trigger");
+        let store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open");
+        let cfg = DaemonConfig {
+            checkpoint_every_events: 4,
+            ..DaemonConfig::default()
+        };
+        let mut d = daemon(cfg, Some(store));
+        let orders: Vec<Order> = (0..8u32).map(|i| order(i, (i as i64) * 5)).collect();
+        for line in &wire(&orders) {
+            d.feed_line(line);
+        }
+        drop(d);
+        let mut store = CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("reopen");
+        let (gen, ckpt) = store.latest_valid().expect("read").expect("written");
+        assert_eq!((gen, ckpt.lines_consumed), (1, 8));
+        assert_eq!(store.ops().discarded, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,6 +21,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use watter_core::{NodeId, Order, OrderId, Ts};
 
+/// The longest order line the door reads, in bytes. An order line is a
+/// few hundred bytes and a control line a word and a path; a longer line
+/// is refused unparsed ([`OrderIngest::parse_line`]), and `watter-daemon`'s
+/// reader stops buffering one there.
+pub const MAX_LINE_BYTES: usize = 1 << 16;
+
 /// Why a raw order *line* was refused before reaching the core: either
 /// the bytes were not a well-formed order at all, or the decoded order
 /// failed a validation check. The stream path never panics on bad input —
@@ -173,12 +179,19 @@ impl OrderIngest {
     }
 
     /// Parse one newline-delimited JSON order line into an [`Order`]
-    /// without validating or counting anything. Malformed bytes are a
-    /// typed error, never a panic. The daemon's door parses first, runs
+    /// without validating or counting anything. Malformed bytes, and a
+    /// line over [`MAX_LINE_BYTES`] before any parsing, are a typed error,
+    /// never a panic. The daemon's door parses first, runs
     /// due checks against the order's release, then [`OrderIngest::admit`]s
     /// at the advanced clock; it pairs a failure here with
     /// [`OrderIngest::note_malformed`] so the counters stay complete.
     pub fn parse_line(line: &str) -> Result<Order, LineError> {
+        if line.len() > MAX_LINE_BYTES {
+            return Err(LineError::Malformed(format!(
+                "line of {} B over the {MAX_LINE_BYTES} B cap",
+                line.len()
+            )));
+        }
         serde_json::from_str(line).map_err(|e| LineError::Malformed(format!("{e:?}")))
     }
 

@@ -21,8 +21,9 @@
 //!   run between any two events; `restore + replay(tail)` reproduces the
 //!   uninterrupted run bit for bit;
 //! * [`checkpoint`] — [`CheckpointStore`]: atomic, checksum-headed,
-//!   generation-rotated persistence for daemon checkpoints, with typed
-//!   integrity errors and fallback recovery;
+//!   generation-rotated persistence for daemon checkpoints, written by the
+//!   store's own thread, with typed integrity errors and fallback
+//!   recovery;
 //! * [`daemon`] — [`Daemon`], the long-lived service driver: line-oriented
 //!   ingest, periodic checkpointing and watermark backpressure
 //!   ([`BackpressurePolicy`]). It schedules no faults: a host crashes it by

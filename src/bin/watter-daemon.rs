@@ -51,9 +51,10 @@
 //! stat block, exit 0. `--fault-crash-after K` is a scripted power cut,
 //! kept here in the host loop (the daemon library schedules no faults):
 //! once K data lines are consumed — counting a resumed prefix; 0, or K
-//! past the end of the input, never fires — it damages the newest
-//! generation in `--ckpt-dir` as `--fault-corrupt` says, then exits with
-//! code 42 *without* drain or final checkpoint. `--resume` restores the
+//! past the end of the input, never fires — it drops the daemon (the
+//! checkpoint writer finishes the generation in flight), damages the
+//! newest generation in `--ckpt-dir` as `--fault-corrupt` says, then exits
+//! with code 42 *without* drain or final checkpoint. `--resume` restores the
 //! newest valid checkpoint generation from `--ckpt-dir` and skips the
 //! already-consumed prefix of the re-fed input.
 
@@ -72,6 +73,7 @@ use watter_baselines::NonSharingDispatcher;
 use watter_core::{CorruptKind, FaultPlan};
 use watter_obs::{render_prometheus, Recorder};
 use watter_road::OracleStack;
+use watter_sim::ingest::MAX_LINE_BYTES;
 use watter_sim::{
     BackpressurePolicy, CheckpointStore, Daemon, DaemonConfig, DegradableDispatcher, FeedOutcome,
     IngestConfig, SnapshotDispatcher, WatterDispatcher,
@@ -174,11 +176,6 @@ fn install_sigterm() {
         signal(15, on_term as extern "C" fn(i32) as *const () as usize);
     }
 }
-
-/// The longest input line the reader buffers, in bytes. An order line is
-/// a few hundred bytes and a control line a word and a path; anything
-/// longer is consumed unread.
-const MAX_LINE_BYTES: usize = 1 << 16;
 
 /// One input line as the reader hands it over: its text, or why it has
 /// none (not UTF-8, or over [`MAX_LINE_BYTES`]). A line without text is
@@ -395,6 +392,9 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
         }
         if let Some(c) = scripted_crash.as_ref() {
             if c.after == daemon.lines_consumed() {
+                // The drop lets the checkpoint writer finish the
+                // generation in flight before the damage lands.
+                drop(daemon);
                 crash(c, flags.get("ckpt-dir"));
             }
         }

@@ -236,6 +236,35 @@ fn scripted_crash_at_the_last_line_fires_and_past_it_never_does() {
     }
 }
 
+/// A clean run writes every periodic generation and the final one, each
+/// complete before the process exits: `written` is ⌊lines / every⌋ + 1,
+/// and only the kept generations are left, no `.tmp`.
+#[test]
+fn a_clean_run_writes_every_periodic_generation_and_the_final_one() {
+    let dir = temp_dir("clean");
+    let (orders, want) = reference(&dir);
+    let ckpt = dir.join("ckpt");
+    let out = daemon()
+        .args(FLAGS)
+        .args(["--ckpt-every", "8", "--ckpt-keep", "2", "--ckpt-dir"])
+        .arg(&ckpt)
+        .arg("--input")
+        .arg(&orders)
+        .output()
+        .expect("run daemon");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // 60 lines every 8: seven periodic generations, then the final one.
+    assert!(stderr.contains("written=8 retries=0 "), "stderr:\n{stderr}");
+    assert_eq!(stable_stats(&out.stdout), want, "stderr:\n{stderr}");
+    let mut files: Vec<String> = std::fs::read_dir(&ckpt)
+        .expect("list checkpoints")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["ckpt-6.json", "ckpt-7.json"]);
+}
+
 /// SIGTERM converts into a final checkpoint and a clean drain: exit 0,
 /// the stat block on stdout, and a `#report` control line answered live
 /// beforehand proves the event loop was serving queries mid-stream.
