@@ -355,8 +355,7 @@ pub struct ObsRow {
     /// Node count (`side²`).
     pub nodes: usize,
     /// Recorder configuration: `disabled` (every hook short-circuits on
-    /// one atomic load) or `enabled` (full registry: spans, windows,
-    /// trace).
+    /// one branch) or `enabled` (full registry: spans, windows, trace).
     pub config: String,
     /// Timed repetitions (wall numbers are best-of).
     pub reps: usize,

@@ -1,6 +1,6 @@
 //! Operational KPIs of a dispatch run.
 //!
-//! [`Measurements`](crate::Measurements) accumulates the paper's four
+//! [`Measurements`] accumulates the paper's four
 //! headline metrics; this module adds the *service-operations* view a
 //! dispatch daemon would export (the shape kern's `stats.rs`/`kpis.sql`
 //! surface takes): service rate, the **distribution** of per-order extra

@@ -72,13 +72,7 @@ pub use worker::Worker;
 /// dropping a stop from a route never delays a later stop — so an oracle
 /// that is not a metric (a corrupted table, per-leg noise) may change
 /// which groups are found, not merely how fast.
-///
-/// `Send + Sync` is a supertrait so that one backend can be shared across
-/// threads — oracle builds fan out over scoped threads and `CachedOracle`
-/// wraps a shared backend; every backend in this workspace is an immutable
-/// table or an internally synchronized cache, so the bound costs
-/// implementors nothing.
-pub trait TravelCost: Send + Sync {
+pub trait TravelCost {
     /// Shortest travel time in seconds from `a` to `b`.
     fn cost(&self, a: NodeId, b: NodeId) -> Dur;
 

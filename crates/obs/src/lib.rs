@@ -10,9 +10,9 @@
 //!   log₂-bucket histogram plus an exact-sample window under a debug
 //!   cap). Replaces the unbounded per-tick `Vec` accumulators so
 //!   multi-day daemon runs hold constant memory.
-//! * [`Recorder`] — the cloneable handle to a lock-cheap registry of
-//!   what no checkpointed accumulator holds: per-[`Stage`] atomic
-//!   latency histograms fed by drop-guard [`SpanTimer`]s, a bounded
+//! * [`Recorder`] — the cloneable handle to the dispatch thread's
+//!   registry of what no checkpointed accumulator holds: per-[`Stage`]
+//!   latency sketches fed by drop-guard [`SpanTimer`]s, a bounded
 //!   [`trace`] journal, and virtual-time [`window`] KPIs. A disabled
 //!   `Recorder` is a `None` — every operation short-circuits on one
 //!   branch, so the hot path pays nothing when observability is off.
@@ -39,7 +39,7 @@
 //! timings describe only this process since its recorder was attached:
 //! a resumed daemon's windows cover what it fed after the checkpoint.
 //! Stage *counts* and window KPIs repeat for a repeated run; the
-//! nanosecond fields of the stage histograms vary run to run, the same
+//! nanosecond fields of the stage sketches vary run to run, the same
 //! split the engine makes for `Measurements::decision_nanos` / `Kpis`
 //! tick timings.
 

@@ -1,7 +1,7 @@
 //! The metrics registry and its cloneable [`Recorder`] handle.
 //!
 //! The registry holds only what no checkpointed accumulator can: stage
-//! latency histograms, the trace journal and the window series. Counts
+//! latency sketches, the trace journal and the window series. Counts
 //! and levels (orders served, checks, backlog, …) live in the
 //! accumulators that own the state; the report derives its counters
 //! and gauges from them (`watter_core::RunReport::new`).
@@ -11,27 +11,26 @@
 //! 1. **Disabled must cost nothing.** A disabled `Recorder` is a
 //!    `None`; every operation is one branch and returns. The dispatch
 //!    hot path can therefore be instrumented unconditionally.
-//! 2. **Enabled must be lock-cheap.** Stage latency histograms are
-//!    atomic log₂-bucket arrays indexed by enum discriminant — no
-//!    hashing, no locks. Only the trace journal and the window series
-//!    (low-rate, virtual-time events) sit behind a `Mutex`.
+//! 2. **Enabled is plain writes.** Dispatch is one thread, and the
+//!    registry belongs to it: stage latencies are one [`Sketch`] of
+//!    nanoseconds per stage, indexed by enum discriminant, and the
+//!    trace journal and window series sit in `RefCell`s. No hashing,
+//!    no atomics, no locks.
 //! 3. **Snapshots must be deterministic.** [`Recorder::snapshot`]
 //!    emits every series in fixed enum order, so two snapshots of
 //!    equal registries are byte-equal JSON.
 //!
-//! The handle is `Clone` (an `Arc` bump) and intentionally **not**
-//! part of any serialized state: snapshots of the dispatch core carry
-//! only the trace-journal sequence number. The manual serde impls
-//! below exist so structs that embed a `Recorder` (the order pool)
-//! can keep their plain derives — a recorder serializes as its
-//! enabled flag and always deserializes disabled; the daemon/runner
-//! re-attaches a live one after restore.
+//! The handle is `Clone` (an `Rc` bump) and **not** part of any
+//! serialized state: snapshots of the dispatch core carry only the
+//! trace-journal sequence number, and the daemon/runner re-attaches a
+//! live recorder after restore.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Instant;
 
 use crate::prom::{ObsSnapshot, StageSample, WindowSample};
+use crate::sketch::Sketch;
 use crate::trace::{Journal, TraceEvent, TraceRecord};
 use crate::window::{WindowField, WindowSeries};
 
@@ -52,7 +51,7 @@ pub enum Stage {
     DecisionCommit,
     /// Cost-cache hits (lookup only).
     OracleCacheHit,
-    /// Cost-cache misses (lookup + backend query + publish): the search
+    /// Cost-cache misses (lookup + backend query + store): the search
     /// backend's point-query latency.
     OracleCacheMiss,
 }
@@ -88,112 +87,50 @@ impl Stage {
     }
 }
 
-const HIST_BUCKETS: usize = 64;
-
-/// Lock-free latency histogram: log₂ nanosecond buckets plus running
-/// count/sum/min/max, all relaxed atomics (per-stage totals need no
-/// ordering relative to anything else).
-#[derive(Debug)]
-struct AtomicHist {
-    count: AtomicU64,
-    sum_nanos: AtomicU64,
-    min_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl AtomicHist {
-    fn new() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            min_nanos: AtomicU64::new(u64::MAX),
-            max_nanos: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn record(&self, nanos: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        // Bucket i holds nanos with bit-length i (upper edge 2^i − 1).
-        let idx = (u64::BITS - nanos.leading_zeros()) as usize;
-        self.buckets[idx.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Nearest-rank percentile estimate in nanoseconds: the covering
-    /// bucket's upper edge, clamped to the observed min/max.
-    fn quantile_nanos(&self, p: f64) -> f64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        let min = self.min_nanos.load(Ordering::Relaxed) as f64;
-        let max = self.max_nanos.load(Ordering::Relaxed) as f64;
-        let rank = ((p / 100.0 * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                let edge = if i >= 63 {
-                    u64::MAX as f64
-                } else {
-                    ((1u64 << i) - 1).max(1) as f64
-                };
-                return edge.clamp(min, max);
-            }
-        }
-        max
-    }
-
-    fn sample(&self, stage: Stage) -> StageSample {
-        let count = self.count.load(Ordering::Relaxed);
-        let sum = self.sum_nanos.load(Ordering::Relaxed) as f64;
-        StageSample {
-            stage: stage.name().to_string(),
-            count,
-            sum_us: sum / 1e3,
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                sum / count as f64 / 1e3
-            },
-            p50_us: self.quantile_nanos(50.0) / 1e3,
-            p90_us: self.quantile_nanos(90.0) / 1e3,
-            p99_us: self.quantile_nanos(99.0) / 1e3,
-            max_us: if count == 0 {
-                0.0
-            } else {
-                self.max_nanos.load(Ordering::Relaxed) as f64 / 1e3
-            },
-        }
+/// A stage's report line off its sketch of nanoseconds. Percentiles are
+/// exact nearest-rank values up to [`crate::EXACT_CAP`] samples, bucket
+/// estimates beyond.
+fn stage_sample(stage: Stage, nanos: &Sketch) -> StageSample {
+    StageSample {
+        stage: stage.name().to_string(),
+        count: nanos.count(),
+        sum_us: nanos.sum() / 1e3,
+        mean_us: nanos.mean() / 1e3,
+        p50_us: nanos.quantile(50.0) / 1e3,
+        p90_us: nanos.quantile(90.0) / 1e3,
+        p99_us: nanos.quantile(99.0) / 1e3,
+        max_us: nanos.max() / 1e3,
     }
 }
 
-/// The shared registry behind an enabled [`Recorder`].
+/// The registry behind an enabled [`Recorder`].
 #[derive(Debug)]
 pub struct RegistryInner {
-    stages: [AtomicHist; Stage::COUNT],
-    journal: Mutex<Journal>,
-    windows: Mutex<WindowSeries>,
+    stages: [RefCell<Sketch>; Stage::COUNT],
+    journal: RefCell<Journal>,
+    windows: RefCell<WindowSeries>,
 }
 
 impl RegistryInner {
     fn new() -> Self {
         Self {
-            stages: std::array::from_fn(|_| AtomicHist::new()),
-            journal: Mutex::new(Journal::default()),
-            windows: Mutex::new(WindowSeries::default()),
+            stages: std::array::from_fn(|_| RefCell::new(Sketch::new())),
+            journal: RefCell::new(Journal::default()),
+            windows: RefCell::new(WindowSeries::default()),
         }
+    }
+
+    fn record(&self, stage: Stage, nanos: u64) {
+        self.stages[stage as usize]
+            .borrow_mut()
+            .record(nanos as f64);
     }
 }
 
 /// Cloneable handle to the metrics registry; `Recorder::disabled()`
 /// is a no-op handle whose every operation is one branch.
 #[derive(Clone, Debug, Default)]
-pub struct Recorder(Option<Arc<RegistryInner>>);
+pub struct Recorder(Option<Rc<RegistryInner>>);
 
 impl Recorder {
     /// The no-op handle (also `Default`).
@@ -204,7 +141,7 @@ impl Recorder {
     /// A live registry (window KPIs bucket every
     /// [`crate::window::DEFAULT_WINDOW_SECS`] of virtual time).
     pub fn enabled() -> Self {
-        Recorder(Some(Arc::new(RegistryInner::new())))
+        Recorder(Some(Rc::new(RegistryInner::new())))
     }
 
     /// `true` when this handle points at a live registry.
@@ -226,14 +163,14 @@ impl Recorder {
     #[inline]
     pub fn record_stage_nanos(&self, stage: Stage, nanos: u64) {
         if let Some(r) = &self.0 {
-            r.stages[stage as usize].record(nanos);
+            r.record(stage, nanos);
         }
     }
 
     /// Number of recorded calls of a stage (0 when disabled).
     pub fn stage_count(&self, stage: Stage) -> u64 {
         match &self.0 {
-            Some(r) => r.stages[stage as usize].count.load(Ordering::Relaxed),
+            Some(r) => r.stages[stage as usize].borrow().count(),
             None => 0,
         }
     }
@@ -242,14 +179,14 @@ impl Recorder {
     #[inline]
     pub fn trace(&self, at: i64, event: TraceEvent) {
         if let Some(r) = &self.0 {
-            r.journal.lock().expect("journal lock").push(at, event);
+            r.journal.borrow_mut().push(at, event);
         }
     }
 
     /// Drain every buffered trace record (empty when disabled).
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
         match &self.0 {
-            Some(r) => r.journal.lock().expect("journal lock").drain(),
+            Some(r) => r.journal.borrow_mut().drain(),
             None => Vec::new(),
         }
     }
@@ -257,7 +194,7 @@ impl Recorder {
     /// The sequence number the next trace event will receive.
     pub fn trace_seq(&self) -> u64 {
         match &self.0 {
-            Some(r) => r.journal.lock().expect("journal lock").next_seq(),
+            Some(r) => r.journal.borrow().next_seq(),
             None => 0,
         }
     }
@@ -266,7 +203,7 @@ impl Recorder {
     /// path; see the snapshot contract in `watter-sim`).
     pub fn bump_trace_seq_to(&self, seq: u64) {
         if let Some(r) = &self.0 {
-            r.journal.lock().expect("journal lock").bump_to(seq);
+            r.journal.borrow_mut().bump_to(seq);
         }
     }
 
@@ -274,7 +211,7 @@ impl Recorder {
     #[inline]
     pub fn window_count(&self, at: i64, field: WindowField) {
         if let Some(r) = &self.0 {
-            r.windows.lock().expect("window lock").count(at, field);
+            r.windows.borrow_mut().count(at, field);
         }
     }
 
@@ -282,10 +219,7 @@ impl Recorder {
     #[inline]
     pub fn window_backlog(&self, at: i64, depth: u64, band: u64) {
         if let Some(r) = &self.0 {
-            r.windows
-                .lock()
-                .expect("window lock")
-                .note_backlog(at, depth, band);
+            r.windows.borrow_mut().note_backlog(at, depth, band);
         }
     }
 
@@ -300,11 +234,12 @@ impl Recorder {
         };
         let stages = Stage::ALL
             .iter()
-            .filter(|&&s| r.stages[s as usize].count.load(Ordering::Relaxed) > 0)
-            .map(|&s| r.stages[s as usize].sample(s))
+            .map(|&s| (s, r.stages[s as usize].borrow()))
+            .filter(|(_, nanos)| !nanos.is_empty())
+            .map(|(s, nanos)| stage_sample(s, &nanos))
             .collect();
         let (window_secs, windows) = {
-            let w = r.windows.lock().expect("window lock");
+            let w = r.windows.borrow();
             let samples = w
                 .windows
                 .iter()
@@ -324,7 +259,7 @@ impl Recorder {
             (w.window_secs, samples)
         };
         let (trace_seq, trace_dropped) = {
-            let j = r.journal.lock().expect("journal lock");
+            let j = r.journal.borrow();
             (j.next_seq(), j.dropped())
         };
         ObsSnapshot {
@@ -340,33 +275,8 @@ impl Recorder {
     }
 }
 
-/// Observability handles are plumbing, not state: equality always
-/// holds so structs embedding a `Recorder` can keep derived
-/// `PartialEq` without two otherwise-identical pools comparing
-/// unequal over a metrics attachment.
-impl PartialEq for Recorder {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-/// Serializes as the enabled flag only; always deserializes disabled
-/// (snapshots never resurrect a registry — the host re-attaches one).
-impl serde::Serialize for Recorder {
-    fn write_json(&self, out: &mut String) {
-        self.is_enabled().write_json(out);
-    }
-}
-
-impl serde::Deserialize for Recorder {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let _was_enabled = bool::from_json_value(v)?;
-        Ok(Recorder::disabled())
-    }
-}
-
 /// Drop guard returned by [`Recorder::time`]; records the elapsed
-/// wall time into the stage histogram on drop.
+/// wall time into the stage sketch on drop.
 #[must_use = "the span measures until this guard drops"]
 pub struct SpanTimer<'a> {
     span: Option<(&'a RegistryInner, Stage, Instant)>,
@@ -376,7 +286,7 @@ impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
         if let Some((reg, stage, started)) = self.span.take() {
             let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            reg.stages[stage as usize].record(nanos);
+            reg.record(stage, nanos);
         }
     }
 }
@@ -442,6 +352,20 @@ mod tests {
     }
 
     #[test]
+    fn stage_percentiles_are_exact_nearest_rank() {
+        let r = Recorder::enabled();
+        for nanos in 1..=100 {
+            r.record_stage_nanos(Stage::Planner, nanos);
+        }
+        let snap = r.snapshot();
+        let s = snap.stage("planner").expect("stage sampled");
+        assert_eq!(s.count, 100);
+        assert_eq!(s.p50_us, 0.050);
+        assert_eq!(s.p99_us, 0.099);
+        assert_eq!(s.max_us, 0.100);
+    }
+
+    #[test]
     fn clones_share_one_registry() {
         let a = Recorder::enabled();
         let b = a.clone();
@@ -484,15 +408,5 @@ mod tests {
         let a = serde_json::to_string(&mk().snapshot()).expect("serialize");
         let b = serde_json::to_string(&mk().snapshot()).expect("serialize");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn recorder_serde_round_trip_detaches() {
-        let r = Recorder::enabled();
-        r.trace(0, TraceEvent::OrderAdmitted { order: 1 });
-        let json = serde_json::to_string(&r).expect("serialize");
-        let back: Recorder = serde_json::from_str(&json).expect("parse");
-        assert!(!back.is_enabled());
-        assert_eq!(back, r); // handles compare equal by design
     }
 }

@@ -473,7 +473,7 @@ impl<'a, C: TravelBound> Walk<'a, C> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::cell::Cell;
     use watter_core::{NodeId, TravelCost};
 
     struct Line;
@@ -622,7 +622,7 @@ mod tests {
     /// its `(cost, lower_bound)` calls.
     struct Lattice {
         exact: bool,
-        asked: [AtomicUsize; 2],
+        asked: [Cell<usize>; 2],
     }
 
     impl Lattice {
@@ -643,20 +643,20 @@ mod tests {
         /// Drain the `(cost, lower_bound)` call counts.
         fn take_asked(&self) -> (usize, usize) {
             let [costs, bounds] = &self.asked;
-            (costs.swap(0, Relaxed), bounds.swap(0, Relaxed))
+            (costs.take(), bounds.take())
         }
     }
 
     impl TravelCost for Lattice {
         fn cost(&self, a: NodeId, b: NodeId) -> Dur {
-            self.asked[0].fetch_add(1, Relaxed);
+            self.asked[0].set(self.asked[0].get() + 1);
             Self::steps(a, b)
         }
     }
 
     impl TravelBound for Lattice {
         fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
-            self.asked[1].fetch_add(1, Relaxed);
+            self.asked[1].set(self.asked[1].get() + 1);
             Self::steps(a, b)
         }
         fn bound_is_exact(&self) -> bool {

@@ -1,4 +1,4 @@
-//! Lock-free memoization layer over point-query travel-cost oracles.
+//! Memoization layer over point-query travel-cost oracles.
 //!
 //! Within one dispatch batch the same `(pickup, dropoff)` pair is queried
 //! many times: the shareability pre-filter, the pair planner, clique
@@ -21,30 +21,8 @@
 //! `cost(b, a)` share one entry: the same answers from half the distinct
 //! keys and half the compulsory misses. A backend that does not report
 //! symmetry (the default) keeps the two directions apart.
-//!
-//! # Concurrency
-//!
-//! Dispatch is single-threaded, but [`TravelCost`] is `Send + Sync` and
-//! setup-time `Exec` threads may share an oracle, so the cache has to be
-//! sound under concurrent queries. Each slot is an independent seqlock
-//! built from three atomics; readers never block and never block each
-//! other:
-//!
-//! * **read**: load `seq` (must be even = no writer mid-flight), then
-//!   `key`, then `cost`, then re-load `seq`; any mismatch → treat as a
-//!   miss. The writer bumps `seq` to odd *before* publishing `key`/`cost`
-//!   (each with `Release`), so a reader that observes a new datum is
-//!   guaranteed to observe a changed `seq` on the re-load and reject the
-//!   torn pair — the classic seqlock argument, per-slot.
-//! * **write**: claim the slot by CAS-ing `seq` from even to odd; on
-//!   contention simply *skip caching* (the computed answer is returned
-//!   either way, correctness never depends on a store landing).
-//!
-//! A miss recomputes through the inner oracle, so answers are exact under
-//! every interleaving; only the `hits`/`misses` counters may differ
-//! between concurrent schedules (they are diagnostics, not outcomes).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 use watter_core::{Dur, NodeId, OracleCacheKpis, TravelBound, TravelCost};
 use watter_obs::{Recorder, Stage};
@@ -59,75 +37,33 @@ const SAMPLE_EVERY: u64 = 64;
 /// in this workspace can produce — and such a query bypasses the cache).
 const EMPTY: u64 = u64::MAX;
 
-/// One direct-mapped cache slot: a per-slot seqlock (see module docs).
-#[derive(Debug)]
+/// One direct-mapped cache slot: the pair it holds and that pair's cost.
+#[derive(Clone, Copy, Debug)]
 struct Slot {
-    /// Even = stable, odd = writer mid-flight. Incremented by two per
-    /// completed publish.
-    seq: AtomicU64,
-    key: AtomicU64,
-    cost: AtomicI64,
+    key: u64,
+    cost: Dur,
 }
 
 impl Slot {
-    fn empty() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            key: AtomicU64::new(EMPTY),
-            cost: AtomicI64::new(0),
-        }
-    }
-
-    /// Read the cached cost for `key`, or `None` when the slot holds
-    /// another pair or a concurrent writer may have torn the read.
-    #[inline]
-    fn read(&self, key: u64) -> Option<Dur> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 != 0 || self.key.load(Ordering::Acquire) != key {
-            return None;
-        }
-        let cost = self.cost.load(Ordering::Acquire);
-        (self.seq.load(Ordering::Acquire) == s1).then_some(cost)
-    }
-
-    /// Publish `(key, cost)`; silently skips when another writer holds the
-    /// slot (the answer was computed exactly and is returned regardless).
-    /// Returns `true` when the store displaced a *different* cached pair —
-    /// the direct-mapped notion of an eviction.
-    #[inline]
-    fn publish(&self, key: u64, cost: Dur) -> bool {
-        let s = self.seq.load(Ordering::Relaxed);
-        if s & 1 != 0 {
-            return false;
-        }
-        if self
-            .seq
-            .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // The slot is claimed (seq odd): safe to inspect the old key.
-        let old = self.key.load(Ordering::Relaxed);
-        self.key.store(key, Ordering::Release);
-        self.cost.store(cost, Ordering::Release);
-        self.seq.store(s + 2, Ordering::Release);
-        old != EMPTY && old != key
-    }
+    const EMPTY: Self = Self {
+        key: EMPTY,
+        cost: 0,
+    };
 }
 
 /// A fixed-capacity, deterministic memoization layer over a point-query
 /// travel-cost oracle.
 ///
-/// * **Hits are allocation-free and lock-free**: one hash, four atomic
-///   loads; concurrent readers proceed fully independently.
+/// * **Hits are allocation-free**: one hash, one 16-byte slot read.
 /// * **Eviction is deterministic**: the cache is direct-mapped, so the slot
 ///   a pair lands in depends only on the pair, never on insertion history —
 ///   runs stay reproducible from the scenario seed alone.
 /// * **Transparent**: answers are the inner oracle's answers, so wrapping
-///   never changes simulation results, only their latency. That holds under
-///   concurrency too: a torn or contended slot degrades to an exact
-///   recompute, never to a wrong answer.
+///   never changes simulation results, only their latency.
+///
+/// The slots and counters are [`Cell`]s: a cache belongs to the one
+/// dispatch thread that asks it, and sharing one across threads does not
+/// compile.
 ///
 /// Wrap by value, reference or `Arc` — anything implementing
 /// [`TravelCost`] works; [`TravelBound`] is forwarded when the inner oracle
@@ -137,21 +73,21 @@ pub struct CachedOracle<C> {
     inner: C,
     /// The backend's metric is symmetric: key on the unordered pair.
     fold: bool,
-    slots: Vec<Slot>,
+    slots: Vec<Cell<Slot>>,
     slot_mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
     /// Observability handle (disabled by default): sampled hit/miss
-    /// latency stages. Exact hit/miss *totals* stay in the atomics
+    /// latency stages. Exact hit/miss *totals* stay in the counters
     /// above — per-query counter traffic through the registry would
     /// double the cost of a cache hit.
     recorder: Recorder,
 }
 
 impl<C: TravelCost> CachedOracle<C> {
-    /// Default total capacity: 64 Ki entries ≈ 1.5 MiB — enough to hold
-    /// every pair a dispatch batch touches at the paper's densities.
+    /// Default total capacity: 64 Ki 16-byte entries ≈ 1 MiB — enough to
+    /// hold every pair a dispatch batch touches at the paper's densities.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Wrap `inner` with a cache of `capacity` slots (rounded up to a
@@ -161,11 +97,11 @@ impl<C: TravelCost> CachedOracle<C> {
         Self {
             fold: inner.is_symmetric(),
             inner,
-            slots: (0..slots).map(|_| Slot::empty()).collect(),
+            slots: vec![Cell::new(Slot::EMPTY); slots],
             slot_mask: (slots - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            evictions: Cell::new(0),
             recorder: Recorder::disabled(),
         }
     }
@@ -187,25 +123,21 @@ impl<C: TravelCost> CachedOracle<C> {
         &self.inner
     }
 
-    /// Cache hits since construction. Under concurrent access this is a
-    /// diagnostic: schedules may turn a would-be hit into a recompute, so
-    /// only single-threaded counts are exactly reproducible.
+    /// Cache hits since construction.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
-    /// Cache misses (inner-oracle queries) since construction; same
-    /// caveat as [`Self::hits`].
+    /// Cache misses (inner-oracle queries) since construction.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
-    /// Published entries that displaced a *different* cached pair (the
-    /// direct-mapped notion of an eviction); same caveat as [`Self::hits`].
-    /// High eviction counts signal the working set outgrowing
-    /// [`Self::capacity`].
+    /// Stored entries that displaced a *different* cached pair (the
+    /// direct-mapped notion of an eviction). High eviction counts signal
+    /// the working set outgrowing [`Self::capacity`].
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Total slots.
@@ -236,24 +168,24 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
         }
         let slot = &self.slots[(Self::mix(key) & self.slot_mask) as usize];
         // Latency sampling: one query in SAMPLE_EVERY reads the clock.
-        // The query's number is read off the counters it is about to
-        // bump — no read-modify-write of its own; concurrent queries may
-        // both sample or both skip, which only jitters the rate.
+        // The query's number is read off the counters it is about to bump.
         let t0 = (self.recorder.is_enabled()
             && (self.hits() + self.misses()).is_multiple_of(SAMPLE_EVERY))
         .then(Instant::now);
-        if let Some(cost) = slot.read(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let held = slot.get();
+        if held.key == key {
+            self.hits.set(self.hits.get() + 1);
             if let Some(t0) = t0 {
                 self.recorder
                     .record_stage_nanos(Stage::OracleCacheHit, t0.elapsed().as_nanos() as u64);
             }
-            return cost;
+            return held.cost;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         let cost = self.inner.cost(a, b);
-        if slot.publish(key, cost) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        slot.set(Slot { key, cost });
+        if held.key != EMPTY {
+            self.evictions.set(self.evictions.get() + 1);
         }
         if let Some(t0) = t0 {
             self.recorder
@@ -292,13 +224,12 @@ impl<C: TravelBound> TravelBound for CachedOracle<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     /// Counting 1-D metric: |a − b| × 10 s, tracking how often it is asked.
-    struct Line(AtomicUsize);
+    struct Line(Cell<usize>);
     impl TravelCost for Line {
         fn cost(&self, a: NodeId, b: NodeId) -> Dur {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            self.0.set(self.0.get() + 1);
             (a.0 as i64 - b.0 as i64).abs() * 10
         }
     }
@@ -310,22 +241,22 @@ mod tests {
 
     #[test]
     fn hits_skip_the_inner_oracle() {
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        let c = CachedOracle::new(Line(Cell::new(0)), 64);
         assert_eq!(c.cost(NodeId(3), NodeId(8)), 50);
         assert_eq!(c.cost(NodeId(3), NodeId(8)), 50);
         assert_eq!(c.cost(NodeId(3), NodeId(8)), 50);
-        assert_eq!(c.inner().0.load(Ordering::Relaxed), 1);
+        assert_eq!(c.inner().0.get(), 1);
         assert_eq!(c.hits(), 2);
         assert_eq!(c.misses(), 1);
     }
 
     #[test]
     fn directions_are_distinct_keys() {
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        let c = CachedOracle::new(Line(Cell::new(0)), 64);
         assert!(!c.is_symmetric());
         assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
         assert_eq!(c.cost(NodeId(4), NodeId(1)), 30);
-        assert_eq!(c.inner().0.load(Ordering::Relaxed), 2);
+        assert_eq!(c.inner().0.get(), 2);
     }
 
     /// [`Line`] declaring what is true of it: `|a − b|` is symmetric.
@@ -341,19 +272,19 @@ mod tests {
 
     #[test]
     fn symmetric_backend_shares_one_entry_per_leg() {
-        let c = CachedOracle::new(SymmetricLine(Line(AtomicUsize::new(0))), 64);
+        let c = CachedOracle::new(SymmetricLine(Line(Cell::new(0))), 64);
         assert!(c.is_symmetric());
         assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
         assert_eq!(c.cost(NodeId(4), NodeId(1)), 30);
         assert_eq!(c.cost(NodeId(1), NodeId(4)), 30);
-        assert_eq!(c.inner().0 .0.load(Ordering::Relaxed), 1);
+        assert_eq!(c.inner().0 .0.get(), 1);
         assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
     #[test]
     fn tiny_capacity_still_answers_correctly() {
         // One slot: constant eviction, never a wrong answer.
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 1);
+        let c = CachedOracle::new(Line(Cell::new(0)), 1);
         for i in 0..200u32 {
             let (a, b) = (NodeId(i % 17), NodeId((i * 7) % 23));
             assert_eq!(c.cost(a, b), (a.0 as i64 - b.0 as i64).abs() * 10);
@@ -365,11 +296,11 @@ mod tests {
 
     #[test]
     fn evictions_count_only_displacements() {
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 1);
+        let c = CachedOracle::new(Line(Cell::new(0)), 1);
         // First fill: empty slot, not an eviction.
         c.cost(NodeId(1), NodeId(2));
         assert_eq!(c.evictions(), 0);
-        // Re-publish of the same pair after a hit: no displacement.
+        // The same pair again is a hit: no displacement.
         c.cost(NodeId(1), NodeId(2));
         assert_eq!(c.evictions(), 0);
         // A different pair lands in the only slot: one eviction.
@@ -379,15 +310,15 @@ mod tests {
 
     #[test]
     fn lower_bound_passes_through_uncached() {
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        let c = CachedOracle::new(Line(Cell::new(0)), 64);
         assert_eq!(c.lower_bound(NodeId(0), NodeId(6)), 30);
-        assert_eq!(c.inner().0.load(Ordering::Relaxed), 0);
+        assert_eq!(c.inner().0.get(), 0);
     }
 
     #[test]
     fn latency_stages_sample_one_query_in_sample_every() {
         let rec = Recorder::enabled();
-        let mut c = CachedOracle::new(Line(AtomicUsize::new(0)), 64);
+        let mut c = CachedOracle::new(Line(Cell::new(0)), 64);
         c.set_recorder(rec.clone());
         for i in 0..200u32 {
             assert_eq!(c.cost(NodeId(i % 8), NodeId(0)), (i % 8) as i64 * 10);
@@ -403,45 +334,14 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_sixteen_bytes() {
+        // DEFAULT_CAPACITY's "≈ 1 MiB" is 64 Ki of these.
+        assert_eq!(std::mem::size_of::<Cell<Slot>>(), 16);
+    }
+
+    #[test]
     fn capacity_rounds_up_to_power_of_two() {
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 100);
+        let c = CachedOracle::new(Line(Cell::new(0)), 100);
         assert_eq!(c.capacity(), 128);
-    }
-
-    #[test]
-    fn claimed_slot_skips_publish_but_still_answers() {
-        // Simulate a writer parked mid-publish: the slot's seq is odd, so
-        // readers treat it as a miss and publishers back off — the query
-        // still returns the exact answer.
-        let c = CachedOracle::new(Line(AtomicUsize::new(0)), 1);
-        c.slots[0].seq.store(1, Ordering::Release);
-        assert_eq!(c.cost(NodeId(3), NodeId(8)), 50);
-        assert_eq!(c.cost(NodeId(3), NodeId(8)), 50);
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 2);
-        // Slot untouched by the backed-off publishes.
-        assert_eq!(c.slots[0].seq.load(Ordering::Acquire), 1);
-    }
-
-    #[test]
-    fn concurrent_hammering_never_returns_a_wrong_cost() {
-        use std::sync::Arc;
-        // Tiny cache → constant eviction and slot contention; every thread
-        // checks every answer against the ground-truth metric.
-        let c = Arc::new(CachedOracle::new(Line(AtomicUsize::new(0)), 4));
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..5_000u32 {
-                        let a = NodeId((i.wrapping_mul(7) + t) % 29);
-                        let b = NodeId((i.wrapping_mul(13) + 3 * t) % 31);
-                        assert_eq!(c.cost(a, b), (a.0 as i64 - b.0 as i64).abs() * 10);
-                    }
-                });
-            }
-        });
-        // Every query was answered (hit or miss), none lost.
-        assert_eq!(c.hits() + c.misses(), 4 * 5_000);
     }
 }

@@ -25,8 +25,8 @@
 //! 2. **Contraction, up to the wall** — contracting `v` adds `u → x` with
 //!    weight `w(u,v) + w(v,x)` for every in/out neighbor pair unless a
 //!    bounded **witness search** (Dijkstra from `u` avoiding `v`, capped
-//!    at [`WITNESS_SETTLE_LIMIT`] settled nodes) already proves a path at
-//!    most that long. The search exits as soon as every shortcut target is
+//!    at `WITNESS_SETTLE_LIMIT` = 1 500 settled nodes) already proves a
+//!    path at most that long. The search exits as soon as every shortcut target is
 //!    settled, and a truncated search errs toward *adding* the shortcut —
 //!    never toward dropping one — so limits trade preprocessing time for
 //!    a few redundant edges, not correctness. The loop ends once all but

@@ -1,9 +1,12 @@
 //! `g × g` grid spatial index (Section VII-A, *Implementation*).
 //!
-//! The paper partitions the examined city area into grid cells and uses the
-//! index both (a) to speed up nearest-worker / nearby-order search and (b)
-//! to quantize locations for the MDP state (Section VI-A). [`GridIndex`]
-//! maps road nodes to cells and supports expanding-ring queries.
+//! The paper partitions the examined city area into grid cells. Here the
+//! cells do two things: they bucket road nodes, so the scenario generator
+//! can jitter a commuter echo's endpoints within its seed trip's cells
+//! (`watter_workload::Scenario::build`), and they quantize locations for
+//! the MDP state (Section VI-A, `watter_sim::env`). [`GridIndex`] maps
+//! road nodes to cells and lists each cell's nodes. Nearest-worker search
+//! does not use it: `Fleet::nearest_idle` is a bound-guided scan.
 
 use crate::graph::RoadGraph;
 use serde::{Deserialize, Serialize};
@@ -76,51 +79,10 @@ impl GridIndex {
         self.cell_of[n.index()] as usize
     }
 
-    /// `(col, row)` coordinates of a cell index.
-    #[inline]
-    pub fn cell_xy(&self, cell: usize) -> (usize, usize) {
-        (cell % self.dim, cell / self.dim)
-    }
-
     /// Nodes bucketed in a cell.
     #[inline]
     pub fn nodes_in_cell(&self, cell: usize) -> &[NodeId] {
         &self.buckets[cell]
-    }
-
-    /// Visit cells in expanding square rings around the cell of `center`,
-    /// invoking `f(cell)` until it returns `true` ("found enough") or the
-    /// whole grid is exhausted. Ring `r` contains cells with Chebyshev
-    /// distance exactly `r` from the center; the callback sees every cell of
-    /// a ring before the next ring starts, enabling nearest-candidate search
-    /// with early exit.
-    pub fn ring_search(&self, center: NodeId, mut f: impl FnMut(usize) -> bool) {
-        let c = self.cell_of(center);
-        let (cx, cy) = self.cell_xy(c);
-        let dim = self.dim as i64;
-        for r in 0..self.dim as i64 {
-            let mut hit_any_cell = false;
-            let mut done = false;
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    if dx.abs().max(dy.abs()) != r {
-                        continue; // interior already visited in earlier ring
-                    }
-                    let x = cx as i64 + dx;
-                    let y = cy as i64 + dy;
-                    if x < 0 || y < 0 || x >= dim || y >= dim {
-                        continue;
-                    }
-                    hit_any_cell = true;
-                    if f((y * dim + x) as usize) {
-                        done = true;
-                    }
-                }
-            }
-            if done || (!hit_any_cell && r > 0 && r >= dim) {
-                return;
-            }
-        }
     }
 }
 
@@ -152,34 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_search_visits_center_first() {
-        let g = city();
-        let idx = GridIndex::build(&g, 4);
-        let center = NodeId(0);
-        let mut first = None;
-        idx.ring_search(center, |cell| {
-            if first.is_none() {
-                first = Some(cell);
-            }
-            true // stop after ring 0
-        });
-        assert_eq!(first, Some(idx.cell_of(center)));
-    }
-
-    #[test]
-    fn ring_search_covers_grid_without_early_exit() {
-        let g = city();
-        let idx = GridIndex::build(&g, 4);
-        let mut seen = vec![false; idx.cells()];
-        idx.ring_search(NodeId(0), |cell| {
-            assert!(!seen[cell], "cell {cell} visited twice");
-            seen[cell] = true;
-            false
-        });
-        assert!(seen.iter().all(|&s| s), "some cells unvisited");
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_dim_rejected() {
         let g = city();
@@ -198,17 +132,6 @@ mod tests {
         }
     }
 
-    /// Exhaustive ring search from `center` must terminate, visit no cell
-    /// twice, and cover the whole grid.
-    fn assert_ring_search_terminates(idx: &GridIndex, center: NodeId) {
-        let mut seen = vec![0u32; idx.cells()];
-        idx.ring_search(center, |cell| {
-            seen[cell] += 1;
-            false // never satisfied: worst case for termination
-        });
-        assert!(seen.iter().all(|&s| s == 1), "visits: {seen:?}");
-    }
-
     #[test]
     fn identical_coordinates_degenerate_to_one_cell() {
         // All nodes on one point: the zero-width bounding box relies on the
@@ -220,7 +143,6 @@ mod tests {
         for n in g.nodes() {
             assert_eq!(idx.cell_of(n), first, "co-located nodes split cells");
         }
-        assert_ring_search_terminates(&idx, NodeId(0));
     }
 
     #[test]
@@ -230,11 +152,8 @@ mod tests {
         let g = RoadGraph::from_edges(coords, vec![]);
         let idx = GridIndex::build(&g, 5);
         assert_well_bucketed(&g, &idx);
-        for n in g.nodes() {
-            assert_ring_search_terminates(&idx, n);
-        }
         // Cell columns along the line stay monotone in x.
-        let column = |n| idx.cell_xy(idx.cell_of(NodeId(n))).0;
+        let column = |n| idx.cell_of(NodeId(n)) % idx.dim();
         assert!(column(0) <= column(5) && column(5) <= column(11));
     }
 
@@ -244,14 +163,12 @@ mod tests {
         let g = RoadGraph::from_edges(coords, vec![]);
         let idx = GridIndex::build(&g, 3);
         assert_well_bucketed(&g, &idx);
-        assert_ring_search_terminates(&idx, NodeId(3));
     }
 
     #[test]
-    fn single_node_graph_ring_search_terminates() {
+    fn single_node_graph_buckets() {
         let g = RoadGraph::from_edges(vec![(0.0, 0.0)], vec![]);
         let idx = GridIndex::build(&g, 6);
         assert_well_bucketed(&g, &idx);
-        assert_ring_search_terminates(&idx, NodeId(0));
     }
 }

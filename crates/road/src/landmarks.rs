@@ -28,7 +28,7 @@
 
 use crate::graph::RoadGraph;
 use crate::workspace::DijkstraWorkspace;
-use watter_core::{Dur, NodeId};
+use watter_core::{Dur, Exec, NodeId};
 
 /// `max_ℓ |a[ℓ] − b[ℓ]|`: the bound between the two nodes whose entries
 /// `a` and `b` are.
@@ -57,11 +57,11 @@ impl Landmarks {
     /// parallelizing the Dijkstra sweeps across all available cores.
     ///
     /// Selection is farthest-point sampling in coordinate space with a
-    /// component-coverage preference (see [`select_landmarks`]): it needs no
-    /// shortest-path sweeps itself, so the `k` expensive single-source
-    /// sweeps become independent and run one scoped thread chunk each —
-    /// the same pattern as [`crate::CostMatrix::build`]. Results are
-    /// bit-identical for any thread count.
+    /// component-coverage preference (the private `select_landmarks`): it
+    /// needs no shortest-path sweeps itself, so the `k` expensive
+    /// single-source sweeps are independent rows of one fork-join fill, as
+    /// in [`crate::CostMatrix::build`]. Results are bit-identical for any
+    /// thread count.
     pub fn build(graph: &RoadGraph, k: usize) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
         Self::build_with_threads(graph, k, threads)
@@ -74,11 +74,11 @@ impl Landmarks {
     }
 
     /// Build with an explicit worker-thread count. The selected landmark
-    /// set is computed up front (cheap, thread-independent); the distance
-    /// sweeps are split into contiguous chunks, one scoped thread each,
-    /// every thread reusing one [`DijkstraWorkspace`]; the per-landmark
-    /// rows are transposed into the node-major table at the end.
-    /// Bit-identical output for any `threads`.
+    /// set is computed up front (cheap, thread-independent); the `k`
+    /// landmark-major rows are split into contiguous blocks
+    /// ([`Exec::fill_rows`]), every block reusing one
+    /// [`DijkstraWorkspace`], and transposed into the node-major table at
+    /// the end. Bit-identical output for any `threads`.
     pub fn build_with_threads(graph: &RoadGraph, k: usize, threads: usize) -> Self {
         let n = graph.node_count();
         if n == 0 || k == 0 {
@@ -89,35 +89,18 @@ impl Landmarks {
         }
         let nodes = select_landmarks(graph, k);
         let k = nodes.len();
-        // One landmark's row of the table, `UNREACHABLE` included saturated.
-        let sweep = |ws: &mut DijkstraWorkspace, node: NodeId| -> Vec<u16> {
-            ws.single_source(graph, node)
-                .iter()
-                .map(|&d| u16::try_from(d).unwrap_or(u16::MAX))
-                .collect()
-        };
-        let mut rows: Vec<Vec<u16>> = vec![Vec::new(); k];
-        let threads = threads.clamp(1, k);
-        if threads <= 1 {
+        // Row `ℓ` holds landmark `ℓ`'s sweep, `UNREACHABLE` saturated.
+        let mut rows = vec![u16::MAX; k * n];
+        Exec::new(threads.max(1)).fill_rows(&mut rows, n, |first_row, block| {
             let mut ws = DijkstraWorkspace::new(n);
-            for (node, row) in nodes.iter().zip(rows.iter_mut()) {
-                *row = sweep(&mut ws, *node);
-            }
-        } else {
-            let per = k.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (node_chunk, row_chunk) in nodes.chunks(per).zip(rows.chunks_mut(per)) {
-                    scope.spawn(move || {
-                        let mut ws = DijkstraWorkspace::new(n);
-                        for (node, row) in node_chunk.iter().zip(row_chunk.iter_mut()) {
-                            *row = sweep(&mut ws, *node);
-                        }
-                    });
+            for (row, &node) in block.chunks_mut(n).zip(&nodes[first_row..]) {
+                for (cell, &d) in row.iter_mut().zip(ws.single_source(graph, node)) {
+                    *cell = u16::try_from(d).unwrap_or(u16::MAX);
                 }
-            });
-        }
+            }
+        });
         let mut table = vec![u16::MAX; n * k];
-        for (l, row) in rows.iter().enumerate() {
+        for (l, row) in rows.chunks(n).enumerate() {
             for (v, &d) in row.iter().enumerate() {
                 table[v * k + l] = d;
             }

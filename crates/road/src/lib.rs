@@ -30,8 +30,8 @@
 //!   allocation-free; cached runs are bit-identical to uncached ones),
 //! * [`DijkstraWorkspace`] — reusable search state making repeated
 //!   point queries allocation-free,
-//! * [`GridIndex`] — the `g × g` spatial index the paper uses both to speed
-//!   up nearest-worker search and to quantize locations for the MDP state,
+//! * [`GridIndex`] — the paper's `g × g` grid: buckets nodes per cell for
+//!   the scenario generator and quantizes locations for the MDP state,
 //! * [`citygen`] — synthetic city generation (perturbed grid with optional
 //!   diagonal arterials).
 

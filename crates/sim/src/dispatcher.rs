@@ -88,8 +88,8 @@ impl SimCtx<'_> {
 
     /// Record a served outcome (measurements + effect). The central sink
     /// every dispatch path funnels through — including baselines like GDP
-    /// that manage their own schedules instead of [`dispatch_group`]
-    /// (see [`SimCtx::dispatch_group`]) — so the effect stream the core
+    /// that manage their own schedules instead of
+    /// [`SimCtx::dispatch_group`] — so the effect stream the core
     /// returns is complete regardless of the algorithm under test.
     pub fn record_served(
         &mut self,
@@ -200,7 +200,7 @@ pub struct WatterConfig {
     /// next check must be served now or rejected).
     pub check_period: watter_core::Dur,
     /// Optional rider cancellation model (Section VI-A treats impatience
-    /// cancellation as an implicit expiration; [`CancellationModel::OFF`]
+    /// cancellation as an implicit expiration; [`crate::CancellationModel::OFF`]
     /// reproduces the paper's main experiments).
     pub cancellation: crate::cancel::CancellationModel,
     /// Seed for the deterministic cancellation draws.

@@ -33,7 +33,7 @@
 //! * [`dispatcher`] — the [`Dispatcher`] trait plus [`WatterDispatcher`],
 //!   the order-pool management algorithm parameterized by a decision
 //!   policy (Algorithm 1 + Algorithm 2);
-//! * [`env`] — demand/supply snapshot construction over the grid index.
+//! * [`mod@env`] — demand/supply snapshot construction over the grid index.
 //!
 //! The core is oracle-agnostic: the driver and the daemon take any
 //! `&dyn TravelBound` (the `TravelCost` super-trait with admissible

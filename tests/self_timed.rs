@@ -9,6 +9,7 @@
 //!    of `on_check` when no worker is idle, issue **zero** exact queries.
 
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use watter::prelude::*;
@@ -139,25 +140,25 @@ proptest! {
 /// they are the cheap call the hot path is allowed to make).
 struct Counting {
     inner: CostMatrix,
-    cost_calls: AtomicU64,
+    cost_calls: Cell<u64>,
 }
 
 impl Counting {
     fn new(inner: CostMatrix) -> Self {
         Self {
             inner,
-            cost_calls: AtomicU64::new(0),
+            cost_calls: Cell::new(0),
         }
     }
 
     fn take(&self) -> u64 {
-        self.cost_calls.swap(0, Ordering::Relaxed)
+        self.cost_calls.take()
     }
 }
 
 impl TravelCost for Counting {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
-        self.cost_calls.fetch_add(1, Ordering::Relaxed);
+        self.cost_calls.set(self.cost_calls.get() + 1);
         self.inner.cost(a, b)
     }
 }
