@@ -4,8 +4,10 @@
 //! cargo run -p watter-bench --release --bin reproduce -- [exp] [scale]
 //! ```
 //!
-//! `exp` ∈ {example1, fig3, fig4, fig5, fig6, eta, dt, grid, omega,
-//! ablations, obs, all};
+//! `exp` is one name of the [`EXPERIMENTS`] table — example1, fig3, fig4,
+//! fig5, fig6, eta, dt, grid, omega, ablations, obs — or `all`, which
+//! runs the table in that order (obs on its default side, 320). An
+//! unknown name prints the table's names and exits 2.
 //! `scale` shrinks order/worker counts (default 1.0). Results are printed
 //! as tables and written to `results/<exp>.json`; every figure row
 //! carries the run's full `RunReport` (the table's columns plus the
@@ -20,13 +22,85 @@
 //! exceeds 5%.
 
 use std::path::PathBuf;
-use watter_bench::{experiments, print_table, write_json};
+use watter_bench::{experiments, print_table, write_json, ExperimentRow};
+
+/// How an experiment runs.
+enum Kind {
+    /// Example 1's travel tuples (no scale).
+    Example1,
+    /// A sweep's rows at a scale.
+    Rows(fn(f64) -> Vec<ExperimentRow>),
+    /// The ω study: rows plus loss curves.
+    Omega,
+    /// The observability gate, on a city side instead of a scale.
+    Obs,
+}
+
+/// Every experiment, in `all`'s order: name, title, how it runs.
+const EXPERIMENTS: [(&str, &str, Kind); 11] = [
+    (
+        "example1",
+        "Example 1 (Figure 1 + Table I): worker travel (minutes)",
+        Kind::Example1,
+    ),
+    (
+        "fig3",
+        "Figure 3: varying number of riders n",
+        Kind::Rows(experiments::fig3),
+    ),
+    (
+        "fig4",
+        "Figure 4: varying number of workers m",
+        Kind::Rows(experiments::fig4),
+    ),
+    (
+        "fig5",
+        "Figure 5: varying deadline scale τ",
+        Kind::Rows(experiments::fig5),
+    ),
+    (
+        "fig6",
+        "Figure 6: varying max capacity Kw",
+        Kind::Rows(experiments::fig6),
+    ),
+    (
+        "eta",
+        "Appendix D: watching window η (CDC)",
+        Kind::Rows(experiments::appendix_eta),
+    ),
+    (
+        "dt",
+        "Appendix F: check period Δt (CDC)",
+        Kind::Rows(experiments::appendix_dt),
+    ),
+    (
+        "grid",
+        "Appendix G: grid dimension g (CDC)",
+        Kind::Rows(experiments::appendix_grid),
+    ),
+    ("omega", "Appendix C/E: loss weight ω (CDC)", Kind::Omega),
+    (
+        "ablations",
+        "Ablations: clique fan-out, demand correlation, cancellation",
+        Kind::Rows(experiments::ablations),
+    ),
+    ("obs", "Observability overhead study", Kind::Obs),
+];
+
+fn run((name, title, kind): &(&str, &str, Kind), scale: f64, side: usize) {
+    match kind {
+        Kind::Example1 => example1(title),
+        Kind::Rows(rows) => run_figure(name, title, || rows(scale)),
+        Kind::Omega => omega(title, scale),
+        Kind::Obs => obs(title, side),
+    }
+}
 
 fn results_path(name: &str) -> PathBuf {
     PathBuf::from("results").join(format!("{name}.json"))
 }
 
-fn run_figure(name: &str, title: &str, f: impl FnOnce() -> Vec<watter_bench::ExperimentRow>) {
+fn run_figure(name: &str, title: &str, f: impl FnOnce() -> Vec<ExperimentRow>) {
     let t0 = std::time::Instant::now();
     let rows = f();
     print_table(title, &rows);
@@ -37,8 +111,8 @@ fn run_figure(name: &str, title: &str, f: impl FnOnce() -> Vec<watter_bench::Exp
     );
 }
 
-fn example1() {
-    println!("\n## Example 1 (Figure 1 + Table I): worker travel (minutes)");
+fn example1(title: &str) {
+    println!("\n## {title}");
     println!("{:<22} {:>10} {:>12}", "strategy", "total", "route-only");
     let mut totals = Vec::new();
     for which in ["nonshare", "gdp", "gas", "watter"] {
@@ -49,9 +123,9 @@ fn example1() {
     write_json(&results_path("example1"), &totals).expect("write results");
 }
 
-fn omega(scale: f64) {
+fn omega(title: &str, scale: f64) {
     let (rows, curves) = experiments::appendix_omega(scale);
-    print_table("Appendix C/E: loss weight ω (CDC)", &rows);
+    print_table(title, &rows);
     println!("\ntraining-loss curves (first→last, downsampled):");
     for (omega, losses) in &curves {
         let step = (losses.len() / 8).max(1);
@@ -65,9 +139,9 @@ fn omega(scale: f64) {
     write_json(&results_path("omega"), &rows).expect("write results");
 }
 
-fn obs(side: usize) {
-    println!("\n## Observability overhead study (dense default city + {side}×{side} ALT city)");
-    let rows = watter_bench::experiments::obs_study(side, 3);
+fn obs(title: &str, side: usize) {
+    println!("\n## {title} (dense default city + {side}×{side} ALT city)");
+    let rows = experiments::obs_study(side, 3);
     let mut failed = false;
     // One (disabled, enabled) pair per oracle-stack shape.
     for pair in rows.chunks(2) {
@@ -110,73 +184,19 @@ fn obs(side: usize) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let exp = args.get(1).map(|s| s.as_str()).unwrap_or("all");
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-
-    match exp {
-        "example1" => example1(),
-        "fig3" => run_figure("fig3", "Figure 3: varying number of riders n", || {
-            experiments::fig3(scale)
-        }),
-        "fig4" => run_figure("fig4", "Figure 4: varying number of workers m", || {
-            experiments::fig4(scale)
-        }),
-        "fig5" => run_figure("fig5", "Figure 5: varying deadline scale τ", || {
-            experiments::fig5(scale)
-        }),
-        "fig6" => run_figure("fig6", "Figure 6: varying max capacity Kw", || {
-            experiments::fig6(scale)
-        }),
-        "eta" => run_figure("eta", "Appendix D: watching window η (CDC)", || {
-            experiments::appendix_eta(scale)
-        }),
-        "dt" => run_figure("dt", "Appendix F: check period Δt (CDC)", || {
-            experiments::appendix_dt(scale)
-        }),
-        "grid" => run_figure("grid", "Appendix G: grid dimension g (CDC)", || {
-            experiments::appendix_grid(scale)
-        }),
-        "omega" => omega(scale),
-        "obs" => obs(args.get(2).and_then(|s| s.parse().ok()).unwrap_or(320)),
-        "ablations" => run_figure(
-            "ablations",
-            "Ablations: clique fan-out, demand correlation, cancellation",
-            || experiments::ablations(scale),
-        ),
-        "all" => {
-            example1();
-            run_figure("fig3", "Figure 3: varying number of riders n", || {
-                experiments::fig3(scale)
-            });
-            run_figure("fig4", "Figure 4: varying number of workers m", || {
-                experiments::fig4(scale)
-            });
-            run_figure("fig5", "Figure 5: varying deadline scale τ", || {
-                experiments::fig5(scale)
-            });
-            run_figure("fig6", "Figure 6: varying max capacity Kw", || {
-                experiments::fig6(scale)
-            });
-            run_figure("eta", "Appendix D: watching window η (CDC)", || {
-                experiments::appendix_eta(scale)
-            });
-            run_figure("dt", "Appendix F: check period Δt (CDC)", || {
-                experiments::appendix_dt(scale)
-            });
-            run_figure("grid", "Appendix G: grid dimension g (CDC)", || {
-                experiments::appendix_grid(scale)
-            });
-            omega(scale);
-            run_figure(
-                "ablations",
-                "Ablations: clique fan-out, demand correlation, cancellation",
-                || experiments::ablations(scale),
-            );
-            obs(320);
+    let exp = args.get(1).map_or("all", |s| s.as_str());
+    let arg = args.get(2);
+    let scale: f64 = arg.and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    if exp == "all" {
+        for experiment in &EXPERIMENTS {
+            run(experiment, scale, 320);
         }
-        other => {
-            eprintln!("unknown experiment `{other}`; use example1|fig3|fig4|fig5|fig6|eta|dt|grid|omega|ablations|obs|all");
-            std::process::exit(2);
-        }
+    } else if let Some(experiment) = EXPERIMENTS.iter().find(|(name, ..)| *name == exp) {
+        let side = arg.and_then(|s| s.parse().ok()).unwrap_or(320);
+        run(experiment, scale, side);
+    } else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
+        eprintln!("unknown experiment `{exp}`; use {}|all", names.join("|"));
+        std::process::exit(2);
     }
 }

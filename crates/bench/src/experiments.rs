@@ -1,18 +1,29 @@
-//! One function per paper artifact.
+//! One function per paper artifact, all on one run path.
 //!
 //! Every figure of Section VII is a sweep of one parameter × three city
 //! profiles × the compared algorithms, reporting Extra Time, Unified Cost,
-//! Service Rate and Running Time. `scale` shrinks order/worker counts for
-//! quick runs (1.0 = `ScenarioParams::default_for`: 1/50 of Table III's
-//! daily orders and 1/25 of its workers over a 30-minute window).
+//! Service Rate and Running Time. A sweep is a list of `(label,
+//! ScenarioParams)` points (`points`); `sweep` builds each point's
+//! scenario and runs the point's algorithms on it — for a figure the
+//! `compared` ones, whose models each profile trains once on its
+//! [`training_day`]. Every run goes through `watter::runner`
+//! ([`run_algorithm`] for an [`Algo`], [`run_dispatcher`] for the
+//! ablations' hand-configured dispatchers) and every [`ExperimentRow`] is
+//! made by `row`. `scale` shrinks order/worker counts for quick runs
+//! (1.0 = `ScenarioParams::default_for`: 1/50 of Table III's daily orders
+//! and 1/25 of its workers over a 30-minute window).
+//!
+//! Two artifacts stand apart: [`example1`]'s hand-built six-node city has
+//! no `Scenario` and drives `watter_sim::run` itself, and [`obs_study`]
+//! times `run_scenario` under a disabled and an enabled recorder.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-use watter::pipeline::{train, TrainingConfig};
+use watter::pipeline::{train, training_day, TrainingConfig};
 use watter::prelude::*;
-use watter::runner::{run_algorithm, Algo};
-use watter_road::OracleStack;
+use watter::runner::{run_algorithm, run_dispatcher, watter_config, Algo};
+use watter_sim::CancellationModel;
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
 /// One table row: a (city, sweep-x, algorithm) measurement.
@@ -28,35 +39,14 @@ pub struct ExperimentRow {
     pub stats: RunReport,
 }
 
-/// Per-profile trained artifacts, shared across sweep points (the paper
-/// trains on historical days once, then evaluates every configuration).
-pub struct TrainedCache {
-    models: HashMap<&'static str, (Arc<Gmm>, Arc<ValueFunction>)>,
-    scale: f64,
-}
-
-impl TrainedCache {
-    /// Empty cache; models are trained lazily per profile.
-    pub fn new(scale: f64) -> Self {
-        Self {
-            models: HashMap::new(),
-            scale,
-        }
-    }
-
-    /// Get (or train) the GMM + value function for a profile.
-    pub fn get(&mut self, profile: CityProfile) -> (Arc<Gmm>, Arc<ValueFunction>) {
-        let scale = self.scale;
-        self.models
-            .entry(profile.tag())
-            .or_insert_with(|| {
-                let mut params = scaled_params(profile, scale);
-                params.seed ^= 0xDEAD_BEEF; // a different "day" for training
-                let training = Scenario::build(params);
-                let trained = train(&training, &TrainingConfig::default());
-                (Arc::new(trained.gmm), Arc::new(trained.value))
-            })
-            .clone()
+/// The one place a row is made: the report of one run of `algorithm` on
+/// `scenario`, at sweep point `x`.
+fn row(scenario: &Scenario, x: &str, algorithm: &str, stats: RunReport) -> ExperimentRow {
+    ExperimentRow {
+        city: scenario.params.profile.tag().into(),
+        x: x.into(),
+        algorithm: algorithm.into(),
+        stats,
     }
 }
 
@@ -68,278 +58,220 @@ pub fn scaled_params(profile: CityProfile, scale: f64) -> ScenarioParams {
     p
 }
 
-/// The paper's compared algorithms for a profile (Figure legends).
-fn algos(cache: &mut TrainedCache, profile: CityProfile) -> Vec<Algo> {
-    let (gmm, value) = cache.get(profile);
-    vec![
-        Algo::Gdp,
-        Algo::Gas,
-        Algo::WatterOnline,
-        Algo::WatterTimeout,
-        Algo::WatterExpectGmm(gmm),
-        Algo::WatterExpectValue(value),
-    ]
+/// The paper's compared algorithms at a sweep point (Figure legends).
+/// Each profile's models are trained once, on the training day of its
+/// scaled defaults, and shared by every later point (the paper trains on
+/// historical days once, then evaluates every configuration).
+fn compared(scale: f64) -> impl FnMut(&ScenarioParams) -> Vec<Algo> {
+    let mut models = HashMap::new();
+    move |params| {
+        let profile = params.profile;
+        let (gmm, value) = models
+            .entry(profile.tag())
+            .or_insert_with(|| {
+                let training = training_day(&scaled_params(profile, scale));
+                let trained = train(&training, &TrainingConfig::default());
+                (Arc::new(trained.gmm), Arc::new(trained.value))
+            })
+            .clone();
+        vec![
+            Algo::Gdp,
+            Algo::Gas,
+            Algo::WatterOnline,
+            Algo::WatterTimeout,
+            Algo::WatterExpectGmm(gmm),
+            Algo::WatterExpectValue(value),
+        ]
+    }
 }
 
-fn run_point(
-    rows: &mut Vec<ExperimentRow>,
-    scenario: &Scenario,
-    x: String,
-    cache: &mut TrainedCache,
-) {
-    for algo in algos(cache, scenario.params.profile) {
-        let name = algo.name().to_string();
-        let stats = run_algorithm(scenario, algo);
-        rows.push(ExperimentRow {
-            city: scenario.params.profile.tag().to_string(),
-            x: x.clone(),
-            algorithm: name,
-            stats,
-        });
+/// The sweep points of one parameter: each profile's scaled defaults with
+/// the parameter set to each of its values. `set` applies a value and
+/// returns the point's label.
+fn points<T>(
+    scale: f64,
+    profiles: &[CityProfile],
+    values: impl Fn(CityProfile) -> Vec<T>,
+    set: impl Fn(&mut ScenarioParams, T) -> String,
+) -> Vec<(String, ScenarioParams)> {
+    let mut points = Vec::new();
+    for &profile in profiles {
+        for value in values(profile) {
+            let mut params = scaled_params(profile, scale);
+            let x = set(&mut params, value);
+            points.push((x, params));
+        }
     }
+    points
+}
+
+/// Run `algos(params)` on each point's scenario, one row per run.
+fn sweep(
+    points: Vec<(String, ScenarioParams)>,
+    mut algos: impl FnMut(&ScenarioParams) -> Vec<Algo>,
+) -> Vec<ExperimentRow> {
+    let mut rows = Vec::new();
+    for (x, params) in points {
+        let algos = algos(&params);
+        let scenario = Scenario::build(params);
+        for algo in algos {
+            let name = algo.name();
+            rows.push(row(&scenario, &x, name, run_algorithm(&scenario, algo)));
+        }
+    }
+    rows
 }
 
 /// Figure 3: vary the number of riders `n`.
 pub fn fig3(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        for n in ScenarioParams::rider_sweep(profile) {
-            let n = ((n as f64 * scale) as usize).max(50);
-            let mut params = scaled_params(profile, scale);
-            params.n_orders = n;
-            let scenario = Scenario::build(params);
-            run_point(&mut rows, &scenario, format!("n={n}"), &mut cache);
-        }
-    }
-    rows
+    let riders = ScenarioParams::rider_sweep;
+    let points = points(scale, &CityProfile::ALL, riders, |p, n| {
+        p.n_orders = ((n as f64 * scale) as usize).max(50);
+        format!("n={}", p.n_orders)
+    });
+    sweep(points, compared(scale))
 }
 
 /// Figure 4: vary the number of workers `m`.
 pub fn fig4(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        for m in ScenarioParams::worker_sweep() {
-            let m = ((m as f64 * scale) as usize).max(10);
-            let mut params = scaled_params(profile, scale);
-            params.n_workers = m;
-            let scenario = Scenario::build(params);
-            run_point(&mut rows, &scenario, format!("m={m}"), &mut cache);
-        }
-    }
-    rows
+    let workers = |_| ScenarioParams::worker_sweep();
+    let points = points(scale, &CityProfile::ALL, workers, |p, m| {
+        p.n_workers = ((m as f64 * scale) as usize).max(10);
+        format!("m={}", p.n_workers)
+    });
+    sweep(points, compared(scale))
 }
 
 /// Figure 5: vary the deadline scale τ.
 pub fn fig5(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        for tau in ScenarioParams::deadline_sweep() {
-            let mut params = scaled_params(profile, scale);
-            params.deadline_scale = tau;
-            let scenario = Scenario::build(params);
-            run_point(&mut rows, &scenario, format!("tau={tau}"), &mut cache);
-        }
-    }
-    rows
+    let taus = |_| ScenarioParams::deadline_sweep();
+    let points = points(scale, &CityProfile::ALL, taus, |p, tau| {
+        p.deadline_scale = tau;
+        format!("tau={tau}")
+    });
+    sweep(points, compared(scale))
 }
 
 /// Figure 6: vary the maximum vehicle capacity Kw.
 pub fn fig6(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    for profile in CityProfile::ALL {
-        for kw in ScenarioParams::capacity_sweep() {
-            let mut params = scaled_params(profile, scale);
-            params.max_capacity = kw;
-            let scenario = Scenario::build(params);
-            run_point(&mut rows, &scenario, format!("Kw={kw}"), &mut cache);
-        }
-    }
-    rows
+    let kws = |_| ScenarioParams::capacity_sweep();
+    let points = points(scale, &CityProfile::ALL, kws, |p, kw| {
+        p.max_capacity = kw;
+        format!("Kw={kw}")
+    });
+    sweep(points, compared(scale))
 }
 
 /// Appendix D: vary the watching window η (WATTER variants only — the
 /// baselines do not use η).
 pub fn appendix_eta(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    let profile = CityProfile::Chengdu;
-    for eta in ScenarioParams::eta_sweep() {
-        let mut params = scaled_params(profile, scale);
-        params.wait_scale = eta;
-        let scenario = Scenario::build(params);
-        let (gmm, value) = cache.get(profile);
-        for algo in [
-            Algo::WatterOnline,
-            Algo::WatterTimeout,
-            Algo::WatterExpectGmm(gmm.clone()),
-            Algo::WatterExpectValue(value.clone()),
-        ] {
-            let name = algo.name().to_string();
-            let stats = run_algorithm(&scenario, algo);
-            rows.push(ExperimentRow {
-                city: profile.tag().into(),
-                x: format!("eta={eta}"),
-                algorithm: name,
-                stats,
-            });
-        }
-    }
-    rows
+    let etas = |_| ScenarioParams::eta_sweep();
+    let points = points(scale, &[CityProfile::Chengdu], etas, |p, eta| {
+        p.wait_scale = eta;
+        format!("eta={eta}")
+    });
+    let mut compared = compared(scale);
+    sweep(points, |params| {
+        let mut algos = compared(params);
+        algos.retain(|algo| !matches!(algo, Algo::Gdp | Algo::Gas));
+        algos
+    })
 }
 
 /// Appendix F: vary the time slot / check period Δt.
 pub fn appendix_dt(scale: f64) -> Vec<ExperimentRow> {
-    let mut cache = TrainedCache::new(scale);
-    let mut rows = Vec::new();
-    let profile = CityProfile::Chengdu;
-    for dt in ScenarioParams::dt_sweep() {
-        let mut params = scaled_params(profile, scale);
-        params.check_period = dt;
-        let scenario = Scenario::build(params);
-        run_point(&mut rows, &scenario, format!("dt={dt}"), &mut cache);
-    }
-    rows
+    let dts = |_| ScenarioParams::dt_sweep();
+    let points = points(scale, &[CityProfile::Chengdu], dts, |p, dt| {
+        p.check_period = dt;
+        format!("dt={dt}")
+    });
+    sweep(points, compared(scale))
 }
 
 /// Appendix G: vary the grid-index dimension g.
 pub fn appendix_grid(scale: f64) -> Vec<ExperimentRow> {
-    let mut rows = Vec::new();
-    let profile = CityProfile::Chengdu;
-    for g in ScenarioParams::grid_sweep() {
-        let mut params = scaled_params(profile, scale);
-        params.grid_dim = g;
-        // Re-train per grid size: the state dimensionality changes.
-        let mut train_params = params.clone();
-        train_params.seed ^= 0xDEAD_BEEF;
-        let trained = train(&Scenario::build(train_params), &TrainingConfig::default());
-        let scenario = Scenario::build(params);
-        for algo in [
+    let dims = |_| ScenarioParams::grid_sweep();
+    let points = points(scale, &[CityProfile::Chengdu], dims, |p, g| {
+        p.grid_dim = g;
+        format!("g={g}")
+    });
+    // Re-train per grid size: the state dimensionality changes.
+    sweep(points, |params| {
+        let trained = train(&training_day(params), &TrainingConfig::default());
+        vec![
             Algo::WatterExpectGmm(Arc::new(trained.gmm)),
             Algo::WatterExpectValue(Arc::new(trained.value)),
-        ] {
-            let name = algo.name().to_string();
-            let stats = run_algorithm(&scenario, algo);
-            rows.push(ExperimentRow {
-                city: profile.tag().into(),
-                x: format!("g={g}"),
-                algorithm: name,
-                stats,
-            });
-        }
-    }
-    rows
+        ]
+    })
 }
 
 /// Loss-weight study (appendix C/E): train with different ω and report the
 /// resulting evaluation extra time plus the training-loss trace.
 pub fn appendix_omega(scale: f64) -> (Vec<ExperimentRow>, Vec<(f64, Vec<f32>)>) {
+    let params = scaled_params(CityProfile::Chengdu, scale);
+    let training = training_day(&params);
+    let scenario = Scenario::build(params);
     let mut rows = Vec::new();
     let mut curves = Vec::new();
-    let profile = CityProfile::Chengdu;
-    let params = scaled_params(profile, scale);
-    let mut train_params = params.clone();
-    train_params.seed ^= 0xDEAD_BEEF;
-    let training = Scenario::build(train_params);
-    let scenario = Scenario::build(params);
     for omega in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut cfg = TrainingConfig::default();
         cfg.trainer.omega = omega;
         let trained = train(&training, &cfg);
-        curves.push((omega, trained.losses.clone()));
-        let stats = run_algorithm(&scenario, Algo::WatterExpectValue(Arc::new(trained.value)));
-        rows.push(ExperimentRow {
-            city: profile.tag().into(),
-            x: format!("omega={omega}"),
-            algorithm: "WATTER-expect".into(),
-            stats,
-        });
+        curves.push((omega, trained.losses));
+        let expect = Algo::WatterExpectValue(Arc::new(trained.value));
+        let (name, x) = (expect.name(), format!("omega={omega}"));
+        rows.push(row(&scenario, &x, name, run_algorithm(&scenario, expect)));
     }
     (rows, curves)
 }
 
-/// Ablations of three choices the paper leaves open: the
-/// clique-enumeration fan-out bound (`max_neighbors`; the paper has
-/// none), demand correlation (`echo_prob`) and explicit rider
-/// cancellation (the paper treats it as an implicit expiration).
+/// Ablations of three choices the paper leaves open, all under
+/// WATTER-online: the clique-enumeration fan-out bound
+/// (`max_neighbors`; the paper has none), demand correlation
+/// (`echo_prob`) and explicit rider cancellation (the paper treats it as
+/// an implicit expiration). The rows at the defaults (`fanout=12`,
+/// `echo=0.55`, `cancel=off`) are `Algo::WatterOnline`'s run.
 pub fn ablations(scale: f64) -> Vec<ExperimentRow> {
+    let params = scaled_params(CityProfile::Chengdu, scale);
+    let scenario = Scenario::build(params.clone());
+    let online = |scenario: &Scenario, x: &str, cfg| {
+        let mut d = WatterDispatcher::new(cfg, OnlinePolicy);
+        let out = run_dispatcher(scenario, &mut d, Recorder::disabled());
+        row(scenario, x, Algo::WatterOnline.name(), out.report())
+    };
     let mut rows = Vec::new();
-    let profile = CityProfile::Chengdu;
 
     // (a) clique fan-out: bounds the best-group search; the paper has no
     // such bound, so the ablation checks the bound is inactive-ish.
     for fanout in [4usize, 8, 12, 16] {
-        let params = scaled_params(profile, scale);
-        let scenario = Scenario::build(params);
-        let mut wcfg = watter::runner::watter_config(&scenario);
-        wcfg.pool.clique.max_neighbors = fanout;
-        let cfg = watter::runner::sim_config(&scenario);
-        let mut d = watter_sim::WatterDispatcher::new(wcfg, watter_strategy::OnlinePolicy);
-        let recorder = Recorder::disabled();
-        let stack = OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
-        let (measurements, kpis) = watter_sim::run(
-            scenario.orders.clone(),
-            scenario.workers.clone(),
-            &mut d,
-            stack.top(),
-            cfg,
-            recorder.clone(),
-        );
-        let out = RunOutput {
-            measurements,
-            kpis,
-            orders: scenario.orders.len() as u64,
-            cache: stack.cache_stats(),
-            oracle: stack.describe(),
-            recorder,
-        };
-        rows.push(ExperimentRow {
-            city: profile.tag().into(),
-            x: format!("fanout={fanout}"),
-            algorithm: "WATTER-online".into(),
-            stats: out.report(),
-        });
+        let mut cfg = watter_config(&scenario);
+        cfg.pool.clique.max_neighbors = fanout;
+        rows.push(online(&scenario, &format!("fanout={fanout}"), cfg));
     }
 
     // (b) demand correlation: how much of the pooling benefit comes from
     // commuter-flow structure.
     for echo in [0.0f64, 0.3, 0.55, 0.8] {
-        let mut params = scaled_params(profile, scale);
+        let mut params = params.clone();
         params.echo_prob = echo;
         let scenario = Scenario::build(params);
-        let stats = run_algorithm(&scenario, Algo::WatterOnline);
-        rows.push(ExperimentRow {
-            city: profile.tag().into(),
-            x: format!("echo={echo}"),
-            algorithm: "WATTER-online".into(),
-            stats,
-        });
+        let x = format!("echo={echo}");
+        rows.push(online(&scenario, &x, watter_config(&scenario)));
     }
 
     // (c) rider cancellation: robustness of the pool to impatience.
-    for (tag, model) in [
-        ("cancel=off", watter_sim::CancellationModel::OFF),
-        ("cancel=mild", watter_sim::CancellationModel::mild()),
-        (
-            "cancel=heavy",
-            watter_sim::CancellationModel {
-                base_hazard: 0.005,
-                impatience: 0.08,
-            },
-        ),
+    let heavy = CancellationModel {
+        base_hazard: 0.005,
+        impatience: 0.08,
+    };
+    for (x, cancellation) in [
+        ("cancel=off", CancellationModel::OFF),
+        ("cancel=mild", CancellationModel::mild()),
+        ("cancel=heavy", heavy),
     ] {
-        let params = scaled_params(profile, scale);
-        let scenario = Scenario::build(params);
-        let stats = run_algorithm(&scenario, Algo::WatterOnlineCancel(model));
-        rows.push(ExperimentRow {
-            city: profile.tag().into(),
-            x: tag.into(),
-            algorithm: "WATTER-online".into(),
-            stats,
-        });
+        let mut cfg = watter_config(&scenario);
+        cfg.cancellation = cancellation;
+        rows.push(online(&scenario, x, cfg));
     }
     rows
 }

@@ -76,11 +76,6 @@ pub trait TravelCost {
     /// Shortest travel time in seconds from `a` to `b`.
     fn cost(&self, a: NodeId, b: NodeId) -> Dur;
 
-    /// Total travel time of a node sequence, i.e. `T(L)` of Definition 3.
-    fn path_cost(&self, nodes: &[NodeId]) -> Dur {
-        nodes.windows(2).map(|w| self.cost(w[0], w[1])).sum()
-    }
-
     /// Whether `cost(a, b) == cost(b, a)` holds for **every** pair. A
     /// memoizing wrapper may then answer both directions of a leg from one
     /// entry. Defaults to `false`; a backend answers `true` only when it

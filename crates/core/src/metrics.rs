@@ -141,15 +141,6 @@ impl Measurements {
         }
     }
 
-    /// Mean extra time per *served* order (useful diagnostic).
-    pub fn mean_served_extra(&self) -> f64 {
-        if self.served_orders == 0 {
-            0.0
-        } else {
-            self.objective.served_extra / self.served_orders as f64
-        }
-    }
-
     /// Copy with the wall-clock decision time zeroed. Decision time is the
     /// one field that legitimately varies run to run; every other field is
     /// a pure function of the scenario, so two runs of the same seed must

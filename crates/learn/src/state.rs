@@ -52,6 +52,12 @@ impl StateFeaturizer {
         self.grid.dim()
     }
 
+    /// Number of road nodes the featurizer's grid covers (the training
+    /// city's).
+    pub fn node_count(&self) -> usize {
+        self.grid.node_count()
+    }
+
     /// Grid cell of a node (exposed for tests and diagnostics).
     pub fn cell_of(&self, node: NodeId) -> usize {
         self.grid.cell_of(node)
@@ -87,24 +93,6 @@ impl StateFeaturizer {
             x[base + 2 * cells + i] = (c as f64 / self.count_scale).min(4.0) as f32;
         }
         x
-    }
-
-    /// Build an [`EnvSnapshot`] from pooled orders and idle-worker nodes —
-    /// helper shared by the simulator and offline experience generation.
-    pub fn snapshot<'a>(
-        &self,
-        pooled: impl Iterator<Item = &'a Order>,
-        idle_workers: impl Iterator<Item = NodeId>,
-    ) -> EnvSnapshot {
-        let mut env = EnvSnapshot::empty(self.grid.dim());
-        for o in pooled {
-            env.demand_pickup[self.grid.cell_of(o.pickup)] += 1;
-            env.demand_dropoff[self.grid.cell_of(o.dropoff)] += 1;
-        }
-        for w in idle_workers {
-            env.supply[self.grid.cell_of(w)] += 1;
-        }
-        env
     }
 }
 
@@ -168,15 +156,6 @@ mod tests {
         let x0 = f.encode(&o, 100, &env);
         let x1 = f.encode(&o, 400, &env);
         assert!(x1[2 * 16 + 1] > x0[2 * 16 + 1]);
-    }
-
-    #[test]
-    fn snapshot_counts_demand_and_supply() {
-        let f = featurizer();
-        let orders = [order(0, 63, 0), order(1, 62, 0)];
-        let env = f.snapshot(orders.iter(), [NodeId(5), NodeId(6)].into_iter());
-        assert_eq!(env.total_demand(), 2);
-        assert_eq!(env.total_supply(), 2);
     }
 
     #[test]

@@ -53,10 +53,20 @@ impl ValueFunction {
         std::fs::write(path, s)
     }
 
-    /// Load a model previously written by [`Self::save_json`].
+    /// Load a model previously written by [`Self::save_json`]. A file
+    /// whose network input width is not the featurizer's dimensionality
+    /// (what [`Self::new`] asserts) is `InvalidData`.
     pub fn load_json(path: &std::path::Path) -> std::io::Result<Self> {
         let s = std::fs::read_to_string(path)?;
-        serde_json::from_str(&s).map_err(std::io::Error::other)
+        let model: Self = serde_json::from_str(&s).map_err(std::io::Error::other)?;
+        let (width, dim) = (model.net.input_dim(), model.featurizer.dim());
+        if width != dim {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("network input width {width} != featurizer dimension {dim}"),
+            ));
+        }
+        Ok(model)
     }
 }
 
@@ -118,6 +128,27 @@ mod tests {
         let ctx = DecisionContext { now: 0, env: &env };
         let o = order(500); // p = 0
         assert_eq!(vf.threshold(&o, &ctx), 0.0);
+    }
+
+    #[test]
+    fn load_refuses_a_network_of_another_width() {
+        let (vf, _) = setup();
+        let narrow = Mlp::new(&[3, 4], AdamConfig::default(), 0);
+        let text = format!(
+            r#"{{"net":{},"featurizer":{}}}"#,
+            serde_json::to_string(&narrow).unwrap(),
+            serde_json::to_string(vf.featurizer()).unwrap()
+        );
+        let dir = std::env::temp_dir().join(format!("watter_vf_width_{}", std::process::id()));
+        let path = dir.join("model.json");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, text).unwrap();
+        let err = ValueFunction::load_json(&path).unwrap_err();
+        vf.save_json(&path).unwrap();
+        assert!(ValueFunction::load_json(&path).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("input width 3"), "{err}");
     }
 
     #[test]

@@ -73,6 +73,12 @@ impl GridIndex {
         self.dim * self.dim
     }
 
+    /// Number of nodes the grid maps: `cell_of` accepts ids below it.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.cell_of.len()
+    }
+
     /// Cell index (row-major) of a node.
     #[inline]
     pub fn cell_of(&self, n: NodeId) -> usize {

@@ -438,11 +438,6 @@ impl DispatchCore {
         self.drained
     }
 
-    /// Whether [`Event::Close`] was applied.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Latest instant the core has advanced to (`Ts::MIN` before any
     /// event applied).
     pub fn clock(&self) -> Ts {

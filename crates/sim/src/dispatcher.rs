@@ -11,8 +11,8 @@ use crate::env::build_env;
 use crate::fleet::Fleet;
 use crate::snapshot::{DispatcherState, SnapshotDispatcher, SnapshotError};
 use watter_core::{
-    CostWeights, DispatchParallelism, Dur, Group, Measurements, Order, OrderId, OrderOutcome,
-    TravelBound, Ts, WorkerId,
+    CostWeights, DispatchParallelism, Dur, Group, Measurements, NodeId, Order, OrderId,
+    OrderOutcome, TravelBound, Ts, WorkerId,
 };
 use watter_obs::{Recorder, Stage, TraceEvent};
 use watter_pool::{OrderPool, PoolConfig};
@@ -46,19 +46,11 @@ impl SimCtx<'_> {
     /// capacity. On success records all measurements (served outcomes,
     /// worker travel) and returns the worker; on `None` no state changed.
     pub fn dispatch_group(&mut self, group: &Group) -> Option<WorkerId> {
-        let first = group.route.first_node()?;
-        let last = group.route.last_node()?;
+        let (first, last) = (group.route.first_node()?, group.route.last_node()?);
         let wid = self
             .fleet
             .nearest_idle(first, self.now, group.total_riders(), &self.oracle)?;
-        let approach = self.oracle.cost(self.fleet.location(wid), first);
-        let travel = approach + group.route.cost();
-        self.fleet.assign(wid, last, self.now, travel);
-        self.measurements.record_worker_travel(travel);
-        self.measurements.record_approach(approach);
-        for (idx, order) in group.orders.iter().enumerate() {
-            self.record_served(order, group.detour(idx), group.len() as u32, Some(wid));
-        }
+        self.commit(wid, (first, last), group);
         Some(wid)
     }
 
@@ -75,6 +67,14 @@ impl SimCtx<'_> {
         {
             return false;
         }
+        self.commit(wid, (first, last), group);
+        true
+    }
+
+    /// Hand `group`, whose route runs `first ..= last`, to idle worker
+    /// `wid`: the approach leg, the fleet assignment, the travel records
+    /// and one served record per member.
+    fn commit(&mut self, wid: WorkerId, (first, last): (NodeId, NodeId), group: &Group) {
         let approach = self.oracle.cost(self.fleet.location(wid), first);
         let travel = approach + group.route.cost();
         self.fleet.assign(wid, last, self.now, travel);
@@ -83,7 +83,6 @@ impl SimCtx<'_> {
         for (idx, order) in group.orders.iter().enumerate() {
             self.record_served(order, group.detour(idx), group.len() as u32, Some(wid));
         }
-        true
     }
 
     /// Record a served outcome (measurements + effect). The central sink

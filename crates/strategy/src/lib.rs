@@ -50,17 +50,11 @@ impl ThresholdProvider for ConstantThreshold {
     }
 }
 
-/// A threshold proportional to the order's rejection penalty,
-/// `θ^(i) = fraction · p^(i)` — a useful scale-aware baseline provider.
-#[derive(Clone, Copy, Debug)]
-pub struct PenaltyFractionThreshold {
-    /// Fraction of the penalty used as threshold, in `[0, 1]`.
-    pub fraction: f64,
-}
-
-impl ThresholdProvider for PenaltyFractionThreshold {
-    fn threshold(&self, order: &Order, _ctx: &DecisionContext<'_>) -> f64 {
-        self.fraction * order.penalty() as f64
+/// A shared provider answers as its target does, so one trained model
+/// serves many runs without copying its weights.
+impl<T: ThresholdProvider + ?Sized> ThresholdProvider for std::sync::Arc<T> {
+    fn threshold(&self, order: &Order, ctx: &DecisionContext<'_>) -> f64 {
+        (**self).threshold(order, ctx)
     }
 }
 
@@ -273,12 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn penalty_fraction_scales_with_order() {
+    fn a_shared_provider_answers_as_its_target() {
         let env = EnvSnapshot::empty(2);
-        let o = order(0, 0, 10, 0, 10_000); // penalty = 10000 − 100 = 9900
-        let p = PenaltyFractionThreshold { fraction: 0.1 };
-        let c = ctx(0, &env);
-        assert!((p.threshold(&o, &c) - 990.0).abs() < 1e-9);
+        let o = order(0, 0, 10, 0, 10_000);
+        let shared = std::sync::Arc::new(ConstantThreshold(7.0));
+        assert_eq!(shared.threshold(&o, &ctx(0, &env)), 7.0);
     }
 
     #[test]

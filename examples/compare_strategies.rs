@@ -41,10 +41,8 @@ fn main() {
 
     // Evaluation scenario + a disjoint training scenario (different seed =
     // a different "day", as the paper trains on other days of the month).
-    let scenario = Scenario::build(params.clone());
-    let mut train_params = params;
-    train_params.seed ^= 0xDEAD_BEEF;
-    let training = Scenario::build(train_params);
+    let training = training_day(&params);
+    let scenario = Scenario::build(params);
 
     eprintln!("training value function on the training day …");
     let trained = train(&training, &TrainingConfig::default());

@@ -22,9 +22,7 @@ fn main() {
         _ => CityProfile::Chengdu,
     };
     let params = ScenarioParams::default_for(profile);
-    let mut train_params = params.clone();
-    train_params.seed ^= 0xDEAD_BEEF;
-    let training = Scenario::build(train_params);
+    let training = training_day(&params);
     let evaluation = Scenario::build(params);
 
     println!(

@@ -43,8 +43,10 @@
 //! Oracle preprocessing runs on every core and builds the same table or
 //! hierarchy for any core count. Dispatch itself is single-threaded.
 //!
-//! `--algo expect` trains a value function on a sibling "day" first (or
-//! loads one via `--model model.json`).
+//! `--algo expect` trains a value function on a sibling "day" first
+//! (`watter::pipeline::training_day`, the day `train` trains on), or
+//! loads one via `--model model.json`; a model trained on a city of
+//! another node count exits 1.
 //!
 //! `--report json` prints the run's one report document
 //! (`watter_core::RunReport`: the headline measurements of the stat
@@ -115,15 +117,27 @@ fn cmd_run(flags: HashMap<String, String>) {
         "timeout" => Algo::WatterTimeout,
         "expect" => {
             let value = if let Some(path) = flags.get("model") {
-                ValueFunction::load_json(std::path::Path::new(path)).unwrap_or_else(|e| {
-                    eprintln!("failed to load model {path}: {e}");
+                let value =
+                    ValueFunction::load_json(std::path::Path::new(path)).unwrap_or_else(|e| {
+                        eprintln!("failed to load model {path}: {e}");
+                        std::process::exit(1);
+                    });
+                // The model's grid maps the training city's node ids to
+                // cells. The training day seeds its own city, so the
+                // graphs differ; the node counts must not, or a cell
+                // lookup indexes past the grid.
+                let (trained, city) =
+                    (value.featurizer().node_count(), scenario.graph.node_count());
+                if trained != city {
+                    eprintln!(
+                        "model {path} was trained on a {trained}-node city; this one has {city} nodes"
+                    );
                     std::process::exit(1);
-                })
+                }
+                value
             } else {
                 eprintln!("training value function (pass --model to reuse one) …");
-                let mut tp = params.clone();
-                tp.seed ^= 0xDEAD_BEEF;
-                train(&Scenario::build(tp), &TrainingConfig::default()).value
+                train(&training_day(&params), &TrainingConfig::default()).value
             };
             Algo::WatterExpectValue(Arc::new(value))
         }
@@ -188,9 +202,7 @@ fn cmd_graph(flags: HashMap<String, String>) {
 }
 
 fn cmd_train(flags: HashMap<String, String>) {
-    let mut params = params_of(&flags);
-    params.seed ^= 0xDEAD_BEEF;
-    let training = Scenario::build(params);
+    let training = training_day(&params_of(&flags));
     let mut cfg = TrainingConfig::default();
     if let Some(steps) = parsed(&flags, "steps") {
         cfg.train_steps = steps;

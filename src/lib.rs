@@ -42,8 +42,8 @@ pub mod runner;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
-    pub use crate::pipeline::{train, TrainedWatter, TrainingConfig};
-    pub use crate::runner::{run_algorithm, run_scenario, Algo, RunOutput};
+    pub use crate::pipeline::{train, training_day, TrainedWatter, TrainingConfig};
+    pub use crate::runner::{run_algorithm, run_dispatcher, run_scenario, Algo, RunOutput};
     pub use watter_core::{
         CostWeights, Dist, Group, Kpis, Measurements, OracleKind, Order, RunReport, TravelCost,
         Worker,

@@ -1,8 +1,13 @@
 //! The full WATTER training pipeline (Sections V-C + VI-B).
 //!
+//! The paper trains on other days of the month than it evaluates on;
+//! here the training scenario is [`training_day`], the evaluation
+//! parameters on a sibling seed. [`train`] then runs four phases, the
+//! two simulations through [`run_dispatcher`]:
+//!
 //! 1. **History collection** — run the pooling framework with the online
-//!    policy on a *training* scenario (a different day/seed than
-//!    evaluation) and log every served order's realized extra time;
+//!    policy on the training scenario and log every served order's
+//!    realized extra time;
 //! 2. **Distribution fitting** — fit a GMM to the extra-time history and
 //!    derive per-order optimal thresholds `θ*` (Algorithm 3);
 //! 3. **Experience generation** — re-run the framework with the GMM
@@ -12,18 +17,16 @@
 //! 5. the result is a [`ValueFunction`] usable as WATTER-expect's
 //!    threshold provider.
 
-use crate::runner::{sim_config, watter_config};
-use std::sync::Arc;
+use crate::runner::{run_dispatcher, watter_config};
 use watter_core::{CostWeights, Dur, EnvSnapshot, Order, Ts};
 use watter_learn::{
     Gmm, GmmThresholdProvider, StateFeaturizer, TrainerConfig, TransitionRecorder, ValueFunction,
     ValueTrainer,
 };
 use watter_obs::Recorder;
-use watter_road::OracleStack;
-use watter_sim::{run, WatterDispatcher};
+use watter_sim::WatterDispatcher;
 use watter_strategy::{OnlinePolicy, PoolObserver, ThresholdPolicy};
-use watter_workload::Scenario;
+use watter_workload::{Scenario, ScenarioParams};
 
 /// Pipeline hyper-parameters.
 #[derive(Clone, Debug)]
@@ -84,26 +87,23 @@ impl PoolObserver for HistoryObserver {
     fn on_expire(&mut self, _: &Order, _: Ts, _: &EnvSnapshot) {}
 }
 
+/// The training day of an evaluation scenario: the same parameters on a
+/// sibling seed, so a model never sees the orders it is evaluated on.
+pub fn training_day(params: &ScenarioParams) -> Scenario {
+    let mut day = params.clone();
+    day.seed ^= 0xDEAD_BEEF;
+    Scenario::build(day)
+}
+
 /// Run the full offline pipeline on a training scenario.
 pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
-    let sim_cfg = sim_config(training);
-    let stack = OracleStack::new(Arc::clone(&training.oracle), Recorder::disabled());
-    let oracle = stack.top();
-
     // Phase 1: extra-time history under the online policy.
     let mut collector = WatterDispatcher::with_observer(
         watter_config(training),
         OnlinePolicy,
         HistoryObserver::default(),
     );
-    run(
-        training.orders.clone(),
-        training.workers.clone(),
-        &mut collector,
-        oracle,
-        sim_cfg,
-        Recorder::disabled(),
-    );
+    run_dispatcher(training, &mut collector, Recorder::disabled());
     let history = collector.into_observer().extra_times;
 
     // Phase 2: GMM fit (Algorithm 3 line 1).
@@ -116,18 +116,11 @@ pub fn train(training: &Scenario, cfg: &TrainingConfig) -> TrainedWatter {
         watter_config(training),
         ThresholdPolicy::new(
             GmmThresholdProvider::from_gmm(gmm.clone()),
-            sim_cfg.check_period,
+            training.params.check_period,
         ),
         recorder,
     );
-    run(
-        training.orders.clone(),
-        training.workers.clone(),
-        &mut generator,
-        oracle,
-        sim_cfg,
-        Recorder::disabled(),
-    );
+    run_dispatcher(training, &mut generator, Recorder::disabled());
     let (memory, featurizer) = generator.into_observer().into_parts();
 
     // Phase 4: value-function training.

@@ -1,22 +1,27 @@
-//! One-call experiment runner.
+//! The one place a dispatcher runs on a [`Scenario`].
 //!
-//! Maps an algorithm name to a configured dispatcher and executes it on a
-//! [`Scenario`] through the dispatch-core driver ([`watter_sim::run`]),
-//! returning the paper's four measurements plus the operational KPI
-//! surface. This is the unit of work of every table and figure
-//! reproduction.
+//! [`run_dispatcher`] builds the scenario's [`OracleStack`], drives any
+//! [`Dispatcher`] over the scenario's orders and fleet through the
+//! dispatch-core driver ([`watter_sim::run`]) and packages the paper's
+//! four measurements, the KPI accumulator and the cache counters as a
+//! [`RunOutput`]. [`run_scenario`] maps an [`Algo`] to its configured
+//! dispatcher and hands it over. Callers that configure a dispatcher
+//! themselves — the harness's fan-out and cancellation ablations, both
+//! simulation phases of [`crate::pipeline::train`] — call
+//! [`run_dispatcher`] directly, so every table and figure row is one run
+//! of it.
 
 use std::sync::Arc;
 use watter_baselines::{GasConfig, GasDispatcher, GdpConfig, GdpDispatcher, NonSharingDispatcher};
-use watter_core::{
-    CostWeights, DriverCounts, Kpis, Measurements, OracleCacheKpis, RunReport, TravelBound,
-};
-use watter_learn::ValueFunction;
+use watter_core::{CostWeights, DriverCounts, Kpis, Measurements, OracleCacheKpis, RunReport};
+use watter_learn::{Gmm, GmmThresholdProvider, ValueFunction};
 use watter_obs::Recorder;
 use watter_pool::{cliques::CliqueLimits, PlanLimits, PoolConfig};
 use watter_road::OracleStack;
 use watter_sim::{Dispatcher, SimConfig, WatterConfig, WatterDispatcher};
-use watter_strategy::{DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy};
+use watter_strategy::{
+    ConstantThreshold, DecisionPolicy, OnlinePolicy, ThresholdPolicy, TimeoutPolicy,
+};
 use watter_workload::Scenario;
 
 /// The algorithms compared in the paper's evaluation.
@@ -32,16 +37,12 @@ pub enum Algo {
     /// WATTER with the dispatch-as-late-as-possible policy.
     WatterTimeout,
     /// WATTER-expect with a GMM-optimal threshold (Section V-C, no RL).
-    WatterExpectGmm(Arc<watter_learn::Gmm>),
+    WatterExpectGmm(Arc<Gmm>),
     /// WATTER-expect with the learned value function (Section VI).
     WatterExpectValue(Arc<ValueFunction>),
     /// WATTER-expect with a constant threshold (ablation: the base case of
     /// Section V-A before any learning).
     WatterConstant(f64),
-    /// WATTER-online under an explicit rider-cancellation model
-    /// (robustness ablation; Section VI-A treats cancellation as implicit
-    /// expiration).
-    WatterOnlineCancel(watter_sim::CancellationModel),
 }
 
 impl Algo {
@@ -56,7 +57,6 @@ impl Algo {
             Algo::WatterExpectGmm(_) => "WATTER-expect-gmm",
             Algo::WatterExpectValue(_) => "WATTER-expect",
             Algo::WatterConstant(_) => "WATTER-const",
-            Algo::WatterOnlineCancel(_) => "WATTER-online+cancel",
         }
     }
 }
@@ -134,61 +134,28 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
     }
 }
 
-/// Execute one algorithm on one scenario with an observability recorder
+/// Run `dispatcher` over the scenario's orders and fleet, querying the
+/// scenario's oracle behind a fresh [`OracleStack`], with `recorder`
 /// attached to every layer (core, dispatcher, pool, oracle stack). The
-/// output keeps the handle: [`RunOutput::report`] carries its
-/// per-stage latency percentiles and windowed KPIs;
-/// `recorder.drain_trace()` yields the structured event journal. With
-/// [`Recorder::disabled`] every hook short-circuits, so the disabled path
-/// pays nothing.
-pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunOutput {
-    let check_period = scenario.params.check_period;
+/// output keeps the handle: [`RunOutput::report`] carries its per-stage
+/// latency percentiles and windowed KPIs; `recorder.drain_trace()` yields
+/// the structured event journal. With [`Recorder::disabled`] every hook
+/// short-circuits, so the disabled path pays nothing. The dispatcher
+/// stays the caller's, observer and all.
+pub fn run_dispatcher<D: Dispatcher>(
+    scenario: &Scenario,
+    dispatcher: &mut D,
+    recorder: Recorder,
+) -> RunOutput {
     let stack = OracleStack::new(Arc::clone(&scenario.oracle), recorder.clone());
-    let oracle = stack.top();
-    let (measurements, kpis) = match algo {
-        Algo::Gdp => {
-            let d = GdpDispatcher::new(GdpConfig::default(), &scenario.workers);
-            run_on(scenario, oracle, &recorder, d)
-        }
-        Algo::Gas => {
-            let d = GasDispatcher::new(GasConfig {
-                batch_window: check_period.max(5),
-                max_group_size: scenario.params.max_capacity as usize,
-                beam_width: 8,
-            });
-            run_on(scenario, oracle, &recorder, d)
-        }
-        Algo::NonSharing => run_on(scenario, oracle, &recorder, NonSharingDispatcher::new()),
-        Algo::WatterOnline => run_on(scenario, oracle, &recorder, watter(scenario, OnlinePolicy)),
-        Algo::WatterTimeout => {
-            let d = watter(scenario, TimeoutPolicy { check_period });
-            run_on(scenario, oracle, &recorder, d)
-        }
-        Algo::WatterExpectGmm(gmm) => {
-            let provider = watter_learn::GmmThresholdProvider::from_gmm((*gmm).clone());
-            let policy = ThresholdPolicy::new(provider, check_period);
-            run_on(scenario, oracle, &recorder, watter(scenario, policy))
-        }
-        Algo::WatterExpectValue(vf) => {
-            let policy = ThresholdPolicy::new(ArcProvider(vf), check_period);
-            run_on(scenario, oracle, &recorder, watter(scenario, policy))
-        }
-        Algo::WatterConstant(theta) => {
-            let provider = watter_strategy::ConstantThreshold(theta);
-            let policy = ThresholdPolicy::new(provider, check_period);
-            run_on(scenario, oracle, &recorder, watter(scenario, policy))
-        }
-        Algo::WatterOnlineCancel(model) => {
-            let mut wcfg = watter_config(scenario);
-            wcfg.cancellation = model;
-            run_on(
-                scenario,
-                oracle,
-                &recorder,
-                WatterDispatcher::new(wcfg, OnlinePolicy),
-            )
-        }
-    };
+    let (measurements, kpis) = watter_sim::run(
+        scenario.orders.clone(),
+        scenario.workers.clone(),
+        dispatcher,
+        stack.top(),
+        sim_config(scenario),
+        recorder.clone(),
+    );
     RunOutput {
         measurements,
         kpis,
@@ -199,42 +166,47 @@ pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunO
     }
 }
 
-fn watter<P: DecisionPolicy>(scenario: &Scenario, policy: P) -> WatterDispatcher<P> {
-    WatterDispatcher::new(watter_config(scenario), policy)
+/// Execute one algorithm on one scenario through [`run_dispatcher`].
+pub fn run_scenario(scenario: &Scenario, algo: Algo, recorder: Recorder) -> RunOutput {
+    let check_period = scenario.params.check_period;
+    match algo {
+        Algo::Gdp => {
+            let mut d = GdpDispatcher::new(GdpConfig::default(), &scenario.workers);
+            run_dispatcher(scenario, &mut d, recorder)
+        }
+        Algo::Gas => {
+            let mut d = GasDispatcher::new(GasConfig {
+                batch_window: check_period.max(5),
+                max_group_size: scenario.params.max_capacity as usize,
+                beam_width: 8,
+            });
+            run_dispatcher(scenario, &mut d, recorder)
+        }
+        Algo::NonSharing => run_dispatcher(scenario, &mut NonSharingDispatcher::new(), recorder),
+        Algo::WatterOnline => run_watter(scenario, OnlinePolicy, recorder),
+        Algo::WatterTimeout => run_watter(scenario, TimeoutPolicy { check_period }, recorder),
+        Algo::WatterExpectGmm(gmm) => {
+            let provider = GmmThresholdProvider::from_gmm((*gmm).clone());
+            let policy = ThresholdPolicy::new(provider, check_period);
+            run_watter(scenario, policy, recorder)
+        }
+        Algo::WatterExpectValue(vf) => {
+            run_watter(scenario, ThresholdPolicy::new(vf, check_period), recorder)
+        }
+        Algo::WatterConstant(theta) => {
+            let policy = ThresholdPolicy::new(ConstantThreshold(theta), check_period);
+            run_watter(scenario, policy, recorder)
+        }
+    }
 }
 
-/// [`watter_sim::run`] on the scenario's orders and fleet.
-fn run_on<D: Dispatcher>(
-    scenario: &Scenario,
-    oracle: &dyn TravelBound,
-    recorder: &Recorder,
-    mut dispatcher: D,
-) -> (Measurements, Kpis) {
-    watter_sim::run(
-        scenario.orders.clone(),
-        scenario.workers.clone(),
-        &mut dispatcher,
-        oracle,
-        sim_config(scenario),
-        recorder.clone(),
-    )
+/// WATTER with the scenario's [`watter_config`] under `policy`.
+fn run_watter<P: DecisionPolicy>(scenario: &Scenario, policy: P, recorder: Recorder) -> RunOutput {
+    let mut d = WatterDispatcher::new(watter_config(scenario), policy);
+    run_dispatcher(scenario, &mut d, recorder)
 }
 
 /// Execute one algorithm, unobserved, and summarize into a [`RunReport`].
 pub fn run_algorithm(scenario: &Scenario, algo: Algo) -> RunReport {
     run_scenario(scenario, algo, Recorder::disabled()).report()
-}
-
-/// Shared-ownership wrapper so a trained value function can serve many
-/// sweep points without cloning network weights.
-pub struct ArcProvider(pub Arc<ValueFunction>);
-
-impl watter_strategy::ThresholdProvider for ArcProvider {
-    fn threshold(
-        &self,
-        order: &watter_core::Order,
-        ctx: &watter_strategy::DecisionContext<'_>,
-    ) -> f64 {
-        self.0.threshold(order, ctx)
-    }
 }

@@ -203,7 +203,40 @@ fn train_subcommand_saves_loadable_model() {
     );
     let reloaded = watter_learn::ValueFunction::load_json(&model);
     assert!(reloaded.is_ok(), "saved model must reload: {reloaded:?}");
+
+    // The model dispatches on a city of its training day's size (the
+    // default side, 24: 576 nodes) and is refused, not a panic, on a
+    // doubled side (2 304 nodes).
+    let run = |side: &str| {
+        cli()
+            .args([
+                "run",
+                "--algo",
+                "expect",
+                "--orders",
+                "40",
+                "--workers",
+                "8",
+            ])
+            .args(["--city-side", side, "--model"])
+            .arg(&model)
+            .output()
+            .expect("spawn watter-cli")
+    };
+    let same = run("24");
+    assert!(
+        same.status.success(),
+        "same-city run failed: {}",
+        String::from_utf8_lossy(&same.stderr)
+    );
+    let other = run("48");
     std::fs::remove_file(&model).ok();
+    let stderr = String::from_utf8_lossy(&other.stderr);
+    assert_eq!(other.status.code(), Some(1), "doubled side: {stderr}");
+    assert!(
+        stderr.contains("576") && stderr.contains("2304"),
+        "the refusal names both node counts: {stderr}"
+    );
 }
 
 #[test]

@@ -204,23 +204,26 @@ fn value_function_persists_and_reloads() {
 
 #[test]
 fn cancellation_reduces_service_not_correctness() {
-    use watter::runner::Algo;
+    use watter::runner::{run_dispatcher, watter_config};
     use watter_sim::CancellationModel;
     let s = small_scenario();
-    let off = measure(&s, Algo::WatterOnlineCancel(CancellationModel::OFF));
-    let mild = measure(&s, Algo::WatterOnlineCancel(CancellationModel::mild()));
+    let measure = |cancellation| {
+        let mut cfg = watter_config(&s);
+        cfg.cancellation = cancellation;
+        let mut d = WatterDispatcher::new(cfg, OnlinePolicy);
+        run_dispatcher(&s, &mut d, Recorder::disabled()).measurements
+    };
+    let off = measure(CancellationModel::OFF);
+    let mild = measure(CancellationModel::mild());
     // The hazard must be genuinely heavy for service to drop: under
     // overload, mild abandonment relieves congestion and can *raise* the
     // goodput of the remaining orders (standard queueing-with-reneging
     // behavior), so monotonicity only holds once cancellations dominate
     // that relief effect.
-    let heavy = measure(
-        &s,
-        Algo::WatterOnlineCancel(CancellationModel {
-            base_hazard: 0.05,
-            impatience: 0.3,
-        }),
-    );
+    let heavy = measure(CancellationModel {
+        base_hazard: 0.05,
+        impatience: 0.3,
+    });
     // Every order still reaches a terminal outcome under cancellation.
     assert_eq!(mild.total_orders, s.orders.len() as u64);
     assert_eq!(heavy.total_orders, s.orders.len() as u64);
