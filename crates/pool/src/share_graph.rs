@@ -11,12 +11,12 @@
 //!
 //! Where the oracle's bound is cheaper than its cost
 //! ([`TravelBound::bound_is_exact`] is `false`: the landmark bound in front
-//! of an A* search) a candidate pair first meets the *relaxed* pair
-//! problem: the same pre-filter and the same route search, run over
-//! [`Optimistic`] — every leg costs its lower bound, no exact query is
-//! made. Only a pair with a relaxed route goes on to the exact pre-filter
-//! and the exact plan; the others get no edge and cost no search at all.
-//! Where the bound *is* the cost (dense table, contraction hierarchy) the
+//! of an A* search or a CH query) a candidate pair first meets the
+//! *relaxed* pair problem: the same pre-filter and the same route search,
+//! run over [`Optimistic`] — every leg costs its lower bound, no exact
+//! query is made. Only a pair with a relaxed route goes on to the exact
+//! pre-filter and the exact plan; the others get no edge and cost no
+//! search at all. Where the bound *is* the cost (the dense table) the
 //! relaxed problem is the exact one, and the step is skipped.
 //!
 //! **Why the gate cannot lose an edge.** Take a pair with a truly feasible

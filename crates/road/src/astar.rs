@@ -37,9 +37,9 @@
 //!
 //! The symmetric-graph form of the bound is only admissible on graphs
 //! where every edge has a same-weight mirror (all the synthetic cities in
-//! this workspace). On an asymmetric graph the oracle silently degrades to
-//! a zero heuristic — plain Dijkstra with early exit — which is slower but
-//! still exact.
+//! this workspace). An asymmetric graph gets no landmarks
+//! ([`Landmarks::build_with_exec`]), so the heuristic is zero — plain
+//! Dijkstra with early exit — which is slower but still exact.
 
 use crate::dijkstra::UNREACHABLE;
 use crate::graph::RoadGraph;
@@ -54,7 +54,7 @@ use watter_core::{Dur, NodeId, TravelBound, TravelCost};
 pub struct AltOracle {
     graph: Arc<RoadGraph>,
     landmarks: Landmarks,
-    /// Whether the landmark bound may be used (see module docs).
+    /// [`RoadGraph::is_symmetric`], read once at construction.
     symmetric: bool,
 }
 
@@ -73,8 +73,7 @@ struct AstarWorkspace {
     settled: Vec<bool>,
     touched: Vec<u32>,
     open: RadixQueue,
-    /// The target's landmark entries (empty when the bound may not be
-    /// used).
+    /// The target's landmark entries (none on an asymmetric graph).
     target_bounds: Vec<u16>,
     pops: usize,
     pushes: usize,
@@ -145,9 +144,14 @@ impl AltOracle {
     }
 
     /// Wrap an existing landmark set (e.g. shared with shareability
-    /// pre-filtering).
+    /// pre-filtering), built on `graph`: the heuristic is admissible only
+    /// if the set is empty where the graph is asymmetric.
     pub fn with_landmarks(graph: Arc<RoadGraph>, landmarks: Landmarks) -> Self {
         let symmetric = graph.is_symmetric();
+        debug_assert!(
+            symmetric || landmarks.is_empty(),
+            "landmarks on a one-way graph"
+        );
         Self {
             graph,
             landmarks,
@@ -184,7 +188,7 @@ impl AltOracle {
         }
         QUERY.with(|ws| {
             let mut ws = ws.borrow_mut();
-            let c = ws.search(&self.graph, &self.landmarks, self.symmetric, a, b);
+            let c = ws.search(&self.graph, &self.landmarks, a, b);
             (c, [ws.pops, ws.pushes])
         })
     }
@@ -213,7 +217,7 @@ impl AstarWorkspace {
     }
 
     /// Heuristic `h(v)`: the tightest landmark lower bound on the
-    /// remaining distance `v → target`, 0 when the bound may not be used.
+    /// remaining distance `v → target`, 0 over no landmarks.
     #[inline]
     fn h(&self, landmarks: &Landmarks, v: u32) -> Dur {
         max_gap(landmarks.entries(NodeId(v)), &self.target_bounds)
@@ -223,15 +227,12 @@ impl AstarWorkspace {
         &mut self,
         graph: &RoadGraph,
         landmarks: &Landmarks,
-        symmetric: bool,
         src: NodeId,
         dst: NodeId,
     ) -> Dur {
         self.begin(graph.node_count());
         self.target_bounds.clear();
-        if symmetric {
-            self.target_bounds.extend_from_slice(landmarks.entries(dst));
-        }
+        self.target_bounds.extend_from_slice(landmarks.entries(dst));
         self.dist[src.index()] = 0;
         self.touched.push(src.0);
         self.push(self.h(landmarks, src.0), src.0);
@@ -265,10 +266,7 @@ impl TravelCost for AltOracle {
         if a == b {
             return 0;
         }
-        QUERY.with(|ws| {
-            ws.borrow_mut()
-                .search(&self.graph, &self.landmarks, self.symmetric, a, b)
-        })
+        QUERY.with(|ws| ws.borrow_mut().search(&self.graph, &self.landmarks, a, b))
     }
 
     /// Every edge has a same-weight mirror, so shortest-path costs are
@@ -280,17 +278,11 @@ impl TravelCost for AltOracle {
 
 impl TravelBound for AltOracle {
     /// The landmark triangle-inequality bound the A* heuristic already
-    /// uses: `O(landmarks)` integer ops, no search. On asymmetric graphs —
-    /// where the symmetric-form bound is inadmissible — this degrades to
-    /// `0` (always admissible, never prunes), mirroring the zero-heuristic
-    /// fallback of the search itself.
+    /// uses ([`Landmarks::lower_bound`]): `O(landmarks)` integer ops, no
+    /// search, and `0` on an asymmetric graph, as the heuristic is.
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
-        if self.symmetric {
-            self.landmarks.lower_bound(a, b)
-        } else {
-            0
-        }
+        self.landmarks.lower_bound(a, b)
     }
 }
 
@@ -373,10 +365,12 @@ mod tests {
         ));
         assert!(!g.is_symmetric());
         let alt = AltOracle::build(g.clone(), 2);
+        assert!(alt.landmarks().is_empty(), "no table on a one-way graph");
         let dij = DijkstraOracle::new(&g);
         for a in g.nodes() {
             for b in g.nodes() {
                 assert_eq!(alt.cost(a, b), dij.cost(a, b), "{a} -> {b}");
+                assert_eq!(alt.lower_bound(a, b), 0, "{a} -> {b}");
             }
         }
     }

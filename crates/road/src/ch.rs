@@ -41,7 +41,9 @@
 //!    table is one Dijkstra per core node over the *remaining graph* as
 //!    the loop left it: every contraction preserves shortest-path costs
 //!    among the nodes still uncontracted, so that graph is distance-exact
-//!    for the core without any arc of a contracted node.
+//!    for the core without any arc of a contracted node. Entries are
+//!    `u16` wherever every finite core distance fits one, as on every
+//!    synthetic city here: 2 MB instead of 8 at 1 024 core nodes.
 //! 4. **Upward/downward CSR split** — the final edge set (originals +
 //!    shortcuts, deduplicated to minimum weight per arc, then pruned of
 //!    strictly dominated arcs by a second witness pass) is split into an
@@ -113,13 +115,14 @@
 
 use crate::dijkstra::{shortest_path_cost, UNREACHABLE};
 use crate::graph::RoadGraph;
+use crate::landmarks::Landmarks;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::ScopedJoinHandle;
-use watter_core::{Dur, Exec, NodeId, TravelBound, TravelCost};
+use watter_core::{Dur, Exec, NodeId, TravelBound, TravelCost, DEFAULT_LANDMARKS};
 
 /// Witness searches stop after settling this many nodes. Larger limits
 /// find more witnesses (fewer redundant shortcuts, slower preprocessing);
@@ -185,7 +188,7 @@ pub struct ChOracle {
     core_start: u32,
     /// Row-major `(n - core_start)²` exact pairwise distances between core
     /// nodes (rank space, saturated at [`UNREACHABLE`]).
-    core_table: Vec<Dur>,
+    core_table: CoreTable,
     /// Forward access nodes per rank: the distance-sorted, domination-pruned
     /// core entry points of the below-core upward cone (`targets` hold core
     /// indices, `weights` exact distances). Precomputing these turns the
@@ -200,6 +203,119 @@ pub struct ChOracle {
     gamma: f64,
     /// Shortcut arcs added while contracting below the core (diagnostic).
     shortcuts: usize,
+    /// [`DEFAULT_LANDMARKS`] landmarks, the [`TravelBound`] answer; none on
+    /// an asymmetric graph, where the bound is the query itself.
+    landmarks: Landmarks,
+}
+
+/// The core's exact pairwise distances, row-major, in the narrowest width
+/// that holds every finite entry: `u16`, with `u16::MAX` for
+/// [`UNREACHABLE`], when every finite distance is below 65 535 s — every
+/// synthetic city in this workspace, at a quarter of the bytes (2 MB
+/// instead of 8 at 1 024 core nodes) — else [`Dur`].
+#[derive(Debug, PartialEq)]
+enum CoreTable {
+    Narrow(Vec<u16>),
+    Wide(Vec<Dur>),
+}
+
+/// A core-table entry, read as a distance.
+trait Entry: Copy {
+    fn dur(self) -> Dur;
+}
+
+impl Entry for u16 {
+    #[inline]
+    fn dur(self) -> Dur {
+        if self == u16::MAX {
+            UNREACHABLE
+        } else {
+            Dur::from(self)
+        }
+    }
+}
+
+impl Entry for Dur {
+    #[inline]
+    fn dur(self) -> Dur {
+        self
+    }
+}
+
+impl CoreTable {
+    /// One full Dijkstra per core node over `core`, fanned out on `exec`
+    /// (order-preserving, so deterministic). Each sweep lands in its row
+    /// of one preallocated table, narrow first; a finite distance too long
+    /// for it stops the narrow fill, and the wide table is filled instead.
+    fn build(core: SearchGraph, core_len: usize, exec: &Exec) -> Self {
+        let narrow = Self::fill(core, core_len, exec, u16::MAX, |row, dist| {
+            row.iter_mut()
+                .zip(dist)
+                .all(|(cell, &d)| match u16::try_from(d) {
+                    Ok(d) if d < u16::MAX => {
+                        *cell = d;
+                        true
+                    }
+                    _ => d >= UNREACHABLE,
+                })
+        });
+        match narrow {
+            Some(table) => CoreTable::Narrow(table),
+            None => CoreTable::Wide(
+                Self::fill(core, core_len, exec, UNREACHABLE, |row, dist| {
+                    row.copy_from_slice(dist);
+                    true
+                })
+                .expect("a wide entry holds every distance"),
+            ),
+        }
+    }
+
+    /// A `core_len²` table of `empty`, each row `put` from its sweep;
+    /// `None`, and no further sweep, once a `put` fails.
+    fn fill<T: Copy + Send>(
+        core: SearchGraph,
+        core_len: usize,
+        exec: &Exec,
+        empty: T,
+        put: impl Fn(&mut [T], &[Dur]) -> bool + Sync,
+    ) -> Option<Vec<T>> {
+        let ok = AtomicBool::new(true);
+        let mut table = vec![empty; core_len * core_len];
+        exec.fill_rows(&mut table, core_len, |first_row, rows| {
+            WITNESS.with(|ws| {
+                let mut ws = ws.borrow_mut();
+                for (r, row) in rows.chunks_mut(core_len).enumerate() {
+                    if !ok.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let src = (first_row + r) as u32;
+                    ws.search(core, src, u32::MAX, UNREACHABLE, usize::MAX, &[]);
+                    if !put(row, &ws.dist[..core_len]) {
+                        ok.store(false, Ordering::Relaxed);
+                    }
+                }
+            })
+        });
+        ok.into_inner().then_some(table)
+    }
+
+    /// Entry `i`, as a distance.
+    #[inline]
+    fn get(&self, i: usize) -> Dur {
+        match self {
+            CoreTable::Narrow(t) => t[i].dur(),
+            CoreTable::Wide(t) => t[i],
+        }
+    }
+
+    /// Resident bytes.
+    fn bytes(&self) -> usize {
+        match self {
+            CoreTable::Narrow(t) => std::mem::size_of_val(t.as_slice()),
+            CoreTable::Wide(t) => std::mem::size_of_val(t.as_slice()),
+        }
+    }
 }
 
 /// Minimal CSR used for the upward/downward halves. Each node's arc list
@@ -906,29 +1022,17 @@ impl ChOracle {
         reduce_arcs(&mut up_adj, max_arc);
         reduce_arcs(&mut down_adj, max_arc);
 
-        // Each sweep lands in its row of the one preallocated table, so
-        // the build never holds the (8 MB at 1 024 core nodes) table twice.
-        let mut core_table: Vec<Dur> = vec![UNREACHABLE; core_len * core_len];
         let core = SearchGraph {
             adj: &core_adj,
             max_arc,
         };
-        exec.fill_rows(&mut core_table, core_len, |first_row, rows| {
-            WITNESS.with(|ws| {
-                let mut ws = ws.borrow_mut();
-                for (r, row) in rows.chunks_mut(core_len).enumerate() {
-                    let src = (first_row + r) as u32;
-                    ws.search(core, src, u32::MAX, UNREACHABLE, usize::MAX, &[]);
-                    row.copy_from_slice(&ws.dist[..core_len]);
-                }
-            })
-        });
+        let core_table = CoreTable::build(core, core_len, exec);
         // Debug builds re-derive a sample of entries on the original graph.
         for i in (0..core_len).step_by(core_len / 8 + 1) {
             let j = (i * 7 + 3) % core_len;
             let (a, b) = (NodeId(core_nodes[i]), NodeId(core_nodes[j]));
             debug_assert_eq!(
-                core_table[i * core_len + j],
+                core_table.get(i * core_len + j),
                 shortest_path_cost(&graph, a, b)
             );
         }
@@ -971,6 +1075,7 @@ impl ChOracle {
             coords[rank[v] as usize] = c;
         }
         let gamma = graph.min_cost_per_unit_distance();
+        let landmarks = Landmarks::build_with_exec(&graph, DEFAULT_LANDMARKS, exec);
 
         Self {
             rank,
@@ -983,6 +1088,7 @@ impl ChOracle {
             coords,
             gamma,
             shortcuts: shortcut_count,
+            landmarks,
             graph,
         }
     }
@@ -998,13 +1104,20 @@ impl ChOracle {
         self.shortcuts
     }
 
+    /// The landmark set the bound is answered from (empty on an
+    /// asymmetric graph).
+    pub fn landmarks(&self) -> &Landmarks {
+        &self.landmarks
+    }
+
     /// Contraction rank of a node (0 = contracted first).
     pub fn rank(&self, n: NodeId) -> u32 {
         self.rank[n.index()]
     }
 
     /// Resident bytes of the search structure: both CSR halves, both
-    /// access-set CSRs, ranks, the core table and the rank-order coords.
+    /// access-set CSRs, ranks, the core table, the rank-order coords and
+    /// the landmark table.
     pub fn resident_bytes(&self) -> usize {
         let csr = |c: &SplitCsr| {
             c.offsets.len() * 4 + c.targets.len() * 4 + c.weights.len() * std::mem::size_of::<Dur>()
@@ -1014,8 +1127,9 @@ impl ChOracle {
             + csr(&self.fwd_access)
             + csr(&self.bwd_access)
             + self.rank.len() * 4
-            + self.core_table.len() * std::mem::size_of::<Dur>()
+            + self.core_table.bytes()
             + self.coords.len() * std::mem::size_of::<(f64, f64)>()
+            + self.landmarks.table_bytes()
     }
 
     /// Admissible geometric lower bound on the travel cost between two
@@ -1071,6 +1185,7 @@ impl ChOracle {
             && self.coords == other.coords
             && self.gamma == other.gamma
             && self.shortcuts == other.shortcuts
+            && self.landmarks == other.landmarks
     }
 }
 
@@ -1122,7 +1237,7 @@ impl ChWorkspace {
         n: usize,
         cs: u32,
         k: usize,
-        table: &[Dur],
+        table: &CoreTable,
         start: u32,
         forward: bool,
     ) -> Vec<(u32, Dur)> {
@@ -1167,9 +1282,9 @@ impl ChWorkspace {
                 // carry tail distances, so the core path runs f-ward:
                 // f → a, then a → t.
                 let t = if forward {
-                    table[a as usize * k + f as usize]
+                    table.get(a as usize * k + f as usize)
                 } else {
-                    table[f as usize * k + a as usize]
+                    table.get(f as usize * k + a as usize)
                 };
                 if da.saturating_add(t) <= df {
                     continue 'entry;
@@ -1178,6 +1293,39 @@ impl ChWorkspace {
             kept.push((f, df));
         }
         kept
+    }
+
+    /// The access join over one table width: the cheapest `s → f, f → b,
+    /// b → t` of the forward and backward access sets, below `best`.
+    fn join<E: Entry>(
+        &mut self,
+        table: &[E],
+        k: usize,
+        (af_n, af_d): (&[u32], &[Dur]),
+        (ab_n, ab_d): (&[u32], &[Dur]),
+        mut best: Dur,
+    ) -> Dur {
+        let Some(&db_min) = ab_d.first() else {
+            return best;
+        };
+        for (&f, &df) in af_n.iter().zip(af_d) {
+            if df.saturating_add(db_min) >= best {
+                break;
+            }
+            let row = &table[f as usize * k..(f as usize + 1) * k];
+            for (&b, &db) in ab_n.iter().zip(ab_d) {
+                if df.saturating_add(db) >= best {
+                    break;
+                }
+                self.scanned += 1;
+                let cand = df
+                    .saturating_add(row[b as usize].dur())
+                    .saturating_add(db)
+                    .min(UNREACHABLE);
+                best = best.min(cand);
+            }
+        }
+        best
     }
 
     fn search(&mut self, ch: &ChOracle, src: NodeId, dst: NodeId) -> Dur {
@@ -1193,28 +1341,13 @@ impl ChWorkspace {
         // `s → f (access), f → b (table), b → t (access)` combination.
         // Both sets are distance-sorted, so the running best bounds both
         // loops (the table term is non-negative).
-        let (af_n, af_d) = ch.fwd_access.arcs(rs);
-        let (ab_n, ab_d) = ch.bwd_access.arcs(rd);
-        self.entries += af_n.len() + ab_n.len();
-        if let Some(&db_min) = ab_d.first() {
-            for (&f, &df) in af_n.iter().zip(af_d) {
-                if df.saturating_add(db_min) >= best {
-                    break;
-                }
-                let row = &ch.core_table[f as usize * k..(f as usize + 1) * k];
-                for (&b, &db) in ab_n.iter().zip(ab_d) {
-                    if df.saturating_add(db) >= best {
-                        break;
-                    }
-                    self.scanned += 1;
-                    let cand = df
-                        .saturating_add(row[b as usize])
-                        .saturating_add(db)
-                        .min(UNREACHABLE);
-                    best = best.min(cand);
-                }
-            }
-        }
+        let fwd = ch.fwd_access.arcs(rs);
+        let bwd = ch.bwd_access.arcs(rd);
+        self.entries += fwd.0.len() + bwd.0.len();
+        best = match &ch.core_table {
+            CoreTable::Narrow(table) => self.join(table, k, fwd, bwd, best),
+            CoreTable::Wide(table) => self.join(table, k, fwd, bwd, best),
+        };
 
         // Local phases cover paths whose peak lies below the core — an
         // up-path is rank-increasing, so such paths never touch it and the
@@ -1329,16 +1462,28 @@ impl TravelCost for ChOracle {
 }
 
 impl TravelBound for ChOracle {
-    /// CH queries are exact and microsecond-scale, so — like the dense
-    /// table — the tightest admissible bound *is* the cost itself.
+    /// The landmark bound ([`Landmarks::lower_bound`]): `O(landmarks)`
+    /// integer ops, against a query's hundreds of settled nodes. On an
+    /// asymmetric graph there are no landmarks, and the bound is the query.
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
-        self.cost(a, b)
+        if self.bound_is_exact() {
+            self.cost(a, b)
+        } else {
+            self.landmarks.lower_bound(a, b)
+        }
     }
 
-    /// The bound is a full query: a caller that knows asks once.
+    /// Only without landmarks: then a caller that knows asks once.
     #[inline]
     fn bound_is_exact(&self) -> bool {
+        self.landmarks.is_empty()
+    }
+
+    /// A query is microseconds: legs a caller will price anyway are asked
+    /// outright, bound or no bound.
+    #[inline]
+    fn cost_is_cheap(&self) -> bool {
         true
     }
 }
@@ -1634,9 +1779,10 @@ mod tests {
     }
 
     /// The wide path: every weight of a 6×6 city times 2³¹, so no search
-    /// packs. Scaling preserves every comparison the build makes, so the
-    /// ranks match the unscaled city's, and every answer is exactly 2³¹
-    /// times the unscaled one — and Dijkstra's.
+    /// packs and no core distance fits a narrow entry. Scaling preserves
+    /// every comparison the build makes, so the ranks match the unscaled
+    /// city's, and every answer is exactly 2³¹ times the unscaled one — and
+    /// Dijkstra's.
     #[test]
     fn huge_weights_take_the_tuple_frontier_and_build_the_same_hierarchy() {
         const SCALE: Dur = 1 << 31;
@@ -1658,6 +1804,8 @@ mod tests {
             "must not pack"
         );
         let (ch, wide) = (ChOracle::build(g.clone()), exact_on_all_pairs(&scaled));
+        assert!(matches!(ch.core_table, CoreTable::Narrow(_)));
+        assert!(matches!(wide.core_table, CoreTable::Wide(_)));
         for a in g.nodes() {
             assert_eq!(wide.rank(a), ch.rank(a), "rank of {a}");
             for b in g.nodes() {
@@ -1681,13 +1829,47 @@ mod tests {
         assert!(ch.resident_bytes() > 0);
     }
 
+    /// The bound is the landmark table's, built as ALT builds it: loose
+    /// somewhere, never above the cost. A one-way graph gets no table, and
+    /// its bound is the query.
     #[test]
-    fn exact_lower_bound_like_dense() {
+    fn lower_bound_is_the_landmark_bound_else_the_cost() {
         let g = city(5, 5, 4);
         let ch = ChOracle::build(g.clone());
-        for a in g.nodes().take(6) {
-            for b in g.nodes().take(6) {
-                assert_eq!(ch.lower_bound(a, b), ch.cost(a, b));
+        let lm = Landmarks::build(&g, DEFAULT_LANDMARKS);
+        assert_eq!(ch.landmarks(), &lm);
+        assert!(!ch.bound_is_exact() && ch.cost_is_cheap());
+        let mut slack = 0;
+        for a in g.nodes() {
+            for b in g.nodes() {
+                let (bound, cost) = (ch.lower_bound(a, b), ch.cost(a, b));
+                assert_eq!(bound, lm.lower_bound(a, b), "{a} -> {b}");
+                assert!(bound <= cost, "{a} -> {b}");
+                slack += cost - bound;
+            }
+        }
+        assert!(slack > 0);
+
+        let one_way = Arc::new(RoadGraph::from_edges(
+            vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+            vec![
+                Edge {
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    travel: 3,
+                },
+                Edge {
+                    from: NodeId(1),
+                    to: NodeId(2),
+                    travel: 4,
+                },
+            ],
+        ));
+        let ch = ChOracle::build(one_way.clone());
+        assert!(ch.landmarks().is_empty() && ch.bound_is_exact() && ch.cost_is_cheap());
+        for a in one_way.nodes() {
+            for b in one_way.nodes() {
+                assert_eq!(ch.lower_bound(a, b), ch.cost(a, b), "{a} -> {b}");
             }
         }
     }

@@ -42,7 +42,7 @@ pub(crate) fn max_gap(a: &[u16], b: &[u16]) -> Dur {
 }
 
 /// Precomputed landmark distances.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Landmarks {
     /// The selected landmark nodes; entry `ℓ` of every node belongs to
     /// `nodes[ℓ]`.
@@ -63,8 +63,7 @@ impl Landmarks {
     /// in [`crate::CostMatrix::build`]. Results are bit-identical for any
     /// thread count.
     pub fn build(graph: &RoadGraph, k: usize) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-        Self::build_with_threads(graph, k, threads)
+        Self::build_with_exec(graph, k, &Exec::new(0))
     }
 
     /// Single-threaded build — the baseline the parallel build is benched
@@ -73,15 +72,25 @@ impl Landmarks {
         Self::build_with_threads(graph, k, 1)
     }
 
-    /// Build with an explicit worker-thread count. The selected landmark
-    /// set is computed up front (cheap, thread-independent); the `k`
-    /// landmark-major rows are split into contiguous blocks
-    /// ([`Exec::fill_rows`]), every block reusing one
-    /// [`DijkstraWorkspace`], and transposed into the node-major table at
-    /// the end. Bit-identical output for any `threads`.
+    /// Build with an explicit worker-thread count
+    /// ([`build_with_exec`](Self::build_with_exec) on `threads` threads).
     pub fn build_with_threads(graph: &RoadGraph, k: usize, threads: usize) -> Self {
+        Self::build_with_exec(graph, k, &Exec::new(threads.max(1)))
+    }
+
+    /// Build on `exec`'s threads. The selected landmark set is computed up
+    /// front (cheap, thread-independent); the `k` landmark-major rows are
+    /// split into contiguous blocks ([`Exec::fill_rows`]), every block
+    /// reusing one [`DijkstraWorkspace`], and transposed into the
+    /// node-major table at the end. Bit-identical output for any thread
+    /// count.
+    ///
+    /// An asymmetric graph gets no landmarks: the symmetric-form bound is
+    /// inadmissible there, and over no landmarks
+    /// [`lower_bound`](Self::lower_bound) is `0`.
+    pub fn build_with_exec(graph: &RoadGraph, k: usize, exec: &Exec) -> Self {
         let n = graph.node_count();
-        if n == 0 || k == 0 {
+        if n == 0 || k == 0 || !graph.is_symmetric() {
             return Self {
                 nodes: Vec::new(),
                 table: Vec::new(),
@@ -91,7 +100,7 @@ impl Landmarks {
         let k = nodes.len();
         // Row `ℓ` holds landmark `ℓ`'s sweep, `UNREACHABLE` saturated.
         let mut rows = vec![u16::MAX; k * n];
-        Exec::new(threads.max(1)).fill_rows(&mut rows, n, |first_row, block| {
+        exec.fill_rows(&mut rows, n, |first_row, block| {
             let mut ws = DijkstraWorkspace::new(n);
             for (row, &node) in block.chunks_mut(n).zip(&nodes[first_row..]) {
                 for (cell, &d) in row.iter_mut().zip(ws.single_source(graph, node)) {
@@ -135,11 +144,11 @@ impl Landmarks {
         std::mem::size_of_val(self.table.as_slice())
     }
 
-    /// Triangle-inequality lower bound on `cost(a, b)`.
-    ///
-    /// Symmetric-graph form: `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over saturated
-    /// entries (module docs). Always ≤ the true distance on undirected
-    /// graphs.
+    /// Triangle-inequality lower bound on `cost(a, b)`: on a symmetric
+    /// graph `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over saturated entries (module
+    /// docs), on any other `0` (no landmarks). Never above the true
+    /// distance. The one spelling of the bound: [`crate::AltOracle`] and
+    /// [`crate::ChOracle`] both answer theirs here.
     #[inline]
     pub fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         max_gap(self.entries(a), self.entries(b))

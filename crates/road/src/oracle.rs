@@ -6,9 +6,10 @@
 //! [`AltOracle`] when a light build matters more than query latency, or the
 //! contraction-hierarchy [`ChOracle`] for 10⁵-node cities and beyond
 //! (exact microsecond point queries after a one-off preprocessing pass).
-//! All three return bit-identical costs; the choice is purely a
-//! memory/latency trade-off, so workloads, the simulator and the CLI all
-//! pick through this one type.
+//! All three return bit-identical costs; the table's bound is its cost,
+//! while ALT and CH bound from a [`crate::Landmarks`] table. The choice is
+//! purely a memory/latency trade-off, so workloads, the simulator and the
+//! CLI all pick through this one type.
 //!
 //! [`OracleStack`] is what a run then queries: the backend plus the layers
 //! it needs, composed in one place so no front end can forget one.
@@ -79,9 +80,10 @@ impl CityOracle {
             // The core is a distance table, never contracted: the
             // shortcuts are those of the hierarchy below it.
             CityOracle::Ch(o) => format!(
-                "ch[{} nodes, {} shortcuts below the core]",
+                "ch[{} nodes, {} shortcuts below the core, {} landmarks]",
                 o.graph().node_count(),
-                o.shortcut_count()
+                o.shortcut_count(),
+                o.landmarks().len()
             ),
         }
     }
@@ -107,9 +109,9 @@ impl TravelCost for CityOracle {
 }
 
 impl TravelBound for CityOracle {
-    /// Dense: the exact cost (O(1)); ALT: the landmark lower bound
-    /// (`O(landmarks)`, no search); CH: the exact cost (queries are cheap
-    /// enough that the tightest admissible bound is the answer itself).
+    /// Dense: the exact cost (O(1)); ALT and CH: the landmark lower bound
+    /// (`O(landmarks)`, no search; CH's is its cost on an asymmetric
+    /// graph, where it has no landmarks).
     #[inline]
     fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
         match self {
@@ -125,6 +127,15 @@ impl TravelBound for CityOracle {
             CityOracle::Dense(m) => m.bound_is_exact(),
             CityOracle::Alt(o) => o.bound_is_exact(),
             CityOracle::Ch(o) => o.bound_is_exact(),
+        }
+    }
+
+    #[inline]
+    fn cost_is_cheap(&self) -> bool {
+        match self {
+            CityOracle::Dense(m) => m.cost_is_cheap(),
+            CityOracle::Alt(o) => o.cost_is_cheap(),
+            CityOracle::Ch(o) => o.cost_is_cheap(),
         }
     }
 }
@@ -245,8 +256,10 @@ mod tests {
         assert!(CityOracle::build(&g, OracleKind::Alt { landmarks: 2 })
             .describe()
             .starts_with("alt["));
-        assert!(CityOracle::build(&g, OracleKind::Ch)
-            .describe()
-            .starts_with("ch["));
+        let ch = CityOracle::build(&g, OracleKind::Ch).describe();
+        assert!(
+            ch.starts_with("ch[") && ch.ends_with(", 16 landmarks]"),
+            "{ch}"
+        );
     }
 }

@@ -18,18 +18,20 @@
 //! 4. bound-guided `Fleet::nearest_idle` picks the worker the exhaustive
 //!    `(cost, id)` scan picks;
 //! 5. end-to-end dispatch outcomes are identical across every
-//!    acceleration configuration (dense / ALT, bare / cached);
+//!    acceleration configuration (dense / ALT / CH, bare / cached);
 //! 6. `OracleStack` — the one handle front ends query — answers exactly
 //!    what its bare backend answers, in both of its shapes, and picks the
 //!    shape from the backend alone;
 //! 7. a backend that calls its bound exact answers its cost for every
-//!    pair, the claim survives every wrapper, and `cost_if_below` is
-//!    "the cost, if below" whichever shortcut it takes.
+//!    pair (the table; never ALT or CH), the claim survives every wrapper,
+//!    and `cost_if_below` is "the cost, if below" whichever shortcut it
+//!    takes; a backend's `cost_is_cheap` answer survives every wrapper
+//!    too.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{Dur, NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
+use watter_core::{Dur, NodeId, Optimistic, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
 use watter_pool::{pair_prefilter, plan_min_cost, PairEdge, PlanLimits, ShareGraph};
 use watter_road::{AltOracle, CachedOracle, OracleStack};
 use watter_sim::Fleet;
@@ -437,10 +439,10 @@ fn cache_folds_directions_only_over_a_symmetric_backend() {
     assert_eq!(cached.misses(), 9);
 }
 
-/// End-to-end: the dense table (which skips the pair gate) and the ALT
-/// oracle (which takes it), each bare and cached, produce the same
-/// dispatch outcomes on the same scenario — the layers change latency,
-/// never results.
+/// End-to-end: the dense table (which skips the pair gate), the ALT oracle
+/// and CH (which take it, CH with exact walk legs), each bare and cached,
+/// produce the same dispatch outcomes on the same scenario — the layers
+/// change latency, never results.
 #[test]
 fn acceleration_layers_do_not_change_dispatch_outcomes() {
     use watter::runner::{sim_config, watter_config};
@@ -464,12 +466,16 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
             &scenario.graph,
             OracleKind::Alt { landmarks: 4 },
         ));
+        let ch = Arc::new(CityOracle::build(&scenario.graph, OracleKind::Ch));
+        assert!(!ch.bound_is_exact(), "CH takes the gate");
         let mut outcomes = Vec::new();
         for (tag, backend, cache) in [
             ("dense", &scenario.oracle, false),
             ("dense+cache", &scenario.oracle, true),
             ("alt", &alt, false),
             ("alt+cache", &alt, true),
+            ("ch", &ch, false),
+            ("ch+cache", &ch, true),
         ] {
             let cached = cache.then(|| CachedOracle::with_default_capacity(Arc::clone(backend)));
             let oracle: &dyn TravelBound = match &cached {
@@ -509,10 +515,10 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
 }
 
 /// The capability contract behind "ask once": `bound_is_exact()` is `true`
-/// only where `lower_bound == cost` on every pair (the dense table and CH;
-/// never the landmark bound), `&`, `Arc`, `CachedOracle` and `OracleStack`
-/// forward the answer, and `cost_if_below` returns exactly the costs below
-/// the limit on both sides of the capability.
+/// only where `lower_bound == cost` on every pair (the dense table; never
+/// the landmark bound of ALT and CH), `&`, `Arc`, `CachedOracle` and
+/// `OracleStack` forward the answer, and `cost_if_below` returns exactly
+/// the costs below the limit on both sides of the capability.
 #[test]
 fn an_exact_bound_claim_holds_on_every_pair_and_survives_wrapping() {
     fn claims(oracle: impl TravelBound) -> bool {
@@ -522,7 +528,7 @@ fn an_exact_bound_claim_holds_on_every_pair_and_survives_wrapping() {
     for (kind, exact) in [
         (OracleKind::Dense, true),
         (OracleKind::Alt { landmarks: 4 }, false),
-        (OracleKind::Ch, true),
+        (OracleKind::Ch, false),
     ] {
         let backend = Arc::new(CityOracle::build(&graph, kind));
         let name = backend.describe();
@@ -549,5 +555,35 @@ fn an_exact_bound_claim_holds_on_every_pair_and_survives_wrapping() {
         }
         // Exactly the backends that make the claim have no slack anywhere.
         assert_eq!(slack == 0, exact, "{name}: total bound slack {slack}");
+    }
+}
+
+/// The walk-leg fact beside it: `cost_is_cheap()` is `true` on the table
+/// and CH, whose exact legs cost a read or a microsecond query, and
+/// `false` on ALT, whose cost is an A* search; `&`, `Arc`, `CachedOracle`
+/// and `OracleStack` forward it, and the relaxed view over any backend
+/// answers `true` — its cost is the bound.
+#[test]
+fn a_cheap_cost_claim_survives_wrapping() {
+    fn claims(oracle: impl TravelBound) -> bool {
+        oracle.cost_is_cheap()
+    }
+    let graph = Arc::new(profile(0).city_config(7).generate(11));
+    for (kind, cheap) in [
+        (OracleKind::Dense, true),
+        (OracleKind::Alt { landmarks: 4 }, false),
+        (OracleKind::Ch, true),
+    ] {
+        let backend = Arc::new(CityOracle::build(&graph, kind));
+        let name = backend.describe();
+        assert_eq!(backend.cost_is_cheap(), cheap, "{name}");
+        assert_eq!(claims(backend.as_ref()), cheap, "&{name}");
+        assert_eq!(claims(Arc::clone(&backend)), cheap, "Arc<{name}>");
+        let cached = CachedOracle::new(Arc::clone(&backend), 64);
+        assert_eq!(claims(&cached), cheap, "{name} +cache");
+        let stack = OracleStack::new(Arc::clone(&backend), Recorder::disabled());
+        assert_eq!(stack.top().cost_is_cheap(), cheap, "stack over {name}");
+        assert!(claims(Optimistic(backend.as_ref())), "relaxed {name}");
+        assert!(claims(Optimistic(stack.top())), "relaxed stack over {name}");
     }
 }

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{Dur, Exec, NodeId, TravelBound};
+use watter_core::{Dur, Exec, NodeId, TravelBound, DEFAULT_LANDMARKS};
 use watter_road::dijkstra::{shortest_path_cost, UNREACHABLE};
 use watter_road::graph::Edge;
 use watter_road::{export_graph, parse_graph, AltOracle, ChOracle, Landmarks};
@@ -61,11 +61,16 @@ proptest! {
     /// across it: below→below meets locally or joins two access sets
     /// through the table, a core endpoint is its own single entry, and
     /// core→core is one table read — over symmetric, one-way,
-    /// disconnected and saturating graphs.
+    /// disconnected and saturating graphs. The bound is the same graph's
+    /// landmark bound on the symmetric variants (0, 2) and the cost on the
+    /// one-way ones (1, 3), which get no landmarks.
     #[test]
     fn ch_matches_dijkstra_on_every_rank_class(side in 4usize..10, seed in 0u64..10_000) {
         for kind in 0..4 {
             let graph = Arc::new(city_variant(kind, side, seed));
+            let symmetric = kind % 2 == 0;
+            prop_assert_eq!(graph.is_symmetric(), symmetric, "kind {}", kind);
+            let lm = Landmarks::build(&graph, DEFAULT_LANDMARKS);
             let ch = ChOracle::build(Arc::clone(&graph));
             let n = graph.node_count();
             // The `n / 4` rule: `CORE_SIZE` does not bind below 8 192 nodes.
@@ -86,6 +91,13 @@ proptest! {
                     let b = to[(i * 13 + 5) % to.len()];
                     let want = shortest_path_cost(&graph, a, b);
                     prop_assert_eq!(ch.cost(a, b), want, "kind {} {} {} -> {}", kind, class, a, b);
+                    let bound = ch.lower_bound(a, b);
+                    if symmetric {
+                        prop_assert_eq!(bound, lm.lower_bound(a, b), "kind {} bound {} -> {}", kind, a, b);
+                        prop_assert!(bound <= want, "kind {} bound {} -> {}", kind, a, b);
+                    } else {
+                        prop_assert_eq!(bound, want, "kind {} bound {} -> {}", kind, a, b);
+                    }
                     finite += usize::from(want < UNREACHABLE);
                 }
             }
@@ -195,6 +207,7 @@ proptest! {
         let ch_imported = ChOracle::build(Arc::clone(&imported));
         prop_assert!(ch.same_hierarchy(&ch_imported), "imported hierarchy differs");
 
+        let lm = Landmarks::build(&graph, DEFAULT_LANDMARKS);
         let n = graph.node_count() as u32;
         // Deterministic pair sample covering corners and interior.
         let probes: Vec<(u32, u32)> = (0..60)
@@ -207,8 +220,10 @@ proptest! {
             prop_assert_eq!(ch.cost(a, b), want, "ch {} -> {}", a, b);
             prop_assert_eq!(ch_imported.cost(a, b), want, "ch-imported {} -> {}", a, b);
             prop_assert_eq!(shortest_path_cost(&graph, a, b), want, "dijkstra {} -> {}", a, b);
-            // CH bounds are exact, like the dense table's.
-            prop_assert_eq!(ch.lower_bound(a, b), want, "ch bound {} -> {}", a, b);
+            // CH bounds from the landmark table ALT would build.
+            let bound = ch.lower_bound(a, b);
+            prop_assert_eq!(bound, lm.lower_bound(a, b), "ch bound {} -> {}", a, b);
+            prop_assert!(bound <= want, "ch bound {} -> {}", a, b);
         }
     }
 
