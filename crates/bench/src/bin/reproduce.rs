@@ -19,7 +19,8 @@
 //! (the default city's dense table, and the ALT city of that side behind
 //! the cache), writes `results/obs.json` with the per-stage latency
 //! breakdowns, and exits non-zero if either pair's enabled-path overhead
-//! exceeds 5%.
+//! exceeds 5% (the median over five alternating pairs of samples of at
+//! least a second each).
 
 use std::path::PathBuf;
 use watter_bench::{experiments, print_table, write_json, ExperimentRow};
@@ -141,7 +142,7 @@ fn omega(title: &str, scale: f64) {
 
 fn obs(title: &str, side: usize) {
     println!("\n## {title} (dense default city + {side}×{side} ALT city)");
-    let rows = experiments::obs_study(side, 3);
+    let rows = experiments::obs_study(side, 5);
     let mut failed = false;
     // One (disabled, enabled) pair per oracle-stack shape.
     for pair in rows.chunks(2) {

@@ -289,7 +289,7 @@ pub struct ObsRow {
     /// Recorder configuration: `disabled` (every hook short-circuits on
     /// one branch) or `enabled` (full registry: spans, windows, trace).
     pub config: String,
-    /// Timed repetitions (wall numbers are best-of).
+    /// Timed runs, over all samples.
     pub reps: usize,
     /// Orders simulated.
     pub orders: usize,
@@ -299,12 +299,13 @@ pub struct ObsRow {
     pub rejected: u64,
     /// Extra Time (the METRS objective Φ), seconds.
     pub extra_time_s: f64,
-    /// Best end-to-end wall time of the simulation, seconds.
+    /// Median per-run wall time of the simulation, seconds.
     pub wall_s: f64,
-    /// Best wall time per order, milliseconds.
+    /// Median wall time per order, milliseconds.
     pub per_order_ms: f64,
-    /// Wall-time overhead vs the pair's `disabled` row, percent (the
-    /// study's headline: `enabled` must stay within the 5% budget).
+    /// Median per-pair wall-time overhead vs the `disabled` samples,
+    /// percent (the study's headline: `enabled` must stay within the 5%
+    /// budget).
     pub overhead_pct: f64,
     /// Per-stage latency breakdown (`enabled` row only).
     pub stages: Vec<watter_obs::StageSample>,
@@ -318,7 +319,7 @@ pub struct ObsRow {
 /// must be identical within a pair (asserted — the metrics are observers,
 /// not participants); only wall clock may move, and the `reproduce`
 /// binary gates the enabled overhead of *both* pairs at 5%.
-pub fn obs_study(city_side: usize, reps: usize) -> Vec<ObsRow> {
+pub fn obs_study(city_side: usize, pairs: usize) -> Vec<ObsRow> {
     let mut dense = ScenarioParams::default_for(CityProfile::Chengdu);
     dense.n_orders = 4_000;
     dense.n_workers = 400;
@@ -326,70 +327,84 @@ pub fn obs_study(city_side: usize, reps: usize) -> Vec<ObsRow> {
     alt.city_side = city_side;
     alt.n_orders *= 10;
     alt.n_workers *= 10;
-    let mut rows = obs_pair(&Scenario::build(dense), reps);
-    rows.extend(obs_pair(&Scenario::build(alt), reps));
+    let mut rows = obs_pair(&Scenario::build(dense), pairs);
+    rows.extend(obs_pair(&Scenario::build(alt), pairs));
     rows
 }
 
-/// Each recorder configuration of an [`obs_pair`] is timed for at least
-/// this long in total: at the CI gate's side 64 an ALT run lasts 0.3 s,
-/// and the best of three such runs does not settle within a 5% budget on
-/// a shared host.
-const OBS_MIN_TIMED_S: f64 = 6.0;
+/// A timed sample of an [`obs_pair`] is as many back-to-back runs as fill
+/// at least this long: at the CI gate's side 64 an ALT run lasts under
+/// 0.1 s, where a hundredth of a second of jitter is 10%.
+const OBS_SAMPLE_S: f64 = 1.0;
 
-/// Time `scenario` under a disabled and an enabled recorder: interleaved
-/// best-of-N, N ≥ `min_reps`.
-fn obs_pair(scenario: &Scenario, min_reps: usize) -> Vec<ObsRow> {
+/// Time `scenario` under a disabled and an enabled recorder: `pairs`
+/// (disabled, enabled) samples, alternating which side goes first, each
+/// sample [`OBS_SAMPLE_S`] of back-to-back runs. A row's wall time is the
+/// median of its samples' per-run means, and the enabled overhead the
+/// median of the per-pair overheads.
+fn obs_pair(scenario: &Scenario, pairs: usize) -> Vec<ObsRow> {
     use std::time::Instant;
-
-    // Untimed warm-up so the first timed configuration doesn't pay the
-    // process's one-off costs (allocator growth, page faults, lazily
-    // built oracle state) that the later one would get for free.
-    run_scenario(scenario, Algo::WatterOnline, Recorder::disabled());
-
-    // Reps are interleaved (disabled, enabled, disabled, …) rather than
-    // blocked per configuration: on a busy host wall times drift over
-    // minutes, and blocked reps would alias that drift into the
-    // overhead comparison.
-    let configs = ["disabled", "enabled"];
-    let mut walls = [f64::INFINITY; 2];
-    let mut outcomes: Vec<Option<RunOutput>> = configs.iter().map(|_| None).collect();
-    let (mut reps, mut timed_s) = (0, 0.0);
-    while reps < min_reps || timed_s < OBS_MIN_TIMED_S {
-        for (i, config) in configs.iter().enumerate() {
-            let recorder = match *config {
-                "enabled" => Recorder::enabled(),
-                _ => Recorder::disabled(),
-            };
-            let t0 = Instant::now();
-            let out = run_scenario(scenario, Algo::WatterOnline, recorder);
-            let wall_s = t0.elapsed().as_secs_f64();
-            walls[i] = walls[i].min(wall_s);
-            outcomes[i] = Some(out);
-            timed_s += wall_s / configs.len() as f64;
-        }
-        reps += 1;
+    fn median(mut xs: Vec<f64>) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
     }
+
+    let configs = ["disabled", "enabled"];
+    let run = |config: &str| {
+        let recorder = match config {
+            "enabled" => Recorder::enabled(),
+            _ => Recorder::disabled(),
+        };
+        run_scenario(scenario, Algo::WatterOnline, recorder)
+    };
+    // Untimed warm-up so the first sample doesn't pay the process's one-off
+    // costs (allocator growth, page faults, lazily built oracle state),
+    // then count the runs that fill one sample.
+    run("disabled");
+    let (t0, mut runs) = (Instant::now(), 0);
+    while runs == 0 || t0.elapsed().as_secs_f64() < OBS_SAMPLE_S {
+        run("disabled");
+        runs += 1;
+    }
+
+    let mut walls = [Vec::new(), Vec::new()];
+    let mut outcomes: Vec<Option<RunOutput>> = configs.iter().map(|_| None).collect();
+    for pair in 0..pairs.max(1) {
+        for k in 0..configs.len() {
+            let i = (k + pair) % configs.len();
+            let t0 = Instant::now();
+            for _ in 0..runs {
+                outcomes[i] = Some(run(configs[i]));
+            }
+            walls[i].push(t0.elapsed().as_secs_f64() / runs as f64);
+        }
+    }
+    let overhead_pct = median(
+        walls[0]
+            .iter()
+            .zip(&walls[1])
+            .map(|(off, on)| (on - off) / off * 100.0)
+            .collect(),
+    );
 
     let mut rows: Vec<ObsRow> = Vec::new();
     for (i, config) in configs.iter().enumerate() {
-        let out = outcomes[i].take().expect("reps >= 1");
+        let out = outcomes[i].take().expect("pairs >= 1");
         let report = out.report();
-        let wall_s = walls[i];
-        let baseline_wall = rows.first().map_or(wall_s, |r| r.wall_s);
+        let wall_s = median(walls[i].clone());
         let row = ObsRow {
             oracle: out.oracle,
             city_side: scenario.params.city_side,
             nodes: scenario.graph.node_count(),
             config: config.to_string(),
-            reps,
+            reps: walls[i].len() * runs,
             orders: scenario.orders.len(),
             served: report.served_orders,
             rejected: report.rejected_orders,
             extra_time_s: report.extra_time,
             wall_s,
             per_order_ms: wall_s * 1e3 / scenario.orders.len().max(1) as f64,
-            overhead_pct: (wall_s - baseline_wall) / baseline_wall * 100.0,
+            overhead_pct: if i == 0 { 0.0 } else { overhead_pct },
             stages: report.obs.map_or_else(Vec::new, |obs| obs.stages),
         };
         if let Some(base) = rows.first() {

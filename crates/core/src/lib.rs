@@ -139,11 +139,6 @@ impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
 /// * anything else falls back to the default `0` (always admissible,
 ///   never prunes).
 ///
-/// Whether a leg the caller will need anyway is asked bound-first is a
-/// second fact, [`cost_is_cheap`](TravelBound::cost_is_cheap): a table
-/// read or a hierarchy query is cheap enough to ask outright, an A* search
-/// is not.
-///
 /// # Contract
 /// `lower_bound(a, b) ≤ cost(a, b)` for every pair — violating this makes
 /// filters drop feasible candidates and breaks the bit-identical-results
@@ -163,20 +158,6 @@ pub trait TravelBound: TravelCost {
     #[inline]
     fn bound_is_exact(&self) -> bool {
         false
-    }
-
-    /// Whether an exact query is cheap enough to ask for a leg the caller
-    /// will most likely price exactly anyway (a route's drop-off legs, a
-    /// pair's detour floors): `true` on a table or a hierarchy, whose
-    /// bound-first detour would cost more than it saves; `false` on a
-    /// search backend, where every exact leg is an A* search. Only which
-    /// queries a caller asks depends on it, never an answer. Defaults to
-    /// [`bound_is_exact`](TravelBound::bound_is_exact) — a cost no dearer
-    /// than its bound is cheap — and a wrapper forwards its inner oracle's
-    /// answer.
-    #[inline]
-    fn cost_is_cheap(&self) -> bool {
-        self.bound_is_exact()
     }
 
     /// "Bound, then exact", spelled once: `Some(cost(a, b))` when the cost
@@ -203,10 +184,6 @@ impl<T: TravelBound + ?Sized> TravelBound for &T {
         (**self).bound_is_exact()
     }
 
-    fn cost_is_cheap(&self) -> bool {
-        (**self).cost_is_cheap()
-    }
-
     fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
         (**self).cost_if_below(a, b, limit)
     }
@@ -219,10 +196,6 @@ impl<T: TravelBound + ?Sized> TravelBound for std::sync::Arc<T> {
 
     fn bound_is_exact(&self) -> bool {
         (**self).bound_is_exact()
-    }
-
-    fn cost_is_cheap(&self) -> bool {
-        (**self).cost_is_cheap()
     }
 
     fn cost_if_below(&self, a: NodeId, b: NodeId, limit: Dur) -> Option<Dur> {
@@ -238,9 +211,9 @@ impl<T: TravelBound + ?Sized> TravelBound for std::sync::Arc<T> {
 /// Every leg is at most the true leg, so a check that only gets harder to
 /// pass as time elapses (a deadline, a slack) and fails here fails on the
 /// real oracle too: "infeasible over the view" is a proof, "feasible over
-/// the view" is merely a candidate. The view calls its bound exact, and so
-/// its cost cheap, because for the instance it poses it is — a caller asks
-/// each leg once, through `cost`.
+/// the view" is merely a candidate. The view calls its bound exact
+/// because, for the instance it poses, it is — a caller asks each leg
+/// once, through `cost`.
 ///
 /// The view is *not* a shortest-path metric (a landmark bound need not obey
 /// the triangle inequality); see `watter_pool::share_graph` for why the

@@ -41,11 +41,11 @@
 //!   counted from the route's first stop as [`Plan::subroute_costs`] counts
 //!   them, the detour clamped at 0 as [`Group::detour`] clamps it — eight
 //!   legs beside the two stored direct costs, asked through `cost()` where
-//!   it is cheap ([`TravelBound::cost_is_cheap`]: the table, CH) and
-//!   through `lower_bound()` otherwise, **never an A\* search** (a smaller
-//!   leg passes more routes and shortens each, so the floor only sinks). A
-//!   pair no interleaving serves has floor `+∞`. Floors live in the walk,
-//!   are filled when a bound first needs them, and die with it.
+//!   the bound is exact and through `lower_bound()` otherwise, **never an
+//!   exact query on a search backend** (a smaller leg passes more routes
+//!   and shortens each, so the floor only sinks). A pair no interleaving
+//!   serves has floor `+∞`. Floors live in the walk, are filled when a
+//!   bound first needs them, and die with it.
 //! * **Bound.** For a member set `G` let `L_i = max_{j ∈ G∖{i}} floor[i][j]`
 //!   and `bound(G) = (Σ_i α·L_i + β·t_r(i)) / |G|`, summed in the member
 //!   order and with the expression [`Group::mean_extra_time`] uses.
@@ -231,9 +231,9 @@ const NO_ROUTE: Dur = Dur::MAX;
 /// deadlines. Capacity excludes none — the walk only bounds sets whose
 /// riders all fit the vehicle at once.
 fn pair_floors<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C) -> (Dur, Dur) {
-    let cheap = oracle.cost_is_cheap();
+    let exact = oracle.bound_is_exact();
     let leg = |from, to| {
-        if cheap {
+        if exact {
             oracle.cost(from, to)
         } else {
             oracle.lower_bound(from, to)
@@ -618,12 +618,10 @@ mod tests {
     }
 
     /// Manhattan metric on a 7×7 lattice whose bound is its cost; `exact`
-    /// is whether it says so, `cheap` whether it calls its cost cheap, i.e.
-    /// which door floor legs go through. Counts its `(cost, lower_bound)`
-    /// calls.
+    /// is whether it says so, i.e. which door floor legs go through. Counts
+    /// its `(cost, lower_bound)` calls.
     struct Lattice {
         exact: bool,
-        cheap: bool,
         asked: [Cell<usize>; 2],
     }
 
@@ -633,7 +631,6 @@ mod tests {
         fn new(exact: bool) -> Self {
             Self {
                 exact,
-                cheap: exact,
                 asked: Default::default(),
             }
         }
@@ -665,9 +662,6 @@ mod tests {
         fn bound_is_exact(&self) -> bool {
             self.exact
         }
-        fn cost_is_cheap(&self) -> bool {
-            self.cheap
-        }
     }
 
     /// An order on the lattice's bottom row (`Line`'s costs there).
@@ -697,20 +691,16 @@ mod tests {
         assert_eq!(pair_floors(&a, &b, 20, &exact), (NO_ROUTE, NO_ROUTE));
     }
 
-    /// Eight legs a pair, all through `cost()` where the cost is cheap —
-    /// behind an exact bound or, as on CH, an inexact one — and all through
-    /// `lower_bound()` where it is not.
+    /// Eight legs a pair, all through `cost()` where the bound is exact and
+    /// all through `lower_bound()` where it is not.
     #[test]
-    fn floor_legs_reach_cost_only_where_it_is_cheap() {
+    fn floor_legs_never_reach_cost_unless_the_bound_is_exact() {
         let (a, b) = (order(0, 0, 6, 10_000), order(1, 8, 12, 10_000));
-        for (exact, cheap) in [(true, true), (false, true), (false, false)] {
-            let oracle = Lattice {
-                cheap,
-                ..Lattice::new(exact)
-            };
+        for exact in [true, false] {
+            let oracle = Lattice::new(exact);
             pair_floors(&a, &b, 0, &oracle);
-            let want = if cheap { (8, 0) } else { (0, 8) };
-            assert_eq!(oracle.take_asked(), want, "exact: {exact}, cheap: {cheap}");
+            let want = if exact { (8, 0) } else { (0, 8) };
+            assert_eq!(oracle.take_asked(), want, "exact: {exact}");
         }
     }
 

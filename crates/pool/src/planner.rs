@@ -38,14 +38,12 @@
 //! leaves no room for the order's direct ride costs no exact query.
 //!
 //! What "optimistic leg" costs depends on the backend, and the backend
-//! says which ([`TravelBound::cost_is_cheap`], read once per plan): where
-//! an exact query is cheap (dense table, contraction hierarchy) the leg is
-//! asked through `cost()` — where a cache in front sees it — and reused as
-//! the exact leg of the drop-off expansion that follows, one query per
-//! (node, stop); otherwise (ALT) the landmark bound prunes and only
-//! surviving expansions pay an A* search. Pick-ups are bound-first
-//! wherever the bound is not the cost (ALT, CH): on the dense table a plan
-//! asks no `lower_bound` at all.
+//! says which ([`TravelBound::bound_is_exact`], read once per plan): when
+//! the bound *is* the cost (the dense table) the leg is asked through
+//! `cost()` — where a cache in front sees it — and reused as the exact leg
+//! of the drop-off expansion that follows, one query per (node, stop) and
+//! no `lower_bound` call at all; otherwise (ALT, CH) the landmark bound
+//! prunes and only surviving expansions pay a search.
 //! A four-order plan still visits ~130 nodes on average on a deep pool
 //! (thousands at worst), which is why each of them asks as little as it
 //! can.
@@ -177,9 +175,9 @@ struct Search<'a, C: TravelBound> {
     /// Fixed route origin (worker location) whose approach leg counts into
     /// both cost and deadlines; `None` for the paper's free-start model.
     start: Option<NodeId>,
-    /// The oracle's cost is cheap: optimistic legs are asked through
-    /// `cost()` and reused, never through `lower_bound()`.
-    cheap: bool,
+    /// The oracle's bound is its cost: optimistic legs are asked through
+    /// `cost()` and reused, `lower_bound()` is never called.
+    exact: bool,
     /// Dominance memo, `3ᵏ·2k` slots indexed `state · 2k + last stop`
     /// (empty outside [`MEMO_SIZES`]): the least elapsed time any node in
     /// that search state has been entered with.
@@ -240,7 +238,7 @@ impl<C: TravelBound> Search<'_, C> {
             for (i, o) in self.orders.iter().enumerate() {
                 let bit = 1u32 << i;
                 if picked & bit != 0 && dropped & bit == 0 {
-                    let leg = if self.cheap {
+                    let leg = if self.exact {
                         self.oracle.cost(cur, o.dropoff)
                     } else {
                         self.oracle.lower_bound(cur, o.dropoff)
@@ -284,7 +282,7 @@ impl<C: TravelBound> Search<'_, C> {
             } else if dropped & bit == 0 {
                 // try dropping off order i: the owed leg, exactly
                 let leg = match cur {
-                    Some(_) if self.cheap => owed[i],
+                    Some(_) if self.exact => owed[i],
                     Some(cur) => self.oracle.cost(cur, o.dropoff),
                     None => 0,
                 };
@@ -371,7 +369,7 @@ fn search<'a, C: TravelBound>(
         now,
         capacity: limits.capacity,
         start,
-        cheap: oracle.cost_is_cheap(),
+        exact: oracle.bound_is_exact(),
         least_elapsed: &mut scratch.least_elapsed,
         any_route,
         best_cost: NO_ROUTE,

@@ -174,11 +174,6 @@ impl AltOracle {
         self.cost(a, b) < UNREACHABLE
     }
 
-    /// Resident memory of the precomputed landmark table, in bytes.
-    pub fn landmark_bytes(&self) -> usize {
-        self.landmarks.table_bytes()
-    }
-
     /// Query + search-effort diagnostics: `(cost, [pops, pushes])` of the
     /// open queue, stale pops included.
     #[doc(hidden)]
@@ -385,7 +380,7 @@ mod tests {
                 assert_eq!(alt.cost(a, b), dense.cost(a, b));
             }
         }
-        assert_eq!(alt.landmark_bytes(), 0);
+        assert!(alt.landmarks().is_empty());
     }
 
     /// Random monotone traffic against a plain list: every pop is the

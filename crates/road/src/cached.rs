@@ -219,13 +219,6 @@ impl<C: TravelBound> TravelBound for CachedOracle<C> {
     fn bound_is_exact(&self) -> bool {
         self.inner.bound_is_exact()
     }
-
-    /// The inner oracle's answer: a leg asked outright goes through this
-    /// cache.
-    #[inline]
-    fn cost_is_cheap(&self) -> bool {
-        self.inner.cost_is_cheap()
-    }
 }
 
 #[cfg(test)]

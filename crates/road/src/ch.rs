@@ -308,14 +308,6 @@ impl CoreTable {
             CoreTable::Wide(t) => t[i],
         }
     }
-
-    /// Resident bytes.
-    fn bytes(&self) -> usize {
-        match self {
-            CoreTable::Narrow(t) => std::mem::size_of_val(t.as_slice()),
-            CoreTable::Wide(t) => std::mem::size_of_val(t.as_slice()),
-        }
-    }
 }
 
 /// Minimal CSR used for the upward/downward halves. Each node's arc list
@@ -1115,23 +1107,6 @@ impl ChOracle {
         self.rank[n.index()]
     }
 
-    /// Resident bytes of the search structure: both CSR halves, both
-    /// access-set CSRs, ranks, the core table, the rank-order coords and
-    /// the landmark table.
-    pub fn resident_bytes(&self) -> usize {
-        let csr = |c: &SplitCsr| {
-            c.offsets.len() * 4 + c.targets.len() * 4 + c.weights.len() * std::mem::size_of::<Dur>()
-        };
-        csr(&self.up)
-            + csr(&self.down)
-            + csr(&self.fwd_access)
-            + csr(&self.bwd_access)
-            + self.rank.len() * 4
-            + self.core_table.bytes()
-            + self.coords.len() * std::mem::size_of::<(f64, f64)>()
-            + self.landmarks.table_bytes()
-    }
-
     /// Admissible geometric lower bound on the travel cost between two
     /// ranks: `γ · euclid`, shaved by a relative and absolute margin so
     /// float rounding can never push it above the true cost (see
@@ -1459,6 +1434,12 @@ impl TravelCost for ChOracle {
         }
         QUERY.with(|ws| ws.borrow_mut().search(self, a, b))
     }
+
+    /// Landmarks are built exactly on a symmetric graph, so a cache in
+    /// front folds `(a, b)` and `(b, a)` into one slot there.
+    fn is_symmetric(&self) -> bool {
+        !self.landmarks.is_empty()
+    }
 }
 
 impl TravelBound for ChOracle {
@@ -1478,13 +1459,6 @@ impl TravelBound for ChOracle {
     #[inline]
     fn bound_is_exact(&self) -> bool {
         self.landmarks.is_empty()
-    }
-
-    /// A query is microseconds: legs a caller will price anyway are asked
-    /// outright, bound or no bound.
-    #[inline]
-    fn cost_is_cheap(&self) -> bool {
-        true
     }
 }
 
@@ -1826,7 +1800,6 @@ mod tests {
             seen[r] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(ch.resident_bytes() > 0);
     }
 
     /// The bound is the landmark table's, built as ALT builds it: loose
@@ -1838,7 +1811,7 @@ mod tests {
         let ch = ChOracle::build(g.clone());
         let lm = Landmarks::build(&g, DEFAULT_LANDMARKS);
         assert_eq!(ch.landmarks(), &lm);
-        assert!(!ch.bound_is_exact() && ch.cost_is_cheap());
+        assert!(!ch.bound_is_exact() && ch.is_symmetric());
         let mut slack = 0;
         for a in g.nodes() {
             for b in g.nodes() {
@@ -1866,7 +1839,7 @@ mod tests {
             ],
         ));
         let ch = ChOracle::build(one_way.clone());
-        assert!(ch.landmarks().is_empty() && ch.bound_is_exact() && ch.cost_is_cheap());
+        assert!(ch.landmarks().is_empty() && ch.bound_is_exact() && !ch.is_symmetric());
         for a in one_way.nodes() {
             for b in one_way.nodes() {
                 assert_eq!(ch.lower_bound(a, b), ch.cost(a, b), "{a} -> {b}");

@@ -123,12 +123,6 @@ impl RoadGraph {
         (&self.targets[lo..hi], &self.travels[lo..hi])
     }
 
-    /// Out-degree of `n`.
-    #[inline]
-    pub fn degree(&self, n: NodeId) -> usize {
-        (self.offsets[n.index() + 1] - self.offsets[n.index()]) as usize
-    }
-
     /// Whether every directed edge `(u, v, w)` has a mirror `(v, u, w)`.
     ///
     /// Symmetry is what makes the [`crate::Landmarks`] triangle-inequality
@@ -232,7 +226,7 @@ mod tests {
         let g = triangle();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 6);
-        assert_eq!(g.degree(NodeId(0)), 2);
+        assert_eq!(g.out_edges(NodeId(0)).0.len(), 2);
     }
 
     #[test]

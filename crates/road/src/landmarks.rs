@@ -139,11 +139,6 @@ impl Landmarks {
         self.nodes.is_empty()
     }
 
-    /// Resident size of the table, in bytes.
-    pub(crate) fn table_bytes(&self) -> usize {
-        std::mem::size_of_val(self.table.as_slice())
-    }
-
     /// Triangle-inequality lower bound on `cost(a, b)`: on a symmetric
     /// graph `max_ℓ |d(ℓ,a) − d(ℓ,b)|` over saturated entries (module
     /// docs), on any other `0` (no landmarks). Never above the true
@@ -314,7 +309,7 @@ mod tests {
         .generate(19);
         let lm = Landmarks::build(&city, 6);
         assert_eq!(lm.len(), 6);
-        assert_eq!(lm.table_bytes(), 6 * 35 * 2);
+        assert_eq!(lm.table.len(), 6 * 35);
         assert_bounds_are_the_formula(&city, &lm);
 
         let split = two_paths();

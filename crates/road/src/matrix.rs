@@ -75,34 +75,6 @@ impl CostMatrix {
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
         self.data[a.index() * self.n + b.index()] != u32::MAX
     }
-
-    /// The largest finite pairwise distance (the graph "diameter" in
-    /// travel-time terms). Useful for calibrating deadlines in workloads.
-    pub fn max_finite(&self) -> Dur {
-        self.data
-            .iter()
-            .filter(|&&d| d != u32::MAX)
-            .map(|&d| d as Dur)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean finite pairwise distance, excluding the zero diagonal.
-    pub fn mean_finite(&self) -> f64 {
-        let mut sum = 0f64;
-        let mut count = 0u64;
-        for (i, &d) in self.data.iter().enumerate() {
-            if d != u32::MAX && i / self.n != i % self.n {
-                sum += d as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
 }
 
 /// Fill `rows` (a whole-row-aligned block starting at `first_row`) with
@@ -204,9 +176,6 @@ mod tests {
                 }
             }
         }
-        let auto = CostMatrix::build(&city);
-        assert_eq!(auto.max_finite(), serial.max_finite());
-        assert!((auto.mean_finite() - serial.mean_finite()).abs() < 1e-12);
     }
 
     #[test]
@@ -215,7 +184,6 @@ mod tests {
         let m = CostMatrix::build(&g);
         // 0 -> 5 is shorter going backwards: 3 hops × 3 s.
         assert_eq!(m.cost(NodeId(0), NodeId(5)), 9);
-        assert_eq!(m.max_finite(), 12); // 4 hops max
     }
 
     #[test]
@@ -258,28 +226,5 @@ mod tests {
             assert!(m.reachable(NodeId(v), NodeId(v)));
             assert_eq!(m.cost(NodeId(v), NodeId(v)), 0);
         }
-
-        // Aggregates ignore the unreachable pairs entirely: finite
-        // distances are {5,7,12} and {11}, each counted in both directions.
-        assert_eq!(m.max_finite(), 12);
-        let expected_mean = (2.0 * (5.0 + 7.0 + 12.0) + 2.0 * 11.0) / 8.0;
-        assert!((m.mean_finite() - expected_mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fully_disconnected_graph_has_zero_aggregates() {
-        let g = RoadGraph::from_edges(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], vec![]);
-        let m = CostMatrix::build(&g);
-        assert_eq!(m.max_finite(), 0);
-        assert_eq!(m.mean_finite(), 0.0);
-        assert_eq!(m.node_count(), 3);
-    }
-
-    #[test]
-    fn mean_excludes_diagonal() {
-        let g = ring(4);
-        let m = CostMatrix::build(&g);
-        // distances between distinct nodes: 3,6,3 pattern. Mean of {3,6,3} per row = 4.
-        assert!((m.mean_finite() - 4.0).abs() < 1e-9);
     }
 }

@@ -129,15 +129,6 @@ impl TravelBound for CityOracle {
             CityOracle::Ch(o) => o.bound_is_exact(),
         }
     }
-
-    #[inline]
-    fn cost_is_cheap(&self) -> bool {
-        match self {
-            CityOracle::Dense(m) => m.cost_is_cheap(),
-            CityOracle::Alt(o) => o.cost_is_cheap(),
-            CityOracle::Ch(o) => o.cost_is_cheap(),
-        }
-    }
 }
 
 /// The oracle stack a run prices its legs through. Its shape follows the

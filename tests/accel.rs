@@ -18,22 +18,26 @@
 //! 4. bound-guided `Fleet::nearest_idle` picks the worker the exhaustive
 //!    `(cost, id)` scan picks;
 //! 5. end-to-end dispatch outcomes are identical across every
-//!    acceleration configuration (dense / ALT / CH, bare / cached);
+//!    acceleration configuration (dense / ALT / CH, bare / cached), and
+//!    CH asks its backend exactly the queries ALT over the same landmarks
+//!    asks;
 //! 6. `OracleStack` — the one handle front ends query — answers exactly
 //!    what its bare backend answers, in both of its shapes, and picks the
 //!    shape from the backend alone;
 //! 7. a backend that calls its bound exact answers its cost for every
 //!    pair (the table; never ALT or CH), the claim survives every wrapper,
 //!    and `cost_if_below` is "the cost, if below" whichever shortcut it
-//!    takes; a backend's `cost_is_cheap` answer survives every wrapper
-//!    too.
+//!    takes.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::sync::Arc;
 use watter::prelude::*;
-use watter_core::{Dur, NodeId, Optimistic, Order, OrderId, TravelBound, Ts, Worker, WorkerId};
+use watter_core::{
+    Dur, NodeId, Order, OrderId, TravelBound, Ts, Worker, WorkerId, DEFAULT_LANDMARKS,
+};
 use watter_pool::{pair_prefilter, plan_min_cost, PairEdge, PlanLimits, ShareGraph};
-use watter_road::{AltOracle, CachedOracle, OracleStack};
+use watter_road::{AltOracle, CachedOracle, ChOracle, OracleStack};
 use watter_sim::Fleet;
 
 fn profile(idx: usize) -> CityProfile {
@@ -386,25 +390,33 @@ fn stack_shape_follows_backend() {
 /// Direction-free keys: over a backend that reports a symmetric metric the
 /// two directions of a leg share one cache entry; over one that does not
 /// (the one-way graph of `astar`'s `asymmetric_graph_degrades_to_exact_dijkstra`)
-/// the fold is off and each direction keeps its own exact answer.
+/// the fold is off and each direction keeps its own exact answer. ALT and
+/// CH alike.
 #[test]
 fn cache_folds_directions_only_over_a_symmetric_backend() {
     use watter_road::graph::Edge;
     use watter_road::{shortest_path_cost, RoadGraph};
 
+    let backends = |graph: &Arc<RoadGraph>| -> [(&str, Box<dyn TravelCost>); 2] {
+        [
+            ("alt", Box::new(AltOracle::build(Arc::clone(graph), 4))),
+            ("ch", Box::new(ChOracle::build(Arc::clone(graph)))),
+        ]
+    };
     let city = Arc::new(profile(0).city_config(8).generate(5));
-    let alt = AltOracle::build(Arc::clone(&city), 4);
-    assert!(alt.is_symmetric());
-    let cached = CachedOracle::new(&alt, 256);
-    let (a, b) = (NodeId(3), NodeId(42));
-    let there = cached.cost(a, b);
-    assert_eq!((cached.hits(), cached.misses()), (0, 1));
-    assert_eq!(cached.cost(b, a), there);
-    assert_eq!(
-        (cached.hits(), cached.misses()),
-        (1, 1),
-        "one miss, one hit"
-    );
+    for (name, backend) in backends(&city) {
+        assert!(backend.is_symmetric(), "{name}");
+        let cached = CachedOracle::new(&*backend, 256);
+        let (a, b) = (NodeId(3), NodeId(42));
+        let there = cached.cost(a, b);
+        assert_eq!((cached.hits(), cached.misses()), (0, 1), "{name}");
+        assert_eq!(cached.cost(b, a), there, "{name}");
+        assert_eq!(
+            (cached.hits(), cached.misses()),
+            (1, 1),
+            "{name}: one miss, one hit"
+        );
+    }
 
     let edge = |from: u32, to: u32, travel: i64| Edge {
         from: NodeId(from),
@@ -416,33 +428,64 @@ fn cache_folds_directions_only_over_a_symmetric_backend() {
         vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
         vec![edge(0, 1, 3), edge(1, 2, 4), edge(0, 2, 20)],
     ));
-    let alt = AltOracle::build(Arc::clone(&one_way), 2);
-    assert!(!alt.is_symmetric());
-    let cached = CachedOracle::new(&alt, 256);
-    assert!(!cached.is_symmetric());
-    for round in 0..2 {
-        for a in one_way.nodes() {
-            for b in one_way.nodes() {
-                assert_eq!(
-                    cached.cost(a, b),
-                    shortest_path_cost(&one_way, a, b),
-                    "round {round}: {a} -> {b}"
-                );
+    for (name, backend) in backends(&one_way) {
+        assert!(!backend.is_symmetric(), "{name}");
+        let cached = CachedOracle::new(&*backend, 256);
+        assert!(!cached.is_symmetric(), "{name}");
+        for round in 0..2 {
+            for a in one_way.nodes() {
+                for b in one_way.nodes() {
+                    assert_eq!(
+                        cached.cost(a, b),
+                        shortest_path_cost(&one_way, a, b),
+                        "{name} round {round}: {a} -> {b}"
+                    );
+                }
             }
         }
+        assert_ne!(
+            cached.cost(NodeId(0), NodeId(2)),
+            cached.cost(NodeId(2), NodeId(0)),
+            "{name}"
+        );
+        // 3 × 3 ordered pairs, each its own entry: missed once, then hit.
+        assert_eq!(cached.misses(), 9, "{name}");
     }
-    assert_ne!(
-        cached.cost(NodeId(0), NodeId(2)),
-        cached.cost(NodeId(2), NodeId(0))
-    );
-    // 3 × 3 ordered pairs, each its own entry: missed once, then hit.
-    assert_eq!(cached.misses(), 9);
+}
+
+/// A backend that logs every `(was a lower_bound call, from, to)` it
+/// answers, and states its backend's facts as its own.
+struct Logged<C> {
+    inner: C,
+    log: RefCell<Vec<(bool, NodeId, NodeId)>>,
+}
+
+impl<C: TravelBound> TravelCost for Logged<C> {
+    fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+        self.log.borrow_mut().push((false, a, b));
+        self.inner.cost(a, b)
+    }
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
+    }
+}
+
+impl<C: TravelBound> TravelBound for Logged<C> {
+    fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+        self.log.borrow_mut().push((true, a, b));
+        self.inner.lower_bound(a, b)
+    }
+    fn bound_is_exact(&self) -> bool {
+        self.inner.bound_is_exact()
+    }
 }
 
 /// End-to-end: the dense table (which skips the pair gate), the ALT oracle
-/// and CH (which take it, CH with exact walk legs), each bare and cached,
-/// produce the same dispatch outcomes on the same scenario — the layers
-/// change latency, never results.
+/// and CH (which take it), each bare and cached, produce the same dispatch
+/// outcomes on the same scenario — the layers change latency, never
+/// results. CH and ALT over the same landmarks state the same facts and
+/// share one bound, so their backends are asked the same queries, in the
+/// same order, bare and behind the cache.
 #[test]
 fn acceleration_layers_do_not_change_dispatch_outcomes() {
     use watter::runner::{sim_config, watter_config};
@@ -466,21 +509,34 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
             &scenario.graph,
             OracleKind::Alt { landmarks: 4 },
         ));
+        let alt16 = Arc::new(CityOracle::build(
+            &scenario.graph,
+            OracleKind::Alt {
+                landmarks: DEFAULT_LANDMARKS,
+            },
+        ));
         let ch = Arc::new(CityOracle::build(&scenario.graph, OracleKind::Ch));
         assert!(!ch.bound_is_exact(), "CH takes the gate");
         let mut outcomes = Vec::new();
+        let mut logs = Vec::new();
         for (tag, backend, cache) in [
             ("dense", &scenario.oracle, false),
             ("dense+cache", &scenario.oracle, true),
             ("alt", &alt, false),
             ("alt+cache", &alt, true),
+            ("alt16", &alt16, false),
+            ("alt16+cache", &alt16, true),
             ("ch", &ch, false),
             ("ch+cache", &ch, true),
         ] {
-            let cached = cache.then(|| CachedOracle::with_default_capacity(Arc::clone(backend)));
+            let logged = Logged {
+                inner: Arc::clone(backend),
+                log: RefCell::default(),
+            };
+            let cached = cache.then(|| CachedOracle::with_default_capacity(&logged));
             let oracle: &dyn TravelBound = match &cached {
                 Some(c) => c,
-                None => backend.as_ref(),
+                None => &logged,
             };
             let mut d = WatterDispatcher::new(watter_config(&scenario), OnlinePolicy);
             let (m, _) = run(
@@ -493,6 +549,10 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
             );
             if let Some(c) = &cached {
                 assert!(c.hits() > 0, "cache never hit — the layer is inert");
+            }
+            drop(cached);
+            if tag.starts_with("alt16") || tag.starts_with("ch") {
+                logs.push(logged.log.into_inner());
             }
             outcomes.push((
                 tag,
@@ -511,6 +571,17 @@ fn acceleration_layers_do_not_change_dispatch_outcomes() {
                 "{profile:?}: config `{tag}` changed dispatch outcomes"
             );
         }
+        let [alt16, alt16_cached, ch, ch_cached] = &logs[..] else {
+            unreachable!("four logged configs")
+        };
+        assert!(
+            alt16 == ch,
+            "{profile:?}: CH and ALT asked different queries"
+        );
+        assert!(
+            alt16_cached == ch_cached,
+            "{profile:?}: behind the cache, CH and ALT asked different queries"
+        );
     }
 }
 
@@ -555,35 +626,5 @@ fn an_exact_bound_claim_holds_on_every_pair_and_survives_wrapping() {
         }
         // Exactly the backends that make the claim have no slack anywhere.
         assert_eq!(slack == 0, exact, "{name}: total bound slack {slack}");
-    }
-}
-
-/// The walk-leg fact beside it: `cost_is_cheap()` is `true` on the table
-/// and CH, whose exact legs cost a read or a microsecond query, and
-/// `false` on ALT, whose cost is an A* search; `&`, `Arc`, `CachedOracle`
-/// and `OracleStack` forward it, and the relaxed view over any backend
-/// answers `true` — its cost is the bound.
-#[test]
-fn a_cheap_cost_claim_survives_wrapping() {
-    fn claims(oracle: impl TravelBound) -> bool {
-        oracle.cost_is_cheap()
-    }
-    let graph = Arc::new(profile(0).city_config(7).generate(11));
-    for (kind, cheap) in [
-        (OracleKind::Dense, true),
-        (OracleKind::Alt { landmarks: 4 }, false),
-        (OracleKind::Ch, true),
-    ] {
-        let backend = Arc::new(CityOracle::build(&graph, kind));
-        let name = backend.describe();
-        assert_eq!(backend.cost_is_cheap(), cheap, "{name}");
-        assert_eq!(claims(backend.as_ref()), cheap, "&{name}");
-        assert_eq!(claims(Arc::clone(&backend)), cheap, "Arc<{name}>");
-        let cached = CachedOracle::new(Arc::clone(&backend), 64);
-        assert_eq!(claims(&cached), cheap, "{name} +cache");
-        let stack = OracleStack::new(Arc::clone(&backend), Recorder::disabled());
-        assert_eq!(stack.top().cost_is_cheap(), cheap, "stack over {name}");
-        assert!(claims(Optimistic(backend.as_ref())), "relaxed {name}");
-        assert!(claims(Optimistic(stack.top())), "relaxed stack over {name}");
     }
 }

@@ -19,13 +19,11 @@
 //!    zero and patchy bounds;
 //! 3. a counting oracle pins what the planner asks: nothing but one `cost`
 //!    per (node, stop) where the bound is exact, no exact query for a
-//!    pick-up the bound rejects where it is not, and where an inexact
-//!    bound fronts a cheap cost (CH) bounds for pick-ups only — what a
-//!    pool insert asks: no exact query at all for a pair the bounds alone
-//!    rule out, none beyond the ungated test's for a pair they let
-//!    through — and what the bounded search asks: no plan the unbounded
-//!    walk does not make, floor legs through `cost()` only where the cost
-//!    is cheap.
+//!    pick-up the bound rejects where it is not — what a pool insert asks:
+//!    no exact query at all for a pair the bounds alone rule out, none
+//!    beyond the ungated test's for a pair they let through — and what the
+//!    bounded search asks: no plan the unbounded walk does not make, floor
+//!    legs through `cost()` only where the bound is exact.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -223,32 +221,12 @@ impl TravelBound for Line {}
 
 /// Manhattan metric on a `W × W` lattice: equal-cost routes everywhere, so
 /// only the first-found tie-break separates the planner from a wrong one.
-/// The bound is the cost; `exact` is whether the oracle says so, `cheap`
-/// whether it calls its cost cheap.
-#[derive(Clone, Copy)]
+/// The bound is the cost; `exact` is whether the oracle says so.
 struct Lattice {
     exact: bool,
-    cheap: bool,
 }
 impl Lattice {
     const W: u32 = 6;
-    /// The three pairs of facts a backend states: the table's (exact,
-    /// cheap), CH's (inexact, cheap) and ALT's (neither).
-    const FACTS: [Self; 3] = [
-        Self {
-            exact: true,
-            cheap: true,
-        },
-        Self {
-            exact: false,
-            cheap: true,
-        },
-        Self {
-            exact: false,
-            cheap: false,
-        },
-    ];
-    const EXACT: Self = Self::FACTS[0];
 }
 impl TravelCost for Lattice {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
@@ -262,9 +240,6 @@ impl TravelBound for Lattice {
     }
     fn bound_is_exact(&self) -> bool {
         self.exact
-    }
-    fn cost_is_cheap(&self) -> bool {
-        self.cheap
     }
 }
 
@@ -289,10 +264,11 @@ proptest! {
     ) {
         let orders = orders_from(&specs, 36, now, &Line);
         check_against_reference("line", &orders, NodeId(start), now, capacity, &Line)?;
-        for lattice in &Lattice::FACTS {
-            let orders = orders_from(&specs, 36, now, lattice);
-            let what = format!("lattice, exact {}, cheap {}", lattice.exact, lattice.cheap);
-            check_against_reference(&what, &orders, NodeId(start), now, capacity, lattice)?;
+        for exact in [true, false] {
+            let lattice = Lattice { exact };
+            let orders = orders_from(&specs, 36, now, &lattice);
+            let what = if exact { "lattice, exact bound" } else { "lattice, bound only" };
+            check_against_reference(what, &orders, NodeId(start), now, capacity, &lattice)?;
         }
     }
 }
@@ -341,9 +317,10 @@ proptest! {
         now in 0i64..50,
         seed in 0u64..300,
     ) {
-        for lattice in &Lattice::FACTS {
-            let orders = orders_from(&specs, 36, now, lattice);
-            check_against_reference("lattice", &orders, NodeId(start), now, 4, lattice)?;
+        for exact in [true, false] {
+            let lattice = Lattice { exact };
+            let orders = orders_from(&specs, 36, now, &lattice);
+            check_against_reference("lattice", &orders, NodeId(start), now, 4, &lattice)?;
         }
         let graph = Arc::new(CityProfile::Chengdu.city_config(6).generate(seed));
         let dense = CostMatrix::build(&graph);
@@ -359,7 +336,7 @@ proptest! {
 /// infeasible instances, and optima that are not unique.
 #[test]
 fn reference_instances_cover_feasible_infeasible_and_tied() {
-    let lattice = Lattice::EXACT;
+    let lattice = Lattice { exact: true };
     let (mut feasible, mut infeasible, mut tied) = (0, 0, 0);
     for round in 0..60u32 {
         let specs: Vec<Spec> = (0..3)
@@ -525,7 +502,7 @@ const WEIGHTS: [(f64, f64); 5] = [(1.0, 1.0), (0.7, 1.3), (2.5, 0.1), (0.0, 1.0)
 ///   so the two bills are equal);
 /// * the bounded search makes no plan the gated walk does not make and asks
 ///   its floors — eight legs a pair of the walk's orders at most — through
-///   `cost()` where the cost is cheap and through `lower_bound()` where it
+///   `cost()` where the bound is exact and through `lower_bound()` where it
 ///   is not (release builds: debug builds plan every skipped set after all);
 /// * under a negative `α` it is the gated walk, call for call.
 fn check_walks<C: TravelBound>(
@@ -535,11 +512,8 @@ fn check_walks<C: TravelBound>(
     clique: CliqueLimits,
     oracle: &C,
 ) -> Result<(), TestCaseError> {
-    let cheap = oracle.cost_is_cheap();
-    let oracle = &Asked {
-        cheap,
-        ..Asked::new(oracle, oracle.bound_is_exact())
-    };
+    let exact = oracle.bound_is_exact();
+    let oracle = &Asked::new(oracle, exact);
     for id in graph.order_ids() {
         let center = graph.order_handle(id).expect("listed").clone();
         let want = reference_groups(&center, graph, now, limits, clique, oracle);
@@ -578,7 +552,7 @@ fn check_walks<C: TravelBound>(
             if alpha < 0.0 {
                 prop_assert_eq!(bounded, gated, "one walk, two visitors");
             } else if !cfg!(debug_assertions) {
-                let floors = if cheap {
+                let floors = if exact {
                     (floor_legs, 0)
                 } else {
                     (0, floor_legs)
@@ -660,7 +634,7 @@ proptest! {
             check_walks(&pool, now, limits, clique, &dense)?;
             check_walks(&pool, now, limits, clique, &alt)?;
         }
-        let lattice = Lattice::EXACT;
+        let lattice = Lattice { exact: true };
         let (pool, last) = pool_from(&specs, 36, limits, &lattice);
         for now in instants(last, &later) {
             check_walks(&pool, now, limits, clique, &lattice)?;
@@ -710,12 +684,10 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// An oracle that logs every query it forwards. `exact` is what it says
-/// of its bound and `cheap` of its cost (by default what it says of its
-/// bound), whatever the inner oracle says of its own.
+/// of its bound, whatever the inner oracle says of its own.
 struct Asked<C> {
     inner: C,
     exact: bool,
-    cheap: bool,
     /// `(was a lower_bound call, from, to)` in call order.
     log: Mutex<Vec<(bool, NodeId, NodeId)>>,
 }
@@ -725,7 +697,6 @@ impl<C: TravelBound> Asked<C> {
         Self {
             inner,
             exact,
-            cheap: exact,
             log: Mutex::new(Vec::new()),
         }
     }
@@ -758,9 +729,6 @@ impl<C: TravelBound> TravelBound for Asked<C> {
     fn bound_is_exact(&self) -> bool {
         self.exact
     }
-    fn cost_is_cheap(&self) -> bool {
-        self.cheap
-    }
 }
 
 /// Debug builds re-walk a planned route through the oracle
@@ -791,23 +759,7 @@ fn fixed_quad(oracle: &impl TravelCost, n: u32) -> Vec<Order> {
     orders
 }
 
-/// Fourteen look-alike commuters across [`chengdu_10`].
-fn commuters() -> Vec<Spec> {
-    (0..14u32)
-        .map(|i| {
-            (
-                i % 5 + 10 * (i % 3),
-                80 + i % 7 + 10 * (i % 2),
-                1,
-                35 + (i as i64 * 23) % 60,
-                0,
-            )
-        })
-        .collect()
-}
-
-/// Where the bound is exact (and so the cost cheap) the planner never calls
-/// `lower_bound`, and
+/// Where the bound is exact the planner never calls `lower_bound`, and
 /// asks `cost` exactly as often as the bound-then-exact path asks
 /// `lower_bound`: once per (node, stop) — the drop-off expansion reuses
 /// the leg the deadline prune asked for. Both paths return the same plan.
@@ -848,77 +800,6 @@ fn an_exact_bound_is_asked_once_and_only_through_cost() {
         planned[plan.is_some() as usize] += 1;
     }
     assert!(planned[0] >= 10 && planned[1] >= 10, "coverage {planned:?}");
-}
-
-/// An inexact bound in front of a cheap cost — CH's two facts. The planner
-/// asks its owed drop-off legs and the bounded search its detour floors
-/// through `cost()`, as over the table, and only pick-ups bound-first: so
-/// every `lower_bound` call aims at a pick-up, where over the same bound
-/// with a dear cost some aim elsewhere. Plans and best groups are the
-/// table's.
-#[test]
-fn an_inexact_bound_with_a_cheap_cost_bounds_pickups_only() {
-    let (dense, n) = chengdu_10();
-    let limits = PlanLimits { capacity: 4 };
-    let cheap = Asked {
-        cheap: true,
-        ..Asked::new(&dense, false)
-    };
-    let dear = Asked::new(&dense, false);
-    // `(lower_bound calls at a pick-up, elsewhere)` of one drained log.
-    let aims = |log: Vec<(bool, NodeId, NodeId)>, pickups: &[NodeId]| {
-        let bounds = log.iter().filter(|c| c.0);
-        let at_pickups = bounds.clone().filter(|c| pickups.contains(&c.2)).count();
-        (at_pickups, bounds.count() - at_pickups)
-    };
-    let (mut cheap_aims, mut dear_aims) = ((0, 0), (0, 0));
-    let quad = fixed_quad(&dense, n);
-    let spread: Vec<Spec> = (0..7u32)
-        .map(|i| (i * 13 + 2, i * 29 + 41, 1, 130 + (i as i64 * 37) % 120, 10))
-        .collect();
-    let spread = orders_from(&spread, n, 0, &dense);
-    let mut instances: Vec<Vec<&Order>> = vec![quad.iter().collect()];
-    for mask in 1u32..1 << spread.len() {
-        if (2..=4).contains(&mask.count_ones()) {
-            let pick = |i: &usize| mask & (1 << i) != 0;
-            instances.push((0..spread.len()).filter(pick).map(|i| &spread[i]).collect());
-        }
-    }
-    for orders in &instances {
-        let pickups: Vec<NodeId> = orders.iter().map(|o| o.pickup).collect();
-        let want = plan_min_cost(orders, 0, limits, &dense);
-        assert_eq!(plan_min_cost(orders, 0, limits, &cheap), want);
-        let (at, off) = aims(cheap.take(), &pickups);
-        assert_eq!(off, 0, "a bound aimed past the pick-ups");
-        cheap_aims.0 += at;
-        assert_eq!(plan_min_cost(orders, 0, limits, &dear), want);
-        let (at, off) = aims(dear.take(), &pickups);
-        dear_aims = (dear_aims.0 + at, dear_aims.1 + off);
-    }
-
-    let (pool, now) = pool_from(&commuters(), n, limits, &dense);
-    let pickups: Vec<NodeId> = pool
-        .order_ids()
-        .map(|id| pool.order_handle(id).expect("listed").pickup)
-        .collect();
-    let center = pool.order_handle(OrderId(0)).expect("pooled").clone();
-    let (clique, weights) = (CliqueLimits::default(), CostWeights::default());
-    let want = best_group_for(&center, &pool, now, limits, clique, weights, &dense);
-    assert!(want.is_some());
-    let best = best_group_for(&center, &pool, now, limits, clique, weights, &cheap);
-    assert_eq!(best, want);
-    let (at, off) = aims(cheap.take(), &pickups);
-    assert_eq!(off, 0, "a floor or owed leg through lower_bound()");
-    cheap_aims.0 += at;
-    let best = best_group_for(&center, &pool, now, limits, clique, weights, &dear);
-    assert_eq!(best, want);
-    let (_, off) = aims(dear.take(), &pickups);
-    assert!(off > 0, "floors over a dear cost never left the pick-ups");
-    assert!(cheap_aims.0 > 0, "no pick-up was bounded first");
-    assert!(
-        dear_aims.1 > 0,
-        "owed legs over a dear cost never left the pick-ups"
-    );
 }
 
 /// Where the bound is only a bound, a pick-up it rules out costs no exact
@@ -1074,7 +955,17 @@ fn query_totals_of_one_plan_and_one_search_are_pinned() {
 
     // Look-alike commuters: 173 feasible groups around order 0, and many
     // four-cliques with a three-order subset that already has no route.
-    let specs = commuters();
+    let specs: Vec<Spec> = (0..14u32)
+        .map(|i| {
+            (
+                i % 5 + 10 * (i % 3),
+                80 + i % 7 + 10 * (i % 2),
+                1,
+                35 + (i as i64 * 23) % 60,
+                0,
+            )
+        })
+        .collect();
     let (pool, now) = pool_from(&specs, n, limits, &dense);
     let center = pool.order_handle(OrderId(0)).expect("pooled").clone();
     let clique = CliqueLimits::default();
