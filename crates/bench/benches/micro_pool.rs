@@ -2,11 +2,13 @@
 //! clique enumeration and the GDP insertion operator — the inner loops of
 //! the paper's running-time comparison — plus the two searches (an
 //! infeasible four-order plan, one `best_group_for`, and the one that
-//! follows the departure of its winner's partner) on each oracle stack and
-//! one share-graph insert at pool depth 100.
+//! follows the departure of its winner's partner) on each oracle stack,
+//! one share-graph insert at pool depth 100, and one periodic check with
+//! nothing due at pool depth 1 000.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
+use watter::runner::pool_config;
 use watter_baselines::insertion::Schedule;
 use watter_core::{CostWeights, NodeId, OracleKind, Order, OrderId, TravelBound, Ts};
 use watter_obs::Recorder;
@@ -255,9 +257,58 @@ fn bench_pool(c: &mut Criterion) {
     g.finish();
 }
 
+/// Algorithm 1's periodic check when nothing is due: the 24×24 dense
+/// city of `dense_deep_online`, its orders pooled at their release
+/// instants and checked every `check_period` (dead orders leave, as the
+/// check's caller rejects them) until the pool is 1 000 deep — about the
+/// peak depth of that workload. One check at that instant expires what
+/// lapsed; the timed checks repeat it, and find nothing to expire or
+/// recompute: what is left is the sweep over every edge list and best
+/// group.
+fn bench_check(c: &mut Criterion) {
+    let mut params = ScenarioParams::default_for(CityProfile::Chengdu);
+    params.n_orders = 4_000;
+    params.n_workers = 400;
+    params.city_side = 24;
+    params.oracle = OracleKind::Dense;
+    let s = Scenario::build(params);
+    let oracle = s.oracle.as_ref();
+    let mut pool = OrderPool::new(pool_config(&s));
+    let mut next_check = s.orders[0].release;
+    let mut now = next_check;
+    for o in &s.orders {
+        if pool.len() >= 1_000 {
+            break;
+        }
+        now = o.release;
+        while next_check <= now {
+            let dead = pool.maintain(next_check, &oracle);
+            pool.remove_orders(&dead, next_check, &oracle);
+            next_check += s.params.check_period;
+        }
+        pool.insert(o.clone(), now, &oracle);
+    }
+    let dead = pool.maintain(now, &oracle);
+    pool.remove_orders(&dead, now, &oracle);
+    let recomputes = pool.stats().recomputes;
+    pool.maintain(now, &oracle);
+    assert_eq!(
+        pool.stats().recomputes,
+        recomputes,
+        "a second check at the same instant has nothing due"
+    );
+
+    let mut g = c.benchmark_group("pool");
+    g.sample_size(200);
+    g.bench_function("maintain_nothing_due_depth1000", |b| {
+        b.iter(|| pool.maintain(black_box(now), &oracle))
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pool, bench_searches
+    targets = bench_pool, bench_searches, bench_check
 }
 criterion_main!(benches);

@@ -75,7 +75,7 @@
 //! route or a mean that indeed does not beat the incumbent.
 
 use crate::planner::{Plan, PlanLimits, PlanScratch};
-use crate::share_graph::ShareGraph;
+use crate::share_graph::{links, ShareGraph};
 use std::collections::HashMap;
 use std::iter::once;
 use std::sync::Arc;
@@ -322,8 +322,9 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         if clique.max_group_size > 2 {
             adjacent.resize(n * n, false);
             for u in 1..n {
+                let list = graph.edge_list(orders[u].id);
                 for v in u + 1..n {
-                    adjacent[u * n + v] = graph.connected(orders[u].id, orders[v].id);
+                    adjacent[u * n + v] = links(list, orders[v].id);
                 }
             }
         }

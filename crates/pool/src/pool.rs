@@ -27,7 +27,7 @@
 
 use crate::cliques::{all_groups_for, best_group_for, CliqueLimits};
 use crate::planner::PlanLimits;
-use crate::share_graph::{PairEdge, ShareGraph};
+use crate::share_graph::{links, PairEdge, ShareGraph};
 use crate::snapshot::{BestSnapshot, EdgeSnapshot, PoolSnapshot, RestoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,8 +66,11 @@ pub struct OrderPool {
     cfg: PoolConfig,
     graph: ShareGraph,
     best: BTreeMap<OrderId, Group>,
-    /// Reverse index: order → pooled orders whose best group contains it.
-    contained_in: BTreeMap<OrderId, BTreeSet<OrderId>>,
+    /// Reverse index: order → the pooled orders whose best group contains
+    /// it, sorted ascending and distinct. Update event 2 reads it to find
+    /// whose best a departure broke; `link_best` / `unlink_best` keep it
+    /// equal to the best map's holders, and `restore` rebuilds it.
+    contained_in: BTreeMap<OrderId, Vec<OrderId>>,
     stats: PoolStats,
     /// Observability handle (disabled by default). Spans only — the
     /// pool's hot-path stages never read it for control flow, so
@@ -267,24 +270,14 @@ impl OrderPool {
 
     /// Whether `id`'s cached best group lost a member or an edge.
     fn best_is_stale(&self, id: OrderId) -> bool {
-        match self.best.get(&id) {
-            None => false,
-            Some(g) => {
-                let ids: Vec<OrderId> = g.order_ids().collect();
-                // all members still pooled and pairwise connected?
-                for (i, &a) in ids.iter().enumerate() {
-                    if self.graph.order(a).is_none() {
-                        return true;
-                    }
-                    for &b in &ids[i + 1..] {
-                        if !self.graph.connected(a, b) {
-                            return true;
-                        }
-                    }
-                }
-                false
-            }
-        }
+        let Some(g) = self.best.get(&id) else {
+            return false;
+        };
+        // Some member no longer pooled, or two no longer connected?
+        g.order_ids().enumerate().any(|(i, a)| {
+            let list = self.graph.edge_list(a);
+            self.graph.order(a).is_none() || g.order_ids().skip(i + 1).any(|b| !links(list, b))
+        })
     }
 
     /// Offer a freshly enumerated group to each of its members.
@@ -395,7 +388,10 @@ impl OrderPool {
 
     fn link_best(&mut self, id: OrderId, g: Group) {
         for m in g.order_ids() {
-            self.contained_in.entry(m).or_default().insert(id);
+            let holders = self.contained_in.entry(m).or_default();
+            if let Err(at) = holders.binary_search(&id) {
+                holders.insert(at, id);
+            }
         }
         self.best.insert(id, g);
     }
@@ -403,8 +399,10 @@ impl OrderPool {
     fn unlink_best(&mut self, id: OrderId) {
         if let Some(old) = self.best.remove(&id) {
             for m in old.order_ids() {
-                if let Some(s) = self.contained_in.get_mut(&m) {
-                    s.remove(&id);
+                if let Some(holders) = self.contained_in.get_mut(&m) {
+                    if let Ok(at) = holders.binary_search(&id) {
+                        holders.remove(at);
+                    }
                 }
             }
         }
@@ -414,6 +412,7 @@ impl OrderPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use watter_core::{Dur, NodeId, TravelCost};
 
     struct Line;
@@ -614,6 +613,67 @@ mod tests {
         snap.orders.retain(|o| o.id != OrderId(1));
         let mut q = pool();
         assert!(q.restore(&snap).is_err());
+    }
+
+    /// The reverse index the best map implies: member → holders, ascending.
+    fn holders_of_bests(p: &OrderPool) -> BTreeMap<OrderId, Vec<OrderId>> {
+        let mut want: BTreeMap<OrderId, Vec<OrderId>> = BTreeMap::new();
+        for (&holder, g) in &p.best {
+            for m in g.order_ids() {
+                want.entry(m).or_default().push(holder);
+            }
+        }
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// After every insert, departure, check and restore, `contained_in`
+        /// names exactly the holders of each best group — no stale holder
+        /// left behind, none missing — in ascending order.
+        #[test]
+        fn reverse_index_names_exactly_the_holders(
+            ops in prop::collection::vec((0u8..8, 0u32..30, 0u32..30, 0i64..400), 1..60)
+        ) {
+            let mut p = pool();
+            let mut next = 0u32;
+            let mut now: Ts = 0;
+            for &(kind, a, b, x) in &ops {
+                match kind {
+                    0..=3 => {
+                        let mut o = order(next, a, b, 0);
+                        o.release = now;
+                        o.deadline = now + o.direct_cost + x;
+                        p.insert(o, now, &Line);
+                        next += 1;
+                    }
+                    4 | 5 => {
+                        // A best group departs whole, or one order alone.
+                        let ids: Vec<OrderId> = p.orders().map(|o| o.id).collect();
+                        if let Some(&id) = ids.get(a as usize % ids.len().max(1)) {
+                            let gone: Vec<OrderId> = match p.best_group(id) {
+                                Some(g) if kind == 4 => g.order_ids().collect(),
+                                _ => vec![id],
+                            };
+                            p.remove_orders(&gone, now, &Line);
+                        }
+                    }
+                    6 => {
+                        now += x / 4;
+                        let dead = p.maintain(now, &Line);
+                        p.remove_orders(&dead, now, &Line);
+                    }
+                    _ => {
+                        let mut q = pool();
+                        q.restore(&p.snapshot()).expect("a pool's own snapshot restores");
+                        p = q;
+                    }
+                }
+                let mut have = p.contained_in.clone();
+                have.retain(|_, holders| !holders.is_empty());
+                prop_assert_eq!(have, holders_of_bests(&p));
+            }
+        }
     }
 
     /// The canonical proposal sweep is `(release, id)` ascending, whatever

@@ -57,9 +57,11 @@ pub struct PairEdge {
 
 /// Adjacency-list temporal shareability graph.
 ///
-/// Ordered maps keep every iteration (neighbor scans, clique enumeration,
-/// expiry sweeps) deterministic run-to-run, so simulations are reproducible
-/// from the scenario seed alone.
+/// Each order's edges are one flat list sorted ascending by neighbour id,
+/// so every iteration (neighbor scans, clique enumeration, expiry sweeps)
+/// runs in id order, deterministic run-to-run: simulations are
+/// reproducible from the scenario seed alone. Lookups binary-search the
+/// list; the periodic expiry sweep is one `retain` per list.
 ///
 /// Orders are stored behind [`Arc`] so that clique enumeration and group
 /// construction share handles instead of deep-copying each `Order` into
@@ -67,7 +69,7 @@ pub struct PairEdge {
 #[derive(Clone, Debug, Default)]
 pub struct ShareGraph {
     orders: BTreeMap<OrderId, Arc<Order>>,
-    adj: BTreeMap<OrderId, BTreeMap<OrderId, PairEdge>>,
+    adj: BTreeMap<OrderId, Vec<(OrderId, PairEdge)>>,
 }
 
 impl ShareGraph {
@@ -88,7 +90,7 @@ impl ShareGraph {
 
     /// Number of live edges (each undirected edge counted once).
     pub fn edge_count(&self) -> usize {
-        self.adj.values().map(|m| m.len()).sum::<usize>() / 2
+        self.adj.values().map(Vec::len).sum::<usize>() / 2
     }
 
     /// The pooled order with the given id.
@@ -111,17 +113,19 @@ impl ShareGraph {
         self.orders.keys().copied()
     }
 
-    /// Neighbours of `id` with their edges.
+    /// Neighbours of `id` with their edges, ascending by neighbour id.
     pub fn neighbors(&self, id: OrderId) -> impl Iterator<Item = (OrderId, PairEdge)> + '_ {
-        self.adj
-            .get(&id)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(&j, &e)| (j, e)))
+        self.edge_list(id).iter().copied()
     }
 
     /// Whether a live edge connects `a` and `b`.
     pub fn connected(&self, a: OrderId, b: OrderId) -> bool {
-        self.adj.get(&a).is_some_and(|m| m.contains_key(&b))
+        links(self.edge_list(a), b)
+    }
+
+    /// `id`'s edges, sorted ascending by neighbour id (empty if it has none).
+    pub(crate) fn edge_list(&self, id: OrderId) -> &[(OrderId, PairEdge)] {
+        self.adj.get(&id).map_or(&[], Vec::as_slice)
     }
 
     /// Insert a new order at time `now`, creating shareability edges to
@@ -153,11 +157,14 @@ impl ShareGraph {
             })
             .collect();
         for &(j, e) in &edges {
-            self.adj.entry(id).or_default().insert(j, e);
-            self.adj.entry(j).or_default().insert(id, e);
+            link(self.adj.entry(j).or_default(), id, e);
+        }
+        let neighbors = edges.iter().map(|&(j, _)| j).collect();
+        if !edges.is_empty() {
+            self.adj.insert(id, edges);
         }
         self.orders.insert(id, order);
-        edges.into_iter().map(|(j, _)| j).collect()
+        neighbors
     }
 
     /// Remove an order (dispatched or rejected), dropping its edges.
@@ -166,11 +173,13 @@ impl ShareGraph {
         let neighbors: Vec<OrderId> = self
             .adj
             .remove(&id)
-            .map(|m| m.into_keys().collect())
+            .map(|list| list.into_iter().map(|(j, _)| j).collect())
             .unwrap_or_default();
         for j in &neighbors {
-            if let Some(m) = self.adj.get_mut(j) {
-                m.remove(&id);
+            if let Some(list) = self.adj.get_mut(j) {
+                if let Ok(at) = list.binary_search_by_key(&id, |&(k, _)| k) {
+                    list.remove(at);
+                }
             }
         }
         self.orders.remove(&id);
@@ -182,10 +191,10 @@ impl ShareGraph {
     /// of Section IV-B).
     pub fn expire_edges(&mut self, now: Ts) -> Vec<OrderId> {
         let mut touched = Vec::new();
-        for (&i, m) in self.adj.iter_mut() {
-            let before = m.len();
-            m.retain(|_, e| e.expires_at >= now);
-            if m.len() != before {
+        for (&i, list) in self.adj.iter_mut() {
+            let before = list.len();
+            list.retain(|(_, e)| e.expires_at >= now);
+            if list.len() != before {
                 touched.push(i);
             }
         }
@@ -195,10 +204,10 @@ impl ShareGraph {
     /// Iterate over live edges, each undirected edge once as `(a, b, edge)`
     /// with `a < b`, ascending — the canonical form snapshots store.
     pub fn edges(&self) -> impl Iterator<Item = (OrderId, OrderId, PairEdge)> + '_ {
-        self.adj.iter().flat_map(|(&i, m)| {
-            m.iter()
-                .filter(move |(&j, _)| i < j)
-                .map(move |(&j, &e)| (i, j, e))
+        self.adj.iter().flat_map(|(&i, list)| {
+            list.iter()
+                .filter(move |&&(j, _)| i < j)
+                .map(move |&(j, e)| (i, j, e))
         })
     }
 
@@ -219,8 +228,8 @@ impl ShareGraph {
                 self.orders.contains_key(&a) && self.orders.contains_key(&b),
                 "edge ({a}, {b}) references an unpooled order"
             );
-            self.adj.entry(a).or_default().insert(b, e);
-            self.adj.entry(b).or_default().insert(a, e);
+            link(self.adj.entry(a).or_default(), b, e);
+            link(self.adj.entry(b).or_default(), a, e);
         }
     }
 
@@ -232,6 +241,19 @@ impl ShareGraph {
             .filter(|o| now + o.direct_cost >= o.deadline)
             .map(|o| o.id)
             .collect()
+    }
+}
+
+/// Whether a sorted edge list holds an edge to `j`.
+pub(crate) fn links(list: &[(OrderId, PairEdge)], j: OrderId) -> bool {
+    list.binary_search_by_key(&j, |&(k, _)| k).is_ok()
+}
+
+/// Set the edge to `j` in a sorted edge list, keeping it sorted.
+fn link(list: &mut Vec<(OrderId, PairEdge)>, j: OrderId, e: PairEdge) {
+    match list.binary_search_by_key(&j, |&(k, _)| k) {
+        Ok(at) => list[at].1 = e,
+        Err(at) => list.insert(at, (j, e)),
     }
 }
 
@@ -296,6 +318,7 @@ pub fn pair_prefilter<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use watter_core::{NodeId, TravelCost};
 
     struct Line;
@@ -385,5 +408,109 @@ mod tests {
         // expiry = 200 − 100 − 1 = 99 (o0 is the binding member).
         assert_eq!(e.expires_at, 99);
         assert_eq!(e.route_cost, 100);
+    }
+
+    /// The graph as one map over `(low id, high id)` pairs: what the
+    /// sorted edge lists must agree with.
+    type Model = BTreeMap<(OrderId, OrderId), PairEdge>;
+
+    fn model_neighbors(model: &Model, id: OrderId) -> Vec<(OrderId, PairEdge)> {
+        let mut out: Vec<_> = model
+            .iter()
+            .filter_map(|(&(a, b), &e)| {
+                if a == id {
+                    Some((b, e))
+                } else if b == id {
+                    Some((a, e))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        out.sort_by_key(|&(j, _)| j);
+        out
+    }
+
+    fn agrees(g: &ShareGraph, model: &Model, orders: &BTreeMap<OrderId, Order>) -> bool {
+        let edges: Vec<_> = model.iter().map(|(&(a, b), &e)| (a, b, e)).collect();
+        g.edges().collect::<Vec<_>>() == edges
+            && g.order_ids().eq(orders.keys().copied())
+            && (0..24).map(OrderId).all(|a| {
+                g.neighbors(a).collect::<Vec<_>>() == model_neighbors(model, a)
+                    && (0..24).map(OrderId).all(|b| {
+                        let key = (a.min(b), a.max(b));
+                        g.connected(a, b) == model.contains_key(&key)
+                    })
+            })
+    }
+
+    proptest! {
+        /// Random insert / remove / expire / restore traffic leaves the
+        /// sorted edge lists equal to a pair-map model: neighbours, the
+        /// connection test, the canonical edge list, and every list of ids
+        /// an operation returns (ascending and distinct, as
+        /// `OrderPool::recompute_batch` asserts of the touched list).
+        #[test]
+        fn flat_lists_match_a_pair_map_model(
+            ops in prop::collection::vec((0u8..8, 0u32..24, 0u32..30, 0u32..30, 0i64..400), 1..80)
+        ) {
+            let mut g = ShareGraph::new();
+            let mut model = Model::new();
+            let mut pooled: BTreeMap<OrderId, Order> = BTreeMap::new();
+            let mut now: Ts = 0;
+            for (step, &(kind, id, p, d, x)) in ops.iter().enumerate() {
+                let id = OrderId(id);
+                match kind {
+                    // Insert (the most frequent step): pair_edge against
+                    // every pooled order is the model's edge set.
+                    0..=3 if !pooled.contains_key(&id) => {
+                        let o = order(id.0, p, d, now, now + Line.cost(NodeId(p), NodeId(d)) + x);
+                        let mut want = Vec::new();
+                        let mut scratch = PlanScratch::default();
+                        let handle = Arc::new(o.clone());
+                        for (&j, other) in &pooled {
+                            let other = Arc::new(other.clone());
+                            if let Some(e) = pair_edge(&handle, &other, now, limits(), &Line, &mut scratch) {
+                                model.insert((id.min(j), id.max(j)), e);
+                                want.push(j);
+                            }
+                        }
+                        prop_assert_eq!(g.insert(o.clone(), now, limits(), &Line), want);
+                        pooled.insert(id, o);
+                    }
+                    4 => {
+                        let want: Vec<OrderId> = model_neighbors(&model, id).into_iter().map(|(j, _)| j).collect();
+                        model.retain(|&(a, b), _| a != id && b != id);
+                        pooled.remove(&id);
+                        prop_assert_eq!(g.remove(id), want);
+                    }
+                    5 | 6 => {
+                        now += x / 4;
+                        let mut want: Vec<OrderId> = model
+                            .iter()
+                            .filter(|(_, e)| e.expires_at < now)
+                            .flat_map(|(&(a, b), _)| [a, b])
+                            .collect();
+                        want.sort();
+                        want.dedup();
+                        model.retain(|_, e| e.expires_at >= now);
+                        let touched = g.expire_edges(now);
+                        prop_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched {:?}", touched);
+                        prop_assert_eq!(touched, want);
+                    }
+                    _ => {
+                        // Any edge order restores the same graph.
+                        let mut edges: Vec<_> = model.iter().map(|(&(a, b), &e)| (a, b, e)).collect();
+                        if step % 2 == 1 {
+                            edges.reverse();
+                        }
+                        let orders = pooled.values().cloned().map(Arc::new).collect();
+                        g.restore_from_parts(orders, &edges);
+                    }
+                }
+                prop_assert!(agrees(&g, &model, &pooled), "step {} ({:?}) diverged", step, ops[step]);
+                prop_assert_eq!(g.edge_count(), model.len());
+            }
+        }
     }
 }

@@ -19,6 +19,11 @@ struct WorkerState {
 pub struct Fleet {
     workers: Vec<Worker>,
     state: Vec<WorkerState>,
+    /// The least `busy_until` over the fleet (`Ts::MAX` when it is empty):
+    /// while it is later than `now` nobody is idle, and
+    /// [`Fleet::nearest_idle`] answers without a scan. `assign` rescans
+    /// only when it moved the worker that held it.
+    first_idle: Ts,
 }
 
 impl Fleet {
@@ -31,7 +36,22 @@ impl Fleet {
                 busy_until: Ts::MIN,
             })
             .collect();
-        Self { workers, state }
+        let mut fleet = Self {
+            workers,
+            state,
+            first_idle: Ts::MAX,
+        };
+        fleet.first_idle = fleet.least_busy_until();
+        fleet
+    }
+
+    /// The least `busy_until` by a full scan (`Ts::MAX` for no workers).
+    fn least_busy_until(&self) -> Ts {
+        self.state
+            .iter()
+            .map(|s| s.busy_until)
+            .min()
+            .unwrap_or(Ts::MAX)
     }
 
     /// Number of workers.
@@ -60,11 +80,6 @@ impl Fleet {
         self.state[id.index()].busy_until <= now
     }
 
-    /// When the worker becomes idle.
-    pub fn busy_until(&self, id: WorkerId) -> Ts {
-        self.state[id.index()].busy_until
-    }
-
     /// Iterate over idle workers at `now`.
     pub fn idle_workers(&self, now: Ts) -> impl Iterator<Item = WorkerId> + '_ {
         self.state
@@ -80,11 +95,6 @@ impl Fleet {
             .iter()
             .filter(move |s| s.busy_until <= now)
             .map(|s| s.loc)
-    }
-
-    /// Count idle workers at `now`.
-    pub fn idle_count(&self, now: Ts) -> usize {
-        self.state.iter().filter(|s| s.busy_until <= now).count()
     }
 
     /// The idle worker closest to `target` (by travel time) with capacity
@@ -105,6 +115,9 @@ impl Fleet {
         min_capacity: u32,
         oracle: &C,
     ) -> Option<WorkerId> {
+        if self.first_idle > now {
+            return None;
+        }
         let mut best: Option<(Dur, WorkerId)> = None;
         for (i, s) in self.state.iter().enumerate() {
             if s.busy_until > now || self.workers[i].capacity < min_capacity {
@@ -137,6 +150,7 @@ impl Fleet {
             s.loc = snap.locations[i];
             s.busy_until = snap.busy_until[i];
         }
+        self.first_idle = self.least_busy_until();
     }
 
     /// Mark a worker busy until `busy_until`, ending at `end_loc`.
@@ -146,17 +160,25 @@ impl Fleet {
     pub fn assign(&mut self, id: WorkerId, end_loc: NodeId, now: Ts, travel: Dur) {
         let s = &mut self.state[id.index()];
         debug_assert!(s.busy_until <= now, "assigning busy worker {id}");
+        let held_first = s.busy_until == self.first_idle;
         s.loc = end_loc;
         s.busy_until = now + travel;
+        self.first_idle = if held_first {
+            self.least_busy_until()
+        } else {
+            self.first_idle.min(s.busy_until)
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use watter_core::TravelCost;
 
     struct Line;
-    impl watter_core::TravelCost for Line {
+    impl TravelCost for Line {
         fn cost(&self, a: NodeId, b: NodeId) -> Dur {
             (a.0 as i64 - b.0 as i64).abs() * 10
         }
@@ -178,7 +200,8 @@ mod tests {
     #[test]
     fn all_start_idle_at_home() {
         let f = fleet();
-        assert_eq!(f.idle_count(0), 3);
+        assert_eq!(f.idle_workers(0).count(), 3);
+        assert!(f.is_idle(WorkerId(2), 0));
         assert_eq!(f.location(WorkerId(1)), NodeId(10));
     }
 
@@ -204,7 +227,7 @@ mod tests {
         assert!(!f.is_idle(WorkerId(0), 159));
         assert!(f.is_idle(WorkerId(0), 160));
         assert_eq!(f.location(WorkerId(0)), NodeId(5));
-        assert_eq!(f.idle_count(100), 2);
+        assert_eq!(f.idle_workers(100).count(), 2);
     }
 
     #[test]
@@ -213,6 +236,65 @@ mod tests {
         // the contract picks the lower WorkerId.
         let f = fleet();
         assert_eq!(f.nearest_idle(NodeId(15), 0, 3, &Line), Some(WorkerId(1)));
+    }
+
+    /// `nearest_idle` as a plain scan: the least approach cost among idle
+    /// workers with enough seats, the lowest id among equals.
+    fn scan(f: &Fleet, target: NodeId, now: Ts, min_capacity: u32) -> Option<WorkerId> {
+        (0..f.len())
+            .map(|i| WorkerId(i as u32))
+            .filter(|&w| f.is_idle(w, now) && f.worker(w).capacity >= min_capacity)
+            .min_by_key(|&w| (Line.cost(f.location(w), target), w.0))
+    }
+
+    proptest! {
+        /// Over random rosters, assignments, restores and clocks that run
+        /// forward and back, the "nobody is idle" fast path and the scan
+        /// behind it answer what a plain scan answers, and `first_idle` is
+        /// the least `busy_until`.
+        #[test]
+        fn nearest_idle_matches_a_plain_scan(
+            roster in prop::collection::vec((0u32..30, 1u32..5), 0..10),
+            ops in prop::collection::vec((0u8..4, 0u32..30, -200i64..300, 1u32..5), 1..40)
+        ) {
+            let mut f = Fleet::new(
+                roster
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(home, seats))| Worker::new(WorkerId(i as u32), NodeId(home), seats))
+                    .collect(),
+            );
+            let mut now: Ts = 0;
+            for &(kind, node, x, seats) in &ops {
+                match kind {
+                    // Assign the `node`-th worker idle now, if any.
+                    0 | 1 => {
+                        let idle: Vec<WorkerId> = f.idle_workers(now).collect();
+                        if let Some(&w) = idle.get(node as usize % idle.len().max(1)) {
+                            f.assign(w, NodeId(node), now, x.abs());
+                        }
+                    }
+                    2 => now += x,
+                    _ => {
+                        let mut snap = f.snapshot();
+                        for (i, b) in snap.busy_until.iter_mut().enumerate() {
+                            *b = now + x - 40 * i as i64;
+                            snap.locations[i] = NodeId((node + 7 * i as u32) % 30);
+                        }
+                        f.restore_state(&snap);
+                    }
+                }
+                prop_assert_eq!(f.first_idle, f.least_busy_until());
+                for probe in [now - 150, now, now + 150] {
+                    for target in [NodeId(node), NodeId(29 - node)] {
+                        prop_assert_eq!(
+                            f.nearest_idle(target, probe, seats, &Line),
+                            scan(&f, target, probe, seats)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
