@@ -62,15 +62,10 @@ impl Schedule {
         }
     }
 
-    /// Whether the schedule has no remaining stops.
-    pub fn is_idle(&self) -> bool {
-        self.stops.is_empty()
-    }
-
     /// Pop every stop whose ETA has passed, updating position, onboard
     /// count and the active-order set. Returns completed (dropped-off)
     /// order ids.
-    pub fn advance(&mut self, now: Ts) -> Vec<OrderId> {
+    pub(crate) fn advance(&mut self, now: Ts) -> Vec<OrderId> {
         let mut done = Vec::new();
         while let Some(first) = self.stops.first().copied() {
             if first.eta > now {
@@ -98,7 +93,7 @@ impl Schedule {
     }
 
     /// Total remaining travel cost (from `loc` through every stop).
-    pub fn remaining_cost<C: TravelCost>(&self, oracle: &C) -> Dur {
+    pub(crate) fn remaining_cost<C: TravelCost>(&self, oracle: &C) -> Dur {
         let mut cost = 0;
         let mut cur = self.loc;
         for s in &self.stops {
@@ -290,7 +285,7 @@ mod tests {
         assert_eq!(s.onboard, 1);
         let done = s.advance(100);
         assert_eq!(done, vec![OrderId(0)]);
-        assert!(s.is_idle());
+        assert!(s.stops.is_empty());
         assert_eq!(s.loc, NodeId(7));
     }
 

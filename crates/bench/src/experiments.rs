@@ -434,7 +434,7 @@ pub mod example1 {
     /// costs: `a–b, b–c, c–f, f–e, e–d, a–d, b–e`, which reproduces every
     /// travel time quoted in Example 1 (`cost(a,c)=2`, `cost(d,c)=3`,
     /// `cost(d,f)=2`, `cost(e,f)=1` minutes).
-    pub fn network() -> RoadGraph {
+    pub(crate) fn network() -> RoadGraph {
         let coords = vec![
             (0.0, 0.0), // a
             (1.0, 0.0), // b
@@ -465,7 +465,7 @@ pub mod example1 {
     /// The four orders of Table I (release seconds, pick-up, drop-off),
     /// with generous deadlines so every strategy in the example stays
     /// feasible.
-    pub fn orders() -> Vec<Order> {
+    pub(crate) fn orders() -> Vec<Order> {
         let matrix = CostMatrix::build(&network());
         let spec = [
             (5, 0u32, 2u32), // o1: a -> c
@@ -493,7 +493,7 @@ pub mod example1 {
 
     /// The two idle workers: w1 at `d`, w2 at `a` (inferred from the
     /// non-sharing trajectories `⟨d,f,e,f⟩` and `⟨a,c,d,c⟩`).
-    pub fn workers() -> Vec<Worker> {
+    pub(crate) fn workers() -> Vec<Worker> {
         vec![
             Worker::new(WorkerId(0), NodeId(3), 4),
             Worker::new(WorkerId(1), NodeId(0), 4),

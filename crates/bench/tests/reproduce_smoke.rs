@@ -1,16 +1,22 @@
-//! Subprocess smoke test for the `reproduce` binary: `reproduce example1`
+//! Subprocess smoke tests for the `reproduce` binary: `reproduce example1`
 //! is the fastest paper artifact and exercises the whole stack (road
 //! network, pooling, baselines, dispatch), so it doubles as the guard that
-//! the experiment harness can't silently rot.
+//! the experiment harness can't silently rot. The ablation sweep puts the
+//! hand-configured fan-out and cancellation dispatchers through the real
+//! binary, and a name the experiment table does not hold must exit 2.
 
 use std::process::Command;
 
+fn reproduce(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .output()
+        .expect("spawn reproduce")
+}
+
 #[test]
 fn example1_reproduces_paper_numbers() {
-    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .arg("example1")
-        .output()
-        .expect("spawn reproduce");
+    let out = reproduce(&["example1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -38,4 +44,42 @@ fn example1_reproduces_paper_numbers() {
     };
     assert_eq!(row("nonshare")[0], 12.0, "non-sharing total travel");
     assert_eq!(row("gdp")[1], 5.0, "GDP group-route travel");
+}
+
+#[test]
+fn ablations_print_every_labelled_row() {
+    let out = reproduce(&["ablations", "0.05"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    let labels = [
+        "fanout=4",
+        "fanout=8",
+        "fanout=12",
+        "fanout=16",
+        "echo=0",
+        "echo=0.3",
+        "echo=0.55",
+        "echo=0.8",
+        "cancel=off",
+        "cancel=mild",
+        "cancel=heavy",
+    ];
+    for label in labels {
+        let rows = stdout
+            .lines()
+            .filter(|l| l.split_whitespace().nth(1) == Some(label))
+            .count();
+        assert_eq!(rows, 1, "one `{label}` row in:\n{stdout}");
+    }
+}
+
+#[test]
+fn an_unknown_experiment_exits_2_naming_the_table() {
+    let out = reproduce(&["no-such-exp"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no-such-exp"), "{stderr}");
+    for name in ["example1", "fig3", "ablations", "obs", "all"] {
+        assert!(stderr.contains(name), "`{name}` not named in: {stderr}");
+    }
 }

@@ -8,8 +8,8 @@
 //! 3. **Capacity**: riders on board never exceed the vehicle capacity.
 //!
 //! The route planner in `watter-pool` enforces these incrementally during
-//! search; this module provides the standalone validators used by tests,
-//! integration checks and the baselines.
+//! search. [`validate_route`] checks all three after the fact: no product
+//! path calls it; `tests/invariants.rs` holds the planner's routes to it.
 
 use crate::order::Order;
 use crate::route::Route;
@@ -39,7 +39,7 @@ pub struct CapacityCheck {
 
 impl CapacityCheck {
     /// Check constraint (3) on `route`.
-    pub fn check(
+    pub(crate) fn check(
         &self,
         route: &Route,
         riders_of: impl Fn(crate::OrderId) -> u32,

@@ -74,25 +74,17 @@ pub struct RobustnessReport {
     pub blocked: u64,
 }
 
-impl RobustnessReport {
-    /// Total orders that saw any backpressure action.
-    pub fn affected(&self) -> u64 {
-        self.shed + self.degraded + self.blocked
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn robustness_report_round_trips_and_sums() {
+    fn robustness_report_round_trips() {
         let r = RobustnessReport {
             shed: 3,
             degraded: 5,
             blocked: 2,
         };
-        assert_eq!(r.affected(), 10);
         let text = serde_json::to_string(&r).expect("serialize");
         let back: RobustnessReport = serde_json::from_str(&text).expect("parse");
         assert_eq!(back, r);

@@ -177,7 +177,7 @@ impl Group {
 
     /// Extra time `t_e^(i) = α·t_d + β·t_r` of member `i` if the group is
     /// dispatched at `now` (Definition 6).
-    pub fn extra_time_of(&self, idx: usize, now: Ts, w: CostWeights) -> f64 {
+    pub(crate) fn extra_time_of(&self, idx: usize, now: Ts, w: CostWeights) -> f64 {
         let o = &self.orders[idx];
         w.extra_time(self.detour(idx), o.response_at(now))
     }
@@ -205,7 +205,7 @@ impl Group {
     }
 
     /// Earliest watching-window timeout among members (Algorithm 2 line 1).
-    pub fn earliest_timeout(&self) -> Ts {
+    pub(crate) fn earliest_timeout(&self) -> Ts {
         self.orders
             .iter()
             .map(|o| o.timeout_at())
@@ -220,11 +220,6 @@ impl Group {
             earliest_timeout: self.earliest_timeout(),
             expires_at: self.expires_at,
         }
-    }
-
-    /// Whether the group can still be feasibly dispatched at `now`.
-    pub fn is_live(&self, now: Ts) -> bool {
-        now <= self.expires_at
     }
 }
 
@@ -289,8 +284,6 @@ mod tests {
         let g = group();
         // o0: 1000 - 30 - 1 = 969 ; o1: 500 - 20 - 1 = 479
         assert_eq!(g.expires_at(), 479);
-        assert!(g.is_live(479));
-        assert!(!g.is_live(480));
     }
 
     #[test]

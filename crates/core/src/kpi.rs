@@ -102,7 +102,7 @@ impl Kpis {
     }
 
     /// Seconds between the first and last applied event.
-    pub fn span_seconds(&self) -> f64 {
+    pub(crate) fn span_seconds(&self) -> f64 {
         match self.first_event {
             Some(first) => (self.last_event - first).max(0) as f64,
             None => 0.0,
@@ -122,18 +122,6 @@ pub struct OracleCacheKpis {
     pub misses: u64,
     /// Slot overwrites that displaced a different cached pair.
     pub evictions: u64,
-}
-
-impl OracleCacheKpis {
-    /// `100 × hits / (hits + misses)` (0 when no queries).
-    pub fn hit_rate_pct(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Summary statistics of a sample set (nearest-rank percentiles).
@@ -158,7 +146,7 @@ impl Dist {
     /// `scale` (e.g. `1e-3` for nanoseconds → microseconds).
     /// Percentiles are exact nearest-rank values while the sketch is
     /// within its exact window.
-    pub fn from_sketch(sketch: &Sketch, scale: f64) -> Self {
+    pub(crate) fn from_sketch(sketch: &Sketch, scale: f64) -> Self {
         if sketch.is_empty() {
             return Self::default();
         }
@@ -686,14 +674,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_kpis_hit_rate() {
+    fn cache_kpis_round_trip() {
         let c = OracleCacheKpis {
             hits: 75,
             misses: 25,
             evictions: 3,
         };
-        assert_eq!(c.hit_rate_pct(), 75.0);
-        assert_eq!(OracleCacheKpis::default().hit_rate_pct(), 0.0);
         // Reports carry the counters only when a cache was active.
         let r = report(&Kpis::new(1), &Measurements::default());
         assert_eq!(r.cache, None);

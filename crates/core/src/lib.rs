@@ -27,7 +27,6 @@
 
 pub mod constraints;
 pub mod env;
-pub mod error;
 pub mod fault;
 pub mod group;
 pub mod ids;
@@ -43,13 +42,12 @@ pub mod worker;
 
 pub use constraints::{CapacityCheck, ConstraintViolation};
 pub use env::EnvSnapshot;
-pub use error::CoreError;
 pub use fault::{CorruptKind, FaultPlan, RobustnessReport};
 pub use group::{Group, GroupQuality};
 pub use ids::{NodeId, OrderId, WorkerId};
 pub use kpi::{Dist, DriverCounts, Kpis, OracleCacheKpis, RunReport};
 pub use metrics::{Measurements, OrderOutcome};
-pub use objective::{extra_time, CostWeights};
+pub use objective::CostWeights;
 pub use oracle::{OracleKind, DEFAULT_LANDMARKS, DENSE_NODE_LIMIT};
 pub use order::Order;
 pub use parallel::{DispatchParallelism, Exec};

@@ -133,7 +133,7 @@ impl Measurements {
     }
 
     /// **Running Time**: average decision seconds per order.
-    pub fn running_time_per_order(&self) -> f64 {
+    pub(crate) fn running_time_per_order(&self) -> f64 {
         if self.total_orders == 0 {
             0.0
         } else {

@@ -32,13 +32,6 @@ impl CostWeights {
     }
 }
 
-/// Extra time with explicit weights (free-function form of
-/// [`CostWeights::extra_time`]).
-#[inline]
-pub fn extra_time(w: CostWeights, detour: Dur, response: Dur) -> f64 {
-    w.extra_time(detour, response)
-}
-
 /// Running accumulator for the METRS objective
 /// `Φ(W, O) = Σ_{o∈O+} t_e + Σ_{o∈O−} p` (Equation 2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -51,17 +44,17 @@ pub struct Objective {
 
 impl Objective {
     /// Record a served order's extra time.
-    pub fn serve(&mut self, extra: f64) {
+    pub(crate) fn serve(&mut self, extra: f64) {
         self.served_extra += extra;
     }
 
     /// Record a rejected order's penalty `p^(i)`.
-    pub fn reject(&mut self, penalty: Dur) {
+    pub(crate) fn reject(&mut self, penalty: Dur) {
         self.rejected_penalty += penalty as f64;
     }
 
     /// The objective value Φ.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.served_extra + self.rejected_penalty
     }
 }

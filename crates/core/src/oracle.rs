@@ -50,12 +50,6 @@ pub const DENSE_NODE_LIMIT: usize = 8_192;
 pub const DEFAULT_LANDMARKS: usize = 16;
 
 impl OracleKind {
-    /// Resolve `Auto` against a concrete node count, returning a concrete
-    /// backend. Uses the built-in [`DENSE_NODE_LIMIT`].
-    pub fn resolve(self, node_count: usize) -> OracleKind {
-        self.resolve_with_limit(node_count, DENSE_NODE_LIMIT)
-    }
-
     /// Resolve `Auto` against a concrete node count with an explicit
     /// dense-table threshold: `Dense` up to `dense_limit` nodes, the
     /// contraction hierarchy beyond. Concrete kinds resolve to themselves
@@ -80,13 +74,16 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_node_count() {
-        assert_eq!(OracleKind::Auto.resolve(100), OracleKind::Dense);
         assert_eq!(
-            OracleKind::Auto.resolve(DENSE_NODE_LIMIT),
+            OracleKind::Auto.resolve_with_limit(100, DENSE_NODE_LIMIT),
             OracleKind::Dense
         );
         assert_eq!(
-            OracleKind::Auto.resolve(DENSE_NODE_LIMIT + 1),
+            OracleKind::Auto.resolve_with_limit(DENSE_NODE_LIMIT, DENSE_NODE_LIMIT),
+            OracleKind::Dense
+        );
+        assert_eq!(
+            OracleKind::Auto.resolve_with_limit(DENSE_NODE_LIMIT + 1, DENSE_NODE_LIMIT),
             OracleKind::Ch
         );
     }
@@ -111,10 +108,16 @@ mod tests {
 
     #[test]
     fn concrete_kinds_resolve_to_themselves() {
-        assert_eq!(OracleKind::Dense.resolve(1_000_000), OracleKind::Dense);
+        assert_eq!(
+            OracleKind::Dense.resolve_with_limit(1_000_000, DENSE_NODE_LIMIT),
+            OracleKind::Dense
+        );
         let alt = OracleKind::Alt { landmarks: 4 };
-        assert_eq!(alt.resolve(10), alt);
-        assert_eq!(OracleKind::Ch.resolve(10), OracleKind::Ch);
+        assert_eq!(alt.resolve_with_limit(10, DENSE_NODE_LIMIT), alt);
+        assert_eq!(
+            OracleKind::Ch.resolve_with_limit(10, DENSE_NODE_LIMIT),
+            OracleKind::Ch
+        );
         // The limit is irrelevant for concrete kinds.
         assert_eq!(
             OracleKind::Ch.resolve_with_limit(10, usize::MAX),

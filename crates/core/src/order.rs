@@ -99,14 +99,6 @@ impl Order {
     pub fn response_at(&self, now: Ts) -> Dur {
         non_negative(now - self.release)
     }
-
-    /// Latest timestamp at which dispatch can still meet the deadline when
-    /// the in-route travel to this order's drop-off takes `route_cost_to_d`
-    /// seconds: Definition 7 constraint (2), `t + t_r + T(L^(i)) < τ`.
-    #[inline]
-    pub fn latest_dispatch(&self, route_cost_to_d: Dur) -> Ts {
-        self.deadline - route_cost_to_d
-    }
 }
 
 #[cfg(test)]
@@ -138,14 +130,6 @@ mod tests {
         let o = order();
         assert_eq!(o.response_at(50), 0);
         assert_eq!(o.response_at(160), 60);
-    }
-
-    #[test]
-    fn latest_dispatch_respects_deadline() {
-        let o = order();
-        // Dispatching at this instant with a 700 s in-route cost arrives
-        // exactly at the deadline.
-        assert_eq!(o.latest_dispatch(700), o.deadline - 700);
     }
 
     #[test]

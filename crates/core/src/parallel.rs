@@ -13,9 +13,9 @@
 //! `dense_deep_online_t2`).
 //!
 //! Chunks are contiguous index ranges and results are concatenated in
-//! chunk order, so `exec.map(items, f)` returns exactly
-//! `items.iter().map(f).collect()` — the thread count can never reorder,
-//! drop or duplicate results.
+//! chunk order, so `exec.map_indexed(n, f)` returns exactly
+//! `(0..n).map(f).collect()` — the thread count can never reorder, drop
+//! or duplicate results.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,11 +46,6 @@ impl DispatchParallelism {
         threads: 1,
         shards: 1,
     };
-
-    /// [`DispatchParallelism::SEQUENTIAL`] as a function (serde default).
-    pub fn sequential() -> Self {
-        Self::SEQUENTIAL
-    }
 }
 
 /// Below this many items a parallel map falls back to the sequential path:
@@ -80,7 +75,7 @@ impl Exec {
     }
 
     /// The strictly sequential executor.
-    pub fn sequential() -> Self {
+    pub(crate) fn sequential() -> Self {
         Self { threads: 1 }
     }
 
@@ -89,24 +84,14 @@ impl Exec {
         self.threads
     }
 
-    /// Map `f` over `items`, returning results in input order.
+    /// Map `f` over the index range `0..n`, returning results in index
+    /// order.
     ///
     /// Sequential when one thread is configured or the input is tiny;
-    /// otherwise the index range is split into at most `threads` contiguous
+    /// otherwise the range is split into at most `threads` contiguous
     /// chunks, one scoped thread each, and per-chunk results are
     /// concatenated in chunk order. Identical to the sequential map for
     /// every thread count.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.map_indexed(items.len(), |i| f(&items[i]))
-    }
-
-    /// Map `f` over the index range `0..n`, returning results in index
-    /// order. The primitive [`Exec::map`] is built on.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -185,15 +170,16 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for threads in [1, 2, 3, 4, 8, 16] {
             let exec = Exec::new(threads);
-            assert_eq!(exec.map(&items, |x| x * x + 1), expect, "threads={threads}");
+            let got = exec.map_indexed(items.len(), |i| items[i] * items[i] + 1);
+            assert_eq!(got, expect, "threads={threads}");
         }
     }
 
     #[test]
     fn map_handles_empty_and_tiny_inputs() {
         let exec = Exec::new(4);
-        assert_eq!(exec.map(&[] as &[u32], |x| *x), Vec::<u32>::new());
-        assert_eq!(exec.map(&[7u32], |x| x + 1), vec![8]);
+        assert_eq!(exec.map_indexed(0, |i| i), Vec::<usize>::new());
+        assert_eq!(exec.map_indexed(1, |i| i + 8), vec![8]);
     }
 
     #[test]

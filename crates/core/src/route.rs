@@ -92,14 +92,6 @@ impl Route {
         Self { stops, cost }
     }
 
-    /// An empty route.
-    pub fn empty() -> Self {
-        Self {
-            stops: Vec::new(),
-            cost: 0,
-        }
-    }
-
     /// The stop sequence.
     #[inline]
     pub fn stops(&self) -> &[Stop] {
@@ -167,18 +159,6 @@ impl Route {
     ) -> Option<Dur> {
         self.subroute_cost(order, oracle)
             .map(|c| (c - direct_cost).max(0))
-    }
-
-    /// Orders appearing on the route (each order contributes one pick-up and
-    /// one drop-off; this yields them in pick-up order, deduplicated).
-    pub fn order_ids(&self) -> Vec<OrderId> {
-        let mut ids = Vec::with_capacity(self.stops.len() / 2);
-        for s in &self.stops {
-            if s.kind == StopKind::Pickup {
-                ids.push(s.order);
-            }
-        }
-        ids
     }
 
     /// Check the sequential constraint (Definition 7, constraint 1): every
@@ -291,14 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn order_ids_in_pickup_order() {
-        let r = two_order_route();
-        assert_eq!(r.order_ids(), vec![OrderId(0), OrderId(1)]);
-    }
-
-    #[test]
     fn empty_route() {
-        let r = Route::empty();
+        let r = Route::new(Vec::new(), &Line);
         assert!(r.is_empty());
         assert_eq!(r.cost(), 0);
         assert!(r.is_sequential());

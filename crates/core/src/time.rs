@@ -16,7 +16,7 @@ pub const DAY: Dur = 24 * 60 * 60;
 
 /// Clamp a duration to be non-negative.
 #[inline]
-pub fn non_negative(d: Dur) -> Dur {
+pub(crate) fn non_negative(d: Dur) -> Dur {
     d.max(0)
 }
 

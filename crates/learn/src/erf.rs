@@ -6,7 +6,7 @@
 //! threshold optimization can notice).
 
 /// Error function, |error| ≤ 1.5e-7.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     const A1: f64 = 0.254829592;
     const A2: f64 = -0.284496736;
     const A3: f64 = 1.421413741;
@@ -25,13 +25,13 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// CDF of `N(mean, sd²)` evaluated at `x`.
-pub fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal_cdf(x: f64, mean: f64, sd: f64) -> f64 {
     debug_assert!(sd > 0.0, "standard deviation must be positive");
     0.5 * (1.0 + erf((x - mean) / (sd * std::f64::consts::SQRT_2)))
 }
 
 /// PDF of `N(mean, sd²)` evaluated at `x`.
-pub fn normal_pdf(x: f64, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal_pdf(x: f64, mean: f64, sd: f64) -> f64 {
     debug_assert!(sd > 0.0, "standard deviation must be positive");
     let z = (x - mean) / sd;
     (-0.5 * z * z).exp() / (sd * (2.0 * std::f64::consts::PI).sqrt())

@@ -138,7 +138,7 @@ impl Gmm {
     }
 
     /// Mixture density `f(x)`.
-    pub fn pdf(&self, x: f64) -> f64 {
+    pub(crate) fn pdf(&self, x: f64) -> f64 {
         self.components
             .iter()
             .map(|c| c.weight * normal_pdf(x, c.mean, c.var.sqrt()))
@@ -151,16 +151,6 @@ impl Gmm {
             .iter()
             .map(|c| c.weight * normal_cdf(x, c.mean, c.var.sqrt()))
             .sum()
-    }
-
-    /// Mixture mean.
-    pub fn mean(&self) -> f64 {
-        self.components.iter().map(|c| c.weight * c.mean).sum()
-    }
-
-    /// Log-likelihood of `data` under the mixture.
-    pub fn log_likelihood(&self, data: &[f64]) -> f64 {
-        data.iter().map(|&x| self.pdf(x).max(1e-300).ln()).sum()
     }
 
     /// Draw one sample.
@@ -206,6 +196,14 @@ mod tests {
         (0..n).map(|_| truth.sample(&mut rng)).collect()
     }
 
+    fn log_likelihood(g: &Gmm, data: &[f64]) -> f64 {
+        data.iter().map(|&x| g.pdf(x).max(1e-300).ln()).sum()
+    }
+
+    fn mean(g: &Gmm) -> f64 {
+        g.components().iter().map(|c| c.weight * c.mean).sum()
+    }
+
     #[test]
     fn fit_recovers_bimodal_means() {
         let data = bimodal_sample(4000, 1);
@@ -221,7 +219,7 @@ mod tests {
         let data = bimodal_sample(1000, 2);
         let short = Gmm::fit(&data, 2, 3);
         let long = Gmm::fit(&data, 2, 40);
-        assert!(long.log_likelihood(&data) >= short.log_likelihood(&data) - 1e-6);
+        assert!(log_likelihood(&long, &data) >= log_likelihood(&short, &data) - 1e-6);
     }
 
     #[test]
@@ -250,7 +248,7 @@ mod tests {
     fn degenerate_data_falls_back_to_single_component() {
         let g = Gmm::fit(&[5.0, 5.0, 5.0], 3, 10);
         assert_eq!(g.components().len(), 1);
-        assert!((g.mean() - 5.0).abs() < 1e-9);
+        assert!((mean(&g) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -273,7 +271,7 @@ mod tests {
                 var: 1.0,
             },
         ]);
-        assert!((g.mean() - 5.0).abs() < 1e-12);
+        assert!((mean(&g) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -287,71 +285,5 @@ mod tests {
         let n = 20_000;
         let m: f64 = (0..n).map(|_| g.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((m - 7.0).abs() < 0.1, "sample mean {m}");
-    }
-}
-
-/// Select the number of mixture components by the Bayesian Information
-/// Criterion: fit `k = 1..=max_k` and keep the fit minimizing
-/// `BIC = (3k − 1)·ln n − 2·logL`. Algorithm 3 assumes the component
-/// count is given; this helper chooses it from data, which is what a
-/// deployment would do day over day.
-pub fn fit_bic(data: &[f64], max_k: usize, iters: usize) -> Gmm {
-    assert!(max_k >= 1, "max_k must be at least 1");
-    let n = data.len().max(1) as f64;
-    let mut best: Option<(f64, Gmm)> = None;
-    for k in 1..=max_k {
-        let g = Gmm::fit(data, k, iters);
-        let params = (3 * g.components().len() - 1) as f64;
-        let bic = params * n.ln() - 2.0 * g.log_likelihood(data);
-        if best.as_ref().is_none_or(|(b, _)| bic < *b) {
-            best = Some((bic, g));
-        }
-    }
-    best.expect("max_k ≥ 1 guarantees a fit").1
-}
-
-#[cfg(test)]
-mod bic_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn bic_picks_two_for_bimodal_data() {
-        let truth = Gmm::new(vec![
-            Component {
-                weight: 0.5,
-                mean: 0.0,
-                var: 1.0,
-            },
-            Component {
-                weight: 0.5,
-                mean: 20.0,
-                var: 1.0,
-            },
-        ]);
-        let mut rng = StdRng::seed_from_u64(11);
-        let data: Vec<f64> = (0..2000).map(|_| truth.sample(&mut rng)).collect();
-        let g = fit_bic(&data, 4, 30);
-        assert_eq!(g.components().len(), 2, "BIC should recover 2 modes");
-    }
-
-    #[test]
-    fn bic_picks_one_for_unimodal_data() {
-        let truth = Gmm::new(vec![Component {
-            weight: 1.0,
-            mean: 10.0,
-            var: 4.0,
-        }]);
-        let mut rng = StdRng::seed_from_u64(12);
-        let data: Vec<f64> = (0..1500).map(|_| truth.sample(&mut rng)).collect();
-        let g = fit_bic(&data, 4, 30);
-        assert_eq!(g.components().len(), 1, "BIC should not overfit");
-    }
-
-    #[test]
-    fn bic_handles_tiny_samples() {
-        let g = fit_bic(&[1.0, 2.0, 3.0], 3, 10);
-        assert!(!g.components().is_empty());
     }
 }

@@ -52,7 +52,7 @@ pub struct Transition {
 impl Transition {
     /// The TD target for this transition given the target network's value
     /// of the successor state (`v_next`, ignored for terminal outcomes).
-    pub fn td_target(&self, v_next: f64, gamma: f64) -> f64 {
+    pub(crate) fn td_target(&self, v_next: f64, gamma: f64) -> f64 {
         match &self.outcome {
             Outcome::Dispatched { detour } => self.penalty - detour,
             Outcome::Expired => 0.0,
@@ -61,14 +61,14 @@ impl Transition {
     }
 
     /// The target-loss anchor `p − θ*`.
-    pub fn tg_target(&self) -> f64 {
+    pub(crate) fn tg_target(&self) -> f64 {
         self.penalty - self.gmm_theta
     }
 
     /// Blended training target: minimizing
     /// `ω(td − V)² + (1−ω)(tg − V)²` is equivalent to regressing on
     /// `ω·td + (1−ω)·tg`.
-    pub fn blended_target(&self, v_next: f64, gamma: f64, omega: f64) -> f64 {
+    pub(crate) fn blended_target(&self, v_next: f64, gamma: f64, omega: f64) -> f64 {
         omega * self.td_target(v_next, gamma) + (1.0 - omega) * self.tg_target()
     }
 }

@@ -112,7 +112,7 @@ impl Mlp {
     }
 
     /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers[0].in_dim
     }
 
@@ -135,7 +135,7 @@ impl Mlp {
 
     /// One Adam step on the mean-squared error of a mini-batch.
     /// Returns the batch MSE before the update.
-    pub fn train_batch(&mut self, xs: &[Vec<f32>], ys: &[f32]) -> f32 {
+    pub(crate) fn train_batch(&mut self, xs: &[Vec<f32>], ys: &[f32]) -> f32 {
         assert_eq!(xs.len(), ys.len(), "inputs/targets length mismatch");
         if xs.is_empty() {
             return 0.0;
@@ -229,7 +229,7 @@ impl Mlp {
 
     /// Copy all weights from another network of identical architecture (the
     /// delayed target-network sync of Section VI-B).
-    pub fn copy_weights_from(&mut self, other: &Mlp) {
+    pub(crate) fn copy_weights_from(&mut self, other: &Mlp) {
         assert_eq!(
             self.layers.len(),
             other.layers.len(),

@@ -88,21 +88,9 @@ pub struct GmmThresholdProvider {
 }
 
 impl GmmThresholdProvider {
-    /// Fit a provider from historical extra times (Algorithm 3 lines 1–2).
-    pub fn fit(history: &[f64], components: usize, em_iters: usize) -> Self {
-        Self {
-            gmm: Gmm::fit(history, components, em_iters),
-        }
-    }
-
     /// Wrap an existing fit.
     pub fn from_gmm(gmm: Gmm) -> Self {
         Self { gmm }
-    }
-
-    /// The underlying mixture.
-    pub fn gmm(&self) -> &Gmm {
-        &self.gmm
     }
 }
 

@@ -37,11 +37,6 @@ impl TransitionRecorder {
         }
     }
 
-    /// The filled replay memory.
-    pub fn memory(&self) -> &ReplayMemory {
-        &self.memory
-    }
-
     /// Consume the recorder, returning memory and featurizer for training.
     pub fn into_parts(self) -> (ReplayMemory, StateFeaturizer) {
         (self.memory, self.featurizer)
@@ -142,9 +137,10 @@ mod tests {
         r.on_wait(&o, 20, &env);
         r.on_dispatch(&o, 30, 30, &env);
         // two Waited links + one Dispatched terminal
-        assert_eq!(r.memory().len(), 3);
+        assert_eq!(r.memory.len(), 3);
         let outcomes: Vec<bool> = r
-            .memory()
+            .memory
+            .buf
             .iter()
             .map(|t| matches!(t.outcome, Outcome::Waited { .. }))
             .collect();
@@ -156,9 +152,9 @@ mod tests {
         let mut r = recorder();
         let env = EnvSnapshot::empty(4);
         r.on_dispatch(&order(1), 0, 10, &env);
-        assert_eq!(r.memory().len(), 1);
+        assert_eq!(r.memory.len(), 1);
         assert!(matches!(
-            r.memory().iter().next().unwrap().outcome,
+            r.memory.buf[0].outcome,
             Outcome::Dispatched { .. }
         ));
     }
@@ -170,7 +166,7 @@ mod tests {
         let o = order(2);
         r.on_wait(&o, 10, &env);
         r.on_expire(&o, 20, &env);
-        assert_eq!(r.memory().len(), 2);
+        assert_eq!(r.memory.len(), 2);
     }
 
     #[test]
@@ -180,7 +176,7 @@ mod tests {
         let o = order(3);
         r.on_wait(&o, 100, &env);
         r.on_wait(&o, 130, &env);
-        let t = r.memory().iter().next().unwrap();
+        let t = &r.memory.buf[0];
         match &t.outcome {
             Outcome::Waited { dt, .. } => assert_eq!(*dt, 30.0),
             other => panic!("unexpected outcome {other:?}"),

@@ -10,7 +10,8 @@ use rand::Rng;
 /// Fixed-capacity uniform-sampling replay buffer.
 #[derive(Clone, Debug)]
 pub struct ReplayMemory {
-    buf: Vec<Transition>,
+    /// Stored transitions (oldest-first not guaranteed).
+    pub(crate) buf: Vec<Transition>,
     capacity: usize,
     next: usize,
 }
@@ -20,7 +21,7 @@ impl ReplayMemory {
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
         Self {
             buf: Vec::with_capacity(capacity.min(1 << 20)),
@@ -40,7 +41,7 @@ impl ReplayMemory {
     }
 
     /// Insert a transition, evicting the oldest once full.
-    pub fn push(&mut self, t: Transition) {
+    pub(crate) fn push(&mut self, t: Transition) {
         if self.buf.len() < self.capacity {
             self.buf.push(t);
         } else {
@@ -50,7 +51,7 @@ impl ReplayMemory {
     }
 
     /// Sample `n` transitions uniformly with replacement.
-    pub fn sample<'a, R: Rng>(&'a self, n: usize, rng: &mut R) -> Vec<&'a Transition> {
+    pub(crate) fn sample<'a, R: Rng>(&'a self, n: usize, rng: &mut R) -> Vec<&'a Transition> {
         (0..n)
             .filter_map(|_| {
                 if self.buf.is_empty() {
@@ -60,11 +61,6 @@ impl ReplayMemory {
                 }
             })
             .collect()
-    }
-
-    /// Iterate over all stored transitions (oldest-first not guaranteed).
-    pub fn iter(&self) -> impl Iterator<Item = &Transition> {
-        self.buf.iter()
     }
 }
 
@@ -92,7 +88,7 @@ mod tests {
         }
         assert_eq!(m.len(), 3);
         // oldest two (0, 1) evicted
-        let tags: Vec<f32> = m.iter().map(|t| t.state[0]).collect();
+        let tags: Vec<f32> = m.buf.iter().map(|t| t.state[0]).collect();
         assert!(tags.contains(&2.0) && tags.contains(&3.0) && tags.contains(&4.0));
     }
 

@@ -14,7 +14,7 @@
 //! Total dimensionality `5·g² + 2` (502 for the default 10 × 10 grid).
 
 use serde::{Deserialize, Serialize};
-use watter_core::{Dur, EnvSnapshot, NodeId, Order, Ts};
+use watter_core::{Dur, EnvSnapshot, Order, Ts};
 use watter_road::GridIndex;
 
 /// Converts an (order, time, environment) triple into the dense feature
@@ -58,16 +58,11 @@ impl StateFeaturizer {
         self.grid.node_count()
     }
 
-    /// Grid cell of a node (exposed for tests and diagnostics).
-    pub fn cell_of(&self, node: NodeId) -> usize {
-        self.grid.cell_of(node)
-    }
-
     /// Encode the state of `order` at time `now` under environment `env`.
     ///
     /// # Panics
     /// Panics (debug) if `env` disagrees with the featurizer's grid size.
-    pub fn encode(&self, order: &Order, now: Ts, env: &EnvSnapshot) -> Vec<f32> {
+    pub(crate) fn encode(&self, order: &Order, now: Ts, env: &EnvSnapshot) -> Vec<f32> {
         let cells = self.grid.cells();
         debug_assert_eq!(env.cells(), cells, "environment grid mismatch");
         let mut x = vec![0.0f32; self.dim()];
@@ -99,7 +94,7 @@ impl StateFeaturizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watter_core::OrderId;
+    use watter_core::{NodeId, OrderId};
     use watter_road::{CityConfig, GridIndex};
 
     fn featurizer() -> StateFeaturizer {
@@ -139,8 +134,8 @@ mod tests {
         let env = EnvSnapshot::empty(4);
         let o = order(0, 63, 0);
         let x = f.encode(&o, 0, &env);
-        let pc = f.cell_of(o.pickup);
-        let dc = f.cell_of(o.dropoff);
+        let pc = f.grid.cell_of(o.pickup);
+        let dc = f.grid.cell_of(o.dropoff);
         assert_eq!(x[pc], 1.0);
         assert_eq!(x[16 + dc], 1.0);
         // exactly two one-hot bits in the first 32 dims

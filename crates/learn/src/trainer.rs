@@ -82,19 +82,9 @@ impl ValueTrainer {
         }
     }
 
-    /// The main network (for inference / extraction).
-    pub fn network(&self) -> &Mlp {
-        &self.main
-    }
-
     /// Consume the trainer, returning the trained main network.
     pub fn into_network(self) -> Mlp {
         self.main
-    }
-
-    /// Gradient steps taken so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// Run `n_steps` mini-batch updates against `memory`.
@@ -174,7 +164,7 @@ mod tests {
         let mem = anchored_memory(500);
         tr.train(&mem, 2000);
         // V([x, 1]) ≈ 50x
-        let v = tr.network().predict(&[0.8, 1.0]);
+        let v = tr.main.predict(&[0.8, 1.0]);
         assert!((v - 40.0).abs() < 6.0, "V = {v}");
     }
 
@@ -221,8 +211,8 @@ mod tests {
         };
         let mut tr = ValueTrainer::new(2, cfg);
         tr.train(&m, 1200);
-        let v1 = tr.network().predict(&[0.0, 1.0]);
-        let v0 = tr.network().predict(&[1.0, 0.0]);
+        let v1 = tr.main.predict(&[0.0, 1.0]);
+        let v0 = tr.main.predict(&[1.0, 0.0]);
         assert!((v1 - 100.0).abs() < 10.0, "V(s1) = {v1}");
         assert!((v0 - 90.0).abs() < 10.0, "V(s0) = {v0}");
     }
@@ -232,6 +222,6 @@ mod tests {
         let mut tr = ValueTrainer::new(2, TrainerConfig::default());
         let mem = ReplayMemory::new(8);
         assert_eq!(tr.train(&mem, 10), 0.0);
-        assert_eq!(tr.steps(), 0);
+        assert_eq!(tr.steps, 0);
     }
 }

@@ -39,7 +39,7 @@ impl ValueFunction {
     }
 
     /// Raw value estimate `V(s)` for an order's current state.
-    pub fn value(&self, order: &Order, ctx: &DecisionContext<'_>) -> f64 {
+    pub(crate) fn value(&self, order: &Order, ctx: &DecisionContext<'_>) -> f64 {
         let x = self.featurizer.encode(order, ctx.now, ctx.env);
         self.net.predict(&x) as f64
     }

@@ -107,11 +107,6 @@ impl ObsSnapshot {
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     }
-
-    /// Fetch one stage sample by label.
-    pub fn stage(&self, name: &str) -> Option<&StageSample> {
-        self.stages.iter().find(|s| s.stage == name)
-    }
 }
 
 fn prom_name(kind: &str, name: &str) -> String {
@@ -341,7 +336,7 @@ mod tests {
         let back: ObsSnapshot = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, snap);
         assert_eq!(back.counter("orders_admitted"), 40);
-        assert!(back.stage("pool_insert").is_some());
-        assert!(back.stage("planner").is_none());
+        assert!(back.stages.iter().any(|s| s.stage == "pool_insert"));
+        assert!(!back.stages.iter().any(|s| s.stage == "planner"));
     }
 }

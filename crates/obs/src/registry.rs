@@ -73,7 +73,7 @@ impl Stage {
     ];
 
     /// Stable snake_case stage label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Ingest => "ingest",
             Stage::PoolInsert => "pool_insert",
@@ -329,7 +329,8 @@ mod tests {
         assert!(snap.counters.is_empty() && snap.gauges.is_empty());
         let w = snap.windows[0];
         assert_eq!((w.backlog_max, w.band_max, w.served), (7, 2, 2));
-        assert_eq!(snap.stage("ingest").map(|s| s.count), Some(3));
+        let ingest = snap.stages.iter().find(|s| s.stage == "ingest");
+        assert_eq!(ingest.map(|s| s.count), Some(3));
     }
 
     #[test]
@@ -358,7 +359,11 @@ mod tests {
             r.record_stage_nanos(Stage::Planner, nanos);
         }
         let snap = r.snapshot();
-        let s = snap.stage("planner").expect("stage sampled");
+        let s = snap
+            .stages
+            .iter()
+            .find(|s| s.stage == "planner")
+            .expect("stage sampled");
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_us, 0.050);
         assert_eq!(s.p99_us, 0.099);

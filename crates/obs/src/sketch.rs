@@ -71,7 +71,7 @@ impl Default for Sketch {
 
 impl Sketch {
     /// Empty sketch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -115,7 +115,7 @@ impl Sketch {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
@@ -126,11 +126,6 @@ impl Sketch {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        self.min
     }
 
     /// Largest sample (0 when empty).
@@ -185,7 +180,7 @@ mod tests {
         assert_eq!(s.quantile(90.0), 90.0);
         assert_eq!(s.quantile(99.0), 99.0);
         assert_eq!(s.quantile(100.0), 100.0);
-        assert_eq!(s.min(), 1.0);
+        assert_eq!(s.min, 1.0);
         assert_eq!(s.max(), 100.0);
         assert_eq!(s.mean(), 50.5);
     }
@@ -205,7 +200,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.quantile(50.0), 0.0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
+        assert_eq!(s.min, 0.0);
         assert_eq!(s.max(), 0.0);
     }
 
@@ -248,7 +243,7 @@ mod tests {
         s.record(0.0);
         s.record(-1.0);
         assert_eq!(s.count(), 2);
-        assert_eq!(s.min(), -1.0);
+        assert_eq!(s.min, -1.0);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct Journal {
 impl Journal {
     /// Append an event, assigning the next sequence number. Overflow
     /// evicts the oldest record.
-    pub fn push(&mut self, at: i64, event: TraceEvent) {
+    pub(crate) fn push(&mut self, at: i64, event: TraceEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.records.len() >= JOURNAL_CAP {
@@ -101,35 +101,25 @@ impl Journal {
     }
 
     /// Remove and return every buffered record (oldest first).
-    pub fn drain(&mut self) -> Vec<TraceRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<TraceRecord> {
         self.records.drain(..).collect()
     }
 
     /// The sequence number the *next* event will receive.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Raise the next sequence number to at least `seq` (used when a
     /// restored snapshot carries the journal position of the crashed
     /// run). Never lowers it.
-    pub fn bump_to(&mut self, seq: u64) {
+    pub(crate) fn bump_to(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq);
     }
 
     /// Records evicted by overflow since the journal was created.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Buffered (undrained) records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -168,7 +158,7 @@ mod tests {
             j.push(0, TraceEvent::OrderAdmitted { order: i });
         }
         assert_eq!(j.dropped(), 3);
-        assert_eq!(j.len(), JOURNAL_CAP);
+        assert_eq!(j.records.len(), JOURNAL_CAP);
         let drained = j.drain();
         // Oldest retained record is seq 3; numbering has no gaps after.
         assert_eq!(drained[0].seq, 3);

@@ -62,7 +62,7 @@ pub struct WindowKpis {
 
 impl WindowKpis {
     /// Admitted-order throughput over the window width.
-    pub fn orders_per_sec(&self, window_secs: i64) -> f64 {
+    pub(crate) fn orders_per_sec(&self, window_secs: i64) -> f64 {
         if window_secs <= 0 {
             0.0
         } else {
@@ -72,7 +72,7 @@ impl WindowKpis {
 
     /// `100 × served / (served + rejected)` within the window (0 when
     /// no order reached an outcome here).
-    pub fn service_rate_pct(&self) -> f64 {
+    pub(crate) fn service_rate_pct(&self) -> f64 {
         let outcomes = self.served + self.rejected;
         if outcomes == 0 {
             0.0
@@ -101,7 +101,7 @@ impl Default for WindowSeries {
 
 impl WindowSeries {
     /// Empty series with the given window width (minimum 1 s).
-    pub fn new(window_secs: i64) -> Self {
+    pub(crate) fn new(window_secs: i64) -> Self {
         Self {
             window_secs: window_secs.max(1),
             windows: Vec::new(),
@@ -143,7 +143,7 @@ impl WindowSeries {
     }
 
     /// Bump one order-flow counter in the window covering `at`.
-    pub fn count(&mut self, at: i64, field: WindowField) {
+    pub(crate) fn count(&mut self, at: i64, field: WindowField) {
         let w = self.slot(at);
         match field {
             WindowField::Admitted => w.admitted += 1,
@@ -156,7 +156,7 @@ impl WindowSeries {
 
     /// Fold a backlog observation (depth + watermark band) into the
     /// window covering `at`.
-    pub fn note_backlog(&mut self, at: i64, depth: u64, band: u64) {
+    pub(crate) fn note_backlog(&mut self, at: i64, depth: u64, band: u64) {
         let w = self.slot(at);
         w.backlog_max = w.backlog_max.max(depth);
         w.band_max = w.band_max.max(band);

@@ -94,7 +94,7 @@ impl OrderPool {
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.graph.len() == 0
     }
 
     /// Lifetime counters.
@@ -106,11 +106,6 @@ impl OrderPool {
     /// stages (pair prefilter, clique search, group planning) through it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// The configured pool parameters.
-    pub fn config(&self) -> &PoolConfig {
-        &self.cfg
     }
 
     /// The underlying shareability graph (read-only).

@@ -79,13 +79,8 @@ impl ShareGraph {
     }
 
     /// Number of pooled orders.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.orders.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.orders.is_empty()
     }
 
     /// Number of live edges (each undirected edge counted once).
@@ -94,7 +89,7 @@ impl ShareGraph {
     }
 
     /// The pooled order with the given id.
-    pub fn order(&self, id: OrderId) -> Option<&Order> {
+    pub(crate) fn order(&self, id: OrderId) -> Option<&Order> {
         self.orders.get(&id).map(Arc::as_ref)
     }
 
@@ -189,7 +184,7 @@ impl ShareGraph {
     /// Drop every edge whose `τ_e` has passed. Returns the endpoints of
     /// removed edges (candidates for best-group refresh — update event (3)
     /// of Section IV-B).
-    pub fn expire_edges(&mut self, now: Ts) -> Vec<OrderId> {
+    pub(crate) fn expire_edges(&mut self, now: Ts) -> Vec<OrderId> {
         let mut touched = Vec::new();
         for (&i, list) in self.adj.iter_mut() {
             let before = list.len();
@@ -216,7 +211,7 @@ impl ShareGraph {
     ///
     /// `edges` must reference orders present in `orders`; the caller
     /// ([`crate::OrderPool::restore`]) validates this.
-    pub fn restore_from_parts(
+    pub(crate) fn restore_from_parts(
         &mut self,
         orders: Vec<Arc<Order>>,
         edges: &[(OrderId, OrderId, PairEdge)],
@@ -235,7 +230,7 @@ impl ShareGraph {
 
     /// Orders whose own solo feasibility has lapsed (cannot be served even
     /// alone: `now + direct ≥ deadline`). These must be rejected.
-    pub fn dead_orders(&self, now: Ts) -> Vec<OrderId> {
+    pub(crate) fn dead_orders(&self, now: Ts) -> Vec<OrderId> {
         self.orders
             .values()
             .filter(|o| now + o.direct_cost >= o.deadline)

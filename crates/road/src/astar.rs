@@ -37,8 +37,8 @@
 //!
 //! The symmetric-graph form of the bound is only admissible on graphs
 //! where every edge has a same-weight mirror (all the synthetic cities in
-//! this workspace). An asymmetric graph gets no landmarks
-//! ([`Landmarks::build_with_exec`]), so the heuristic is zero — plain
+//! this workspace). An asymmetric graph gets no landmarks (the
+//! [`Landmarks`] build checks), so the heuristic is zero — plain
 //! Dijkstra with early exit — which is slower but still exact.
 
 use crate::dijkstra::UNREACHABLE;
@@ -146,7 +146,7 @@ impl AltOracle {
     /// Wrap an existing landmark set (e.g. shared with shareability
     /// pre-filtering), built on `graph`: the heuristic is admissible only
     /// if the set is empty where the graph is asymmetric.
-    pub fn with_landmarks(graph: Arc<RoadGraph>, landmarks: Landmarks) -> Self {
+    pub(crate) fn with_landmarks(graph: Arc<RoadGraph>, landmarks: Landmarks) -> Self {
         let symmetric = graph.is_symmetric();
         debug_assert!(
             symmetric || landmarks.is_empty(),
@@ -160,7 +160,7 @@ impl AltOracle {
     }
 
     /// The underlying road graph.
-    pub fn graph(&self) -> &Arc<RoadGraph> {
+    pub(crate) fn graph(&self) -> &Arc<RoadGraph> {
         &self.graph
     }
 
@@ -170,7 +170,7 @@ impl AltOracle {
     }
 
     /// Whether `b` is reachable from `a`.
-    pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn reachable(&self, a: NodeId, b: NodeId) -> bool {
         self.cost(a, b) < UNREACHABLE
     }
 

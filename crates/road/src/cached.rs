@@ -109,7 +109,7 @@ impl<C: TravelCost> CachedOracle<C> {
     /// Attach an observability recorder: hit/miss latencies are sampled
     /// into the `oracle_cache_hit` / `oracle_cache_miss` stages (the miss
     /// stage is the backend's query latency). Answers are unaffected.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
 
@@ -119,7 +119,7 @@ impl<C: TravelCost> CachedOracle<C> {
     }
 
     /// The wrapped oracle.
-    pub fn inner(&self) -> &C {
+    pub(crate) fn inner(&self) -> &C {
         &self.inner
     }
 
@@ -135,14 +135,9 @@ impl<C: TravelCost> CachedOracle<C> {
 
     /// Stored entries that displaced a *different* cached pair (the
     /// direct-mapped notion of an eviction). High eviction counts signal
-    /// the working set outgrowing [`Self::capacity`].
+    /// the working set outgrowing the slot table.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
-    }
-
-    /// Total slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// SplitMix64 finalizer: spreads the packed pair over the slot bits so
@@ -342,6 +337,6 @@ mod tests {
     #[test]
     fn capacity_rounds_up_to_power_of_two() {
         let c = CachedOracle::new(Line(Cell::new(0)), 100);
-        assert_eq!(c.capacity(), 128);
+        assert_eq!(c.slots.len(), 128);
     }
 }

@@ -104,7 +104,7 @@
 //!    rank-increasing then rank-decreasing and never touch it, so a
 //!    bidirectional upward meet over the below-core arc prefix finds
 //!    them. Each side runs as goal-directed A* (the admissible geometric
-//!    potential `γ · euclid` from [`RoadGraph::min_cost_per_unit_distance`])
+//!    potential `γ · euclid`, `γ` the graph's least cost per unit distance)
 //!    with stall-on-demand, pruned by the join bound — for cross-city
 //!    pairs the join answer kills the local cones almost immediately.
 //!
@@ -1086,19 +1086,19 @@ impl ChOracle {
     }
 
     /// The underlying road graph.
-    pub fn graph(&self) -> &Arc<RoadGraph> {
+    pub(crate) fn graph(&self) -> &Arc<RoadGraph> {
         &self.graph
     }
 
     /// Shortcut arcs added while contracting the nodes below the core —
     /// the core itself is never contracted.
-    pub fn shortcut_count(&self) -> usize {
+    pub(crate) fn shortcut_count(&self) -> usize {
         self.shortcuts
     }
 
     /// The landmark set the bound is answered from (empty on an
     /// asymmetric graph).
-    pub fn landmarks(&self) -> &Landmarks {
+    pub(crate) fn landmarks(&self) -> &Landmarks {
         &self.landmarks
     }
 
@@ -1124,7 +1124,7 @@ impl ChOracle {
     }
 
     /// Whether `b` is reachable from `a`.
-    pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn reachable(&self, a: NodeId, b: NodeId) -> bool {
         self.cost(a, b) < UNREACHABLE
     }
 

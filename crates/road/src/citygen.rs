@@ -67,12 +67,12 @@ impl Default for CityConfig {
 
 impl CityConfig {
     /// Number of nodes the generated graph will have.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.width * self.height
     }
 
     /// Node id at grid position `(x, y)`.
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
+    pub(crate) fn node_at(&self, x: usize, y: usize) -> NodeId {
         NodeId((y * self.width + x) as u32)
     }
 

@@ -39,20 +39,23 @@ pub fn shortest_path_cost(graph: &RoadGraph, src: NodeId, dst: NodeId) -> Dur {
     SCRATCH.with(|ws| ws.borrow_mut().point_to_point(graph, src, dst))
 }
 
-/// On-demand oracle wrapping point-to-point Dijkstra. Exact but slow; used
-/// in tests as ground truth against [`crate::CostMatrix`].
+/// On-demand oracle wrapping point-to-point Dijkstra. Exact but slow: the
+/// ground truth this crate's tests hold the other oracles to.
+#[cfg(test)]
 #[derive(Clone, Debug)]
-pub struct DijkstraOracle<'g> {
+pub(crate) struct DijkstraOracle<'g> {
     graph: &'g RoadGraph,
 }
 
+#[cfg(test)]
 impl<'g> DijkstraOracle<'g> {
     /// Wrap a graph.
-    pub fn new(graph: &'g RoadGraph) -> Self {
+    pub(crate) fn new(graph: &'g RoadGraph) -> Self {
         Self { graph }
     }
 }
 
+#[cfg(test)]
 impl watter_core::TravelCost for DijkstraOracle<'_> {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
         shortest_path_cost(self.graph, a, b)

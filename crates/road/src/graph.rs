@@ -91,7 +91,7 @@ impl RoadGraph {
 
     /// Planar coordinates of a node.
     #[inline]
-    pub fn coord(&self, n: NodeId) -> (f64, f64) {
+    pub(crate) fn coord(&self, n: NodeId) -> (f64, f64) {
         self.coords[n.index()]
     }
 
@@ -99,17 +99,6 @@ impl RoadGraph {
     #[inline]
     pub fn coords(&self) -> &[(f64, f64)] {
         &self.coords
-    }
-
-    /// Outgoing neighbours of `n` with travel times.
-    #[inline]
-    pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, Dur)> + '_ {
-        let lo = self.offsets[n.index()] as usize;
-        let hi = self.offsets[n.index() + 1] as usize;
-        self.targets[lo..hi]
-            .iter()
-            .zip(&self.travels[lo..hi])
-            .map(|(&t, &w)| (NodeId(t), w))
     }
 
     /// Raw CSR slices of `n`'s outgoing edges: `(targets, travel_times)`,
@@ -163,7 +152,7 @@ impl RoadGraph {
     /// Euclidean distance between node coordinates (a lower-bound heuristic
     /// only when edge travel times dominate coordinate distance; used by the
     /// grid index for proximity, never for exact costs).
-    pub fn euclid(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn euclid(&self, a: NodeId, b: NodeId) -> f64 {
         let (ax, ay) = self.coord(a);
         let (bx, by) = self.coord(b);
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
@@ -179,7 +168,7 @@ impl RoadGraph {
     /// `f64::INFINITY` when no positive-length edge exists (then any two
     /// nodes at distinct coordinates are disconnected, so an infinite bound
     /// is still admissible); zero-length edges never weaken the bound.
-    pub fn min_cost_per_unit_distance(&self) -> f64 {
+    pub(crate) fn min_cost_per_unit_distance(&self) -> f64 {
         let mut gamma = f64::INFINITY;
         for u in self.nodes() {
             let (targets, travels) = self.out_edges(u);
@@ -232,8 +221,7 @@ mod tests {
     #[test]
     fn neighbors_sorted_by_target() {
         let g = triangle();
-        let n: Vec<_> = g.neighbors(NodeId(0)).collect();
-        assert_eq!(n, vec![(NodeId(1), 10), (NodeId(2), 50)]);
+        assert_eq!(g.out_edges(NodeId(0)), (&[1, 2][..], &[10, 50][..]));
     }
 
     #[test]

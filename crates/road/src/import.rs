@@ -354,8 +354,7 @@ e 1 2 45
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.coord(NodeId(2)), (1.5, 2.25));
-        let n: Vec<_> = g.neighbors(NodeId(1)).collect();
-        assert_eq!(n, vec![(NodeId(0), 30), (NodeId(2), 45)]);
+        assert_eq!(g.out_edges(NodeId(1)), (&[0, 2][..], &[30, 45][..]));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Landmarks {
 
     /// Build with an explicit worker-thread count
     /// ([`build_with_exec`](Self::build_with_exec) on `threads` threads).
-    pub fn build_with_threads(graph: &RoadGraph, k: usize, threads: usize) -> Self {
+    pub(crate) fn build_with_threads(graph: &RoadGraph, k: usize, threads: usize) -> Self {
         Self::build_with_exec(graph, k, &Exec::new(threads.max(1)))
     }
 
@@ -88,7 +88,7 @@ impl Landmarks {
     /// An asymmetric graph gets no landmarks: the symmetric-form bound is
     /// inadmissible there, and over no landmarks
     /// [`lower_bound`](Self::lower_bound) is `0`.
-    pub fn build_with_exec(graph: &RoadGraph, k: usize, exec: &Exec) -> Self {
+    pub(crate) fn build_with_exec(graph: &RoadGraph, k: usize, exec: &Exec) -> Self {
         let n = graph.node_count();
         if n == 0 || k == 0 || !graph.is_symmetric() {
             return Self {
@@ -117,11 +117,6 @@ impl Landmarks {
         Self { nodes, table }
     }
 
-    /// The selected landmark nodes, in selection order.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
     /// Node `v`'s entries, one per landmark in selection order.
     #[inline]
     pub(crate) fn entries(&self, v: NodeId) -> &[u16] {
@@ -130,12 +125,12 @@ impl Landmarks {
     }
 
     /// Number of landmarks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// Whether no landmarks were built.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
@@ -263,7 +258,7 @@ mod tests {
     fn assert_bounds_are_the_formula(g: &RoadGraph, lm: &Landmarks) {
         let mut ws = DijkstraWorkspace::new(g.node_count());
         let sweeps: Vec<Vec<Dur>> = lm
-            .nodes()
+            .nodes
             .iter()
             .map(|&l| ws.single_source(g, l).to_vec())
             .collect();
@@ -396,7 +391,7 @@ mod tests {
         let g = RoadGraph::from_edges(vec![], vec![]);
         let lm = Landmarks::build(&g, 3);
         assert!(lm.is_empty());
-        assert!(lm.nodes().is_empty());
+        assert!(lm.nodes.is_empty());
     }
 
     /// Regression: farthest-point sampling used to treat nodes unreachable
@@ -415,9 +410,9 @@ mod tests {
         let lm = Landmarks::build(&g, 2);
         assert_eq!(lm.len(), 2);
         // No duplicate selections…
-        assert_ne!(lm.nodes()[0], lm.nodes()[1]);
+        assert_ne!(lm.nodes[0], lm.nodes[1]);
         // …and the second landmark lands in the uncovered component B.
-        assert!(lm.nodes().iter().any(|n| n.0 >= 3), "{:?}", lm.nodes());
+        assert!(lm.nodes.iter().any(|n| n.0 >= 3), "{:?}", lm.nodes);
         // With B covered, within-B bounds become useful (a landmark inside
         // a path component gives exact bounds along it).
         assert!(lm.lower_bound(NodeId(3), NodeId(5)) > 0);
@@ -445,11 +440,11 @@ mod tests {
         // Uneven chunk splits, more threads than landmarks, and the auto path.
         for threads in [2, 3, 5, 64] {
             let par = Landmarks::build_with_threads(&city, 6, threads);
-            assert_eq!(par.nodes(), serial.nodes(), "{threads} threads");
+            assert_eq!(par.nodes, serial.nodes, "{threads} threads");
             assert_eq!(par.table, serial.table, "{threads} threads");
         }
         let auto = Landmarks::build(&city, 6);
-        assert_eq!(auto.nodes(), serial.nodes());
+        assert_eq!(auto.nodes, serial.nodes);
         assert_eq!(auto.table, serial.table);
     }
 
@@ -467,7 +462,7 @@ mod tests {
             .collect();
         let g = RoadGraph::from_undirected_edges(coords, edges);
         let lm = Landmarks::build(&g, 2);
-        assert_eq!(lm.nodes(), &[NodeId(0), NodeId(29)]);
+        assert_eq!(lm.nodes, &[NodeId(0), NodeId(29)]);
     }
 
     #[test]
@@ -477,7 +472,7 @@ mod tests {
         let g = RoadGraph::from_edges(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], vec![]);
         let lm = Landmarks::build(&g, 5);
         assert_eq!(lm.len(), 3);
-        let mut picked: Vec<u32> = lm.nodes().iter().map(|n| n.0).collect();
+        let mut picked: Vec<u32> = lm.nodes.iter().map(|n| n.0).collect();
         picked.sort_unstable();
         assert_eq!(picked, vec![0, 1, 2]);
     }

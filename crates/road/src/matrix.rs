@@ -51,7 +51,7 @@ impl CostMatrix {
     /// `threads` contiguous blocks ([`Exec::fill_rows`]); every block
     /// reuses one [`DijkstraWorkspace`] across its sweeps. Results are
     /// bit-identical for any `threads`.
-    pub fn build_with_threads(graph: &RoadGraph, threads: usize) -> Self {
+    pub(crate) fn build_with_threads(graph: &RoadGraph, threads: usize) -> Self {
         let n = graph.node_count();
         let threads = threads.clamp(1, n.max(1));
         if threads <= 1 {
@@ -66,13 +66,13 @@ impl CostMatrix {
 
     /// Number of nodes covered.
     #[inline]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.n
     }
 
     /// Whether `b` is reachable from `a`.
     #[inline]
-    pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn reachable(&self, a: NodeId, b: NodeId) -> bool {
         self.data[a.index() * self.n + b.index()] != u32::MAX
     }
 }

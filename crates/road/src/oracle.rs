@@ -55,7 +55,7 @@ impl CityOracle {
                 CityOracle::Alt(AltOracle::build(Arc::clone(graph), landmarks))
             }
             OracleKind::Ch => CityOracle::Ch(Box::new(ChOracle::build(Arc::clone(graph)))),
-            OracleKind::Auto => unreachable!("resolve() never returns Auto"),
+            OracleKind::Auto => unreachable!("resolve_with_limit() never returns Auto"),
         }
     }
 

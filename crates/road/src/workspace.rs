@@ -25,7 +25,7 @@ pub struct DijkstraWorkspace {
 
 impl DijkstraWorkspace {
     /// Workspace pre-sized for an `n`-node graph.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             dist: vec![UNREACHABLE; n],
             touched: Vec::new(),
@@ -58,7 +58,7 @@ impl DijkstraWorkspace {
     /// Full single-source shortest-path distances from `src`, as a slice
     /// valid until the next search on this workspace. Unreachable nodes
     /// hold [`UNREACHABLE`].
-    pub fn single_source<'a>(&'a mut self, graph: &RoadGraph, src: NodeId) -> &'a [Dur] {
+    pub(crate) fn single_source<'a>(&'a mut self, graph: &RoadGraph, src: NodeId) -> &'a [Dur] {
         let n = graph.node_count();
         self.begin(n);
         self.settle(src.0, 0);
@@ -82,7 +82,7 @@ impl DijkstraWorkspace {
 
     /// Point-to-point shortest path cost with early exit at the target;
     /// [`UNREACHABLE`] when no path exists. Allocation-free after warm-up.
-    pub fn point_to_point(&mut self, graph: &RoadGraph, src: NodeId, dst: NodeId) -> Dur {
+    pub(crate) fn point_to_point(&mut self, graph: &RoadGraph, src: NodeId, dst: NodeId) -> Dur {
         if src == dst {
             return 0;
         }

@@ -38,21 +38,21 @@ impl CancellationModel {
     }
 
     /// Probability that `order` cancels during the check at `now`.
-    pub fn hazard(&self, order: &Order, now: Ts) -> f64 {
+    pub(crate) fn hazard(&self, order: &Order, now: Ts) -> f64 {
         let max_wait = order.max_response().max(1) as f64;
         let frac = (order.response_at(now) as f64 / max_wait).clamp(0.0, 1.0);
         (self.base_hazard + self.impatience * frac * frac).clamp(0.0, 1.0)
     }
 
     /// Whether the model can ever cancel anything.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.base_hazard > 0.0 || self.impatience > 0.0
     }
 
     /// Deterministic cancellation draw: hashes (order id, timestamp, seed)
     /// into a uniform and compares against the hazard, so simulation runs
     /// stay reproducible without threading an RNG through the dispatcher.
-    pub fn cancels(&self, order: &Order, now: Ts, seed: u64) -> bool {
+    pub(crate) fn cancels(&self, order: &Order, now: Ts, seed: u64) -> bool {
         if !self.is_active() {
             return false;
         }

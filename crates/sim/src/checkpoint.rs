@@ -17,7 +17,7 @@
 //! in another schema version and JSON parse failure so operators (and
 //! `tests/chaos.rs`) can tell torn writes from bit rot from format drift.
 //!
-//! The store keeps the last *N* generations ([`CheckpointStore::keep`]).
+//! The store keeps the last *N* generations (`keep` of [`CheckpointStore::open`]).
 //! Recovery walks generations newest-first and returns the first one that
 //! passes both integrity checks **and** parses
 //! ([`CheckpointStore::latest_valid`]) — a corrupted newest checkpoint
@@ -198,7 +198,6 @@ fn generations(dir: &Path) -> Result<Vec<u64>, CheckpointError> {
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    keep: usize,
     /// The writing half, until the first save moves it onto its thread.
     idle: Option<Disk>,
     /// The running writer; `None` before the first save, and for good
@@ -252,7 +251,6 @@ impl CheckpointStore {
         let keep = keep.max(1);
         Ok(Self {
             dir: dir.to_path_buf(),
-            keep,
             idle: Some(Disk {
                 dir: dir.to_path_buf(),
                 keep,
@@ -431,16 +429,11 @@ impl CheckpointStore {
         fs::write(&path, damaged).map_err(io)
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Generations on disk once the generation in flight has landed,
     /// ascending — a directory scan on every call, deliberately not the
     /// list the writer keeps, so tests and operators see what is really
     /// there.
-    pub fn on_disk(&self) -> Result<Vec<u64>, CheckpointError> {
+    pub(crate) fn on_disk(&self) -> Result<Vec<u64>, CheckpointError> {
         self.settle();
         generations(&self.dir)
     }
@@ -450,11 +443,6 @@ impl CheckpointStore {
     pub fn ops(&self) -> CheckpointOps {
         self.settle();
         self.desk.borrow().ops
-    }
-
-    /// How many generations the store retains.
-    pub fn keep(&self) -> usize {
-        self.keep
     }
 }
 

@@ -434,39 +434,29 @@ impl DispatchCore {
     }
 
     /// Whether the run is complete.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.drained
     }
 
     /// Latest instant the core has advanced to (`Ts::MIN` before any
     /// event applied).
-    pub fn clock(&self) -> Ts {
+    pub(crate) fn clock(&self) -> Ts {
         self.clock
     }
 
     /// Arrivals buffered ahead of delivery.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.buffered.len()
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The accumulated measurements.
-    pub fn measurements(&self) -> &Measurements {
+    pub(crate) fn measurements(&self) -> &Measurements {
         &self.measurements
     }
 
     /// The accumulated KPIs.
-    pub fn kpis(&self) -> &Kpis {
+    pub(crate) fn kpis(&self) -> &Kpis {
         &self.kpis
-    }
-
-    /// The fleet (diagnostics).
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
     }
 
     /// Consume the core, returning the accumulators.

@@ -473,7 +473,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
 
     /// Combined pipeline backlog: arrivals buffered in the core plus
     /// orders pending in the dispatcher.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.core.backlog() + self.dispatcher.pending()
     }
 
@@ -589,16 +589,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
         self.robustness
     }
 
-    /// Ingest counters so far.
-    pub fn ingest_stats(&self) -> IngestStats {
-        self.ingest.stats()
-    }
-
-    /// Whether backpressure is currently engaged.
-    pub fn engaged(&self) -> bool {
-        self.engaged
-    }
-
     /// Checkpoint generations that failed even after the store's retries
     /// ([`CheckpointOps::failed`]).
     pub fn checkpoint_failures(&self) -> u64 {
@@ -610,16 +600,6 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     /// generations only.
     pub fn store_ops(&self) -> Option<CheckpointOps> {
         self.store.as_ref().map(|s| s.ops())
-    }
-
-    /// The core's virtual clock.
-    pub fn clock(&self) -> Ts {
-        self.core.clock()
-    }
-
-    /// Whether the run has drained.
-    pub fn is_drained(&self) -> bool {
-        self.core.is_drained()
     }
 }
 
@@ -883,10 +863,10 @@ mod tests {
         // Drained: nothing buffered or pending. The hysteresis stays
         // where the last fed line left it (no line since to release it).
         let gauges: Vec<i64> = obs.gauges.iter().map(|g| g.value).collect();
-        assert_eq!(gauges, [0, 0, i64::from(d.engaged())]);
+        assert_eq!(gauges, [0, 0, i64::from(d.engaged)]);
         // And they are the daemon's own accounting.
         assert_eq!(shed, d.robustness().shed);
-        assert_eq!(admitted, d.ingest_stats().admitted);
+        assert_eq!(admitted, d.ingest.stats().admitted);
         // The malformed first line and every shed order were fed before
         // any event had set the clock: no window opens at `i64::MIN`.
         assert!(
@@ -1052,7 +1032,7 @@ mod tests {
                 bad.chars().take(40).collect::<String>()
             );
         }
-        let s = d.ingest_stats();
+        let s = d.ingest.stats();
         assert_eq!((s.malformed, s.rejected, s.admitted), (7, 7, 0));
         // A well-formed line still goes through full validation.
         assert_eq!(d.feed_line(&valid), FeedOutcome::Admitted);
@@ -1081,12 +1061,12 @@ mod tests {
         let padded = format!("{}{line}", " ".repeat(MAX_LINE_BYTES + 1 - line.len()));
         assert_eq!(padded.len(), MAX_LINE_BYTES + 1);
         assert!(OrderIngest::parse_line(&padded[1..]).is_ok());
-        let before = (d.clock(), d.backlog(), d.ingest_stats());
+        let before = (d.core.clock(), d.backlog(), d.ingest.stats());
         assert!(matches!(
             d.feed_line(&padded),
             FeedOutcome::Rejected(LineError::Malformed(_))
         ));
-        let after = d.ingest_stats();
+        let after = d.ingest.stats();
         assert_eq!((after.malformed, after.rejected), (1, 1));
         assert_eq!(
             IngestStats {
@@ -1096,7 +1076,7 @@ mod tests {
             },
             before.2
         );
-        assert_eq!((d.clock(), d.backlog()), (before.0, before.1));
+        assert_eq!((d.core.clock(), d.backlog()), (before.0, before.1));
         assert_eq!(d.feed_line(&line), FeedOutcome::Admitted);
     }
 

@@ -55,13 +55,8 @@ impl Fleet {
     }
 
     /// Number of workers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// Static description of a worker.
@@ -90,7 +85,7 @@ impl Fleet {
     }
 
     /// Locations of idle workers at `now` (for supply snapshots).
-    pub fn idle_locations(&self, now: Ts) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn idle_locations(&self, now: Ts) -> impl Iterator<Item = NodeId> + '_ {
         self.state
             .iter()
             .filter(move |s| s.busy_until <= now)
@@ -134,7 +129,7 @@ impl Fleet {
     }
 
     /// Capture the fleet's serializable state.
-    pub fn snapshot(&self) -> crate::snapshot::FleetSnapshot {
+    pub(crate) fn snapshot(&self) -> crate::snapshot::FleetSnapshot {
         crate::snapshot::FleetSnapshot {
             workers: self.workers.clone(),
             locations: self.state.iter().map(|s| s.loc).collect(),

@@ -137,8 +137,7 @@ pub struct IngestStats {
     /// Refusals: duplicate id.
     pub duplicate: u64,
     /// Refusals: line did not parse as an order at all
-    /// ([`LineError::Malformed`], counted by
-    /// [`OrderIngest::note_malformed`]).
+    /// ([`LineError::Malformed`]).
     pub malformed: u64,
     /// High-water mark of the observed backlog (buffered arrivals plus
     /// dispatcher-pending orders at submission time).
@@ -171,7 +170,7 @@ pub struct OrderIngest {
 
 impl OrderIngest {
     /// A fresh ingest stage.
-    pub fn new(cfg: IngestConfig) -> Self {
+    pub(crate) fn new(cfg: IngestConfig) -> Self {
         Self {
             cfg,
             ..Self::default()
@@ -182,9 +181,9 @@ impl OrderIngest {
     /// without validating or counting anything. Malformed bytes, and a
     /// line over [`MAX_LINE_BYTES`] before any parsing, are a typed error,
     /// never a panic. The daemon's door parses first, runs
-    /// due checks against the order's release, then [`OrderIngest::admit`]s
-    /// at the advanced clock; it pairs a failure here with
-    /// [`OrderIngest::note_malformed`] so the counters stay complete.
+    /// due checks against the order's release, then admits the order at
+    /// the advanced clock; it counts a failure here as
+    /// [`IngestStats::malformed`] so the counters stay complete.
     pub fn parse_line(line: &str) -> Result<Order, LineError> {
         if line.len() > MAX_LINE_BYTES {
             return Err(LineError::Malformed(format!(
@@ -197,7 +196,7 @@ impl OrderIngest {
 
     /// Count one malformed-line rejection (pairs with
     /// [`OrderIngest::parse_line`]).
-    pub fn note_malformed(&mut self) {
+    pub(crate) fn note_malformed(&mut self) {
         self.stats.rejected += 1;
         self.stats.malformed += 1;
     }
@@ -205,7 +204,7 @@ impl OrderIngest {
     /// Validate `order` for submission at `clock`. `Ok` admits the order
     /// (the caller feeds it to the core); `Err` drops it, counted in
     /// [`IngestStats`].
-    pub fn admit(&mut self, order: Order, clock: Ts) -> Result<Order, IngestError> {
+    pub(crate) fn admit(&mut self, order: Order, clock: Ts) -> Result<Order, IngestError> {
         match self.validate(&order, clock) {
             Ok(()) => {
                 self.seen.insert(order.id);
@@ -253,19 +252,19 @@ impl OrderIngest {
 
     /// Track the pipeline backlog (pool-size watermark) after a
     /// submission.
-    pub fn observe_backlog(&mut self, backlog: usize) {
+    pub(crate) fn observe_backlog(&mut self, backlog: usize) {
         self.stats.peak_backlog = self.stats.peak_backlog.max(backlog as u64);
     }
 
     /// The accumulated counters.
-    pub fn stats(&self) -> IngestStats {
+    pub(crate) fn stats(&self) -> IngestStats {
         self.stats
     }
 
     /// Serializable runtime state for daemon checkpoints: the duplicate-id
     /// filter and the counters. The config is construction-time state and
     /// rides outside, like every other snapshot in this workspace.
-    pub fn snapshot(&self) -> IngestSnapshot {
+    pub(crate) fn snapshot(&self) -> IngestSnapshot {
         IngestSnapshot {
             seen: self.seen.iter().copied().collect(),
             stats: self.stats,
@@ -273,7 +272,7 @@ impl OrderIngest {
     }
 
     /// Rebuild an ingest stage from checkpointed state.
-    pub fn restore(cfg: IngestConfig, snap: &IngestSnapshot) -> Self {
+    pub(crate) fn restore(cfg: IngestConfig, snap: &IngestSnapshot) -> Self {
         Self {
             cfg,
             seen: snap.seen.iter().copied().collect(),
@@ -282,8 +281,7 @@ impl OrderIngest {
     }
 }
 
-/// Checkpointable runtime state of an [`OrderIngest`] (see
-/// [`OrderIngest::snapshot`]). A recovered daemon must keep rejecting
+/// Checkpointable runtime state of an [`OrderIngest`]. A recovered daemon must keep rejecting
 /// duplicates admitted before the crash and keep counting from the
 /// checkpointed totals, or its final stats would diverge from the
 /// uninterrupted run.

@@ -174,7 +174,7 @@ impl DispatchSnapshot {
     /// missing first. A document without the field predates it (version 1);
     /// one that is not an object at all is left for the typed parse to
     /// reject.
-    pub fn check_document_version(doc: &serde_json::Value) -> Result<(), SnapshotError> {
+    pub(crate) fn check_document_version(doc: &serde_json::Value) -> Result<(), SnapshotError> {
         if !matches!(doc, serde_json::Value::Object(_)) {
             return Ok(());
         }

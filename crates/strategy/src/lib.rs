@@ -130,13 +130,8 @@ impl<P: ThresholdProvider> ThresholdPolicy<P> {
         }
     }
 
-    /// Access the provider (e.g. to inspect a learned model).
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
     /// Mean threshold `θ̄` over the group's members (Algorithm 2 line 5).
-    pub fn mean_threshold(&self, group: &Group, ctx: &DecisionContext<'_>) -> f64 {
+    pub(crate) fn mean_threshold(&self, group: &Group, ctx: &DecisionContext<'_>) -> f64 {
         if group.is_empty() {
             return 0.0;
         }

@@ -22,7 +22,7 @@ impl HotspotModel {
     /// Build a model with `count` hotspots of relative spatial `spread`
     /// (fraction of the bounding-box diagonal), where `fraction` of total
     /// mass sits in the hotspots and the rest is uniform.
-    pub fn build(
+    pub(crate) fn build(
         graph: &RoadGraph,
         count: usize,
         spread: f64,
@@ -71,32 +71,12 @@ impl HotspotModel {
         Self { cumulative }
     }
 
-    /// Uniform model (no hotspots).
-    pub fn uniform(graph: &RoadGraph) -> Self {
-        let n = graph.node_count();
-        let cumulative = (1..=n).map(|i| i as f64).collect();
-        Self { cumulative }
-    }
-
     /// Draw a node.
-    pub fn sample(&self, rng: &mut StdRng) -> NodeId {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> NodeId {
         let total = *self.cumulative.last().expect("non-empty model");
         let u = rng.gen_range(0.0..total);
         let idx = self.cumulative.partition_point(|&c| c <= u);
         NodeId(idx.min(self.cumulative.len() - 1) as u32)
-    }
-
-    /// Empirical concentration diagnostic: fraction of `samples` draws that
-    /// land in the most popular 10% of nodes.
-    pub fn concentration(&self, samples: usize, rng: &mut StdRng) -> f64 {
-        let n = self.cumulative.len();
-        let mut counts = vec![0u32; n];
-        for _ in 0..samples {
-            counts[self.sample(rng).index()] += 1;
-        }
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let top = n.div_ceil(10);
-        counts[..top].iter().map(|&c| c as f64).sum::<f64>() / samples as f64
     }
 }
 
@@ -115,6 +95,27 @@ mod tests {
         .generate(3)
     }
 
+    /// The baseline the hotspot models are held to: every node equally
+    /// likely.
+    fn uniform(graph: &RoadGraph) -> HotspotModel {
+        let n = graph.node_count();
+        let cumulative = (1..=n).map(|i| i as f64).collect();
+        HotspotModel { cumulative }
+    }
+
+    /// Fraction of `samples` draws that land in the most popular 10% of
+    /// nodes.
+    fn concentration(m: &HotspotModel, samples: usize, rng: &mut StdRng) -> f64 {
+        let n = m.cumulative.len();
+        let mut counts = vec![0u32; n];
+        for _ in 0..samples {
+            counts[m.sample(rng).index()] += 1;
+        }
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let top = n.div_ceil(10);
+        counts[..top].iter().map(|&c| c as f64).sum::<f64>() / samples as f64
+    }
+
     #[test]
     fn samples_are_valid_nodes() {
         let g = city();
@@ -131,9 +132,9 @@ mod tests {
         let g = city();
         let mut rng = StdRng::seed_from_u64(2);
         let hot = HotspotModel::build(&g, 2, 0.08, 0.85, &mut rng);
-        let uni = HotspotModel::uniform(&g);
-        let c_hot = hot.concentration(20_000, &mut rng);
-        let c_uni = uni.concentration(20_000, &mut rng);
+        let uni = uniform(&g);
+        let c_hot = concentration(&hot, 20_000, &mut rng);
+        let c_uni = concentration(&uni, 20_000, &mut rng);
         assert!(
             c_hot > c_uni + 0.1,
             "hot {c_hot:.3} should exceed uniform {c_uni:.3}"
@@ -144,8 +145,8 @@ mod tests {
     fn uniform_is_roughly_flat() {
         let g = city();
         let mut rng = StdRng::seed_from_u64(3);
-        let uni = HotspotModel::uniform(&g);
-        let c = uni.concentration(50_000, &mut rng);
+        let uni = uniform(&g);
+        let c = concentration(&uni, 50_000, &mut rng);
         // top 10% of 256 nodes should hold ≈ 10% of draws
         assert!((c - 0.1).abs() < 0.03, "uniform concentration {c:.3}");
     }

@@ -61,7 +61,7 @@ impl CityProfile {
 
     /// Fraction of demand drawn from hotspot centres (the rest is uniform
     /// background). NYC is the most concentrated.
-    pub fn hotspot_fraction(self) -> f64 {
+    pub(crate) fn hotspot_fraction(self) -> f64 {
         match self {
             CityProfile::Nyc => 0.8,
             CityProfile::Chengdu => 0.55,
@@ -70,7 +70,7 @@ impl CityProfile {
     }
 
     /// Number of hotspot centres.
-    pub fn hotspot_count(self) -> usize {
+    pub(crate) fn hotspot_count(self) -> usize {
         match self {
             CityProfile::Nyc => 2,
             CityProfile::Chengdu => 5,
@@ -79,7 +79,7 @@ impl CityProfile {
     }
 
     /// Hotspot spatial spread as a fraction of the city side.
-    pub fn hotspot_spread(self) -> f64 {
+    pub(crate) fn hotspot_spread(self) -> f64 {
         match self {
             CityProfile::Nyc => 0.10,
             CityProfile::Chengdu => 0.16,

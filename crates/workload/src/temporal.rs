@@ -27,7 +27,7 @@ pub struct TemporalModel {
 impl TemporalModel {
     /// The default day model: morning (8 h) and evening (18 h) peaks over a
     /// uniform base.
-    pub fn day_default(start: Ts, span: Dur) -> Self {
+    pub(crate) fn day_default(start: Ts, span: Dur) -> Self {
         Self {
             start,
             span,
@@ -38,7 +38,7 @@ impl TemporalModel {
     }
 
     /// Draw one release timestamp within the window.
-    pub fn sample(&self, rng: &mut StdRng) -> Ts {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> Ts {
         let peak_mass: f64 = self
             .peaks
             .iter()

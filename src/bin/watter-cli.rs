@@ -75,8 +75,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{
-    append_trace_jsonl, emit_report, log_oracle_build, params_of, parse_flags, parsed, print_stats,
-    recorder_of, write_or_exit,
+    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats, recorder_of,
+    write_or_exit,
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
@@ -148,8 +148,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     };
     let out = run_scenario(&scenario, algo, recorder_of(&flags));
     let report = out.report();
-    print_stats(&params, &out.oracle, &algo_name, &report);
-    emit_report(&flags, &report);
+    print_stats(&flags, &params, &out.oracle, &algo_name, &report);
     if let Some(path) = flags.get("trace") {
         let records = out.recorder.drain_trace();
         let n = records.len();

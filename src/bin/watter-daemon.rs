@@ -65,8 +65,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{
-    append_trace_jsonl, emit_report, log_oracle_build, params_of, parse_flags, parsed, print_stats,
-    write_report,
+    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats, write_report,
 };
 use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
@@ -425,8 +424,13 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             ops.written, ops.retries, ops.discarded, ops.resumed_from
         );
     }
-    print_stats(&params_of(flags), &stack.describe(), algo_name, &report);
-    emit_report(flags, &report);
+    print_stats(
+        flags,
+        &params_of(flags),
+        &stack.describe(),
+        algo_name,
+        &report,
+    );
 }
 
 /// The flags this binary reads on top of `watter::cli`'s scenario set.

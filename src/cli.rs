@@ -80,7 +80,7 @@ pub fn parsed<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<
 }
 
 /// The `--profile` flag (default Chengdu, like every experiment default).
-pub fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
+pub(crate) fn profile_of(flags: &HashMap<String, String>) -> CityProfile {
     match flags.get("profile").map(|s| s.as_str()) {
         Some("nyc") => CityProfile::Nyc,
         Some("xia") => CityProfile::Xian,
@@ -185,21 +185,48 @@ pub fn log_oracle_build(scenario: &Scenario) {
     );
 }
 
-/// Print the canonical run-stat block to stdout. `watter-cli run` and
-/// `watter-daemon` both emit exactly this, so CI can diff a recovered
-/// daemon run against a batch reference line for line (dropping only the
-/// wall-clock `running time` row). `oracle_desc` is the run's
+/// Print the canonical run-stat block, then honour `--report json|PATH`.
+/// `watter-cli run` and `watter-daemon` both end exactly this way, so CI
+/// can diff a recovered daemon run against a batch reference line for
+/// line (dropping only the wall-clock `running time` row). The block goes
+/// to stdout, except under `--report json`: then the JSON document owns
+/// stdout and the block goes to stderr. `oracle_desc` is the run's
 /// `OracleStack::describe` line.
-pub fn print_stats(params: &ScenarioParams, oracle_desc: &str, algo_name: &str, stats: &RunReport) {
-    println!("profile       : {}", params.profile.tag());
-    println!("oracle        : {oracle_desc}");
-    println!("orders/workers: {}/{}", params.n_orders, params.n_workers);
-    println!("algorithm     : {algo_name}");
-    println!("extra time    : {:.0} s", stats.extra_time);
-    println!("unified cost  : {:.0}", stats.unified_cost);
-    println!("service rate  : {:.1} %", stats.service_rate_pct);
-    println!("running time  : {:.4} ms/order", stats.running_time * 1e3);
-    println!("mean group    : {:.2}", stats.mean_group_size);
+pub fn print_stats(
+    flags: &HashMap<String, String>,
+    params: &ScenarioParams,
+    oracle_desc: &str,
+    algo_name: &str,
+    stats: &RunReport,
+) {
+    let block = format!(
+        "profile       : {}\n\
+         oracle        : {oracle_desc}\n\
+         orders/workers: {}/{}\n\
+         algorithm     : {algo_name}\n\
+         extra time    : {:.0} s\n\
+         unified cost  : {:.0}\n\
+         service rate  : {:.1} %\n\
+         running time  : {:.4} ms/order\n\
+         mean group    : {:.2}",
+        params.profile.tag(),
+        params.n_orders,
+        params.n_workers,
+        stats.extra_time,
+        stats.unified_cost,
+        stats.service_rate_pct,
+        stats.running_time * 1e3,
+        stats.mean_group_size,
+    );
+    let dest = flags.get("report");
+    if dest.is_some_and(|d| d == "json") {
+        eprintln!("{block}");
+    } else {
+        println!("{block}");
+    }
+    if let Some(dest) = dest {
+        write_or_exit(dest, write_report(dest, stats));
+    }
 }
 
 /// Write `report` as pretty JSON: to stdout when `dest` is `json`, else
@@ -221,12 +248,5 @@ pub fn write_or_exit(path: &str, written: std::io::Result<()>) {
     if let Err(e) = written {
         eprintln!("write {path}: {e}");
         std::process::exit(1);
-    }
-}
-
-/// Honour `--report json|PATH` at the end of a run.
-pub fn emit_report(flags: &HashMap<String, String>, report: &RunReport) {
-    if let Some(dest) = flags.get("report") {
-        write_or_exit(dest, write_report(dest, report));
     }
 }

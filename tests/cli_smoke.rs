@@ -87,6 +87,29 @@ fn run_subcommand_reports_stats_and_writes_json() {
 }
 
 #[test]
+fn report_json_owns_stdout_and_the_stat_block_goes_to_stderr() {
+    let out = cli()
+        .args([
+            "run",
+            "--orders",
+            "40",
+            "--workers",
+            "8",
+            "--report",
+            "json",
+        ])
+        .output()
+        .expect("spawn watter-cli");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report: watter_core::RunReport =
+        serde_json::from_str(&stdout).expect("stdout is one RunReport document");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let extra_row = format!("extra time    : {:.0} s", report.extra_time);
+    assert!(stderr.contains(&extra_row), "{extra_row}\n{stderr}");
+}
+
+#[test]
 fn run_subcommand_is_deterministic_across_processes() {
     let run = |extra: &[&str]| {
         let out = cli()
