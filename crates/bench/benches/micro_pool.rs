@@ -3,8 +3,9 @@
 //! the paper's running-time comparison — plus the two searches (an
 //! infeasible four-order plan, one `best_group_for`, and the one that
 //! follows the departure of its winner's partner) on each oracle stack,
-//! one share-graph insert at pool depth 100, and one periodic check with
-//! nothing due at pool depth 1 000.
+//! one share-graph insert at pool depth 100 on each stack, one whole pool
+//! insert at that depth on the bare contraction hierarchy, and one
+//! periodic check with nothing due at pool depth 1 000.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -147,24 +148,53 @@ fn bench_searches(c: &mut Criterion) {
                 })
             });
         }
-        // The contraction hierarchy takes the dense table's path here (its
-        // bound is its cost). Behind the cache every leg is a hit after the
-        // first hundred inserts: this times the pair gate and the bounds,
-        // `micro_road`'s `alt_point_query_64x64_k16` times a miss.
-        if stack != "ch+cache" {
-            let mut next = 0;
-            g.bench_function(format!("share_graph_insert_depth100/{stack}"), |b| {
-                b.iter(|| {
-                    let order = arrivals[next % arrivals.len()].clone();
-                    next += 1;
-                    let id = order.id;
-                    let edges = deep.insert(order, deep_now, limits, &oracle).len();
-                    deep.remove(id);
-                    edges
-                })
-            });
-        }
+        // ALT and CH both bound from landmarks, so both take the pair gate.
+        // Behind the cache every leg is a hit after the first hundred
+        // inserts: this times the gate and the bounds, `micro_road`'s
+        // `alt_point_query_64x64_k16` times a miss.
+        let mut next = 0;
+        g.bench_function(format!("share_graph_insert_depth100/{stack}"), |b| {
+            b.iter(|| {
+                let order = arrivals[next % arrivals.len()].clone();
+                next += 1;
+                let id = order.id;
+                let edges = deep.insert(order, deep_now, limits, &oracle).len();
+                deep.remove(id);
+                edges
+            })
+        });
     }
+    g.finish();
+
+    // A whole arrival — the pair filter, then the clique walk on the pair
+    // plans the filter made — on the bare hierarchy, the stack
+    // `metro_ch_cold` runs: every exact leg is a CH search. Each iteration
+    // inserts into its own copy of the same 100-deep pool, copied before
+    // the clock starts.
+    const INSERTS: usize = 200;
+    let ch = CityOracle::build(&s.graph, OracleKind::Ch);
+    let mut pooled = OrderPool::new(PoolConfig {
+        limits,
+        ..PoolConfig::default()
+    });
+    for o in &s.orders[..100] {
+        pooled.insert(o.clone(), o.release, &ch);
+    }
+    let mut copies: Vec<OrderPool> = (0..=INSERTS).map(|_| pooled.clone()).collect();
+    let mut done = Vec::with_capacity(copies.len());
+    let mut g = c.benchmark_group("pool");
+    g.sample_size(INSERTS);
+    g.bench_function("pool_insert_depth100/ch", |b| {
+        let mut next = 0;
+        b.iter(|| {
+            let mut pool = copies.pop().expect("one copy per iteration");
+            pool.insert(arrivals[next % arrivals.len()].clone(), deep_now, &ch);
+            next += 1;
+            let groups = pool.stats().groups_enumerated;
+            done.push(pool);
+            groups
+        })
+    });
     g.finish();
 }
 

@@ -4,19 +4,36 @@
 //! the experiment harness can't silently rot. The ablation sweep puts the
 //! hand-configured fan-out and cancellation dispatchers through the real
 //! binary, and a name the experiment table does not hold must exit 2.
+//!
+//! Each run works in a directory of its own under the system temp dir, so
+//! the `results/` it writes never lands in the source tree.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn reproduce(args: &[&str]) -> std::process::Output {
+/// A fresh, empty working directory for one test's runs.
+fn work_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "watter_reproduce_smoke_{}_{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create work dir");
+    dir
+}
+
+fn reproduce(dir: &Path, args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("spawn reproduce")
 }
 
 #[test]
 fn example1_reproduces_paper_numbers() {
-    let out = reproduce(&["example1"]);
+    let dir = work_dir("example1");
+    let out = reproduce(&dir, &["example1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -44,11 +61,17 @@ fn example1_reproduces_paper_numbers() {
     };
     assert_eq!(row("nonshare")[0], 12.0, "non-sharing total travel");
     assert_eq!(row("gdp")[1], 5.0, "GDP group-route travel");
+    assert!(
+        dir.join("results/example1.json").is_file(),
+        "results/example1.json is written under the working directory"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove work dir");
 }
 
 #[test]
 fn ablations_print_every_labelled_row() {
-    let out = reproduce(&["ablations", "0.05"]);
+    let dir = work_dir("ablations");
+    let out = reproduce(&dir, &["ablations", "0.05"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
     let labels = [
@@ -71,15 +94,18 @@ fn ablations_print_every_labelled_row() {
             .count();
         assert_eq!(rows, 1, "one `{label}` row in:\n{stdout}");
     }
+    std::fs::remove_dir_all(&dir).expect("remove work dir");
 }
 
 #[test]
 fn an_unknown_experiment_exits_2_naming_the_table() {
-    let out = reproduce(&["no-such-exp"]);
+    let dir = work_dir("unknown");
+    let out = reproduce(&dir, &["no-such-exp"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no-such-exp"), "{stderr}");
     for name in ["example1", "fig3", "ablations", "obs", "all"] {
         assert!(stderr.contains(name), "`{name}` not named in: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).expect("remove work dir");
 }

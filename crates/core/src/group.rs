@@ -98,8 +98,7 @@ impl Group {
         let expires_at = orders
             .iter()
             .zip(&subroute_costs)
-            // now + sub < τ  ⇔  now ≤ τ − sub − 1
-            .map(|(o, sub)| o.deadline - sub - 1)
+            .map(|(o, &sub)| o.last_dispatch(sub))
             .min()
             .unwrap_or(Ts::MAX);
         Self {

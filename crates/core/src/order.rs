@@ -99,6 +99,14 @@ impl Order {
     pub fn response_at(&self, now: Ts) -> Dur {
         non_negative(now - self.release)
     }
+
+    /// The last dispatch instant at which a sub-route of `subroute_cost`
+    /// still drops this order off in time: the deadline is strict, so
+    /// `now + sub < τ ⇔ now ≤ τ − sub − 1`.
+    #[inline]
+    pub fn last_dispatch(&self, subroute_cost: Dur) -> Ts {
+        self.deadline - subroute_cost - 1
+    }
 }
 
 #[cfg(test)]

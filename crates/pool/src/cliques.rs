@@ -28,6 +28,22 @@
 //! through a memo makes no planner call it would not make, and skips the —
 //! usually largest, most expensive — plans whose answer is already known.
 //!
+//! # Pairs planned by the insert
+//!
+//! An arrival's walk ([`all_groups_for`], called by
+//! [`OrderPool::insert`](crate::OrderPool::insert)) runs right after
+//! [`ShareGraph::insert`] planned the arrival's pair with every pooled
+//! order: at the same `now`, with the same limits and oracle, on the slice
+//! `[arrival, neighbour]` — the walk's own member order for a pair. Those
+//! are the plans the walk would make, so it takes them instead: each
+//! ranked candidate has a live edge from that insert, hence a plan, and
+//! the walk plans no pair. Debug builds re-plan every pair handed over and
+//! assert it equal. A recompute ([`best_group_for`]) plans its own pairs:
+//! it runs at a later `now`, and for the older order of a pair on the
+//! other slice order, where a planner tie may pick another route; a plan
+//! kept per edge would cost more memory than a dense pool's ≈ 14 000
+//! edges can spare.
+//!
 //! # The bound
 //!
 //! A search for the *best* group holds an incumbent after its first pair
@@ -133,6 +149,12 @@ pub fn best_group_for<C: TravelBound>(
 /// Enumerate **all** validated shared groups (size ≥ 2) containing `center`,
 /// in walk order — what an arriving order offers its neighbours
 /// ([`OrderPool::insert`](crate::OrderPool::insert)).
+///
+/// `pairs` holds plans of the slices `[center, j]` made at `now` with these
+/// limits and this oracle — what [`ShareGraph::insert`] returns for the
+/// arrival — and the walk plans none of those pairs again (see "Pairs
+/// planned by the insert"). A pair missing from it is planned here, so an
+/// empty list runs the walk on its own.
 pub fn all_groups_for<C: TravelBound>(
     center: &Arc<Order>,
     graph: &ShareGraph,
@@ -140,9 +162,12 @@ pub fn all_groups_for<C: TravelBound>(
     limits: PlanLimits,
     clique: CliqueLimits,
     oracle: &C,
+    pairs: Vec<(OrderId, Plan)>,
 ) -> Vec<Group> {
     let mut out = Vec::new();
-    Walk::new(center, graph, now, limits, clique, oracle).run(&mut out);
+    let mut walk = Walk::new(center, graph, now, limits, clique, oracle);
+    walk.seed(pairs);
+    walk.run(&mut out);
     out
 }
 
@@ -219,6 +244,13 @@ enum Verdict {
     /// ahead of time, as another set's subset — until the walk reaches the
     /// set and, if the visitor wants it, emits it.
     Feasible(Option<Plan>),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Plans the walks on this thread have made, debug-only checks of a
+    /// seeded pair excluded.
+    pub(crate) static WALK_PLANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A detour floor not computed yet (floors are ≥ 0).
@@ -347,6 +379,30 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         self.extend(1, self.orders[0].riders, visit);
     }
 
+    /// Take `pairs` — plans of `[centre, j]` made at `now` — as the
+    /// verdicts of the candidates they name; a plan for an order the walk
+    /// did not rank is dropped. Debug builds plan each taken pair again and
+    /// assert that the plan is the same.
+    fn seed(&mut self, pairs: Vec<(OrderId, Plan)>) {
+        for (j, plan) in pairs {
+            let Some(rank) = (1..self.orders.len()).find(|&rank| self.orders[rank].id == j) else {
+                continue;
+            };
+            debug_assert_eq!(
+                self.scratch.plan_min_cost(
+                    &[self.orders[0].as_ref(), self.orders[rank].as_ref()],
+                    self.now,
+                    self.limits,
+                    self.oracle,
+                ),
+                Some(plan.clone()),
+                "the pair plan handed to {:?}'s walk for {j:?} is not the walk's own",
+                self.orders[0].id
+            );
+            self.memo.insert(vec![rank], Verdict::Feasible(Some(plan)));
+        }
+    }
+
     /// Try each candidate from rank `from` on as the next member; `riders`
     /// is the current set's head count.
     fn extend(&mut self, from: usize, riders: u32, visit: &mut impl Visitor) {
@@ -419,6 +475,8 @@ impl<'a, C: TravelBound> Walk<'a, C> {
 
     /// Plan `self.members` (centre first).
     fn plan(&mut self) -> Option<Plan> {
+        #[cfg(test)]
+        WALK_PLANS.with(|made| made.set(made.get() + 1));
         self.refs.clear();
         let set = ranks(&self.members);
         self.refs.extend(set.map(|rank| self.orders[rank].as_ref()));
@@ -484,6 +542,22 @@ mod tests {
         }
     }
     impl TravelBound for Line {}
+
+    /// `Line` with a bound that is its cost, and says so.
+    struct ExactLine;
+    impl TravelCost for ExactLine {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            Line.cost(a, b)
+        }
+    }
+    impl TravelBound for ExactLine {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            Line.cost(a, b)
+        }
+        fn bound_is_exact(&self) -> bool {
+            true
+        }
+    }
 
     fn order(id: u32, p: u32, d: u32, deadline: Ts) -> Order {
         Order {
@@ -558,7 +632,15 @@ mod tests {
             order(2, 2, 8, 10_000),
         ]);
         let center = g.order_handle(OrderId(0)).unwrap().clone();
-        let all = all_groups_for(&center, &g, 0, limits(), CliqueLimits::default(), &Line);
+        let all = all_groups_for(
+            &center,
+            &g,
+            0,
+            limits(),
+            CliqueLimits::default(),
+            &Line,
+            Vec::new(),
+        );
         assert!(all.iter().any(|gr| gr.len() == 3), "triple clique missing");
         // 2 pairs containing o0 + 1 triple
         assert_eq!(all.len(), 3);
@@ -573,7 +655,15 @@ mod tests {
         ]);
         let center = g.order_handle(OrderId(0)).unwrap().clone();
         let tight = PlanLimits { capacity: 2 };
-        let all = all_groups_for(&center, &g, 0, tight, CliqueLimits::default(), &Line);
+        let all = all_groups_for(
+            &center,
+            &g,
+            0,
+            tight,
+            CliqueLimits::default(),
+            &Line,
+            Vec::new(),
+        );
         assert!(all.iter().all(|gr| gr.len() <= 2));
     }
 
@@ -590,7 +680,7 @@ mod tests {
             max_group_size: 2,
             max_neighbors: 12,
         };
-        let all = all_groups_for(&center, &g, 0, limits(), cl, &Line);
+        let all = all_groups_for(&center, &g, 0, limits(), cl, &Line, Vec::new());
         assert!(all.iter().all(|gr| gr.len() == 2));
     }
 
@@ -726,7 +816,7 @@ mod tests {
         }
         let center = graph.order_handle(OrderId(0)).unwrap().clone();
         let (clique, weights) = (CliqueLimits::default(), CostWeights::default());
-        let all = all_groups_for(&center, &graph, 100, limits(), clique, &oracle);
+        let all = all_groups_for(&center, &graph, 100, limits(), clique, &oracle, Vec::new());
         let means: Vec<(Vec<u32>, f64)> = all
             .iter()
             .map(|g| {
@@ -745,8 +835,85 @@ mod tests {
         assert_eq!(best.as_ref(), Some(&all[2]));
     }
 
+    /// A random order stream: `(pick-up, drop-off, riders, deadline scale
+    /// in % of the direct ride, jitter)` on nodes `0..49`.
+    type Spec = (u32, u32, u32, i64, i64);
+
+    fn specs() -> impl Strategy<Value = Vec<Spec>> {
+        prop::collection::vec((0u32..49, 0u32..49, 1u32..3, 130i64..330, 0i64..60), 2..16)
+    }
+
+    /// Insert `specs` one arrival at a time and walk each arrival's cliques
+    /// twice at its insert instant: seeded with the plans the insert
+    /// returned, and on its own. Both must emit the same groups — members,
+    /// routes, sub-route costs — in the same order.
+    fn seeded_arrivals_match<C: TravelBound>(
+        specs: &[Spec],
+        fan_out: usize,
+        oracle: &C,
+    ) -> Result<(), TestCaseError> {
+        let clique = CliqueLimits {
+            max_group_size: 4,
+            max_neighbors: fan_out,
+        };
+        let mut graph = ShareGraph::new();
+        let mut now = 0;
+        for (id, &(p, d, riders, scale, jitter)) in specs.iter().enumerate() {
+            let direct = oracle.cost(NodeId(p), NodeId(d));
+            if direct == 0 {
+                continue;
+            }
+            now += 2 + jitter % 11;
+            let order = Order {
+                id: OrderId(id as u32),
+                pickup: NodeId(p),
+                dropoff: NodeId(d),
+                riders,
+                release: now,
+                deadline: now + direct * scale / 100 + jitter,
+                wait_limit: direct,
+                direct_cost: direct,
+            };
+            let pairs = graph.insert(order, now, limits(), oracle);
+            let center = graph.order_handle(OrderId(id as u32)).unwrap();
+            let alone = all_groups_for(center, &graph, now, limits(), clique, oracle, Vec::new());
+            let seeded = all_groups_for(center, &graph, now, limits(), clique, oracle, pairs);
+            let shape = |groups: &[Group]| -> Vec<(Vec<OrderId>, Vec<_>, Dur, Vec<Dur>)> {
+                groups
+                    .iter()
+                    .map(|g| {
+                        let stops = g.route.stops().to_vec();
+                        let subs = g.subroute_costs().to_vec();
+                        (g.order_ids().collect(), stops, g.route.cost(), subs)
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(shape(&seeded), shape(&alone), "arrival {} at {}", id, now);
+            prop_assert_eq!(seeded, alone);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The arrival walk takes the insert's pair plans and plans no pair
+        /// itself, without a change in what it emits: on `Line` and the
+        /// lattice, each with its bound called exact and not, under fan-outs
+        /// that do and do not cut the ranked neighbours short.
+        #[test]
+        fn a_seeded_arrival_walk_emits_what_the_walk_alone_emits(
+            specs in specs(),
+            fan_out in 1usize..13,
+            metric in 0u32..4,
+        ) {
+            match metric {
+                0 => seeded_arrivals_match(&specs, fan_out, &Line)?,
+                1 => seeded_arrivals_match(&specs, fan_out, &ExactLine)?,
+                2 => seeded_arrivals_match(&specs, fan_out, &Lattice::new(false))?,
+                _ => seeded_arrivals_match(&specs, fan_out, &Lattice::new(true))?,
+            }
+        }
 
         /// For every group the walk emits, the bound of its member set is
         /// at most its mean extra time **as `f64`s** — any weights with
@@ -786,7 +953,7 @@ mod tests {
             for now in [now, now + later] {
                 for id in graph.order_ids() {
                     let center = graph.order_handle(id).unwrap();
-                    let groups = all_groups_for(center, &graph, now, limits(), clique, &oracle);
+                    let groups = all_groups_for(center, &graph, now, limits(), clique, &oracle, Vec::new());
                     let mut walk = Walk::new(center, &graph, now, limits(), clique, &oracle);
                     for group in &groups {
                         let rank = |o: &Arc<Order>| walk.orders.iter().position(|w| w.id == o.id);

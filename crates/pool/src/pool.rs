@@ -5,9 +5,10 @@
 //! size ≥ 2) with the smallest mean extra time. The map is maintained under
 //! the four update events of Section IV-B:
 //!
-//! 1. **order arrival** — the arriving order's cliques are enumerated once;
-//!    every member of an enumerated group whose mean extra time beats its
-//!    current best adopts the new group;
+//! 1. **order arrival** — the arriving order's cliques are enumerated once,
+//!    on the pair plans its share-graph insert made; every member of an
+//!    enumerated group whose mean extra time beats its current best adopts
+//!    the new group;
 //! 2. **order departure** (dispatch/rejection) — orders whose best group
 //!    contained a departed member are recomputed;
 //! 3. **edge expiry** — orders incident to expired edges revalidate;
@@ -133,17 +134,18 @@ impl OrderPool {
     pub fn insert<C: TravelBound>(&mut self, order: Order, now: Ts, oracle: &C) {
         self.stats.inserted += 1;
         let id = order.id;
-        {
+        let pairs = {
             let _span = self.recorder.time(Stage::PairFilter);
-            self.graph.insert(order, now, self.cfg.limits, oracle);
-        }
+            self.graph.insert(order, now, self.cfg.limits, oracle)
+        };
         let center = Arc::clone(
             self.graph
                 .order_handle(id)
                 .expect("the order was inserted just above"),
         );
-        // Enumerate the arriving order's groups once; offer each to every
-        // member (the arriving order may improve neighbours' bests too).
+        // Enumerate the arriving order's groups once, on the pair plans the
+        // insert just made; offer each to every member (the arriving order
+        // may improve neighbours' bests too).
         let groups = {
             let _span = self.recorder.time(Stage::CliqueSearch);
             all_groups_for(
@@ -153,6 +155,7 @@ impl OrderPool {
                 self.cfg.limits,
                 self.cfg.clique,
                 oracle,
+                pairs,
             )
         };
         self.stats.groups_enumerated += groups.len() as u64;
@@ -669,6 +672,44 @@ mod tests {
                 prop_assert_eq!(have, holders_of_bests(&p));
             }
         }
+    }
+
+    /// An arrival with `k` ranked neighbours makes `k` fewer walk plans
+    /// than the same walk without the insert's pair plans: it plans no
+    /// pair. Fifteen nested orders, so the fan-out of 12 cuts two
+    /// neighbours — whose plans the walk drops — and groups reach four.
+    #[test]
+    fn an_arrival_plans_each_ranked_pair_once() {
+        use crate::cliques::WALK_PLANS;
+        let made = || WALK_PLANS.with(|n| n.get());
+        let mut p = pool();
+        for i in 0..14 {
+            p.insert(order(i, i % 3, 30 + i % 5, 10_000), 0, &Line);
+        }
+        let (before, enumerated) = (made(), p.stats().groups_enumerated);
+        p.insert(order(14, 1, 33, 10_000), 0, &Line);
+        let seeded = made() - before;
+        let enumerated = (p.stats().groups_enumerated - enumerated) as usize;
+
+        let clique = CliqueLimits::default();
+        let neighbours = p.graph().neighbors(OrderId(14)).count();
+        let k = neighbours.min(clique.max_neighbors);
+        assert_eq!((neighbours, k), (14, 12));
+        let center = Arc::clone(p.graph().order_handle(OrderId(14)).unwrap());
+        let before = made();
+        let groups = all_groups_for(
+            &center,
+            p.graph(),
+            0,
+            p.cfg.limits,
+            clique,
+            &Line,
+            Vec::new(),
+        );
+        let alone = made() - before;
+        assert_eq!(alone - seeded, k, "{alone} plans alone, {seeded} seeded");
+        assert_eq!(enumerated, groups.len());
+        assert!(groups.iter().any(|g| g.len() == 4));
     }
 
     /// The canonical proposal sweep is `(release, id)` ascending, whatever

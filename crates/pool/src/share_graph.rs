@@ -5,7 +5,10 @@
 //! until timestamp `τ_e` (the pair group's expiry, Equation 3). Edges are
 //! created when an order is inserted (by running the pair planner against
 //! every live node that passes a cheap slack pre-filter) and removed lazily
-//! once expired.
+//! once expired. An insert returns each new neighbour with the pair plan its
+//! edge was read from; the arrival's clique walk takes those plans instead
+//! of planning the pairs again ([`crate::cliques`], "Pairs planned by the
+//! insert").
 //!
 //! # Bounds before searches
 //!
@@ -38,7 +41,7 @@
 //! be a metric, and a loose, zero or triangle-violating bound only makes
 //! the gate pass more pairs (`tests/accel.rs` pins each).
 
-use crate::planner::{PlanLimits, PlanScratch};
+use crate::planner::{Plan, PlanLimits, PlanScratch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -128,14 +131,17 @@ impl ShareGraph {
     /// pooled order is a candidate; the module docs say how little most of
     /// them cost.
     ///
-    /// Returns the ids of the new neighbours, ascending.
+    /// Returns the new neighbours, ascending, each with the plan its edge
+    /// was made from: the minimal-cost route of the slice
+    /// `[order, neighbour]` at `now`, which the arrival's clique walk
+    /// takes instead of planning the pair again (module docs).
     pub fn insert<C: TravelBound>(
         &mut self,
         order: Order,
         now: Ts,
         limits: PlanLimits,
         oracle: &C,
-    ) -> Vec<OrderId> {
+    ) -> Vec<(OrderId, Plan)> {
         let order = Arc::new(order);
         let id = order.id;
         debug_assert!(
@@ -143,23 +149,25 @@ impl ShareGraph {
             "order {id} inserted twice into the pool"
         );
         let mut scratch = PlanScratch::default();
+        let mut plans = Vec::new();
         // Ascending by construction: the order map iterates in id order.
         let edges: Vec<(OrderId, PairEdge)> = self
             .orders
             .iter()
             .filter_map(|(&j, cand)| {
-                pair_edge(&order, cand, now, limits, oracle, &mut scratch).map(|e| (j, e))
+                let (edge, plan) = pair_edge(&order, cand, now, limits, oracle, &mut scratch)?;
+                plans.push((j, plan));
+                Some((j, edge))
             })
             .collect();
         for &(j, e) in &edges {
             link(self.adj.entry(j).or_default(), id, e);
         }
-        let neighbors = edges.iter().map(|&(j, _)| j).collect();
         if !edges.is_empty() {
             self.adj.insert(id, edges);
         }
         self.orders.insert(id, order);
-        neighbors
+        plans
     }
 
     /// Remove an order (dispatched or rejected), dropping its edges.
@@ -254,16 +262,17 @@ fn link(list: &mut Vec<(OrderId, PairEdge)>, j: OrderId, e: PairEdge) {
 
 /// Validate one candidate pair: the bound-only gate (module docs) where
 /// bounds are cheaper than costs, then pre-filter and pair planner; returns
-/// the shareability edge if a live joint route exists.
+/// the shareability edge and the plan of `[a, b]` it was read from if a
+/// live joint route exists.
 fn pair_edge<C: TravelBound>(
-    a: &Arc<Order>,
-    b: &Arc<Order>,
+    a: &Order,
+    b: &Order,
     now: Ts,
     limits: PlanLimits,
     oracle: &C,
     scratch: &mut PlanScratch,
-) -> Option<PairEdge> {
-    let pair = [a.as_ref(), b.as_ref()];
+) -> Option<(PairEdge, Plan)> {
+    let pair = [a, b];
     if !oracle.bound_is_exact() {
         let relaxed = Optimistic(oracle);
         if !pair_prefilter(a, b, now, &relaxed) || !scratch.has_route(&pair, now, limits, &relaxed)
@@ -275,12 +284,15 @@ fn pair_edge<C: TravelBound>(
         return None;
     }
     let plan = scratch.plan_min_cost(&pair, now, limits, oracle)?;
-    let group = plan.into_group(vec![Arc::clone(a), Arc::clone(b)]);
-    let edge = PairEdge {
-        expires_at: group.expires_at(),
-        route_cost: group.route.cost(),
+    // The pair group's `expires_at` and route cost, without the group.
+    let [sub_a, sub_b] = plan.subroute_costs[..] else {
+        unreachable!("a pair plan has two sub-route costs")
     };
-    (edge.expires_at >= now).then_some(edge)
+    let edge = PairEdge {
+        expires_at: a.last_dispatch(sub_a).min(b.last_dispatch(sub_b)),
+        route_cost: plan.route.cost(),
+    };
+    (edge.expires_at >= now).then_some((edge, plan))
 }
 
 /// Cheap necessary condition for a pair to be shareable, used to avoid
@@ -313,6 +325,7 @@ pub fn pair_prefilter<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::plan_min_cost;
     use proptest::prelude::*;
     use watter_core::{NodeId, TravelCost};
 
@@ -341,11 +354,16 @@ mod tests {
         PlanLimits { capacity: 4 }
     }
 
+    /// The ids of what `insert` returns.
+    fn ids(neighbours: Vec<(OrderId, Plan)>) -> Vec<OrderId> {
+        neighbours.into_iter().map(|(j, _)| j).collect()
+    }
+
     #[test]
     fn overlapping_orders_get_an_edge() {
         let mut g = ShareGraph::new();
         g.insert(order(0, 0, 10, 0, 10_000), 0, limits(), &Line);
-        let n = g.insert(order(1, 2, 8, 0, 10_000), 0, limits(), &Line);
+        let n = ids(g.insert(order(1, 2, 8, 0, 10_000), 0, limits(), &Line));
         assert_eq!(n, vec![OrderId(0)]);
         assert!(g.connected(OrderId(0), OrderId(1)));
         assert_eq!(g.edge_count(), 1);
@@ -442,9 +460,10 @@ mod tests {
     proptest! {
         /// Random insert / remove / expire / restore traffic leaves the
         /// sorted edge lists equal to a pair-map model: neighbours, the
-        /// connection test, the canonical edge list, and every list of ids
-        /// an operation returns (ascending and distinct, as
-        /// `OrderPool::recompute_batch` asserts of the touched list).
+        /// connection test, the canonical edge list, and every list an
+        /// operation returns (ascending and distinct, as
+        /// `OrderPool::recompute_batch` asserts of the touched list; an
+        /// insert's with the plan of `[arrival, neighbour]`).
         #[test]
         fn flat_lists_match_a_pair_map_model(
             ops in prop::collection::vec((0u8..8, 0u32..24, 0u32..30, 0u32..30, 0i64..400), 1..80)
@@ -462,12 +481,11 @@ mod tests {
                         let o = order(id.0, p, d, now, now + Line.cost(NodeId(p), NodeId(d)) + x);
                         let mut want = Vec::new();
                         let mut scratch = PlanScratch::default();
-                        let handle = Arc::new(o.clone());
                         for (&j, other) in &pooled {
-                            let other = Arc::new(other.clone());
-                            if let Some(e) = pair_edge(&handle, &other, now, limits(), &Line, &mut scratch) {
+                            if let Some((e, plan)) = pair_edge(&o, other, now, limits(), &Line, &mut scratch) {
+                                prop_assert_eq!(Some(plan.clone()), plan_min_cost(&[&o, other], now, limits(), &Line));
                                 model.insert((id.min(j), id.max(j)), e);
-                                want.push(j);
+                                want.push((j, plan));
                             }
                         }
                         prop_assert_eq!(g.insert(o.clone(), now, limits(), &Line), want);

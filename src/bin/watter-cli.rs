@@ -75,8 +75,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use watter::cli::{
-    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats, recorder_of,
-    write_or_exit,
+    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats,
+    print_stdout, recorder_of, write_or_exit,
 };
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
@@ -175,7 +175,7 @@ fn cmd_orders(flags: HashMap<String, String>) {
             write_or_exit(path, std::fs::write(path, lines + "\n"));
             eprintln!("wrote {path}");
         }
-        None => println!("{lines}"),
+        None => print_stdout(&lines),
     }
 }
 
@@ -196,7 +196,7 @@ fn cmd_graph(flags: HashMap<String, String>) {
                 scenario.graph.edge_count()
             );
         }
-        None => print!("{text}"),
+        None => print_stdout(text.strip_suffix('\n').unwrap_or(&text)),
     }
 }
 
@@ -219,7 +219,7 @@ fn cmd_train(flags: HashMap<String, String>) {
         .cloned()
         .unwrap_or_else(|| "model.json".to_string());
     write_or_exit(&out, trained.value.save_json(std::path::Path::new(&out)));
-    println!("saved value function to {out}");
+    print_stdout(&format!("saved value function to {out}"));
 }
 
 /// Validate a Prometheus text-exposition file with the same parser the
@@ -230,7 +230,7 @@ fn cmd_promcheck(path: &str) {
         std::process::exit(1);
     });
     match watter::obs::parse_prometheus(&text) {
-        Ok(samples) => println!("{path}: ok, {samples} samples"),
+        Ok(samples) => print_stdout(&format!("{path}: ok, {samples} samples")),
         Err(e) => {
             eprintln!("{path}: invalid Prometheus exposition: {e}");
             std::process::exit(1);

@@ -35,7 +35,8 @@
 //!   KPI summary, cache counters and, under `obs`, the registry's
 //!   counters, per-stage latency percentiles and windowed KPIs) as JSON
 //!   to `PATH` *and* the Prometheus text exposition of `obs` to
-//!   `PATH.prom`; with no path, print the JSON to stdout;
+//!   `PATH.prom`; with no path (or `json`), print the JSON on one line
+//!   to stderr (stdout carries the final stat block and nothing else);
 //! * `#checkpoint` — checkpoint immediately;
 //! * `#close` — treat as end of input (useful over sockets, where the
 //!   listener outlives any one client).
@@ -353,18 +354,27 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
             match words.next() {
                 Some("report") => {
                     let report = daemon.report();
-                    let path = words.next();
-                    let written =
-                        write_report(path.unwrap_or("json"), &report).and_then(|()| match path {
-                            Some(path) => std::fs::write(
-                                format!("{path}.prom"),
-                                render_prometheus(&report.obs.unwrap_or_default()),
-                            ),
-                            None => Ok(()),
-                        });
-                    // A query that cannot be answered must not stop dispatch.
-                    if let Err(e) = written {
-                        eprintln!("write {}: {e}", path.unwrap_or("report"));
+                    // Stdout carries the final stat block and nothing else,
+                    // so a bare query (or `json`, `--report`'s stdout name)
+                    // answers on stderr.
+                    match words.next().filter(|&path| path != "json") {
+                        None => eprintln!(
+                            "{}",
+                            serde_json::to_string(&report).expect("a report serializes")
+                        ),
+                        Some(path) => {
+                            let written = write_report(path, &report).and_then(|()| {
+                                std::fs::write(
+                                    format!("{path}.prom"),
+                                    render_prometheus(&report.obs.unwrap_or_default()),
+                                )
+                            });
+                            // A query that cannot be answered must not stop
+                            // dispatch.
+                            if let Err(e) = written {
+                                eprintln!("write {path}: {e}");
+                            }
+                        }
                     }
                 }
                 Some("checkpoint") => match daemon.checkpoint_now() {

@@ -222,7 +222,7 @@ pub fn print_stats(
     if dest.is_some_and(|d| d == "json") {
         eprintln!("{block}");
     } else {
-        println!("{block}");
+        print_stdout(&block);
     }
     if let Some(dest) = dest {
         write_or_exit(dest, write_report(dest, stats));
@@ -234,12 +234,28 @@ pub fn print_stats(
 pub fn write_report(dest: &str, report: &RunReport) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(report).expect("a report serializes");
     if dest == "json" {
-        println!("{json}");
+        print_stdout(&json);
         return Ok(());
     }
     std::fs::write(dest, json)?;
     eprintln!("wrote {dest}");
     Ok(())
+}
+
+/// Write `text` and a newline to stdout — every line either binary prints
+/// there goes through here. A reader that has gone away (`watter-cli run
+/// | head -3`) ends the output, not the process: the write is dropped
+/// without a word, the run goes on — files it was asked for are still
+/// written — and the exit status is the one the run would have had
+/// anyway (0 when it completed). Any other failure to write is
+/// `write stdout: error` and exit 1, as for every other output.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        written => write_or_exit("stdout", written),
+    }
 }
 
 /// An output that cannot be written is named on stderr (`write PATH:

@@ -114,8 +114,9 @@ fn check_inserts_against_reference<C: TravelBound>(
             .filter_map(|old| Some((old.id, o.id, reference_edge(&o, old, now, limits, oracle)?)))
             .collect();
         let neighbours: Vec<OrderId> = edges.iter().map(|e| e.0).collect();
+        let inserted = graph.insert(o.clone(), now, limits, oracle);
         prop_assert_eq!(
-            graph.insert(o.clone(), now, limits, oracle),
+            inserted.into_iter().map(|(j, _)| j).collect::<Vec<_>>(),
             neighbours,
             "insert {}: neighbour sets diverge",
             i

@@ -3,7 +3,7 @@
 //! wrap. Everything runs at tiny scale so the suite stays fast.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_watter-cli"))
@@ -84,6 +84,26 @@ fn run_subcommand_reports_stats_and_writes_json() {
     assert_eq!(report.extra_time_s.count, report.served_orders);
     assert_eq!(report.obs, None, "the registry is off without --obs");
     std::fs::remove_file(&json).ok();
+}
+
+/// A reader that stops early (`watter-cli run | head -3`) ends the
+/// output, not the process: no panic on stderr, and the completed run
+/// still exits 0.
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let mut child = cli()
+        .arg("run")
+        .args(TINY)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn watter-cli");
+    // Drop the read end before the run has printed a byte.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for watter-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 #[test]

@@ -481,6 +481,73 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
     assert_eq!(comparable(daemon), comparable(batch));
 }
 
+/// A bare `#report` mid-stream answers on stderr, as one line holding one
+/// `RunReport`, and so does `#report json`: stdout stays exactly the stat
+/// block `watter-cli run` prints, so the batch diff holds for a daemon
+/// that was queried.
+#[test]
+fn a_bare_report_line_answers_on_stderr_and_leaves_stdout_the_stat_block() {
+    const FLAGS_120: &[&str] = &[
+        "--profile",
+        "cdc",
+        "--orders",
+        "120",
+        "--workers",
+        "8",
+        "--city-side",
+        "10",
+        "--seed",
+        "7",
+    ];
+    let dir = temp_dir("bare_report");
+    let orders = dir.join("orders.ndjson");
+    let out = cli()
+        .arg("orders")
+        .args(FLAGS_120)
+        .arg("--out")
+        .arg(&orders)
+        .output()
+        .expect("run watter-cli orders");
+    assert!(out.status.success(), "orders failed: {out:?}");
+    let run = cli()
+        .arg("run")
+        .args(FLAGS_120)
+        .output()
+        .expect("run watter-cli run");
+    assert!(run.status.success(), "run failed: {run:?}");
+
+    let text = std::fs::read_to_string(&orders).expect("read orders");
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 120);
+    lines.insert(60, "#report");
+    lines.insert(91, "#report json");
+    let feed = dir.join("orders_report.ndjson");
+    std::fs::write(&feed, lines.join("\n") + "\n").expect("write feed");
+    let served = daemon()
+        .args(FLAGS_120)
+        .arg("--input")
+        .arg(&feed)
+        .output()
+        .expect("run daemon");
+    assert!(served.status.success(), "daemon failed: {served:?}");
+    assert_eq!(stable_stats(&served.stdout), stable_stats(&run.stdout));
+
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    let reports: Vec<watter_core::RunReport> = stderr
+        .lines()
+        .filter_map(|l| serde_json::from_str(l).ok())
+        .collect();
+    assert_eq!(reports.len(), 2, "two report lines on stderr:\n{stderr}");
+    assert!(
+        reports.iter().all(|r| r.obs.is_some()),
+        "the daemon's registry is on by default"
+    );
+    assert!(
+        !Path::new("json.prom").exists(),
+        "`json` names stdout, not a file"
+    );
+}
+
 /// A flag the daemon does not read — never existed, or retired like
 /// `--cost-cache`, `--json`, `--kpis` and `--obs-window` —, a value that
 /// does not parse and a positional word are usage errors naming the

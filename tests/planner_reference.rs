@@ -518,7 +518,7 @@ fn check_walks<C: TravelBound>(
         let center = graph.order_handle(id).expect("listed").clone();
         let want = reference_groups(&center, graph, now, limits, clique, oracle);
         let ungated = oracle.take().len();
-        let got = all_groups_for(&center, graph, now, limits, clique, oracle);
+        let got = all_groups_for(&center, graph, now, limits, clique, oracle, Vec::new());
         let gated = oracle.take_counts();
         let gated_total = gated.0 + gated.1;
         prop_assert_eq!(&got, &want, "groups of {} at {}", id, now);
@@ -973,7 +973,7 @@ fn query_totals_of_one_plan_and_one_search_are_pinned() {
     let oracle = Asked::new(&dense, true);
     let best = best_group_for(&center, &pool, now, limits, clique, weights, &oracle);
     let (bounded, _) = oracle.take_counts();
-    let all = all_groups_for(&center, &pool, now, limits, clique, &oracle);
+    let all = all_groups_for(&center, &pool, now, limits, clique, &oracle, Vec::new());
     let (gated, _) = oracle.take_counts();
     let groups = reference_groups(&center, &pool, now, limits, clique, &oracle);
     let (ungated, _) = oracle.take_counts();
