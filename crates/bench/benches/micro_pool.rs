@@ -4,8 +4,9 @@
 //! infeasible four-order plan, one `best_group_for`, and the one that
 //! follows the departure of its winner's partner) on each oracle stack,
 //! one share-graph insert at pool depth 100 on each stack, one whole pool
-//! insert at that depth on the bare contraction hierarchy, and one
-//! periodic check with nothing due at pool depth 1 000.
+//! insert at that depth on the bare contraction hierarchy, and at pool
+//! depth 1 000 one periodic check with nothing due and one best-group
+//! search for every pooled order.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -332,6 +333,24 @@ fn bench_check(c: &mut Criterion) {
     g.sample_size(200);
     g.bench_function("maintain_nothing_due_depth1000", |b| {
         b.iter(|| pool.maintain(black_box(now), &oracle))
+    });
+    // The search a recompute makes, once for every pooled order of that
+    // pool: what the check pays when many best groups are due at once.
+    let cfg = pool_config(&s);
+    let centers: Vec<Arc<Order>> = pool
+        .graph()
+        .order_ids()
+        .filter_map(|id| pool.graph().order_handle(id).cloned())
+        .collect();
+    g.sample_size(20);
+    g.bench_function("best_group_for_all_depth1000", |b| {
+        b.iter(|| {
+            let best = |center| {
+                let (graph, weights) = (pool.graph(), cfg.weights);
+                best_group_for(center, graph, now, cfg.limits, cfg.clique, weights, &oracle)
+            };
+            centers.iter().filter_map(best).count()
+        })
     });
     g.finish();
 }

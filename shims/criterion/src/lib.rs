@@ -2,10 +2,11 @@
 //!
 //! With no crates.io access, this shim keeps the workspace's benchmark
 //! targets compiling and runnable: each `bench_function` closure is timed
-//! over `sample_size` iterations (after one warm-up call) and the mean
-//! wall-clock time per iteration is printed. There is no statistical
-//! analysis, outlier detection, or HTML report — it is a smoke-capable
-//! harness, not a measurement instrument.
+//! iteration by iteration over `sample_size` iterations (after one warm-up
+//! call), and the mean wall-clock time per iteration is printed with the
+//! median and the interquartile range beside it, so that a difference can
+//! be told from the spread. There is no outlier detection or HTML report —
+//! it is a smoke-capable harness, not a measurement instrument.
 
 use std::time::{Duration, Instant};
 
@@ -93,39 +94,53 @@ impl BenchmarkGroup<'_> {
 /// under test.
 pub struct Bencher {
     sample_size: usize,
-    elapsed: Duration,
-    iters: u64,
+    /// The time of each timed iteration.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Time `routine` over the configured number of iterations.
+    /// Time `routine` over the configured number of iterations, each on
+    /// its own.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         black_box(routine()); // warm-up, untimed
-        let start = Instant::now();
+        self.samples.clear();
+        self.samples.reserve(self.sample_size);
         for _ in 0..self.sample_size {
+            let start = Instant::now();
             black_box(routine());
+            self.samples.push(start.elapsed());
         }
-        self.elapsed = start.elapsed();
-        self.iters = self.sample_size as u64;
     }
+}
+
+/// `(mean, q1, median, q3)` of `samples`, sorted ascending; quartiles
+/// interpolate linearly between neighbouring samples. All 0 when empty.
+fn spread(samples: &[f64]) -> (f64, f64, f64, f64) {
+    let Some(last) = samples.len().checked_sub(1) else {
+        return (0.0, 0.0, 0.0, 0.0);
+    };
+    let quantile = |p: f64| {
+        let at = p * last as f64;
+        let (below, frac) = (at.floor() as usize, at.fract());
+        let above = (below + 1).min(last);
+        samples[below] + frac * (samples[above] - samples[below])
+    };
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    (mean, quantile(0.25), quantile(0.5), quantile(0.75))
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, mut f: F) {
     let mut b = Bencher {
         sample_size,
-        elapsed: Duration::ZERO,
-        iters: 0,
+        samples: Vec::new(),
     };
     f(&mut b);
-    let per_iter = if b.iters > 0 {
-        b.elapsed.as_secs_f64() / b.iters as f64
-    } else {
-        0.0
-    };
+    let mut micros: Vec<f64> = b.samples.iter().map(|d| d.as_secs_f64() * 1e6).collect();
+    micros.sort_by(f64::total_cmp);
+    let (mean, q1, median, q3) = spread(&micros);
     println!(
-        "bench {name:<40} {:>12.3} µs/iter  ({} iters)",
-        per_iter * 1e6,
-        b.iters
+        "bench {name:<40} {mean:>12.3} µs/iter  (median {median:.3}, q1-q3 {q1:.3}-{q3:.3}; {} iters)",
+        micros.len()
     );
 }
 
@@ -171,6 +186,14 @@ mod tests {
         g.finish();
         // warm-up + 3 timed iterations
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn spread_reads_mean_and_quartiles_of_sorted_samples() {
+        assert_eq!(spread(&[]), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(spread(&[4.0]), (4.0, 4.0, 4.0, 4.0));
+        assert_eq!(spread(&[1.0, 2.0, 3.0, 4.0, 5.0]), (3.0, 2.0, 3.0, 4.0));
+        assert_eq!(spread(&[1.0, 2.0, 3.0, 10.0]), (4.0, 1.75, 2.5, 4.75));
     }
 
     #[test]

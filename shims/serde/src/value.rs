@@ -185,8 +185,14 @@ pub(crate) fn write_f64(out: &mut String, f: f64) {
         // serde_json renders non-finite floats as null.
         out.push_str("null");
     } else if f.fract() == 0.0 && f.abs() < 1.0e16 {
-        // Keep whole floats recognizable as numbers ("1.0").
-        let _ = write!(out, "{f:.1}");
+        // Keep whole floats recognizable as numbers ("1.0"): the digits of
+        // the exact integer, which `{f:.1}` would write slower, and the
+        // sign of -0.0 kept as it keeps it.
+        if f.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, f.abs() as u64);
+        out.push_str(".0");
     } else {
         let _ = write!(out, "{f}");
     }
@@ -519,6 +525,27 @@ mod tests {
         assert_eq!(v, back);
         let pretty = parse(&v.render_pretty()).unwrap();
         assert_eq!(v, pretty);
+    }
+
+    #[test]
+    fn whole_floats_write_as_one_decimal_formatting_does() {
+        let two_53 = 2f64.powi(53);
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two_53,
+            -two_53,
+            1.0e16 - 2.0,
+            -(1.0e16 - 2.0),
+            123_456_789.0,
+        ];
+        for f in edges {
+            let mut out = String::new();
+            write_f64(&mut out, f);
+            assert_eq!(out, format!("{f:.1}"), "{f:?}");
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! the result must be bit-identical to an uninterrupted run of the same
 //! stream.
 
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
@@ -285,9 +288,9 @@ fn scenario(pidx: usize, seed: u64, n_orders: usize) -> Scenario {
     Scenario::build(params)
 }
 
-/// Per-test checkpoint directory; wiped by the harness before each run.
-fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("watter_chaos_{}_{tag}", std::process::id()))
+/// Per-test checkpoint directory, removed when the returned guard drops.
+fn ckpt_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("chaos_{tag}"))
 }
 
 proptest! {
@@ -525,13 +528,11 @@ fn trace_journal_survives_kill_restore_replay() {
             checkpoint_every_events: 8,
             ..DaemonConfig::default()
         };
-        let open = |name: &str, wipe: bool| {
-            let dir = ckpt_dir(&format!("{name}_{tag}"));
-            if wipe {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            CheckpointStore::open(&dir, 3, FaultPlan::NONE).expect("open store")
-        };
+        let (ref_dir, kill_dir) = (
+            ckpt_dir(&format!("trace_ref_{tag}")),
+            ckpt_dir(&format!("trace_kill_{tag}")),
+        );
+        let open = |dir: &Path| CheckpointStore::open(dir, 3, FaultPlan::NONE).expect("open store");
 
         // Reference: uninterrupted, with its own store so checkpoint trace
         // events land at the same line counts as in the killed run.
@@ -544,7 +545,7 @@ fn trace_journal_survives_kill_restore_replay() {
             oracle.top(),
             ingest_cfg,
             cfg,
-            Some(open("trace_ref", true)),
+            Some(open(&ref_dir)),
         );
         reference.set_recorder(recorder);
         for line in &lines {
@@ -573,7 +574,7 @@ fn trace_journal_survives_kill_restore_replay() {
             oracle.top(),
             ingest_cfg,
             cfg,
-            Some(open("trace_kill", true)),
+            Some(open(&kill_dir)),
         );
         crashed.set_recorder(recorder);
         for line in &lines[..21] {
@@ -587,15 +588,9 @@ fn trace_journal_survives_kill_restore_replay() {
         // A new process: fresh recorder, fresh (cold) stack.
         let recorder = Recorder::enabled();
         let oracle = stack(&recorder);
-        let mut recovered = Daemon::resume(
-            open("trace_kill", false),
-            make(),
-            oracle.top(),
-            ingest_cfg,
-            cfg,
-        )
-        .expect("resume")
-        .expect("a checkpoint predates the crash");
+        let mut recovered = Daemon::resume(open(&kill_dir), make(), oracle.top(), ingest_cfg, cfg)
+            .expect("resume")
+            .expect("a checkpoint predates the crash");
         // Attached *after* restore: the recorder resumes numbering from
         // the checkpoint's carried sequence, not from zero.
         recovered.set_recorder(recorder);

@@ -2,7 +2,9 @@
 //! users actually invoke must keep working, not just the library APIs they
 //! wrap. Everything runs at tiny scale so the suite stays fast.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempDir;
 use std::process::{Command, Stdio};
 
 fn cli() -> Command {
@@ -35,17 +37,10 @@ fn assert_usage_error(mut cmd: Command, args: &[&str]) {
     assert!(named, "{args:?}: the offender must be named: {stderr}");
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    // Per-process directory so concurrent test invocations (parallel CI
-    // jobs on one runner) can't race on the same file names.
-    let dir = std::env::temp_dir().join(format!("watter_cli_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
-}
-
 #[test]
 fn run_subcommand_reports_stats_and_writes_json() {
-    let json = temp_path("run_stats.json");
+    let dir = TempDir::new("cli_smoke_run_stats");
+    let json = dir.join("run_stats.json");
     let out = cli()
         .args([
             "run",
@@ -83,7 +78,6 @@ fn run_subcommand_reports_stats_and_writes_json() {
     assert_eq!(report.total_orders, 40);
     assert_eq!(report.extra_time_s.count, report.served_orders);
     assert_eq!(report.obs, None, "the registry is off without --obs");
-    std::fs::remove_file(&json).ok();
 }
 
 /// A reader that stops early (`watter-cli run | head -3`) ends the
@@ -164,8 +158,8 @@ fn run_subcommand_is_deterministic_across_processes() {
 
     // Observing the run changes nothing it prints, and the journal it
     // leaves is numbered contiguously from 0.
-    let trace = temp_path("determinism_trace.jsonl");
-    std::fs::remove_file(&trace).ok();
+    let dir = TempDir::new("cli_smoke_determinism");
+    let trace = dir.join("determinism_trace.jsonl");
     let observed = run(&["--obs", "--trace", trace.to_str().expect("utf-8 temp path")]);
     assert_eq!(plain, observed, "--obs --trace changed the stat block");
     let journal = std::fs::read_to_string(&trace).expect("trace written");
@@ -178,7 +172,6 @@ fn run_subcommand_is_deterministic_across_processes() {
         .collect();
     assert!(seqs.len() >= 40, "every order is at least admitted");
     assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
-    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
@@ -223,7 +216,8 @@ fn cost_cache_flag_does_not_change_outcomes() {
 
 #[test]
 fn train_subcommand_saves_loadable_model() {
-    let model = temp_path("model_smoke.json");
+    let dir = TempDir::new("cli_smoke_train");
+    let model = dir.join("model_smoke.json");
     let out = cli()
         .args([
             "train",
@@ -273,7 +267,6 @@ fn train_subcommand_saves_loadable_model() {
         String::from_utf8_lossy(&same.stderr)
     );
     let other = run("48");
-    std::fs::remove_file(&model).ok();
     let stderr = String::from_utf8_lossy(&other.stderr);
     assert_eq!(other.status.code(), Some(1), "doubled side: {stderr}");
     assert!(

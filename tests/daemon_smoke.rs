@@ -3,6 +3,9 @@
 //! for the real process — pipes, SIGKILL, checkpoint files on disk and
 //! all. Everything runs at tiny scale so the suite stays fast.
 
+mod common;
+
+use common::TempDir;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -27,17 +30,6 @@ fn cli() -> Command {
 
 fn daemon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_watter-daemon"))
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    // Per-process directory so concurrent test invocations (parallel CI
-    // jobs on one runner) can't race on the same file names.
-    let dir = std::env::temp_dir().join(format!("watter_daemon_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let dir = dir.join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir
 }
 
 /// The canonical stat block with the wall-clock row dropped — everything
@@ -102,7 +94,7 @@ fn kill_mid_run(mut child: Child, lines: &[&str], ckpt: &Path) {
 /// uninterrupted `watter-cli run` reference bit for bit.
 #[test]
 fn sigkill_resume_matches_batch_reference() {
-    let dir = temp_dir("sigkill");
+    let dir = TempDir::new("daemon_smoke_sigkill");
     let (orders, want) = reference(&dir);
     let ckpt = dir.join("ckpt");
     let text = std::fs::read_to_string(&orders).expect("read orders");
@@ -142,7 +134,7 @@ fn sigkill_resume_matches_batch_reference() {
 /// scripted flavor of the chaos property, exactly as CI drives it.
 #[test]
 fn injected_crash_then_resume_matches_batch_reference() {
-    let dir = temp_dir("inject");
+    let dir = TempDir::new("daemon_smoke_inject");
     let (orders, want) = reference(&dir);
     let ckpt = dir.join("ckpt");
 
@@ -189,7 +181,7 @@ fn injected_crash_then_resume_matches_batch_reference() {
 /// or K past the end never fires and the run drains as usual.
 #[test]
 fn scripted_crash_at_the_last_line_fires_and_past_it_never_does() {
-    let dir = temp_dir("crash_edges");
+    let dir = TempDir::new("daemon_smoke_crash_edges");
     let (orders, want) = reference(&dir);
     let n = std::fs::read_to_string(&orders)
         .expect("read orders")
@@ -241,7 +233,7 @@ fn scripted_crash_at_the_last_line_fires_and_past_it_never_does() {
 /// and only the kept generations are left, no `.tmp`.
 #[test]
 fn a_clean_run_writes_every_periodic_generation_and_the_final_one() {
-    let dir = temp_dir("clean");
+    let dir = TempDir::new("daemon_smoke_clean");
     let (orders, want) = reference(&dir);
     let ckpt = dir.join("ckpt");
     let out = daemon()
@@ -270,7 +262,7 @@ fn a_clean_run_writes_every_periodic_generation_and_the_final_one() {
 /// beforehand proves the event loop was serving queries mid-stream.
 #[test]
 fn sigterm_drains_cleanly_and_serves_live_kpis() {
-    let dir = temp_dir("sigterm");
+    let dir = TempDir::new("daemon_smoke_sigterm");
     let (orders, want) = reference(&dir);
     let ckpt = dir.join("ckpt");
     let kpis = dir.join("live_report.json");
@@ -333,7 +325,7 @@ fn sigterm_drains_cleanly_and_serves_live_kpis() {
 /// spaces, which would parse if the reader buffered it whole.
 #[test]
 fn malformed_lines_are_survived_and_counted() {
-    let dir = temp_dir("malformed");
+    let dir = TempDir::new("daemon_smoke_malformed");
     let (orders, _) = reference(&dir);
     let text = std::fs::read_to_string(&orders).expect("read orders");
     let mut garbled = Vec::new();
@@ -394,7 +386,7 @@ fn alt_daemon_reports_the_cache_like_the_batch_run() {
         "--landmarks",
         "8",
     ];
-    let dir = temp_dir("alt_telemetry");
+    let dir = TempDir::new("daemon_smoke_alt_telemetry");
     let orders = dir.join("orders.ndjson");
     let out = cli()
         .arg("orders")
@@ -499,7 +491,7 @@ fn a_bare_report_line_answers_on_stderr_and_leaves_stdout_the_stat_block() {
         "--seed",
         "7",
     ];
-    let dir = temp_dir("bare_report");
+    let dir = TempDir::new("daemon_smoke_bare_report");
     let orders = dir.join("orders.ndjson");
     let out = cli()
         .arg("orders")

@@ -937,10 +937,12 @@ fn the_pair_gate_rules_out_on_bounds_alone_and_never_asks_more() {
 /// Before the bound-guided, dominance-pruned search and the subset gate the
 /// plan asked 1 063 (586 + 477) and the walk 137 130 (80 290 + 56 840).
 /// `best_group_for` asked what `all_groups_for` asks until it learnt to
-/// bound: here the first pair it plans (14 calls) is never beaten, and 78
-/// pairs of floors (624 legs) say so. The search totals are release-build
-/// figures: debug builds re-plan every gated set to assert it infeasible —
-/// exactly the ungated walk's bill — and every skipped one.
+/// bound: here the first pair it plans (14 calls) is never beaten, and 23
+/// pairs of floors (184 legs) say so — 78 (624 legs) before the walk
+/// stopped below the sets no descendant of which can win. The search
+/// totals are release-build figures: debug builds re-plan every gated set
+/// to assert it infeasible — exactly the ungated walk's bill — and every
+/// skipped one.
 #[test]
 fn query_totals_of_one_plan_and_one_search_are_pinned() {
     let (dense, n) = chengdu_10();
@@ -992,4 +994,4 @@ fn query_totals_of_one_plan_and_one_search_are_pinned() {
 const QUAD_QUERIES: usize = 381;
 /// `(best_group_for, all_groups_for, ungated walk)` queries of the pinned
 /// search, release.
-const SEARCH_QUERIES: (usize, usize, usize) = (638, 43_271, 64_534);
+const SEARCH_QUERIES: (usize, usize, usize) = (198, 43_271, 64_534);
