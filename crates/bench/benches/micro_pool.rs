@@ -5,8 +5,8 @@
 //! follows the departure of its winner's partner) on each oracle stack,
 //! one share-graph insert at pool depth 100 on each stack, one whole pool
 //! insert at that depth on the bare contraction hierarchy, and at pool
-//! depth 1 000 one periodic check with nothing due and one best-group
-//! search for every pooled order.
+//! depth 1 000 one periodic check with nothing due, one best-group
+//! search for every pooled order and one dispatch of a best group.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -350,6 +350,27 @@ fn bench_check(c: &mut Criterion) {
                 best_group_for(center, graph, now, cfg.limits, cfg.clique, weights, &oracle)
             };
             centers.iter().filter_map(best).count()
+        })
+    });
+    // Update event 2 at that depth: the best group of the first proposal
+    // (the oldest order) is dispatched, and the pool recomputes whose best
+    // it broke. Each iteration departs from a clone of its own, made
+    // before and dropped after the timed loop.
+    let gone: Vec<OrderId> = pool
+        .proposals()
+        .iter()
+        .find_map(|&(_, id)| pool.best_group(id))
+        .map(|g| g.order_ids().collect())
+        .expect("a 1 000-deep pool holds a best group");
+    let samples = 50;
+    let mut fresh: Vec<OrderPool> = (0..=samples).map(|_| pool.clone()).collect();
+    let mut spent = Vec::with_capacity(fresh.len());
+    g.sample_size(samples);
+    g.bench_function("remove_best_group_depth1000", |b| {
+        b.iter(|| {
+            let mut p = fresh.pop().expect("one clone per iteration");
+            p.remove_orders(&gone, now, &oracle);
+            spent.push(p);
         })
     });
     g.finish();

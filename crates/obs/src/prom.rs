@@ -337,6 +337,6 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.counter("orders_admitted"), 40);
         assert!(back.stages.iter().any(|s| s.stage == "pool_insert"));
-        assert!(!back.stages.iter().any(|s| s.stage == "planner"));
+        assert!(!back.stages.iter().any(|s| s.stage == "decision_commit"));
     }
 }

@@ -45,8 +45,6 @@ pub enum Stage {
     PairFilter,
     /// Clique subtree enumeration.
     CliqueSearch,
-    /// Route planning / pair evaluation.
-    Planner,
     /// Commit one dispatch decision to the fleet.
     DecisionCommit,
     /// Cost-cache hits (lookup only).
@@ -58,7 +56,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in exposition order.
     pub const ALL: [Stage; Self::COUNT] = [
@@ -66,7 +64,6 @@ impl Stage {
         Stage::PoolInsert,
         Stage::PairFilter,
         Stage::CliqueSearch,
-        Stage::Planner,
         Stage::DecisionCommit,
         Stage::OracleCacheHit,
         Stage::OracleCacheMiss,
@@ -79,7 +76,6 @@ impl Stage {
             Stage::PoolInsert => "pool_insert",
             Stage::PairFilter => "pair_filter",
             Stage::CliqueSearch => "clique_search",
-            Stage::Planner => "planner",
             Stage::DecisionCommit => "decision_commit",
             Stage::OracleCacheHit => "oracle_cache_hit",
             Stage::OracleCacheMiss => "oracle_cache_miss",
@@ -301,7 +297,7 @@ mod tests {
         r.record_stage_nanos(Stage::PoolInsert, 100);
         r.trace(0, TraceEvent::OrderAdmitted { order: 1 });
         r.window_count(0, WindowField::Admitted);
-        drop(r.time(Stage::Planner));
+        drop(r.time(Stage::DecisionCommit));
         assert!(!r.is_enabled());
         assert_eq!(r.stage_count(Stage::PoolInsert), 0);
         assert_eq!(r.trace_seq(), 0);
@@ -318,7 +314,7 @@ mod tests {
         r.record_stage_nanos(Stage::Ingest, 30);
         r.record_stage_nanos(Stage::Ingest, 20);
         assert_eq!(r.stage_count(Stage::Ingest), 3);
-        assert_eq!(r.stage_count(Stage::Planner), 0);
+        assert_eq!(r.stage_count(Stage::DecisionCommit), 0);
         // Window backlog marks are high-water marks: a lower later
         // observation never lowers them.
         r.window_backlog(5, 7, 2);
@@ -356,13 +352,13 @@ mod tests {
     fn stage_percentiles_are_exact_nearest_rank() {
         let r = Recorder::enabled();
         for nanos in 1..=100 {
-            r.record_stage_nanos(Stage::Planner, nanos);
+            r.record_stage_nanos(Stage::DecisionCommit, nanos);
         }
         let snap = r.snapshot();
         let s = snap
             .stages
             .iter()
-            .find(|s| s.stage == "planner")
+            .find(|s| s.stage == "decision_commit")
             .expect("stage sampled");
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_us, 0.050);
@@ -374,11 +370,11 @@ mod tests {
     fn clones_share_one_registry() {
         let a = Recorder::enabled();
         let b = a.clone();
-        a.record_stage_nanos(Stage::Planner, 100);
-        b.record_stage_nanos(Stage::Planner, 200);
+        a.record_stage_nanos(Stage::DecisionCommit, 100);
+        b.record_stage_nanos(Stage::DecisionCommit, 200);
         a.trace(1, TraceEvent::OrderAdmitted { order: 1 });
         b.trace(2, TraceEvent::OrderAdmitted { order: 2 });
-        assert_eq!(a.stage_count(Stage::Planner), 2);
+        assert_eq!(a.stage_count(Stage::DecisionCommit), 2);
         assert_eq!(a.trace_seq(), 2);
         let drained = b.drain_trace();
         assert_eq!(drained.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
@@ -404,7 +400,7 @@ mod tests {
     fn snapshot_order_is_deterministic() {
         let mk = || {
             let r = Recorder::enabled();
-            r.record_stage_nanos(Stage::Planner, 1_000);
+            r.record_stage_nanos(Stage::DecisionCommit, 1_000);
             r.record_stage_nanos(Stage::Ingest, 300);
             r.trace(30, TraceEvent::OrderShed { order: 4 });
             r.window_count(30, WindowField::Admitted);

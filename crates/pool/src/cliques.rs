@@ -123,7 +123,7 @@
 //! assert it.
 
 use crate::planner::{Plan, PlanLimits, PlanScratch};
-use crate::share_graph::{links, ShareGraph};
+use crate::share_graph::{links, Node, ShareGraph};
 use std::collections::HashMap;
 use std::iter::once;
 use std::sync::Arc;
@@ -250,13 +250,14 @@ impl Visitor for Best {
 }
 
 /// Live neighbours of `center` ranked by `(pair route cost, id)` and
-/// truncated to the clique fan-out.
+/// truncated to the clique fan-out: one graph lookup per candidate, which
+/// yields its order and its edges together.
 fn ranked_candidates<'g>(
     center: &Arc<Order>,
     graph: &'g ShareGraph,
     now: Ts,
     clique: CliqueLimits,
-) -> impl Iterator<Item = &'g Arc<Order>> {
+) -> impl Iterator<Item = &'g Node> {
     let mut neighbors: Vec<(OrderId, i64)> = graph
         .neighbors(center.id)
         .filter(|(_, e)| e.expires_at >= now)
@@ -264,9 +265,7 @@ fn ranked_candidates<'g>(
         .collect();
     neighbors.sort_by_key(|&(j, c)| (c, j.0));
     neighbors.truncate(clique.max_neighbors);
-    neighbors
-        .into_iter()
-        .filter_map(|(j, _)| graph.order_handle(j))
+    neighbors.into_iter().filter_map(|(j, _)| graph.node(j))
 }
 
 /// What the walk has learnt about one member set.
@@ -355,6 +354,8 @@ fn ranks(members: &[usize]) -> impl Iterator<Item = usize> + Clone + '_ {
 struct Walk<'a, C: TravelBound> {
     /// The orders the walk concerns, by **rank**: the centre, then its
     /// candidates as ranked. `n = orders.len()` sizes the two tables.
+    /// Building them makes one graph lookup per candidate: its node holds
+    /// the order and the edge list `adjacent` is read from.
     orders: Vec<&'a Arc<Order>>,
     /// `adjacent[u * n + v]` for candidate ranks `u < v`: whether the graph
     /// joins them, asked once (every candidate is joined to the centre).
@@ -387,17 +388,17 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         clique: CliqueLimits,
         oracle: &'a C,
     ) -> Self {
+        let candidates: Vec<&Node> = ranked_candidates(center, graph, now, clique).collect();
         let orders: Vec<&Arc<Order>> = once(center)
-            .chain(ranked_candidates(center, graph, now, clique))
+            .chain(candidates.iter().map(|c| &c.order))
             .collect();
         let n = orders.len();
         let mut adjacent = Vec::new();
         if clique.max_group_size > 2 {
             adjacent.resize(n * n, false);
-            for u in 1..n {
-                let list = graph.edge_list(orders[u].id);
+            for (u, cand) in (1..).zip(&candidates) {
                 for v in u + 1..n {
-                    adjacent[u * n + v] = links(list, orders[v].id);
+                    adjacent[u * n + v] = links(&cand.edges, orders[v].id);
                 }
             }
         }

@@ -10,7 +10,8 @@
 //!    enumerated group whose mean extra time beats its current best adopts
 //!    the new group;
 //! 2. **order departure** (dispatch/rejection) — orders whose best group
-//!    contained a departed member are recomputed;
+//!    contained a departed member are recomputed, found among its
+//!    neighbours (invariant I, see [`OrderPool`]);
 //! 3. **edge expiry** — orders incident to expired edges revalidate;
 //! 4. **group expiry** — a best group whose `τ_g` passed is recomputed.
 //!
@@ -61,17 +62,21 @@ pub struct PoolStats {
     pub groups_enumerated: u64,
 }
 
-/// The WATTER order pool.
+/// The WATTER order pool: each pooled order's node in the share graph and
+/// its best group, each stored once. Invariant **I**: every member of
+/// `best[h]` is `h` or a neighbour of `h`, so a departure finds whose best
+/// it broke among its own neighbours.
 #[derive(Clone, Debug, Default)]
 pub struct OrderPool {
     cfg: PoolConfig,
     graph: ShareGraph,
+    /// `Gb`. I holds because a group is a clique when it is stored (an
+    /// arrival's groups, a recompute's winner, a restored entry that
+    /// [`OrderPool::restore`] checks), and an edge `h–m` leaves the graph
+    /// only by a departure, which recomputes the neighbours whose best
+    /// names it, or by expiry, which touches `h`, whose stale best
+    /// [`OrderPool::maintain`] recomputes.
     best: BTreeMap<OrderId, Group>,
-    /// Reverse index: order → the pooled orders whose best group contains
-    /// it, sorted ascending and distinct. Update event 2 reads it to find
-    /// whose best a departure broke; `link_best` / `unlink_best` keep it
-    /// equal to the best map's holders, and `restore` rebuilds it.
-    contained_in: BTreeMap<OrderId, Vec<OrderId>>,
     stats: PoolStats,
     /// Observability handle (disabled by default). Spans only — the
     /// pool's hot-path stages never read it for control flow, so
@@ -104,7 +109,8 @@ impl OrderPool {
     }
 
     /// Attach an observability recorder; the pool times its hot-path
-    /// stages (pair prefilter, clique search, group planning) through it.
+    /// stages (pair prefilter, clique search with its group plans) through
+    /// it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -159,15 +165,8 @@ impl OrderPool {
             )
         };
         self.stats.groups_enumerated += groups.len() as u64;
-        // Manual span: a drop-guard timer would borrow `self.recorder`
-        // across the `&mut self` calls below.
-        let t0 = self.recorder.is_enabled().then(Instant::now);
         for g in groups {
             self.offer_group(g, now);
-        }
-        if let Some(t0) = t0 {
-            self.recorder
-                .record_stage_nanos(Stage::Planner, t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -177,25 +176,21 @@ impl OrderPool {
         let mut affected: BTreeSet<OrderId> = BTreeSet::new();
         for &id in ids {
             self.stats.removed += 1;
-            self.graph.remove(id);
-            // Drops the reverse-index entries pointing *from* `id`: by the
-            // `link_best` invariant those are exactly the members of its
-            // best group.
-            self.unlink_best(id);
-            if let Some(holders) = self.contained_in.remove(&id) {
-                affected.extend(holders);
+            self.best.remove(&id);
+            // By I, a best naming `id` is held by `id` or a neighbour.
+            for h in self.graph.remove(id) {
+                if !ids.contains(&h) && self.best.get(&h).is_some_and(|g| g.contains(id)) {
+                    affected.insert(h);
+                }
             }
         }
-        let recompute: Vec<OrderId> = affected
-            .into_iter()
-            .filter(|&id| self.graph.order(id).is_some() && !ids.contains(&id))
-            .collect();
+        let recompute: Vec<OrderId> = affected.into_iter().collect();
         self.recompute_batch(&recompute, now, oracle);
         debug_assert!(
-            self.contained_in
+            self.best
                 .values()
-                .all(|holders| ids.iter().all(|id| !holders.contains(id))),
-            "reverse index still names a departed order"
+                .all(|g| ids.iter().all(|&id| !g.contains(id))),
+            "a best group still names a departed order"
         );
     }
 
@@ -255,10 +250,10 @@ impl OrderPool {
                     oracle,
                 )
             });
-            self.unlink_best(id);
-            if let Some(g) = found {
-                self.link_best(id, g);
-            }
+            match found {
+                Some(g) => self.best.insert(id, g),
+                None => self.best.remove(&id),
+            };
         }
         if let Some(t0) = t0 {
             self.recorder
@@ -273,31 +268,27 @@ impl OrderPool {
         };
         // Some member no longer pooled, or two no longer connected?
         g.order_ids().enumerate().any(|(i, a)| {
-            let list = self.graph.edge_list(a);
-            self.graph.order(a).is_none() || g.order_ids().skip(i + 1).any(|b| !links(list, b))
+            let node = self.graph.node(a);
+            node.is_none_or(|n| g.order_ids().skip(i + 1).any(|b| !links(&n.edges, b)))
         })
     }
 
     /// Offer a freshly enumerated group to each of its members.
     fn offer_group(&mut self, g: Group, now: Ts) {
         let mean = g.mean_extra_time(now, self.cfg.weights);
-        let member_ids: Vec<OrderId> = g.order_ids().collect();
-        for &m in &member_ids {
+        for m in g.order_ids() {
             let better = match self.best.get(&m) {
                 Some(cur) => mean < cur.mean_extra_time(now, self.cfg.weights),
                 None => true,
             };
             if better {
-                self.unlink_best(m);
-                self.link_best(m, g.clone());
+                self.best.insert(m, g.clone());
             }
         }
     }
 
     /// Serialize the pool's complete state: pooled orders, live edges and
-    /// the best-group map, plus the lifetime counters. The derived
-    /// `contained_in` reverse index is rebuilt by [`OrderPool::restore`]
-    /// instead.
+    /// the best-group map, plus the lifetime counters.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
             orders: self.graph.orders().cloned().collect(),
@@ -331,6 +322,10 @@ impl OrderPool {
     /// from, which the engine-level
     /// [`restore`](crate::snapshot) path guarantees by reconstructing the
     /// dispatcher from the run's own config first.
+    ///
+    /// A best entry that breaks invariant I (lists no owner, or a member
+    /// that is not the owner's neighbour) is refused as
+    /// [`RestoreError::MalformedGroup`].
     pub fn restore(&mut self, snap: &PoolSnapshot) -> Result<(), RestoreError> {
         let handles: BTreeMap<OrderId, Arc<Order>> = snap
             .orders
@@ -361,9 +356,8 @@ impl OrderPool {
         self.graph
             .restore_from_parts(handles.values().cloned().collect(), &edges);
         self.best.clear();
-        self.contained_in.clear();
         for b in &snap.best {
-            if b.subroute_costs.len() != b.members.len() {
+            if b.subroute_costs.len() != b.members.len() || !b.members.contains(&b.id) {
                 return Err(RestoreError::MalformedGroup(b.id));
             }
             let members: Result<Vec<Arc<Order>>, RestoreError> = b
@@ -376,34 +370,19 @@ impl OrderPool {
                         .ok_or(RestoreError::MissingOrder(*m))
                 })
                 .collect();
+            let members = members?;
+            if b.members
+                .iter()
+                .any(|&m| m != b.id && !self.graph.connected(b.id, m))
+            {
+                return Err(RestoreError::MalformedGroup(b.id));
+            }
             let group =
-                Group::from_subroute_costs(members?, b.route.clone(), b.subroute_costs.clone());
-            self.link_best(b.id, group);
+                Group::from_subroute_costs(members, b.route.clone(), b.subroute_costs.clone());
+            self.best.insert(b.id, group);
         }
         self.stats = snap.stats;
         Ok(())
-    }
-
-    fn link_best(&mut self, id: OrderId, g: Group) {
-        for m in g.order_ids() {
-            let holders = self.contained_in.entry(m).or_default();
-            if let Err(at) = holders.binary_search(&id) {
-                holders.insert(at, id);
-            }
-        }
-        self.best.insert(id, g);
-    }
-
-    fn unlink_best(&mut self, id: OrderId) {
-        if let Some(old) = self.best.remove(&id) {
-            for m in old.order_ids() {
-                if let Some(holders) = self.contained_in.get_mut(&m) {
-                    if let Ok(at) = holders.binary_search(&id) {
-                        holders.remove(at);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -613,24 +592,58 @@ mod tests {
         assert!(q.restore(&snap).is_err());
     }
 
-    /// The reverse index the best map implies: member → holders, ascending.
-    fn holders_of_bests(p: &OrderPool) -> BTreeMap<OrderId, Vec<OrderId>> {
-        let mut want: BTreeMap<OrderId, Vec<OrderId>> = BTreeMap::new();
-        for (&holder, g) in &p.best {
-            for m in g.order_ids() {
-                want.entry(m).or_default().push(holder);
-            }
-        }
-        want
+    /// Restore refuses a best entry that does not list its owner.
+    #[test]
+    fn restore_rejects_a_best_group_without_its_owner() {
+        let mut p = pool();
+        p.insert(order(0, 0, 10, 10_000), 0, &Line);
+        p.insert(order(1, 2, 8, 10_000), 0, &Line);
+        p.insert(order(2, 20, 29, 10_000), 0, &Line);
+        let mut snap = p.snapshot();
+        assert_eq!(snap.best[0].id, OrderId(0));
+        assert!(!snap.best[0].members.contains(&OrderId(2)));
+        snap.best[0].id = OrderId(2);
+        let mut q = pool();
+        assert_eq!(
+            q.restore(&snap),
+            Err(RestoreError::MalformedGroup(OrderId(2)))
+        );
+    }
+
+    /// Restore refuses a best entry naming a member that is not its
+    /// owner's neighbour: after that member departed, the group would
+    /// still name it.
+    #[test]
+    fn restore_rejects_a_best_member_that_is_no_neighbour() {
+        let mut p = pool();
+        p.insert(order(0, 0, 10, 10_000), 0, &Line);
+        p.insert(order(1, 2, 8, 10_000), 0, &Line);
+        let mut snap = p.snapshot();
+        assert_eq!(snap.best[0].id, OrderId(0));
+        assert!(snap.best[0].members.contains(&OrderId(1)));
+        snap.edges.clear();
+        let mut q = pool();
+        assert_eq!(
+            q.restore(&snap),
+            Err(RestoreError::MalformedGroup(OrderId(0)))
+        );
+    }
+
+    /// Invariant I (see `OrderPool::best`): every best group lists its
+    /// owner, and each other member is the owner's neighbour.
+    fn best_members_are_owner_or_neighbours(p: &OrderPool) -> bool {
+        p.best.iter().all(|(&h, g)| {
+            g.contains(h) && g.order_ids().all(|m| m == h || p.graph.connected(h, m))
+        })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// After every insert, departure, check and restore, `contained_in`
-        /// names exactly the holders of each best group — no stale holder
-        /// left behind, none missing — in ascending order.
+        /// After every insert, departure, check and restore, invariant I
+        /// holds: a departure finds every best it broke among the
+        /// departed order's neighbours.
         #[test]
-        fn reverse_index_names_exactly_the_holders(
+        fn every_best_member_is_its_owner_or_a_neighbour(
             ops in prop::collection::vec((0u8..8, 0u32..30, 0u32..30, 0i64..400), 1..60)
         ) {
             let mut p = pool();
@@ -667,9 +680,7 @@ mod tests {
                         p = q;
                     }
                 }
-                let mut have = p.contained_in.clone();
-                have.retain(|_, holders| !holders.is_empty());
-                prop_assert_eq!(have, holders_of_bests(&p));
+                prop_assert!(best_members_are_owner_or_neighbours(&p), "I broken after {:?}", (kind, a, b, x));
             }
         }
     }

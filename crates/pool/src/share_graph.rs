@@ -58,7 +58,8 @@ pub struct PairEdge {
     pub route_cost: Dur,
 }
 
-/// Adjacency-list temporal shareability graph.
+/// Adjacency-list temporal shareability graph: one node per pooled
+/// order.
 ///
 /// Each order's edges are one flat list sorted ascending by neighbour id,
 /// so every iteration (neighbor scans, clique enumeration, expiry sweeps)
@@ -71,8 +72,15 @@ pub struct PairEdge {
 /// every candidate group.
 #[derive(Clone, Debug, Default)]
 pub struct ShareGraph {
-    orders: BTreeMap<OrderId, Arc<Order>>,
-    adj: BTreeMap<OrderId, Vec<(OrderId, PairEdge)>>,
+    nodes: BTreeMap<OrderId, Node>,
+}
+
+/// One pooled order and its edges: one lookup answers both.
+#[derive(Clone, Debug)]
+pub(crate) struct Node {
+    pub(crate) order: Arc<Order>,
+    /// Sorted ascending by neighbour id.
+    pub(crate) edges: Vec<(OrderId, PairEdge)>,
 }
 
 impl ShareGraph {
@@ -83,47 +91,48 @@ impl ShareGraph {
 
     /// Number of pooled orders.
     pub(crate) fn len(&self) -> usize {
-        self.orders.len()
+        self.nodes.len()
     }
 
     /// Number of live edges (each undirected edge counted once).
     pub fn edge_count(&self) -> usize {
-        self.adj.values().map(Vec::len).sum::<usize>() / 2
+        self.nodes.values().map(|n| n.edges.len()).sum::<usize>() / 2
+    }
+
+    /// The pooled order `id` with its edges.
+    pub(crate) fn node(&self, id: OrderId) -> Option<&Node> {
+        self.nodes.get(&id)
     }
 
     /// The pooled order with the given id.
     pub(crate) fn order(&self, id: OrderId) -> Option<&Order> {
-        self.orders.get(&id).map(Arc::as_ref)
+        self.node(id).map(|n| n.order.as_ref())
     }
 
     /// The pooled order as a shared handle (cheap to clone into groups).
     pub fn order_handle(&self, id: OrderId) -> Option<&Arc<Order>> {
-        self.orders.get(&id)
+        self.node(id).map(|n| &n.order)
     }
 
     /// Iterate over pooled orders.
     pub fn orders(&self) -> impl Iterator<Item = &Order> {
-        self.orders.values().map(Arc::as_ref)
+        self.nodes.values().map(|n| n.order.as_ref())
     }
 
     /// Ids of pooled orders.
     pub fn order_ids(&self) -> impl Iterator<Item = OrderId> + '_ {
-        self.orders.keys().copied()
+        self.nodes.keys().copied()
     }
 
     /// Neighbours of `id` with their edges, ascending by neighbour id.
     pub fn neighbors(&self, id: OrderId) -> impl Iterator<Item = (OrderId, PairEdge)> + '_ {
-        self.edge_list(id).iter().copied()
+        let edges = self.node(id).map_or(&[][..], |n| n.edges.as_slice());
+        edges.iter().copied()
     }
 
     /// Whether a live edge connects `a` and `b`.
     pub fn connected(&self, a: OrderId, b: OrderId) -> bool {
-        links(self.edge_list(a), b)
-    }
-
-    /// `id`'s edges, sorted ascending by neighbour id (empty if it has none).
-    pub(crate) fn edge_list(&self, id: OrderId) -> &[(OrderId, PairEdge)] {
-        self.adj.get(&id).map_or(&[], Vec::as_slice)
+        self.node(a).is_some_and(|n| links(&n.edges, b))
     }
 
     /// Insert a new order at time `now`, creating shareability edges to
@@ -145,47 +154,37 @@ impl ShareGraph {
         let order = Arc::new(order);
         let id = order.id;
         debug_assert!(
-            !self.orders.contains_key(&id),
+            !self.nodes.contains_key(&id),
             "order {id} inserted twice into the pool"
         );
         let mut scratch = PlanScratch::default();
-        let mut plans = Vec::new();
-        // Ascending by construction: the order map iterates in id order.
-        let edges: Vec<(OrderId, PairEdge)> = self
-            .orders
-            .iter()
-            .filter_map(|(&j, cand)| {
-                let (edge, plan) = pair_edge(&order, cand, now, limits, oracle, &mut scratch)?;
+        let (mut edges, mut plans) = (Vec::new(), Vec::new());
+        // Ascending by construction: the node map iterates in id order.
+        for (&j, cand) in self.nodes.iter_mut() {
+            if let Some((edge, plan)) =
+                pair_edge(&order, &cand.order, now, limits, oracle, &mut scratch)
+            {
+                link(&mut cand.edges, id, edge);
+                edges.push((j, edge));
                 plans.push((j, plan));
-                Some((j, edge))
-            })
-            .collect();
-        for &(j, e) in &edges {
-            link(self.adj.entry(j).or_default(), id, e);
+            }
         }
-        if !edges.is_empty() {
-            self.adj.insert(id, edges);
-        }
-        self.orders.insert(id, order);
+        self.nodes.insert(id, Node { order, edges });
         plans
     }
 
     /// Remove an order (dispatched or rejected), dropping its edges.
-    /// Returns its former neighbours (whose best groups may need refresh).
+    /// Returns its former neighbours, ascending.
     pub fn remove(&mut self, id: OrderId) -> Vec<OrderId> {
-        let neighbors: Vec<OrderId> = self
-            .adj
-            .remove(&id)
-            .map(|list| list.into_iter().map(|(j, _)| j).collect())
-            .unwrap_or_default();
+        let edges = self.nodes.remove(&id).map_or_else(Vec::new, |n| n.edges);
+        let neighbors: Vec<OrderId> = edges.into_iter().map(|(j, _)| j).collect();
         for j in &neighbors {
-            if let Some(list) = self.adj.get_mut(j) {
-                if let Ok(at) = list.binary_search_by_key(&id, |&(k, _)| k) {
-                    list.remove(at);
+            if let Some(n) = self.nodes.get_mut(j) {
+                if let Ok(at) = n.edges.binary_search_by_key(&id, |&(k, _)| k) {
+                    n.edges.remove(at);
                 }
             }
         }
-        self.orders.remove(&id);
         neighbors
     }
 
@@ -194,10 +193,10 @@ impl ShareGraph {
     /// of Section IV-B).
     pub(crate) fn expire_edges(&mut self, now: Ts) -> Vec<OrderId> {
         let mut touched = Vec::new();
-        for (&i, list) in self.adj.iter_mut() {
-            let before = list.len();
-            list.retain(|(_, e)| e.expires_at >= now);
-            if list.len() != before {
+        for (&i, n) in self.nodes.iter_mut() {
+            let before = n.edges.len();
+            n.edges.retain(|(_, e)| e.expires_at >= now);
+            if n.edges.len() != before {
                 touched.push(i);
             }
         }
@@ -207,8 +206,9 @@ impl ShareGraph {
     /// Iterate over live edges, each undirected edge once as `(a, b, edge)`
     /// with `a < b`, ascending — the canonical form snapshots store.
     pub fn edges(&self) -> impl Iterator<Item = (OrderId, OrderId, PairEdge)> + '_ {
-        self.adj.iter().flat_map(|(&i, list)| {
-            list.iter()
+        self.nodes.iter().flat_map(|(&i, n)| {
+            n.edges
+                .iter()
                 .filter(move |&&(j, _)| i < j)
                 .map(move |&(j, e)| (i, j, e))
         })
@@ -224,23 +224,26 @@ impl ShareGraph {
         orders: Vec<Arc<Order>>,
         edges: &[(OrderId, OrderId, PairEdge)],
     ) {
-        self.adj.clear();
-        self.orders = orders.into_iter().map(|o| (o.id, o)).collect();
+        self.nodes.clear();
+        for order in orders {
+            let edges = Vec::new();
+            self.nodes.insert(order.id, Node { order, edges });
+        }
         for &(a, b, e) in edges {
-            debug_assert!(
-                self.orders.contains_key(&a) && self.orders.contains_key(&b),
-                "edge ({a}, {b}) references an unpooled order"
-            );
-            link(self.adj.entry(a).or_default(), b, e);
-            link(self.adj.entry(b).or_default(), a, e);
+            for (from, to) in [(a, b), (b, a)] {
+                let node = self
+                    .nodes
+                    .get_mut(&from)
+                    .expect("the caller checks endpoints");
+                link(&mut node.edges, to, e);
+            }
         }
     }
 
     /// Orders whose own solo feasibility has lapsed (cannot be served even
     /// alone: `now + direct ≥ deadline`). These must be rejected.
     pub(crate) fn dead_orders(&self, now: Ts) -> Vec<OrderId> {
-        self.orders
-            .values()
+        self.orders()
             .filter(|o| now + o.direct_cost >= o.deadline)
             .map(|o| o.id)
             .collect()

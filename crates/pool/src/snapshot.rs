@@ -10,8 +10,10 @@
 //! bit-identical `restore + replay == run` contract requires
 //! (`tests/snapshot.rs`).
 //!
-//! Derived structures are rebuilt on restore, not serialized: the
-//! `contained_in` reverse index is a pure function of the best map.
+//! The pool keeps nothing derived beside these, so restore rebuilds
+//! nothing: it links each edge into both endpoints' lists and checks that
+//! every best group satisfies the invariant departures rely on
+//! ([`crate::OrderPool::restore`]).
 
 use serde::{Deserialize, Serialize};
 use watter_core::{Dur, Order, OrderId, Route, Ts};
@@ -65,7 +67,8 @@ pub enum RestoreError {
     /// snapshot's pooled-order set.
     MissingOrder(OrderId),
     /// A best-group entry's sub-route cost list does not align with its
-    /// members.
+    /// members, or the entry does not list its owner, or it names a member
+    /// that is not the owner's neighbour.
     MalformedGroup(OrderId),
 }
 
@@ -73,7 +76,7 @@ impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::MissingOrder(id) => write!(f, "snapshot references unpooled order {id}"),
-            Self::MalformedGroup(id) => write!(f, "best group of {id} misaligned with members"),
+            Self::MalformedGroup(id) => write!(f, "best group of {id} is malformed"),
         }
     }
 }

@@ -81,22 +81,28 @@ use watter::cli::{
 use watter::prelude::*;
 use watter::road::{export_graph, import_graph};
 
-/// Build the scenario: on the profile's synthetic city by default, or —
-/// with `--import PATH` — on a road network loaded from the plain-text
-/// interchange format (`watter::road::import`). Demand and fleet
+/// The road network: the profile's synthetic city by default, or — with
+/// `--import PATH` — one loaded from the plain-text interchange format
+/// (`watter::road::import`).
+fn road_graph(flags: &HashMap<String, String>, params: &ScenarioParams) -> RoadGraph {
+    match flags.get("import") {
+        Some(path) => import_graph(path).unwrap_or_else(|e| {
+            eprintln!("import {path}: {e}");
+            std::process::exit(1);
+        }),
+        None => params
+            .profile
+            .city_config(params.city_side)
+            .generate(params.seed),
+    }
+}
+
+/// Build the scenario on [`road_graph`]'s network. Demand and fleet
 /// generation are identical code either way, so any scenario flag set
 /// runs unchanged on an imported city.
 fn build_scenario(flags: &HashMap<String, String>, params: ScenarioParams) -> Scenario {
-    let scenario = match flags.get("import") {
-        Some(path) => {
-            let graph = import_graph(path).unwrap_or_else(|e| {
-                eprintln!("import {path}: {e}");
-                std::process::exit(1);
-            });
-            Scenario::build_on_graph(params, Arc::new(graph))
-        }
-        None => Scenario::build(params),
-    };
+    let graph = Arc::new(road_graph(flags, &params));
+    let scenario = Scenario::build_on_graph(params, graph);
     log_oracle_build(&scenario);
     scenario
 }
@@ -180,20 +186,20 @@ fn cmd_orders(flags: HashMap<String, String>) {
 }
 
 /// Export the scenario's road network in the plain-text interchange
-/// format (`watter-cli graph --out city.graph`). Round-trips exactly:
+/// format (`watter-cli graph --out city.graph`), without building the
+/// oracle or the demand the network does not need. Round-trips exactly:
 /// running any scenario with `--import` on the exported file reproduces
 /// the synthetic-city run bit for bit.
 fn cmd_graph(flags: HashMap<String, String>) {
-    let params = params_of(&flags);
-    let scenario = build_scenario(&flags, params);
-    let text = export_graph(&scenario.graph);
+    let graph = road_graph(&flags, &params_of(&flags));
+    let text = export_graph(&graph);
     match flags.get("out") {
         Some(path) => {
             write_or_exit(path, std::fs::write(path, &text));
             eprintln!(
                 "wrote {path} ({} nodes, {} edges)",
-                scenario.graph.node_count(),
-                scenario.graph.edge_count()
+                graph.node_count(),
+                graph.edge_count()
             );
         }
         None => print_stdout(text.strip_suffix('\n').unwrap_or(&text)),

@@ -214,6 +214,49 @@ fn cost_cache_flag_does_not_change_outcomes() {
     assert_eq!(dense, run("ch", true), "the cache changed outcomes on CH");
 }
 
+/// `graph --out` then `run --import` on the exported file reproduces the
+/// synthetic run's stat block (wall-clock `running time` and `oracle`
+/// rows aside), and `graph` builds no oracle to export the network. CI's
+/// "Import round-trip smoke" step runs the same round trip on a 64×64
+/// city, which takes about 13 s in a debug build: more than a tier-1
+/// test should spend, so it stays a CI step.
+#[test]
+fn an_exported_graph_imports_to_the_same_run() {
+    let dir = TempDir::new("cli_smoke_graph_import");
+    let city = dir.join("tiny.graph");
+    let out = cli()
+        .arg("graph")
+        .args(TINY)
+        .arg("--out")
+        .arg(&city)
+        .output()
+        .expect("spawn watter-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        !stderr.contains("oracle built"),
+        "graph built an oracle: {stderr}"
+    );
+    let run = |extra: &[&std::ffi::OsStr]| {
+        let out = cli()
+            .arg("run")
+            .args(TINY)
+            .args(extra)
+            .output()
+            .expect("spawn watter-cli");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("running time") && !l.starts_with("oracle"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let synthetic = run(&[]);
+    assert!(synthetic.contains("service rate"), "{synthetic}");
+    let imported = run(&["--import".as_ref(), city.as_os_str()]);
+    assert_eq!(synthetic, imported, "the imported city ran differently");
+}
+
 #[test]
 fn train_subcommand_saves_loadable_model() {
     let dir = TempDir::new("cli_smoke_train");
