@@ -1,6 +1,7 @@
 //! Order-pool micro-benchmarks: route planning, pair-edge insertion,
 //! clique enumeration and the GDP insertion operator — the inner loops of
-//! the paper's running-time comparison — plus the two searches (an
+//! the paper's running-time comparison — plus every small subset of seven
+//! orders planned on the dense table, the two searches (an
 //! infeasible four-order plan, one `best_group_for`, and the one that
 //! follows the departure of its winner's partner) on each oracle stack,
 //! one share-graph insert at pool depth 100 on each stack, one whole pool
@@ -12,11 +13,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use watter::runner::pool_config;
 use watter_baselines::insertion::Schedule;
-use watter_core::{CostWeights, NodeId, OracleKind, Order, OrderId, TravelBound, Ts};
+use watter_core::{CostWeights, NodeId, OracleKind, Order, OrderId, TravelBound, TravelCost, Ts};
 use watter_obs::Recorder;
 use watter_pool::cliques::{best_group_for, CliqueLimits};
 use watter_pool::{plan_min_cost, OrderPool, PlanLimits, PoolConfig, ShareGraph};
-use watter_road::{CachedOracle, CityOracle, OracleStack};
+use watter_road::{CachedOracle, CityOracle, CostMatrix, OracleStack};
 use watter_workload::{CityProfile, Scenario, ScenarioParams};
 
 fn scenario() -> Scenario {
@@ -63,6 +64,53 @@ fn infeasible_quad<C: TravelBound>(
         }
     }
     None
+}
+
+/// Every 2-, 3- and 4-subset (91 plans) of seven orders on tight
+/// deadlines across the 10×10 city's dense table, planned at 0: the spread
+/// the planner's query-count test plans, feasible and infeasible sets
+/// mixed, the set sizes an arrival's clique walk plans.
+fn bench_subsets(c: &mut Criterion) {
+    let graph = CityProfile::Chengdu.city_config(10).generate(3);
+    let dense = CostMatrix::build(&graph);
+    let n = graph.node_count() as u32;
+    let spread: Vec<Order> = (0..7u32)
+        .map(|i| {
+            let (p, d) = (NodeId((i * 13 + 2) % n), NodeId((i * 29 + 41) % n));
+            let direct = dense.cost(p, d);
+            Order {
+                id: OrderId(i),
+                pickup: p,
+                dropoff: d,
+                riders: 1,
+                release: 0,
+                deadline: direct * (130 + (i as i64 * 37) % 120) / 100 + 10,
+                wait_limit: direct,
+                direct_cost: direct,
+            }
+        })
+        .collect();
+    let subsets: Vec<Vec<&Order>> = (1u32..1 << spread.len())
+        .filter(|mask| (2..=4).contains(&mask.count_ones()))
+        .map(|mask| {
+            let picked = spread
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0);
+            picked.map(|(_, o)| o).collect()
+        })
+        .collect();
+    let limits = PlanLimits { capacity: 4 };
+    let mut g = c.benchmark_group("pool");
+    g.bench_function("plan_route_subsets/dense", |b| {
+        b.iter(|| {
+            let plans = subsets
+                .iter()
+                .map(|s| plan_min_cost(black_box(s), 0, limits, &dense));
+            plans.filter(Option::is_some).count()
+        })
+    });
+    g.finish();
 }
 
 /// The route search and the clique search where they are hottest, on the
@@ -379,6 +427,6 @@ fn bench_check(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pool, bench_searches, bench_check
+    targets = bench_pool, bench_subsets, bench_searches, bench_check
 }
 criterion_main!(benches);

@@ -18,7 +18,7 @@
 //! complete route accepted only when **strictly** cheaper than the
 //! incumbent. So among equal-cost optima the planner returns the first one
 //! that walk meets — the tie-break every golden fingerprint and digest
-//! rests on. Four prunes cut the walk; each discards only subtrees that
+//! rests on. Five prunes cut the walk; each discards only subtrees that
 //! hold no strictly cheaper feasible completion, so none of them can move
 //! the answer, whatever the backend:
 //!
@@ -31,22 +31,36 @@
 //!    was reached at the same last stop no later than now: every prune is
 //!    monotone in the elapsed time and the incumbent only improves, so the
 //!    earlier arrival already offered every completion this one has.
+//! 5. **Pick-up** (where the bound is exact) — 2 and 3 for an order still
+//!    waiting: the leg to its pick-up plus its direct ride, added to the
+//!    cost so far, already misses its deadline or reaches the incumbent's
+//!    cost. A free-start root reads the leg as 0.
 //!
-//! 2–4 lean on the oracle being a shortest-path metric (the
-//! [`TravelCost`](watter_core::TravelCost) contract). A pick-up is expanded
-//! through [`TravelBound::cost_if_below`], so a leg whose bound already
-//! leaves no room for the order's direct ride costs no exact query.
+//! 2–5 lean on the oracle being a shortest-path metric (the
+//! [`TravelCost`](watter_core::TravelCost) contract). For 5: by the
+//! triangle inequality no completion reaches the waiting order's pick-up
+//! sooner than the leg from here, so the deadline half — the pick-up's own
+//! room test, read at the node instead of at the expansion — fails at
+//! every descendant too; and from the pick-up the order rides at least
+//! [`Order::direct_cost`], the cached `cost(l_p, l_d)` of the same metric
+//! (the clique walk's detour floors take it as that leg too), so no
+//! completion drops it sooner than the sum. A search over legs shorter
+//! than that metric's — the share graph's relaxed view — still finds every
+//! route that is feasible in truth ([`crate::share_graph`]).
 //!
 //! What "optimistic leg" costs depends on the backend, and the backend
-//! says which ([`TravelBound::bound_is_exact`], read once per plan): when
-//! the bound *is* the cost (the dense table) the leg is asked through
-//! `cost()` — where a cache in front sees it — and reused as the exact leg
-//! of the drop-off expansion that follows, one query per (node, stop) and
-//! no `lower_bound` call at all; otherwise (ALT, CH) the landmark bound
-//! prunes and only surviving expansions pay a search.
-//! A four-order plan still visits ~130 nodes on average on a deep pool
-//! (thousands at worst), which is why each of them asks as little as it
-//! can.
+//! says which ([`TravelBound::bound_is_exact`], read once per plan). When
+//! the bound *is* the cost (the dense table) the node's up-front pass —
+//! prunes 2, 3 and 5 — asks every leg through `cost()`, where a cache in
+//! front sees it, and the pick-up or drop-off expansion that follows
+//! reuses it: one query per (node, stop) and no `lower_bound` call at all.
+//! Otherwise (ALT, CH) the landmark bound drives prunes 2 and 3, and a
+//! pick-up is expanded through [`TravelBound::cost_if_below`], so a leg
+//! whose bound already leaves no room for the order's direct ride costs no
+//! exact query; prune 5 would cost a bound per waiting order per node
+//! there, and is not run. A four-order plan visits ~90 nodes on average on
+//! a deep pool (333 at most on the dense 4 000-order row; ~150 and 500
+//! without prune 5), which is why each of them asks as little as it can.
 //!
 //! The search knows the elapsed time at every drop-off of its incumbent, so
 //! a [`Plan`] hands back each order's sub-route cost `T(L^(i))` with the
@@ -119,6 +133,19 @@ const POW3: [usize; MAX_ORDERS] = {
 
 /// Incumbent cost of a search that has found no route yet.
 const NO_ROUTE: Dur = Dur::MAX / 4;
+
+#[cfg(test)]
+use std::cell::Cell;
+
+#[cfg(test)]
+thread_local! {
+    /// Search nodes (`Search::recurse` calls) the planner has entered on
+    /// this thread.
+    static PLAN_NODES: Cell<usize> = const { Cell::new(0) };
+    /// Whether searches on this thread skip prune 5, as they did before
+    /// it: the reference the prune is tested against.
+    static UNPRUNED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Buffers a caller lends to consecutive searches (one per clique search,
 /// one per pool insert), so the dominance memo and the branch under
@@ -205,9 +232,22 @@ impl<C: TravelBound> Search<'_, C> {
         }
     }
 
+    /// Whether a node reads each waiting order's pick-up leg up front and
+    /// returns if one leaves no room (prune 5), the pick-up expansion then
+    /// reusing that leg: wherever the bound is exact.
+    fn prunes_pickups(&self) -> bool {
+        #[cfg(test)]
+        if UNPRUNED.with(Cell::get) {
+            return false;
+        }
+        self.exact
+    }
+
     /// `picked`/`dropped` are bitmasks over order indices; `state` is the
     /// same information as a base-3 index ([`POW3`]).
     fn recurse(&mut self, picked: u32, dropped: u32, state: usize, elapsed: Dur, onboard: u32) {
+        #[cfg(test)]
+        PLAN_NODES.with(|nodes| nodes.set(nodes.get() + 1));
         let k = self.orders.len();
         if dropped.count_ones() as usize == k {
             if elapsed < self.best_cost {
@@ -231,24 +271,35 @@ impl<C: TravelBound> Search<'_, C> {
             *seen = elapsed;
         }
         let cur = last.map(|c| self.node_of(c)).or(self.start);
-        // Every order on board still needs at least its optimistic leg from
-        // here: that must fit its deadline, and beat the incumbent.
-        let mut owed = [0; MAX_ORDERS];
-        if let Some(cur) = cur {
-            for (i, o) in self.orders.iter().enumerate() {
-                let bit = 1u32 << i;
-                if picked & bit != 0 && dropped & bit == 0 {
-                    let leg = if self.exact {
-                        self.oracle.cost(cur, o.dropoff)
-                    } else {
-                        self.oracle.lower_bound(cur, o.dropoff)
-                    };
-                    if self.now + elapsed + leg >= o.deadline || elapsed + leg >= self.best_cost {
-                        return;
-                    }
-                    owed[i] = leg;
+        // Prunes 2, 3 and 5: every order still to be dropped needs at least
+        // an optimistic leg from here — an order on board to its drop-off,
+        // a waiting one (where the bound is exact) to its pick-up and then
+        // its direct ride — which must fit its deadline, and beat the
+        // incumbent.
+        let prune_pickups = self.prunes_pickups();
+        let mut legs = [0; MAX_ORDERS];
+        for (i, o) in self.orders.iter().enumerate() {
+            let bit = 1u32 << i;
+            let (to, ride) = if picked & bit == 0 {
+                if !prune_pickups {
+                    continue;
                 }
+                (o.pickup, o.direct_cost)
+            } else if dropped & bit == 0 {
+                (o.dropoff, 0)
+            } else {
+                continue;
+            };
+            let leg = match cur {
+                Some(cur) if self.exact => self.oracle.cost(cur, to),
+                Some(cur) => self.oracle.lower_bound(cur, to),
+                None => 0,
+            };
+            let at_dropoff = elapsed + leg + ride;
+            if self.now + at_dropoff >= o.deadline || at_dropoff >= self.best_cost {
+                return;
             }
+            legs[i] = leg;
         }
         for i in 0..k {
             if self.any_route && self.best_cost < NO_ROUTE {
@@ -262,12 +313,17 @@ impl<C: TravelBound> Search<'_, C> {
                 if new_onboard > self.capacity {
                     continue;
                 }
-                // Even reaching the pick-up must leave room to meet the
-                // deadline via the direct leg.
-                let room = o.deadline - self.now - elapsed - o.direct_cost;
-                let leg = match cur {
-                    Some(cur) => self.oracle.cost_if_below(cur, o.pickup, room),
-                    None => (0 < room).then_some(0),
+                let leg = if prune_pickups {
+                    // exactly, and prune 5 found it leaves room
+                    Some(legs[i])
+                } else {
+                    // Even reaching the pick-up must leave room to meet the
+                    // deadline via the direct leg.
+                    let room = o.deadline - self.now - elapsed - o.direct_cost;
+                    match cur {
+                        Some(cur) => self.oracle.cost_if_below(cur, o.pickup, room),
+                        None => (0 < room).then_some(0),
+                    }
                 };
                 let Some(leg) = leg else { continue };
                 self.seq.push((i as u8) << 1);
@@ -282,7 +338,7 @@ impl<C: TravelBound> Search<'_, C> {
             } else if dropped & bit == 0 {
                 // try dropping off order i: the owed leg, exactly
                 let leg = match cur {
-                    Some(_) if self.exact => owed[i],
+                    Some(_) if self.exact => legs[i],
                     Some(cur) => self.oracle.cost(cur, o.dropoff),
                     None => 0,
                 };
@@ -581,5 +637,408 @@ mod tests {
     #[test]
     fn empty_group_is_none() {
         assert!(plan_min_cost(&[], 0, PlanLimits::default(), &Line).is_none());
+    }
+
+    // -----------------------------------------------------------------
+    // Prune 5 against the search without it
+    // -----------------------------------------------------------------
+
+    use crate::share_graph::pair_prefilter;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use watter_core::Optimistic;
+    use watter_road::{CityConfig, CostMatrix};
+
+    /// [`Line`] with its cost as its bound, and saying so.
+    struct ExactLine;
+    impl TravelCost for ExactLine {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            Line.cost(a, b)
+        }
+    }
+    impl TravelBound for ExactLine {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            Line.cost(a, b)
+        }
+        fn bound_is_exact(&self) -> bool {
+            true
+        }
+    }
+
+    /// Manhattan metric on a 6 × 6 lattice, ties everywhere. The bound is
+    /// the cost; `exact` is whether the oracle says so.
+    struct Lattice {
+        exact: bool,
+    }
+    impl TravelCost for Lattice {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            let (ax, ay, bx, by) = (a.0 % 6, a.0 / 6, b.0 % 6, b.0 / 6);
+            (ax.abs_diff(bx) + ay.abs_diff(by)) as Dur * 10
+        }
+    }
+    impl TravelBound for Lattice {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            self.cost(a, b)
+        }
+        fn bound_is_exact(&self) -> bool {
+            self.exact
+        }
+    }
+
+    /// The dense table's costs behind a hand-made bound, never claimed
+    /// exact: `bound(a, b, cost(a, b))`.
+    struct Bounded<'a> {
+        table: &'a CostMatrix,
+        bound: fn(NodeId, NodeId, Dur) -> Dur,
+    }
+    impl TravelCost for Bounded<'_> {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            self.table.cost(a, b)
+        }
+    }
+    impl TravelBound for Bounded<'_> {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            (self.bound)(a, b, self.cost(a, b))
+        }
+    }
+
+    /// `(pickup, dropoff, riders, deadline scale %, deadline jitter s)`.
+    type Spec = (u32, u32, u32, i64, i64);
+
+    /// Orders over `n` nodes released at 0 and priced by `oracle`, the
+    /// deadline `direct · scale / 100 + jitter` after `now`; a trip to its
+    /// own pick-up node is left out.
+    fn priced(specs: &[Spec], n: u32, now: Ts, oracle: &impl TravelCost) -> Vec<Order> {
+        let priced = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, d, riders, scale, jitter))| {
+                let (p, d) = (NodeId(p % n), NodeId(d % n));
+                let direct = oracle.cost(p, d);
+                Order {
+                    id: OrderId(i as u32),
+                    pickup: p,
+                    dropoff: d,
+                    riders,
+                    release: 0,
+                    deadline: now + direct * scale / 100 + jitter,
+                    wait_limit: direct,
+                    direct_cost: direct,
+                }
+            });
+        priced.filter(|o| o.pickup != o.dropoff).collect()
+    }
+
+    /// A generated `side × side` city of uniform blocks and its dense table.
+    fn city(side: usize, seed: u64) -> (CostMatrix, u32) {
+        let config = CityConfig {
+            width: side,
+            height: side,
+            ..CityConfig::default()
+        };
+        let graph = config.generate(seed);
+        (CostMatrix::build_serial(&graph), graph.node_count() as u32)
+    }
+
+    /// `f()` with prune 5 off (`unpruned`) or on, and the search nodes it
+    /// entered.
+    fn counted<T>(unpruned: bool, f: impl FnOnce() -> T) -> (T, usize) {
+        UNPRUNED.with(|u| u.set(unpruned));
+        PLAN_NODES.with(Cell::take);
+        let out = f();
+        UNPRUNED.with(|u| u.set(false));
+        (out, PLAN_NODES.with(Cell::take))
+    }
+
+    /// Every entry point — `plan_min_cost`, `has_route`, `plan_with_start`
+    /// — answers the same with prune 5 as without it, and enters no more
+    /// nodes: the memo entries the pruned walk never writes come from
+    /// subtrees it cut, and a node one of them would have dominated fails
+    /// prune 5 in turn (over a metric, with `direct_cost` its own leg).
+    fn check_prune<C: TravelBound>(
+        what: &str,
+        orders: &[Order],
+        start: NodeId,
+        now: Ts,
+        capacity: u32,
+        oracle: &C,
+    ) -> Result<(), TestCaseError> {
+        let refs: Vec<&Order> = orders.iter().collect();
+        let limits = PlanLimits { capacity };
+        let answers = |unpruned| {
+            counted(unpruned, || {
+                let mut scratch = PlanScratch::default();
+                (
+                    scratch.plan_min_cost(&refs, now, limits, oracle),
+                    scratch.has_route(&refs, now, limits, oracle),
+                    plan_with_start(start, &refs, now, limits, oracle),
+                )
+            })
+        };
+        let ((pruned, pruned_nodes), (plain, plain_nodes)) = (answers(false), answers(true));
+        prop_assert_eq!(&pruned, &plain, "{}", what);
+        prop_assert!(
+            pruned_nodes <= plain_nodes,
+            "{}: {} nodes with the prune, {} without",
+            what,
+            pruned_nodes,
+            plain_nodes
+        );
+        Ok(())
+    }
+
+    fn specs(orders: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Spec>> {
+        prop::collection::vec(
+            (0u32..10_000, 0u32..10_000, 1u32..4, 90i64..300, 0i64..90),
+            orders,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Two to five orders on the line (its bound declared exact), the
+        /// lattice (declared exact and not), a generated city's dense table,
+        /// and the line's zero bound seen as the pair gate's relaxed view:
+        /// there each order's direct ride exceeds the view's own leg, so
+        /// prune 5's deadline half is all that refuses an order past its
+        /// last pick-up.
+        #[test]
+        fn the_pickup_prune_changes_no_answer(
+            specs in specs(2..6),
+            start in 0u32..10_000,
+            now in 0i64..60,
+            capacity in 2u32..5,
+            seed in 0u64..300,
+        ) {
+            let line = priced(&specs, 36, now, &Line);
+            check_prune("exact line", &line, NodeId(start % 36), now, capacity, &ExactLine)?;
+            let zero = Optimistic(&Line);
+            check_prune("zero view", &line, NodeId(start % 36), now, capacity, &zero)?;
+            for exact in [true, false] {
+                let lattice = Lattice { exact };
+                let orders = priced(&specs, 36, now, &lattice);
+                check_prune("lattice", &orders, NodeId(start % 36), now, capacity, &lattice)?;
+            }
+            let (dense, n) = city(6, seed);
+            let orders = priced(&specs, n, now, &dense);
+            check_prune("dense", &orders, NodeId(start % n), now, capacity, &dense)?;
+        }
+    }
+
+    /// Admissible, and no metric: exact on a third of the pairs, silent on
+    /// the rest.
+    fn patchy_bound(a: NodeId, b: NodeId, cost: Dur) -> Dur {
+        if (a.0 + b.0).is_multiple_of(3) {
+            cost
+        } else {
+            0
+        }
+    }
+
+    /// The share graph's relaxed pair gate (`share_graph` module docs), run
+    /// over the `Optimistic` views of a zero and a patchy bound in front of
+    /// the dense table: it lets through every pair `plan_min_cost` can
+    /// route. Over the zero view, a metric, its route search also answers
+    /// what it answered without prune 5, pairs with an order already past
+    /// its last pick-up included.
+    #[test]
+    fn the_relaxed_gate_passes_every_pair_the_planner_routes() {
+        let (dense, n) = city(8, 5);
+        let zero = Bounded {
+            table: &dense,
+            bound: |_, _, _| 0,
+        };
+        let patchy = Bounded {
+            table: &dense,
+            bound: patchy_bound,
+        };
+        let specs: Vec<Spec> = (0..20u32)
+            .map(|i| {
+                (
+                    i * 37 + 5,
+                    i * 53 + 11,
+                    1 + i % 2,
+                    110 + (i as i64 * 41) % 150,
+                    10,
+                )
+            })
+            .collect();
+        let orders = priced(&specs, n, 0, &dense);
+        let limits = PlanLimits::default();
+        let mut scratch = PlanScratch::default();
+        // [routed, ruled out by the patchy gate, no zero-view route]
+        let mut seen = [0; 3];
+        for now in [0, 150, 300, 600] {
+            for a in &orders {
+                for b in orders.iter().filter(|b| b.id != a.id) {
+                    let pair = [a, b];
+                    let routed = scratch.plan_min_cost(&pair, now, limits, &dense).is_some();
+                    let mut gate = |view| {
+                        let relaxed = Optimistic(view);
+                        pair_prefilter(a, b, now, &relaxed)
+                            && scratch.has_route(&pair, now, limits, &relaxed)
+                    };
+                    let (zero_gate, patchy_gate) = (gate(&zero), gate(&patchy));
+                    assert!(
+                        zero_gate && patchy_gate || !routed,
+                        "({}, {}) at {now}",
+                        a.id,
+                        b.id
+                    );
+                    seen[1] += usize::from(!patchy_gate);
+                    let mut zero_route = |unpruned| {
+                        let relaxed = Optimistic(&zero);
+                        counted(unpruned, || scratch.has_route(&pair, now, limits, &relaxed)).0
+                    };
+                    let found = zero_route(false);
+                    assert_eq!(found, zero_route(true), "({}, {}) at {now}", a.id, b.id);
+                    seen[0] += usize::from(routed);
+                    seen[2] += usize::from(!found);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&cases| cases >= 20), "coverage {seen:?}");
+    }
+
+    /// The 10 × 10 city every planner pin is read on, and its node count.
+    fn chengdu_10() -> (CostMatrix, u32) {
+        city(10, 3)
+    }
+
+    /// Four orders across [`chengdu_10`], two of them on a tight deadline
+    /// (`tests/planner_reference.rs` pins the oracle calls of their plan).
+    fn fixed_quad(dense: &CostMatrix, n: u32) -> Vec<Order> {
+        let specs: [Spec; 4] = [
+            (3, 87, 1, 260, 0),
+            (14, 76, 1, 170, 30),
+            (25, 95, 1, 300, 0),
+            (12, 66, 1, 180, 20),
+        ];
+        let orders = priced(&specs, n, 0, dense);
+        assert_eq!(orders.len(), 4);
+        orders
+    }
+
+    /// The search nodes of the fixed quad's plan on the dense table, with
+    /// prune 5 and without: the same plan from fewer nodes.
+    #[test]
+    fn the_fixed_quad_enters_fewer_nodes_with_the_pickup_prune() {
+        let (dense, n) = chengdu_10();
+        let quad = fixed_quad(&dense, n);
+        let refs: Vec<&Order> = quad.iter().collect();
+        let plan = |unpruned| {
+            counted(unpruned, || {
+                plan_min_cost(&refs, 0, PlanLimits::default(), &dense)
+            })
+        };
+        let ((pruned, pruned_nodes), (plain, plain_nodes)) = (plan(false), plan(true));
+        assert!(pruned.is_some());
+        assert_eq!(pruned, plain);
+        assert_eq!(
+            (pruned_nodes, plain_nodes),
+            (QUAD_NODES, QUAD_NODES_UNPRUNED)
+        );
+    }
+
+    /// Search nodes of the fixed quad's plan with prune 5 …
+    const QUAD_NODES: usize = 129;
+    /// … and without it.
+    const QUAD_NODES_UNPRUNED: usize = 223;
+
+    /// An oracle that logs each query it forwards — `(was a lower_bound
+    /// call, to, the search node it was asked at)` — and says of its bound
+    /// what `exact` says.
+    struct Logged<'a> {
+        table: &'a CostMatrix,
+        exact: bool,
+        log: RefCell<Vec<(bool, NodeId, usize)>>,
+    }
+    impl<'a> Logged<'a> {
+        fn new(table: &'a CostMatrix, exact: bool) -> Self {
+            let log = RefCell::default();
+            Self { table, exact, log }
+        }
+        fn record(&self, bound: bool, to: NodeId) {
+            let node = PLAN_NODES.with(Cell::get);
+            self.log.borrow_mut().push((bound, to, node));
+        }
+    }
+    impl TravelCost for Logged<'_> {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            self.record(false, b);
+            self.table.cost(a, b)
+        }
+    }
+    impl TravelBound for Logged<'_> {
+        fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+            self.record(true, b);
+            self.table.cost(a, b)
+        }
+        fn bound_is_exact(&self) -> bool {
+            self.exact
+        }
+    }
+
+    /// Where the bound is exact the planner never calls `lower_bound`, and
+    /// asks `cost` at most once per (node, stop): every query is made in
+    /// the up-front pass of the node it is asked at, for a distinct order,
+    /// and both expansions reuse the leg that pass read. The exact path,
+    /// which prunes on pick-up legs, returns the plan of the bound path,
+    /// which does not, from no more nodes.
+    #[test]
+    fn an_exact_bound_is_asked_once_and_only_through_cost() {
+        let (dense, n) = chengdu_10();
+        let limits = PlanLimits { capacity: 4 };
+        let mut planned = [0, 0];
+        // Every 2-, 3- and 4-subset of a spread of orders on tight deadlines
+        // (feasible and not), then the fixed quad.
+        let spread: Vec<Spec> = (0..7u32)
+            .map(|i| (i * 13 + 2, i * 29 + 41, 1, 130 + (i as i64 * 37) % 120, 10))
+            .collect();
+        let spread = priced(&spread, n, 0, &dense);
+        let mut instances: Vec<Vec<&Order>> = Vec::new();
+        for mask in 1u32..1 << spread.len() {
+            if (2..=4).contains(&mask.count_ones()) {
+                let pick = |i: &usize| mask & (1 << i) != 0;
+                instances.push((0..spread.len()).filter(pick).map(|i| &spread[i]).collect());
+            }
+        }
+        let quad = fixed_quad(&dense, n);
+        instances.push(quad.iter().collect());
+        for orders in &instances {
+            let exact = Logged::new(&dense, true);
+            let (plan, nodes) = counted(false, || plan_min_cost(orders, 0, limits, &exact));
+            let bound_only = Logged::new(&dense, false);
+            let (bound_plan, bound_nodes) =
+                counted(false, || plan_min_cost(orders, 0, limits, &bound_only));
+            assert_eq!(bound_plan, plan);
+            assert!(nodes <= bound_nodes, "{nodes} nodes > {bound_nodes}");
+            let mut log = exact.log.take();
+            // Debug builds re-walk the planned route through the oracle
+            // (`Route::with_cost`'s consistency check) after the search.
+            if let Some(plan) = plan.as_ref().filter(|_| cfg!(debug_assertions)) {
+                log.truncate(log.len() - (plan.route.len() - 1));
+            }
+            assert!(
+                log.iter().all(|q| !q.0),
+                "lower_bound on an exact-bound oracle"
+            );
+            // The queries of one node go to the next stops of distinct orders,
+            // in index order.
+            let mut at = (0, 0);
+            for &(_, to, node) in &log {
+                if node != at.0 {
+                    at = (node, 0);
+                }
+                let stop_of = |o: &&Order| o.pickup == to || o.dropoff == to;
+                let Some(i) = orders[at.1..].iter().position(stop_of) else {
+                    panic!("{} orders: a second query at node {node}", orders.len());
+                };
+                at.1 += i + 1;
+            }
+            planned[plan.is_some() as usize] += 1;
+        }
+        assert!(planned[0] >= 10 && planned[1] >= 10, "coverage {planned:?}");
     }
 }

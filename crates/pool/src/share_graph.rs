@@ -31,15 +31,22 @@
 //! set of orders waiting / on board / dropped — so they pass on `R` over
 //! the view if they pass in truth, and a branch the dominance memo drops
 //! is dropped for an earlier arrival in the same state, from which the
-//! rest of `R` passes all the more. The one prune that looks ahead, the
-//! optimistic leg to an on-board order's drop-off, satisfies
-//! `lower_bound(cur, d) ≤ cost(cur, d) ≤` the true remaining ride along
-//! `R` (the *true* metric's triangle inequality). Hence the relaxed walk
+//! rest of `R` passes all the more. Two prunes look ahead. The optimistic
+//! leg to an on-board order's drop-off satisfies `lower_bound(cur, d) ≤
+//! cost(cur, d) ≤` the true remaining ride along `R` (the *true* metric's
+//! triangle inequality). The view calls its bound exact, so the walk also
+//! runs the planner's pick-up prune (prune 5 in [`crate::planner`]): for a
+//! waiting order, `lower_bound(cur, p) + direct_cost ≤ cost(cur, p) +
+//! cost(p, d) ≤` the true ride along `R` from here to its drop-off, since
+//! `direct_cost` is the true metric's `cost(p, d)` and `R` passes `p` on
+//! the way. Neither trips on a prefix of `R`, and the prune's incumbent
+//! half has no incumbent to compare against. Hence the relaxed walk
 //! reaches the end of `R` unless it stopped earlier at another route, and
 //! "no relaxed route" implies "no route". Only `lower_bound ≤ cost` and the
 //! true metric's triangle inequality are used — the bound itself need not
 //! be a metric, and a loose, zero or triangle-violating bound only makes
-//! the gate pass more pairs (`tests/accel.rs` pins each).
+//! the gate pass more pairs (`tests/accel.rs` pins each, and the planner's
+//! tests check the gate over a zero and a triangle-violating bound).
 
 use crate::planner::{Plan, PlanLimits, PlanScratch};
 use serde::{Deserialize, Serialize};

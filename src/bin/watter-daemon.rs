@@ -66,7 +66,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{
-    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats, write_report,
+    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats,
+    write_report, write_whole,
 };
 use watter::runner::{sim_config, watter_config};
 use watter_baselines::NonSharingDispatcher;
@@ -364,8 +365,8 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
                         ),
                         Some(path) => {
                             let written = write_report(path, &report).and_then(|()| {
-                                std::fs::write(
-                                    format!("{path}.prom"),
+                                write_whole(
+                                    &format!("{path}.prom"),
                                     render_prometheus(&report.obs.unwrap_or_default()),
                                 )
                             });

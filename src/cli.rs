@@ -113,6 +113,13 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
         p.seed = s;
     }
     if let Some(side) = parsed(flags, "city-side") {
+        // A generated city is at least 2 × 2 blocks; an imported one has
+        // no side.
+        if side < 2 && !flags.contains_key("import") {
+            usage_error(format!(
+                "invalid value `{side}` for `--city-side` (a generated city is at least 2)"
+            ));
+        }
         p.city_side = side;
     }
     if let Some(limit) = parsed(flags, "dense-limit") {
@@ -230,16 +237,30 @@ pub fn print_stats(
 }
 
 /// Write `report` as pretty JSON: to stdout when `dest` is `json`, else
-/// to the file `dest`.
+/// to the file `dest`, whole ([`write_whole`]).
 pub fn write_report(dest: &str, report: &RunReport) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(report).expect("a report serializes");
     if dest == "json" {
         print_stdout(&json);
         return Ok(());
     }
-    std::fs::write(dest, json)?;
+    write_whole(dest, json)?;
     eprintln!("wrote {dest}");
     Ok(())
+}
+
+/// Write `bytes` to `path` so that no reader sees part of them: into
+/// `PATH.tmp` beside it, then renamed over it. A live report is read
+/// while the daemon runs, and a file truncated in place reads empty in
+/// between. A destination that exists and is no regular file (a
+/// symlink, a pipe, a terminal) is written in place.
+pub fn write_whole(path: &str, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    if std::fs::symlink_metadata(path).is_ok_and(|m| !m.is_file()) {
+        return std::fs::write(path, bytes);
+    }
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Write `text` and a newline to stdout — every line either binary prints

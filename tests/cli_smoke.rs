@@ -318,6 +318,26 @@ fn train_subcommand_saves_loadable_model() {
     );
 }
 
+/// A generated city needs two blocks a side: `--city-side 0` or `1` on any
+/// subcommand that generates one is a usage error naming the flag, not a
+/// panic in the generator.
+#[test]
+fn a_city_side_below_two_is_a_usage_error() {
+    for sub in ["run", "orders", "graph"] {
+        for side in ["0", "1"] {
+            let out = cli()
+                .arg(sub)
+                .args(TINY)
+                .args(["--city-side", side])
+                .output()
+                .expect("spawn watter-cli");
+            assert_eq!(out.status.code(), Some(2), "{sub} {side}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("for `--city-side`"), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn unknown_usage_exits_nonzero() {
     let out = cli().output().expect("spawn watter-cli");

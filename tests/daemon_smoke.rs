@@ -540,6 +540,24 @@ fn a_bare_report_line_answers_on_stderr_and_leaves_stdout_the_stat_block() {
     );
 }
 
+/// A city side the generator cannot build (`--city-side 0` or `1`) is a
+/// usage error naming the flag, before any scenario is built.
+#[test]
+fn a_city_side_below_two_is_a_usage_error() {
+    for side in ["0", "1"] {
+        let out = daemon()
+            .args(FLAGS)
+            .args(["--city-side", side])
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn watter-daemon");
+        assert_eq!(out.status.code(), Some(2), "{side}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("for `--city-side`"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
 /// A flag the daemon does not read — never existed, or retired like
 /// `--cost-cache`, `--json`, `--kpis` and `--obs-window` —, a value that
 /// does not parse and a positional word are usage errors naming the
