@@ -90,11 +90,24 @@ pub trait TravelCost {
     fn cache_stats(&self) -> Option<OracleCacheKpis> {
         None
     }
+
+    /// `cost(a, b)` asked past any memoization layer: no cache counts the
+    /// query or keeps its answer. A check outside dispatch (the daemon's
+    /// door re-deriving an order's direct cost) asks this way, so a cache's
+    /// counters stay those of dispatch alone. Defaults to `cost`; the
+    /// cache answers from its inner oracle, and a wrapper forwards.
+    fn uncached_cost(&self, a: NodeId, b: NodeId) -> Dur {
+        self.cost(a, b)
+    }
 }
 
 impl<T: TravelCost + ?Sized> TravelCost for &T {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).cost(a, b)
+    }
+
+    fn uncached_cost(&self, a: NodeId, b: NodeId) -> Dur {
+        (**self).uncached_cost(a, b)
     }
 
     fn is_symmetric(&self) -> bool {
@@ -109,6 +122,10 @@ impl<T: TravelCost + ?Sized> TravelCost for &T {
 impl<T: TravelCost + ?Sized> TravelCost for std::sync::Arc<T> {
     fn cost(&self, a: NodeId, b: NodeId) -> Dur {
         (**self).cost(a, b)
+    }
+
+    fn uncached_cost(&self, a: NodeId, b: NodeId) -> Dur {
+        (**self).uncached_cost(a, b)
     }
 
     fn is_symmetric(&self) -> bool {

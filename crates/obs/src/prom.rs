@@ -210,8 +210,9 @@ fn valid_labels(s: &str) -> bool {
 }
 
 /// Strictly validate a Prometheus text exposition; returns the number
-/// of samples or the first offending line. Used by tests and the CI
-/// smoke to prove [`render_prometheus`]'s output stays scrapeable.
+/// of samples or the first offending line. Used by tests, the daemon's
+/// `.prom` files included, to prove [`render_prometheus`]'s output stays
+/// scrapeable.
 pub fn parse_prometheus(text: &str) -> Result<usize, String> {
     let mut samples = 0usize;
     for (lineno, raw) in text.lines().enumerate() {

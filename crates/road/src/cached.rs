@@ -193,6 +193,10 @@ impl<C: TravelCost> TravelCost for CachedOracle<C> {
         self.fold
     }
 
+    fn uncached_cost(&self, a: NodeId, b: NodeId) -> Dur {
+        self.inner.uncached_cost(a, b)
+    }
+
     fn cache_stats(&self) -> Option<OracleCacheKpis> {
         Some(OracleCacheKpis {
             hits: self.hits(),
@@ -308,6 +312,22 @@ mod tests {
         let c = CachedOracle::new(Line(Cell::new(0)), 64);
         assert_eq!(c.lower_bound(NodeId(0), NodeId(6)), 30);
         assert_eq!(c.inner().0.get(), 0);
+    }
+
+    #[test]
+    fn uncached_cost_asks_the_inner_oracle_and_counts_nothing() {
+        let c = CachedOracle::new(Line(Cell::new(0)), 64);
+        for _ in 0..2 {
+            assert_eq!(
+                (&c as &dyn TravelCost).uncached_cost(NodeId(2), NodeId(7)),
+                50
+            );
+        }
+        assert_eq!(c.inner().0.get(), 2);
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        // Nor is the answer kept: the first cached ask is a miss.
+        assert_eq!(c.cost(NodeId(2), NodeId(7)), 50);
+        assert_eq!((c.hits(), c.misses()), (0, 1));
     }
 
     #[test]

@@ -350,7 +350,7 @@ impl<'a, D: SnapshotDispatcher + DegradableDispatcher> Daemon<'a, D> {
     fn feed_order(&mut self, raw: Order) -> FeedOutcome {
         self.core
             .catch_up_to(raw.release, &mut self.dispatcher, self.oracle);
-        let order = match self.ingest.admit(raw, self.core.clock()) {
+        let order = match self.ingest.admit(raw, self.core.clock(), self.oracle) {
             Ok(order) => order,
             Err(e) => return FeedOutcome::Rejected(LineError::Invalid(e)),
         };

@@ -12,14 +12,14 @@
 //! is filtered here with [`IngestError::Expired`] rather than burning a
 //! pool insert. Orders produced by `watter-workload` scenarios satisfy
 //! every check (the generator asserts `deadline > release + direct`,
-//! positive direct cost, one rider), so a scenario fed to the daemon
-//! line by line is admitted whole — which is what makes the daemon's
-//! stats comparable to the in-process driver's (the CI chaos smoke diffs
-//! them).
+//! positive direct cost, one rider, and caches the direct cost off the
+//! scenario's own oracle), so a scenario fed to the daemon line by line
+//! is admitted whole — which is what makes the daemon's stats comparable
+//! to the in-process driver's (`tests/daemon_smoke.rs` diffs them).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use watter_core::{NodeId, Order, OrderId, Ts};
+use watter_core::{Dur, NodeId, Order, OrderId, TravelCost, Ts};
 
 /// The longest order line the door reads, in bytes. An order line is a
 /// few hundred bytes and a control line a word and a path; a longer line
@@ -82,6 +82,14 @@ pub enum IngestError {
     DegenerateTrip,
     /// Cached direct cost is not positive (corrupt or unroutable trip).
     NonPositiveDirectCost,
+    /// Cached direct cost is not the road's `cost(pickup, dropoff)`, which
+    /// the planner, the pair floors and a solo group all take it to be.
+    DirectCostMismatch {
+        /// The direct cost the order carries.
+        claimed: Dur,
+        /// The oracle's `cost(pickup, dropoff)`.
+        road: Dur,
+    },
     /// Negative wait limit.
     NegativeWaitLimit,
     /// Already unservable at its own release: `release + direct_cost >=
@@ -103,6 +111,9 @@ impl std::fmt::Display for IngestError {
             Self::NodeOutOfBounds(n) => write!(f, "node {n} out of bounds"),
             Self::DegenerateTrip => write!(f, "pick-up equals drop-off"),
             Self::NonPositiveDirectCost => write!(f, "non-positive direct cost"),
+            Self::DirectCostMismatch { claimed, road } => {
+                write!(f, "direct cost {claimed} s is not the road's {road} s")
+            }
             Self::NegativeWaitLimit => write!(f, "negative wait limit"),
             Self::Expired => write!(f, "expired before release"),
             Self::Stale { clock } => write!(f, "release precedes clock {clock}"),
@@ -126,7 +137,8 @@ pub struct IngestStats {
     pub out_of_bounds: u64,
     /// Refusals: degenerate trip.
     pub degenerate: u64,
-    /// Refusals: non-positive direct cost.
+    /// Refusals: a direct cost that is not positive, or not the road's
+    /// `cost(pickup, dropoff)`.
     pub bad_cost: u64,
     /// Refusals: negative wait limit.
     pub bad_wait: u64,
@@ -151,7 +163,9 @@ impl IngestStats {
             IngestError::ZeroRiders => self.zero_riders += 1,
             IngestError::NodeOutOfBounds(_) => self.out_of_bounds += 1,
             IngestError::DegenerateTrip => self.degenerate += 1,
-            IngestError::NonPositiveDirectCost => self.bad_cost += 1,
+            IngestError::NonPositiveDirectCost | IngestError::DirectCostMismatch { .. } => {
+                self.bad_cost += 1
+            }
             IngestError::NegativeWaitLimit => self.bad_wait += 1,
             IngestError::Expired => self.expired += 1,
             IngestError::Stale { .. } => self.stale += 1,
@@ -201,11 +215,16 @@ impl OrderIngest {
         self.stats.malformed += 1;
     }
 
-    /// Validate `order` for submission at `clock`. `Ok` admits the order
-    /// (the caller feeds it to the core); `Err` drops it, counted in
-    /// [`IngestStats`].
-    pub(crate) fn admit(&mut self, order: Order, clock: Ts) -> Result<Order, IngestError> {
-        match self.validate(&order, clock) {
+    /// Validate `order` for submission at `clock` on the road `oracle`
+    /// answers. `Ok` admits the order (the caller feeds it to the core);
+    /// `Err` drops it, counted in [`IngestStats`].
+    pub(crate) fn admit(
+        &mut self,
+        order: Order,
+        clock: Ts,
+        oracle: &dyn TravelCost,
+    ) -> Result<Order, IngestError> {
+        match self.validate(&order, clock, oracle) {
             Ok(()) => {
                 self.seen.insert(order.id);
                 self.stats.admitted += 1;
@@ -218,7 +237,12 @@ impl OrderIngest {
         }
     }
 
-    fn validate(&self, order: &Order, clock: Ts) -> Result<(), IngestError> {
+    fn validate(
+        &self,
+        order: &Order,
+        clock: Ts,
+        oracle: &dyn TravelCost,
+    ) -> Result<(), IngestError> {
         if self.seen.contains(&order.id) {
             return Err(IngestError::DuplicateId);
         }
@@ -237,6 +261,13 @@ impl OrderIngest {
         }
         if order.direct_cost <= 0 {
             return Err(IngestError::NonPositiveDirectCost);
+        }
+        let road = oracle.uncached_cost(order.pickup, order.dropoff);
+        if order.direct_cost != road {
+            return Err(IngestError::DirectCostMismatch {
+                claimed: order.direct_cost,
+                road,
+            });
         }
         if order.wait_limit < 0 {
             return Err(IngestError::NegativeWaitLimit);
@@ -297,6 +328,15 @@ pub struct IngestSnapshot {
 mod tests {
     use super::*;
 
+    /// The road of the test orders: `|a − b| × 24` s, so `order`'s trip
+    /// from node 0 to node 5 costs its direct cost of 120 s.
+    struct Line;
+    impl TravelCost for Line {
+        fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+            (a.0 as i64 - b.0 as i64).abs() * 24
+        }
+    }
+
     fn order(id: u32) -> Order {
         Order {
             id: OrderId(id),
@@ -313,7 +353,7 @@ mod tests {
     #[test]
     fn valid_order_admitted() {
         let mut ing = OrderIngest::new(IngestConfig::for_nodes(10));
-        assert!(ing.admit(order(0), 0).is_ok());
+        assert!(ing.admit(order(0), 0, &Line).is_ok());
         let s = ing.stats();
         assert_eq!((s.admitted, s.rejected), (1, 0));
     }
@@ -366,22 +406,46 @@ mod tests {
             ),
         ];
         for (o, want) in cases {
-            assert_eq!(ing.admit(o, 0).unwrap_err(), want);
+            assert_eq!(ing.admit(o, 0, &Line).unwrap_err(), want);
         }
         assert_eq!(ing.stats().rejected, 6);
         assert_eq!(ing.stats().admitted, 0);
     }
 
+    /// A direct cost raised or lowered off the road's is refused with both
+    /// values named, even with the deadline moved to keep the order
+    /// servable, and counted with the non-positive ones.
+    #[test]
+    fn a_direct_cost_off_the_road_is_refused_both_ways() {
+        let mut ing = OrderIngest::new(IngestConfig::for_nodes(10));
+        for (id, claimed) in [(1, 121), (2, 119)] {
+            let o = Order {
+                direct_cost: claimed,
+                deadline: 100 + claimed + 1,
+                ..order(id)
+            };
+            let err = ing.admit(o, 0, &Line).unwrap_err();
+            assert_eq!(err, IngestError::DirectCostMismatch { claimed, road: 120 });
+            let text = err.to_string();
+            assert!(
+                text.contains(&claimed.to_string()) && text.contains("120"),
+                "{text}"
+            );
+        }
+        let s = ing.stats();
+        assert_eq!((s.bad_cost, s.rejected, s.admitted), (2, 2, 0));
+    }
+
     #[test]
     fn stale_and_duplicate() {
         let mut ing = OrderIngest::new(IngestConfig::default());
-        assert!(ing.admit(order(7), 100).is_ok());
+        assert!(ing.admit(order(7), 100, &Line).is_ok());
         assert_eq!(
-            ing.admit(order(7), 100).unwrap_err(),
+            ing.admit(order(7), 100, &Line).unwrap_err(),
             IngestError::DuplicateId
         );
         assert_eq!(
-            ing.admit(order(8), 150).unwrap_err(),
+            ing.admit(order(8), 150, &Line).unwrap_err(),
             IngestError::Stale { clock: 150 }
         );
         let s = ing.stats();
@@ -391,7 +455,7 @@ mod tests {
     #[test]
     fn snapshot_restores_duplicate_filter_and_counters() {
         let mut ing = OrderIngest::new(IngestConfig::default());
-        assert!(ing.admit(order(1), 0).is_ok());
+        assert!(ing.admit(order(1), 0, &Line).is_ok());
         assert!(OrderIngest::parse_line("garbage").is_err());
         ing.note_malformed();
         let snap = ing.snapshot();
@@ -401,7 +465,7 @@ mod tests {
         assert_eq!(restored.stats(), ing.stats());
         // The restored stage still refuses the pre-crash admission.
         assert_eq!(
-            restored.admit(order(1), 0).unwrap_err(),
+            restored.admit(order(1), 0, &Line).unwrap_err(),
             IngestError::DuplicateId
         );
     }

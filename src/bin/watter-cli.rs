@@ -10,7 +10,6 @@
 //! watter-cli orders [scenario flags] [--import PATH] [--out PATH]
 //! watter-cli graph [scenario flags] [--import PATH] [--out PATH]
 //! watter-cli train [scenario flags] [--out model.json] [--steps N]
-//! watter-cli promcheck FILE
 //! ```
 //!
 //! The scenario flags are `--profile --orders --workers --tau --kw --eta
@@ -60,14 +59,10 @@
 //! stdout is bit-identical with or without these flags: only wall-clock
 //! stage timings differ run to run.
 //!
-//! `promcheck FILE` validates a Prometheus text-exposition file (such as
-//! the `.prom` file `watter-daemon` writes for a `#report` control
-//! line) with the crate's own parser, exiting non-zero if any line is
-//! malformed.
-//!
 //! Usage errors exit 2 naming the offender: a flag the subcommand does
 //! not read (each accepts only its own row above), a value that does not
-//! parse (`--orders abc`), a valued flag without a value, a positional
+//! parse (`--orders abc`) or that no run can honour (`--city-side 1`,
+//! `--tau 1`, `--eta -1`), a valued flag without a value, a positional
 //! word. An output file that cannot be written exits 1.
 
 #![forbid(unsafe_code)]
@@ -228,22 +223,6 @@ fn cmd_train(flags: HashMap<String, String>) {
     print_stdout(&format!("saved value function to {out}"));
 }
 
-/// Validate a Prometheus text-exposition file with the same parser the
-/// test suite uses — the CI hook for the daemon's `#report` output.
-fn cmd_promcheck(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("read {path}: {e}");
-        std::process::exit(1);
-    });
-    match watter::obs::parse_prometheus(&text) {
-        Ok(samples) => print_stdout(&format!("{path}: ok, {samples} samples")),
-        Err(e) => {
-            eprintln!("{path}: invalid Prometheus exposition: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Each subcommand's flags on top of `watter::cli`'s scenario set:
@@ -256,10 +235,9 @@ fn main() {
         Some("orders") => cmd_orders(flags(&["import", "out"])),
         Some("graph") => cmd_graph(flags(&["import", "out"])),
         Some("train") => cmd_train(flags(&["out", "steps"])),
-        Some("promcheck") if args.len() == 2 => cmd_promcheck(&args[1]),
         _ => {
             eprintln!(
-                "usage: watter-cli <run|orders|graph|train|promcheck> [--flags]  (see --help in source)"
+                "usage: watter-cli <run|orders|graph|train> [--flags]  (see --help in source)"
             );
             std::process::exit(2);
         }

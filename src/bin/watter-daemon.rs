@@ -16,15 +16,16 @@
 //! ```
 //!
 //! Usage errors exit 2 naming the offender: a flag outside this set, a
-//! value that does not parse (`--high-watermark x`), a valued flag
-//! without a value, a positional word.
+//! value that does not parse (`--high-watermark x`), a low watermark at
+//! or above the high one, a valued flag without a value, a positional
+//! word.
 //!
 //! The scenario flags build the same workers/oracle stack/grid as
 //! `watter-cli run` with identical flags (a search backend behind the
 //! cache, the dense table bare); the order *stream* comes from the input
 //! source (generate one with `watter-cli orders`). On end of input the
 //! daemon closes the stream, drains, and prints the exact stat block
-//! `watter-cli run` prints — so CI can diff a daemon run (even one
+//! `watter-cli run` prints — so a test can diff a daemon run (even one
 //! recovered from a crash) against the batch reference — and
 //! `--report` writes the same `watter_core::RunReport` document
 //! `watter-cli run --report` does (exit 1 if it cannot be written).
@@ -66,7 +67,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use watter::cli::{
-    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats,
+    append_trace_jsonl, log_oracle_build, params_of, parse_flags, parsed, print_stats, usage_error,
     write_report, write_whole,
 };
 use watter::runner::{sim_config, watter_config};
@@ -98,16 +99,14 @@ fn crash_of(flags: &HashMap<String, String>) -> Option<Crash> {
         None => None,
         Some("torn") => Some(CorruptKind::Torn),
         Some("bitflip") => Some(CorruptKind::BitFlip),
-        Some(other) => {
-            eprintln!("unknown corruption kind `{other}` (expected torn|bitflip)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format!(
+            "unknown corruption kind `{other}` (expected torn|bitflip)"
+        )),
     };
     match parsed(flags, "fault-crash-after") {
         Some(after) => Some(Crash { after, corrupt }),
         None if corrupt.is_some() => {
-            eprintln!("--fault-corrupt requires --fault-crash-after");
-            std::process::exit(2);
+            usage_error("`--fault-corrupt` requires `--fault-crash-after`".into())
         }
         None => None,
     }
@@ -256,10 +255,9 @@ fn daemon_config(flags: &HashMap<String, String>) -> DaemonConfig {
         Some("block") | None => cfg.policy = BackpressurePolicy::Block,
         Some("shed") => cfg.policy = BackpressurePolicy::Shed,
         Some("degrade") => cfg.policy = BackpressurePolicy::Degrade,
-        Some(other) => {
-            eprintln!("unknown backpressure policy `{other}` (expected block|shed|degrade)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format!(
+            "unknown backpressure policy `{other}` (expected block|shed|degrade)"
+        )),
     }
     if let Some(n) = parsed(flags, "high-watermark") {
         cfg.high_watermark = n;
@@ -268,6 +266,19 @@ fn daemon_config(flags: &HashMap<String, String>) -> DaemonConfig {
     if let Some(n) = parsed(flags, "low-watermark") {
         cfg.low_watermark = n;
     }
+    // Backpressure engages at the high watermark and lets go at the low
+    // one: a low one at or above the high one lets go as it engages.
+    if cfg.low_watermark >= cfg.high_watermark {
+        let key = if flags.contains_key("low-watermark") {
+            "low-watermark"
+        } else {
+            "high-watermark"
+        };
+        usage_error(format!(
+            "invalid value `{}` for `--{key}` (the low watermark must be below the high one)",
+            flags[key]
+        ));
+    }
     cfg
 }
 
@@ -275,10 +286,10 @@ fn daemon_config(flags: &HashMap<String, String>) -> DaemonConfig {
 fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
     scenario: &Scenario,
     flags: &HashMap<String, String>,
+    cfg: DaemonConfig,
     algo_name: &str,
     dispatcher: D,
 ) {
-    let cfg = daemon_config(flags);
     let scripted_crash = crash_of(flags);
     let ingest_cfg = IngestConfig::for_nodes(scenario.graph.node_count());
     let keep = parsed(flags, "ckpt-keep").unwrap_or(3);
@@ -296,8 +307,7 @@ fn serve<D: SnapshotDispatcher + DegradableDispatcher>(
 
     let mut daemon = if flags.contains_key("resume") {
         let Some(store) = store else {
-            eprintln!("--resume requires --ckpt-dir");
-            std::process::exit(2);
+            usage_error("`--resume` requires `--ckpt-dir`".into());
         };
         let daemon =
             Daemon::resume_or_new(store, workers, sim, dispatcher, oracle, ingest_cfg, cfg)
@@ -468,6 +478,7 @@ fn main() {
     let flags = parse_flags(&args, OWN_FLAGS);
     install_sigterm();
     let params = params_of(&flags);
+    let cfg = daemon_config(&flags);
     let scenario = Scenario::build(params);
     log_oracle_build(&scenario);
     let algo = flags
@@ -479,6 +490,7 @@ fn main() {
         "online" => serve(
             &scenario,
             &flags,
+            cfg,
             &algo,
             WatterDispatcher::new(watter_config(&scenario), OnlinePolicy),
         ),
@@ -486,12 +498,11 @@ fn main() {
             let check_period = scenario.params.check_period;
             let policy = TimeoutPolicy { check_period };
             let dispatcher = WatterDispatcher::new(watter_config(&scenario), policy);
-            serve(&scenario, &flags, &algo, dispatcher)
+            serve(&scenario, &flags, cfg, &algo, dispatcher)
         }
-        "nonshare" => serve(&scenario, &flags, &algo, NonSharingDispatcher::new()),
-        other => {
-            eprintln!("unknown algo `{other}` (daemon supports online|timeout|nonshare)");
-            std::process::exit(2);
-        }
+        "nonshare" => serve(&scenario, &flags, cfg, &algo, NonSharingDispatcher::new()),
+        other => usage_error(format!(
+            "unknown algo `{other}` (daemon supports online|timeout|nonshare)"
+        )),
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Both front ends must agree *exactly* on how flags map to a
 //! [`ScenarioParams`] — the daemon is fed order lines generated by
-//! `watter-cli orders` from the same flags, and the CI chaos smoke diffs
-//! the daemon's final stat block against `watter-cli run`'s. Keeping the
+//! `watter-cli orders` from the same flags, and `tests/daemon_smoke.rs`
+//! diffs the daemon's final stat block against `watter-cli run`'s. Keeping the
 //! parsing and the stat printer in one place makes that agreement
 //! structural instead of copy-paste luck.
 
@@ -34,7 +34,7 @@ const SCENARIO_FLAGS: &[&str] = &[
 const SWITCHES: &[&str] = &["obs", "no-obs", "resume"];
 
 /// A usage error: say why on stderr and exit 2.
-fn usage_error(msg: String) -> ! {
+pub fn usage_error(msg: String) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
@@ -100,13 +100,26 @@ pub fn params_of(flags: &HashMap<String, String>) -> ScenarioParams {
     if let Some(m) = parsed(flags, "workers") {
         p.n_workers = m;
     }
-    if let Some(t) = parsed(flags, "tau") {
+    if let Some(t) = parsed::<f64>(flags, "tau") {
+        // A deadline of `release + τ·direct` at τ ≤ 1 leaves no order
+        // servable: the daemon's door refuses every one as expired.
+        if !(t.is_finite() && t > 1.0) {
+            usage_error(format!(
+                "invalid value `{t}` for `--tau` (a deadline scale is finite and above 1)"
+            ));
+        }
         p.deadline_scale = t;
     }
     if let Some(k) = parsed(flags, "kw") {
         p.max_capacity = k;
     }
-    if let Some(e) = parsed(flags, "eta") {
+    if let Some(e) = parsed::<f64>(flags, "eta") {
+        // The daemon's door refuses a negative wait limit.
+        if !(e.is_finite() && e >= 0.0) {
+            usage_error(format!(
+                "invalid value `{e}` for `--eta` (a wait scale is finite and not negative)"
+            ));
+        }
         p.wait_scale = e;
     }
     if let Some(s) = parsed(flags, "seed") {
@@ -193,8 +206,8 @@ pub fn log_oracle_build(scenario: &Scenario) {
 }
 
 /// Print the canonical run-stat block, then honour `--report json|PATH`.
-/// `watter-cli run` and `watter-daemon` both end exactly this way, so CI
-/// can diff a recovered daemon run against a batch reference line for
+/// `watter-cli run` and `watter-daemon` both end exactly this way, so a
+/// test can diff a recovered daemon run against a batch reference line for
 /// line (dropping only the wall-clock `running time` row). The block goes
 /// to stdout, except under `--report json`: then the JSON document owns
 /// stdout and the block goes to stderr. `oracle_desc` is the run's
