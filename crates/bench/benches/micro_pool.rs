@@ -5,9 +5,10 @@
 //! infeasible four-order plan, one `best_group_for`, and the one that
 //! follows the departure of its winner's partner) on each oracle stack,
 //! one share-graph insert at pool depth 100 on each stack, one whole pool
-//! insert at that depth on the bare contraction hierarchy, and at pool
-//! depth 1 000 one periodic check with nothing due, one best-group
-//! search for every pooled order and one dispatch of a best group.
+//! insert at that depth on the bare contraction hierarchy, every pair of
+//! thirty orders planned on the dense table, and at pool depth 1 000 one
+//! periodic check with nothing due, one best-group search for every pooled
+//! order, one dispatch of a best group and one whole arrival.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -70,11 +71,14 @@ fn infeasible_quad<C: TravelBound>(
 /// deadlines across the 10×10 city's dense table, planned at 0: the spread
 /// the planner's query-count test plans, feasible and infeasible sets
 /// mixed, the set sizes an arrival's clique walk plans.
+///
+/// Then every pair among thirty such orders (435 plans): the pair search
+/// alone, as the share graph's insert and an arrival's walk run it.
 fn bench_subsets(c: &mut Criterion) {
     let graph = CityProfile::Chengdu.city_config(10).generate(3);
     let dense = CostMatrix::build(&graph);
     let n = graph.node_count() as u32;
-    let spread: Vec<Order> = (0..7u32)
+    let spread: Vec<Order> = (0..30u32)
         .map(|i| {
             let (p, d) = (NodeId((i * 13 + 2) % n), NodeId((i * 29 + 41) % n));
             let direct = dense.cost(p, d);
@@ -90,15 +94,21 @@ fn bench_subsets(c: &mut Criterion) {
             }
         })
         .collect();
-    let subsets: Vec<Vec<&Order>> = (1u32..1 << spread.len())
+    let seven = &spread[..7];
+    let subsets: Vec<Vec<&Order>> = (1u32..1 << seven.len())
         .filter(|mask| (2..=4).contains(&mask.count_ones()))
         .map(|mask| {
-            let picked = spread
+            let picked = seven
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| mask & (1 << i) != 0);
             picked.map(|(_, o)| o).collect()
         })
+        .collect();
+    let pairs: Vec<[&Order; 2]> = spread
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| spread[i + 1..].iter().map(move |b| [a, b]))
         .collect();
     let limits = PlanLimits { capacity: 4 };
     let mut g = c.benchmark_group("pool");
@@ -107,6 +117,14 @@ fn bench_subsets(c: &mut Criterion) {
             let plans = subsets
                 .iter()
                 .map(|s| plan_min_cost(black_box(s), 0, limits, &dense));
+            plans.filter(Option::is_some).count()
+        })
+    });
+    g.bench_function("plan_pair/dense", |b| {
+        b.iter(|| {
+            let plans = pairs
+                .iter()
+                .map(|pair| plan_min_cost(black_box(pair), 0, limits, &dense));
             plans.filter(Option::is_some).count()
         })
     });
@@ -355,10 +373,13 @@ fn bench_check(c: &mut Criterion) {
     let mut pool = OrderPool::new(pool_config(&s));
     let mut next_check = s.orders[0].release;
     let mut now = next_check;
+    // The orders after the last one pooled.
+    let mut arrivals = &s.orders[..];
     for o in &s.orders {
         if pool.len() >= 1_000 {
             break;
         }
+        arrivals = &arrivals[1..];
         now = o.release;
         while next_check <= now {
             let dead = pool.maintain(next_check, &oracle);
@@ -419,6 +440,24 @@ fn bench_check(c: &mut Criterion) {
             let mut p = fresh.pop().expect("one clone per iteration");
             p.remove_orders(&gone, now, &oracle);
             spent.push(p);
+        })
+    });
+    drop(spent);
+    // Update event 1 at that depth: one arrival — the pair filter against
+    // every pooled order, then the clique walk offering its groups — each
+    // iteration on a clone of its own, the next order of the stream at
+    // that instant.
+    let mut fresh: Vec<OrderPool> = (0..=samples).map(|_| pool.clone()).collect();
+    let mut spent = Vec::with_capacity(fresh.len());
+    let mut next = 0;
+    g.bench_function("pool_insert_depth1000/dense", |b| {
+        b.iter(|| {
+            let mut p = fresh.pop().expect("one clone per iteration");
+            p.insert(arrivals[next % arrivals.len()].clone(), now, &oracle);
+            next += 1;
+            let groups = p.stats().groups_enumerated;
+            spent.push(p);
+            groups
         })
     });
     g.finish();

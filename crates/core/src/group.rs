@@ -166,7 +166,7 @@ impl Group {
     /// (Definition 5).
     #[inline]
     pub fn detour(&self, idx: usize) -> Dur {
-        (self.subroute_costs[idx] - self.orders[idx].direct_cost).max(0)
+        detour(&self.orders[idx], self.subroute_costs[idx])
     }
 
     /// Detour times of all members, aligned with `orders`.
@@ -174,22 +174,10 @@ impl Group {
         (0..self.orders.len()).map(|i| self.detour(i))
     }
 
-    /// Extra time `t_e^(i) = α·t_d + β·t_r` of member `i` if the group is
-    /// dispatched at `now` (Definition 6).
-    pub(crate) fn extra_time_of(&self, idx: usize, now: Ts, w: CostWeights) -> f64 {
-        let o = &self.orders[idx];
-        w.extra_time(self.detour(idx), o.response_at(now))
-    }
-
     /// Mean extra time `t̄_e` over members if dispatched at `now`.
     pub fn mean_extra_time(&self, now: Ts, w: CostWeights) -> f64 {
-        if self.orders.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = (0..self.orders.len())
-            .map(|i| self.extra_time_of(i, now, w))
-            .sum();
-        sum / self.orders.len() as f64
+        let members = self.orders.iter().map(AsRef::as_ref);
+        mean_extra_time(members.zip(self.subroute_costs.iter().copied()), now, w)
     }
 
     /// Latest dispatch timestamp such that every member still meets its
@@ -220,6 +208,31 @@ impl Group {
             expires_at: self.expires_at,
         }
     }
+}
+
+/// Detour `t_d = T(L^(i)) − cost(l_p, l_d)` of `order` on a sub-route of
+/// `subroute_cost`, clamped at 0 (Definition 5).
+fn detour(order: &Order, subroute_cost: Dur) -> Dur {
+    (subroute_cost - order.direct_cost).max(0)
+}
+
+/// Mean extra time `t̄_e` of `members` — each an order with its sub-route
+/// cost `T(L^(i))` — if dispatched at `now`; 0 for none. It is
+/// [`Group::mean_extra_time`] over the group's members, so a caller holding
+/// a plan but no group yet gets the same `f64`.
+pub fn mean_extra_time<'a>(
+    members: impl ExactSizeIterator<Item = (&'a Order, Dur)>,
+    now: Ts,
+    w: CostWeights,
+) -> f64 {
+    let n = members.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let sum: f64 = members
+        .map(|(o, sub)| w.extra_time(detour(o, sub), o.response_at(now)))
+        .sum();
+    sum / n as f64
 }
 
 #[cfg(test)]

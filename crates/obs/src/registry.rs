@@ -43,9 +43,12 @@ pub enum Stage {
     PoolInsert,
     /// Candidate-partner prefilter (lower-bound gate).
     PairFilter,
-    /// Clique subtree enumeration.
+    /// Clique subtree enumeration, with the group plans it makes; an
+    /// arrival's also spans offering each group to its members.
     CliqueSearch,
-    /// Commit one dispatch decision to the fleet.
+    /// Commit one dispatch decision to the fleet: timed only for commits
+    /// that could happen, while some worker is idle — on a saturated fleet
+    /// an attempt fails at once and records no sample.
     DecisionCommit,
     /// Cost-cache hits (lookup only).
     OracleCacheHit,

@@ -9,10 +9,22 @@
 //! (re)computed): candidates are its live neighbours, ranked by pair route
 //! cost and truncated to a configurable fan-out so that dense hot spots do
 //! not blow up the search. Within that candidate set we grow id-ordered
-//! cliques up to the maximum group size. One `Walk` does it for both
-//! callers: [`all_groups_for`] takes every feasible group,
-//! [`best_group_for`] only the ones that could still beat the best it
-//! holds.
+//! cliques up to the maximum group size. One `Walk` does it for every
+//! caller, each through its visitor: [`all_groups_for`] takes every
+//! feasible group, [`best_group_for`] only the ones that could still beat
+//! the best it holds, and an arrival
+//! ([`OrderPool::insert`](crate::OrderPool::insert)) offers each group to
+//! its members the moment the walk finds it. A visitor is handed the set's
+//! plan and its members' handles, not a group: it reads the mean extra
+//! time off the plan ([`Group::mean_extra_time`]'s own arithmetic, the
+//! same `f64`) and builds a [`Group`] only for a set it keeps.
+//!
+//! A member set is a bitmask of candidate ranks (`u32`), so the walk's
+//! memo of planned sets — keyed by it under a one-multiplication hash —
+//! and its adjacency test cost a few word operations. A fan-out wider than
+//! the mask ([`MAX_FAN_OUT`]) is refused when the pool is built
+//! ([`OrderPool::new`](crate::OrderPool::new)) and by the walk itself,
+//! never aliased.
 //!
 //! # Feasibility is monotone
 //!
@@ -30,8 +42,9 @@
 //!
 //! # Pairs planned by the insert
 //!
-//! An arrival's walk ([`all_groups_for`], called by
-//! [`OrderPool::insert`](crate::OrderPool::insert)) runs right after
+//! An arrival's walk — [`all_groups_for`]'s, which
+//! [`OrderPool::insert`](crate::OrderPool::insert) runs with its offering
+//! visitor — runs right after
 //! [`ShareGraph::insert`] planned the arrival's pair with every pooled
 //! order: at the same `now`, with the same limits and oracle, on the slice
 //! `[arrival, neighbour]` — the walk's own member order for a pair. Those
@@ -125,6 +138,7 @@
 use crate::planner::{Plan, PlanLimits, PlanScratch};
 use crate::share_graph::{links, Node, ShareGraph};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::iter::once;
 use std::sync::Arc;
 use watter_core::{CostWeights, Dur, Group, Order, OrderId, TravelBound, Ts};
@@ -197,21 +211,20 @@ pub fn all_groups_for<C: TravelBound>(
     pairs: Vec<(OrderId, Plan)>,
 ) -> Vec<Group> {
     let mut out = Vec::new();
-    let mut walk = Walk::new(center, graph, now, limits, clique, oracle);
-    walk.seed(pairs);
-    walk.run(&mut out);
+    Walk::arrival(center, graph, now, limits, clique, oracle, pairs).run(&mut out);
     out
 }
 
 /// Who a walk reports to.
-trait Visitor {
+pub(crate) trait Visitor {
     /// Whether a member set still matters when every group over it has a
     /// mean extra time of at least `bound(weights)`. Asked before the set
     /// is planned; `bound` costs nothing unless called.
     fn wants(&self, bound: impl FnOnce(CostWeights) -> f64) -> bool;
 
-    /// A feasible group over a wanted set, in walk order.
-    fn group(&mut self, group: Group);
+    /// A feasible set the visitor wants, in walk order: its plan and its
+    /// members' handles in member order, the slice the plan was made for.
+    fn group(&mut self, plan: Plan, members: &[&Arc<Order>]);
 }
 
 /// Every group.
@@ -220,8 +233,8 @@ impl Visitor for Vec<Group> {
         true
     }
 
-    fn group(&mut self, group: Group) {
-        self.push(group);
+    fn group(&mut self, plan: Plan, members: &[&Arc<Order>]) {
+        self.push(plan.into_group(handles(members)));
     }
 }
 
@@ -241,12 +254,18 @@ impl Visitor for Best {
         }
     }
 
-    fn group(&mut self, group: Group) {
-        let mean = group.mean_extra_time(self.now, self.weights);
+    fn group(&mut self, plan: Plan, members: &[&Arc<Order>]) {
+        let mean = plan.mean_extra_time(members, self.now, self.weights);
         if self.incumbent.as_ref().is_none_or(|(b, _)| mean < *b) {
-            self.incumbent = Some((mean, group));
+            self.incumbent = Some((mean, plan.into_group(handles(members))));
         }
     }
+}
+
+/// Owned handles of `members`, a group's order list (a refcount bump
+/// each).
+pub(crate) fn handles(members: &[&Arc<Order>]) -> Vec<Arc<Order>> {
+    members.iter().map(|&o| Arc::clone(o)).collect()
 }
 
 /// Live neighbours of `center` ranked by `(pair route cost, id)` and
@@ -339,28 +358,67 @@ fn pair_floors<C: TravelBound>(a: &Order, b: &Order, now: Ts, oracle: &C) -> (Du
     floors
 }
 
+/// A member set: bit `r` for the candidate of rank `r`. The centre, rank
+/// 0, is in every set and has no bit.
+type Members = u32;
+
+/// The widest clique fan-out ([`CliqueLimits::max_neighbors`]) a walk
+/// takes: a member set (`u32`) has a bit for each candidate rank.
+pub const MAX_FAN_OUT: usize = Members::BITS as usize - 1;
+
+/// The ranks in `set`, ascending.
+fn ranks_in(set: Members) -> impl Iterator<Item = usize> + Clone {
+    let mut rest = set;
+    std::iter::from_fn(move || {
+        let rank = (rest != 0).then(|| rest.trailing_zeros() as usize);
+        rest &= rest.wrapping_sub(1);
+        rank
+    })
+}
+
 /// The ranks of a member set, centre first — the member order of the
 /// groups the walk emits.
-fn ranks(members: &[usize]) -> impl Iterator<Item = usize> + Clone + '_ {
-    once(0).chain(members.iter().copied())
+fn ranks(members: Members) -> impl Iterator<Item = usize> + Clone {
+    once(0).chain(ranks_in(members))
+}
+
+/// Hashes a member set with one multiplication: the memo's keys are small
+/// integers that no adversary picks, and SipHash's keyed rounds buy them
+/// nothing. The product is rotated so that the low bits, which pick the
+/// bucket, come from its well-mixed high half.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a member set hashes as one u32")
+    }
+
+    fn write_u32(&mut self, set: u32) {
+        self.0 = u64::from(set).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// One depth-first walk over the cliques containing the centre: try
-/// extending the member set with each candidate after its last member, emit
-/// every feasible group the visitor wants, and descend below every set not
-/// known to be infeasible. Groups are emitted in that order and list their
-/// members in it (centre first, then ascending candidate rank), whatever
-/// order the plans were made in.
-struct Walk<'a, C: TravelBound> {
+/// extending the member set with each candidate after its last member,
+/// report every feasible set the visitor wants, and descend below every
+/// set not known to be infeasible. Sets are reported in that order and
+/// list their members in it (centre first, then ascending candidate rank),
+/// whatever order the plans were made in.
+pub(crate) struct Walk<'a, C: TravelBound> {
     /// The orders the walk concerns, by **rank**: the centre, then its
-    /// candidates as ranked. `n = orders.len()` sizes the two tables.
-    /// Building them makes one graph lookup per candidate: its node holds
-    /// the order and the edge list `adjacent` is read from.
+    /// candidates as ranked. Building them makes one graph lookup per
+    /// candidate: its node holds the order and the edge list `adjacent` is
+    /// read from.
     orders: Vec<&'a Arc<Order>>,
-    /// `adjacent[u * n + v]` for candidate ranks `u < v`: whether the graph
-    /// joins them, asked once (every candidate is joined to the centre).
-    /// Empty when groups stop at pairs: nothing reads it then.
-    adjacent: Vec<bool>,
+    /// `adjacent[v]`: the candidate ranks the graph joins to `v`, asked
+    /// once (every candidate is joined to the centre). All empty when
+    /// groups stop at pairs: nothing reads them then.
+    adjacent: Vec<Members>,
     /// `floors[u * n + v]`: `u`'s detour floor in the pair `{u, v}`,
     /// [`UNKNOWN`] until a bound needs it; empty until the first bound.
     floors: Vec<Dur>,
@@ -368,18 +426,20 @@ struct Walk<'a, C: TravelBound> {
     limits: PlanLimits,
     max_group_size: usize,
     oracle: &'a C,
-    /// The member set under construction: ranks after the centre,
-    /// ascending.
-    members: Vec<usize>,
-    /// Every set planned (or ruled out) so far, keyed like `members` — a
-    /// list, so no fan-out is too wide for the key.
-    memo: HashMap<Vec<usize>, Verdict>,
+    /// The member set under construction.
+    members: Members,
+    /// Every set planned (or ruled out) so far.
+    memo: HashMap<Members, Verdict, BuildHasherDefault<MulHasher>>,
     /// The planner's view of a set, rebuilt per plan without allocating.
     refs: Vec<&'a Order>,
+    /// The visitor's view of a set, rebuilt per report without allocating.
+    handles: Vec<&'a Arc<Order>>,
     scratch: PlanScratch,
 }
 
 impl<'a, C: TravelBound> Walk<'a, C> {
+    /// # Panics
+    /// If `clique` asks for a fan-out wider than [`MAX_FAN_OUT`].
     fn new(
         center: &'a Arc<Order>,
         graph: &'a ShareGraph,
@@ -388,17 +448,24 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         clique: CliqueLimits,
         oracle: &'a C,
     ) -> Self {
+        assert!(
+            clique.max_neighbors <= MAX_FAN_OUT,
+            "a clique fan-out of {} exceeds the walk's {MAX_FAN_OUT}",
+            clique.max_neighbors
+        );
         let candidates: Vec<&Node> = ranked_candidates(center, graph, now, clique).collect();
         let orders: Vec<&Arc<Order>> = once(center)
             .chain(candidates.iter().map(|c| &c.order))
             .collect();
         let n = orders.len();
-        let mut adjacent = Vec::new();
+        let mut adjacent = vec![0; n];
         if clique.max_group_size > 2 {
-            adjacent.resize(n * n, false);
             for (u, cand) in (1..).zip(&candidates) {
                 for v in u + 1..n {
-                    adjacent[u * n + v] = links(&cand.edges, orders[v].id);
+                    if links(&cand.edges, orders[v].id) {
+                        adjacent[u] |= 1 << v;
+                        adjacent[v] |= 1 << u;
+                    }
                 }
             }
         }
@@ -410,14 +477,31 @@ impl<'a, C: TravelBound> Walk<'a, C> {
             limits,
             max_group_size: clique.max_group_size,
             oracle,
-            members: Vec::with_capacity(clique.max_group_size),
-            memo: HashMap::new(),
+            members: 0,
+            memo: HashMap::default(),
             refs: Vec::with_capacity(clique.max_group_size),
+            handles: Vec::with_capacity(clique.max_group_size),
             scratch: PlanScratch::default(),
         }
     }
 
-    fn run(mut self, visit: &mut impl Visitor) {
+    /// The walk of an arrival (see [`all_groups_for`]), seeded with
+    /// `pairs`.
+    pub(crate) fn arrival(
+        center: &'a Arc<Order>,
+        graph: &'a ShareGraph,
+        now: Ts,
+        limits: PlanLimits,
+        clique: CliqueLimits,
+        oracle: &'a C,
+        pairs: Vec<(OrderId, Plan)>,
+    ) -> Self {
+        let mut walk = Self::new(center, graph, now, limits, clique, oracle);
+        walk.seed(pairs);
+        walk
+    }
+
+    pub(crate) fn run(mut self, visit: &mut impl Visitor) {
         self.extend(1, self.orders[0].riders, visit);
     }
 
@@ -441,8 +525,13 @@ impl<'a, C: TravelBound> Walk<'a, C> {
                 "the pair plan handed to {:?}'s walk for {j:?} is not the walk's own",
                 self.orders[0].id
             );
-            self.memo.insert(vec![rank], Verdict::Feasible(Some(plan)));
+            self.memo.insert(1 << rank, Verdict::Feasible(Some(plan)));
         }
+    }
+
+    /// The member set's size, centre included.
+    fn size(&self) -> usize {
+        self.members.count_ones() as usize + 1
     }
 
     /// Try each candidate from rank `from` on as the next member; `riders`
@@ -453,37 +542,37 @@ impl<'a, C: TravelBound> Walk<'a, C> {
                 continue;
             }
             let riders = riders + self.orders[rank].riders;
-            self.members.push(rank);
+            self.members |= 1 << rank;
             // The set's floor sum, if its bound is asked: the cut's too.
             let mut sum = None;
             let wanted = visit.wants(|weights| {
                 #[cfg(test)]
                 WALK_BOUNDS.with(|bounded| bounded.set(bounded.get() + 1));
-                *sum.insert(self.floor_sum(weights)) / (self.members.len() + 1) as f64
+                *sum.insert(self.floor_sum(weights)) / self.size() as f64
             });
             let feasible = if wanted {
-                let feasible = self.feasible();
+                let feasible = self.feasible(self.members);
                 if feasible {
                     let Some(Verdict::Feasible(plan)) = self.memo.get_mut(&self.members) else {
                         unreachable!("feasible() records its verdict");
                     };
                     let plan = plan.take().expect("the walk reaches each set once");
-                    visit.group(plan.into_group(self.group_orders()));
+                    visit.group(plan, self.handles());
                 }
                 Some(feasible)
             } else {
                 debug_assert!(
-                    self.plan().is_none_or(|plan| {
-                        let group = plan.into_group(self.group_orders());
-                        !visit.wants(|weights| group.mean_extra_time(self.now, weights))
+                    self.plan(self.members).is_none_or(|plan| {
+                        let (now, members) = (self.now, self.handles());
+                        !visit.wants(|weights| plan.mean_extra_time(members, now, weights))
                     }),
                     "{:?} + {:?} was skipped on its bound, yet its group matters",
                     self.orders[0].id,
-                    self.members
+                    ranks_in(self.members).collect::<Vec<_>>()
                 );
                 None
             };
-            if self.members.len() + 1 < self.max_group_size
+            if self.size() < self.max_group_size
                 && feasible != Some(false)
                 && self.wants_below(rank + 1, riders, sum, visit)
                 // A skipped set is unplanned, so possibly feasible ("The
@@ -493,7 +582,7 @@ impl<'a, C: TravelBound> Walk<'a, C> {
             {
                 self.extend(rank + 1, riders, visit);
             }
-            self.members.pop();
+            self.members &= !(1 << rank);
         }
     }
 
@@ -524,7 +613,7 @@ impl<'a, C: TravelBound> Walk<'a, C> {
                         cut <= bound,
                         "{:?} + {:?}: bound {bound} below the cut {cut} above it",
                         walk.orders[0].id,
-                        walk.members
+                        ranks_in(walk.members).collect::<Vec<_>>()
                     );
                 });
             }
@@ -532,66 +621,68 @@ impl<'a, C: TravelBound> Walk<'a, C> {
         wanted
     }
 
-    /// Whether `self.members` has a feasible route, planning it at most
-    /// once — and not at all when one of its subsets is already known (or
-    /// now found) to have none.
-    fn feasible(&mut self) -> bool {
-        if let Some(verdict) = self.memo.get(&self.members) {
+    /// Whether `set` has a feasible route, planning it at most once — and
+    /// not at all when one of its subsets is already known (or now found)
+    /// to have none.
+    fn feasible(&mut self, set: Members) -> bool {
+        if let Some(verdict) = self.memo.get(&set) {
             return matches!(verdict, Verdict::Feasible(_));
         }
-        let gated = self.members.len() >= 2
-            && (0..self.members.len()).any(|at| {
-                let left_out = self.members.remove(at);
-                let subset_feasible = self.feasible();
-                self.members.insert(at, left_out);
-                !subset_feasible
-            });
+        let gated = set.count_ones() >= 2
+            && ranks_in(set).any(|left_out| !self.feasible(set & !(1 << left_out)));
         let plan = if gated {
             debug_assert!(
-                self.plan().is_none(),
+                self.plan(set).is_none(),
                 "{:?} + {:?} has a route although a subset has none",
                 self.orders[0].id,
-                self.members
+                ranks_in(set).collect::<Vec<_>>()
             );
             None
         } else {
-            self.plan()
+            self.plan(set)
         };
         let feasible = plan.is_some();
         let verdict = plan.map_or(Verdict::Infeasible, |p| Verdict::Feasible(Some(p)));
-        self.memo.insert(self.members.clone(), verdict);
+        self.memo.insert(set, verdict);
         feasible
     }
 
-    /// Plan `self.members` (centre first).
-    fn plan(&mut self) -> Option<Plan> {
+    /// Plan `set` (centre first).
+    fn plan(&mut self, set: Members) -> Option<Plan> {
         #[cfg(test)]
         WALK_PLANS.with(|made| made.set(made.get() + 1));
         self.refs.clear();
-        let set = ranks(&self.members);
-        self.refs.extend(set.map(|rank| self.orders[rank].as_ref()));
+        self.refs
+            .extend(ranks(set).map(|rank| self.orders[rank].as_ref()));
         self.scratch
             .plan_min_cost(&self.refs, self.now, self.limits, self.oracle)
+    }
+
+    /// The member handles, centre first.
+    fn handles(&mut self) -> &[&'a Arc<Order>] {
+        self.handles.clear();
+        self.handles
+            .extend(ranks(self.members).map(|rank| self.orders[rank]));
+        &self.handles
     }
 
     /// The lower bound on the mean extra time of every group over
     /// `self.members` (module docs), filling the floors it reads.
     fn bound(&mut self, weights: CostWeights) -> f64 {
-        self.floor_sum(weights) / (self.members.len() + 1) as f64
+        self.floor_sum(weights) / self.size() as f64
     }
 
     /// The numerator of [`Walk::bound`]: `Σ α·L_u + β·t_r(u)` over the
     /// members, in member order.
     fn floor_sum(&mut self, weights: CostWeights) -> f64 {
-        for at in 0..self.members.len() {
-            let v = self.members[at];
+        for v in ranks_in(self.members) {
             self.floor(0, v);
-            for before in 0..at {
-                self.floor(self.members[before], v);
+            for before in ranks_in(self.members & ((1 << v) - 1)) {
+                self.floor(before, v);
             }
         }
         let n = self.orders.len();
-        let set = ranks(&self.members);
+        let set = ranks(self.members);
         set.clone()
             .map(|u| {
                 let others = set.clone().filter(|&v| v != u);
@@ -637,7 +728,7 @@ impl<'a, C: TravelBound> Walk<'a, C> {
             least = least.min(weights.extra_time(floor, response));
             eligible += 1;
         }
-        let size = self.members.len() + 1;
+        let size = self.size();
         let (mut sum, mut cut) = (sum, f64::INFINITY);
         for added in 1..=(self.max_group_size - size).min(eligible) {
             sum += least;
@@ -650,9 +741,8 @@ impl<'a, C: TravelBound> Walk<'a, C> {
     /// seated, to a larger clique iff it fits beside them and is adjacent
     /// to every member.
     fn extends(&self, rank: usize, riders: u32) -> bool {
-        let n = self.orders.len();
         riders + self.orders[rank].riders <= self.limits.capacity
-            && self.members.iter().all(|&m| self.adjacent[m * n + rank])
+            && self.members & !self.adjacent[rank] == 0
     }
 
     /// Call `visit` with the walk and the head count on every set below
@@ -664,19 +754,13 @@ impl<'a, C: TravelBound> Walk<'a, C> {
                 continue;
             }
             let riders = riders + self.orders[rank].riders;
-            self.members.push(rank);
+            self.members |= 1 << rank;
             visit(self, riders);
-            if self.members.len() + 1 < self.max_group_size {
+            if self.size() < self.max_group_size {
                 self.each_below(rank + 1, riders, visit);
             }
-            self.members.pop();
+            self.members &= !(1 << rank);
         }
-    }
-
-    /// The member handles as a group's order list (a refcount bump each).
-    fn group_orders(&self) -> Vec<Arc<Order>> {
-        let set = ranks(&self.members);
-        set.map(|rank| Arc::clone(self.orders[rank])).collect()
     }
 }
 
@@ -1133,7 +1217,7 @@ mod tests {
                     let mut walk = Walk::new(center, &graph, now, limits(), clique, &oracle);
                     for group in &groups {
                         let rank = |o: &Arc<Order>| walk.orders.iter().position(|w| w.id == o.id);
-                        walk.members = group.orders[1..].iter().map(|o| rank(o).unwrap()).collect();
+                        walk.members = group.orders[1..].iter().fold(0, |set, o| set | 1 << rank(o).unwrap());
                         for (alpha, beta) in [(1.0, 1.0), (0.7, 1.3), (2.5, 0.1), (0.0, 1.0)] {
                             let weights = CostWeights { alpha, beta };
                             let (bound, mean) = (walk.bound(weights), group.mean_extra_time(now, weights));
@@ -1197,30 +1281,35 @@ mod tests {
                     let groups = all_groups_for(center, &graph, now, limits(), clique, &oracle, Vec::new());
                     let mut walk = Walk::new(center, &graph, now, limits(), clique, &oracle);
                     let rank = |o: &Arc<Order>| walk.orders.iter().position(|w| w.id == o.id).unwrap();
-                    let routed: HashMap<Vec<usize>, &Group> = groups
+                    let routed: HashMap<Members, &Group> = groups
                         .iter()
-                        .map(|g| (g.orders[1..].iter().map(rank).collect(), g))
+                        .map(|g| (g.orders[1..].iter().fold(0, |set, o| set | 1 << rank(o)), g))
                         .collect();
                     let mut sets = Vec::new();
                     walk.each_below(1, center.riders, &mut |walk, riders| {
-                        sets.push((walk.members.clone(), riders));
+                        sets.push((walk.members, riders));
                     });
-                    for (above, riders) in &sets {
-                        let from = above.last().unwrap() + 1;
+                    for &(above, riders) in &sets {
+                        // One past the highest rank in `above`: a set below
+                        // it adds ranks from there on.
+                        let from = (Members::BITS - above.leading_zeros()) as usize;
+                        let is_below = |t: Members| {
+                            t != above && t & above == above && (t & !above).trailing_zeros() as usize >= from
+                        };
                         for (alpha, beta) in WEIGHTS {
                             let weights = CostWeights { alpha, beta };
-                            walk.members = above.clone();
+                            walk.members = above;
                             let sum = walk.floor_sum(weights);
-                            let cut = walk.subtree_bound(weights, sum, from, *riders);
-                            for (below, _) in sets.iter().filter(|(t, _)| t.len() > above.len() && t.starts_with(above)) {
-                                walk.members = below.clone();
+                            let cut = walk.subtree_bound(weights, sum, from, riders);
+                            for &(below, _) in sets.iter().filter(|&&(t, _)| is_below(t)) {
+                                walk.members = below;
                                 let bound = walk.bound(weights);
                                 prop_assert!(
                                     cut <= bound,
                                     "{:?} at {}: {:?} cut at {} but {:?} bounded at {} under {:?}",
                                     id, now, above, cut, below, bound, weights
                                 );
-                                if let Some(group) = routed.get(below) {
+                                if let Some(group) = routed.get(&below) {
                                     let mean = group.mean_extra_time(now, weights);
                                     prop_assert!(cut <= mean, "{:?} at {}: {:?} cut at {} above a mean {}", id, now, above, cut, mean);
                                 }

@@ -37,7 +37,7 @@
 //!    cost. A free-start root reads the leg as 0.
 //!
 //! 2–5 lean on the oracle being a shortest-path metric (the
-//! [`TravelCost`](watter_core::TravelCost) contract). For 5: by the
+//! [`TravelCost`] contract). For 5: by the
 //! triangle inequality no completion reaches the waiting order's pick-up
 //! sooner than the leg from here, so the deadline half — the pick-up's own
 //! room test, read at the node instead of at the expansion — fails at
@@ -50,11 +50,12 @@
 //!
 //! What "optimistic leg" costs depends on the backend, and the backend
 //! says which ([`TravelBound::bound_is_exact`], read once per plan). When
-//! the bound *is* the cost (the dense table) the node's up-front pass —
-//! prunes 2, 3 and 5 — asks every leg through `cost()`, where a cache in
-//! front sees it, and the pick-up or drop-off expansion that follows
-//! reuses it: one query per (node, stop) and no `lower_bound` call at all.
-//! Otherwise (ALT, CH) the landmark bound drives prunes 2 and 3, and a
+//! the bound *is* the cost (the dense table, the share graph's relaxed
+//! view) the node's up-front pass — prunes 2, 3 and 5 — asks every leg
+//! through `cost()`, where a cache in front sees it, and the pick-up or
+//! drop-off expansion that follows reuses it: one query per (node, stop),
+//! for a pair one per leg ("The pair tree"), and no `lower_bound` call at
+//! all. Otherwise (ALT, CH) the landmark bound drives prunes 2 and 3, and a
 //! pick-up is expanded through [`TravelBound::cost_if_below`], so a leg
 //! whose bound already leaves no room for the order's direct ride costs no
 //! exact query; prune 5 would cost a bound per waiting order per node
@@ -72,9 +73,41 @@
 //! records nothing but that it got there. The shareability graph asks that
 //! question of the bounds alone before it lets a pair near the exact
 //! oracle (see [`crate::share_graph`]).
+//!
+//! # The pair tree
+//!
+//! Most plans are pairs: every candidate of an arrival's share-graph
+//! insert, and every pair of its clique walk. A pair from a free start
+//! where the bound is exact has a fixed search tree — the root, `[p_a]`
+//! and `[p_b]`, then six leaves:
+//!
+//! ```text
+//! p_a ─ d_a ─ p_b ─ d_b          p_b ─ p_a ─ d_a ─ d_b
+//!     └ p_b ─ d_a ─ d_b              │     └ d_b ─ d_a
+//!           └ d_b ─ d_a              └ d_b ─ p_a ─ d_a
+//! ```
+//!
+//! with no dominance memo (a pair is outside `MEMO_SIZES`). `PairTree`
+//! walks it unrolled: one function per level, the children of each node in
+//! the search's index order, the same up-front checks at each node in the
+//! same order — prune 5 with its incumbent half, so an order whose
+//! `direct_cost` is not the metric's leg is cut where the search cuts it —
+//! and the same early return of a yes/no walk. Checks the search repeats
+//! at a node (a drop-off's deadline after the up-front pass read it; one
+//! order's seats, which the quick reject read) are made once. Hence it
+//! enters the search's nodes, cuts where it cuts and meets the leaves in
+//! its order: it returns the search's route, cost and sub-route costs,
+//! tie-break included. Each of the ten legs between the four stops is read
+//! from the oracle at most once, into a 4 × 4 table, and nothing is
+//! allocated but the returned [`Plan`]. Debug builds run the search on a
+//! view of that table after every pair the tree answers and assert the
+//! same answer: a leg the tree did not read fails there too.
 
 use std::sync::Arc;
-use watter_core::{Dur, Group, NodeId, Order, Route, Stop, TravelBound, Ts};
+use watter_core::group::mean_extra_time;
+use watter_core::{
+    CostWeights, Dur, Group, NodeId, Order, Route, Stop, TravelBound, TravelCost, Ts,
+};
 
 /// A planned route together with what the search learnt on the way.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,6 +126,13 @@ impl Plan {
     pub fn into_group<O: Into<Arc<Order>>>(self, orders: Vec<O>) -> Group {
         let orders = orders.into_iter().map(Into::into).collect();
         Group::from_subroute_costs(orders, self.route, self.subroute_costs)
+    }
+
+    /// The mean extra time at `now` of the group [`Plan::into_group`]
+    /// would make of `orders`, without making it: the same `f64`.
+    pub(crate) fn mean_extra_time(&self, orders: &[&Arc<Order>], now: Ts, w: CostWeights) -> f64 {
+        let members = orders.iter().map(|o| o.as_ref());
+        mean_extra_time(members.zip(self.subroute_costs.iter().copied()), now, w)
     }
 }
 
@@ -167,6 +207,11 @@ impl PlanScratch {
         limits: PlanLimits,
         oracle: &C,
     ) -> Option<Plan> {
+        if let Some(pair) = PairTree::of(orders, now, limits, oracle, false) {
+            let tree = self.walk_checked(pair)?;
+            let found = (&tree.best_seq[..], &tree.best_drop_at[..], tree.best_cost);
+            return Some(assemble(None, orders, found, oracle).0);
+        }
         plan_impl(None, orders, now, limits, oracle, self).map(|(plan, _)| plan)
     }
 
@@ -180,7 +225,42 @@ impl PlanScratch {
         limits: PlanLimits,
         oracle: &C,
     ) -> bool {
+        if let Some(pair) = PairTree::of(orders, now, limits, oracle, true) {
+            return self.walk_checked(pair).is_some();
+        }
         search(None, orders, now, limits, oracle, self, true).is_some()
+    }
+
+    /// Walk `tree`; `Some` iff it found a route. Debug builds run the
+    /// search on the legs the tree read and assert the same answer.
+    fn walk_checked<'a, C: TravelBound>(
+        &mut self,
+        tree: PairTree<'a, C>,
+    ) -> Option<PairTree<'a, C>> {
+        let tree = tree.walk();
+        if cfg!(debug_assertions) {
+            let (orders, view) = (tree.orders, ReadLegs(&tree));
+            let limits = PlanLimits {
+                capacity: tree.capacity,
+            };
+            let searched = search(None, &orders, tree.now, limits, &view, self, tree.any_route)
+                .map(|s| (s.best_cost, s.best_seq, s.best_drop_at[..2].to_vec()));
+            let walked = (tree.best_cost < NO_ROUTE).then(|| {
+                (
+                    tree.best_cost,
+                    tree.best_seq.to_vec(),
+                    tree.best_drop_at.to_vec(),
+                )
+            });
+            if tree.any_route {
+                // A yes/no search records the cost of its first route only.
+                let (searched, walked) = (searched.map(|s| s.0), walked.map(|w| w.0));
+                assert_eq!(searched, walked, "{orders:?} at {}", tree.now);
+            } else {
+                assert_eq!(searched, walked, "{orders:?} at {}", tree.now);
+            }
+        }
+        (tree.best_cost < NO_ROUTE).then_some(tree)
     }
 }
 
@@ -192,6 +272,23 @@ fn is_dropoff(code: u8) -> bool {
 #[inline]
 fn order_of(code: u8) -> usize {
     (code >> 1) as usize
+}
+#[inline]
+fn pickup(i: usize) -> u8 {
+    (i as u8) << 1
+}
+#[inline]
+fn dropoff(i: usize) -> u8 {
+    pickup(i) | 1
+}
+
+/// The node of `o`'s stop `code`.
+fn node_of(o: &Order, code: u8) -> NodeId {
+    if is_dropoff(code) {
+        o.dropoff
+    } else {
+        o.pickup
+    }
 }
 
 struct Search<'a, C: TravelBound> {
@@ -224,12 +321,7 @@ struct Search<'a, C: TravelBound> {
 
 impl<C: TravelBound> Search<'_, C> {
     fn node_of(&self, code: u8) -> NodeId {
-        let o = self.orders[order_of(code)];
-        if is_dropoff(code) {
-            o.dropoff
-        } else {
-            o.pickup
-        }
+        node_of(self.orders[order_of(code)], code)
     }
 
     /// Whether a node reads each waiting order's pick-up leg up front and
@@ -326,7 +418,7 @@ impl<C: TravelBound> Search<'_, C> {
                     }
                 };
                 let Some(leg) = leg else { continue };
-                self.seq.push((i as u8) << 1);
+                self.seq.push(pickup(i));
                 self.recurse(
                     picked | bit,
                     dropped,
@@ -346,7 +438,7 @@ impl<C: TravelBound> Search<'_, C> {
                 if self.now + new_elapsed >= o.deadline {
                     continue;
                 }
-                self.seq.push(((i as u8) << 1) | 1);
+                self.seq.push(dropoff(i));
                 self.drop_at[i] = new_elapsed;
                 self.recurse(
                     picked,
@@ -358,6 +450,230 @@ impl<C: TravelBound> Search<'_, C> {
                 self.seq.pop();
             }
         }
+    }
+}
+
+/// Stop codes of a pair: each order's pick-up and drop-off.
+const PAIR_STOPS: usize = 4;
+
+/// A leg of the pair tree's table not read yet.
+const UNREAD: Dur = Dur::MIN;
+
+/// The search over two orders from a free start where the bound is exact,
+/// unrolled (module docs, "The pair tree").
+struct PairTree<'a, C: TravelBound> {
+    orders: [&'a Order; 2],
+    oracle: &'a C,
+    now: Ts,
+    capacity: u32,
+    /// Yes/no mode, as in [`Search`].
+    any_route: bool,
+    /// `legs[from][to]` by stop code, read through `cost()` when first
+    /// asked, [`UNREAD`] until then.
+    legs: [[Dur; PAIR_STOPS]; PAIR_STOPS],
+    best_cost: Dur,
+    best_seq: [u8; PAIR_STOPS],
+    /// Elapsed time at each order's drop-off on the incumbent.
+    best_drop_at: [Dur; 2],
+}
+
+impl<'a, C: TravelBound> PairTree<'a, C> {
+    /// The tree for `orders` from a free start (its callers' model), if
+    /// their search is one: two orders, and a bound that is the cost (in
+    /// unit tests, prune 5 on too).
+    fn of(
+        orders: &[&'a Order],
+        now: Ts,
+        limits: PlanLimits,
+        oracle: &'a C,
+        any_route: bool,
+    ) -> Option<Self> {
+        #[cfg(test)]
+        if UNPRUNED.with(Cell::get) {
+            return None;
+        }
+        let &[a, b] = orders else { return None };
+        oracle.bound_is_exact().then_some(Self {
+            orders: [a, b],
+            oracle,
+            now,
+            capacity: limits.capacity,
+            any_route,
+            legs: [[UNREAD; PAIR_STOPS]; PAIR_STOPS],
+            best_cost: NO_ROUTE,
+            best_seq: [0; PAIR_STOPS],
+            best_drop_at: [0; 2],
+        })
+    }
+
+    fn node_of(&self, code: u8) -> NodeId {
+        node_of(self.orders[order_of(code)], code)
+    }
+
+    fn leg(&mut self, from: u8, to: u8) -> Dur {
+        if self.legs[from as usize][to as usize] == UNREAD {
+            let leg = self.oracle.cost(self.node_of(from), self.node_of(to));
+            self.legs[from as usize][to as usize] = leg;
+        }
+        self.legs[from as usize][to as usize]
+    }
+
+    /// The search's up-front check of order `i` (prunes 2, 3 and 5) at a
+    /// node entered at `elapsed` from stop `cur` (`None`: the free start):
+    /// the leg to its next stop if its drop-off can still make the
+    /// deadline and beat the incumbent from there, else `None`.
+    fn fits(&mut self, cur: Option<u8>, elapsed: Dur, i: usize, on_board: bool) -> Option<Dur> {
+        let o = self.orders[i];
+        let (to, ride) = if on_board {
+            (dropoff(i), 0)
+        } else {
+            (pickup(i), o.direct_cost)
+        };
+        let leg = cur.map_or(0, |cur| self.leg(cur, to));
+        let at_dropoff = elapsed + leg + ride;
+        (self.now + at_dropoff < o.deadline && at_dropoff < self.best_cost).then_some(leg)
+    }
+
+    /// Whether a yes/no walk has its answer: the search returns before
+    /// each further child.
+    fn answered(&self) -> bool {
+        self.any_route && self.best_cost < NO_ROUTE
+    }
+
+    /// The root: both direct rides fit; then each order picked up first,
+    /// `a` before `b`.
+    fn walk(mut self) -> Self {
+        if self.orders.iter().all(|o| o.riders <= self.capacity)
+            && self.fits(None, 0, 0, false).is_some()
+            && self.fits(None, 0, 1, false).is_some()
+        {
+            self.first(0);
+            if !self.answered() {
+                self.first(1);
+            }
+        }
+        self
+    }
+
+    /// Node `[p_x]`. Its children in index order: for `x` its drop-off
+    /// ([`PairTree::alone`]), for the other its pick-up
+    /// ([`PairTree::aboard`]).
+    fn first(&mut self, x: usize) {
+        if 0 >= self.best_cost {
+            return;
+        }
+        let Some(leg_a) = self.fits(Some(pickup(x)), 0, 0, x == 0) else {
+            return;
+        };
+        let Some(leg_b) = self.fits(Some(pickup(x)), 0, 1, x == 1) else {
+            return;
+        };
+        let legs = [leg_a, leg_b];
+        for i in 0..2 {
+            if self.answered() {
+                return;
+            }
+            if i == x {
+                self.alone(x, legs[x]);
+            } else if self.orders[0].riders + self.orders[1].riders <= self.capacity {
+                self.aboard(x, legs[i]);
+            }
+        }
+    }
+
+    /// Node `[p_x, d_x]`, entered at `elapsed`: `x` served, the other
+    /// still waiting.
+    fn alone(&mut self, x: usize, elapsed: Dur) {
+        let y = 1 - x;
+        if elapsed >= self.best_cost {
+            return;
+        }
+        let Some(leg) = self.fits(Some(dropoff(x)), elapsed, y, false) else {
+            return;
+        };
+        let mut drop_at = [0; 2];
+        drop_at[x] = elapsed;
+        self.last(
+            y,
+            [pickup(x), dropoff(x), pickup(y)],
+            elapsed + leg,
+            drop_at,
+        );
+    }
+
+    /// Node `[p_x, p_y]`, entered at `elapsed`: both on board, `a`
+    /// dropped first, then `b`.
+    fn aboard(&mut self, x: usize, elapsed: Dur) {
+        let cur = pickup(1 - x);
+        if elapsed >= self.best_cost {
+            return;
+        }
+        let Some(leg_a) = self.fits(Some(cur), elapsed, 0, true) else {
+            return;
+        };
+        let Some(leg_b) = self.fits(Some(cur), elapsed, 1, true) else {
+            return;
+        };
+        for (z, leg) in [(0, leg_a), (1, leg_b)] {
+            if self.answered() {
+                return;
+            }
+            let mut drop_at = [0; 2];
+            drop_at[z] = elapsed + leg;
+            self.last(1 - z, [pickup(x), cur, dropoff(z)], elapsed + leg, drop_at);
+        }
+    }
+
+    /// Node `seq`, entered at `elapsed`: `z` on board, the other dropped
+    /// at `drop_at`. Its one child is the leaf, which `fits` leaves
+    /// strictly cheaper than the incumbent.
+    fn last(&mut self, z: usize, seq: [u8; 3], elapsed: Dur, mut drop_at: [Dur; 2]) {
+        if elapsed >= self.best_cost {
+            return;
+        }
+        let Some(leg) = self.fits(Some(seq[2]), elapsed, z, true) else {
+            return;
+        };
+        drop_at[z] = elapsed + leg;
+        self.best_cost = elapsed + leg;
+        self.best_seq = [seq[0], seq[1], seq[2], dropoff(z)];
+        self.best_drop_at = drop_at;
+    }
+}
+
+/// The legs a [`PairTree`] read, as an exact-bound oracle: the debug
+/// builds' search over the tree's pair asks it, and a leg the tree did not
+/// read panics.
+struct ReadLegs<'t, 'a, C: TravelBound>(&'t PairTree<'a, C>);
+
+impl<C: TravelBound> TravelCost for ReadLegs<'_, '_, C> {
+    fn cost(&self, a: NodeId, b: NodeId) -> Dur {
+        let tree = self.0;
+        let codes =
+            || (0..PAIR_STOPS as u8).flat_map(|f| (0..PAIR_STOPS as u8).map(move |t| (f, t)));
+        codes()
+            .map(|(f, t)| {
+                (
+                    tree.node_of(f),
+                    tree.node_of(t),
+                    tree.legs[f as usize][t as usize],
+                )
+            })
+            .find(|&(from, to, leg)| (from, to) == (a, b) && leg != UNREAD)
+            .map(|(.., leg)| leg)
+            .unwrap_or_else(|| {
+                panic!("the search asks for the leg {a:?} → {b:?} the pair tree skipped")
+            })
+    }
+}
+
+impl<C: TravelBound> TravelBound for ReadLegs<'_, '_, C> {
+    fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
+        self.cost(a, b)
+    }
+
+    fn bound_is_exact(&self) -> bool {
+        true
     }
 }
 
@@ -448,8 +764,20 @@ fn plan_impl<C: TravelBound>(
 ) -> Option<(Plan, Dur)> {
     let k = orders.len();
     let s = search(start, orders, now, limits, oracle, scratch, false)?;
-    let stops: Vec<Stop> = s
-        .best_seq
+    let found = (&s.best_seq[..], &s.best_drop_at[..k], s.best_cost);
+    Some(assemble(start, orders, found, oracle))
+}
+
+/// The plan a search ended on, `(stop codes, each order's drop-off time,
+/// cost)` with the approach leg from `start` counted in both, and its
+/// total cost.
+fn assemble<C: TravelBound>(
+    start: Option<NodeId>,
+    orders: &[&Order],
+    (seq, drop_at, total): (&[u8], &[Dur], Dur),
+    oracle: &C,
+) -> (Plan, Dur) {
+    let stops: Vec<Stop> = seq
         .iter()
         .map(|&code| {
             let o = orders[order_of(code)];
@@ -460,25 +788,24 @@ fn plan_impl<C: TravelBound>(
             }
         })
         .collect();
-    let total = s.best_cost;
     // Elapsed times include the approach leg when a start node was given;
     // `Route::cost()` and the sub-route costs measure from the first stop.
     let approach = match (start, stops.first()) {
         (Some(st), Some(first)) => oracle.cost(st, first.node),
         _ => 0,
     };
-    let subroute_costs = s.best_drop_at[..k].iter().map(|at| at - approach).collect();
+    let subroute_costs = drop_at.iter().map(|at| at - approach).collect();
     let plan = Plan {
         route: Route::with_cost(stops, total - approach, oracle),
         subroute_costs,
     };
-    Some((plan, total))
+    (plan, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watter_core::{NodeId, OrderId, TravelCost};
+    use watter_core::OrderId;
 
     /// 1-D metric: |a−b| × 10 s.
     struct Line;
@@ -836,6 +1163,78 @@ mod tests {
         }
     }
 
+    /// Every ordered pair of `orders`: the pair tree's `plan_min_cost`
+    /// against the search's (`plan_impl`, which never takes the tree) —
+    /// stops, cost and sub-route costs —, and its `has_route` against the
+    /// search's yes/no.
+    fn check_pair_tree<C: TravelBound>(
+        what: &str,
+        orders: &[Order],
+        now: Ts,
+        capacity: u32,
+        oracle: &C,
+    ) -> Result<(), TestCaseError> {
+        let limits = PlanLimits { capacity };
+        let mut scratch = PlanScratch::default();
+        for a in orders {
+            for b in orders.iter().filter(|b| b.id != a.id) {
+                let pair = [a, b];
+                let walked = scratch.plan_min_cost(&pair, now, limits, oracle);
+                let searched = plan_impl(None, &pair, now, limits, oracle, &mut scratch);
+                prop_assert_eq!(
+                    walked,
+                    searched.map(|(plan, _)| plan),
+                    "{}: {:?}",
+                    what,
+                    pair
+                );
+                let routed = scratch.has_route(&pair, now, limits, oracle);
+                let searched = search(None, &pair, now, limits, oracle, &mut scratch, true);
+                prop_assert_eq!(routed, searched.is_some(), "{}: {:?}", what, pair);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The pair tree answers what the search answers: on the line (its
+        /// bound declared exact), the exact lattice, a generated city's
+        /// dense table, and the relaxed views of a zero and a patchy bound
+        /// over that table; and once more with each order's `direct_cost`
+        /// moved off the metric's leg, where prune 5's incumbent half cuts
+        /// routes a cheaper completion would have beaten.
+        #[test]
+        fn the_pair_tree_answers_what_the_search_answers(
+            specs in specs(2..7),
+            skews in prop::collection::vec(-60i64..60, 6..7),
+            now in 0i64..60,
+            capacity in 1u32..5,
+            seed in 0u64..300,
+        ) {
+            let (dense, n) = city(6, seed);
+            let patchy = Bounded { table: &dense, bound: patchy_bound };
+            for skewed in [false, true] {
+                let price = |oracle: &dyn TravelCost, nodes| {
+                    let mut orders = priced(&specs, nodes, now, &oracle);
+                    for (o, skew) in orders.iter_mut().zip(&skews).filter(|_| skewed) {
+                        o.direct_cost = (o.direct_cost + skew).max(0);
+                    }
+                    orders
+                };
+                let line = price(&Line, 36);
+                check_pair_tree("exact line", &line, now, capacity, &ExactLine)?;
+                check_pair_tree("zero view", &line, now, capacity, &Optimistic(&Line))?;
+                let lattice = Lattice { exact: true };
+                check_pair_tree("lattice", &price(&lattice, 36), now, capacity, &lattice)?;
+                let orders = price(&dense, n);
+                check_pair_tree("dense", &orders, now, capacity, &dense)?;
+                check_pair_tree("patchy view", &orders, now, capacity, &Optimistic(&patchy))?;
+            }
+        }
+    }
+
     /// The share graph's relaxed pair gate (`share_graph` module docs), run
     /// over the `Optimistic` views of a zero and a patchy bound in front of
     /// the dense table: it lets through every pair `plan_min_cost` can
@@ -947,32 +1346,32 @@ mod tests {
     const QUAD_NODES_UNPRUNED: usize = 223;
 
     /// An oracle that logs each query it forwards — `(was a lower_bound
-    /// call, to, the search node it was asked at)` — and says of its bound
-    /// what `exact` says.
+    /// call, from, to, the search node it was asked at)` — and says of its
+    /// bound what `exact` says.
     struct Logged<'a> {
         table: &'a CostMatrix,
         exact: bool,
-        log: RefCell<Vec<(bool, NodeId, usize)>>,
+        log: RefCell<Vec<(bool, NodeId, NodeId, usize)>>,
     }
     impl<'a> Logged<'a> {
         fn new(table: &'a CostMatrix, exact: bool) -> Self {
             let log = RefCell::default();
             Self { table, exact, log }
         }
-        fn record(&self, bound: bool, to: NodeId) {
+        fn record(&self, bound: bool, from: NodeId, to: NodeId) {
             let node = PLAN_NODES.with(Cell::get);
-            self.log.borrow_mut().push((bound, to, node));
+            self.log.borrow_mut().push((bound, from, to, node));
         }
     }
     impl TravelCost for Logged<'_> {
         fn cost(&self, a: NodeId, b: NodeId) -> Dur {
-            self.record(false, b);
+            self.record(false, a, b);
             self.table.cost(a, b)
         }
     }
     impl TravelBound for Logged<'_> {
         fn lower_bound(&self, a: NodeId, b: NodeId) -> Dur {
-            self.record(true, b);
+            self.record(true, a, b);
             self.table.cost(a, b)
         }
         fn bound_is_exact(&self) -> bool {
@@ -980,12 +1379,13 @@ mod tests {
         }
     }
 
-    /// Where the bound is exact the planner never calls `lower_bound`, and
-    /// asks `cost` at most once per (node, stop): every query is made in
-    /// the up-front pass of the node it is asked at, for a distinct order,
-    /// and both expansions reuse the leg that pass read. The exact path,
-    /// which prunes on pick-up legs, returns the plan of the bound path,
-    /// which does not, from no more nodes.
+    /// Where the bound is exact the planner never calls `lower_bound`. A
+    /// pair asks `cost` at most once per leg between two of its stops (the
+    /// pair tree's table); a larger set at most once per (node, stop):
+    /// every query is made in the up-front pass of the node it is asked
+    /// at, for a distinct order, and both expansions reuse the leg that
+    /// pass read. The exact path, which prunes on pick-up legs, returns the
+    /// plan of the bound path, which does not, from no more nodes.
     #[test]
     fn an_exact_bound_is_asked_once_and_only_through_cost() {
         let (dense, n) = chengdu_10();
@@ -1024,18 +1424,34 @@ mod tests {
                 log.iter().all(|q| !q.0),
                 "lower_bound on an exact-bound oracle"
             );
-            // The queries of one node go to the next stops of distinct orders,
-            // in index order.
-            let mut at = (0, 0);
-            for &(_, to, node) in &log {
-                if node != at.0 {
-                    at = (node, 0);
+            if let [a, b] = orders[..] {
+                // No more reads of a node pair than legs between the pair's
+                // stops that join those nodes (stops may share a node).
+                let stops = [a.pickup, a.dropoff, b.pickup, b.dropoff];
+                for &(_, from, to, _) in &log {
+                    let reads = log.iter().filter(|q| (q.1, q.2) == (from, to)).count();
+                    let legs = (0..4).flat_map(|f| (0..4).map(move |t| (f, t)));
+                    let legs = legs.filter(|&(f, t)| f != t && (stops[f], stops[t]) == (from, to));
+                    assert!(
+                        reads <= legs.count(),
+                        "{from:?} -> {to:?} read {reads} times"
+                    );
                 }
-                let stop_of = |o: &&Order| o.pickup == to || o.dropoff == to;
-                let Some(i) = orders[at.1..].iter().position(stop_of) else {
-                    panic!("{} orders: a second query at node {node}", orders.len());
-                };
-                at.1 += i + 1;
+                assert!(log.len() <= 10);
+            } else {
+                // The queries of one node go to the next stops of distinct
+                // orders, in index order.
+                let mut at = (0, 0);
+                for &(_, _, to, node) in &log {
+                    if node != at.0 {
+                        at = (node, 0);
+                    }
+                    let stop_of = |o: &&Order| o.pickup == to || o.dropoff == to;
+                    let Some(i) = orders[at.1..].iter().position(stop_of) else {
+                        panic!("{} orders: a second query at node {node}", orders.len());
+                    };
+                    at.1 += i + 1;
+                }
             }
             planned[plan.is_some() as usize] += 1;
         }

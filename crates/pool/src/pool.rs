@@ -6,9 +6,12 @@
 //! the four update events of Section IV-B:
 //!
 //! 1. **order arrival** — the arriving order's cliques are enumerated once,
-//!    on the pair plans its share-graph insert made; every member of an
-//!    enumerated group whose mean extra time beats its current best adopts
-//!    the new group;
+//!    on the pair plans its share-graph insert made, and each feasible one
+//!    is offered to its members the moment the walk finds it: every member
+//!    whose current best it beats on mean extra time adopts it. The walk
+//!    never reads the map, so offering as it goes updates the map as
+//!    offering afterwards, in walk order, would; and a group is built only
+//!    once a member adopts it;
 //! 2. **order departure** (dispatch/rejection) — orders whose best group
 //!    contained a departed member are recomputed, found among its
 //!    neighbours (invariant I, see [`OrderPool`]);
@@ -20,15 +23,16 @@
 //! ([`best_group_for`]): it wants one winner, so once it holds a group it
 //! plans no member set whose mean extra time provably cannot get below
 //! that group's (see [`crate::cliques`], "The bound"). Event 1 has to offer
-//! every group to every member and enumerates them all.
+//! every group to every member and enumerates them all
+//! (`Offers::wants` says so).
 //!
 //! Best-group rankings are stable over time between structural events:
 //! every pooled order's response time grows at 1 s/s, so each group's mean
 //! extra time grows at exactly `β` s/s and comparisons are time-invariant.
 //! This is what makes caching `Gb` sound.
 
-use crate::cliques::{all_groups_for, best_group_for, CliqueLimits};
-use crate::planner::PlanLimits;
+use crate::cliques::{best_group_for, handles, CliqueLimits, Visitor, Walk, MAX_FAN_OUT};
+use crate::planner::{Plan, PlanLimits};
 use crate::share_graph::{links, PairEdge, ShareGraph};
 use crate::snapshot::{BestSnapshot, EdgeSnapshot, PoolSnapshot, RestoreError};
 use serde::{Deserialize, Serialize};
@@ -84,9 +88,58 @@ pub struct OrderPool {
     recorder: Recorder,
 }
 
+/// An arrival's walk visitor (update event 1): offers each group to its
+/// members as the walk finds it.
+struct Offers<'p> {
+    best: &'p mut BTreeMap<OrderId, Group>,
+    now: Ts,
+    weights: CostWeights,
+    /// Groups offered so far ([`PoolStats::groups_enumerated`]).
+    offered: u64,
+}
+
+impl Visitor for Offers<'_> {
+    /// Every set: each group is offered to all its members, so none may go
+    /// unplanned. A bound that no member's best could beat would let the
+    /// walk skip it.
+    fn wants(&self, _bound: impl FnOnce(CostWeights) -> f64) -> bool {
+        true
+    }
+
+    /// Each member whose best the group beats adopts it; the group is
+    /// built for the first and shared with the rest.
+    fn group(&mut self, plan: Plan, members: &[&Arc<Order>]) {
+        self.offered += 1;
+        let mean = plan.mean_extra_time(members, self.now, self.weights);
+        let (mut plan, mut group) = (Some(plan), None);
+        for m in members {
+            let better = match self.best.get(&m.id) {
+                Some(cur) => mean < cur.mean_extra_time(self.now, self.weights),
+                None => true,
+            };
+            if better {
+                let group = group.get_or_insert_with(|| {
+                    let plan = plan.take().expect("built once");
+                    plan.into_group(handles(members))
+                });
+                self.best.insert(m.id, group.clone());
+            }
+        }
+    }
+}
+
 impl OrderPool {
     /// Create an empty pool.
+    ///
+    /// # Panics
+    /// If `cfg.clique` asks for a fan-out wider than [`MAX_FAN_OUT`]: the
+    /// clique walk keys member sets by candidate rank in a fixed width.
     pub fn new(cfg: PoolConfig) -> Self {
+        assert!(
+            cfg.clique.max_neighbors <= MAX_FAN_OUT,
+            "a clique fan-out of {} exceeds the widest the walk takes, {MAX_FAN_OUT}",
+            cfg.clique.max_neighbors
+        );
         Self {
             cfg,
             ..Self::default()
@@ -109,8 +162,8 @@ impl OrderPool {
     }
 
     /// Attach an observability recorder; the pool times its hot-path
-    /// stages (pair prefilter, clique search with its group plans) through
-    /// it.
+    /// stages (pair prefilter, clique search with its group plans and an
+    /// arrival's offers) through it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -150,24 +203,18 @@ impl OrderPool {
                 .expect("the order was inserted just above"),
         );
         // Enumerate the arriving order's groups once, on the pair plans the
-        // insert just made; offer each to every member (the arriving order
-        // may improve neighbours' bests too).
-        let groups = {
-            let _span = self.recorder.time(Stage::CliqueSearch);
-            all_groups_for(
-                &center,
-                &self.graph,
-                now,
-                self.cfg.limits,
-                self.cfg.clique,
-                oracle,
-                pairs,
-            )
+        // insert just made, offering each to every member as it is found
+        // (the arriving order may improve neighbours' bests too).
+        let _span = self.recorder.time(Stage::CliqueSearch);
+        let (limits, clique) = (self.cfg.limits, self.cfg.clique);
+        let mut offers = Offers {
+            best: &mut self.best,
+            now,
+            weights: self.cfg.weights,
+            offered: 0,
         };
-        self.stats.groups_enumerated += groups.len() as u64;
-        for g in groups {
-            self.offer_group(g, now);
-        }
+        Walk::arrival(&center, &self.graph, now, limits, clique, oracle, pairs).run(&mut offers);
+        self.stats.groups_enumerated += offers.offered;
     }
 
     /// Remove orders that were dispatched together or rejected (update
@@ -273,20 +320,6 @@ impl OrderPool {
         })
     }
 
-    /// Offer a freshly enumerated group to each of its members.
-    fn offer_group(&mut self, g: Group, now: Ts) {
-        let mean = g.mean_extra_time(now, self.cfg.weights);
-        for m in g.order_ids() {
-            let better = match self.best.get(&m) {
-                Some(cur) => mean < cur.mean_extra_time(now, self.cfg.weights),
-                None => true,
-            };
-            if better {
-                self.best.insert(m, g.clone());
-            }
-        }
-    }
-
     /// Serialize the pool's complete state: pooled orders, live edges and
     /// the best-group map, plus the lifetime counters.
     pub fn snapshot(&self) -> PoolSnapshot {
@@ -389,6 +422,7 @@ impl OrderPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cliques::all_groups_for;
     use proptest::prelude::*;
     use watter_core::{Dur, NodeId, TravelCost};
 
@@ -553,7 +587,7 @@ mod tests {
     }
 
     /// snapshot → JSON → restore reproduces the pool state exactly,
-    /// including a best group kept by the `offer_group` tie rule that a
+    /// including a best group kept by an arrival's offer on a tie that a
     /// rebuild-by-reinsert would not recover.
     #[test]
     fn snapshot_json_round_trip_restores_state() {
@@ -685,6 +719,81 @@ mod tests {
         }
     }
 
+    /// `OrderPool::insert` offering afterwards: every group of the arrival
+    /// collected first, then each offered to its members in walk order.
+    fn insert_offering_afterwards(p: &mut OrderPool, order: Order, now: Ts) {
+        p.stats.inserted += 1;
+        let id = order.id;
+        let pairs = p.graph.insert(order, now, p.cfg.limits, &Line);
+        let center = Arc::clone(p.graph.order_handle(id).unwrap());
+        let (limits, clique, weights) = (p.cfg.limits, p.cfg.clique, p.cfg.weights);
+        let groups = all_groups_for(&center, &p.graph, now, limits, clique, &Line, pairs);
+        p.stats.groups_enumerated += groups.len() as u64;
+        for g in groups {
+            let mean = g.mean_extra_time(now, weights);
+            for m in g.order_ids() {
+                let best = p.best.get(&m);
+                if best.is_none_or(|cur| mean < cur.mean_extra_time(now, weights)) {
+                    p.best.insert(m, g.clone());
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// An arrival that offers each group as the walk finds it leaves
+        /// the best map and the counters of one that collects every group
+        /// and offers afterwards: after every insert, departure and check,
+        /// under two weightings.
+        #[test]
+        fn offering_as_found_matches_offering_afterwards(
+            ops in prop::collection::vec((0u8..7, 0u32..30, 0u32..30, 0i64..400), 1..60),
+            skewed in 0u32..2,
+        ) {
+            let mut cfg = pool().cfg;
+            if skewed == 1 {
+                cfg.weights = CostWeights { alpha: 2.5, beta: 0.1 };
+            }
+            let (mut p, mut q) = (OrderPool::new(cfg), OrderPool::new(cfg));
+            let mut next = 0u32;
+            let mut now: Ts = 0;
+            for &(kind, a, b, x) in &ops {
+                match kind {
+                    0..=3 => {
+                        let mut o = order(next, a, b, 0);
+                        o.release = now;
+                        o.deadline = now + o.direct_cost + x;
+                        p.insert(o.clone(), now, &Line);
+                        insert_offering_afterwards(&mut q, o, now);
+                        next += 1;
+                    }
+                    4 | 5 => {
+                        // A best group departs whole, or one order alone.
+                        let ids: Vec<OrderId> = p.orders().map(|o| o.id).collect();
+                        if let Some(&id) = ids.get(a as usize % ids.len().max(1)) {
+                            let gone: Vec<OrderId> = match p.best_group(id) {
+                                Some(g) if kind == 4 => g.order_ids().collect(),
+                                _ => vec![id],
+                            };
+                            p.remove_orders(&gone, now, &Line);
+                            q.remove_orders(&gone, now, &Line);
+                        }
+                    }
+                    _ => {
+                        now += x / 4;
+                        let dead = p.maintain(now, &Line);
+                        prop_assert_eq!(&q.maintain(now, &Line), &dead);
+                        p.remove_orders(&dead, now, &Line);
+                        q.remove_orders(&dead, now, &Line);
+                    }
+                }
+                prop_assert_eq!(&p.best, &q.best, "after {:?}", (kind, a, b, x));
+                prop_assert_eq!(p.stats(), q.stats());
+            }
+        }
+    }
+
     /// An arrival with `k` ranked neighbours makes `k` fewer walk plans
     /// than the same walk without the insert's pair plans: it plans no
     /// pair. Fifteen nested orders, so the fan-out of 12 cuts two
@@ -721,6 +830,16 @@ mod tests {
         assert_eq!(alone - seeded, k, "{alone} plans alone, {seeded} seeded");
         assert_eq!(enumerated, groups.len());
         assert!(groups.iter().any(|g| g.len() == 4));
+    }
+
+    /// A fan-out wider than a walk's member-set mask is refused when the
+    /// pool is built, not aliased later.
+    #[test]
+    #[should_panic(expected = "exceeds the widest the walk takes")]
+    fn a_fan_out_wider_than_the_walk_takes_is_refused() {
+        let mut cfg = pool().cfg;
+        cfg.clique.max_neighbors = MAX_FAN_OUT + 1;
+        OrderPool::new(cfg);
     }
 
     /// The canonical proposal sweep is `(release, id)` ascending, whatever

@@ -4,7 +4,7 @@
 //! live shareability edges, and the best-group map — rather than a recipe
 //! for rebuilding it, because pool state is **not** a pure function of the
 //! pooled-order set: routes are planned at insert-time `now`, and
-//! `offer_group` keeps the earlier group on mean-extra-time ties, so
+//! an arrival's offer keeps the earlier group on mean-extra-time ties, so
 //! replaying inserts from a later clock would diverge. Serializing the
 //! graph and best map verbatim makes `restore` exact, which is what the
 //! bit-identical `restore + replay == run` contract requires

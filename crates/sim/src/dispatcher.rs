@@ -349,8 +349,10 @@ impl<P: DecisionPolicy, O: PoolObserver> Dispatcher for WatterDispatcher<P, O> {
                     if self.policy.decide(group, quality, &decision_ctx) || dying {
                         // Manual span: a drop-guard timer would borrow
                         // `self.recorder` across the `&mut self` solo
-                        // fallback below.
-                        let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
+                        // fallback below. Timed only while some worker is
+                        // idle: otherwise both attempts fail at once.
+                        let timed = self.recorder.is_enabled() && ctx.fleet.any_idle(now);
+                        let t0 = timed.then(std::time::Instant::now);
                         let committed = match ctx.dispatch_group(group) {
                             Some(wid) => {
                                 if group.len() >= 2 {

@@ -84,6 +84,11 @@ impl Fleet {
             .map(|(i, _)| WorkerId(i as u32))
     }
 
+    /// Whether some worker is idle at `now`: one compare, no scan.
+    pub fn any_idle(&self, now: Ts) -> bool {
+        self.first_idle <= now
+    }
+
     /// Locations of idle workers at `now` (for supply snapshots).
     pub(crate) fn idle_locations(&self, now: Ts) -> impl Iterator<Item = NodeId> + '_ {
         self.state
@@ -110,7 +115,7 @@ impl Fleet {
         min_capacity: u32,
         oracle: &C,
     ) -> Option<WorkerId> {
-        if self.first_idle > now {
+        if !self.any_idle(now) {
             return None;
         }
         let mut best: Option<(Dur, WorkerId)> = None;

@@ -121,16 +121,21 @@ impl Scenario {
             .into_iter()
             .enumerate()
             .map(|(i, (release, pickup, dropoff))| {
-                Order::from_scales(
+                let direct = oracle.cost(pickup, dropoff);
+                let mut order = Order::from_scales(
                     OrderId::from_index(i),
                     pickup,
                     dropoff,
                     1, // one rider per record (Section VII-A)
                     release,
-                    oracle.cost(pickup, dropoff),
+                    direct,
                     params.deadline_scale,
                     params.wait_scale,
-                )
+                );
+                // `τ·direct` rounds down to `direct` for τ just above 1:
+                // keep every generated order servable at its release.
+                order.deadline = order.deadline.max(release + direct + 1);
+                order
             })
             .collect();
 
@@ -183,6 +188,20 @@ mod tests {
         p.n_workers = 20;
         p.city_side = 10;
         Scenario::build(p)
+    }
+
+    /// At τ just above 1, `τ·direct` rounds to `direct` itself: the
+    /// generator still leaves every order a second to spare.
+    #[test]
+    fn orders_stay_servable_at_a_deadline_scale_just_above_one() {
+        let mut p = ScenarioParams::default_for(CityProfile::Chengdu);
+        (p.n_orders, p.n_workers, p.city_side) = (100, 10, 12);
+        p.deadline_scale = 1.0001;
+        let s = Scenario::build(p);
+        assert_eq!(s.orders.len(), 100);
+        for o in &s.orders {
+            assert_eq!(o.deadline, o.release + o.direct_cost + 1, "{o:?}");
+        }
     }
 
     #[test]

@@ -63,6 +63,30 @@ fn reference(dir: &Path) -> (PathBuf, String) {
     (orders, stable_stats(&run.stdout))
 }
 
+/// The `ingest` row a daemon prints on stderr: what its door admitted and
+/// refused, by reason.
+fn ingest_row(out: &std::process::Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let row = stderr.lines().find(|l| l.starts_with("ingest"));
+    row.unwrap_or_else(|| panic!("no ingest row: {out:?}"))
+        .to_string()
+}
+
+/// The `ingest` row of a daemon fed `orders` whole, uninterrupted: the row
+/// a resumed run must print, every line having reached the door once.
+fn uninterrupted_ingest(orders: &Path, ckpt: &Path) -> String {
+    let out = daemon()
+        .args(FLAGS)
+        .arg("--ckpt-dir")
+        .arg(ckpt)
+        .arg("--input")
+        .arg(orders)
+        .output()
+        .expect("run uninterrupted daemon");
+    assert!(out.status.success(), "{out:?}");
+    ingest_row(&out)
+}
+
 /// Poll until `pred` holds or the timeout elapses.
 fn wait_for(mut pred: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -128,6 +152,8 @@ fn sigkill_resume_matches_batch_reference() {
         "expected a resume from checkpoint, got stderr:\n{stderr}"
     );
     assert_eq!(stable_stats(&resumed.stdout), want, "stderr:\n{stderr}");
+    let whole = uninterrupted_ingest(&orders, &dir.join("whole"));
+    assert_eq!(ingest_row(&resumed), whole);
 }
 
 /// An injected crash (`--fault-crash-after`) exits with the dedicated
@@ -174,6 +200,55 @@ fn injected_crash_then_resume_matches_batch_reference() {
         "the bit-flipped newest checkpoint must be discarded, stderr:\n{stderr}"
     );
     assert_eq!(stable_stats(&resumed.stdout), want, "stderr:\n{stderr}");
+    let whole = uninterrupted_ingest(&orders, &dir.join("whole"));
+    assert_eq!(ingest_row(&resumed), whole);
+}
+
+/// At a deadline scale just above 1 (`τ·direct` rounds to `direct`) every
+/// generated order is still servable, so the daemon's door admits the
+/// whole stream and prints the batch run's stat block.
+#[test]
+fn a_deadline_scale_just_above_one_runs_the_same_in_both_binaries() {
+    const TIGHT: &[&str] = &[
+        "--city-side",
+        "12",
+        "--orders",
+        "100",
+        "--workers",
+        "10",
+        "--seed",
+        "3",
+        "--tau",
+        "1.0001",
+    ];
+    let dir = TempDir::new("daemon_smoke_tight_tau");
+    let run = cli()
+        .arg("run")
+        .args(TIGHT)
+        .output()
+        .expect("run watter-cli");
+    assert!(run.status.success(), "{run:?}");
+    let orders = dir.join("orders.ndjson");
+    let out = cli()
+        .arg("orders")
+        .args(TIGHT)
+        .arg("--out")
+        .arg(&orders)
+        .output()
+        .expect("run watter-cli orders");
+    assert!(out.status.success(), "{out:?}");
+    let served = daemon()
+        .args(TIGHT)
+        .arg("--ckpt-dir")
+        .arg(dir.join("ckpt"))
+        .arg("--input")
+        .arg(&orders)
+        .output()
+        .expect("run daemon");
+    assert!(served.status.success(), "{served:?}");
+    let ingest = ingest_row(&served);
+    assert!(ingest.contains("admitted=100 rejected=0 "), "{ingest}");
+    assert_eq!(stable_stats(&served.stdout), stable_stats(&run.stdout));
 }
 
 /// The scripted crash lives in the host loop and counts consumed lines:
@@ -671,14 +746,9 @@ fn a_large_city_crashed_and_resumed_reports_like_the_batch_run() {
     assert_eq!(block(&served), want, "{served:?}");
     // Every line reached the door once: the resumed run's ingest counters
     // are the uninterrupted run's.
-    let ingest = |out: &std::process::Output| {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let row = stderr.lines().find(|l| l.starts_with("ingest"));
-        row.expect("an ingest row").to_string()
-    };
-    assert_eq!(ingest(&resumed), ingest(&served));
+    assert_eq!(ingest_row(&resumed), ingest_row(&served));
     assert!(
-        ingest(&served).contains("admitted=40 rejected=0 "),
+        ingest_row(&served).contains("admitted=40 rejected=0 "),
         "{served:?}"
     );
     let json = std::fs::read_to_string(&observed).expect("read report");

@@ -895,7 +895,7 @@ fn the_pair_gate_rules_out_on_bounds_alone_and_never_asks_more() {
 /// Before the bound-guided, dominance-pruned search and the subset gate the
 /// plan asked 1 063 (586 + 477) and the walk 137 130 (80 290 + 56 840).
 /// `best_group_for` asked what `all_groups_for` asks until it learnt to
-/// bound: here the first pair it plans (14 calls) is never beaten, and 23
+/// bound: here the first pair it plans (10 calls) is never beaten, and 23
 /// pairs of floors (184 legs) say so — 78 (624 legs) before the walk
 /// stopped below the sets no descendant of which can win. The search
 /// totals are release-build figures: debug builds re-plan every gated set
@@ -953,5 +953,6 @@ fn query_totals_of_one_plan_and_one_search_are_pinned() {
 const QUAD_QUERIES: usize = 212;
 /// `(best_group_for, all_groups_for, ungated walk)` queries of the pinned
 /// search, release: `(198, 43 271, 64 534)` before the planner's fifth
-/// prune. The bounded search's one plan, a pair's, asks what it did.
-const SEARCH_QUERIES: (usize, usize, usize) = (198, 25_709, 37_160);
+/// prune, `(198, 25 709, 37 160)` before a pair read each leg once (the
+/// bounded search's one plan, a pair's, read 14 legs, now 10).
+const SEARCH_QUERIES: (usize, usize, usize) = (194, 25_675, 37_126);
